@@ -15,7 +15,8 @@ the file overrides the defaults (seed 0, samples 20, text).  No environment
 variables are read.
 
 Exit codes: 0 all checks passed, 1 at least one fail row, 2 usage, parse or
-I/O error.  Output for a fixed seed and flag set is byte-stable.
+I/O error (a negative n_max or samples, from a flag or the file, is a usage
+error).  Output for a fixed seed and flag set is byte-stable.
 """
 
 from __future__ import annotations
@@ -93,12 +94,16 @@ def _effective(args, file_config: dict):
             return flag
         return file_config.get(key, default)
 
-    return {
+    settings = {
         "n_max": pick(args.n_max, "n_max", None),
         "samples": pick(args.samples, "samples", 20),
         "seed": pick(args.seed, "seed", 0),
         "format": pick(args.format, "format", "text"),
     }
+    for key in ("n_max", "samples"):
+        if settings[key] is not None and settings[key] < 0:
+            raise UsageError(f"{key} must be non-negative, got {settings[key]}")
+    return settings
 
 
 def _emit(report, fmt: str, out) -> None:

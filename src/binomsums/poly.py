@@ -17,14 +17,29 @@ leading coefficient.  Subtraction therefore normalizes to the zero RatFunc
 exactly when the two sides agree as functions, which is the zero-test the
 certificate verification reduces to.
 
-GCDs are computed by the integer-evaluation heuristic (evaluate all but
-finitely many variables at a large integer, take the gcd one level down,
-reconstruct coefficients from balanced base-xi digits, and certify the
-candidate by exact trial division), with a content/primitive-part
-pseudo-remainder sequence as the fallback when the heuristic fails to
-certify.  Certificate residual arithmetic produces inputs around total
-degree 12 in four or five variables, which is exactly where plain primitive
-PRS drowns in coefficient swell but the verified heuristic stays quick.
+poly_gcd takes one of three routes:
+
+1. Short cut: a zero operand gives the primitive part of the other; a
+   nonzero constant operand gives 1 with no further work (most calls made
+   while RatFunc canonicalises, whose denominators are mostly constant);
+   two monomials give the monomial of the smaller exponents.
+2. GCDHEU, the integer-evaluation heuristic (Char, Geddes & Gonnet 1989):
+   evaluate one variable at a large integer xi, take the gcd one level
+   down, reconstruct coefficients from balanced base-xi digits, and certify
+   the candidate by exact trial division.  Certificate residual arithmetic
+   produces inputs around total degree 12 in four or five variables, where
+   the certified heuristic stays quick.
+3. When six evaluation points fail to certify, the primitive
+   pseudo-remainder sequence (Collins 1967; Brown 1971), which divides
+   every remainder by its content in the other variables *and* by its
+   integer content, so coefficient sizes stay bounded.
+
+GCDHEU gives up on coprime inputs whose values have a smooth common part.
+With the falling factorial B = s(s-1)...(s-19) from the harmonic entries,
+B(xi) is a product of twenty consecutive integers, and gcd(A(xi), B(xi))
+carries spurious factors (powers of the primes up to 19) whose product
+exceeds xi/2 at all six points, so the digits never reconstruct the true
+gcd 1.  Such pairs go to the PRS.
 """
 
 from __future__ import annotations
@@ -343,12 +358,20 @@ def _prem(a: MultiPoly, b: MultiPoly, idx: int) -> MultiPoly:
 
 
 def _primitive_in(a: MultiPoly, idx: int) -> MultiPoly:
-    """Divide out the content with respect to VARS[idx]."""
+    """Divide out the content with respect to VARS[idx], integer part included.
+
+    poly_gcd returns the content primitive over Q, so its integer part has to
+    go separately; without it a univariate PRS keeps every remainder's
+    integer content and runs as the Euclidean PRS, whose coefficients double
+    in bit size at each step.
+    """
     coeffs = _coeffs_in(a, idx)
     cont = MultiPoly.zero()
     for p in coeffs.values():
         cont = poly_gcd(cont, p)
-    return a.divexact(cont)
+    if cont.degree() > 0:
+        a = a.divexact(cont)
+    return a.content_primitive()[1]
 
 
 def _prs_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -487,6 +510,10 @@ def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     raise _HeuristicFailed
 
 
+def _is_const(a: MultiPoly) -> bool:
+    return len(a.terms) == 1 and _ZERO_EXP in a.terms
+
+
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """The gcd of a and b over Q, primitive with positive leading coeff.
 
@@ -500,6 +527,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return b.content_primitive()[1]
     if b.is_zero:
         return a.content_primitive()[1]
+    if _is_const(a) or _is_const(b):
+        return MultiPoly.const(1)
     pa = a.content_primitive()[1]
     pb = b.content_primitive()[1]
     if len(pa.terms) == 1 and len(pb.terms) == 1:

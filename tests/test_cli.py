@@ -117,6 +117,22 @@ def test_config_file_errors(tmp_path):
     assert code == 2
 
 
+def test_negative_n_max_or_samples_is_usage_error(tmp_path, capsys):
+    # a run that would check nothing must not exit 0 with zero rows
+    for flags in (("--n-max", "-3"), ("--samples", "-1")):
+        code, text = run_cli("check", "ID06", *flags)
+        assert code == 2 and text == ""
+    for key in ("n_max", "samples"):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({key: -2}))
+        code, text = run_cli("check", "ID06", "--config", str(config))
+        assert code == 2 and text == ""
+        assert f"{key} must be non-negative" in capsys.readouterr().err
+    # zero is still allowed
+    code, _ = run_cli("check", "ID16", "--n-max", "0", "--samples", "0")
+    assert code == 0
+
+
 def test_suite_small_run_json():
     code, payload = run_cli("suite", "--n-max", "2", "--samples", "1",
                             "--format", "json")

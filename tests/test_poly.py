@@ -176,6 +176,73 @@ def test_gcd_classic():
     assert g == to_ratfunc(parse_expr("(n+k)*(n-k)")).num
 
 
+def test_gcd_with_a_constant_operand_is_one():
+    n, s = MultiPoly.var("n"), MultiPoly.var("s")
+    for p in (n + 1, 6 * n * s - 4, s**3, MultiPoly.const(5)):
+        for c in (1, -3, F(2, 7)):
+            c = MultiPoly.const(c)
+            assert poly_gcd(p, c) == poly_gcd(c, p) == MultiPoly.const(1)
+
+
+def test_gcd_with_zero_operand():
+    p = MultiPoly.const(-6) * MultiPoly.var("n") + 4
+    assert poly_gcd(p, MultiPoly.zero()) == MultiPoly.const(3) * MultiPoly.var("n") - 2
+    assert poly_gcd(MultiPoly.zero(), MultiPoly.const(F(-2, 7))) == MultiPoly.const(1)
+    assert poly_gcd(MultiPoly.const(4), MultiPoly.zero()) == MultiPoly.const(1)
+    assert poly_gcd(MultiPoly.zero(), MultiPoly.zero()).is_zero
+
+
+def _falling_factorial_pair(m: int) -> tuple[MultiPoly, MultiPoly]:
+    """s(s-1)...(s-m+1) and the numerator of H_m + sum_{i<m} 1/(s-i) over
+    it: coprime, and at m = 20 a pair on which the heuristic gives up (the
+    smooth values of the falling factorial leave spurious factors above
+    xi/2)."""
+    s = MultiPoly.var("s")
+    factors = [s - i for i in range(m)]
+    falling = MultiPoly.const(1)
+    for f in factors:
+        falling = falling * f
+    partner = falling * sum(F(1, i) for i in range(1, m + 1))
+    for k in range(m):
+        rest = MultiPoly.const(1)
+        for i, f in enumerate(factors):
+            if i != k:
+                rest = rest * f
+        partner = partner + rest
+    return partner.content_primitive()[1], falling
+
+
+def test_heuristic_gives_up_on_the_falling_factorial_pair(budget):
+    from binomsums.poly import _HeuristicFailed, _heugcd
+
+    a, b = _falling_factorial_pair(20)
+    with pytest.raises(_HeuristicFailed):
+        _heugcd(a, b)
+    with budget(1.0):
+        assert poly_gcd(a, b) == MultiPoly.const(1)
+
+
+def test_prs_gcd_of_falling_factorial_pair_is_bounded(budget):
+    # the PRS that kept each remainder's integer content ran for minutes
+    # here, its remainders doubling in bit size at every step
+    from binomsums.poly import _prs_gcd
+
+    a, b = _falling_factorial_pair(20)
+    with budget(1.0):
+        assert _prs_gcd(a, b) == MultiPoly.const(1)
+
+
+@pytest.mark.parametrize("n", [20, 26])
+def test_symbolic_id15_is_zero_within_budget(n, budget):
+    # these two n used to take over 40 s in poly_gcd
+    from binomsums.catalog.entries import REGISTRY
+
+    entry = REGISTRY["ID15"]
+    point = {"s": RatFunc.var("s")}
+    with budget(5.0):
+        assert (entry.lhs(n, point) - entry.rhs(n, point)).is_zero
+
+
 # ---------------------------------------------------------------------------
 # RatFunc canonical form
 # ---------------------------------------------------------------------------
