@@ -1,12 +1,16 @@
 """The identity catalog: entries, parameter domains, single checks.
 
 Each entry binds an id to independent left/right evaluators (see lhs.py and
-rhs.py), a parameter specification with its exclusions, and a default depth
-n_max.  Exclusions exist for two reasons: hypotheses of the statements
-(parameters that must not be negative integers) and evaluability (digamma
-poles at s in {0..n-1}, vanishing denominators, t != 0 for the Legendre
-entries).  Draw rejection is decided against the largest n an assignment
-will be used with.
+rhs.py), a parameter specification with its exclusions (a
+:class:`~binomsums.params.ParamSpec`), and a default depth n_max.
+Exclusions exist for two reasons: hypotheses of the statements (parameters
+that must not be negative integers) and evaluability (digamma poles at s in
+{0..n-1}, vanishing denominators, t != 0 for the Legendre entries).  Draw
+rejection is decided against the largest n an assignment will be used with.
+
+A check reports "skipped" only for an excluded assignment or a typed pole
+(see :data:`~binomsums.params.TYPED_POLES`); any other division by zero is a
+"fail" row that names the exception.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from ..exact import DigammaPole, TrigammaPole
-from ..jets import JetDivisionPole
+from ..params import TYPED_POLES, ParamSpec, draw, is_neg_int, not_negative_integers
 from . import lhs, rhs
 
 F = Fraction
@@ -43,17 +46,6 @@ class SkipEvaluation(Exception):
         self.reason = reason
 
 
-def _accept(n_max: int, a: Mapping[str, Fraction]) -> str | None:
-    return None
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    names: tuple[str, ...] = ()
-    reject: Callable[[int, Mapping[str, Fraction]], str | None] = _accept
-    note: str = ""
-
-
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
@@ -67,19 +59,6 @@ class IdentityEntry:
 
 # -- rejection predicates ----------------------------------------------------
 
-def _neg_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q < 0
-
-
-def _not_negative_integers(*names):
-    def reject(n_max, a):
-        for name in names:
-            if _neg_int(a[name]):
-                return f"{name} is a negative integer"
-        return None
-    return reject
-
-
 def _reject_id05(n_max, a):
     lam = a["lam"]
     shifted = lam - F(1, 2)
@@ -92,7 +71,7 @@ def _reject_id15(n_max, a):
     s = a["s"]
     if s.denominator == 1 and 0 <= s < n_max:
         return "s in {0..n-1}: digamma pole"
-    if _neg_int(s):
+    if is_neg_int(s):
         return "s is a negative integer"
     return None
 
@@ -103,11 +82,9 @@ def _reject_nonzero_t(n_max, a):
     return None
 
 
-_NOT_NEG_AB = ParamSpec(("alpha", "beta"), _not_negative_integers("alpha", "beta"),
-                        "alpha, beta not negative integers")
-_NOT_NEG_B = ParamSpec(("beta",), _not_negative_integers("beta"),
-                       "beta not a negative integer")
-_LEGENDRE_T = ParamSpec(("t",), _reject_nonzero_t, "t nonzero")
+_NOT_NEG_AB = ParamSpec(("alpha", "beta"), not_negative_integers("alpha", "beta"))
+_NOT_NEG_B = ParamSpec(("beta",), not_negative_integers("beta"))
+_LEGENDRE_T = ParamSpec(("t",), _reject_nonzero_t)
 
 
 def _entry(eid, statement, params, n_max, inner_index=None):
@@ -124,32 +101,26 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            "sum C(a,n-k) C(b+k,k) x^k y^(n-k) = "
            "sum (-1)^(n+k) C(b-a+n,n-k) C(b+k,k) (x+y)^k y^(n-k)",
            ParamSpec(("alpha", "beta", "x", "y"),
-                     _not_negative_integers("alpha", "beta"),
-                     "alpha, beta not negative integers"), 30),
+                     not_negative_integers("alpha", "beta")), 30),
     _entry("ID03",
            "sum C(a,n-k) C(b+k,k) x^k = sum (-1)^(n+j) C(b-a+n,n-j) C(b+j,j) (x+1)^j",
            ParamSpec(("alpha", "beta", "x"),
-                     _not_negative_integers("alpha", "beta"),
-                     "alpha, beta not negative integers"), 30),
+                     not_negative_integers("alpha", "beta")), 30),
     _entry("ID04",
            "sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)",
            _NOT_NEG_AB, 30, inner_index="j"),
     _entry("ID05",
            "4^n C(lam,n) = C(2 lam,n) sum C(n,k) C(n-lam-1/2,k) / C(k-lam-1/2,k)",
-           ParamSpec(("lam",), _reject_id05,
-                     "lam - 1/2 not an integer in [0, n)"), 30),
+           ParamSpec(("lam",), _reject_id05), 30),
     _entry("ID06",
            "sum C(n,k) C(s,k) / C(t+k,k) = prod_{i=1..n} (s+t+i)/(t+i)",
-           ParamSpec(("s", "t"), _not_negative_integers("s", "t"),
-                     "s, t not negative integers"), 30),
+           ParamSpec(("s", "t"), not_negative_integers("s", "t")), 30),
     _entry("ID07",
            "sum (-1)^(n+k) C(s+k,k) C(n-p,n-k) = C(s+p,n)   [both sides / C(n,p)]",
-           ParamSpec(("s", "p"), _not_negative_integers("s", "p"),
-                     "s, p not negative integers"), 30),
+           ParamSpec(("s", "p"), not_negative_integers("s", "p")), 30),
     _entry("ID08",
            "sum C(n,k) C(b+k,k) x^k = sum (-1)^(n+k) C(n,k) C(b+k,n) (1+x)^k",
-           ParamSpec(("beta", "x"), _not_negative_integers("beta"),
-                     "beta not a negative integer"), 30),
+           ParamSpec(("beta", "x"), not_negative_integers("beta")), 30),
     _entry("ID09",
            "sum (-1)^k C(n,k) C(b+k,n) = (-1)^n",
            _NOT_NEG_B, 30),
@@ -170,8 +141,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            _LEGENDRE_T, 50),
     _entry("ID15",
            "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))",
-           ParamSpec(("s",), _reject_id15,
-                     "s not in {0..n-1} (digamma poles), not a negative integer"), 30),
+           ParamSpec(("s",), _reject_id15), 30),
     _entry("ID16",
            "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_k",
            ParamSpec(), 100),
@@ -183,8 +153,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            ParamSpec(), 100),
     _entry("ID19",
            "sum C(s+p,k) C(n-p,n-k) = C(s+n,n)   [both sides / C(n,p)]",
-           ParamSpec(("s", "p"), _not_negative_integers("s", "p"),
-                     "s, p not negative integers"), 30),
+           ParamSpec(("s", "p"), not_negative_integers("s", "p")), 30),
     _entry("ID20",
            "sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)",
            ParamSpec(), 100),
@@ -193,8 +162,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            ParamSpec(), 100),
     _entry("ID21",
            "sum C(s+k,k) C(2n-2k,n-k) 4^k = C(2n,n) C(2n+2s+1,2s+1) / C(n+s,n)",
-           ParamSpec(("s",), _not_negative_integers("s"),
-                     "s not a negative integer"), 30),
+           ParamSpec(("s",), not_negative_integers("s")), 30),
     _entry("ID22",
            "sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)",
            ParamSpec(), 100),
@@ -248,19 +216,26 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+def _guarded(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
+             compute: Callable[[], object]):
+    """compute() unless the assignment is excluded at n; an exclusion or a
+    typed pole raises SkipEvaluation, any other exception propagates."""
+    reason = entry.params.reject(n + 1, assignment)
+    if reason is not None:
+        raise SkipEvaluation(reason)
+    try:
+        return compute()
+    except TYPED_POLES as exc:
+        raise SkipEvaluation(f"pole: {exc}") from exc
+
+
 def evaluate_side(entry_id: str, side: str, n: int,
                   assignment: Mapping[str, Fraction],
                   entries: dict[str, IdentityEntry] | None = None) -> Fraction:
     """One side only, exactly; raises SkipEvaluation on excluded input."""
     entry = (entries or REGISTRY)[entry_id]
     fn = {"lhs": entry.lhs, "rhs": entry.rhs}[side]
-    reason = entry.params.reject(n + 1, assignment)
-    if reason is not None:
-        raise SkipEvaluation(reason)
-    try:
-        return fn(n, assignment)
-    except (DigammaPole, TrigammaPole, JetDivisionPole, ZeroDivisionError) as exc:
-        raise SkipEvaluation(f"pole: {exc}") from exc
+    return _guarded(entry, n, assignment, lambda: fn(n, assignment))
 
 
 @dataclass(frozen=True)
@@ -274,56 +249,53 @@ class CheckResult:
     reason: str = ""
 
 
+def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
+             shown: dict) -> CheckResult:
+    inners = range(n + 1) if entry.inner_index else (None,)
+    last = (None, None)
+    for j in inners:
+        values = dict(assignment)
+        if j is not None:
+            values[entry.inner_index] = j
+        left = entry.lhs(n, values)
+        right = entry.rhs(n, values)
+        last = (left, right)
+        if left != right:
+            tag = f" at {entry.inner_index}={j}" if j is not None else ""
+            return CheckResult(entry.id, n, shown, left, right, "fail",
+                               f"sides differ{tag}")
+    return CheckResult(entry.id, n, shown, last[0], last[1], "pass")
+
+
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
     """Evaluate both sides; pass iff exactly equal.
 
     For an entry with an inner index the check covers every index value in
-    0..n and reports the first mismatch.
+    0..n and reports the first mismatch.  A division by zero that is not a
+    typed pole is a fail row naming the exception.
     """
     entry = (entries or REGISTRY)[entry_id]
     shown = {k: str(v) for k, v in assignment.items()}
-    reason = entry.params.reject(n + 1, assignment)
-    if reason is not None:
-        return CheckResult(entry_id, n, shown, None, None, "skipped", reason)
-    inners = range(n + 1) if entry.inner_index else (None,)
-    last = (None, None)
     try:
-        for j in inners:
-            values = dict(assignment)
-            if j is not None:
-                values[entry.inner_index] = j
-            left = entry.lhs(n, values)
-            right = entry.rhs(n, values)
-            last = (left, right)
-            if left != right:
-                tag = f" at {entry.inner_index}={j}" if j is not None else ""
-                return CheckResult(entry_id, n, shown, left, right, "fail",
-                                   f"sides differ{tag}")
-    except (DigammaPole, TrigammaPole, JetDivisionPole, ZeroDivisionError) as exc:
-        return CheckResult(entry_id, n, shown, None, None, "skipped", f"pole: {exc}")
-    return CheckResult(entry_id, n, shown, last[0], last[1], "pass")
+        return _guarded(entry, n, assignment,
+                        lambda: _compare(entry, n, assignment, shown))
+    except SkipEvaluation as exc:
+        return CheckResult(entry_id, n, shown, None, None, "skipped", exc.reason)
+    except ZeroDivisionError as exc:
+        return CheckResult(entry_id, n, shown, None, None, "fail",
+                           f"unexpected {type(exc).__name__}: {exc}")
 
 
 def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,
-                   n_max: int, bound: int = 100,
-                   max_tries: int = 1000) -> list[dict[str, Fraction]]:
+                   n_max: int) -> list[dict[str, Fraction] | None]:
     """Seeded parameter draws for an entry, rejection-resampled.
 
     Deterministic in (seed, entry id) alone, so filtered runs reproduce the
-    rows of a full run.  Entries without parameters get one empty draw.
+    rows of a full run.  Entries without parameters get one empty draw; a
+    draw that finds no admissible assignment is None.
     """
     if not entry.params.names:
         return [{}]
     rng = random.Random(f"{seed}:{entry.id}")
-    draws = []
-    for _ in range(samples):
-        for _ in range(max_tries):
-            assign = {name: Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                      for name in entry.params.names}
-            if entry.params.reject(n_max + 1, assign) is None:
-                draws.append(assign)
-                break
-        else:
-            draws.append(None)
-    return draws
+    return [draw(rng, entry.params, n_max + 1) for _ in range(samples)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import binom_int, binom_poly, central_binomial, harmonic
+from ..exact import binom_int, binom_poly, binom_row, central_binomial, harmonic
 from ..legendre import legendre
 
 F = Fraction
@@ -32,17 +32,9 @@ def id01(n, a):
     return total
 
 
-def _binom_row(s, n):
-    """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
-    row = [F(1)]
-    for m in range(1, n + 1):
-        row.append(row[-1] * (s - m + 1) / m)
-    return row
-
-
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    ba = _binom_row(alpha, n)      # C(alpha, m)
+    ba = binom_row(alpha, n)      # C(alpha, m)
     total = F(0)
     bb = F(1)                      # C(beta+k, k)
     for k in range(n + 1):
@@ -54,7 +46,7 @@ def id02(n, a):
 
 def id03(n, a):
     alpha, beta, x = a["alpha"], a["beta"], a["x"]
-    ba = _binom_row(alpha, n)
+    ba = binom_row(alpha, n)
     total = F(0)
     bb = F(1)
     for k in range(n + 1):
@@ -66,7 +58,7 @@ def id03(n, a):
 
 def id04(n, a):
     alpha, beta, j = a["alpha"], a["beta"], int(a["j"])
-    ba = _binom_row(alpha, n)
+    ba = binom_row(alpha, n)
     total = F(0)
     bb = F(1)
     for k in range(n + 1):

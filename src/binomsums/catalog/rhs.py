@@ -11,6 +11,7 @@ from fractions import Fraction
 from ..exact import (
     binom_int,
     binom_poly,
+    binom_row,
     binom_upper_shift,
     central_binomial,
     digamma_diff,
@@ -30,17 +31,9 @@ def id01(n, a):
     return total
 
 
-def _binom_row(s, n):
-    """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
-    row = [F(1)]
-    for m in range(1, n + 1):
-        row.append(row[-1] * (s - m + 1) / m)
-    return row
-
-
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg = _binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
+    bg = binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
     xy = x + y
     total = F(0)
     bb = F(1)                      # C(beta+k, k)
@@ -54,7 +47,7 @@ def id02(n, a):
 
 def id03(n, a):
     alpha, beta, x = a["alpha"], a["beta"], a["x"]
-    bg = _binom_row(beta - alpha + n, n)
+    bg = binom_row(beta - alpha + n, n)
     x1 = x + 1
     total = F(0)
     bb = F(1)

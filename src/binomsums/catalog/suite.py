@@ -13,14 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..exact import harmonic_cache, render_rational
-from ..wz import (
-    PAIR_NAMES,
-    builtin_pairs,
-    certificate_residual,
-    draw_rationals,
-    telescoping_sum_check,
-    verify_wz_pair,
-)
+from ..params import MAX_TRIES, draw
+from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
 __all__ = ["SuiteConfig", "ResultRow", "SuiteReport", "run_catalog", "run_suite", "run_wz"]
@@ -116,13 +110,13 @@ def run_catalog(config: SuiteConfig) -> SuiteReport:
         n_max = config.n_max if config.n_max is not None else entry.n_max
         draws = draw_for_entry(entry, config.seed, config.samples, n_max)
         for n in range(n_max + 1):
-            for draw in draws:
-                if draw is None:
+            for assign in draws:
+                if assign is None:
                     report.results.append(ResultRow(
                         entry_id, {}, n, None, None, "skipped",
-                        "no admissible draw after 1000 tries"))
+                        f"no admissible draw after {MAX_TRIES} tries"))
                     continue
-                result = check_identity(entry_id, n, draw, entries)
+                result = check_identity(entry_id, n, assign, entries)
                 report.results.append(ResultRow(
                     entry_id, result.params, n,
                     None if result.lhs is None else render_rational(result.lhs),
@@ -143,30 +137,22 @@ def run_wz(config: SuiteConfig) -> SuiteReport:
             pair = pair.scaled(config.wz_scale)
         row_id = f"WZ-{name}"
 
-        residual = certificate_residual(pair)
-        report.results.append(ResultRow(
-            row_id, {}, None, None, None,
-            "pass" if residual.is_zero else "fail",
-            "symbolic residual = 0" if residual.is_zero
-            else "symbolic residual != 0"))
-
         verification = verify_wz_pair(pair, n_max=n_max,
                                       samples=config.samples, seed=config.seed)
         for row in verification.rows:
             if row.check == "symbolic-residual":
-                continue     # already reported above
+                reason = ("symbolic residual = 0" if row.ok
+                          else "symbolic residual != 0")
+            else:
+                reason = f"{row.check}: {row.detail}" if row.detail else row.check
             report.results.append(ResultRow(
                 row_id, row.params, row.n, None, None,
-                "pass" if row.ok else "fail",
-                f"{row.check}: {row.detail}" if row.detail else row.check))
+                "pass" if row.ok else "fail", reason))
 
         rng = random.Random(f"{config.seed}:telescope:{name}")
-        draws = []
-        for _ in range(config.samples):
-            draw = draw_rationals(rng, pair.param_names, pair.reject, n_max)
-            if draw is not None:
-                draws.append(draw)
-        for outcome in telescoping_sum_check(pair, n_max, draws):
+        draws = [draw(rng, pair.params, n_max) for _ in range(config.samples)]
+        admissible = [assign for assign in draws if assign is not None]
+        for outcome in telescoping_sum_check(pair, n_max, admissible):
             status = ("pass" if outcome.ok else
                       "skipped" if outcome.ok is None else "fail")
             report.results.append(ResultRow(

@@ -14,9 +14,11 @@ may set n_max, samples, seed and format; explicit flags override the file,
 the file overrides the defaults (seed 0, samples 20, text).  No environment
 variables are read.
 
-Exit codes: 0 all checks passed, 1 at least one fail row, 2 usage, parse or
-I/O error (a negative n_max or samples, from a flag or the file, is a usage
-error).  Output for a fixed seed and flag set is byte-stable.
+Exit codes: 0 all checks passed, 1 at least one fail row or no pass and no
+fail row at all (nothing was checked, e.g. --samples 0 on an entry with
+parameters), 2 usage, parse or I/O error (a negative n_max or samples, from
+a flag or the file, is a usage error).  Output for a fixed seed and flag set
+is byte-stable.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ def _run(args, out) -> int:
         report = run_suite(SuiteConfig(**config_kwargs))
 
     _emit(report, fmt, out)
+    counts = report.counts()
+    if not counts["pass"] and not counts["fail"]:
+        print("error: nothing was checked (no pass or fail rows)", file=sys.stderr)
+        return 1
     return 1 if report.failed else 0
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "HarmonicCache",
     "binom_int",
     "binom_poly",
+    "binom_row",
     "binom_upper_shift",
     "central_binomial",
     "digamma_diff",
@@ -177,6 +178,14 @@ def binom_poly(s, k: int):
     for i in range(1, k):
         out = out * (s - i)
     return out / factorial(k)
+
+
+def binom_row(s, n: int) -> list:
+    """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
+    row = [_ONE]
+    for m in range(1, n + 1):
+        row.append(row[-1] * (s - m + 1) / m)
+    return row
 
 
 def binom_upper_shift(b, m: int):

@@ -1,0 +1,72 @@
+"""Parameter domains and the seeded draw, shared by the catalog entries and
+the certificate pairs.
+
+A :class:`ParamSpec` names an identity's free parameters and holds its
+rejection predicate ``reject(n_max, assignment) -> reason | None``, which
+encodes the statement's hypotheses (e.g. "alpha, beta are not negative
+integers") and the values where an evaluation would hit a pole.  An
+assignment that passes the predicate may still land on one of the typed
+poles in :data:`TYPED_POLES`; those are the only exceptions a check may
+report as "skipped".  Any other division by zero is a defect of the
+evaluator and is reported as a failure.
+
+:func:`draw` is the one seeded draw.  Callers seed the generator with
+``"{seed}:{entry id}"`` (catalog), ``"{seed}:wz:{pair}"`` (boundary and
+base checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums); those
+strings, the draw order and the ``n_max`` handed to the predicate are part
+of the byte-stable report.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Mapping
+
+from .exact import DigammaPole, TrigammaPole
+from .hyperterm import HyperTermPole
+from .jets import JetDivisionPole
+
+__all__ = ["MAX_TRIES", "ParamSpec", "TYPED_POLES", "draw", "is_neg_int",
+           "not_negative_integers"]
+
+MAX_TRIES = 1000
+
+TYPED_POLES = (DigammaPole, TrigammaPole, JetDivisionPole, HyperTermPole)
+
+
+def _accept(n_max: int, a: Mapping[str, Fraction]) -> str | None:
+    return None
+
+
+@dataclass(frozen=True)
+class ParamSpec:
+    names: tuple[str, ...] = ()
+    reject: Callable[[int, Mapping[str, Fraction]], str | None] = _accept
+
+
+def is_neg_int(q: Fraction) -> bool:
+    return q.denominator == 1 and q < 0
+
+
+def not_negative_integers(*names: str):
+    def reject(n_max, a):
+        for name in names:
+            if is_neg_int(a[name]):
+                return f"{name} is a negative integer"
+        return None
+    return reject
+
+
+def draw(rng: random.Random, spec: ParamSpec, n_max: int,
+         bound: int = 100) -> dict[str, Fraction] | None:
+    """One assignment with numerators in [-bound, bound] and denominators in
+    [1, bound], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
+    after MAX_TRIES tries."""
+    for _ in range(MAX_TRIES):
+        assign = {name: Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                  for name in spec.names}
+        if spec.reject(n_max, assign) is None:
+            return assign
+    return None

@@ -24,6 +24,12 @@ Verification of a pair combines
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
 
+Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
+and its draws come from :func:`binomsums.params.draw`, the same draw the
+catalog uses.  In the telescoping check only a typed pole
+(:data:`~binomsums.params.TYPED_POLES`) is a skip; any other division by
+zero is a failure.
+
 The three shipped pairs live as plain-text fixtures next to this module;
 each file carries exactly the lines
 
@@ -39,13 +45,13 @@ omissible.  Parse errors report line and column.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable
 
 from .expr import ExprSyntaxError, parse_expr, to_ratfunc
 from .hyperterm import AffineForm, HyperTerm, HyperTermPole
+from .params import TYPED_POLES, ParamSpec, draw, is_neg_int
 from .poly import RatFunc, RatFuncPole
 
 __all__ = [
@@ -55,7 +61,6 @@ __all__ = [
     "WZPair",
     "builtin_pairs",
     "certificate_residual",
-    "draw_rationals",
     "parse_term_spec",
     "parse_pair_file",
     "telescoping_sum_check",
@@ -82,19 +87,12 @@ class WZPair:
     term: HyperTerm
     certificate: RatFunc
     orientation: int
-    param_names: tuple[str, ...]
-    reject: Callable[[int, dict], str | None]
+    params: ParamSpec
     extra_index: str | None = None   # inner summation index (ranges 0..n)
 
     def scaled(self, factor: Fraction) -> "WZPair":
         """Copy with the certificate multiplied by a constant (negative control)."""
-        return WZPair(self.name, self.term, self.certificate * factor,
-                      self.orientation, self.param_names, self.reject,
-                      self.extra_index)
-
-    def with_certificate(self, certificate: RatFunc) -> "WZPair":
-        return WZPair(self.name, self.term, certificate, self.orientation,
-                      self.param_names, self.reject, self.extra_index)
+        return replace(self, certificate=self.certificate * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +231,8 @@ def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
 # The three shipped pairs
 # ---------------------------------------------------------------------------
 
-def _is_nonneg_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q >= 0
-
-
-def _is_neg_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q < 0
-
-
 def _reject_thm1(n_max: int, a: dict) -> str | None:
-    if _is_neg_int(a["alpha"]) or _is_neg_int(a["beta"]):
+    if is_neg_int(a["alpha"]) or is_neg_int(a["beta"]):
         return "negative integer parameter"
     if (a["beta"] - a["alpha"]).denominator == 1:
         return "beta - alpha is an integer (boundary binomials may vanish)"
@@ -250,25 +240,26 @@ def _reject_thm1(n_max: int, a: dict) -> str | None:
 
 
 def _reject_thm2(n_max: int, a: dict) -> str | None:
-    if _is_neg_int(a["s"]) or _is_neg_int(a["t"]):
+    if is_neg_int(a["s"]) or is_neg_int(a["t"]):
         return "negative integer parameter"
-    if (a["s"] + a["t"]).denominator == 1 and a["s"] + a["t"] < 0:
+    if is_neg_int(a["s"] + a["t"]):
         return "s + t is a negative integer (denominator products vanish)"
     return None
 
 
 def _reject_thm3(n_max: int, a: dict) -> str | None:
-    if _is_neg_int(a["s"]) or _is_neg_int(a["p"]):
+    if is_neg_int(a["s"]) or is_neg_int(a["p"]):
         return "negative integer parameter"
-    if _is_nonneg_int(a["s"] + a["p"]):
+    total = a["s"] + a["p"]
+    if total.denominator == 1 and total >= 0:
         return "s + p is a non-negative integer (normalizing binomial may vanish)"
     return None
 
 
 _PAIR_INFO = {
-    "thm1": (("alpha", "beta"), _reject_thm1, "j"),
-    "thm2": (("s", "t"), _reject_thm2, None),
-    "thm3": (("s", "p"), _reject_thm3, None),
+    "thm1": (ParamSpec(("alpha", "beta"), _reject_thm1), "j"),
+    "thm2": (ParamSpec(("s", "t"), _reject_thm2), None),
+    "thm3": (ParamSpec(("s", "p"), _reject_thm3), None),
 }
 
 _CACHED_PAIRS: dict[str, WZPair] = {}
@@ -282,8 +273,8 @@ def load_pair(name: str) -> WZPair:
         raise KeyError(f"unknown pair {name!r}; known: {', '.join(PAIR_NAMES)}")
     text = resources.files("binomsums.fixtures").joinpath(f"{name}.wz").read_text()
     term, certificate, orientation = parse_pair_file(text)
-    params, reject, extra = _PAIR_INFO[name]
-    pair = WZPair(name, term, certificate, orientation, params, reject, extra)
+    params, extra = _PAIR_INFO[name]
+    pair = WZPair(name, term, certificate, orientation, params, extra)
     _CACHED_PAIRS[name] = pair
     return pair
 
@@ -302,24 +293,6 @@ def certificate_residual(pair: WZPair) -> RatFunc:
     r_k = pair.term.shift_ratio("k")
     c = pair.certificate
     return pair.orientation * (r_n - 1) - c.shift("k", 1) * r_k + c
-
-
-# ---------------------------------------------------------------------------
-# Random parameter draws
-# ---------------------------------------------------------------------------
-
-def draw_rationals(rng: random.Random, names: Iterable[str],
-                   reject: Callable[[int, dict], str | None],
-                   n_max: int, bound: int = 100, max_tries: int = 1000) -> dict | None:
-    """One assignment with numerators/denominators bounded, redrawing until
-    the rejection predicate accepts; None after max_tries."""
-    names = tuple(names)
-    for _ in range(max_tries):
-        assign = {name: Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-                  for name in names}
-        if reject(n_max, assign) is None:
-            return assign
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +322,16 @@ class VerificationReport:
         return [row for row in self.rows if not row.ok]
 
 
-def _certified_companion(pair: WZPair, n: int, k: int, assign: dict,
-                         cache: dict | None = None) -> Fraction:
-    values = dict(assign)
-    values["n"] = Fraction(n)
-    values["k"] = Fraction(k)
-    return pair.certificate.evaluate(values) * pair.term.evaluate(values, cache)
+def _grid(pair: WZPair, assign: dict, n_max: int):
+    """(n, j, values) for n in 0..n_max and, for a pair with an inner index,
+    j in 0..n (else j is None); values is ``assign`` with n and j set."""
+    for n in range(n_max + 1):
+        for j in (range(n + 1) if pair.extra_index else (None,)):
+            values = dict(assign)
+            if j is not None:
+                values[pair.extra_index] = Fraction(j)
+            values["n"] = Fraction(n)
+            yield n, j, values
 
 
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
@@ -368,7 +345,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
 
     rng = random.Random(f"{seed}:wz:{pair.name}")
     for index in range(samples):
-        assign = draw_rationals(rng, pair.param_names, pair.reject, n_max)
+        assign = draw(rng, pair.params, n_max)
         if assign is None:
             report.rows.append(CheckRow(
                 f"draw-{index}", None, {}, False, "could not draw parameters"))
@@ -378,36 +355,25 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         boundary_ok, base_ok = True, True
         detail = ""
         try:
-            for n in range(n_max + 1):
-                js = range(n + 1) if pair.extra_index else (None,)
-                for j in js:
-                    values = dict(assign)
-                    if j is not None:
-                        values[pair.extra_index] = Fraction(j)
-                    for k in (0, n + 2):
-                        if _certified_companion(pair, n, k, values, cache) != 0:
-                            boundary_ok = False
-                            detail = f"G({n},{k}) != 0"
+            for n, _, values in _grid(pair, assign, n_max):
+                for k in (0, n + 2):
+                    values["k"] = Fraction(k)
+                    companion = (pair.certificate.evaluate(values)
+                                 * pair.term.evaluate(values, cache))
+                    if companion != 0:
+                        boundary_ok = False
+                        detail = f"G({n},{k}) != 0"
             # base and edge values of the term itself
-            base = dict(assign)
-            if pair.extra_index:
-                base[pair.extra_index] = Fraction(0)
-            base["n"] = Fraction(0)
+            _, _, base = next(_grid(pair, assign, 0))
             base["k"] = Fraction(0)
             if pair.term.evaluate(base, cache) != 1:
                 base_ok = False
                 detail = "T(0,0) != 1"
-            for n in range(n_max + 1):
-                js = range(n + 1) if pair.extra_index else (None,)
-                for j in js:
-                    values = dict(assign)
-                    if j is not None:
-                        values[pair.extra_index] = Fraction(j)
-                    values["n"] = Fraction(n)
-                    values["k"] = Fraction(n + 1)
-                    if pair.term.evaluate(values, cache) != 0:
-                        base_ok = False
-                        detail = f"T({n},{n+1}) != 0"
+            for n, _, values in _grid(pair, assign, n_max):
+                values["k"] = Fraction(n + 1)
+                if pair.term.evaluate(values, cache) != 0:
+                    base_ok = False
+                    detail = f"T({n},{n+1}) != 0"
         except (HyperTermPole, RatFuncPole, ZeroDivisionError) as exc:
             report.rows.append(CheckRow(
                 f"draw-{index}", None, shown, False, f"unexpected pole: {exc}"))
@@ -432,40 +398,33 @@ class TelescopeResult:
     reason: str = ""
 
 
+def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
+    shown = {k: str(v) for k, v in assign.items()}
+    cache: dict = {}
+    try:
+        for n, j, values in _grid(pair, assign, n_max):
+            total = Fraction(0)
+            for k in range(n + 1):
+                values["k"] = Fraction(k)
+                total += pair.term.evaluate(values, cache)
+            if total != 1:
+                return TelescopeResult(
+                    shown, False,
+                    f"sum at n={n}" + (f", j={j}" if j is not None else "")
+                    + f" is {total}")
+    except TYPED_POLES as exc:
+        return TelescopeResult(shown, None, f"skipped: pole ({exc})")
+    except ZeroDivisionError as exc:
+        return TelescopeResult(shown, False, f"unexpected {type(exc).__name__}: {exc}")
+    return TelescopeResult(shown, True)
+
+
 def telescoping_sum_check(pair: WZPair, n_max: int,
                           param_draws: list[dict]) -> list[TelescopeResult]:
     """Check sum_{k=0..n} T(n,k) == 1 for every n <= n_max and every draw.
 
     For a pair with an inner index the check runs for every value of that
-    index in 0..n.  A draw that lands on a pole is reported as skipped, not
-    failed.
+    index in 0..n.  A draw that lands on a typed pole is reported as
+    skipped; any other division by zero is a failure naming the exception.
     """
-    results = []
-    for assign in param_draws:
-        shown = {k: str(v) for k, v in assign.items()}
-        cache: dict = {}
-        try:
-            for n in range(n_max + 1):
-                js = range(n + 1) if pair.extra_index else (None,)
-                for j in js:
-                    values = dict(assign)
-                    if j is not None:
-                        values[pair.extra_index] = Fraction(j)
-                    values["n"] = Fraction(n)
-                    total = Fraction(0)
-                    for k in range(n + 1):
-                        values["k"] = Fraction(k)
-                        total += pair.term.evaluate(values, cache)
-                    if total != 1:
-                        results.append(TelescopeResult(
-                            shown, False,
-                            f"sum at n={n}" + (f", j={j}" if j is not None else "")
-                            + f" is {total}"))
-                        raise StopIteration
-        except StopIteration:
-            continue
-        except (HyperTermPole, ZeroDivisionError) as exc:
-            results.append(TelescopeResult(shown, None, f"skipped: pole ({exc})"))
-            continue
-        results.append(TelescopeResult(shown, True))
-    return results
+    return [_telescope(pair, n_max, assign) for assign in param_draws]

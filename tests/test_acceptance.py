@@ -11,6 +11,7 @@ to see them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -28,15 +29,18 @@ from binomsums.legendre import (
     legendre_new_repr,
     legendre_product_form,
 )
+from binomsums.params import draw
 from binomsums.wz import (
     PAIR_NAMES,
     builtin_pairs,
     certificate_residual,
-    draw_rationals,
     telescoping_sum_check,
 )
 
 F = Fraction
+
+# sha256 of `binomsums suite --seed 0 --format json`: the default report's bytes
+GOLDEN_SUITE_SHA256 = "9387769ac34969ffc4f89dc5d92fe46494e960a6db7f54cbe249fed1080713a5"
 
 
 def report(number: int, ok: bool, label: str) -> None:
@@ -47,9 +51,9 @@ def seeded_draws(pair, n_max: int, count: int, seed: int = 0):
     rng = random.Random(f"{seed}:acceptance:{pair.name}")
     draws = []
     while len(draws) < count:
-        draw = draw_rationals(rng, pair.param_names, pair.reject, n_max)
-        assert draw is not None
-        draws.append(draw)
+        assign = draw(rng, pair.params, n_max)
+        assert assign is not None
+        draws.append(assign)
     return draws
 
 
@@ -255,8 +259,9 @@ def test_criterion_11_full_default_suite():
     ok = counts["fail"] == 0 and elapsed < 120.0
     payload_a = json.dumps(first.to_json_dict(), indent=2)
     payload_b = json.dumps(run_suite(SuiteConfig(seed=0)).to_json_dict(), indent=2)
-    ok = ok and payload_a == payload_b
+    digest = hashlib.sha256((payload_a + "\n").encode()).hexdigest()
+    ok = ok and payload_a == payload_b and digest == GOLDEN_SUITE_SHA256
     report(11, ok, f"default suite: {counts['pass']} pass / {counts['fail']} fail "
                    f"/ {counts['skipped']} skipped in {elapsed:.1f}s (< 120s), "
-                   f"byte-stable JSON")
-    assert ok
+                   f"byte-stable JSON, sha256 {digest[:8]}")
+    assert ok, f"sha256 {digest}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from binomsums.catalog.entries import (
     SkipEvaluation,
 )
 from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic
+from binomsums.params import ParamSpec
 
 F = Fraction
 
@@ -146,6 +148,22 @@ def test_exclusions_produce_skips():
     assert r.status == "skipped"
     with pytest.raises(SkipEvaluation):
         evaluate_side("ID15", "rhs", 3, {"s": F(1)})
+
+
+def test_only_typed_poles_are_skips():
+    # ID15's rhs raises DigammaPole at s = 2, n = 3 once its predicate lets s through
+    open_id15 = replace(REGISTRY["ID15"], params=ParamSpec(("s",)))
+    r = check_identity("ID15", 3, {"s": F(2)}, {"ID15": open_id15})
+    assert r.status == "skipped" and "digamma pole" in r.reason
+
+    def divides_by_zero(n, a):
+        return F(1) / (n - n)
+
+    entries = {"ID16": replace(REGISTRY["ID16"], rhs=divides_by_zero)}
+    r = check_identity("ID16", 3, {}, entries)
+    assert r.status == "fail" and "ZeroDivisionError" in r.reason
+    with pytest.raises(ZeroDivisionError):
+        evaluate_side("ID16", "rhs", 3, {}, entries)
 
 
 def test_evaluate_side_matches_check():
@@ -294,3 +312,17 @@ def test_mutation_registry():
     assert check_identity("ID16", 5, {}, entries).status == "pass"
     with pytest.raises(ValueError):
         apply_mutations(("no-such-mutation",))
+
+
+@pytest.mark.parametrize("entry_id", list(REGISTRY))
+def test_every_entry_detects_a_shifted_rhs(entry_id):
+    # negative control: rhs + 1/(n+2) differs from the true value at every n
+    entry = REGISTRY[entry_id]
+
+    def shifted_rhs(n, a):
+        return entry.rhs(n, a) + F(1, n + 2)
+
+    entries = {entry_id: replace(entry, rhs=shifted_rhs)}
+    assign = draw_for_entry(entry, seed=0, samples=1, n_max=4)[0]
+    statuses = [check_identity(entry_id, n, assign, entries).status for n in range(5)]
+    assert statuses == ["fail"] * 5

@@ -133,6 +133,15 @@ def test_negative_n_max_or_samples_is_usage_error(tmp_path, capsys):
     assert code == 0
 
 
+def test_run_that_checked_nothing_exits_1(capsys):
+    code, text = run_cli("check", "ID06", "--samples", "0")
+    assert code == 1 and "pass=0 fail=0 skipped=0" in text
+    assert "nothing was checked" in capsys.readouterr().err
+    # an entry without parameters still gets its one empty draw
+    code, _ = run_cli("check", "ID16", "--samples", "0")
+    assert code == 0
+
+
 def test_suite_small_run_json():
     code, payload = run_cli("suite", "--n-max", "2", "--samples", "1",
                             "--format", "json")

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from binomsums.expr import parse_expr, to_ratfunc
 from binomsums.hyperterm import HyperTerm
+from binomsums.params import draw
 from binomsums.wz import (
     PAIR_NAMES,
     WZFixtureError,
     builtin_pairs,
     certificate_residual,
-    draw_rationals,
     load_pair,
     parse_pair_file,
     parse_term_spec,
@@ -103,7 +104,7 @@ def test_scaled_certificate_fails_symbolically():
 
 def test_perturbed_certificate_fails_symbolically():
     pair = load_pair("thm2")
-    bumped = pair.with_certificate(pair.certificate + to_ratfunc(parse_expr("1/(n+1)")))
+    bumped = replace(pair, certificate=pair.certificate + to_ratfunc(parse_expr("1/(n+1)")))
     report = verify_wz_pair(bumped, n_max=4, samples=2, seed=0)
     symbolic = [row for row in report.rows if row.check == "symbolic-residual"]
     assert symbolic and not symbolic[0].ok
@@ -115,8 +116,7 @@ def _flip_factor(pair, index):
     top, bottom, exp = factors[index]
     factors[index] = (top, bottom, -exp)
     term = HyperTerm(pair.term.constant, pair.term.sign, tuple(factors))
-    return type(pair)(pair.name, term, pair.certificate, pair.orientation,
-                      pair.param_names, pair.reject, pair.extra_index)
+    return replace(pair, term=term)
 
 
 def test_mutated_pairs_fail():
@@ -214,7 +214,7 @@ def test_telescoping_random_draws():
         rng = random.Random(f"44:{name}")
         draws = []
         while len(draws) < 5:
-            d = draw_rationals(rng, pair.param_names, pair.reject, 8, bound=40)
+            d = draw(rng, pair.params, 8, bound=40)
             assert d is not None
             draws.append(d)
         results = telescoping_sum_check(pair, 8, draws)
@@ -226,3 +226,14 @@ def test_telescoping_pole_is_skipped():
     results = telescoping_sum_check(pair, 4, [{"s": F(1, 2), "t": F(-2)}])
     assert results[0].ok is None
     assert "pole" in results[0].reason
+
+
+def test_telescoping_bare_division_by_zero_fails():
+    class DividesByZero:
+        def evaluate(self, values, cache=None):
+            return F(1) / (values["n"] - values["n"])
+
+    pair = replace(load_pair("thm2"), term=DividesByZero())
+    results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
+    assert results[0].ok is False
+    assert "ZeroDivisionError" in results[0].reason
