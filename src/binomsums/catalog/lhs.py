@@ -12,6 +12,15 @@ normalization is what makes every factor rational for every rational p
 (and polynomial in p, hence jet-liftable).  The un-divided originals are
 checked separately for non-negative integer p, where they are directly
 evaluable.
+
+ID04 is checked at every inner index j = 0..n with the same n, alpha and
+beta, so its j-free weights (-1)^k C(beta+k, k) C(alpha, n-k) are kept in a
+one-slot memo and each j costs only sum_{k>=j} C(k, j) w_k.  The memo key is
+n plus the identity of the alpha and beta objects, not their value: RatFunc
+and Jet2 values are unhashable, all values are immutable, the check hands
+every j the same objects, and the slot holds strong references, so an id
+cannot be reused while it is the key.  rhs.py keeps its own slot, so the two
+sides still share no computed value.
 """
 
 from __future__ import annotations
@@ -56,17 +65,35 @@ def id03(n, a):
     return total
 
 
-def id04(n, a):
-    alpha, beta, j = a["alpha"], a["beta"], int(a["j"])
+# (n, alpha, beta, weights) of the last ID04 call; see the module docstring
+_id04_memo = (None, None, None, None)
+
+
+def _id04_weights(n, alpha, beta):
+    """[(-1)^k C(beta+k, k) C(alpha, n-k) for k in 0..n], the j-free factors."""
+    global _id04_memo
+    memo_n, memo_alpha, memo_beta, weights = _id04_memo
+    if memo_n == n and memo_alpha is alpha and memo_beta is beta:
+        return weights
     ba = binom_row(alpha, n)
-    total = F(0)
+    weights = []
     bb = F(1)
     for k in range(n + 1):
         if k:
             bb = bb * (beta + k) / k
-        term = bb * binom_int(k, j) * ba[n - k]
-        total += -term if (k + j) % 2 else term
-    return total
+        term = bb * ba[n - k]
+        weights.append(-term if k % 2 else term)
+    _id04_memo = (n, alpha, beta, weights)
+    return weights
+
+
+def id04(n, a):
+    j = int(a["j"])
+    weights = _id04_weights(n, a["alpha"], a["beta"])
+    total = F(0)
+    for k in range(j, n + 1):
+        total += binom_int(k, j) * weights[k]
+    return -total if j % 2 else total
 
 
 def id05(n, a):

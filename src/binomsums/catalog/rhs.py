@@ -2,6 +2,13 @@
 
 Implemented from the displayed right sides only; see lhs.py for the
 independence convention and the C(n, p) normalization of ID07/ID19.
+
+ID04 builds its j-free rows C(beta+j, j) and C(beta-alpha+n, m) once per
+(n, alpha, beta) in a one-slot memo keyed, as in lhs.py, on n and the
+identity of the alpha and beta objects (RatFunc and Jet2 are unhashable;
+the slot's strong references keep an id from being reused).  The slot is
+this module's own, not shared with lhs.py, so a wrong row on one side cannot
+also appear on the other and cancel.
 """
 
 from __future__ import annotations
@@ -59,9 +66,28 @@ def id03(n, a):
     return total
 
 
+# (n, alpha, beta, rows) of the last ID04 call; see the module docstring
+_id04_memo = (None, None, None, None)
+
+
+def _id04_rows(n, alpha, beta):
+    """[C(beta+j, j) for j in 0..n] and [C(beta-alpha+n, m) for m in 0..n]."""
+    global _id04_memo
+    memo_n, memo_alpha, memo_beta, rows = _id04_memo
+    if memo_n == n and memo_alpha is alpha and memo_beta is beta:
+        return rows
+    bb = [beta * 0 + 1]
+    for j in range(1, n + 1):
+        bb.append(bb[-1] * (beta + j) / j)
+    rows = bb, binom_row(beta - alpha + n, n)
+    _id04_memo = (n, alpha, beta, rows)
+    return rows
+
+
 def id04(n, a):
-    alpha, beta, j = a["alpha"], a["beta"], int(a["j"])
-    value = binom_poly(beta + j, j) * binom_poly(beta - alpha + n, n - j)
+    j = int(a["j"])
+    bb, bg = _id04_rows(n, a["alpha"], a["beta"])
+    value = bb[j] * bg[n - j]
     return -value if (n + j) % 2 else value
 
 

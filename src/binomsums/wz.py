@@ -352,38 +352,35 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             continue
         shown = {k: str(v) for k, v in assign.items()}
         cache: dict = {}
-        boundary_ok, base_ok = True, True
-        detail = ""
+        # each row names its own first failing point; "" while none failed
+        boundary_detail, base_detail = "", ""
         try:
             for n, _, values in _grid(pair, assign, n_max):
                 for k in (0, n + 2):
                     values["k"] = Fraction(k)
                     companion = (pair.certificate.evaluate(values)
                                  * pair.term.evaluate(values, cache))
-                    if companion != 0:
-                        boundary_ok = False
-                        detail = f"G({n},{k}) != 0"
+                    if companion != 0 and not boundary_detail:
+                        boundary_detail = f"G({n},{k}) != 0"
             # base and edge values of the term itself
             _, _, base = next(_grid(pair, assign, 0))
             base["k"] = Fraction(0)
             if pair.term.evaluate(base, cache) != 1:
-                base_ok = False
-                detail = "T(0,0) != 1"
+                base_detail = "T(0,0) != 1"
             for n, _, values in _grid(pair, assign, n_max):
                 values["k"] = Fraction(n + 1)
-                if pair.term.evaluate(values, cache) != 0:
-                    base_ok = False
-                    detail = f"T({n},{n+1}) != 0"
+                if pair.term.evaluate(values, cache) != 0 and not base_detail:
+                    base_detail = f"T({n},{n+1}) != 0"
         except (HyperTermPole, RatFuncPole, ZeroDivisionError) as exc:
             report.rows.append(CheckRow(
                 f"draw-{index}", None, shown, False, f"unexpected pole: {exc}"))
             continue
         report.rows.append(CheckRow(
-            "boundary", None, shown, boundary_ok,
-            detail if not boundary_ok else "G(n,0) = G(n,n+2) = 0"))
+            "boundary", None, shown, not boundary_detail,
+            boundary_detail or "G(n,0) = G(n,n+2) = 0"))
         report.rows.append(CheckRow(
-            "base-edge", None, shown, base_ok,
-            detail if not base_ok else "T(0,0) = 1, T(n,n+1) = 0"))
+            "base-edge", None, shown, not base_detail,
+            base_detail or "T(0,0) = 1, T(n,n+1) = 0"))
     return report
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from binomsums.catalog import lhs, rhs
 from binomsums.catalog.entries import (
     REGISTRY,
     apply_mutations,
@@ -18,6 +19,7 @@ from binomsums.catalog.entries import (
 )
 from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic
 from binomsums.params import ParamSpec
+from binomsums.poly import RatFunc
 
 F = Fraction
 
@@ -136,9 +138,77 @@ def test_all_entries_pass_on_seeded_draws():
 
 
 def test_inner_index_checked_for_all_j():
-    # ID04 holds for every j in 0..n; a bogus j outside would break it
-    r = check_identity("ID04", 5, {"alpha": F(1, 2), "beta": F(1, 3)})
+    # ID04 holds for every j in 0..n; a rhs wrong at one inner j must fail there
+    assign = {"alpha": F(1, 2), "beta": F(1, 3)}
+    r = check_identity("ID04", 5, assign)
     assert r.status == "pass"
+
+    entry = REGISTRY["ID04"]
+
+    def wrong_at_j2(n, a):
+        value = entry.rhs(n, a)
+        return value + 1 if a["j"] == 2 else value
+
+    r = check_identity("ID04", 5, assign, {"ID04": replace(entry, rhs=wrong_at_j2)})
+    assert r.status == "fail" and r.reason == "sides differ at j=2"
+    at_j2 = dict(assign, j=2)
+    assert r.lhs == entry.lhs(5, at_j2)
+    assert r.rhs == entry.rhs(5, at_j2) + 1
+
+
+def _id04_reference(n, a):
+    """Both ID04 sides from binom_poly products alone, with no memo."""
+    alpha, beta, j = a["alpha"], a["beta"], a["j"]
+    left = beta * 0
+    for k in range(j, n + 1):
+        term = binom_poly(beta + k, k) * binom_int(k, j) * binom_poly(alpha, n - k)
+        left = left + (-term if (k + j) % 2 else term)
+    right = binom_poly(beta + j, j) * binom_poly(beta - alpha + n, n - j)
+    return left, -right if (n + j) % 2 else right
+
+
+def test_id04_memo_never_serves_stale_rows():
+    entry = REGISTRY["ID04"]
+    half, third, other = F(1, 2), F(1, 3), F(-7, 5)
+    calls = [
+        (5, {"alpha": half, "beta": third}, range(6)),
+        # the same objects at another n; then one of alpha and beta changed
+        (3, {"alpha": half, "beta": third}, (0, 1, 2, 3)),
+        (3, {"alpha": half, "beta": other}, (3, 1)),
+        (3, {"alpha": F(9, 4), "beta": other}, (2, 0)),
+        # equal values in distinct objects
+        (5, {"alpha": F(1, 2), "beta": F(1, 3)}, (3, 0, 5)),
+        # a RatFunc draw between two Fraction draws of the same objects
+        (4, {"alpha": half, "beta": third}, (0, 2)),
+        (4, {"alpha": RatFunc.var("alpha"), "beta": RatFunc.var("beta")}, (2, 4, 0)),
+        (4, {"alpha": half, "beta": third}, (3, 1, 4, 0, 2)),
+    ]
+    for n, params, inner in calls:
+        for j in inner:
+            a = dict(params, j=j)
+            got, want = (entry.lhs(n, a), entry.rhs(n, a)), _id04_reference(n, a)
+            assert got == want, (n, a)
+            assert [type(v) for v in got] == [type(v) for v in want], (n, a)
+
+
+def test_id04_rows_built_once_per_check(monkeypatch):
+    # the j-free rows are built once per (n, draw), not once per inner j
+    built = {"lhs": 0, "rhs": 0}
+
+    def counting(side, row):
+        def wrapped(s, n):
+            built[side] += 1
+            return row(s, n)
+        return wrapped
+
+    monkeypatch.setattr(lhs, "binom_row", counting("lhs", lhs.binom_row))
+    monkeypatch.setattr(rhs, "binom_row", counting("rhs", rhs.binom_row))
+    # fresh objects, so no earlier call can have left them in the memo
+    assign = {k: F(v.numerator, v.denominator)
+              for k, v in draw_for_entry(REGISTRY["ID04"], 0, 1, 8)[0].items()}
+    r = check_identity("ID04", 8, assign)
+    assert r.status == "pass"
+    assert built == {"lhs": 1, "rhs": 1}
 
 
 def test_exclusions_produce_skips():

@@ -167,6 +167,16 @@ def test_verify_report_all_pass(name):
     assert "base-edge" in checks
 
 
+def test_boundary_and_base_edge_rows_name_their_own_failure():
+    # doubling the term breaks T(0,0) = 1; adding 1 to the certificate breaks G(n,0) = 0
+    pair = load_pair("thm2")
+    bad = replace(pair, term=replace(pair.term, constant=2 * pair.term.constant),
+                  certificate=pair.certificate + 1)
+    rows = {row.check: row for row in verify_wz_pair(bad, n_max=2, samples=1).rows}
+    assert not rows["boundary"].ok and rows["boundary"].detail == "G(0,0) != 0"
+    assert not rows["base-edge"].ok and rows["base-edge"].detail == "T(0,0) != 1"
+
+
 def test_verify_is_deterministic():
     a = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
     b = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
