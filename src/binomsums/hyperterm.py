@@ -6,12 +6,25 @@ A :class:`HyperTerm` is
 
 where sign, top_i and bottom_i are affine forms in the catalog variables
 with integer variable coefficients (so that shifting any variable by one
-moves every binomial argument by an integer).  Two primitives are exposed:
+moves every binomial argument by an integer).  Three primitives are exposed:
 
-* ``evaluate`` -- the exact rational value at a concrete assignment.  A
-  factor is evaluable when its lower argument is an integer (polynomial
+* ``bind`` -- fixes some variables (a parameter draw) once and returns a
+  :class:`BoundTerm`, which evaluates the term on the free variables
+  (n, j, k in the certificate checks).  Each affine form is split into a
+  Fraction part from the constant and the fixed variables plus integer
+  coefficients on the free ones, so at an integer point every binomial is
+  part + offset with int offsets.  The bound term memoizes binomial values
+  under the all-int key (part id, top offset, bottom offset), where the
+  part id numbers the distinct (top part, bottom part) pairs; the memo
+  lives and dies with the bound term, one per draw.
+
+* ``evaluate`` -- the exact rational value at a concrete assignment, which
+  is ``bind`` of every variable followed by one evaluation.  A factor is
+  evaluable when its lower argument is an integer (polynomial
   falling-factorial form) or when top - bottom is an integer m, in which
   case binom(top, bottom) = binom(bottom + m, m) (zero for negative m).
+  Every point is a full evaluation: the sign, then every factor in order,
+  with the same exceptions and messages with or without the memo.
 
 * ``shift_ratio`` -- T(v+1)/T(v) as a canonical rational function, built
   factor by factor from the ratio rule Gamma(x+m)/Gamma(x) =
@@ -30,6 +43,7 @@ from .poly import MultiPoly, RatFunc
 
 __all__ = [
     "AffineForm",
+    "BoundTerm",
     "HyperTerm",
     "HyperTermPole",
     "NonHypergeometricShift",
@@ -73,11 +87,18 @@ class AffineForm:
                 return c
         return Fraction(0)
 
-    def evaluate(self, assign) -> Fraction:
-        total = self.constant
+    def split(self, fixed) -> tuple[Fraction, tuple[tuple[str, int | Fraction], ...]]:
+        """(constant plus the fixed variables' terms, the coefficients of the
+        free variables, as ints where integral); with every variable fixed,
+        the first part is the form's value."""
+        part = self.constant
+        free = []
         for name, c in self.coeffs:
-            total += c * assign[name]
-        return total
+            if name in fixed:
+                part += c * fixed[name]
+            else:
+                free.append((name, int(c) if c.denominator == 1 else c))
+        return part, tuple(free)
 
     def to_poly(self) -> MultiPoly:
         poly = MultiPoly.const(self.constant)
@@ -155,24 +176,13 @@ class HyperTerm:
 
     # -- exact evaluation ---------------------------------------------------
 
-    def evaluate(self, assign, cache: dict | None = None) -> Fraction:
+    def evaluate(self, assign) -> Fraction:
         """Exact value at an assignment of Fractions to every variable used."""
-        sign_val = self.sign.evaluate(assign)
-        if sign_val.denominator != 1:
-            raise ValueError("sign exponent is not an integer at this assignment")
-        value = -self.constant if int(sign_val) % 2 else self.constant
-        for top, bottom, exp in self.factors:
-            t = top.evaluate(assign)
-            b = bottom.evaluate(assign)
-            f = _eval_binomial(t, b, cache)
-            if exp == 1:
-                value *= f
-            else:
-                if f == 0:
-                    raise HyperTermPole(
-                        f"binom({top.render()},{bottom.render()}) vanished in a denominator")
-                value /= f
-        return value
+        return self.bind(assign).evaluate({})
+
+    def bind(self, fixed) -> "BoundTerm":
+        """The term with the variables of ``fixed`` set to their values."""
+        return BoundTerm(self, fixed)
 
     # -- shift ratio ----------------------------------------------------------
 
@@ -212,7 +222,69 @@ class HyperTerm:
         return " * ".join(parts)
 
 
-def _eval_binomial(t: Fraction, b: Fraction, cache: dict | None) -> Fraction:
+class BoundTerm:
+    """A :class:`HyperTerm` with some of its variables fixed, made by
+    :meth:`HyperTerm.bind`; the module docstring describes its memo.
+
+    Equal (top part, bottom part) pairs share one part id, so factors such
+    as binom(beta+k,k) and binom(beta+j,j) share memo entries.  A factor's
+    arguments are built only on a miss, and poles and unevaluable factors
+    are never stored, so they raise at every point.
+    """
+
+    __slots__ = ("_constant", "_sign_part", "_sign_free", "_factors", "_memo")
+
+    def __init__(self, term: HyperTerm, fixed):
+        self._constant = term.constant
+        sign_part, self._sign_free = term.sign.split(fixed)
+        self._sign_part = int(sign_part) if sign_part.denominator == 1 else sign_part
+        part_ids: dict[tuple[Fraction, Fraction], int] = {}
+        factors = []
+        for top, bottom, exp in term.factors:
+            top_part, top_free = top.split(fixed)
+            bottom_part, bottom_free = bottom.split(fixed)
+            part_id = part_ids.setdefault((top_part, bottom_part), len(part_ids))
+            factors.append((part_id, top_part, top_free, bottom_part, bottom_free,
+                            exp, top, bottom))
+        self._factors = tuple(factors)
+        self._memo: dict[tuple, Fraction] = {}
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a point that gives every free variable a value
+        (ints, in the grid loops; any rational is exact)."""
+        sign_val = self._sign_part + _offset(self._sign_free, point)
+        if sign_val.denominator != 1:
+            raise ValueError("sign exponent is not an integer at this assignment")
+        value = -self._constant if int(sign_val) % 2 else self._constant
+        memo = self._memo
+        for (part_id, top_part, top_free, bottom_part, bottom_free,
+             exp, top, bottom) in self._factors:
+            top_offset = _offset(top_free, point)
+            bottom_offset = _offset(bottom_free, point)
+            key = (part_id, top_offset, bottom_offset)
+            f = memo.get(key)
+            if f is None:
+                f = memo[key] = _eval_binomial(top_part + top_offset,
+                                               bottom_part + bottom_offset)
+            if exp == 1:
+                value *= f
+            else:
+                if f == 0:
+                    raise HyperTermPole(
+                        f"binom({top.render()},{bottom.render()}) vanished in a denominator")
+                value /= f
+        return value
+
+
+def _offset(free, point):
+    """sum coeff * point[name] over a form's free variables."""
+    total = 0
+    for name, c in free:
+        total += c * point[name]
+    return total
+
+
+def _eval_binomial(t: Fraction, b: Fraction) -> Fraction:
     """binom(t, b) for arguments where it is a rational number.
 
     With Gamma(t+1)/(Gamma(b+1) Gamma(t-b+1)) as the reference meaning:
@@ -227,27 +299,17 @@ def _eval_binomial(t: Fraction, b: Fraction, cache: dict | None) -> Fraction:
                 raise HyperTermPole(
                     f"binom({t},{b}) is indeterminate (0/0 ratio of poles)")
             return Fraction(0)
-        key = (t, int(b))
-        if cache is not None and key in cache:
-            return cache[key]
-        value = binom_poly(t, int(b))
-    else:
-        diff = t - b
-        if diff.denominator != 1:
-            raise ValueError(
-                f"binom({t},{b}) is not rational (neither the lower index nor "
-                "the upper shift is an integer)")
-        m = int(diff)
-        if m < 0:
-            # Gamma(t-b+1) has a pole below the bar, so the coefficient is 0
-            return Fraction(0)
-        key = (b, m, "up")
-        if cache is not None and key in cache:
-            return cache[key]
-        value = binom_upper_shift(b, m)
-    if cache is not None:
-        cache[key] = value
-    return value
+        return binom_poly(t, int(b))
+    diff = t - b
+    if diff.denominator != 1:
+        raise ValueError(
+            f"binom({t},{b}) is not rational (neither the lower index nor "
+            "the upper shift is an integer)")
+    m = int(diff)
+    if m < 0:
+        # Gamma(t-b+1) has a pole below the bar, so the coefficient is 0
+        return Fraction(0)
+    return binom_upper_shift(b, m)
 
 
 def _gamma_ratio(x: MultiPoly, m: int) -> RatFunc:

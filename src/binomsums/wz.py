@@ -322,16 +322,16 @@ class VerificationReport:
         return [row for row in self.rows if not row.ok]
 
 
-def _grid(pair: WZPair, assign: dict, n_max: int):
-    """(n, j, values) for n in 0..n_max and, for a pair with an inner index,
-    j in 0..n (else j is None); values is ``assign`` with n and j set."""
+def _grid(pair: WZPair, n_max: int):
+    """(n, j, point) for n in 0..n_max and, for a pair with an inner index,
+    j in 0..n (else j is None); point maps n and j to those ints, ready for
+    the caller to set k."""
     for n in range(n_max + 1):
         for j in (range(n + 1) if pair.extra_index else (None,)):
-            values = dict(assign)
+            point = {"n": n}
             if j is not None:
-                values[pair.extra_index] = Fraction(j)
-            values["n"] = Fraction(n)
-            yield n, j, values
+                point[pair.extra_index] = j
+            yield n, j, point
 
 
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
@@ -351,25 +351,25 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                 f"draw-{index}", None, {}, False, "could not draw parameters"))
             continue
         shown = {k: str(v) for k, v in assign.items()}
-        cache: dict = {}
         # each row names its own first failing point; "" while none failed
         boundary_detail, base_detail = "", ""
         try:
-            for n, _, values in _grid(pair, assign, n_max):
+            term = pair.term.bind(assign)
+            for n, _, point in _grid(pair, n_max):
                 for k in (0, n + 2):
-                    values["k"] = Fraction(k)
-                    companion = (pair.certificate.evaluate(values)
-                                 * pair.term.evaluate(values, cache))
+                    point["k"] = k
+                    companion = (pair.certificate.evaluate({**assign, **point})
+                                 * term.evaluate(point))
                     if companion != 0 and not boundary_detail:
                         boundary_detail = f"G({n},{k}) != 0"
             # base and edge values of the term itself
-            _, _, base = next(_grid(pair, assign, 0))
-            base["k"] = Fraction(0)
-            if pair.term.evaluate(base, cache) != 1:
+            _, _, base = next(_grid(pair, 0))
+            base["k"] = 0
+            if term.evaluate(base) != 1:
                 base_detail = "T(0,0) != 1"
-            for n, _, values in _grid(pair, assign, n_max):
-                values["k"] = Fraction(n + 1)
-                if pair.term.evaluate(values, cache) != 0 and not base_detail:
+            for n, _, point in _grid(pair, n_max):
+                point["k"] = n + 1
+                if term.evaluate(point) != 0 and not base_detail:
                     base_detail = f"T({n},{n+1}) != 0"
         except (HyperTermPole, RatFuncPole, ZeroDivisionError) as exc:
             report.rows.append(CheckRow(
@@ -397,13 +397,13 @@ class TelescopeResult:
 
 def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
     shown = {k: str(v) for k, v in assign.items()}
-    cache: dict = {}
     try:
-        for n, j, values in _grid(pair, assign, n_max):
+        term = pair.term.bind(assign)
+        for n, j, point in _grid(pair, n_max):
             total = Fraction(0)
             for k in range(n + 1):
-                values["k"] = Fraction(k)
-                total += pair.term.evaluate(values, cache)
+                point["k"] = k
+                total += term.evaluate(point)
             if total != 1:
                 return TelescopeResult(
                     shown, False,

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 from binomsums.cli import main
+
+
+# sha256 of `binomsums wz --n-max 20 --format json --seed 0`, the same bytes
+# that perfbench/golden.json pins for the wz-deep workload at seed 0
+GOLDEN_DEEP_WZ_SHA256 = "f3c17ca7acb120fab332c7610a0f349ec26f362744e65a7d9e50bb0fc750046d"
 
 
 def run_cli(*argv):
@@ -150,3 +156,12 @@ def test_suite_small_run_json():
     ids = {row["id"] for row in doc["results"]}
     assert "ID01" in ids and "WZ-thm1" in ids and "WZ-thm3" in ids
     assert doc["summary"]["fail"] == 0
+
+
+def test_deep_wz_report_bytes_are_pinned(budget):
+    # the only Tier-1 run of the WZ grid past n = 10; the budget guards
+    # against a hang, it is not a speed gate
+    with budget(60):
+        code, text = run_cli("wz", "--n-max", "20", "--format", "json", "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEEP_WZ_SHA256

@@ -14,6 +14,8 @@ from binomsums.hyperterm import (
     HyperTermPole,
     NonHypergeometricShift,
 )
+from binomsums.params import draw
+from binomsums.wz import _grid, load_pair
 
 F = Fraction
 
@@ -61,8 +63,9 @@ def test_affine_eval_and_render_round_trip():
         again = affine(form.render())
         assert again == form
         assign = {v: F(rng.randint(-9, 9)) for v in ("n", "k", "j", "alpha", "beta")}
-        assert form.evaluate(assign) == to_ratfunc(parse_expr(text)).evaluate(
+        value = to_ratfunc(parse_expr(text)).evaluate(
             {**{v: F(0) for v in ("s", "t", "p")}, **assign})
+        assert form.split(assign) == (value, ())
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +107,43 @@ def test_evaluate_non_rational_factor():
     t = term_binom("s+t", "t")    # neither lower index nor shift is integral
     with pytest.raises(ValueError):
         t.evaluate({"s": F(1, 2), "t": F(1, 3)})
+
+
+# ---------------------------------------------------------------------------
+# Bound terms
+# ---------------------------------------------------------------------------
+
+def _outcome(bound, point):
+    try:
+        return bound.evaluate(point)
+    except (HyperTermPole, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3"])
+def test_bound_memo_agrees_with_a_fresh_bind_per_point(name):
+    pair = load_pair(name)
+    rng = random.Random(f"memo:{name}")
+    draws = [draw(rng, pair.params, 6) for _ in range(3)]
+    # the first draw again, with equal values in distinct Fraction objects
+    draws.append({v: F(q.numerator, q.denominator) for v, q in draws[0].items()})
+    assert all(draws[3][v] is not draws[0][v] for v in draws[0])
+    if name == "thm3":
+        draws.append({"s": F(1, 2), "p": F(3)})     # lands on 0/0 poles
+    points = [{**point, "k": k} for n, _, point in _grid(pair, 6) for k in range(n + 3)]
+    for assign in draws:
+        rng.shuffle(points)
+        bound = pair.term.bind(assign)
+        for point in points:
+            expected = _outcome(pair.term.bind(assign), point)
+            assert _outcome(bound, point) == expected, (assign, point)
+
+
+def test_bound_term_keeps_the_pole_message():
+    bound = load_pair("thm3").term.bind({"s": F(1, 2), "p": F(3)})
+    with pytest.raises(HyperTermPole) as info:
+        bound.evaluate({"n": 0, "k": 2})
+    assert str(info.value) == "binom(-3,-2) is indeterminate (0/0 ratio of poles)"
 
 
 # ---------------------------------------------------------------------------
