@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exact import binom_poly, digamma_diff, harmonic, trigamma_diff
+from ..exact import binom_poly, digamma_diff, harmonic, rising_row, trigamma_diff
 from ..jets import Jet2
 from .entries import REGISTRY
 
@@ -208,12 +208,10 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     jet_lhs, jet_rhs = derived_identity_via_jets("ID07", _D_PP, n,
                                                  {"s": s, "p": F(0)})
     closed_lhs = F(0)
-    bs = F(1)
+    bs = rising_row(s, n)          # C(s+k, k)
     for k in range(n + 1):
-        if k:
-            bs = bs * (s + k) / k
         h = harmonic(k)
-        term = binom_poly(F(n), k) * bs * (h * h + harmonic(k, 2))
+        term = binom_poly(F(n), k) * bs[k] * (h * h + harmonic(k, 2))
         closed_lhs += -term if (n + k) % 2 else term
     dd = digamma_diff(s, n)
     td = trigamma_diff(s, n)

@@ -1,11 +1,13 @@
 """Left-hand-side evaluators, one per catalog entry.
 
 Each function computes the left side of its identity exactly as displayed,
-by direct summation with running products; nothing here is shared with the
-right-hand sides beyond the scalar layer, so the two sides stay independent
-computation paths.  Entries whose sides get differentiated by the jet
-oracle (ID06, ID07, ID08, ID21) are written ring-generically: parameters
-may be Fractions or Jet2 values.
+by direct summation; nothing here is shared with the right-hand sides beyond
+the scalar helpers (``binom_row``, ``rising_row``, ``binom_poly``,
+``harmonic``, ``legendre_row``), each tested on its own; a test breaks each
+row helper in both modules at once and every entry using it must then fail,
+so the two sides stay independent computation paths.  Entries whose sides get
+differentiated by the jet oracle (ID06, ID07, ID08, ID21) are written
+ring-generically: parameters may be Fractions or Jet2 values.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -15,7 +17,9 @@ evaluable.
 
 ID04 is checked at every inner index j = 0..n with the same n, alpha and
 beta, so its j-free weights (-1)^k C(beta+k, k) C(alpha, n-k) are kept in a
-one-slot memo and each j costs only sum_{k>=j} C(k, j) w_k.  The memo key is
+one-slot memo and each j costs only sum_{k>=j} C(k, j) w_k.  For Fraction
+alpha and beta the memo holds the weights as int numerators over their one
+lcm denominator, so each j is one int sum and one Fraction.  The memo key is
 n plus the identity of the alpha and beta objects, not their value: RatFunc
 and Jet2 values are unhashable, all values are immutable, the check hands
 every j the same objects, and the slot holds strong references, so an id
@@ -26,9 +30,10 @@ sides still share no computed value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from ..exact import binom_int, binom_poly, binom_row, central_binomial, harmonic
-from ..legendre import legendre
+from ..exact import binom_int, binom_poly, binom_row, central_binomial, harmonic, rising_row
+from ..legendre import legendre, legendre_row
 
 F = Fraction
 
@@ -44,24 +49,20 @@ def id01(n, a):
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
     ba = binom_row(alpha, n)      # C(alpha, m)
+    bb = rising_row(beta, n)      # C(beta+k, k)
     total = F(0)
-    bb = F(1)                      # C(beta+k, k)
     for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        total += ba[n - k] * bb * x**k * y ** (n - k)
+        total += ba[n - k] * bb[k] * x**k * y ** (n - k)
     return total
 
 
 def id03(n, a):
     alpha, beta, x = a["alpha"], a["beta"], a["x"]
     ba = binom_row(alpha, n)
+    bb = rising_row(beta, n)
     total = F(0)
-    bb = F(1)
     for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        total += ba[n - k] * bb * x**k
+        total += ba[n - k] * bb[k] * x**k
     return total
 
 
@@ -70,29 +71,30 @@ _id04_memo = (None, None, None, None)
 
 
 def _id04_weights(n, alpha, beta):
-    """[(-1)^k C(beta+k, k) C(alpha, n-k) for k in 0..n], the j-free factors."""
+    """The j-free factors (-1)^k C(beta+k, k) C(alpha, n-k), k = 0..n, and
+    their int lcm denominator, or ring values and None (module docstring)."""
     global _id04_memo
     memo_n, memo_alpha, memo_beta, weights = _id04_memo
     if memo_n == n and memo_alpha is alpha and memo_beta is beta:
         return weights
     ba = binom_row(alpha, n)
-    weights = []
-    bb = F(1)
-    for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        term = bb * ba[n - k]
-        weights.append(-term if k % 2 else term)
+    bb = rising_row(beta, n)
+    terms = [-bb[k] * ba[n - k] if k % 2 else bb[k] * ba[n - k] for k in range(n + 1)]
+    if isinstance(alpha, F) and isinstance(beta, F):
+        den = lcm(*(w.denominator for w in terms))
+        weights = [w.numerator * (den // w.denominator) for w in terms], den
+    else:
+        weights = terms, None
     _id04_memo = (n, alpha, beta, weights)
     return weights
 
 
 def id04(n, a):
     j = int(a["j"])
-    weights = _id04_weights(n, a["alpha"], a["beta"])
-    total = F(0)
-    for k in range(j, n + 1):
-        total += binom_int(k, j) * weights[k]
+    weights, den = _id04_weights(n, a["alpha"], a["beta"])
+    total = sum(binom_int(k, j) * weights[k] for k in range(j, n + 1))
+    if den is not None:
+        total = F(total, den)
     return -total if j % 2 else total
 
 
@@ -102,40 +104,31 @@ def id05(n, a):
 
 def id06(n, a):
     s, t = a["s"], a["t"]
+    bs = binom_row(s, n)           # C(s, k)
+    bt = rising_row(t, n)          # C(t+k, k)
     total = s * 0
-    bs = s * 0 + 1                 # C(s, k)
-    bt = bs                       # C(t+k, k)
     for k in range(n + 1):
-        if k:
-            bs = bs * (s - k + 1) / k
-            bt = bt * (t + k) / k
-        total = total + binom_int(n, k) * bs / bt
+        total = total + binom_int(n, k) * bs[k] / bt[k]
     return total
 
 
 def id07(n, a):
     s, p = a["s"], a["p"]
-    bnp = [p * 0 + 1]              # C(n-p, m), ring-generic in p
-    for m in range(1, n + 1):
-        bnp.append(bnp[-1] * (n - p - m + 1) / m)
+    bnp = binom_row(n - p, n)      # C(n-p, m)
+    bs = rising_row(s, n)          # C(s+k, k)
     total = s * 0
-    bs = s * 0 + 1                 # C(s+k, k)
     for k in range(n + 1):
-        if k:
-            bs = bs * (s + k) / k
-        term = bs * bnp[n - k]
+        term = bs[k] * bnp[n - k]
         total = total + (-term if (n + k) % 2 else term)
     return total
 
 
 def id08(n, a):
     beta, x = a["beta"], a["x"]
+    bb = rising_row(beta, n)       # C(beta+k, k)
     total = beta * 0
-    bb = beta * 0 + 1              # C(beta+k, k)
     for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        total = total + binom_int(n, k) * bb * x**k
+        total = total + binom_int(n, k) * bb[k] * x**k
     return total
 
 
@@ -149,13 +142,10 @@ def id09(n, a):
 
 
 def id10(n, a):
-    beta = a["beta"]
+    bb = rising_row(a["beta"], n)
     total = F(0)
-    bb = F(1)
     for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        total += -binom_int(n, k) * bb if k % 2 else binom_int(n, k) * bb
+        total += -binom_int(n, k) * bb[k] if k % 2 else binom_int(n, k) * bb[k]
     return total
 
 
@@ -178,29 +168,21 @@ def id13(n, a):
 
 def id14(n, a):
     t = a["t"]
-    arg = (t * t + 1) / (2 * t)
+    values = legendre_row(n, (t * t + 1) / (2 * t))
     total = F(0)
     power = F(1)
-    prev, cur = F(0), F(1)         # P_{k-1}, P_k walked along the recurrence
     for k in range(n + 1):
-        if k == 1:
-            prev, cur = cur, arg
-        elif k >= 2:
-            prev, cur = cur, ((2 * k - 1) * arg * cur - (k - 1) * prev) / k
-        term = binom_int(n, k) * cur * power
+        term = binom_int(n, k) * values[k] * power
         total += -term if k % 2 else term
         power *= t
     return total
 
 
 def id15(n, a):
-    s = a["s"]
+    bs = rising_row(a["s"], n)     # C(s+k, k)
     total = F(0)
-    bs = F(1)                      # C(s+k, k)
     for k in range(n + 1):
-        if k:
-            bs = bs * (s + k) / k
-        term = binom_int(n, k) * bs * harmonic(k)
+        term = binom_int(n, k) * bs[k] * harmonic(k)
         total += -term if (n + k) % 2 else term
     return total
 
@@ -224,15 +206,11 @@ def id18(n, a):
 
 def id19(n, a):
     s, p = a["s"], a["p"]
-    bnp = [F(1)]                   # C(n-p, m)
-    for m in range(1, n + 1):
-        bnp.append(bnp[-1] * (n - p - m + 1) / m)
+    bnp = binom_row(n - p, n)      # C(n-p, m)
+    bsp = binom_row(s + p, n)      # C(s+p, k)
     total = F(0)
-    bsp = F(1)                     # C(s+p, k)
     for k in range(n + 1):
-        if k:
-            bsp = bsp * (s + p - k + 1) / k
-        total += bsp * bnp[n - k]
+        total += bsp[k] * bnp[n - k]
     return total
 
 
@@ -252,12 +230,10 @@ def id20e(n, a):
 
 def id21(n, a):
     s = a["s"]
+    bs = rising_row(s, n)          # C(s+k, k)
     total = s * 0
-    bs = s * 0 + 1                 # C(s+k, k)
     for k in range(n + 1):
-        if k:
-            bs = bs * (s + k) / k
-        total = total + bs * central_binomial(n - k) * 4**k
+        total = total + bs[k] * central_binomial(n - k) * 4**k
     return total
 
 

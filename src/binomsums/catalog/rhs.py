@@ -23,6 +23,7 @@ from ..exact import (
     central_binomial,
     digamma_diff,
     harmonic,
+    rising_row,
 )
 from ..legendre import legendre_new_repr
 
@@ -41,13 +42,11 @@ def id01(n, a):
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
     bg = binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
+    bb = rising_row(beta, n)              # C(beta+k, k)
     xy = x + y
     total = F(0)
-    bb = F(1)                      # C(beta+k, k)
     for k in range(n + 1):
-        if k:
-            bb = bb * (beta + k) / k
-        term = bg[n - k] * bb * xy**k * y ** (n - k)
+        term = bg[n - k] * bb[k] * xy**k * y ** (n - k)
         total += -term if (n + k) % 2 else term
     return total
 
@@ -55,13 +54,11 @@ def id02(n, a):
 def id03(n, a):
     alpha, beta, x = a["alpha"], a["beta"], a["x"]
     bg = binom_row(beta - alpha + n, n)
+    bb = rising_row(beta, n)
     x1 = x + 1
     total = F(0)
-    bb = F(1)
     for j in range(n + 1):
-        if j:
-            bb = bb * (beta + j) / j
-        term = bg[n - j] * bb * x1**j
+        term = bg[n - j] * bb[j] * x1**j
         total += -term if (n + j) % 2 else term
     return total
 
@@ -76,10 +73,7 @@ def _id04_rows(n, alpha, beta):
     memo_n, memo_alpha, memo_beta, rows = _id04_memo
     if memo_n == n and memo_alpha is alpha and memo_beta is beta:
         return rows
-    bb = [beta * 0 + 1]
-    for j in range(1, n + 1):
-        bb.append(bb[-1] * (beta + j) / j)
-    rows = bb, binom_row(beta - alpha + n, n)
+    rows = rising_row(beta, n), binom_row(beta - alpha + n, n)
     _id04_memo = (n, alpha, beta, rows)
     return rows
 
@@ -94,12 +88,10 @@ def id04(n, a):
 def id05(n, a):
     lam = a["lam"]
     half = F(1, 2)
+    top = binom_row(n - lam - half, n)    # C(n - lam - 1/2, k)
     total = F(0)
-    top = F(1)                     # C(n - lam - 1/2, k)
     for k in range(n + 1):
-        if k:
-            top = top * (n - lam - half - k + 1) / k
-        total += binom_int(n, k) * top / binom_poly(k - lam - half, k)
+        total += binom_int(n, k) * top[k] / binom_poly(k - lam - half, k)
     return binom_poly(2 * lam, n) * total
 
 

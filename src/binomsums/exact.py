@@ -8,6 +8,11 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
+Ring convention of the binomial kernels: an exact rational input p/q (int
+or ``Fraction``) multiplies the plain ints p - i*q (or p + i*q) and builds
+one ``Fraction`` per returned value; any other ring (``Jet2``, ``RatFunc``)
+takes the generic running-product loop.  Both give equal values.
+
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
 with a leading ``-`` on the numerator.  ``parse_rational`` accepts exactly
@@ -33,6 +38,7 @@ __all__ = [
     "harmonic",
     "parse_rational",
     "render_rational",
+    "rising_row",
     "trigamma_diff",
 ]
 
@@ -156,6 +162,18 @@ def central_binomial(k: int) -> int:
     return _CENTRAL[k]
 
 
+def _int_products(x, n: int, step: int):
+    """Int pairs (prod_{i<m} (p + step*i*q), m! q^m) for m = 0..n, x = p/q:
+    their ratios are prod_{i<m} (x + step*i) / m!."""
+    p, q = x.numerator, x.denominator
+    num = den = 1
+    yield num, den
+    for i in range(n):
+        num *= p + step * i * q
+        den *= (i + 1) * q
+        yield num, den
+
+
 def binom_poly(s, k: int):
     """binom(s, k) for integer lower index, as the degree-k polynomial in s:
 
@@ -170,10 +188,13 @@ def binom_poly(s, k: int):
         s = Fraction(s)
     if k < 0:
         return s * 0          # zero of the same ring as s
+    if isinstance(s, Fraction):
+        if s.denominator == 1 and s >= 0:
+            return Fraction(binom_int(s.numerator, k))
+        *_, (num, den) = _int_products(s, k, -1)
+        return Fraction(num, den)
     if k == 0:
         return s * 0 + 1
-    if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
-        return Fraction(binom_int(int(s), k))
     out = s
     for i in range(1, k):
         out = out * (s - i)
@@ -182,9 +203,21 @@ def binom_poly(s, k: int):
 
 def binom_row(s, n: int) -> list:
     """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
+    if isinstance(s, (int, Fraction)):
+        return [Fraction(num, den) for num, den in _int_products(s, n, -1)]
     row = [_ONE]
     for m in range(1, n + 1):
         row.append(row[-1] * (s - m + 1) / m)
+    return row
+
+
+def rising_row(b, n: int) -> list:
+    """[C(b+k, k) for k = 0..n], C(b+k, k) = prod_{i=1..k} (b+i) / k!, in b's ring."""
+    if isinstance(b, (int, Fraction)):
+        return [Fraction(num, den) for num, den in _int_products(b + 1, n, 1)]
+    row = [b * 0 + 1]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (b + k) / k)
     return row
 
 
@@ -197,14 +230,7 @@ def binom_upper_shift(b, m: int):
     """
     if m < 0:
         raise ValueError("upper shift must be non-negative")
-    if isinstance(b, int):
-        b = Fraction(b)
-    if m == 0:
-        return b * 0 + 1
-    out = b + 1
-    for i in range(2, m + 1):
-        out = out * (b + i)
-    return out / factorial(m)
+    return binom_poly(b + m, m)
 
 
 # ---------------------------------------------------------------------------

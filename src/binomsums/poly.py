@@ -227,6 +227,17 @@ class MultiPoly:
             total += val
         return total
 
+    def bind(self, fixed: Mapping[str, Fraction]) -> "MultiPoly":
+        """Substitute the variables named in fixed; the others stay free."""
+        out: dict[tuple[int, ...], Fraction] = {}
+        for exp, c in self.terms.items():
+            for i, e in enumerate(exp):
+                if e and VARS[i] in fixed:
+                    c *= fixed[VARS[i]] ** e
+            key = tuple(0 if VARS[i] in fixed else e for i, e in enumerate(exp))
+            out[key] = out.get(key, _F0) + c
+        return MultiPoly(out)
+
     def shift(self, name: str, delta: int) -> "MultiPoly":
         """Substitute name -> name + delta, expanding (x+delta)^e binomially."""
         if delta == 0:

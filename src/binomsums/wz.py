@@ -355,11 +355,17 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         boundary_detail, base_detail = "", ""
         try:
             term = pair.term.bind(assign)
+            # numerator and denominator bound apart, not through RatFunc,
+            # so that a common factor vanishing on the grid stays a pole
+            cert_num = pair.certificate.num.bind(assign)
+            cert_den = pair.certificate.den.bind(assign)
             for n, _, point in _grid(pair, n_max):
                 for k in (0, n + 2):
                     point["k"] = k
-                    companion = (pair.certificate.evaluate({**assign, **point})
-                                 * term.evaluate(point))
+                    den = cert_den.evaluate(point)
+                    if den == 0:
+                        raise RatFuncPole("pole at assignment")
+                    companion = cert_num.evaluate(point) / den * term.evaluate(point)
                     if companion != 0 and not boundary_detail:
                         boundary_detail = f"G({n},{k}) != 0"
             # base and edge values of the term itself

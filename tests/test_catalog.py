@@ -211,6 +211,40 @@ def test_id04_rows_built_once_per_check(monkeypatch):
     assert built == {"lhs": 1, "rhs": 1}
 
 
+ROW_HELPER_CALLERS = {
+    "rising_row": {"ID02", "ID03", "ID04", "ID06", "ID07", "ID08", "ID10", "ID15", "ID21"},
+    "binom_row": {"ID02", "ID03", "ID04", "ID05", "ID06", "ID07", "ID19"},
+}
+
+
+@pytest.mark.parametrize("helper", sorted(ROW_HELPER_CALLERS))
+def test_a_helper_bug_shared_by_both_sides_cannot_cancel(monkeypatch, helper):
+    # the same wrong row entry on both sides must still fail every entry that
+    # builds rows with the helper, somewhere in n <= 5
+    real = getattr(lhs, helper)
+    callers, current = set(), None
+
+    def wrong_at_index_one(x, n):
+        callers.add(current)
+        row = real(x, n)
+        if n >= 1:
+            row[1] = row[1] + 1
+        return row
+
+    for module in (lhs, rhs):
+        monkeypatch.setattr(module, helper, wrong_at_index_one)
+        monkeypatch.setattr(module, "_id04_memo", (None, None, None, None))
+    missed = []
+    for entry in REGISTRY.values():
+        current = entry.id
+        draws = draw_for_entry(entry, seed=0, samples=2, n_max=5)
+        statuses = {check_identity(entry.id, n, a).status for n in range(6) for a in draws}
+        if entry.id in callers and "fail" not in statuses:
+            missed.append(entry.id)
+    assert callers >= ROW_HELPER_CALLERS[helper], callers
+    assert missed == []
+
+
 def test_exclusions_produce_skips():
     r = check_identity("ID15", 3, {"s": F(2)})
     assert r.status == "skipped" and "digamma" in r.reason

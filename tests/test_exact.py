@@ -12,6 +12,7 @@ from binomsums.exact import (
     DigammaPole,
     TrigammaPole,
     binom_poly,
+    binom_row,
     binom_upper_shift,
     central_binomial,
     digamma_diff,
@@ -19,8 +20,17 @@ from binomsums.exact import (
     harmonic_cache,
     parse_rational,
     render_rational,
+    rising_row,
     trigamma_diff,
 )
+from binomsums.jets import Jet2
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 F = Fraction
 
@@ -171,6 +181,80 @@ def test_binom_upper_shift_matches_binom_poly_on_integers():
         b = rng.randint(0, 30)
         m = rng.randint(0, 12)
         assert binom_upper_shift(F(b), m) == binom_poly(F(b + m), m)
+
+
+# ---------------------------------------------------------------------------
+# Integer kernels against plain Fraction running products
+# ---------------------------------------------------------------------------
+
+def falling_reference(s, n):
+    """[C(s, m) for m = 0..n], one Fraction operation per factor."""
+    row = [F(1)]
+    for m in range(1, n + 1):
+        row.append(row[-1] * (s - m + 1) / m)
+    return row
+
+
+def rising_reference(b, n):
+    """[C(b+k, k) for k = 0..n], one Fraction operation per factor."""
+    row = [F(1)]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (b + k) / k)
+    return row
+
+
+if st is not None:
+    RATIONALS = st.one_of(
+        st.fractions(min_value=-60, max_value=60, max_denominator=100),
+        st.integers(-60, 60).map(lambda i: F(2 * i + 1, 2)),            # half-integers
+        st.builds(F, st.integers(-10**9, 10**9), st.integers(10**6, 10**9)),
+    )
+
+
+@needs_hypothesis
+def test_binomial_kernels_equal_fraction_running_products():
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(RATIONALS, st.integers(0, 40))
+    @example(F(-7, 3), 40)
+    @example(F(-5), 40)
+    @example(F(1, 2), 0)
+    @example(F(123457, 1000003), 40)
+    def check(x, n):
+        falling, rising = falling_reference(x, n), rising_reference(x, n)
+        rows = [binom_row(x, n), rising_row(x, n)]
+        assert rows == [falling, rising]
+        assert all(type(v) is F for row in rows for v in row)
+        assert [binom_poly(x, k) for k in range(n + 1)] == falling
+        assert [binom_upper_shift(x, k) for k in range(n + 1)] == rising
+
+    check()
+
+
+def test_binomial_kernels_on_nonnegative_integers_equal_comb():
+    for s in range(41):
+        for x in (s, F(s)):
+            assert binom_row(x, 40) == [comb(s, k) for k in range(41)]
+            assert rising_row(x, 40) == [comb(s + k, k) for k in range(41)]
+            assert [binom_poly(x, k) for k in range(41)] == [comb(s, k) for k in range(41)]
+            assert [binom_upper_shift(x, m) for m in range(41)] == [
+                comb(s + m, m) for m in range(41)]
+
+
+@needs_hypothesis
+def test_jet_path_has_the_fraction_branch_value():
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(RATIONALS, st.integers(0, 40))
+    def check(x, n):
+        def value(v):
+            return v.value if isinstance(v, Jet2) else v
+
+        jet = Jet2.variable(x)
+        assert [value(v) for v in binom_row(jet, n)] == binom_row(x, n)
+        assert [value(v) for v in rising_row(jet, n)] == rising_row(x, n)
+        assert value(binom_poly(jet, n)) == binom_poly(x, n)
+        assert value(binom_upper_shift(jet, n)) == binom_upper_shift(x, n)
+
+    check()
 
 
 def test_central_binomial():

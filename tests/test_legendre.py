@@ -12,7 +12,15 @@ from binomsums.legendre import (
     legendre_inversion_check,
     legendre_new_repr,
     legendre_product_form,
+    legendre_row,
 )
+
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 F = Fraction
 
@@ -93,3 +101,49 @@ def test_symmetry_t_inverse():
     for t in ts:
         for n in range(0, 31, 5):
             assert legendre_new_repr(n, t) == legendre_new_repr(n, 1 / t)
+
+
+# ---------------------------------------------------------------------------
+# The integer recurrence against the Fraction recurrence
+# ---------------------------------------------------------------------------
+
+def fraction_recurrence(n, x):
+    """[P_0(x), ..., P_n(x)], one Fraction operation per step."""
+    row = [F(1), x]
+    for m in range(1, n):
+        row.append(((2 * m + 1) * x * row[m] - m * row[m - 1]) / (m + 1))
+    return row[:n + 1]
+
+
+def check_t(t, n):
+    x = (t * t + 1) / (2 * t)
+    want = fraction_recurrence(n, x)
+    assert legendre_row(n, x) == want
+    assert legendre(n, x) == want[n]
+    assert legendre_product_form(n, t) == t**n * want[n]
+    assert legendre_new_repr(n, t) == want[n]
+
+
+@needs_hypothesis
+def test_integer_recurrence_equals_fraction_recurrence():
+    nonzero = st.fractions(min_value=-100, max_value=100, max_denominator=100).filter(bool)
+    large = st.builds(F, st.integers(-10**9, 10**9).filter(bool), st.integers(10**6 + 1, 10**9))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(nonzero, large), st.integers(0, 60))
+    @example(F(1), 60)
+    @example(F(-1), 60)
+    @example(F(-3, 7), 60)
+    @example(F(999_999_937, 1_000_003), 60)
+    def check(t, n):
+        check_t(t, n)
+
+    check()
+
+
+def test_integer_recurrence_at_plus_minus_one_and_zero():
+    for n in range(61):
+        check_t(F(1), n)
+        check_t(F(-1), n)
+        assert legendre(n, F(1)) == 1 and legendre(n, -1) == (-1) ** n
+        assert legendre_row(n, 0) == fraction_recurrence(n, F(0))

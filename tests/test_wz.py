@@ -11,6 +11,7 @@ import pytest
 from binomsums.expr import parse_expr, to_ratfunc
 from binomsums.hyperterm import HyperTerm
 from binomsums.params import draw
+from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
 from binomsums.wz import (
     PAIR_NAMES,
     WZFixtureError,
@@ -175,6 +176,47 @@ def test_boundary_and_base_edge_rows_name_their_own_failure():
     rows = {row.check: row for row in verify_wz_pair(bad, n_max=2, samples=1).rows}
     assert not rows["boundary"].ok and rows["boundary"].detail == "G(0,0) != 0"
     assert not rows["base-edge"].ok and rows["base-edge"].detail == "T(0,0) != 1"
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_bound_certificate_equals_evaluate_on_the_grid(name):
+    # the draw bound into numerator and denominator once, as verify_wz_pair
+    # does, gives every value and every pole of certificate.evaluate
+    pair = load_pair(name)
+    cert = pair.certificate
+    rng = random.Random(f"bind:{name}")
+    poles = 0
+    for _ in range(3):
+        assign = draw(rng, pair.params, 6)
+        num, den = cert.num.bind(assign), cert.den.bind(assign)
+        for n in range(7):
+            for j in (range(n + 1) if pair.extra_index else (None,)):
+                for k in range(n + 3):
+                    point = {"n": n, "k": k}
+                    if j is not None:
+                        point[pair.extra_index] = j
+                    bound_den = den.evaluate(point)
+                    try:
+                        want = cert.evaluate({**assign, **point})
+                    except RatFuncPole:
+                        assert bound_den == 0, (assign, point)
+                        poles += 1
+                        continue
+                    assert num.evaluate(point) / bound_den == want, (assign, point)
+    assert poles > 0     # every certificate has poles on this grid
+
+
+def test_certificate_common_factor_still_gives_the_pole_row():
+    # (k-2) above and below the bar, built past RatFunc's canonicalising
+    # constructor: binding must not cancel it, so G(0, 2) is a pole
+    pair = load_pair("thm2")
+    factor = MultiPoly.var("k") - 2
+    cert = RatFunc.__new__(RatFunc)
+    cert.num = pair.certificate.num * factor
+    cert.den = pair.certificate.den * factor
+    rows = verify_wz_pair(replace(pair, certificate=cert), n_max=2, samples=1).rows
+    assert [(row.check, row.ok, row.detail) for row in rows[1:]] == [
+        ("draw-0", False, "unexpected pole: pole at assignment")]
 
 
 def test_verify_is_deterministic():
