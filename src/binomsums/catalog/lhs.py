@@ -32,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ..exact import binom_int, binom_poly, binom_row, central_binomial, harmonic, rising_row
+from ..exact import (binom_int, binom_poly, binom_row, central_binomial, harmonic,
+                     rising_row, zero_like)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
@@ -106,7 +107,7 @@ def id06(n, a):
     s, t = a["s"], a["t"]
     bs = binom_row(s, n)           # C(s, k)
     bt = rising_row(t, n)          # C(t+k, k)
-    total = s * 0
+    total = zero_like(s)
     for k in range(n + 1):
         total = total + binom_int(n, k) * bs[k] / bt[k]
     return total
@@ -116,7 +117,7 @@ def id07(n, a):
     s, p = a["s"], a["p"]
     bnp = binom_row(n - p, n)      # C(n-p, m)
     bs = rising_row(s, n)          # C(s+k, k)
-    total = s * 0
+    total = zero_like(s)
     for k in range(n + 1):
         term = bs[k] * bnp[n - k]
         total = total + (-term if (n + k) % 2 else term)
@@ -126,7 +127,7 @@ def id07(n, a):
 def id08(n, a):
     beta, x = a["beta"], a["x"]
     bb = rising_row(beta, n)       # C(beta+k, k)
-    total = beta * 0
+    total = zero_like(beta)
     for k in range(n + 1):
         total = total + binom_int(n, k) * bb[k] * x**k
     return total
@@ -231,7 +232,7 @@ def id20e(n, a):
 def id21(n, a):
     s = a["s"]
     bs = rising_row(s, n)          # C(s+k, k)
-    total = s * 0
+    total = zero_like(s)
     for k in range(n + 1):
         total = total + bs[k] * central_binomial(n - k) * 4**k
     return total

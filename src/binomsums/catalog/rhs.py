@@ -23,7 +23,9 @@ from ..exact import (
     central_binomial,
     digamma_diff,
     harmonic,
+    one_like,
     rising_row,
+    zero_like,
 )
 from ..legendre import legendre_new_repr
 
@@ -97,7 +99,7 @@ def id05(n, a):
 
 def id06(n, a):
     s, t = a["s"], a["t"]
-    value = s * 0 + 1
+    value = one_like(s)
     for i in range(1, n + 1):
         value = value * (s + t + i) / (t + i)
     return value
@@ -109,7 +111,7 @@ def id07(n, a):
 
 def id08(n, a):
     beta, x1 = a["beta"], a["x"] + 1
-    total = beta * 0
+    total = zero_like(beta)
     for k in range(n + 1):
         term = binom_int(n, k) * binom_poly(beta + k, n) * x1**k
         total = total + (-term if (n + k) % 2 else term)

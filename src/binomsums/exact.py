@@ -10,8 +10,10 @@ never enter the value domain.
 
 Ring convention of the binomial kernels: an exact rational input p/q (int
 or ``Fraction``) multiplies the plain ints p - i*q (or p + i*q) and builds
-one ``Fraction`` per returned value; any other ring (``Jet2``, ``RatFunc``)
-takes the generic running-product loop.  Both give equal values.
+one ``Fraction`` per returned value.  A ``Jet2`` input p/q + d multiplies
+the int Taylor triples of the same product at p/q, then makes one nilpotent
+combine (``Jet2.compose_taylor``); ``RatFunc`` takes the generic
+running-product loop.  All give equal values.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -25,6 +27,8 @@ import re
 from fractions import Fraction
 from math import comb, factorial
 
+from .jets import Jet2
+
 __all__ = [
     "DigammaPole",
     "TrigammaPole",
@@ -36,14 +40,15 @@ __all__ = [
     "central_binomial",
     "digamma_diff",
     "harmonic",
+    "one_like",
     "parse_rational",
     "render_rational",
     "rising_row",
     "trigamma_diff",
+    "zero_like",
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DigammaPole(ZeroDivisionError):
@@ -162,6 +167,16 @@ def central_binomial(k: int) -> int:
     return _CENTRAL[k]
 
 
+def zero_like(x):
+    """The zero of x's ring (int 0 for an int)."""
+    return x * 0
+
+
+def one_like(x):
+    """The one of x's ring (int 1 for an int)."""
+    return x * 0 + 1
+
+
 def _int_products(x, n: int, step: int):
     """Int pairs (prod_{i<m} (p + step*i*q), m! q^m) for m = 0..n, x = p/q:
     their ratios are prod_{i<m} (x + step*i) / m!."""
@@ -172,6 +187,20 @@ def _int_products(x, n: int, step: int):
         num *= p + step * i * q
         den *= (i + 1) * q
         yield num, den
+
+
+def _int_taylor_products(x, n: int, step: int):
+    """Int rows (A0, A1, A2, m! q^m) for m = 0..n, x = p/q, with A0 + A1 e + A2 e^2
+    = prod_{i<m} (p + step*i*q + q e) mod e^3.  Nothing is divided, so a factor
+    that vanishes at x needs no special case."""
+    p, q = x.numerator, x.denominator
+    a0, a1, a2, den = 1, 0, 0, 1
+    yield a0, a1, a2, den
+    for i in range(n):
+        u = p + step * i * q
+        a0, a1, a2 = a0 * u, a1 * u + a0 * q, a2 * u + a1 * q
+        den *= (i + 1) * q
+        yield a0, a1, a2, den
 
 
 def binom_poly(s, k: int):
@@ -187,14 +216,17 @@ def binom_poly(s, k: int):
     if isinstance(s, int):
         s = Fraction(s)
     if k < 0:
-        return s * 0          # zero of the same ring as s
+        return zero_like(s)
     if isinstance(s, Fraction):
         if s.denominator == 1 and s >= 0:
             return Fraction(binom_int(s.numerator, k))
         *_, (num, den) = _int_products(s, k, -1)
         return Fraction(num, den)
+    if isinstance(s, Jet2):
+        *_, last = _int_taylor_products(s.value, k, -1)
+        return s.compose_taylor([last])[0]
     if k == 0:
-        return s * 0 + 1
+        return one_like(s)
     out = s
     for i in range(1, k):
         out = out * (s - i)
@@ -205,7 +237,9 @@ def binom_row(s, n: int) -> list:
     """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
     if isinstance(s, (int, Fraction)):
         return [Fraction(num, den) for num, den in _int_products(s, n, -1)]
-    row = [_ONE]
+    if isinstance(s, Jet2):
+        return s.compose_taylor(_int_taylor_products(s.value, n, -1))
+    row = [one_like(s)]
     for m in range(1, n + 1):
         row.append(row[-1] * (s - m + 1) / m)
     return row
@@ -215,7 +249,9 @@ def rising_row(b, n: int) -> list:
     """[C(b+k, k) for k = 0..n], C(b+k, k) = prod_{i=1..k} (b+i) / k!, in b's ring."""
     if isinstance(b, (int, Fraction)):
         return [Fraction(num, den) for num, den in _int_products(b + 1, n, 1)]
-    row = [b * 0 + 1]
+    if isinstance(b, Jet2):
+        return b.compose_taylor(_int_taylor_products(b.value + 1, n, 1))
+    row = [one_like(b)]
     for k in range(1, n + 1):
         row.append(row[-1] * (b + k) / k)
     return row

@@ -18,6 +18,9 @@ one).
 
 All coefficients are Fractions; ints and Fractions coerce to constant jets,
 so jets can be dropped into any code written for rational scalars.
+
+``compose_taylor`` evaluates polynomials f at a jet x = x0 + d, d nilpotent,
+from their Taylor coefficients at x0: f(x) = f(x0) + f'(x0) d + f''(x0)/2 d^2.
 """
 
 from __future__ import annotations
@@ -84,6 +87,21 @@ class Jet2:
     def mixed(self) -> Fraction:
         """Mixed second partial (the e1*e2 coefficient)."""
         return self.c.get((1, 1), _ZERO)
+
+    def compose_taylor(self, rows) -> list["Jet2"]:
+        """[(a0 + a1 d + a2 d^2) / den for (a0, a1, a2, den) in rows], with
+        d = self - self.value the nilpotent part (d^3 = 0)."""
+        d = self - self.value
+        d2 = (d * d).c
+        out = []
+        for a0, a1, a2, den in rows:
+            c1, c2 = Fraction(a1, den), Fraction(a2, den)
+            coeffs = {key: c1 * val for key, val in d.c.items()}
+            for key, val in d2.items():
+                coeffs[key] = coeffs.get(key, _ZERO) + c2 * val
+            coeffs[(0, 0)] = Fraction(a0, den)
+            out.append(Jet2(coeffs))
+        return out
 
     # -- ring operations ----------------------------------------------------
 

@@ -240,19 +240,84 @@ def test_binomial_kernels_on_nonnegative_integers_equal_comb():
                 comb(s + m, m) for m in range(41)]
 
 
+def fraction_branch_taylor(x, m):
+    """(f(x), f'(x), f''(x)) for f = C(., m), from the Fraction branch alone:
+    the forward differences of f at x are C(x, m - j), and Newton's series
+    f(x + h) = sum_j C(x, m - j) C(h, j) has [h] C(h, j) = (-1)^(j-1) / j and
+    [h^2] C(h, j) = (-1)^j H_(j-1) / j."""
+    row = binom_row(x, m)
+    first = sum(F((-1) ** (j - 1), j) * row[m - j] for j in range(1, m + 1))
+    half_second = sum(F((-1) ** j, j) * harmonic(j - 1) * row[m - j] for j in range(2, m + 1))
+    return row[m], first, 2 * half_second
+
+
 @needs_hypothesis
 def test_jet_path_has_the_fraction_branch_value():
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(RATIONALS, st.integers(0, 40))
+    @example(F(3), 8)                  # a root of C(x, m) for m > 3
+    @example(F(-5), 8)                 # a root of C(x + k, k) for k >= 5
     def check(x, n):
-        def value(v):
-            return v.value if isinstance(v, Jet2) else v
+        def taylor(v):
+            assert isinstance(v, Jet2)
+            return v.value, v.first(), v.second()
 
         jet = Jet2.variable(x)
-        assert [value(v) for v in binom_row(jet, n)] == binom_row(x, n)
-        assert [value(v) for v in rising_row(jet, n)] == rising_row(x, n)
-        assert value(binom_poly(jet, n)) == binom_poly(x, n)
-        assert value(binom_upper_shift(jet, n)) == binom_upper_shift(x, n)
+        assert [taylor(v) for v in binom_row(jet, n)] == [
+            fraction_branch_taylor(x, m) for m in range(n + 1)]
+        assert [taylor(v) for v in rising_row(jet, n)] == [
+            fraction_branch_taylor(x + k, k) for k in range(n + 1)]
+        assert taylor(binom_poly(jet, n)) == fraction_branch_taylor(x, n)
+        assert taylor(binom_upper_shift(jet, n)) == fraction_branch_taylor(x + n, n)
+
+    check()
+
+
+def jet_falling_reference(x, n):
+    """[C(x, m) for m = 0..n] as a Jet2 running product, one factor at a time."""
+    row = [Jet2.const(1)]
+    for m in range(1, n + 1):
+        row.append(row[-1] * (x - (m - 1)) * F(1, m))
+    return row
+
+
+def jet_rising_reference(x, n):
+    """[C(x+k, k) for k = 0..n] as a Jet2 running product, one factor at a time."""
+    row = [Jet2.const(1)]
+    for k in range(1, n + 1):
+        row.append(row[-1] * (x + k) * F(1, k))
+    return row
+
+
+JET_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+if st is not None:
+    @st.composite
+    def jets_and_lengths(draw):
+        """(x, n): n in 0..40 and a two-slot jet with every coefficient drawn;
+        the base value is a general rational or a root of the kernels' rows
+        (0..n for C(x, m), -1..-n-1 for C(x+k, k))."""
+        n = draw(st.integers(0, 40))
+        base = draw(st.one_of(RATIONALS, st.integers(0, n).map(F),
+                              st.integers(-n - 1, -1).map(F)))
+        coeffs = draw(st.lists(RATIONALS, min_size=5, max_size=5))
+        return Jet2({(0, 0): base, **dict(zip(JET_KEYS, coeffs))}), n
+
+
+@needs_hypothesis
+def test_jet_kernels_equal_jet_running_products():
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(jets_and_lengths())
+    def check(case):
+        x, n = case
+        falling, rising = jet_falling_reference(x, n), jet_rising_reference(x, n)
+        rows = [binom_row(x, n), rising_row(x, n)]
+        assert [[v.c for v in row] for row in rows] == [
+            [v.c for v in falling], [v.c for v in rising]]
+        assert all(type(v) is Jet2 for row in rows for v in row)
+        assert [binom_poly(x, k).c for k in range(n + 1)] == [v.c for v in falling]
+        assert [binom_upper_shift(x, k).c for k in range(n + 1)] == [v.c for v in rising]
+        assert binom_poly(x, -1).c == {}
 
     check()
 

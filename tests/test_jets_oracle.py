@@ -3,6 +3,7 @@ harmonic corollaries along an independent path."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,9 +17,16 @@ from binomsums.catalog.jets_oracle import (
     lift_sides,
     oracle,
 )
-from binomsums.exact import harmonic
+from binomsums.exact import harmonic, render_rational
 
 F = Fraction
+
+ORACLE_IDS = ("ID11", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26")
+
+# sha256 of the rendered oracle pairs below, recorded from the generic
+# running-product jet kernels: ring-generic values are pinned to the byte,
+# so a slip in the jet kernels that hits both sides alike still shows
+GOLDEN_ORACLE_SHA256 = "e321373918bd71ee375f5fe6620f2a0f98f7e9f7c7ed9d13b4be058e85184e79"
 
 
 def test_order_zero_equals_plain_evaluation():
@@ -70,8 +78,7 @@ def test_base_jets_agree_on_all_coefficients():
         assert jl == jr
 
 
-@pytest.mark.parametrize("entry_id", ["ID11", "ID16", "ID17", "ID18",
-                                      "ID22", "ID24", "ID25", "ID26"])
+@pytest.mark.parametrize("entry_id", ORACLE_IDS)
 def test_oracle_matches_direct_path(entry_id):
     for n in range(0, 21):
         left, right = oracle(entry_id, n)
@@ -108,3 +115,20 @@ def test_general_s_specializes_to_id18():
         assert out["jet_lhs"] == out["jet_rhs"] == 4 * harmonic(n) ** 2
         direct = check_identity("ID18", n, {})
         assert direct.lhs * 4 == out["jet_rhs"]
+
+
+def test_oracle_values_are_pinned(budget):
+    # the budget guards against a hang, it is not a speed gate
+    lines = []
+    with budget(60):
+        for entry_id in ORACLE_IDS:
+            for n in range(51):
+                left, right = oracle(entry_id, n)
+                lines.append(f"{entry_id} {n} {render_rational(left)} {render_rational(right)}")
+        for draw in draw_for_entry(REGISTRY["ID15"], 0, 5, 30):
+            for n in range(31):
+                left, right = oracle("ID15", n, s=draw["s"])
+                lines.append(f"ID15 {n} s={render_rational(draw['s'])} "
+                             f"{render_rational(left)} {render_rational(right)}")
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_ORACLE_SHA256
