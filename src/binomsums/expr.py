@@ -1,4 +1,4 @@
-"""Expression language for entering certificates and term ratios.
+"""Expression language for entering certificates and binomial arguments.
 
 Grammar (whitespace ignored, byte offsets reported on errors):
 
@@ -12,23 +12,21 @@ Grammar (whitespace ignored, byte offsets reported on errors):
     NAME    :=  [A-Za-z_][A-Za-z0-9_]*
 
 Precedence is therefore ^ above unary minus above * / above + -, all
-left-associative; exponents must be non-negative integer literals (they are
-stored as plain ints on the Pow node).  ``render`` emits a string that
-parses back to a structurally equal tree.
+left-associative; exponents must be non-negative integer literals.
+
+There is no syntax tree: each grammar rule returns the canonical
+:class:`~binomsums.poly.RatFunc` of what it read, built with the ring's own
+``+ - * / **`` in the order the rules finish (left operand, right operand,
+then the operator).  Syntax errors are :class:`ExprSyntaxError` with the
+offset of the first bad token; an unknown variable (``ValueError``) and a
+division by the zero function (``ZeroDenominator``) come from the ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Union
-
 from .poly import RatFunc
 
-__all__ = [
-    "Add", "Div", "Expr", "ExprSyntaxError", "IntLit", "Mul", "Neg", "Pow",
-    "Sub", "Var", "eval_expr", "parse_expr", "render", "to_ratfunc",
-]
+__all__ = ["ExprSyntaxError", "parse_ratfunc"]
 
 
 class ExprSyntaxError(ValueError):
@@ -39,58 +37,6 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
         self.reason = message
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-Expr = Union[IntLit, Var, Neg, Add, Sub, Mul, Div, Pow]
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer / parser
-# ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
 
@@ -143,126 +89,61 @@ class _Parser:
         found = "end of input" if kind == "END" else f"{kind!r}"
         raise ExprSyntaxError(f"expected {expected}, found {found}", offset)
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> RatFunc:
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> RatFunc:
+        value = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
             rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            value = value * rhs if op == "*" else value / rhs
+        return value
 
-    def factor(self) -> Expr:
+    def factor(self) -> RatFunc:
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.factor())
+            return -self.factor()
         return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
+    def power(self) -> RatFunc:
+        value = self.atom()
         while self.peek()[0] == "^":
             self.advance()
-            kind, value, _ = self.peek()
+            kind, exponent, _ = self.peek()
             if kind != "INT":
                 self.fail("a non-negative integer exponent")
             self.advance()
-            node = Pow(node, value)
-        return node
+            value = value ** exponent
+        return value
 
-    def atom(self) -> Expr:
+    def atom(self) -> RatFunc:
         kind, value, _ = self.peek()
         if kind == "INT":
             self.advance()
-            return IntLit(value)
+            return RatFunc.const(value)
         if kind == "NAME":
             self.advance()
-            return Var(value)
+            return RatFunc.var(value)
         if kind == "(":
             self.advance()
-            node = self.expr()
+            inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail("')'")
             self.advance()
-            return node
+            return inner
         self.fail("an integer, a variable or '('")
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse the full string as one expression."""
+def parse_ratfunc(text: str) -> RatFunc:
+    """The canonical rational function of the full string."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    value = parser.expr()
     if parser.peek()[0] != "END":
         parser.fail("end of input")
-    return node
-
-
-# ---------------------------------------------------------------------------
-# Rendering (inverse of parse_expr up to structural equality)
-# ---------------------------------------------------------------------------
-
-_LEVEL_SUM, _LEVEL_PROD, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = range(5)
-
-
-def _render(e: Expr, context: int) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        text, level = "-" + _render(e.operand, _LEVEL_NEG), _LEVEL_NEG
-    elif isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        text = _render(e.left, _LEVEL_SUM) + op + _render(e.right, _LEVEL_SUM + 1)
-        level = _LEVEL_SUM
-    elif isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        text = _render(e.left, _LEVEL_PROD) + op + _render(e.right, _LEVEL_PROD + 1)
-        level = _LEVEL_PROD
-    elif isinstance(e, Pow):
-        text, level = _render(e.base, _LEVEL_ATOM) + f"^{e.exponent}", _LEVEL_POW
-    else:
-        raise TypeError(f"not an Expr node: {e!r}")
-    if level < context:
-        return f"({text})"
-    return text
-
-
-def render(e: Expr) -> str:
-    return _render(e, _LEVEL_SUM)
-
-
-# ---------------------------------------------------------------------------
-# Conversion to canonical rational functions
-# ---------------------------------------------------------------------------
-
-def to_ratfunc(e: Expr) -> RatFunc:
-    """Canonical rational function of an expression over the fixed variables."""
-    if isinstance(e, IntLit):
-        return RatFunc.const(e.value)
-    if isinstance(e, Var):
-        return RatFunc.var(e.name)
-    if isinstance(e, Neg):
-        return -to_ratfunc(e.operand)
-    if isinstance(e, Add):
-        return to_ratfunc(e.left) + to_ratfunc(e.right)
-    if isinstance(e, Sub):
-        return to_ratfunc(e.left) - to_ratfunc(e.right)
-    if isinstance(e, Mul):
-        return to_ratfunc(e.left) * to_ratfunc(e.right)
-    if isinstance(e, Div):
-        return to_ratfunc(e.left) / to_ratfunc(e.right)
-    if isinstance(e, Pow):
-        return to_ratfunc(e.base) ** e.exponent
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def eval_expr(e: Expr, assign: dict[str, Fraction]) -> Fraction:
-    """Evaluate through the canonical form (pole errors propagate)."""
-    return to_ratfunc(e).evaluate(assign)
+    return value

@@ -37,9 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Add, Div, Expr, IntLit, Mul, Neg, Pow, Sub, Var
 from .exact import binom_poly, binom_upper_shift
-from .poly import MultiPoly, RatFunc
+from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = [
     "AffineForm",
@@ -77,9 +76,15 @@ class AffineForm:
         return cls(Fraction(constant), items)
 
     @classmethod
-    def from_expr(cls, e: Expr) -> "AffineForm":
-        const, coeffs = _affine_parts(e)
-        return cls.make(const, coeffs)
+    def from_ratfunc(cls, r: RatFunc) -> "AffineForm":
+        """The form of r: its canonical denominator must be 1, its numerator's degree <= 1."""
+        if r.den.degree() > 0:
+            raise ValueError("not an affine expression (non-constant divisor)")
+        if r.num.degree() > 1:
+            raise ValueError("not an affine expression (degree > 1)")
+        terms = r.num.terms
+        coeffs = {VARS[exp.index(1)]: c for exp, c in terms.items() if any(exp)}
+        return cls.make(terms.get((0,) * len(VARS), 0), coeffs)
 
     def coeff(self, name: str) -> Fraction:
         for var, c in self.coeffs:
@@ -119,46 +124,6 @@ class AffineForm:
             parts.append(f"{'+' if self.constant >= 0 else '-'}{abs(self.constant)}")
         text = "".join(parts)
         return text[1:] if text.startswith("+") else text
-
-
-def _affine_parts(e: Expr) -> tuple[Fraction, dict[str, Fraction]]:
-    if isinstance(e, IntLit):
-        return Fraction(e.value), {}
-    if isinstance(e, Var):
-        return Fraction(0), {e.name: Fraction(1)}
-    if isinstance(e, Neg):
-        const, coeffs = _affine_parts(e.operand)
-        return -const, {v: -c for v, c in coeffs.items()}
-    if isinstance(e, (Add, Sub)):
-        lc, lv = _affine_parts(e.left)
-        rc, rv = _affine_parts(e.right)
-        if isinstance(e, Sub):
-            rc, rv = -rc, {v: -c for v, c in rv.items()}
-        out = dict(lv)
-        for v, c in rv.items():
-            out[v] = out.get(v, Fraction(0)) + c
-        return lc + rc, out
-    if isinstance(e, Mul):
-        lc, lv = _affine_parts(e.left)
-        rc, rv = _affine_parts(e.right)
-        if lv and rv:
-            raise ValueError("not an affine expression (product of variables)")
-        if lv:
-            return lc * rc, {v: c * rc for v, c in lv.items()}
-        return lc * rc, {v: c * lc for v, c in rv.items()}
-    if isinstance(e, Div):
-        rc, rv = _affine_parts(e.right)
-        if rv or rc == 0:
-            raise ValueError("not an affine expression (non-constant divisor)")
-        lc, lv = _affine_parts(e.left)
-        return lc / rc, {v: c / rc for v, c in lv.items()}
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Fraction(1), {}
-        if e.exponent == 1:
-            return _affine_parts(e.base)
-        raise ValueError("not an affine expression (exponent > 1)")
-    raise TypeError(f"not an Expr node: {e!r}")
 
 
 @dataclass(frozen=True)

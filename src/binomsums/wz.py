@@ -37,9 +37,11 @@ each file carries exactly the lines
     certificate: <expression>
     orientation: +1|-1
 
-with '#' comments allowed, affine/expression syntax as in
-:mod:`binomsums.expr`, the sign(...) and constant parts optional, and '^+1'
-omissible.  Parse errors report line and column.
+with '#' comments allowed, the sign(...) and constant parts optional, and
+'^+1' omissible.  Each field is read by :func:`binomsums.expr.parse_ratfunc`,
+and "affine" is judged on the canonical form: n*k-n*k+n reads as n and
+(n^2-1)/(n-1) as n+1, while n*k, n^2+1 and 1/n are rejected.  Every
+malformed field is a WZFixtureError with line and column.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
 
-from .expr import ExprSyntaxError, parse_expr, to_ratfunc
+from .expr import ExprSyntaxError, parse_ratfunc
 from .hyperterm import AffineForm, HyperTerm, HyperTermPole
 from .params import TYPED_POLES, ParamSpec, draw, is_neg_int
 from .poly import RatFunc, RatFuncPole
@@ -129,12 +131,15 @@ def _split_top_level(text: str, sep: str) -> list[tuple[int, str]]:
     return pieces
 
 
-def _parse_affine(text: str, line: int, col0: int) -> AffineForm:
+def _parse_field(text: str, line: int, col0: int, affine: bool = True):
+    """A fixture field's AffineForm (its RatFunc if not affine); a syntax
+    error is a WZFixtureError at its offset, a ring error one at the field."""
     try:
-        return AffineForm.from_expr(parse_expr(text))
+        value = parse_ratfunc(text)
+        return AffineForm.from_ratfunc(value) if affine else value
     except ExprSyntaxError as exc:
         raise WZFixtureError(exc.reason, line, col0 + exc.offset + 1) from exc
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise WZFixtureError(str(exc), line, col0 + 1) from exc
 
 
@@ -156,7 +161,7 @@ def parse_term_spec(text: str, line: int = 1, col0: int = 0) -> HyperTerm:
             inner = chunk[4:].strip()
             if not inner.startswith("(") or not inner.endswith(")"):
                 raise WZFixtureError("sign needs a parenthesized argument", line, at + 1)
-            sign = _parse_affine(inner[1:-1], line, col0 + pad + chunk.find("(") + 1)
+            sign = _parse_field(inner[1:-1], line, col0 + pad + chunk.find("(") + 1)
             if sign.constant.denominator != 1:
                 raise WZFixtureError("sign exponent must have an integer constant",
                                      line, at + 1)
@@ -173,8 +178,8 @@ def parse_term_spec(text: str, line: int = 1, col0: int = 0) -> HyperTerm:
             if len(split) != 2:
                 raise WZFixtureError("binom needs exactly two arguments", line, at + 1)
             arg_col = col0 + pad + chunk.find("(") + 1
-            top = _parse_affine(split[0][1], line, arg_col + split[0][0])
-            bottom = _parse_affine(split[1][1], line, arg_col + split[1][0])
+            top = _parse_field(split[0][1], line, arg_col + split[0][0])
+            bottom = _parse_field(split[1][1], line, arg_col + split[1][0])
             if tail in ("", "^1", "^+1"):
                 exp = 1
             elif tail == "^-1":
@@ -184,7 +189,7 @@ def parse_term_spec(text: str, line: int = 1, col0: int = 0) -> HyperTerm:
             factors.append((top, bottom, exp))
             continue
         # bare rational constant
-        form = _parse_affine(chunk, line, col0 + pad)
+        form = _parse_field(chunk, line, col0 + pad)
         if form.coeffs:
             raise WZFixtureError("constant factor contains variables", line, at + 1)
         constant *= form.constant
@@ -215,10 +220,7 @@ def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
     term = parse_term_spec(value, line_no, col0)
 
     value, line_no, col0 = fields["certificate"]
-    try:
-        certificate = to_ratfunc(parse_expr(value))
-    except ExprSyntaxError as exc:
-        raise WZFixtureError(exc.reason, line_no, col0 + exc.offset + 1) from exc
+    certificate = _parse_field(value, line_no, col0, affine=False)
 
     value, line_no, col0 = fields["orientation"]
     orientation_text = value.strip()

@@ -1,46 +1,39 @@
-"""Expression parser: grammar, diagnostics, round-trips."""
+"""Expression parser: grammar, diagnostics, values."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from binomsums.expr import (
-    Add,
-    Div,
-    ExprSyntaxError,
-    IntLit,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Var,
-    parse_expr,
-    render,
-    to_ratfunc,
-)
+from binomsums.expr import ExprSyntaxError, parse_ratfunc
+from binomsums.poly import VARS, RatFunc
+
+n, k, j, alpha, beta = (RatFunc.var(name) for name in ("n", "k", "j", "alpha", "beta"))
 
 
 def test_product_of_sums():
-    tree = parse_expr("(n+1)*(k-j)")
-    assert tree == Mul(Add(Var("n"), IntLit(1)), Sub(Var("k"), Var("j")))
+    value = parse_ratfunc("(n+1)*(k-j)")
+    assert value == (n + 1) * (k - j)
+    assert value != n + 1 * k - j
 
 
 def test_unary_minus_over_sum():
-    tree = parse_expr("-(alpha - beta - n - 1)")
-    assert tree == Neg(Sub(Sub(Sub(Var("alpha"), Var("beta")), Var("n")), IntLit(1)))
+    value = parse_ratfunc("-(alpha - beta - n - 1)")
+    assert value == -(alpha - beta - n - 1)
+    assert value != -alpha - beta - n - 1
 
 
 def test_syntax_error_offset():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr("n+*k")
+        parse_ratfunc("n+*k")
     assert exc.value.offset == 2
 
 
 def test_unknown_character_offset():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr("n + $k")
+        parse_ratfunc("n + $k")
     assert exc.value.offset == 4
 
 
@@ -54,48 +47,78 @@ def test_unknown_character_offset():
 ])
 def test_error_positions(text, offset):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr(text)
+        parse_ratfunc(text)
     assert exc.value.offset == offset
 
 
 def test_precedence():
-    assert parse_expr("1+2*k") == Add(IntLit(1), Mul(IntLit(2), Var("k")))
-    assert parse_expr("-n^2") == Neg(Pow(Var("n"), 2))
-    assert parse_expr("-n*k") == Mul(Neg(Var("n")), Var("k"))
-    assert parse_expr("n-k-j") == Sub(Sub(Var("n"), Var("k")), Var("j"))
-    assert parse_expr("n/k/j") == Div(Div(Var("n"), Var("k")), Var("j"))
-    assert parse_expr("n^2^3") == Pow(Pow(Var("n"), 2), 3)
+    # each pair is the grammar's reading, then the reading it must not be
+    assert parse_ratfunc("1+2*k") == 1 + 2 * k != (1 + 2) * k
+    assert parse_ratfunc("-n^2") == -(n**2) != (-n) ** 2
+    assert parse_ratfunc("-n*k") == (-n) * k
+    assert parse_ratfunc("n-k-j") == (n - k) - j != n - (k - j)
+    assert parse_ratfunc("n/k/j") == (n / k) / j != n / (k / j)
+    assert parse_ratfunc("n^2^3") == n**6 != n**8
 
 
-def random_expr(rng: random.Random, depth: int = 0):
+_LEVEL_SUM, _LEVEL_PROD, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = range(5)
+
+
+def random_text(rng: random.Random, point: dict, depth: int = 0):
+    """(text, precedence level, Fraction value at point) of a random
+    expression, written with the fewest parentheses its reading needs.
+    Raises ZeroDivisionError when a divisor vanishes at the point."""
+
+    def wrap(item, context):
+        text, level, _ = item
+        return text if level >= context else f"({text})"
+
     choices = ["int", "var"]
-    if depth < 4:
+    if depth < 3:
         choices += ["neg", "add", "sub", "mul", "div", "pow"]
     kind = rng.choice(choices)
     if kind == "int":
-        return IntLit(rng.randint(0, 99))
+        value = rng.randint(0, 99)
+        return str(value), _LEVEL_ATOM, Fraction(value)
     if kind == "var":
-        return Var(rng.choice(["n", "k", "j", "alpha", "beta", "s", "t", "p"]))
+        name = rng.choice(VARS)
+        return name, _LEVEL_ATOM, point[name]
     if kind == "neg":
-        return Neg(random_expr(rng, depth + 1))
+        inner = random_text(rng, point, depth + 1)
+        return "-" + wrap(inner, _LEVEL_NEG), _LEVEL_NEG, -inner[2]
     if kind == "pow":
-        return Pow(random_expr(rng, depth + 1), rng.randint(0, 5))
-    left = random_expr(rng, depth + 1)
-    right = random_expr(rng, depth + 1)
-    return {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[kind](left, right)
+        base, exponent = random_text(rng, point, depth + 1), rng.randint(0, 3)
+        return wrap(base, _LEVEL_ATOM) + f"^{exponent}", _LEVEL_POW, base[2] ** exponent
+    left, right = random_text(rng, point, depth + 1), random_text(rng, point, depth + 1)
+    level = _LEVEL_SUM if kind in ("add", "sub") else _LEVEL_PROD
+    op, value = {
+        "add": ("+", lambda a, b: a + b), "sub": ("-", lambda a, b: a - b),
+        "mul": ("*", lambda a, b: a * b), "div": ("/", lambda a, b: a / b),
+    }[kind]
+    text = wrap(left, level) + op + wrap(right, level + 1)
+    return text, level, value(left[2], right[2])
 
 
-def test_render_parse_round_trip():
+def test_random_text_matches_fraction_value(budget):
+    # Fraction arithmetic on the expression's own structure is the oracle:
+    # the parsed canonical form must take the same value at a random point
     rng = random.Random(31)
-    for _ in range(100):
-        tree = random_expr(rng)
-        assert parse_expr(render(tree)) == tree
+    checked = 0
+    with budget(30.0):
+        while checked < 100:
+            point = {name: Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for name in VARS}
+            try:
+                text, _, value = random_text(rng, point)
+            except ZeroDivisionError:
+                continue
+            assert parse_ratfunc(text).evaluate(point) == value, text
+            checked += 1
 
 
 def test_whitespace_ignored():
-    assert parse_expr(" ( n + 1 ) * k ") == parse_expr("(n+1)*k")
+    assert parse_ratfunc(" ( n + 1 ) * k ") == parse_ratfunc("(n+1)*k")
 
 
-def test_to_ratfunc_unknown_variable():
+def test_parse_ratfunc_unknown_variable():
     with pytest.raises(ValueError, match="unknown variable"):
-        to_ratfunc(parse_expr("q+1"))
+        parse_ratfunc("q+1")

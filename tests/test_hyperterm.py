@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.expr import parse_expr, to_ratfunc
+from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import (
     AffineForm,
     HyperTerm,
@@ -21,7 +21,7 @@ F = Fraction
 
 
 def affine(text: str) -> AffineForm:
-    return AffineForm.from_expr(parse_expr(text))
+    return AffineForm.from_ratfunc(parse_ratfunc(text))
 
 
 def term_binom(top: str, bottom: str, exp: int = 1, sign: str = "0",
@@ -56,6 +56,12 @@ def test_affine_rejects_products_and_powers():
         affine("1/n")
 
 
+def test_affine_is_judged_on_the_canonical_form():
+    # affine as a function, not as written: these cancel to n and n+1
+    assert affine("n*k-n*k+n") == affine("n")
+    assert affine("(n^2-1)/(n-1)") == affine("n+1")
+
+
 def test_affine_eval_and_render_round_trip():
     rng = random.Random(41)
     for text in ("n-k", "-n+2*k-3", "beta+j", "5", "-alpha+beta+n"):
@@ -63,7 +69,7 @@ def test_affine_eval_and_render_round_trip():
         again = affine(form.render())
         assert again == form
         assign = {v: F(rng.randint(-9, 9)) for v in ("n", "k", "j", "alpha", "beta")}
-        value = to_ratfunc(parse_expr(text)).evaluate(
+        value = parse_ratfunc(text).evaluate(
             {**{v: F(0) for v in ("s", "t", "p")}, **assign})
         assert form.split(assign) == (value, ())
 
@@ -150,22 +156,18 @@ def test_bound_term_keeps_the_pole_message():
 # Shift ratios
 # ---------------------------------------------------------------------------
 
-def ratfunc(text: str):
-    return to_ratfunc(parse_expr(text))
-
-
 def test_shift_ratio_examples():
     t = term_binom("n", "k")
-    assert t.shift_ratio("n") == ratfunc("(n+1)/(n+1-k)")
-    assert t.shift_ratio("k") == ratfunc("(n-k)/(k+1)")
+    assert t.shift_ratio("n") == parse_ratfunc("(n+1)/(n+1-k)")
+    assert t.shift_ratio("k") == parse_ratfunc("(n-k)/(k+1)")
     alt = HyperTerm(F(1), affine("n+k"),
                     ((affine("beta+k"), affine("k"), 1),))
-    assert alt.shift_ratio("k") == ratfunc("-(beta+k+1)/(k+1)")
+    assert alt.shift_ratio("k") == parse_ratfunc("-(beta+k+1)/(k+1)")
 
 
 def test_shift_ratio_upper_shift_factor():
     t = term_binom("t+n", "t")
-    assert t.shift_ratio("n") == ratfunc("(t+n+1)/(n+1)")
+    assert t.shift_ratio("n") == parse_ratfunc("(t+n+1)/(n+1)")
 
 
 def test_shift_ratio_matches_direct_evaluation():
@@ -211,7 +213,7 @@ def test_shift_ratio_non_integer_coefficient():
     t = HyperTerm(F(1), affine("0"), ((affine("n/2"), affine("k"), 1),))
     with pytest.raises(NonHypergeometricShift):
         t.shift_ratio("n")
-    assert t.shift_ratio("j") == ratfunc("1")   # unused variable shifts trivially
+    assert t.shift_ratio("j") == parse_ratfunc("1")   # unused variable shifts trivially
 
 
 def test_exponent_validation():

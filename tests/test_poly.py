@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.expr import parse_expr, to_ratfunc
+from binomsums.expr import parse_ratfunc
 from binomsums.poly import (
     VARS,
     MultiPoly,
@@ -98,11 +98,11 @@ def test_shift_substitutes():
 
 
 def test_divexact_and_failure():
-    a = to_ratfunc(parse_expr("(n+1)*(k-2)")).num
-    b = to_ratfunc(parse_expr("n+1")).num
-    assert a.divexact(b) == to_ratfunc(parse_expr("k-2")).num
+    a = parse_ratfunc("(n+1)*(k-2)").num
+    b = parse_ratfunc("n+1").num
+    assert a.divexact(b) == parse_ratfunc("k-2").num
     with pytest.raises(ArithmeticError):
-        a.divexact(to_ratfunc(parse_expr("n+2")).num)
+        a.divexact(parse_ratfunc("n+2").num)
 
 
 def test_content_primitive():
@@ -157,23 +157,23 @@ def test_heuristic_and_prs_routes_agree():
 
 
 def test_gcd_of_coprime_is_constant():
-    a = to_ratfunc(parse_expr("n+1")).num
-    b = to_ratfunc(parse_expr("n+2")).num
+    a = parse_ratfunc("n+1").num
+    b = parse_ratfunc("n+2").num
     assert poly_gcd(a, b).degree() == 0
-    c = to_ratfunc(parse_expr("alpha*n+1")).num
-    d = to_ratfunc(parse_expr("alpha+n")).num
+    c = parse_ratfunc("alpha*n+1").num
+    d = parse_ratfunc("alpha+n").num
     assert poly_gcd(c, d).degree() == 0
 
 
 def test_gcd_classic():
-    n2m1 = to_ratfunc(parse_expr("n^2-1")).num
-    nm1 = to_ratfunc(parse_expr("n-1")).num
+    n2m1 = parse_ratfunc("n^2-1").num
+    nm1 = parse_ratfunc("n-1").num
     assert poly_gcd(n2m1, nm1) == nm1
     # multivariate with content: (2n+2k)(n-k) vs (n+k)(3n-3k)
-    a = to_ratfunc(parse_expr("(2*n+2*k)*(n-k)")).num
-    b = to_ratfunc(parse_expr("(n+k)*(3*n-3*k)")).num
+    a = parse_ratfunc("(2*n+2*k)*(n-k)").num
+    b = parse_ratfunc("(n+k)*(3*n-3*k)").num
     g = poly_gcd(a, b)
-    assert g == to_ratfunc(parse_expr("(n+k)*(n-k)")).num
+    assert g == parse_ratfunc("(n+k)*(n-k)").num
 
 
 def test_gcd_with_a_constant_operand_is_one():
@@ -248,18 +248,18 @@ def test_symbolic_id15_is_zero_within_budget(n, budget):
 # ---------------------------------------------------------------------------
 
 def test_cancellation_example():
-    r = to_ratfunc(parse_expr("(n^2-1)/(n-1)"))
-    assert r == to_ratfunc(parse_expr("n+1"))
+    r = parse_ratfunc("(n^2-1)/(n-1)")
+    assert r == parse_ratfunc("n+1")
     assert r.den == MultiPoly.const(1)
 
 
 def test_constant_half():
-    r = to_ratfunc(parse_expr("1/2"))
+    r = parse_ratfunc("1/2")
     assert r == RatFunc.const(F(1, 2))
 
 
 def test_denominator_sign_normalization():
-    r = to_ratfunc(parse_expr("n/(1-k)"))
+    r = parse_ratfunc("n/(1-k)")
     _, lead = r.den.leading()
     assert lead > 0
     # value must be unchanged
@@ -274,7 +274,7 @@ def test_zero_detection_decides_equality():
         ("(n^2-1)/(n-1) - n - 1", True),
     ]
     for text, expect in cases:
-        assert to_ratfunc(parse_expr(text)).is_zero is expect
+        assert parse_ratfunc(text).is_zero is expect
 
 
 def test_canonical_forms_match_across_rewrites():
@@ -290,18 +290,18 @@ def test_canonical_forms_match_across_rewrites():
                 terms.append(f"{coeff}*{name}")
             factors.append("(" + "+".join(terms) + ")")
         factored = "*".join(factors)
-        expanded = to_ratfunc(parse_expr(factored)).num
+        expanded = parse_ratfunc(factored).num
         if expanded.is_zero:
             continue
-        assert to_ratfunc(parse_expr(factored)) == to_ratfunc(parse_expr(expanded.render().replace(" ", "")))
+        assert parse_ratfunc(factored) == parse_ratfunc(expanded.render().replace(" ", ""))
 
 
 def test_eval_and_pole():
-    r = to_ratfunc(parse_expr("(n+1)/(k+2)"))
+    r = parse_ratfunc("(n+1)/(k+2)")
     assign = {v: F(0) for v in VARS}
     assign.update(n=F(1), k=F(0))
     assert r.evaluate(assign) == 1
-    bad = to_ratfunc(parse_expr("n/(n-1)"))
+    bad = parse_ratfunc("n/(n-1)")
     assign["n"] = F(1)
     with pytest.raises(RatFuncPole):
         bad.evaluate(assign)
@@ -309,7 +309,7 @@ def test_eval_and_pole():
 
 def test_certificate_ratio_example():
     # the 2x2-factor ratio shape used by the certificates: evaluates finitely
-    r = to_ratfunc(parse_expr("(k-j)*(alpha+k-n)/((k-n-1)*(alpha-beta-n-1))"))
+    r = parse_ratfunc("(k-j)*(alpha+k-n)/((k-n-1)*(alpha-beta-n-1))")
     assign = {v: F(0) for v in VARS}
     assign.update(j=F(0), k=F(1), n=F(1), alpha=F(1, 2), beta=F(1, 3))
     value = r.evaluate(assign)
@@ -321,14 +321,14 @@ def test_certificate_ratio_example():
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDenominator):
-        to_ratfunc(parse_expr("1/(n-n)"))
+        parse_ratfunc("1/(n-n)")
     with pytest.raises(ZeroDenominator):
         RatFunc(MultiPoly.const(1), MultiPoly.zero())
 
 
 def test_shift_matches_substitution():
     rng = random.Random(28)
-    r = to_ratfunc(parse_expr("(n+2*k)/(k+1)"))
+    r = parse_ratfunc("(n+2*k)/(k+1)")
     shifted = r.shift("k", 1)
     for _ in range(10):
         assign = random_assignment(rng)
@@ -350,7 +350,7 @@ def test_schwartz_zippel_smoke():
         "alpha*beta - 1",
     ]
     for text in candidates:
-        r = to_ratfunc(parse_expr(text))
+        r = parse_ratfunc(text)
         assert not r.is_zero
         hits = 0
         for _ in range(20):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.expr import parse_expr, to_ratfunc
+from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import HyperTerm
 from binomsums.params import draw
 from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
@@ -51,6 +51,9 @@ def test_parse_term_spec_errors_carry_position():
         parse_term_spec("sign(n*k)")
     with pytest.raises(WZFixtureError):
         parse_term_spec("n+k")       # bare non-constant factor
+    with pytest.raises(WZFixtureError) as exc:
+        parse_term_spec("binom(q,k)", line=4)    # unknown variable
+    assert exc.value.line == 4
 
 
 def test_parse_pair_file_round_trip():
@@ -63,7 +66,7 @@ def test_parse_pair_file_round_trip():
     term, cert, orientation = parse_pair_file(body)
     assert orientation == 1
     assert len(term.factors) == 2
-    assert cert == to_ratfunc(parse_expr("k/(k-n-1)"))
+    assert cert == parse_ratfunc("k/(k-n-1)")
 
 
 def test_parse_pair_file_missing_key():
@@ -74,6 +77,84 @@ def test_parse_pair_file_missing_key():
 def test_parse_pair_file_bad_orientation():
     with pytest.raises(WZFixtureError):
         parse_pair_file("term: binom(n,k)\ncertificate: k\norientation: 2\n")
+
+
+@pytest.mark.parametrize("term,certificate,line", [
+    ("binom(n,k)", "q+1", 2),            # unknown variable
+    ("binom(n,k)", "1/(n-n)", 2),        # division by the zero function
+    ("binom(n,k)", "k/(k-", 2),          # syntax
+    ("binom(q,k)", "k", 1),
+    ("binom(n,1/(k-k))", "k", 1),
+    ("binom(n*k,k)", "k", 1),            # not affine
+])
+def test_parse_pair_file_field_errors_carry_their_line(term, certificate, line):
+    with pytest.raises(WZFixtureError) as exc:
+        parse_pair_file(f"term: {term}\ncertificate: {certificate}\norientation: +1\n")
+    assert exc.value.line == line
+
+
+_FIELD_LEAVES = ("n", "k", "j", "alpha", "s", "q", "0", "1", "2", "7")
+_FIELD_TOKENS = _FIELD_LEAVES + ("+", "-", "*", "/", "(", ")", ",",
+                                 "binom", "sign", "^-1", "#")
+
+
+def _pair_file_texts():
+    """Pair-file texts built from the grammar's tokens, joined by spaces so
+    that every integer literal is one digit.  A field is a token soup or a
+    well-formed parenthesized expression, with at most one '^<digit>'
+    inserted, which keeps the exponents, and so the arithmetic, small."""
+    from hypothesis import strategies as st
+
+    well_formed = st.recursive(
+        st.sampled_from(_FIELD_LEAVES).map(lambda token: [token]),
+        lambda inner: st.builds(lambda a, op, b: ["(", *a, op, *b, ")"],
+                                inner, st.sampled_from("+-*/"), inner),
+        max_leaves=6)
+
+    @st.composite
+    def field(draw):
+        tokens = draw(st.one_of(st.lists(st.sampled_from(_FIELD_TOKENS), max_size=10),
+                                well_formed))
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))),
+                          "^" + draw(st.sampled_from("0123456789")))
+        return " ".join(tokens)
+
+    @st.composite
+    def term(draw):
+        pieces = draw(st.lists(st.one_of(
+            field(),
+            st.builds("sign ( {} )".format, field()),
+            st.builds("binom ( {} , {} ){}".format, field(), field(),
+                      st.sampled_from(["", " ^-1", "^+1", " ^2"]))), min_size=1, max_size=3))
+        return " * ".join(pieces)
+
+    @st.composite
+    def text(draw):
+        lines = [f"term: {draw(term())}", f"certificate: {draw(field())}",
+                 f"orientation: {draw(st.one_of(st.sampled_from(['+1', '-1']), field()))}"]
+        lines = draw(st.permutations(lines))
+        for extra in draw(st.lists(st.sampled_from(
+                ["", "# note", "junk", "bogus: 1", "term: n", "certificate"]), max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), extra)
+        return "\n".join(lines)
+
+    return text()
+
+
+def test_parse_pair_file_raises_only_fixture_errors(budget):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(_pair_file_texts())
+    def check(text):
+        try:
+            parse_pair_file(text)
+        except WZFixtureError as exc:
+            assert 1 <= exc.line <= len(text.splitlines()) + 1
+
+    with budget(60.0):
+        check()
 
 
 def test_builtin_pairs_load():
@@ -105,7 +186,7 @@ def test_scaled_certificate_fails_symbolically():
 
 def test_perturbed_certificate_fails_symbolically():
     pair = load_pair("thm2")
-    bumped = replace(pair, certificate=pair.certificate + to_ratfunc(parse_expr("1/(n+1)")))
+    bumped = replace(pair, certificate=pair.certificate + parse_ratfunc("1/(n+1)"))
     report = verify_wz_pair(bumped, n_max=4, samples=2, seed=0)
     symbolic = [row for row in report.rows if row.check == "symbolic-residual"]
     assert symbolic and not symbolic[0].ok
