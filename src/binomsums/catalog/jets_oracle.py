@@ -208,11 +208,12 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     jet_lhs, jet_rhs = derived_identity_via_jets("ID07", _D_PP, n,
                                                  {"s": s, "p": F(0)})
     closed_lhs = F(0)
-    bs = rising_row(s, n)          # C(s+k, k)
+    bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
     for k in range(n + 1):
         h = harmonic(k)
         term = binom_poly(F(n), k) * bs[k] * (h * h + harmonic(k, 2))
         closed_lhs += -term if (n + k) % 2 else term
+    closed_lhs /= ds
     dd = digamma_diff(s, n)
     td = trigamma_diff(s, n)
     h_n = harmonic(n)

@@ -2,12 +2,15 @@
 
 Each function computes the left side of its identity exactly as displayed,
 by direct summation; nothing here is shared with the right-hand sides beyond
-the scalar helpers (``binom_row``, ``rising_row``, ``binom_poly``,
-``harmonic``, ``legendre_row``), each tested on its own; a test breaks each
-row helper in both modules at once and every entry using it must then fail,
-so the two sides stay independent computation paths.  Entries whose sides get
-differentiated by the jet oracle (ID06, ID07, ID08, ID21) are written
-ring-generically: parameters may be Fractions or Jet2 values.
+the scalar helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``),
+each tested on its own; a test breaks each row helper in both modules at once
+and every entry using it must then fail, so the two sides stay independent
+computation paths.  A parametric sum multiplies row entries, which are ints
+over one denominator per row for exact parameters (see exact.py), and
+divides once by the product of those denominators (``over``), so an exact
+side builds one Fraction.  The sums are ring-generic: parameters may also be
+RatFunc or Jet2 values (the jet oracle differentiates ID06, ID07, ID08 and
+ID21), whose rows come over 1.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -17,54 +20,46 @@ evaluable.
 
 ID04 is checked at every inner index j = 0..n with the same n, alpha and
 beta, so its j-free weights (-1)^k C(beta+k, k) C(alpha, n-k) are kept in a
-one-slot memo and each j costs only sum_{k>=j} C(k, j) w_k.  For Fraction
-alpha and beta the memo holds the weights as int numerators over their one
-lcm denominator, so each j is one int sum and one Fraction.  The memo key is
-n plus the identity of the alpha and beta objects, not their value: RatFunc
-and Jet2 values are unhashable, all values are immutable, the check hands
-every j the same objects, and the slot holds strong references, so an id
-cannot be reused while it is the key.  rhs.py keeps its own slot, so the two
-sides still share no computed value.
+one-slot memo, over the product of their rows' denominators, and each j
+costs only sum_{k>=j} C(k, j) w_k: for Fraction alpha and beta that is one
+int sum and one Fraction.  The memo key is n plus the identity of the alpha
+and beta objects, not their value: RatFunc and Jet2 values are unhashable,
+all values are immutable, the check hands every j the same objects, and the
+slot holds strong references, so an id cannot be reused while it is the key.
+rhs.py keeps its own slot, so the two sides still share no computed value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ..exact import (binom_int, binom_poly, binom_row, central_binomial, harmonic,
-                     rising_row, zero_like)
+                     harmonic_row, over, power_row, reciprocal_row, rising_row, shift_row)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
 
 
 def id01(n, a):
-    x = a["x"]
-    total = F(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * binom_int(n + k, k) * x**k
-    return total
+    px, dx = power_row(a["x"], n)
+    terms = (binom_int(n, k) * binom_int(n + k, k) * px[k] for k in range(n + 1))
+    return over(sum(terms), dx)
 
 
 def id02(n, a):
-    alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    ba = binom_row(alpha, n)      # C(alpha, m)
-    bb = rising_row(beta, n)      # C(beta+k, k)
-    total = F(0)
-    for k in range(n + 1):
-        total += ba[n - k] * bb[k] * x**k * y ** (n - k)
-    return total
+    ba, da = binom_row(a["alpha"], n)      # C(alpha, m)
+    bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
+    px, dx = power_row(a["x"], n)
+    py, dy = power_row(a["y"], n)
+    total = sum(ba[n - k] * bb[k] * px[k] * py[n - k] for k in range(n + 1))
+    return over(total, da * db * dx * dy)
 
 
 def id03(n, a):
-    alpha, beta, x = a["alpha"], a["beta"], a["x"]
-    ba = binom_row(alpha, n)
-    bb = rising_row(beta, n)
-    total = F(0)
-    for k in range(n + 1):
-        total += ba[n - k] * bb[k] * x**k
-    return total
+    ba, da = binom_row(a["alpha"], n)
+    bb, db = rising_row(a["beta"], n)
+    px, dx = power_row(a["x"], n)
+    return over(sum(ba[n - k] * bb[k] * px[k] for k in range(n + 1)), da * db * dx)
 
 
 # (n, alpha, beta, weights) of the last ID04 call; see the module docstring
@@ -72,20 +67,16 @@ _id04_memo = (None, None, None, None)
 
 
 def _id04_weights(n, alpha, beta):
-    """The j-free factors (-1)^k C(beta+k, k) C(alpha, n-k), k = 0..n, and
-    their int lcm denominator, or ring values and None (module docstring)."""
+    """The j-free factors (-1)^k C(beta+k, k) C(alpha, n-k), k = 0..n, over
+    their one denominator (module docstring)."""
     global _id04_memo
     memo_n, memo_alpha, memo_beta, weights = _id04_memo
     if memo_n == n and memo_alpha is alpha and memo_beta is beta:
         return weights
-    ba = binom_row(alpha, n)
-    bb = rising_row(beta, n)
+    ba, da = binom_row(alpha, n)
+    bb, db = rising_row(beta, n)
     terms = [-bb[k] * ba[n - k] if k % 2 else bb[k] * ba[n - k] for k in range(n + 1)]
-    if isinstance(alpha, F) and isinstance(beta, F):
-        den = lcm(*(w.denominator for w in terms))
-        weights = [w.numerator * (den // w.denominator) for w in terms], den
-    else:
-        weights = terms, None
+    weights = terms, da * db
     _id04_memo = (n, alpha, beta, weights)
     return weights
 
@@ -93,9 +84,7 @@ def _id04_weights(n, alpha, beta):
 def id04(n, a):
     j = int(a["j"])
     weights, den = _id04_weights(n, a["alpha"], a["beta"])
-    total = sum(binom_int(k, j) * weights[k] for k in range(j, n + 1))
-    if den is not None:
-        total = F(total, den)
+    total = over(sum(binom_int(k, j) * weights[k] for k in range(j, n + 1)), den)
     return -total if j % 2 else total
 
 
@@ -104,50 +93,35 @@ def id05(n, a):
 
 
 def id06(n, a):
-    s, t = a["s"], a["t"]
-    bs = binom_row(s, n)           # C(s, k)
-    bt = rising_row(t, n)          # C(t+k, k)
-    total = zero_like(s)
-    for k in range(n + 1):
-        total = total + binom_int(n, k) * bs[k] / bt[k]
-    return total
+    bs, ds = binom_row(a["s"], n)          # C(s, k)
+    rt, dt = reciprocal_row(a["t"], n)     # 1/C(t+k, k)
+    return over(sum(binom_int(n, k) * bs[k] * rt[k] for k in range(n + 1)), ds * dt)
 
 
 def id07(n, a):
-    s, p = a["s"], a["p"]
-    bnp = binom_row(n - p, n)      # C(n-p, m)
-    bs = rising_row(s, n)          # C(s+k, k)
-    total = zero_like(s)
-    for k in range(n + 1):
-        term = bs[k] * bnp[n - k]
-        total = total + (-term if (n + k) % 2 else term)
-    return total
+    bnp, dp = binom_row(n - a["p"], n)     # C(n-p, m)
+    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
+    terms = (bs[k] * bnp[n - k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dp * ds)
 
 
 def id08(n, a):
-    beta, x = a["beta"], a["x"]
-    bb = rising_row(beta, n)       # C(beta+k, k)
-    total = zero_like(beta)
-    for k in range(n + 1):
-        total = total + binom_int(n, k) * bb[k] * x**k
-    return total
+    bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
+    px, dx = power_row(a["x"], n)
+    return over(sum(binom_int(n, k) * bb[k] * px[k] for k in range(n + 1)), db * dx)
 
 
 def id09(n, a):
-    beta = a["beta"]
-    total = F(0)
-    for k in range(n + 1):
-        term = binom_int(n, k) * binom_poly(beta + k, n)
-        total += -term if k % 2 else term
-    return total
+    row, den = shift_row(a["beta"], n)     # C(beta+k, n)
+    terms = (binom_int(n, k) * row[k] for k in range(n + 1))
+    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den)
 
 
 def id10(n, a):
-    bb = rising_row(a["beta"], n)
-    total = F(0)
-    for k in range(n + 1):
-        total += -binom_int(n, k) * bb[k] if k % 2 else binom_int(n, k) * bb[k]
-    return total
+    bb, den = rising_row(a["beta"], n)
+    terms = (-binom_int(n, k) * bb[k] if k % 2 else binom_int(n, k) * bb[k]
+             for k in range(n + 1))
+    return over(sum(terms), den)
 
 
 def id11(n, a):
@@ -155,11 +129,10 @@ def id11(n, a):
 
 
 def id12(n, a):
-    x = a["x"]
-    total = F(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * central_binomial(k) * x**k / 4**k
-    return total
+    px, dx = power_row(a["x"], n)
+    terms = (binom_int(n, k) * central_binomial(k) * 4 ** (n - k) * px[k]
+             for k in range(n + 1))
+    return over(sum(terms), dx * 4**n)
 
 
 def id13(n, a):
@@ -169,23 +142,17 @@ def id13(n, a):
 
 def id14(n, a):
     t = a["t"]
-    values = legendre_row(n, (t * t + 1) / (2 * t))
-    total = F(0)
-    power = F(1)
-    for k in range(n + 1):
-        term = binom_int(n, k) * values[k] * power
-        total += -term if k % 2 else term
-        power *= t
-    return total
+    values, dv = legendre_row(n, (t * t + 1) / (2 * t))
+    pt, dt = power_row(t, n)
+    terms = (binom_int(n, k) * values[k] * pt[k] for k in range(n + 1))
+    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dv * dt)
 
 
 def id15(n, a):
-    bs = rising_row(a["s"], n)     # C(s+k, k)
-    total = F(0)
-    for k in range(n + 1):
-        term = binom_int(n, k) * bs[k] * harmonic(k)
-        total += -term if (n + k) % 2 else term
-    return total
+    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
+    h, dh = harmonic_row(n)
+    terms = (binom_int(n, k) * bs[k] * h[k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * dh)
 
 
 def id16(n, a):
@@ -207,12 +174,9 @@ def id18(n, a):
 
 def id19(n, a):
     s, p = a["s"], a["p"]
-    bnp = binom_row(n - p, n)      # C(n-p, m)
-    bsp = binom_row(s + p, n)      # C(s+p, k)
-    total = F(0)
-    for k in range(n + 1):
-        total += bsp[k] * bnp[n - k]
-    return total
+    bnp, dp = binom_row(n - p, n)          # C(n-p, m)
+    bsp, dsp = binom_row(s + p, n)         # C(s+p, k)
+    return over(sum(bsp[k] * bnp[n - k] for k in range(n + 1)), dp * dsp)
 
 
 def id20(n, a):
@@ -230,12 +194,8 @@ def id20e(n, a):
 
 
 def id21(n, a):
-    s = a["s"]
-    bs = rising_row(s, n)          # C(s+k, k)
-    total = zero_like(s)
-    for k in range(n + 1):
-        total = total + bs[k] * central_binomial(n - k) * 4**k
-    return total
+    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
+    return over(sum(bs[k] * (central_binomial(n - k) * 4**k) for k in range(n + 1)), ds)
 
 
 def id22(n, a):

@@ -24,8 +24,11 @@ from ..exact import (
     digamma_diff,
     harmonic,
     one_like,
+    over,
+    power_row,
+    reciprocal_row,
     rising_row,
-    zero_like,
+    shift_row,
 )
 from ..legendre import legendre_new_repr
 
@@ -33,36 +36,29 @@ F = Fraction
 
 
 def id01(n, a):
-    x1 = a["x"] + 1
-    total = F(0)
-    for k in range(n + 1):
-        term = binom_int(n, k) * binom_int(n + k, k) * x1**k
-        total += -term if (n + k) % 2 else term
-    return total
+    px, dx = power_row(a["x"] + 1, n)
+    terms = (binom_int(n, k) * binom_int(n + k, k) * px[k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dx)
 
 
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg = binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
-    bb = rising_row(beta, n)              # C(beta+k, k)
-    xy = x + y
-    total = F(0)
-    for k in range(n + 1):
-        term = bg[n - k] * bb[k] * xy**k * y ** (n - k)
-        total += -term if (n + k) % 2 else term
-    return total
+    bg, dg = binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
+    bb, db = rising_row(beta, n)              # C(beta+k, k)
+    pxy, dxy = power_row(x + y, n)
+    py, dy = power_row(y, n)
+    terms = (bg[n - k] * bb[k] * pxy[k] * py[n - k] for k in range(n + 1))
+    total = sum(-v if (n + k) % 2 else v for k, v in enumerate(terms))
+    return over(total, dg * db * dxy * dy)
 
 
 def id03(n, a):
-    alpha, beta, x = a["alpha"], a["beta"], a["x"]
-    bg = binom_row(beta - alpha + n, n)
-    bb = rising_row(beta, n)
-    x1 = x + 1
-    total = F(0)
-    for j in range(n + 1):
-        term = bg[n - j] * bb[j] * x1**j
-        total += -term if (n + j) % 2 else term
-    return total
+    alpha, beta = a["alpha"], a["beta"]
+    bg, dg = binom_row(beta - alpha + n, n)
+    bb, db = rising_row(beta, n)
+    px, dx = power_row(a["x"] + 1, n)
+    terms = (bg[n - j] * bb[j] * px[j] for j in range(n + 1))
+    return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
 
 
 # (n, alpha, beta, rows) of the last ID04 call; see the module docstring
@@ -70,7 +66,7 @@ _id04_memo = (None, None, None, None)
 
 
 def _id04_rows(n, alpha, beta):
-    """[C(beta+j, j) for j in 0..n] and [C(beta-alpha+n, m) for m in 0..n]."""
+    """The rows [C(beta+j, j)]_j and [C(beta-alpha+n, m)]_m, each with its den."""
     global _id04_memo
     memo_n, memo_alpha, memo_beta, rows = _id04_memo
     if memo_n == n and memo_alpha is alpha and memo_beta is beta:
@@ -82,18 +78,17 @@ def _id04_rows(n, alpha, beta):
 
 def id04(n, a):
     j = int(a["j"])
-    bb, bg = _id04_rows(n, a["alpha"], a["beta"])
-    value = bb[j] * bg[n - j]
+    (bb, db), (bg, dg) = _id04_rows(n, a["alpha"], a["beta"])
+    value = over(bb[j] * bg[n - j], db * dg)
     return -value if (n + j) % 2 else value
 
 
 def id05(n, a):
     lam = a["lam"]
     half = F(1, 2)
-    top = binom_row(n - lam - half, n)    # C(n - lam - 1/2, k)
-    total = F(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * top[k] / binom_poly(k - lam - half, k)
+    top, dt = binom_row(n - lam - half, n)       # C(n - lam - 1/2, k)
+    low, dl = reciprocal_row(-lam - half, n)     # 1/C(k - lam - 1/2, k)
+    total = over(sum(binom_int(n, k) * top[k] * low[k] for k in range(n + 1)), dt * dl)
     return binom_poly(2 * lam, n) * total
 
 
@@ -110,12 +105,10 @@ def id07(n, a):
 
 
 def id08(n, a):
-    beta, x1 = a["beta"], a["x"] + 1
-    total = zero_like(beta)
-    for k in range(n + 1):
-        term = binom_int(n, k) * binom_poly(beta + k, n) * x1**k
-        total = total + (-term if (n + k) % 2 else term)
-    return total
+    row, den = shift_row(a["beta"], n)        # C(beta+k, n)
+    px, dx = power_row(a["x"] + 1, n)
+    terms = (binom_int(n, k) * row[k] * px[k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), den * dx)
 
 
 def id09(n, a):
@@ -136,11 +129,9 @@ def id11(n, a):
 
 
 def id12(n, a):
-    x1 = a["x"] + 1
-    total = F(0)
-    for k in range(n + 1):
-        total += central_binomial(k) * central_binomial(n - k) * x1**k
-    return total / 4**n
+    px, dx = power_row(a["x"] + 1, n)
+    total = sum(central_binomial(k) * central_binomial(n - k) * px[k] for k in range(n + 1))
+    return over(total, dx * 4**n)
 
 
 def id13(n, a):

@@ -8,12 +8,17 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
-Ring convention of the binomial kernels: an exact rational input p/q (int
-or ``Fraction``) multiplies the plain ints p - i*q (or p + i*q) and builds
-one ``Fraction`` per returned value.  A ``Jet2`` input p/q + d multiplies
-the int Taylor triples of the same product at p/q, then makes one nilpotent
-combine (``Jet2.compose_taylor``); ``RatFunc`` takes the generic
-running-product loop.  All give equal values.
+Row convention: every ``*_row`` kernel returns ``(row, den)``.  For an
+exact rational input p/q (int or ``Fraction``) the row holds plain ints over
+one positive int denominator (n! q^n for the binomial rows, q^n for
+``power_row``, lcm(1..n)^order for ``harmonic_row``), so a sum of row
+products is one int sum, and ``over(total, den)`` builds its one
+``Fraction``.  A ``Jet2`` input p/q + d multiplies the int Taylor triples of
+the same product at p/q and makes one nilpotent combine
+(``Jet2.compose_taylor``); ``RatFunc`` takes the generic running-product
+loop.  Ring rows hold ring values with ``den == 1``, and ``over`` returns a
+ring total unchanged, so a ring sum does what it did before the rows had
+denominators.  All paths give equal values.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .jets import Jet2
 
@@ -40,10 +45,15 @@ __all__ = [
     "central_binomial",
     "digamma_diff",
     "harmonic",
+    "harmonic_row",
     "one_like",
+    "over",
     "parse_rational",
+    "power_row",
+    "reciprocal_row",
     "render_rational",
     "rising_row",
+    "shift_row",
     "trigamma_diff",
     "zero_like",
 ]
@@ -145,6 +155,15 @@ def harmonic(n: int, order: int = 1) -> Fraction:
     return harmonic_cache(order)[n]
 
 
+def harmonic_row(n: int, order: int = 1):
+    """([H_0, ..., H_n] of the given order, lcm(1..n)^order), as ints."""
+    den = lcm(*range(1, n + 1)) ** order
+    row = [0]
+    for i in range(1, n + 1):
+        row.append(row[-1] + den // i**order)
+    return row, den
+
+
 # ---------------------------------------------------------------------------
 # Binomial coefficients
 # ---------------------------------------------------------------------------
@@ -175,6 +194,22 @@ def zero_like(x):
 def one_like(x):
     """The one of x's ring (int 1 for an int)."""
     return x * 0 + 1
+
+
+def over(total, den: int):
+    """The exit of a row sum: ``total / den``, as one ``Fraction`` for an int
+    total and in total's ring otherwise (total itself when den == 1)."""
+    if isinstance(total, int):
+        return Fraction(total, den)
+    return total if den == 1 else total / den
+
+
+def _over_last(pairs):
+    """Int (num, den) pairs, each den dividing the last one, as
+    ([num * (last // den)], last)."""
+    pairs = list(pairs)
+    last = pairs[-1][1]
+    return [num * (last // den) for num, den in pairs], last
 
 
 def _int_products(x, n: int, step: int):
@@ -233,28 +268,71 @@ def binom_poly(s, k: int):
     return out / factorial(k)
 
 
-def binom_row(s, n: int) -> list:
-    """[C(s, 0), C(s, 1), ..., C(s, n)] by the falling-factorial recurrence."""
+def binom_row(s, n: int):
+    """([C(s, 0), ..., C(s, n)], den) by the falling-factorial recurrence."""
     if isinstance(s, (int, Fraction)):
-        return [Fraction(num, den) for num, den in _int_products(s, n, -1)]
+        return _over_last(_int_products(s, n, -1))
     if isinstance(s, Jet2):
-        return s.compose_taylor(_int_taylor_products(s.value, n, -1))
+        return s.compose_taylor(_int_taylor_products(s.value, n, -1)), 1
     row = [one_like(s)]
     for m in range(1, n + 1):
         row.append(row[-1] * (s - m + 1) / m)
-    return row
+    return row, 1
 
 
-def rising_row(b, n: int) -> list:
-    """[C(b+k, k) for k = 0..n], C(b+k, k) = prod_{i=1..k} (b+i) / k!, in b's ring."""
+def rising_row(b, n: int):
+    """([C(b+k, k) for k = 0..n], den), C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
     if isinstance(b, (int, Fraction)):
-        return [Fraction(num, den) for num, den in _int_products(b + 1, n, 1)]
+        return _over_last(_int_products(b + 1, n, 1))
     if isinstance(b, Jet2):
-        return b.compose_taylor(_int_taylor_products(b.value + 1, n, 1))
+        return b.compose_taylor(_int_taylor_products(b.value + 1, n, 1)), 1
     row = [one_like(b)]
     for k in range(1, n + 1):
         row.append(row[-1] * (b + k) / k)
-    return row
+    return row, 1
+
+
+def reciprocal_row(b, n: int):
+    """([1/C(b+k, k) for k = 0..n], den); a vanishing C(b+k, k) raises
+    ZeroDivisionError.  A jet row inverts the rising row's values; a
+    RatFunc row is its own running product."""
+    if isinstance(b, (int, Fraction)):
+        row, den = _over_last((d, p) for p, d in _int_products(b + 1, n, 1))
+        return ([-v for v in row], -den) if den < 0 else (row, den)
+    if isinstance(b, Jet2):
+        return [v.inverse() for v in rising_row(b, n)[0]], 1
+    row = [one_like(b)]
+    for k in range(1, n + 1):
+        row.append(row[-1] * k / (b + k))
+    return row, 1
+
+
+def shift_row(b, n: int):
+    """([C(b+k, n) for k = 0..n], den)."""
+    if not isinstance(b, (int, Fraction)):
+        return [binom_poly(b + k, n) for k in range(n + 1)], 1
+    # n! q^n C(b+k, n) = prod_{j=k-n+1..k} (p + j q) at b = p/q: a suffix of
+    # the factors j <= 0 times a prefix of the factors j >= 1
+    p, q = b.numerator, b.denominator
+    low, high = [1], [1]
+    for j in range(n):
+        low.append(low[-1] * (p - j * q))
+        high.append(high[-1] * (p + (j + 1) * q))
+    return [low[n - k] * high[k] for k in range(n + 1)], factorial(n) * q**n
+
+
+def power_row(x, n: int):
+    """([x^0, ..., x^n], den): p^k q^(n-k) over q^n at x = p/q."""
+    if isinstance(x, (int, Fraction)):
+        ps, qs = [1], [1]
+        for _ in range(n):
+            ps.append(ps[-1] * x.numerator)
+            qs.append(qs[-1] * x.denominator)
+        return [ps[k] * qs[n - k] for k in range(n + 1)], qs[n]
+    row = [x**0]
+    for _ in range(n):
+        row.append(row[-1] * x)
+    return row, 1
 
 
 def binom_upper_shift(b, m: int):

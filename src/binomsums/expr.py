@@ -12,7 +12,10 @@ Grammar (whitespace ignored, byte offsets reported on errors):
     NAME    :=  [A-Za-z_][A-Za-z0-9_]*
 
 Precedence is therefore ^ above unary minus above * / above + -, all
-left-associative; exponents must be non-negative integer literals.
+left-associative; exponents must be non-negative integer literals.  Hostile
+text ends in a syntax error, not in a deep recursion or a huge power: ``(``
+and unary ``-`` may nest at most ``MAX_DEPTH`` levels, and the exponents of
+one ``^`` chain may multiply to at most ``MAX_EXPONENT``.
 
 There is no syntax tree: each grammar rule returns the canonical
 :class:`~binomsums.poly.RatFunc` of what it read, built with the ring's own
@@ -39,6 +42,8 @@ class ExprSyntaxError(ValueError):
 
 
 _OPS = set("+-*/^()")
+MAX_DEPTH = 100          # five frames per '(': half the default recursion limit
+MAX_EXPONENT = 12        # (n+k+j+alpha)^12 expands in about 0.2 s, ^16 in seconds
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -75,6 +80,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -83,6 +89,13 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def enter(self):
+        """Advance past a '(' or unary '-', one nesting level deeper."""
+        offset = self.advance()[2]
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", offset)
 
     def fail(self, expected: str):
         kind, _, offset = self.peek()
@@ -107,17 +120,23 @@ class _Parser:
 
     def factor(self) -> RatFunc:
         if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
+            self.enter()
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> RatFunc:
         value = self.atom()
+        chain = 1
         while self.peek()[0] == "^":
-            self.advance()
+            caret = self.advance()[2]
             kind, exponent, _ = self.peek()
             if kind != "INT":
                 self.fail("a non-negative integer exponent")
+            chain *= exponent
+            if chain > MAX_EXPONENT:
+                raise ExprSyntaxError(f"exponents multiply past {MAX_EXPONENT}", caret)
             self.advance()
             value = value ** exponent
         return value
@@ -131,11 +150,12 @@ class _Parser:
             self.advance()
             return RatFunc.var(value)
         if kind == "(":
-            self.advance()
+            self.enter()
             inner = self.expr()
             if self.peek()[0] != ")":
                 self.fail("')'")
             self.advance()
+            self.depth -= 1
             return inner
         self.fail("an integer, a variable or '('")
 

@@ -6,18 +6,19 @@ verified against it, never the other way around.  Both are stated at the
 argument (t^2+1)/(2t), which is where a rational t gives a rational
 argument covering [1, inf) and (-inf, -1]; t = 0 is excluded.
 
-Ring convention, as in exact.py: at x = u/v (int or ``Fraction``) the
+Row convention, as in exact.py: at x = u/v (int or ``Fraction``) the
 recurrence runs on the ints R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m -
-m^2 v^2 R_{m-1}, with one ``Fraction`` per returned value, and
-``legendre_new_repr`` sums over the denominator (4b^2)^n a^n at t = a/b.
-Any other ring (``RatFunc``) takes the generic loop; both give equal values.
+m^2 v^2 R_{m-1}, and ``legendre_row`` returns them scaled over the one
+denominator n! v^n.  Any other ring (``RatFunc``) takes the generic loop and
+returns its values over 1; both give equal values.  ``legendre_new_repr``
+sums over ``power_row`` in every ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import binom_int, central_binomial
+from .exact import _over_last, binom_int, central_binomial, over, power_row
 
 __all__ = [
     "legendre",
@@ -37,16 +38,16 @@ def _scaled_legendre(n: int, u: int, v: int):
         den *= (m + 1) * v
 
 
-def legendre_row(n: int, x) -> list:
-    """[P_0(x), ..., P_n(x)] by the three-term recurrence."""
+def legendre_row(n: int, x):
+    """([P_0(x), ..., P_n(x)], den) by the three-term recurrence."""
     if n < 0:
         raise ValueError("degree must be non-negative")
     if isinstance(x, (int, Fraction)):
-        return [Fraction(r, d) for r, d in _scaled_legendre(n, x.numerator, x.denominator)]
+        return _over_last(_scaled_legendre(n, x.numerator, x.denominator))
     row = [Fraction(1), x][:n + 1]
     for m in range(1, n):
         row.append(((2 * m + 1) * x * row[m] - m * row[m - 1]) / (m + 1))
-    return row
+    return row, 1
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
@@ -54,7 +55,7 @@ def legendre(n: int, x: Fraction) -> Fraction:
     if isinstance(x, (int, Fraction)) and n >= 0:
         *_, (r, d) = _scaled_legendre(n, x.numerator, x.denominator)
         return Fraction(r, d)
-    return legendre_row(n, x)[n]
+    return legendre_row(n, x)[0][n]
 
 
 def _check_t(t: Fraction) -> None:
@@ -84,20 +85,9 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     survives, giving P_n(1) = 1.
     """
     _check_t(t)
-    if isinstance(t, (int, Fraction)):
-        # sum_k C(n,k) C(2k,k) (a^2-b^2)^k (4b^2)^(n-k) over (4b^2)^n a^n / b^n
-        a, b = t.numerator, t.denominator
-        q, r = a * a - b * b, 4 * b * b
-        total = sum(binom_int(n, k) * central_binomial(k) * q**k * r ** (n - k)
-                    for k in range(n + 1))
-        return Fraction(total * b**n, r**n * a**n)
-    q = (t * t - 1) / 4
-    power = Fraction(1)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) * central_binomial(k) * power
-        power *= q
-    return total / t**n
+    powers, den = power_row((t * t - 1) / 4, n)
+    total = sum(binom_int(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
+    return over(total, den) / t**n
 
 
 def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -110,12 +100,9 @@ def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
     form; they are returned as a pair and equal exactly on success.
     """
     _check_t(t)
-    values = legendre_row(n, (t * t + 1) / (2 * t))
-    lhs = Fraction(0)
-    power = Fraction(1)
-    for k in range(n + 1):
-        term = binom_int(n, k) * values[k] * power
-        lhs += -term if k % 2 else term
-        power *= t
+    values, den = legendre_row(n, (t * t + 1) / (2 * t))
+    powers, power_den = power_row(t, n)
+    terms = (binom_int(n, k) * values[k] * powers[k] for k in range(n + 1))
+    lhs = over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den * power_den)
     rhs = central_binomial(n) * ((1 - t * t) / 4) ** n
     return lhs, rhs

@@ -212,8 +212,13 @@ def test_id04_rows_built_once_per_check(monkeypatch):
 
 
 ROW_HELPER_CALLERS = {
-    "rising_row": {"ID02", "ID03", "ID04", "ID06", "ID07", "ID08", "ID10", "ID15", "ID21"},
+    "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID10", "ID15", "ID21"},
     "binom_row": {"ID02", "ID03", "ID04", "ID05", "ID06", "ID07", "ID19"},
+    "power_row": {"ID01", "ID02", "ID03", "ID08", "ID12", "ID14"},
+    "harmonic_row": {"ID15"},
+    "shift_row": {"ID08", "ID09"},
+    "reciprocal_row": {"ID05", "ID06"},
+    "legendre_row": {"ID14"},
 }
 
 
@@ -224,15 +229,17 @@ def test_a_helper_bug_shared_by_both_sides_cannot_cancel(monkeypatch, helper):
     real = getattr(lhs, helper)
     callers, current = set(), None
 
-    def wrong_at_index_one(x, n):
+    def wrong_at_index_one(*args):
+        # one more than the right value at index 1, in the (row, den) contract
         callers.add(current)
-        row = real(x, n)
-        if n >= 1:
-            row[1] = row[1] + 1
-        return row
+        row, den = real(*args)
+        if len(row) > 1:
+            row[1] = row[1] + den
+        return row, den
 
     for module in (lhs, rhs):
-        monkeypatch.setattr(module, helper, wrong_at_index_one)
+        if hasattr(module, helper):      # every module that uses the helper
+            monkeypatch.setattr(module, helper, wrong_at_index_one)
         monkeypatch.setattr(module, "_id04_memo", (None, None, None, None))
     missed = []
     for entry in REGISTRY.values():

@@ -18,12 +18,18 @@ from binomsums.exact import (
     digamma_diff,
     harmonic,
     harmonic_cache,
+    harmonic_row,
+    over,
     parse_rational,
+    power_row,
+    reciprocal_row,
     render_rational,
     rising_row,
+    shift_row,
     trigamma_diff,
 )
 from binomsums.jets import Jet2
+from binomsums.poly import RatFunc
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -187,6 +193,12 @@ def test_binom_upper_shift_matches_binom_poly_on_integers():
 # Integer kernels against plain Fraction running products
 # ---------------------------------------------------------------------------
 
+def values(kernel_row):
+    """A kernel's (row, den) as the list of its values."""
+    row, den = kernel_row
+    return [over(v, den) for v in row]
+
+
 def falling_reference(s, n):
     """[C(s, m) for m = 0..n], one Fraction operation per factor."""
     row = [F(1)]
@@ -221,9 +233,20 @@ def test_binomial_kernels_equal_fraction_running_products():
     @example(F(123457, 1000003), 40)
     def check(x, n):
         falling, rising = falling_reference(x, n), rising_reference(x, n)
-        rows = [binom_row(x, n), rising_row(x, n)]
-        assert rows == [falling, rising]
-        assert all(type(v) is F for row in rows for v in row)
+        powers = [F(1)]
+        for _ in range(n):
+            powers.append(powers[-1] * x)
+        harmonics = [harmonic(k) for k in range(n + 1)]
+        squares = [harmonic(k, 2) for k in range(n + 1)]
+        kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
+                   (power_row(x, n), powers), (harmonic_row(n), harmonics),
+                   (harmonic_row(n, 2), squares),
+                   (shift_row(x, n), vandermonde(falling))]
+        kernels += reciprocal_case(x, n, rising)
+        for (row, den), want in kernels:
+            assert type(den) is int and den > 0
+            assert all(type(v) is int for v in row)
+            assert [over(v, den) for v in row] == want
         assert [binom_poly(x, k) for k in range(n + 1)] == falling
         assert [binom_upper_shift(x, k) for k in range(n + 1)] == rising
 
@@ -233,8 +256,8 @@ def test_binomial_kernels_equal_fraction_running_products():
 def test_binomial_kernels_on_nonnegative_integers_equal_comb():
     for s in range(41):
         for x in (s, F(s)):
-            assert binom_row(x, 40) == [comb(s, k) for k in range(41)]
-            assert rising_row(x, 40) == [comb(s + k, k) for k in range(41)]
+            assert values(binom_row(x, 40)) == [comb(s, k) for k in range(41)]
+            assert values(rising_row(x, 40)) == [comb(s + k, k) for k in range(41)]
             assert [binom_poly(x, k) for k in range(41)] == [comb(s, k) for k in range(41)]
             assert [binom_upper_shift(x, m) for m in range(41)] == [
                 comb(s + m, m) for m in range(41)]
@@ -245,7 +268,7 @@ def fraction_branch_taylor(x, m):
     the forward differences of f at x are C(x, m - j), and Newton's series
     f(x + h) = sum_j C(x, m - j) C(h, j) has [h] C(h, j) = (-1)^(j-1) / j and
     [h^2] C(h, j) = (-1)^j H_(j-1) / j."""
-    row = binom_row(x, m)
+    row = values(binom_row(x, m))
     first = sum(F((-1) ** (j - 1), j) * row[m - j] for j in range(1, m + 1))
     half_second = sum(F((-1) ** j, j) * harmonic(j - 1) * row[m - j] for j in range(2, m + 1))
     return row[m], first, 2 * half_second
@@ -263,9 +286,9 @@ def test_jet_path_has_the_fraction_branch_value():
             return v.value, v.first(), v.second()
 
         jet = Jet2.variable(x)
-        assert [taylor(v) for v in binom_row(jet, n)] == [
+        assert [taylor(v) for v in values(binom_row(jet, n))] == [
             fraction_branch_taylor(x, m) for m in range(n + 1)]
-        assert [taylor(v) for v in rising_row(jet, n)] == [
+        assert [taylor(v) for v in values(rising_row(jet, n))] == [
             fraction_branch_taylor(x + k, k) for k in range(n + 1)]
         assert taylor(binom_poly(jet, n)) == fraction_branch_taylor(x, n)
         assert taylor(binom_upper_shift(jet, n)) == fraction_branch_taylor(x + n, n)
@@ -273,20 +296,58 @@ def test_jet_path_has_the_fraction_branch_value():
     check()
 
 
-def jet_falling_reference(x, n):
-    """[C(x, m) for m = 0..n] as a Jet2 running product, one factor at a time."""
-    row = [Jet2.const(1)]
+def reciprocal_case(x, n, rising):
+    """[(reciprocal_row(x, n), its reference)], or [] once the row is checked
+    to raise because some C(x+k, k) has no inverse."""
+    try:
+        inverses = [1 / v for v in rising]
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            reciprocal_row(x, n)
+        return []
+    return [(reciprocal_row(x, n), inverses)]
+
+
+def vandermonde(falling):
+    """[C(x+k, n) for k = 0..n] = [sum_j C(k, j) C(x, n-j)] from falling = [C(x, m)]."""
+    n = len(falling) - 1
+    return [sum(comb(k, j) * falling[n - j] for j in range(k + 1)) for k in range(n + 1)]
+
+
+def ring_falling_reference(x, n):
+    """[C(x, m) for m = 0..n] as a running product in x's ring, one factor at a time."""
+    row = [x**0]
     for m in range(1, n + 1):
         row.append(row[-1] * (x - (m - 1)) * F(1, m))
     return row
 
 
-def jet_rising_reference(x, n):
-    """[C(x+k, k) for k = 0..n] as a Jet2 running product, one factor at a time."""
-    row = [Jet2.const(1)]
+def ring_rising_reference(x, n):
+    """[C(x+k, k) for k = 0..n] as a running product in x's ring, one factor at a time."""
+    row = [x**0]
     for k in range(1, n + 1):
         row.append(row[-1] * (x + k) * F(1, k))
     return row
+
+
+def check_ring_kernels(x, n):
+    """Every row kernel at a Jet2 or RatFunc x: x's ring values over 1, equal
+    to the running products.  The shift row's reference is binom_poly at the
+    ring values x + k, which the last lines check at every ring value."""
+    falling, rising = ring_falling_reference(x, n), ring_rising_reference(x, n)
+    powers = [x**0]
+    for _ in range(n):
+        powers.append(powers[-1] * x)
+    kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
+               (power_row(x, n), powers),
+               (shift_row(x, n), [binom_poly(x + k, n) for k in range(n + 1)])]
+    kernels += reciprocal_case(x, n, rising)
+    for (row, den), want in kernels:
+        assert den == 1 and over(row[-1], den) is row[-1]
+        assert all(type(v) is type(x) for v in row)
+        assert row == want
+    assert [binom_poly(x, k) for k in range(n + 1)] == falling
+    assert [binom_upper_shift(x, k) for k in range(n + 1)] == rising
 
 
 JET_KEYS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -310,16 +371,12 @@ def test_jet_kernels_equal_jet_running_products():
     @given(jets_and_lengths())
     def check(case):
         x, n = case
-        falling, rising = jet_falling_reference(x, n), jet_rising_reference(x, n)
-        rows = [binom_row(x, n), rising_row(x, n)]
-        assert [[v.c for v in row] for row in rows] == [
-            [v.c for v in falling], [v.c for v in rising]]
-        assert all(type(v) is Jet2 for row in rows for v in row)
-        assert [binom_poly(x, k).c for k in range(n + 1)] == [v.c for v in falling]
-        assert [binom_upper_shift(x, k).c for k in range(n + 1)] == [v.c for v in rising]
+        check_ring_kernels(x, n)
         assert binom_poly(x, -1).c == {}
 
     check()
+    for n in range(6):
+        check_ring_kernels(RatFunc.var("s"), n)
 
 
 def test_central_binomial():

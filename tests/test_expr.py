@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.expr import ExprSyntaxError, parse_ratfunc
+from binomsums.expr import MAX_DEPTH, MAX_EXPONENT, ExprSyntaxError, parse_ratfunc
 from binomsums.poly import VARS, RatFunc
 
 n, k, j, alpha, beta = (RatFunc.var(name) for name in ("n", "k", "j", "alpha", "beta"))
@@ -44,11 +44,34 @@ def test_unknown_character_offset():
     ("n^-2", 2),
     ("n*", 2),
     ("n n", 2),
+    # nesting past MAX_DEPTH: the 101st '(' or unary '-'
+    pytest.param("(" * 400 + "k" + ")" * 400, 100, id="400-parens"),
+    pytest.param("-" * 1200 + "k", 100, id="1200-minus"),
+    pytest.param("-(" * 50 + "-k" + ")" * 50, 100, id="mixed-nesting"),
+    # exponent chains multiplying past MAX_EXPONENT: the '^' that passes it
+    pytest.param("n^13", 1, id="one-exponent"),
+    pytest.param("n^2^3^3", 5, id="chain"),
 ])
 def test_error_positions(text, offset):
     with pytest.raises(ExprSyntaxError) as exc:
         parse_ratfunc(text)
     assert exc.value.offset == offset
+
+
+def test_nesting_and_exponents_up_to_the_limits_parse():
+    assert parse_ratfunc("(" * MAX_DEPTH + "k" + ")" * MAX_DEPTH) == k
+    assert parse_ratfunc("-" * MAX_DEPTH + "k") == k
+    assert parse_ratfunc(f"n^{MAX_EXPONENT}") == n**MAX_EXPONENT
+    assert parse_ratfunc("n^2^3^2") == n**12
+    assert parse_ratfunc("n^0^99999") == 1
+
+
+def test_exponent_chain_is_a_typed_error_within_budget(budget):
+    # (n+k+j+alpha)^81 would take minutes to expand
+    with budget(5.0):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_ratfunc("(n+k+j+alpha)^9^2")
+    assert exc.value.offset == 15
 
 
 def test_precedence():

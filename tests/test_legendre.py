@@ -7,6 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from binomsums.poly import RatFunc
+
+from binomsums.exact import over
 from binomsums.legendre import (
     legendre,
     legendre_inversion_check,
@@ -115,10 +118,21 @@ def fraction_recurrence(n, x):
     return row[:n + 1]
 
 
+def row_values(n, x):
+    """legendre_row's (row, den) as values, after checking the row's contract:
+    ints over a positive int den for exact x, x's ring values over 1 otherwise."""
+    row, den = legendre_row(n, x)
+    if isinstance(x, (int, F)):
+        assert type(den) is int and den > 0 and all(type(v) is int for v in row)
+    else:
+        assert den == 1 and all(type(v) is type(x) for v in row[1:])
+    return [over(v, den) for v in row]
+
+
 def check_t(t, n):
     x = (t * t + 1) / (2 * t)
     want = fraction_recurrence(n, x)
-    assert legendre_row(n, x) == want
+    assert row_values(n, x) == want
     assert legendre(n, x) == want[n]
     assert legendre_product_form(n, t) == t**n * want[n]
     assert legendre_new_repr(n, t) == want[n]
@@ -139,6 +153,10 @@ def test_integer_recurrence_equals_fraction_recurrence():
         check_t(t, n)
 
     check()
+    t = RatFunc.var("t")
+    x = (t * t + 1) / (2 * t)
+    for n in range(8):
+        assert row_values(n, x) == fraction_recurrence(n, x)
 
 
 def test_integer_recurrence_at_plus_minus_one_and_zero():
@@ -146,4 +164,4 @@ def test_integer_recurrence_at_plus_minus_one_and_zero():
         check_t(F(1), n)
         check_t(F(-1), n)
         assert legendre(n, F(1)) == 1 and legendre(n, -1) == (-1) ** n
-        assert legendre_row(n, 0) == fraction_recurrence(n, F(0))
+        assert row_values(n, 0) == fraction_recurrence(n, F(0))

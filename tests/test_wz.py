@@ -86,11 +86,24 @@ def test_parse_pair_file_bad_orientation():
     ("binom(q,k)", "k", 1),
     ("binom(n,1/(k-k))", "k", 1),
     ("binom(n*k,k)", "k", 1),            # not affine
+    # nested too deep to parse (a RecursionError without the depth limit)
+    pytest.param("binom(n,k)", "(" * 400 + "k" + ")" * 400, 2, id="400-parens"),
+    pytest.param("binom(n,k)", "-" * 1200 + "k", 2, id="1200-minus"),
+    pytest.param("binom(" + "(" * 400 + "n" + ")" * 400 + ",k)", "k", 1, id="term-parens"),
 ])
 def test_parse_pair_file_field_errors_carry_their_line(term, certificate, line):
     with pytest.raises(WZFixtureError) as exc:
         parse_pair_file(f"term: {term}\ncertificate: {certificate}\norientation: +1\n")
     assert exc.value.line == line
+
+
+@pytest.mark.parametrize("certificate", ["(" * 400 + "k" + ")" * 400, "-" * 1200 + "k"],
+                         ids=["400-parens", "1200-minus"])
+def test_deep_nesting_error_points_at_the_first_level_too_deep(certificate):
+    with pytest.raises(WZFixtureError) as exc:
+        parse_pair_file(f"term: binom(n,k)\ncertificate: {certificate}\norientation: +1\n")
+    # 1-based column of the 101st opening token after "certificate: "
+    assert (exc.value.line, exc.value.column) == (2, len("certificate: ") + 101)
 
 
 _FIELD_LEAVES = ("n", "k", "j", "alpha", "s", "q", "0", "1", "2", "7")
