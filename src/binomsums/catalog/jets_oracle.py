@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exact import binom_poly, digamma_diff, harmonic, rising_row, trigamma_diff
+from ..exact import (binom_int, binom_poly, digamma_diff, harmonic, harmonic_row, over,
+                     rising_row, trigamma_diff)
 from ..jets import Jet2
 from .entries import REGISTRY
 
@@ -207,13 +208,11 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     """
     jet_lhs, jet_rhs = derived_identity_via_jets("ID07", _D_PP, n,
                                                  {"s": s, "p": F(0)})
-    closed_lhs = F(0)
     bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
-    for k in range(n + 1):
-        h = harmonic(k)
-        term = binom_poly(F(n), k) * bs[k] * (h * h + harmonic(k, 2))
-        closed_lhs += -term if (n + k) % 2 else term
-    closed_lhs /= ds
+    h, _ = harmonic_row(n)
+    h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too
+    terms = (binom_int(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
+    closed_lhs = over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * d2)
     dd = digamma_diff(s, n)
     td = trigamma_diff(s, n)
     h_n = harmonic(n)

@@ -5,12 +5,14 @@ by direct summation; nothing here is shared with the right-hand sides beyond
 the scalar helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``),
 each tested on its own; a test breaks each row helper in both modules at once
 and every entry using it must then fail, so the two sides stay independent
-computation paths.  A parametric sum multiplies row entries, which are ints
-over one denominator per row for exact parameters (see exact.py), and
-divides once by the product of those denominators (``over``), so an exact
-side builds one Fraction.  The sums are ring-generic: parameters may also be
-RatFunc or Jet2 values (the jet oracle differentiates ID06, ID07, ID08 and
-ID21), whose rows come over 1.
+computation paths.  A parametric or harmonic sum multiplies row entries,
+which are ints over one denominator per row for exact parameters (see
+exact.py), and divides once by the product of those denominators (``over``),
+so an exact side builds one Fraction.  The harmonic sums (ID15, ID17, ID22,
+ID24-26) read ``harmonic_row``; H_k^2 and H_k^(2) both sit over
+lcm(1..n)^2, the order-2 row's denominator.  The sums are ring-generic:
+parameters may also be RatFunc or Jet2 values (the jet oracle
+differentiates ID06, ID07, ID08 and ID21), whose rows come over 1.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -160,11 +162,9 @@ def id16(n, a):
 
 
 def id17(n, a):
-    total = F(0)
-    for k in range(1, n + 1):
-        term = binom_int(n, k) * central_binomial(k) * harmonic(k) / F(4**k)
-        total += -term if k % 2 else term
-    return total
+    h, dh = harmonic_row(n)
+    terms = (binom_int(n, k) * central_binomial(k) * 4 ** (n - k) * h[k] for k in range(n + 1))
+    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dh * 4**n)
 
 
 def id18(n, a):
@@ -199,10 +199,9 @@ def id21(n, a):
 
 
 def id22(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        total += central_binomial(k) * harmonic(n - k) / F(4**k)
-    return total
+    h, dh = harmonic_row(n)
+    total = sum(central_binomial(k) * 4 ** (n - k) * h[n - k] for k in range(n + 1))
+    return over(total, dh * 4**n)
 
 
 def id23(n, a):
@@ -213,22 +212,16 @@ def id23(n, a):
 
 
 def id24(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) ** 2 * harmonic(k)
-    return total
+    h, dh = harmonic_row(n)
+    return over(sum(binom_int(n, k) ** 2 * h[k] for k in range(n + 1)), dh)
 
 
 def id25(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        total += binom_int(n, k) ** 2 * harmonic(k) * harmonic(n - k)
-    return total
+    h, dh = harmonic_row(n)
+    return over(sum(binom_int(n, k) ** 2 * h[k] * h[n - k] for k in range(n + 1)), dh * dh)
 
 
 def id26(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        h = harmonic(k)
-        total += binom_int(n, k) ** 2 * (h * h + harmonic(k, 2))
-    return total
+    h, _ = harmonic_row(n)
+    h2, d2 = harmonic_row(n, 2)
+    return over(sum(binom_int(n, k) ** 2 * (h[k] * h[k] + h2[k]) for k in range(n + 1)), d2)

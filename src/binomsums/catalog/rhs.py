@@ -23,7 +23,7 @@ from ..exact import (
     central_binomial,
     digamma_diff,
     harmonic,
-    one_like,
+    harmonic_row,
     over,
     power_row,
     reciprocal_row,
@@ -94,10 +94,7 @@ def id05(n, a):
 
 def id06(n, a):
     s, t = a["s"], a["t"]
-    value = one_like(s)
-    for i in range(1, n + 1):
-        value = value * (s + t + i) / (t + i)
-    return value
+    return binom_upper_shift(s + t, n) / binom_upper_shift(t, n)
 
 
 def id07(n, a):
@@ -121,11 +118,9 @@ def id10(n, a):
 
 
 def id11(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        term = binom_int(n, k) * binom_int(n + k, k) * harmonic(n + k)
-        total += -term if (n + k) % 2 else term
-    return total / 2
+    h, dh = harmonic_row(2 * n)
+    terms = (binom_int(n, k) * binom_int(n + k, k) * h[n + k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
 
 
 def id12(n, a):
@@ -149,11 +144,9 @@ def id15(n, a):
 
 
 def id16(n, a):
-    total = F(0)
-    for k in range(1, n + 1):
-        term = binom_int(n, k) * binom_int(n + k, k) * harmonic(k)
-        total += -term if (n + k) % 2 else term
-    return total / 2
+    h, dh = harmonic_row(n)
+    terms = (binom_int(n, k) * binom_int(n + k, k) * h[k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
 
 
 def id17(n, a):
@@ -161,12 +154,11 @@ def id17(n, a):
 
 
 def id18(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        h = harmonic(k)
-        term = binom_int(n, k) * binom_int(n + k, k) * (h * h + harmonic(k, 2))
-        total += -term if (n + k) % 2 else term
-    return total / 4
+    h, _ = harmonic_row(n)
+    h2, d2 = harmonic_row(n, 2)            # over lcm(1..n)^2, as H_k^2 is
+    terms = (binom_int(n, k) * binom_int(n + k, k) * (h[k] * h[k] + h2[k])
+             for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 4 * d2)
 
 
 def id19(n, a):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..exact import harmonic_cache, render_rational
+from ..exact import render_rational
 from ..params import MAX_TRIES, draw
 from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
@@ -87,12 +87,6 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _warm_harmonics(n: int) -> None:
-    # the whole run shares the warmed tables read-only afterwards
-    harmonic_cache(1).grow_to(2 * n + 2)
-    harmonic_cache(2).grow_to(2 * n + 2)
-
-
 def _selected(only: tuple[str, ...], name: str) -> bool:
     return not only or name in only
 
@@ -101,9 +95,6 @@ def run_catalog(config: SuiteConfig) -> SuiteReport:
     """Every selected entry at every n up to its depth, for every draw."""
     report = SuiteReport("catalog", config.seed)
     entries = apply_mutations(config.mutations)
-    max_depth = max((config.n_max if config.n_max is not None else e.n_max)
-                    for e in entries.values())
-    _warm_harmonics(max_depth)
     for entry_id, entry in entries.items():
         if not _selected(config.only, entry_id):
             continue

@@ -20,6 +20,10 @@ loop.  Ring rows hold ring values with ``den == 1``, and ``over`` returns a
 ring total unchanged, so a ring sum does what it did before the rows had
 denominators.  All paths give equal values.
 
+``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
+row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
+reads the last entry of a fresh row.  Nothing is cached between calls.
+
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
 with a leading ``-`` on the numerator.  ``parse_rational`` accepts exactly
@@ -37,7 +41,6 @@ from .jets import Jet2
 __all__ = [
     "DigammaPole",
     "TrigammaPole",
-    "HarmonicCache",
     "binom_int",
     "binom_poly",
     "binom_row",
@@ -105,58 +108,20 @@ def parse_rational(text: str) -> Fraction:
 # Harmonic numbers
 # ---------------------------------------------------------------------------
 
-class HarmonicCache:
-    """Growable table of generalized harmonic numbers H_n^(m) for fixed m.
-
-    Entry n holds H_n^(m) = sum_{i=1..n} 1/i^m, with H_0 = 0.  The table
-    only ever grows; warm it once with :meth:`grow_to` before sharing
-    read-only across workers.
-    """
-
-    __slots__ = ("order", "_values")
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("harmonic order must be >= 1")
-        self.order = order
-        self._values = [_ZERO]
-
-    def grow_to(self, n: int) -> None:
-        values = self._values
-        m = self.order
-        while len(values) <= n:
-            i = len(values)
-            values.append(values[-1] + Fraction(1, i**m))
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n < 0:
-            raise IndexError("harmonic numbers are indexed by n >= 0")
-        if n >= len(self._values):
-            self.grow_to(n)
-        return self._values[n]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-_CACHES: dict[int, HarmonicCache] = {}
-
-
-def harmonic_cache(order: int) -> HarmonicCache:
-    """The shared harmonic table for a given order."""
-    cache = _CACHES.get(order)
-    if cache is None:
-        cache = _CACHES[order] = HarmonicCache(order)
-    return cache
-
-
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n^(order) = sum_{i=1..n} 1/i^order, with H_0 = 0."""
-    return harmonic_cache(order)[n]
+    if n < 0:
+        raise IndexError("harmonic numbers are indexed by n >= 0")
+    row, den = harmonic_row(n, order)
+    return Fraction(row[n], den)
 
 
 def harmonic_row(n: int, order: int = 1):
     """([H_0, ..., H_n] of the given order, lcm(1..n)^order), as ints."""
+    if order < 1:
+        raise ValueError("harmonic order must be >= 1")
+    if n < 0:
+        raise ValueError("harmonic rows are indexed by n >= 0")
     den = lcm(*range(1, n + 1)) ** order
     row = [0]
     for i in range(1, n + 1):

@@ -52,10 +52,8 @@ def legendre_row(n: int, x):
 
 def legendre(n: int, x: Fraction) -> Fraction:
     """P_n(x) by the three-term recurrence."""
-    if isinstance(x, (int, Fraction)) and n >= 0:
-        *_, (r, d) = _scaled_legendre(n, x.numerator, x.denominator)
-        return Fraction(r, d)
-    return legendre_row(n, x)[0][n]
+    row, den = legendre_row(n, x)
+    return over(row[n], den)
 
 
 def _check_t(t: Fraction) -> None:

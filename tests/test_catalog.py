@@ -18,6 +18,7 @@ from binomsums.catalog.entries import (
     SkipEvaluation,
 )
 from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic
+from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import RatFunc
 
@@ -215,7 +216,7 @@ ROW_HELPER_CALLERS = {
     "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID10", "ID15", "ID21"},
     "binom_row": {"ID02", "ID03", "ID04", "ID05", "ID06", "ID07", "ID19"},
     "power_row": {"ID01", "ID02", "ID03", "ID08", "ID12", "ID14"},
-    "harmonic_row": {"ID15"},
+    "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
     "shift_row": {"ID08", "ID09"},
     "reciprocal_row": {"ID05", "ID06"},
     "legendre_row": {"ID14"},
@@ -266,6 +267,12 @@ def test_only_typed_poles_are_skips():
     open_id15 = replace(REGISTRY["ID15"], params=ParamSpec(("s",)))
     r = check_identity("ID15", 3, {"s": F(2)}, {"ID15": open_id15})
     assert r.status == "skipped" and "digamma pole" in r.reason
+    # a jet t at a negative integer makes both ID06 sides divide a jet by zero
+    open_id06 = {"ID06": replace(REGISTRY["ID06"], params=ParamSpec(("s", "t")))}
+    jets = {"s": Jet2.variable(F(1, 2), 1), "t": Jet2.variable(F(-2), 2)}
+    for side in ("lhs", "rhs"):
+        with pytest.raises(SkipEvaluation, match="jet division pole"):
+            evaluate_side("ID06", side, 3, jets, open_id06)
 
     def divides_by_zero(n, a):
         return F(1) / (n - n)

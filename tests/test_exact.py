@@ -17,7 +17,6 @@ from binomsums.exact import (
     central_binomial,
     digamma_diff,
     harmonic,
-    harmonic_cache,
     harmonic_row,
     over,
     parse_rational,
@@ -106,12 +105,23 @@ def test_harmonic_examples():
     assert harmonic(4, 2) == sum(F(1, i * i) for i in range(1, 5)) == F(205, 144)
 
 
-def test_harmonic_cache_difference_invariant():
-    cache = harmonic_cache(3)
-    cache.grow_to(60)
-    assert cache[0] == 0
+def test_harmonic_row_difference_invariant():
+    row, den = harmonic_row(60, 3)
+    assert len(row) == 61 and row[0] == 0
     for n in range(1, 61):
-        assert cache[n] - cache[n - 1] == F(1, n**3)
+        assert F(row[n] - row[n - 1], den) == F(1, n**3)
+
+
+def test_harmonic_rejects_bad_input():
+    for n, order in ((4, 0), (4, -1), (-3, 1), (-1, 2)):
+        with pytest.raises(ValueError):
+            harmonic_row(n, order)
+    with pytest.raises(ValueError):
+        harmonic(4, 0)
+    with pytest.raises(IndexError):
+        harmonic(-1)
+    with pytest.raises(IndexError):
+        harmonic(-2, 2)
 
 
 def test_harmonic_matches_direct_sum():
@@ -207,6 +217,14 @@ def falling_reference(s, n):
     return row
 
 
+def harmonic_reference(n, order):
+    """[H_0, ..., H_n] of the given order, one Fraction addition per term."""
+    row = [F(0)]
+    for i in range(1, n + 1):
+        row.append(row[-1] + F(1, i**order))
+    return row
+
+
 def rising_reference(b, n):
     """[C(b+k, k) for k = 0..n], one Fraction operation per factor."""
     row = [F(1)]
@@ -236,11 +254,9 @@ def test_binomial_kernels_equal_fraction_running_products():
         powers = [F(1)]
         for _ in range(n):
             powers.append(powers[-1] * x)
-        harmonics = [harmonic(k) for k in range(n + 1)]
-        squares = [harmonic(k, 2) for k in range(n + 1)]
         kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
-                   (power_row(x, n), powers), (harmonic_row(n), harmonics),
-                   (harmonic_row(n, 2), squares),
+                   (power_row(x, n), powers), (harmonic_row(n), harmonic_reference(n, 1)),
+                   (harmonic_row(n, 2), harmonic_reference(n, 2)),
                    (shift_row(x, n), vandermonde(falling))]
         kernels += reciprocal_case(x, n, rising)
         for (row, den), want in kernels:
