@@ -9,22 +9,19 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes some variables (a parameter draw) once and returns a
-  :class:`BoundTerm`, which evaluates the term on the free variables
-  (n, j, k in the certificate checks).  Each affine form is split into a
-  Fraction part from the constant and the fixed variables plus integer
-  coefficients on the free ones, so at an integer point every binomial is
-  part + offset with int offsets.  The bound term memoizes binomial values
-  under the all-int key (part id, top offset, bottom offset), where the
-  part id numbers the distinct (top part, bottom part) pairs; the memo
-  lives and dies with the bound term, one per draw.
+  :class:`BoundTerm`, whose ``row(point, var, ks)`` is the term along var at
+  the ks, with point giving the other free variables (n and j, along k, in
+  the certificate checks), under ``exact.py``'s ``(row, den)`` contract: ints
+  over one positive int denominator.  Each factor's values come from a row
+  kernel where they can.  A row raises what the first failing (k, factor)
+  raises, in point order: the ks in order, at each the sign, then the
+  factors in order.
 
-* ``evaluate`` -- the exact rational value at a concrete assignment, which
-  is ``bind`` of every variable followed by one evaluation.  A factor is
-  evaluable when its lower argument is an integer (polynomial
-  falling-factorial form) or when top - bottom is an integer m, in which
-  case binom(top, bottom) = binom(bottom + m, m) (zero for negative m).
-  Every point is a full evaluation: the sign, then every factor in order,
-  with the same exceptions and messages with or without the memo.
+* ``evaluate`` -- the exact rational value at a concrete assignment: a row
+  of length one along no variable.  A factor is evaluable when its lower
+  argument is an integer (polynomial falling-factorial form) or when
+  top - bottom is an integer m, in which case binom(top, bottom) =
+  binom(bottom + m, m) (zero for negative m).
 
 * ``shift_ratio`` -- T(v+1)/T(v) as a canonical rational function, built
   factor by factor from the ratio rule Gamma(x+m)/Gamma(x) =
@@ -36,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
-from .exact import binom_poly, binom_upper_shift
+from .exact import binom_poly, binom_row, binom_upper_shift, rising_row
 from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = [
@@ -92,10 +90,10 @@ class AffineForm:
                 return c
         return Fraction(0)
 
-    def split(self, fixed) -> tuple[Fraction, tuple[tuple[str, int | Fraction], ...]]:
+    def split(self, fixed) -> tuple[int | Fraction, tuple[tuple[str, int | Fraction], ...]]:
         """(constant plus the fixed variables' terms, the coefficients of the
-        free variables, as ints where integral); with every variable fixed,
-        the first part is the form's value."""
+        free variables), each an int where integral; with every variable
+        fixed, the first part is the form's value."""
         part = self.constant
         free = []
         for name, c in self.coeffs:
@@ -103,7 +101,7 @@ class AffineForm:
                 part += c * fixed[name]
             else:
                 free.append((name, int(c) if c.denominator == 1 else c))
-        return part, tuple(free)
+        return int(part) if part.denominator == 1 else part, tuple(free)
 
     def to_poly(self) -> MultiPoly:
         poly = MultiPoly.const(self.constant)
@@ -188,65 +186,90 @@ class HyperTerm:
 
 
 class BoundTerm:
-    """A :class:`HyperTerm` with some of its variables fixed, made by
-    :meth:`HyperTerm.bind`; the module docstring describes its memo.
+    """A :class:`HyperTerm` with some variables fixed, by :meth:`HyperTerm.bind`."""
 
-    Equal (top part, bottom part) pairs share one part id, so factors such
-    as binom(beta+k,k) and binom(beta+j,j) share memo entries.  A factor's
-    arguments are built only on a miss, and poles and unevaluable factors
-    are never stored, so they raise at every point.
-    """
-
-    __slots__ = ("_constant", "_sign_part", "_sign_free", "_factors", "_memo")
+    __slots__ = ("_constant", "_sign", "_factors")
 
     def __init__(self, term: HyperTerm, fixed):
         self._constant = term.constant
-        sign_part, self._sign_free = term.sign.split(fixed)
-        self._sign_part = int(sign_part) if sign_part.denominator == 1 else sign_part
-        part_ids: dict[tuple[Fraction, Fraction], int] = {}
-        factors = []
-        for top, bottom, exp in term.factors:
-            top_part, top_free = top.split(fixed)
-            bottom_part, bottom_free = bottom.split(fixed)
-            part_id = part_ids.setdefault((top_part, bottom_part), len(part_ids))
-            factors.append((part_id, top_part, top_free, bottom_part, bottom_free,
-                            exp, top, bottom))
-        self._factors = tuple(factors)
-        self._memo: dict[tuple, Fraction] = {}
+        self._sign = term.sign.split(fixed)
+        self._factors = tuple((top.split(fixed), bottom.split(fixed), exp, top, bottom)
+                              for top, bottom, exp in term.factors)
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a point that gives every free variable a value
-        (ints, in the grid loops; any rational is exact)."""
-        sign_val = self._sign_part + _offset(self._sign_free, point)
-        if sign_val.denominator != 1:
-            raise ValueError("sign exponent is not an integer at this assignment")
-        value = -self._constant if int(sign_val) % 2 else self._constant
-        memo = self._memo
-        for (part_id, top_part, top_free, bottom_part, bottom_free,
-             exp, top, bottom) in self._factors:
-            top_offset = _offset(top_free, point)
-            bottom_offset = _offset(bottom_free, point)
-            key = (part_id, top_offset, bottom_offset)
-            f = memo.get(key)
-            if f is None:
-                f = memo[key] = _eval_binomial(top_part + top_offset,
-                                               bottom_part + bottom_offset)
-            if exp == 1:
-                value *= f
-            else:
-                if f == 0:
-                    raise HyperTermPole(
-                        f"binom({top.render()},{bottom.render()}) vanished in a denominator")
-                value /= f
-        return value
+        """Exact value at a point that gives every free variable a value."""
+        row, den = self.row(point, None, (0,))
+        return Fraction(row[0], den)
+
+    def row(self, point, var, ks):
+        """([the term at var = k for k in ks] as ints, one positive int den), with
+        point giving every other free variable a value; raises what the first
+        failing (k, factor) raises, in point order."""
+        sign, slope = _line(self._sign, point, var)
+        signs = [sign + slope * k for k in ks]
+        failures = [(i, -1, ValueError("sign exponent is not an integer at this assignment"))
+                    for i, s in enumerate(signs) if s.denominator != 1][:1]
+        num, den, rows = self._constant.numerator, self._constant.denominator, []
+        for position, (top_split, bottom_split, exp, top, bottom) in enumerate(self._factors):
+            values, factor_den, failure = _binomial_row(
+                *_line(top_split, point, var), *_line(bottom_split, point, var), ks)
+            zero = next((i for i, v in enumerate(values) if not v), None) if exp == -1 else None
+            if zero is not None and (failure is None or zero < failure[0]):
+                failure = (zero, HyperTermPole(
+                    f"binom({top.render()},{bottom.render()}) vanished in a denominator"))
+            if failure is not None:
+                failures.append((failure[0], position, failure[1]))
+                continue
+            if exp == -1:
+                common = lcm(*values)
+                values, factor_den = [factor_den * (common // v) for v in values], common
+            rows.append(values)
+            den *= factor_den
+        if failures:
+            raise min(failures, key=lambda f: f[:2])[2]
+        row = [-num if s % 2 else num for s in signs]
+        for values in rows:     # one value: a factor constant along var
+            row = ([x * values[0] for x in row] if len(values) == 1
+                   else [x * v for x, v in zip(row, values)])
+        return row, den
 
 
-def _offset(free, point):
-    """sum coeff * point[name] over a form's free variables."""
-    total = 0
+def _line(split, point, var):
+    """A split form at point, along var: (its value at var = 0, its slope)."""
+    part, free = split
     for name, c in free:
-        total += c * point[name]
-    return total
+        if name != var:
+            part += c * point[name]
+    return part, dict(free).get(var, 0)
+
+
+def _binomial_row(t0, a, b0, c, ks):
+    """[C(t0 + a*k, b0 + c*k) for k in ks] (ks[0] alone if a = c = 0) as (ints,
+    one positive int den, the first failure as (index, exception) or None).
+    An int lower index reads binom_row, rising_row or math.comb; a negative
+    one, and any other factor, goes to :func:`_eval_binomial`."""
+    values, ks = None, ks if a or c else ks[:1]
+    if type(a) is int and type(c) is int and type(b0) is int:
+        bottoms = [b0 + c * k for k in ks]
+        if a == 0 or a == c:
+            last = max(bottoms, default=0)
+            kernel, den = binom_row(t0, last) if a == 0 else rising_row(t0 - b0, last)
+            values = [kernel[b] if b >= 0 else 0 for b in bottoms]
+        elif type(t0) is int:
+            tops = [t0 + a * k for k in ks]
+            values, den = [0 if b < 0 else comb(t, b) if t >= 0 else (-1) ** b
+                           * comb(b - t - 1, b) for t, b in zip(tops, bottoms)], 1
+    found, failure = [], None
+    for i in range(len(ks)) if values is None else [i for i, b in enumerate(bottoms) if b < 0]:
+        try:
+            found.append(_eval_binomial(t0 + a * ks[i], b0 + c * ks[i]))
+        except (HyperTermPole, ValueError) as exc:
+            failure = (i, exc)
+            break
+    if values is None:
+        den = lcm(*(v.denominator for v in found))
+        values = [v.numerator * (den // v.denominator) for v in found]
+    return values, den, failure
 
 
 def _eval_binomial(t: Fraction, b: Fraction) -> Fraction:

@@ -51,9 +51,10 @@ def legendre_row(n: int, x):
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence."""
-    row, den = legendre_row(n, x)
-    return over(row[n], den)
+    """P_n(x) by the three-term recurrence (at an exact x, its last pair)."""
+    if isinstance(x, (int, Fraction)) and n >= 0:
+        return Fraction(*list(_scaled_legendre(n, x.numerator, x.denominator))[-1])
+    return legendre_row(n, x)[0][n]
 
 
 def _check_t(t: Fraction) -> None:
@@ -85,6 +86,8 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     _check_t(t)
     powers, den = power_row((t * t - 1) / 4, n)
     total = sum(binom_int(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
+    if isinstance(t, (int, Fraction)):         # t^n joins the one denominator
+        return Fraction(total * t.denominator**n, den * t.numerator**n)
     return over(total, den) / t**n
 
 

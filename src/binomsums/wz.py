@@ -18,11 +18,13 @@ would trip over.
 
 Verification of a pair combines
   (a) the symbolic residual check,
-  (b) boundary vanishing G(n, 0) = G(n, n+2) = 0, evaluated exactly on
-      seeded random parameter draws, which is what collapses the telescoped
-      sum, and
+  (b) boundary vanishing G(n, 0) = G(n, n+2) = 0, which is what collapses
+      the telescoped sum, and
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
+(b), (c) and the telescoped sums run on seeded parameter draws, with the
+term read as int rows along k (:meth:`~binomsums.hyperterm.BoundTerm.row`)
+and the certificate as int polynomials.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draw`, the same draw the
@@ -50,11 +52,12 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
+from math import lcm, prod
 
 from .expr import ExprSyntaxError, parse_ratfunc
 from .hyperterm import AffineForm, HyperTerm, HyperTermPole
 from .params import TYPED_POLES, ParamSpec, draw, is_neg_int
-from .poly import RatFunc, RatFuncPole
+from .poly import VARS, RatFunc, RatFuncPole
 
 __all__ = [
     "CheckRow",
@@ -326,14 +329,24 @@ class VerificationReport:
 
 def _grid(pair: WZPair, n_max: int):
     """(n, j, point) for n in 0..n_max and, for a pair with an inner index,
-    j in 0..n (else j is None); point maps n and j to those ints, ready for
-    the caller to set k."""
+    j in 0..n (else j is None); point maps n and j to those ints, and the
+    checks read the term along k from there."""
     for n in range(n_max + 1):
         for j in (range(n + 1) if pair.extra_index else (None,)):
             point = {"n": n}
             if j is not None:
                 point[pair.extra_index] = j
             yield n, j, point
+
+
+def _int_poly(poly, assign):
+    """poly with assign put in and scaled by the one positive int that clears
+    its denominators, as a function that evaluates it at an int point."""
+    terms = poly.bind(assign).terms
+    scale = lcm(*(c.denominator for c in terms.values()))
+    terms = [(int(c * scale), exp) for exp, c in terms.items()]
+    return lambda at: sum(c * prod(at[v] ** e for v, e in zip(VARS, exp) if e)
+                          for c, exp in terms)
 
 
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
@@ -354,31 +367,35 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             continue
         shown = {k: str(v) for k, v in assign.items()}
         # each row names its own first failing point; "" while none failed
-        boundary_detail, base_detail = "", ""
+        boundary_detail, base_detail, edge_failure = "", "", None
         try:
             term = pair.term.bind(assign)
             # numerator and denominator bound apart, not through RatFunc,
             # so that a common factor vanishing on the grid stays a pole
-            cert_num = pair.certificate.num.bind(assign)
-            cert_den = pair.certificate.den.bind(assign)
+            cert_num = _int_poly(pair.certificate.num, assign)
+            cert_den = _int_poly(pair.certificate.den, assign)
             for n, _, point in _grid(pair, n_max):
-                for k in (0, n + 2):
-                    point["k"] = k
-                    den = cert_den.evaluate(point)
-                    if den == 0:
-                        raise RatFuncPole("pole at assignment")
-                    companion = cert_num.evaluate(point) / den * term.evaluate(point)
-                    if companion != 0 and not boundary_detail:
+                ks = (0, n + 2, n + 1)
+                poles = [i for i, k in enumerate(ks[:2]) if not cert_den({**point, "k": k})]
+                if poles:       # the term is read at the points before the pole
+                    term.row(point, "k", ks[:poles[0]])
+                    raise RatFuncPole("pole at assignment")
+                try:
+                    row, den = term.row(point, "k", ks)
+                except (ZeroDivisionError, ValueError) as exc:
+                    # boundary points are read first: an edge failure waits
+                    row, den = term.row(point, "k", ks[:2])
+                    edge_failure = edge_failure or exc
+                for k, value in zip(ks[:2], row):
+                    if value and cert_num({**point, "k": k}) and not boundary_detail:
                         boundary_detail = f"G({n},{k}) != 0"
-            # base and edge values of the term itself
-            _, _, base = next(_grid(pair, 0))
-            base["k"] = 0
-            if term.evaluate(base) != 1:
-                base_detail = "T(0,0) != 1"
-            for n, _, point in _grid(pair, n_max):
-                point["k"] = n + 1
-                if term.evaluate(point) != 0 and not base_detail:
+                # base and edge values of the term itself
+                if n == 0 and row[0] != den:
+                    base_detail = "T(0,0) != 1"
+                if any(row[2:]) and not base_detail:
                     base_detail = f"T({n},{n+1}) != 0"
+            if edge_failure:
+                raise edge_failure
         except (HyperTermPole, RatFuncPole, ZeroDivisionError) as exc:
             report.rows.append(CheckRow(
                 f"draw-{index}", None, shown, False, f"unexpected pole: {exc}"))
@@ -408,15 +425,12 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
     try:
         term = pair.term.bind(assign)
         for n, j, point in _grid(pair, n_max):
-            total = Fraction(0)
-            for k in range(n + 1):
-                point["k"] = k
-                total += term.evaluate(point)
-            if total != 1:
+            row, den = term.row(point, "k", range(n + 1))
+            if sum(row) != den:
                 return TelescopeResult(
                     shown, False,
                     f"sum at n={n}" + (f", j={j}" if j is not None else "")
-                    + f" is {total}")
+                    + f" is {Fraction(sum(row), den)}")
     except TYPED_POLES as exc:
         return TelescopeResult(shown, None, f"skipped: pole ({exc})")
     except ZeroDivisionError as exc:

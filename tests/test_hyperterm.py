@@ -13,6 +13,7 @@ from binomsums.hyperterm import (
     HyperTerm,
     HyperTermPole,
     NonHypergeometricShift,
+    _eval_binomial,
 )
 from binomsums.params import draw
 from binomsums.wz import _grid, load_pair
@@ -119,30 +120,89 @@ def test_evaluate_non_rational_factor():
 # Bound terms
 # ---------------------------------------------------------------------------
 
-def _outcome(bound, point):
+def _reference(term, assign, point):
+    """The term at one point, factor by factor in factor order: the sign,
+    then a product of _eval_binomial values."""
+    at = {**assign, **point}
+    sign = term.sign.split(at)[0]
+    if sign.denominator != 1:
+        raise ValueError("sign exponent is not an integer at this assignment")
+    value = -term.constant if sign % 2 else term.constant
+    for top, bottom, exp in term.factors:
+        f = _eval_binomial(top.split(at)[0], bottom.split(at)[0])
+        if exp == 1:
+            value *= f
+        elif f == 0:
+            raise HyperTermPole(
+                f"binom({top.render()},{bottom.render()}) vanished in a denominator")
+        else:
+            value /= f
+    return value
+
+
+def _outcome(call):
     try:
-        return bound.evaluate(point)
+        return call()
     except (HyperTermPole, ValueError) as exc:
         return type(exc), str(exc)
 
 
+def _assert_row_matches(term, assign, point, ks):
+    """row(point, "k", ks) equals the reference at every k, or raises what
+    the reference raises at the first failing k."""
+    def by_points():
+        return [_reference(term, assign, {**point, "k": k}) for k in ks]
+
+    def by_row():
+        row, den = term.bind(assign).row(point, "k", ks)
+        assert den > 0 and all(type(v) is int for v in row)
+        return [F(v, den) for v in row]
+
+    assert _outcome(by_row) == _outcome(by_points), (assign, point, ks)
+
+
 @pytest.mark.parametrize("name", ["thm1", "thm2", "thm3"])
-def test_bound_memo_agrees_with_a_fresh_bind_per_point(name):
+def test_bound_row_agrees_with_a_per_point_reference(name):
     pair = load_pair(name)
     rng = random.Random(f"memo:{name}")
     draws = [draw(rng, pair.params, 6) for _ in range(3)]
-    # the first draw again, with equal values in distinct Fraction objects
-    draws.append({v: F(q.numerator, q.denominator) for v, q in draws[0].items()})
-    assert all(draws[3][v] is not draws[0][v] for v in draws[0])
     if name == "thm3":
         draws.append({"s": F(1, 2), "p": F(3)})     # lands on 0/0 poles
-    points = [{**point, "k": k} for n, _, point in _grid(pair, 6) for k in range(n + 3)]
     for assign in draws:
-        rng.shuffle(points)
-        bound = pair.term.bind(assign)
-        for point in points:
-            expected = _outcome(pair.term.bind(assign), point)
-            assert _outcome(bound, point) == expected, (assign, point)
+        for n, _, point in _grid(pair, 6):
+            for ks in (range(n + 3), (0, n + 2, n + 1), (n + 2, 0), (n + 1,)):
+                _assert_row_matches(pair.term, assign, point, ks)
+
+
+def test_bound_row_raises_the_first_failing_point():
+    terms = [
+        # a later factor fails at an earlier k: C(k,1) vanishes below at
+        # k = 0, C(2-k,-1) is 0/0 from k = 3 on
+        HyperTerm(F(1), affine("0"), ((affine("2-k"), affine("-1"), 1),
+                                      (affine("k"), affine("1"), -1))),
+        # both fail at k = 3; the first factor's exception wins
+        HyperTerm(F(1), affine("0"), ((affine("2-k"), affine("-1"), 1),
+                                      (affine("k-3"), affine("1"), -1))),
+        # below the bar: 0 (a pole) at k = 0 and 1, then 0/0 from k = 2 on
+        HyperTerm(F(1), affine("0"), ((affine("1-k"), affine("-1"), -1),)),
+        # a non-integer lower index: not rational at odd k
+        HyperTerm(F(2), affine("0"), ((affine("n+k"), affine("k"), 1),
+                                      (affine("1/3"), affine("k/2"), 1))),
+        # a non-integer sign exponent at odd k, before any factor fails
+        HyperTerm(F(1), affine("k/2"), ((affine("n"), affine("k"), -1),)),
+        # upper shifts and an int top, with a pole below at k > n
+        HyperTerm(F(3, 2), affine("n+k"), ((affine("t+n"), affine("t"), 1),
+                                           (affine("k"), affine("2"), 1),
+                                           (affine("n"), affine("k"), -1),
+                                           (affine("t+k"), affine("k"), -1))),
+    ]
+    for term in terms:
+        for n in range(5):
+            for ks in (range(6), (3, 0), (5, 4, 1), (2,), (4, 1, 3)):
+                _assert_row_matches(term, {"t": F(1, 3)}, {"n": n}, ks)
+    with pytest.raises(HyperTermPole) as info:
+        terms[0].bind({}).row({}, "k", range(5))
+    assert str(info.value) == "binom(k,1) vanished in a denominator"
 
 
 def test_bound_term_keeps_the_pole_message():

@@ -165,3 +165,15 @@ def test_integer_recurrence_at_plus_minus_one_and_zero():
         check_t(F(-1), n)
         assert legendre(n, F(1)) == 1 and legendre(n, -1) == (-1) ** n
         assert row_values(n, 0) == fraction_recurrence(n, F(0))
+
+
+def test_scalar_legendre_is_the_last_row_entry():
+    # the scalar reads only the last scaled pair; the row rescales them all
+    t = RatFunc.var("t")
+    xs = [F(0), F(1), F(-1), F(5, 4), F(-3, 7), 2, F(999_999_937, 1_000_003),
+          (t * t + 1) / (2 * t), t]
+    for x in xs:
+        for n in range(12):
+            row, den = legendre_row(n, x)
+            assert legendre(n, x) == over(row[n], den), (n, x)
+
