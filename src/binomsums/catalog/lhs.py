@@ -11,8 +11,10 @@ exact.py), and divides once by the product of those denominators (``over``),
 so an exact side builds one Fraction.  The harmonic sums (ID15, ID17, ID22,
 ID24-26) read ``harmonic_row``; H_k^2 and H_k^(2) both sit over
 lcm(1..n)^2, the order-2 row's denominator.  The sums are ring-generic:
-parameters may also be RatFunc or Jet2 values (the jet oracle
-differentiates ID06, ID07, ID08 and ID21), whose rows come over 1.
+parameters may also be RatFunc values, whose rows are MultiPoly values over
+one MultiPoly denominator, so a symbolic sum builds one RatFunc, or Jet2
+values (the jet oracle differentiates ID06, ID07, ID08 and ID21), whose
+rows are jets over 1.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p

@@ -8,17 +8,20 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
-Row convention: every ``*_row`` kernel returns ``(row, den)``.  For an
-exact rational input p/q (int or ``Fraction``) the row holds plain ints over
-one positive int denominator (n! q^n for the binomial rows, q^n for
-``power_row``, lcm(1..n)^order for ``harmonic_row``), so a sum of row
-products is one int sum, and ``over(total, den)`` builds its one
-``Fraction``.  A ``Jet2`` input p/q + d multiplies the int Taylor triples of
-the same product at p/q and makes one nilpotent combine
-(``Jet2.compose_taylor``); ``RatFunc`` takes the generic running-product
-loop.  Ring rows hold ring values with ``den == 1``, and ``over`` returns a
-ring total unchanged, so a ring sum does what it did before the rows had
-denominators.  All paths give equal values.
+Row convention: every ``*_row`` kernel returns ``(row, den)``.  The exact
+kernels read their input as p/q through ``numerator`` and ``denominator``,
+so one path serves two rings.  For an int or ``Fraction`` input the row
+holds plain ints over one positive int denominator (n! q^n for the binomial
+rows, q^n for ``power_row``, lcm(1..n)^order for ``harmonic_row``), so a sum
+of row products is one int sum, and ``over(total, den)`` builds its one
+``Fraction``.  For a ``RatFunc`` input the same products run over its
+``MultiPoly`` numerator and denominator: the row holds ``MultiPoly`` values
+over one ``MultiPoly`` denominator, and ``over`` builds one ``RatFunc``, so
+a row sum is canonicalised once.  A ``Jet2`` input p/q + d multiplies
+the int Taylor triples of the same product at p/q and makes one nilpotent
+combine (``Jet2.compose_taylor``); its rows hold jets over 1 (``shift_row``
+and ``power_row`` take plain jet products), and ``over`` returns a jet total
+over 1 unchanged.  All paths give equal values.
 
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
 row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
@@ -37,6 +40,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .jets import Jet2
+from .poly import MultiPoly, RatFunc
 
 __all__ = [
     "DigammaPole",
@@ -49,7 +53,6 @@ __all__ = [
     "digamma_diff",
     "harmonic",
     "harmonic_row",
-    "one_like",
     "over",
     "parse_rational",
     "power_row",
@@ -156,32 +159,32 @@ def zero_like(x):
     return x * 0
 
 
-def one_like(x):
-    """The one of x's ring (int 1 for an int)."""
-    return x * 0 + 1
-
-
-def over(total, den: int):
-    """The exit of a row sum: ``total / den``, as one ``Fraction`` for an int
-    total and in total's ring otherwise (total itself when den == 1)."""
+def over(total, den):
+    """The exit of a row sum: ``total / den``, as one ``Fraction`` for int
+    parts, one ``RatFunc`` when either part is a ``MultiPoly``, and in total's
+    ring otherwise (total itself when den == 1)."""
+    if isinstance(total, MultiPoly) or isinstance(den, MultiPoly):
+        return RatFunc(*(v if isinstance(v, MultiPoly) else MultiPoly.const(v)
+                         for v in (total, den)))
     if isinstance(total, int):
         return Fraction(total, den)
     return total if den == 1 else total / den
 
 
 def _over_last(pairs):
-    """Int (num, den) pairs, each den dividing the last one, as
+    """(num, den) pairs, each den dividing the last one, as
     ([num * (last // den)], last)."""
     pairs = list(pairs)
     last = pairs[-1][1]
     return [num * (last // den) for num, den in pairs], last
 
 
-def _int_products(x, n: int, step: int):
-    """Int pairs (prod_{i<m} (p + step*i*q), m! q^m) for m = 0..n, x = p/q:
-    their ratios are prod_{i<m} (x + step*i) / m!."""
+def _products(x, n: int, step: int):
+    """Pairs (prod_{i<m} (p + step*i*q), m! q^m) for m = 0..n, x = p/q, in the
+    ring of p and q (ints for a Fraction): their ratios are
+    prod_{i<m} (x + step*i) / m!."""
     p, q = x.numerator, x.denominator
-    num = den = 1
+    num = den = q**0        # 1 in q's ring
     yield num, den
     for i in range(n):
         num *= p + step * i * q
@@ -210,76 +213,53 @@ def binom_poly(s, k: int):
 
     Returns 0 for k < 0 (the boundary convention that makes the summation
     identities run over k = 0..n with out-of-support terms vanishing).  The
-    upper argument may be a Fraction or any value supporting ring arithmetic
-    with Fractions (e.g. a Jet2), since the product form is polynomial in s.
+    upper argument may be an int, a Fraction, a RatFunc or a Jet2, since the
+    product form is polynomial in s.
     """
     if isinstance(s, int):
         s = Fraction(s)
     if k < 0:
         return zero_like(s)
-    if isinstance(s, Fraction):
-        if s.denominator == 1 and s >= 0:
-            return Fraction(binom_int(s.numerator, k))
-        *_, (num, den) = _int_products(s, k, -1)
-        return Fraction(num, den)
     if isinstance(s, Jet2):
         *_, last = _int_taylor_products(s.value, k, -1)
         return s.compose_taylor([last])[0]
-    if k == 0:
-        return one_like(s)
-    out = s
-    for i in range(1, k):
-        out = out * (s - i)
-    return out / factorial(k)
+    if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
+        return Fraction(binom_int(s.numerator, k))
+    *_, (num, den) = _products(s, k, -1)
+    return over(num, den)
 
 
 def binom_row(s, n: int):
     """([C(s, 0), ..., C(s, n)], den) by the falling-factorial recurrence."""
-    if isinstance(s, (int, Fraction)):
-        return _over_last(_int_products(s, n, -1))
     if isinstance(s, Jet2):
         return s.compose_taylor(_int_taylor_products(s.value, n, -1)), 1
-    row = [one_like(s)]
-    for m in range(1, n + 1):
-        row.append(row[-1] * (s - m + 1) / m)
-    return row, 1
+    return _over_last(_products(s, n, -1))
 
 
 def rising_row(b, n: int):
     """([C(b+k, k) for k = 0..n], den), C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
-    if isinstance(b, (int, Fraction)):
-        return _over_last(_int_products(b + 1, n, 1))
     if isinstance(b, Jet2):
         return b.compose_taylor(_int_taylor_products(b.value + 1, n, 1)), 1
-    row = [one_like(b)]
-    for k in range(1, n + 1):
-        row.append(row[-1] * (b + k) / k)
-    return row, 1
+    return _over_last(_products(b + 1, n, 1))
 
 
 def reciprocal_row(b, n: int):
     """([1/C(b+k, k) for k = 0..n], den); a vanishing C(b+k, k) raises
-    ZeroDivisionError.  A jet row inverts the rising row's values; a
-    RatFunc row is its own running product."""
-    if isinstance(b, (int, Fraction)):
-        row, den = _over_last((d, p) for p, d in _int_products(b + 1, n, 1))
-        return ([-v for v in row], -den) if den < 0 else (row, den)
+    ZeroDivisionError.  A jet row inverts the rising row's values."""
     if isinstance(b, Jet2):
         return [v.inverse() for v in rising_row(b, n)[0]], 1
-    row = [one_like(b)]
-    for k in range(1, n + 1):
-        row.append(row[-1] * k / (b + k))
-    return row, 1
+    row, den = _over_last((d, p) for p, d in _products(b + 1, n, 1))
+    return ([-v for v in row], -den) if isinstance(den, int) and den < 0 else (row, den)
 
 
 def shift_row(b, n: int):
     """([C(b+k, n) for k = 0..n], den)."""
-    if not isinstance(b, (int, Fraction)):
+    if isinstance(b, Jet2):
         return [binom_poly(b + k, n) for k in range(n + 1)], 1
     # n! q^n C(b+k, n) = prod_{j=k-n+1..k} (p + j q) at b = p/q: a suffix of
     # the factors j <= 0 times a prefix of the factors j >= 1
     p, q = b.numerator, b.denominator
-    low, high = [1], [1]
+    low, high = [q**0], [q**0]
     for j in range(n):
         low.append(low[-1] * (p - j * q))
         high.append(high[-1] * (p + (j + 1) * q))
@@ -288,16 +268,16 @@ def shift_row(b, n: int):
 
 def power_row(x, n: int):
     """([x^0, ..., x^n], den): p^k q^(n-k) over q^n at x = p/q."""
-    if isinstance(x, (int, Fraction)):
-        ps, qs = [1], [1]
+    if isinstance(x, Jet2):
+        row = [x**0]
         for _ in range(n):
-            ps.append(ps[-1] * x.numerator)
-            qs.append(qs[-1] * x.denominator)
-        return [ps[k] * qs[n - k] for k in range(n + 1)], qs[n]
-    row = [x**0]
+            row.append(row[-1] * x)
+        return row, 1
+    ps, qs = [x.numerator**0], [x.denominator**0]
     for _ in range(n):
-        row.append(row[-1] * x)
-    return row, 1
+        ps.append(ps[-1] * x.numerator)
+        qs.append(qs[-1] * x.denominator)
+    return [ps[k] * qs[n - k] for k in range(n + 1)], qs[n]
 
 
 def binom_upper_shift(b, m: int):

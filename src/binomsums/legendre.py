@@ -6,12 +6,13 @@ verified against it, never the other way around.  Both are stated at the
 argument (t^2+1)/(2t), which is where a rational t gives a rational
 argument covering [1, inf) and (-inf, -1]; t = 0 is excluded.
 
-Row convention, as in exact.py: at x = u/v (int or ``Fraction``) the
-recurrence runs on the ints R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m -
-m^2 v^2 R_{m-1}, and ``legendre_row`` returns them scaled over the one
-denominator n! v^n.  Any other ring (``RatFunc``) takes the generic loop and
-returns its values over 1; both give equal values.  ``legendre_new_repr``
-sums over ``power_row`` in every ring.
+Row convention, as in exact.py: at x = u/v the recurrence runs on
+R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, and
+``legendre_row`` returns them scaled over the one denominator n! v^n.  For
+an int or ``Fraction`` x these are ints; for a ``RatFunc`` x they are
+``MultiPoly`` values over its numerator and denominator, and ``over`` makes
+one ``RatFunc`` of them.  ``legendre_new_repr`` sums over ``power_row`` and
+folds t^n into the same one denominator.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ __all__ = [
 ]
 
 
-def _scaled_legendre(n: int, u: int, v: int):
-    """(R_m, m! v^m) for m = 0..n, with R_m = m! v^m P_m(u/v) an integer."""
-    prev, cur, den = 0, 1, 1
+def _scaled_legendre(n: int, u, v):
+    """(R_m, m! v^m) for m = 0..n, with R_m = m! v^m P_m(u/v) in the ring of
+    u and v (an int for an exact x)."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    prev, cur, den = 0, v**0, v**0
     for m in range(n + 1):
         yield cur, den
         prev, cur = cur, (2 * m + 1) * u * cur - m * m * v * v * prev
@@ -40,21 +44,13 @@ def _scaled_legendre(n: int, u: int, v: int):
 
 def legendre_row(n: int, x):
     """([P_0(x), ..., P_n(x)], den) by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if isinstance(x, (int, Fraction)):
-        return _over_last(_scaled_legendre(n, x.numerator, x.denominator))
-    row = [Fraction(1), x][:n + 1]
-    for m in range(1, n):
-        row.append(((2 * m + 1) * x * row[m] - m * row[m - 1]) / (m + 1))
-    return row, 1
+    return _over_last(_scaled_legendre(n, x.numerator, x.denominator))
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence (at an exact x, its last pair)."""
-    if isinstance(x, (int, Fraction)) and n >= 0:
-        return Fraction(*list(_scaled_legendre(n, x.numerator, x.denominator))[-1])
-    return legendre_row(n, x)[0][n]
+    """P_n(x) by the three-term recurrence: its last scaled pair."""
+    *_, last = _scaled_legendre(n, x.numerator, x.denominator)
+    return over(*last)
 
 
 def _check_t(t: Fraction) -> None:
@@ -86,9 +82,8 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     _check_t(t)
     powers, den = power_row((t * t - 1) / 4, n)
     total = sum(binom_int(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
-    if isinstance(t, (int, Fraction)):         # t^n joins the one denominator
-        return Fraction(total * t.denominator**n, den * t.numerator**n)
-    return over(total, den) / t**n
+    # t^n joins the one denominator
+    return over(total * t.denominator**n, den * t.numerator**n)
 
 
 def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:

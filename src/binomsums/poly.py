@@ -283,6 +283,11 @@ class MultiPoly:
         prim.terms = {exp: c / content for exp, c in self.terms.items()}
         return content, prim
 
+    def __floordiv__(self, other):
+        """Exact division (:meth:`divexact`): the ``//`` of the exact row kernels."""
+        o = self._coerced(other)
+        return NotImplemented if o is None else self.divexact(o)
+
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ArithmeticError if not exact."""
         if divisor.is_zero:
@@ -590,6 +595,16 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    # numerator/denominator, as Fraction has them: the exact row kernels
+    # read a RatFunc as p/q over the MultiPoly ring
+    @property
+    def numerator(self) -> MultiPoly:
+        return self.num
+
+    @property
+    def denominator(self) -> MultiPoly:
+        return self.den
 
     def _coerced(self, other):
         if isinstance(other, RatFunc):

@@ -30,7 +30,7 @@ Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draw`, the same draw the
 catalog uses.  In the telescoping check only a typed pole
 (:data:`~binomsums.params.TYPED_POLES`) is a skip; any other division by
-zero is a failure.
+zero, and a factor that is not rational at the draw, is a failure.
 
 The three shipped pairs live as plain-text fixtures next to this module;
 each file carries exactly the lines
@@ -55,7 +55,7 @@ from importlib import resources
 from math import lcm, prod
 
 from .expr import ExprSyntaxError, parse_ratfunc
-from .hyperterm import AffineForm, HyperTerm, HyperTermPole
+from .hyperterm import AffineForm, HyperTerm
 from .params import TYPED_POLES, ParamSpec, draw, is_neg_int
 from .poly import VARS, RatFunc, RatFuncPole
 
@@ -396,9 +396,11 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                     base_detail = f"T({n},{n+1}) != 0"
             if edge_failure:
                 raise edge_failure
-        except (HyperTermPole, RatFuncPole, ZeroDivisionError) as exc:
+        except (ZeroDivisionError, ValueError) as exc:
+            # a ValueError: a factor that is not rational at this draw
+            cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
             report.rows.append(CheckRow(
-                f"draw-{index}", None, shown, False, f"unexpected pole: {exc}"))
+                f"draw-{index}", None, shown, False, f"unexpected {cause}: {exc}"))
             continue
         report.rows.append(CheckRow(
             "boundary", None, shown, not boundary_detail,
@@ -433,7 +435,7 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
                     + f" is {Fraction(sum(row), den)}")
     except TYPED_POLES as exc:
         return TelescopeResult(shown, None, f"skipped: pole ({exc})")
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         return TelescopeResult(shown, False, f"unexpected {type(exc).__name__}: {exc}")
     return TelescopeResult(shown, True)
 
@@ -444,6 +446,7 @@ def telescoping_sum_check(pair: WZPair, n_max: int,
 
     For a pair with an inner index the check runs for every value of that
     index in 0..n.  A draw that lands on a typed pole is reported as
-    skipped; any other division by zero is a failure naming the exception.
+    skipped; any other division by zero, or a factor that is not rational at
+    the draw (ValueError), is a failure naming the exception.
     """
     return [_telescope(pair, n_max, assign) for assign in param_draws]

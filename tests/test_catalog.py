@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,9 +21,14 @@ from binomsums.catalog.entries import (
 from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
-from binomsums.poly import RatFunc
+from binomsums.poly import VARS, RatFunc
 
 F = Fraction
+
+# sha256 of every parametric entry's rendered sides over RatFunc symbols at
+# n <= 6, recorded while the kernels still built RatFunc rows one factor at a
+# time: the canonical forms, not only their difference, are pinned
+GOLDEN_RATFUNC_SIDES_SHA256 = "80fbf4bbba1e7f40543db3153eb62cab9264e2e6959daf1766910c3b35364079"
 
 
 def test_registry_shape():
@@ -444,3 +450,33 @@ def test_every_entry_detects_a_shifted_rhs(entry_id):
     assign = draw_for_entry(entry, seed=0, samples=1, n_max=4)[0]
     statuses = [check_identity(entry_id, n, assign, entries).status for n in range(5)]
     assert statuses == ["fail"] * 5
+
+
+def symbolic_params(entry):
+    """Each parameter as a RatFunc variable; names outside the fixed variable
+    list (x, y, lam) take the next unused parameter variable."""
+    spare = [v for v in VARS[3:] if v not in entry.params.names]
+    return {name: RatFunc.var(name if name in VARS else spare.pop(0))
+            for name in entry.params.names}
+
+
+def test_ratfunc_sides_are_pinned(budget):
+    # the budget guards against a hang, it is not a speed gate
+    def render(side):
+        return side.render() if isinstance(side, RatFunc) else str(side)
+
+    lines = []
+    with budget(60):
+        for entry in REGISTRY.values():
+            if not entry.params.names:
+                continue
+            values = symbolic_params(entry)
+            for n in range(7):
+                for j in (range(n + 1) if entry.inner_index else (None,)):
+                    point = dict(values)
+                    if j is not None:
+                        point[entry.inner_index] = j
+                    lines.append(f"{entry.id} {n} {j} {render(entry.lhs(n, point))} | "
+                                 f"{render(entry.rhs(n, point))}")
+    assert len(lines) == 133
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_RATFUNC_SIDES_SHA256

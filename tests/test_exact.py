@@ -28,7 +28,7 @@ from binomsums.exact import (
     trigamma_diff,
 )
 from binomsums.jets import Jet2
-from binomsums.poly import RatFunc
+from binomsums.poly import MultiPoly, RatFunc
 
 try:
     from hypothesis import example, given, settings, strategies as st
@@ -347,9 +347,10 @@ def ring_rising_reference(x, n):
 
 
 def check_ring_kernels(x, n):
-    """Every row kernel at a Jet2 or RatFunc x: x's ring values over 1, equal
-    to the running products.  The shift row's reference is binom_poly at the
-    ring values x + k, which the last lines check at every ring value."""
+    """Every row kernel at a Jet2 or RatFunc x, equal to the running products.
+    A Jet2 row holds jets over 1; a RatFunc row holds MultiPoly numerators
+    over one MultiPoly denominator.  The shift row's reference is binom_poly
+    at the ring values x + k, which the last lines check at every ring value."""
     falling, rising = ring_falling_reference(x, n), ring_rising_reference(x, n)
     powers = [x**0]
     for _ in range(n):
@@ -359,9 +360,13 @@ def check_ring_kernels(x, n):
                (shift_row(x, n), [binom_poly(x + k, n) for k in range(n + 1)])]
     kernels += reciprocal_case(x, n, rising)
     for (row, den), want in kernels:
-        assert den == 1 and over(row[-1], den) is row[-1]
-        assert all(type(v) is type(x) for v in row)
-        assert row == want
+        if isinstance(x, Jet2):
+            assert den == 1 and over(row[-1], den) is row[-1]
+            assert all(type(v) is Jet2 for v in row)
+            assert row == want
+        else:
+            assert type(den) is MultiPoly and all(type(v) is MultiPoly for v in row)
+            assert [over(v, den) for v in row] == want
     assert [binom_poly(x, k) for k in range(n + 1)] == falling
     assert [binom_upper_shift(x, k) for k in range(n + 1)] == rising
 
@@ -393,6 +398,8 @@ def test_jet_kernels_equal_jet_running_products():
     check()
     for n in range(6):
         check_ring_kernels(RatFunc.var("s"), n)
+        check_ring_kernels(RatFunc.var("s") / (RatFunc.var("t") + 2), n)
+    assert binom_poly(RatFunc.var("s"), -1).is_zero
 
 
 def test_central_binomial():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from binomsums.poly import RatFunc
+from binomsums.poly import MultiPoly, RatFunc
 
 from binomsums.exact import over
 from binomsums.legendre import (
@@ -120,12 +120,13 @@ def fraction_recurrence(n, x):
 
 def row_values(n, x):
     """legendre_row's (row, den) as values, after checking the row's contract:
-    ints over a positive int den for exact x, x's ring values over 1 otherwise."""
+    ints over a positive int den for exact x, MultiPoly numerators over one
+    MultiPoly den for a RatFunc x."""
     row, den = legendre_row(n, x)
     if isinstance(x, (int, F)):
         assert type(den) is int and den > 0 and all(type(v) is int for v in row)
     else:
-        assert den == 1 and all(type(v) is type(x) for v in row[1:])
+        assert type(den) is MultiPoly and all(type(v) is MultiPoly for v in row)
     return [over(v, den) for v in row]
 
 

@@ -387,3 +387,17 @@ def test_telescoping_bare_division_by_zero_fails():
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
     assert results[0].ok is False
     assert "ZeroDivisionError" in results[0].reason
+
+
+def test_a_non_rational_factor_is_a_fail_row():
+    # binom(s+t, t) at s = 1/2, t = 1/3 is binom(5/6, 1/3): not a rational
+    # number, so both checks report the ValueError as a failed row
+    pair = replace(load_pair("thm2"), term=parse_term_spec("binom(s+t,t) * binom(n,k)"))
+    results = telescoping_sum_check(pair, 3, [{"s": F(1, 2), "t": F(1, 3)}])
+    assert results[0].ok is False
+    assert results[0].reason == (
+        "unexpected ValueError: binom(5/6,1/3) is not rational (neither the lower "
+        "index nor the upper shift is an integer)")
+    rows = verify_wz_pair(pair, n_max=3, samples=3).rows
+    assert len(rows) == 4 and all(not row.ok for row in rows[1:])
+    assert all(row.detail.startswith("unexpected ValueError: binom(") for row in rows[1:])
