@@ -14,7 +14,8 @@ lcm(1..n)^2, the order-2 row's denominator.  The sums are ring-generic:
 parameters may also be RatFunc values, whose rows are MultiPoly values over
 one MultiPoly denominator, so a symbolic sum builds one RatFunc, or Jet2
 values (the jet oracle differentiates ID06, ID07, ID08 and ID21), whose
-rows are jets over 1.
+rows are int-coefficient jets over one int (over one jet for
+``reciprocal_row``), so a jet sum is divided once.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p

@@ -74,7 +74,7 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")

@@ -10,18 +10,20 @@ never enter the value domain.
 
 Row convention: every ``*_row`` kernel returns ``(row, den)``.  The exact
 kernels read their input as p/q through ``numerator`` and ``denominator``,
-so one path serves two rings.  For an int or ``Fraction`` input the row
-holds plain ints over one positive int denominator (n! q^n for the binomial
-rows, q^n for ``power_row``, lcm(1..n)^order for ``harmonic_row``), so a sum
-of row products is one int sum, and ``over(total, den)`` builds its one
-``Fraction``.  For a ``RatFunc`` input the same products run over its
-``MultiPoly`` numerator and denominator: the row holds ``MultiPoly`` values
-over one ``MultiPoly`` denominator, and ``over`` builds one ``RatFunc``, so
-a row sum is canonicalised once.  A ``Jet2`` input p/q + d multiplies
-the int Taylor triples of the same product at p/q and makes one nilpotent
-combine (``Jet2.compose_taylor``); its rows hold jets over 1 (``shift_row``
-and ``power_row`` take plain jet products), and ``over`` returns a jet total
-over 1 unchanged.  All paths give equal values.
+so one path serves all three rings.  For an int or ``Fraction`` input the
+row holds plain ints over one positive int denominator (n! q^n for the
+binomial rows, q^n for ``power_row``, lcm(1..n)^order for
+``harmonic_row``), so a sum of row products is one int sum, and
+``over(total, den)`` builds its one ``Fraction``.  For a ``RatFunc`` input
+the same products run over its ``MultiPoly`` numerator and denominator: the
+row holds ``MultiPoly`` values over one ``MultiPoly`` denominator, and
+``over`` builds one ``RatFunc``, so a row sum is canonicalised once.  A
+``Jet2`` input reads as an int-coefficient jet over one positive int, so
+its row holds int-coefficient jets over one int denominator, and ``over``
+divides the jet row sum once.  No kernel divides in the input's ring:
+``reciprocal_row``'s denominator is the product of the rising factors, so
+a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
+``over`` (``JetDivisionPole`` for a jet).
 
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
 row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
@@ -39,7 +41,6 @@ import re
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .jets import Jet2
 from .poly import MultiPoly, RatFunc
 
 __all__ = [
@@ -184,26 +185,12 @@ def _products(x, n: int, step: int):
     ring of p and q (ints for a Fraction): their ratios are
     prod_{i<m} (x + step*i) / m!."""
     p, q = x.numerator, x.denominator
-    num = den = q**0        # 1 in q's ring
+    num, den = p**0, q**0       # the ones of p's and q's rings
     yield num, den
     for i in range(n):
         num *= p + step * i * q
         den *= (i + 1) * q
         yield num, den
-
-
-def _int_taylor_products(x, n: int, step: int):
-    """Int rows (A0, A1, A2, m! q^m) for m = 0..n, x = p/q, with A0 + A1 e + A2 e^2
-    = prod_{i<m} (p + step*i*q + q e) mod e^3.  Nothing is divided, so a factor
-    that vanishes at x needs no special case."""
-    p, q = x.numerator, x.denominator
-    a0, a1, a2, den = 1, 0, 0, 1
-    yield a0, a1, a2, den
-    for i in range(n):
-        u = p + step * i * q
-        a0, a1, a2 = a0 * u, a1 * u + a0 * q, a2 * u + a1 * q
-        den *= (i + 1) * q
-        yield a0, a1, a2, den
 
 
 def binom_poly(s, k: int):
@@ -220,9 +207,6 @@ def binom_poly(s, k: int):
         s = Fraction(s)
     if k < 0:
         return zero_like(s)
-    if isinstance(s, Jet2):
-        *_, last = _int_taylor_products(s.value, k, -1)
-        return s.compose_taylor([last])[0]
     if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
         return Fraction(binom_int(s.numerator, k))
     *_, (num, den) = _products(s, k, -1)
@@ -231,35 +215,37 @@ def binom_poly(s, k: int):
 
 def binom_row(s, n: int):
     """([C(s, 0), ..., C(s, n)], den) by the falling-factorial recurrence."""
-    if isinstance(s, Jet2):
-        return s.compose_taylor(_int_taylor_products(s.value, n, -1)), 1
     return _over_last(_products(s, n, -1))
 
 
 def rising_row(b, n: int):
     """([C(b+k, k) for k = 0..n], den), C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
-    if isinstance(b, Jet2):
-        return b.compose_taylor(_int_taylor_products(b.value + 1, n, 1)), 1
     return _over_last(_products(b + 1, n, 1))
 
 
 def reciprocal_row(b, n: int):
-    """([1/C(b+k, k) for k = 0..n], den); a vanishing C(b+k, k) raises
-    ZeroDivisionError.  A jet row inverts the rising row's values."""
-    if isinstance(b, Jet2):
-        return [v.inverse() for v in rising_row(b, n)[0]], 1
-    row, den = _over_last((d, p) for p, d in _products(b + 1, n, 1))
+    """([1/C(b+k, k) for k = 0..n], den), nothing divided: at b + 1 = p/q,
+    1/C(b+k, k) = k! q^k prod_{i=k..n-1} (p + i q) / prod_{i<n} (p + i q).  A
+    vanishing C(b+k, k) makes den vanish, and ``over`` raises."""
+    b1 = b + 1
+    p, q = b1.numerator, b1.denominator
+    suffix = [p**0]         # suffix[j] = prod_{i=n-j..n-1} (p + i q)
+    for i in range(n - 1, -1, -1):
+        suffix.append(suffix[-1] * (p + i * q))
+    row, scale = [], q**0   # scale = k! q^k
+    for k in range(n + 1):
+        row.append(scale * suffix[n - k])
+        scale *= (k + 1) * q
+    den = suffix[n]
     return ([-v for v in row], -den) if isinstance(den, int) and den < 0 else (row, den)
 
 
 def shift_row(b, n: int):
     """([C(b+k, n) for k = 0..n], den)."""
-    if isinstance(b, Jet2):
-        return [binom_poly(b + k, n) for k in range(n + 1)], 1
     # n! q^n C(b+k, n) = prod_{j=k-n+1..k} (p + j q) at b = p/q: a suffix of
     # the factors j <= 0 times a prefix of the factors j >= 1
     p, q = b.numerator, b.denominator
-    low, high = [q**0], [q**0]
+    low, high = [p**0], [p**0]
     for j in range(n):
         low.append(low[-1] * (p - j * q))
         high.append(high[-1] * (p + (j + 1) * q))
@@ -268,15 +254,11 @@ def shift_row(b, n: int):
 
 def power_row(x, n: int):
     """([x^0, ..., x^n], den): p^k q^(n-k) over q^n at x = p/q."""
-    if isinstance(x, Jet2):
-        row = [x**0]
-        for _ in range(n):
-            row.append(row[-1] * x)
-        return row, 1
-    ps, qs = [x.numerator**0], [x.denominator**0]
+    p, q = x.numerator, x.denominator
+    ps, qs = [p**0], [q**0]
     for _ in range(n):
-        ps.append(ps[-1] * x.numerator)
-        qs.append(qs[-1] * x.denominator)
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
     return [ps[k] * qs[n - k] for k in range(n + 1)], qs[n]
 
 

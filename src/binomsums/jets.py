@@ -16,21 +16,22 @@ Truncation stops at total order 2 because nothing in the catalog is
 differentiated more than twice (once in each of two parameters, or twice in
 one).
 
-All coefficients are Fractions; ints and Fractions coerce to constant jets,
-so jets can be dropped into any code written for rational scalars.
-
-``compose_taylor`` evaluates polynomials f at a jet x = x0 + d, d nilpotent,
-from their Taylor coefficients at x0: f(x) = f(x0) + f'(x0) d + f''(x0)/2 d^2.
+Coefficients are exact rationals: ints and Fractions coerce to constant
+jets, so jets can be dropped into any code written for rational scalars.
+Int coefficients stay ints through ``+``, ``-``, ``*`` and ``**`` (an int
+coerces to an int constant), so a jet reads as ``numerator / denominator``
+like a Fraction: the numerator is the jet with int coefficients over the
+least positive int denominator.  The exact row kernels (exact.py) run on
+that numerator as on an int, and divide once at the end.  The accessors
+``value``, ``first``, ``second`` and ``mixed`` always return Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["Jet2", "JetDivisionPole"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class JetDivisionPole(ZeroDivisionError):
@@ -40,19 +41,17 @@ class JetDivisionPole(ZeroDivisionError):
 def _coerce(x):
     if isinstance(x, Jet2):
         return x
-    if isinstance(x, int):
-        return Jet2({(0, 0): Fraction(x)})
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return Jet2({(0, 0): x})
     return None
 
 
 class Jet2:
-    """Bivariate jet of total order <= 2 with Fraction coefficients."""
+    """Bivariate jet of total order <= 2 with int or Fraction coefficients."""
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction]):
+    def __init__(self, coeffs: dict[tuple[int, int], int | Fraction]):
         self.c = {key: val for key, val in coeffs.items() if val}
 
     @classmethod
@@ -65,43 +64,40 @@ class Jet2:
         if slot not in (1, 2):
             raise ValueError("slot must be 1 or 2")
         eps = (1, 0) if slot == 1 else (0, 1)
-        return cls({(0, 0): Fraction(base), eps: _ONE})
+        return cls({(0, 0): Fraction(base), eps: 1})
 
     # -- coefficient access -------------------------------------------------
 
     @property
     def value(self) -> Fraction:
         """Constant coefficient (the value at the base point)."""
-        return self.c.get((0, 0), _ZERO)
+        return Fraction(self.c.get((0, 0), 0))
 
     def first(self, slot: int = 1) -> Fraction:
         """First derivative in e_slot."""
         key = (1, 0) if slot == 1 else (0, 1)
-        return self.c.get(key, _ZERO)
+        return Fraction(self.c.get(key, 0))
 
     def second(self, slot: int = 1) -> Fraction:
         """Second derivative in e_slot (twice the e_slot^2 coefficient)."""
         key = (2, 0) if slot == 1 else (0, 2)
-        return 2 * self.c.get(key, _ZERO)
+        return 2 * Fraction(self.c.get(key, 0))
 
     def mixed(self) -> Fraction:
         """Mixed second partial (the e1*e2 coefficient)."""
-        return self.c.get((1, 1), _ZERO)
+        return Fraction(self.c.get((1, 1), 0))
 
-    def compose_taylor(self, rows) -> list["Jet2"]:
-        """[(a0 + a1 d + a2 d^2) / den for (a0, a1, a2, den) in rows], with
-        d = self - self.value the nilpotent part (d^3 = 0)."""
-        d = self - self.value
-        d2 = (d * d).c
-        out = []
-        for a0, a1, a2, den in rows:
-            c1, c2 = Fraction(a1, den), Fraction(a2, den)
-            coeffs = {key: c1 * val for key, val in d.c.items()}
-            for key, val in d2.items():
-                coeffs[key] = coeffs.get(key, _ZERO) + c2 * val
-            coeffs[(0, 0)] = Fraction(a0, den)
-            out.append(Jet2(coeffs))
-        return out
+    @property
+    def denominator(self) -> int:
+        """The least positive int that makes every coefficient an int."""
+        return lcm(*(val.denominator for val in self.c.values()))
+
+    @property
+    def numerator(self) -> "Jet2":
+        """self * denominator, with int coefficients."""
+        den = self.denominator
+        return Jet2({key: val.numerator * (den // val.denominator)
+                     for key, val in self.c.items()})
 
     # -- ring operations ----------------------------------------------------
 
@@ -111,7 +107,7 @@ class Jet2:
             return NotImplemented
         out = dict(self.c)
         for key, val in o.c.items():
-            out[key] = out.get(key, _ZERO) + val
+            out[key] = out.get(key, 0) + val
         return Jet2(out)
 
     __radd__ = __add__
@@ -135,14 +131,14 @@ class Jet2:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
+        out: dict[tuple[int, int], int | Fraction] = {}
         for (i1, j1), a in self.c.items():
             for (i2, j2), b in o.c.items():
                 i, j = i1 + i2, j1 + j2
                 if i + j > 2:
                     continue
                 key = (i, j)
-                out[key] = out.get(key, _ZERO) + a * b
+                out[key] = out.get(key, 0) + a * b
         return Jet2(out)
 
     __rmul__ = __mul__
@@ -154,8 +150,7 @@ class Jet2:
             raise JetDivisionPole("jet division pole")
         # self = c0 (1 - u) with u nilpotent, so 1/self = (1 + u + u^2) / c0
         u = Jet2({key: -val / c0 for key, val in self.c.items() if key != (0, 0)})
-        one = Jet2({(0, 0): _ONE})
-        return (one + u + u * u) * (1 / c0)
+        return (1 + u + u * u) * (1 / c0)
 
     def __truediv__(self, other):
         o = _coerce(other)
@@ -174,7 +169,7 @@ class Jet2:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = Jet2({(0, 0): _ONE})
+        out = Jet2({(0, 0): 1})
         for _ in range(exponent):
             out = out * self
         return out

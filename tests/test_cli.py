@@ -134,6 +134,10 @@ def test_config_file_errors(tmp_path):
     unknown.write_text(json.dumps({"depth": 3}))
     code, _ = run_cli("check", "ID16", "--config", str(unknown))
     assert code == 2
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe{"seed":1}')
+    code, _ = run_cli("list", "--config", str(not_utf8))
+    assert code == 2
 
 
 def test_negative_n_max_or_samples_is_usage_error(tmp_path, capsys):

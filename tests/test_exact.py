@@ -313,13 +313,15 @@ def test_jet_path_has_the_fraction_branch_value():
 
 
 def reciprocal_case(x, n, rising):
-    """[(reciprocal_row(x, n), its reference)], or [] once the row is checked
-    to raise because some C(x+k, k) has no inverse."""
+    """[(reciprocal_row(x, n), its reference)], or [] once a root is checked:
+    when some C(x+k, k) has no inverse, the kernel or its ``over`` raises the
+    ring's own ZeroDivisionError (JetDivisionPole for a jet)."""
     try:
         inverses = [1 / v for v in rising]
-    except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
-            reciprocal_row(x, n)
+    except ZeroDivisionError as exc:
+        with pytest.raises(type(exc)):
+            row, den = reciprocal_row(x, n)
+            over(row[0], den)
         return []
     return [(reciprocal_row(x, n), inverses)]
 
@@ -346,11 +348,18 @@ def ring_rising_reference(x, n):
     return row
 
 
+def int_jet(v):
+    """v is a Jet2 with int coefficients."""
+    return type(v) is Jet2 and all(type(c) is int for c in v.c.values())
+
+
 def check_ring_kernels(x, n):
     """Every row kernel at a Jet2 or RatFunc x, equal to the running products.
-    A Jet2 row holds jets over 1; a RatFunc row holds MultiPoly numerators
-    over one MultiPoly denominator.  The shift row's reference is binom_poly
-    at the ring values x + k, which the last lines check at every ring value."""
+    A Jet2 row holds int-coefficient jets over one positive int (over one
+    int-coefficient jet for reciprocal_row); a RatFunc row holds MultiPoly
+    numerators over one MultiPoly denominator.  The shift row's reference is
+    binom_poly at the ring values x + k, which the last lines check at every
+    ring value."""
     falling, rising = ring_falling_reference(x, n), ring_rising_reference(x, n)
     powers = [x**0]
     for _ in range(n):
@@ -358,15 +367,16 @@ def check_ring_kernels(x, n):
     kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
                (power_row(x, n), powers),
                (shift_row(x, n), [binom_poly(x + k, n) for k in range(n + 1)])]
-    kernels += reciprocal_case(x, n, rising)
-    for (row, den), want in kernels:
+    reciprocal = reciprocal_case(x, n, rising)
+    for (row, den), want in kernels + reciprocal:
         if isinstance(x, Jet2):
-            assert den == 1 and over(row[-1], den) is row[-1]
-            assert all(type(v) is Jet2 for v in row)
-            assert row == want
+            assert all(int_jet(v) for v in row)
         else:
             assert type(den) is MultiPoly and all(type(v) is MultiPoly for v in row)
-            assert [over(v, den) for v in row] == want
+        assert [over(v, den) for v in row] == want
+    if isinstance(x, Jet2):
+        assert all(type(den) is int and den > 0 for (_, den), _ in kernels)
+        assert all(int_jet(den) for (_, den), _ in reciprocal)
     assert [binom_poly(x, k) for k in range(n + 1)] == falling
     assert [binom_upper_shift(x, k) for k in range(n + 1)] == rising
 

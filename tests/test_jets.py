@@ -79,6 +79,34 @@ def test_truncation_and_constant_coefficient():
         assert (a + b).value == a.value + b.value
 
 
+def test_jet_reads_as_int_numerator_over_least_int_denominator():
+    rng = random.Random(16)
+    jets = [random_jet(rng, slots) for slots in (1, 2) for _ in range(40)]
+    jets += [Jet2({}), Jet2.variable(F(3)), Jet2({(0, 0): F(5, 6), (1, 1): 4})]
+    for x in jets:
+        num, den = x.numerator, x.denominator
+        assert type(den) is int and den > 0
+        assert type(num) is Jet2 and all(type(c) is int for c in num.c.values())
+        assert num / den == x
+        # least: no den // r for a prime r | den makes every coefficient integral
+        for r in (2, 3, 5, 7):
+            if den % r == 0:
+                assert any((c * (den // r)).denominator != 1 for c in x.c.values())
+    assert Jet2.variable(F(3)).denominator == 1
+    assert Jet2({(0, 0): F(5, 6), (1, 1): 4}).denominator == 6
+
+
+def test_int_coefficients_stay_ints_and_accessors_give_fractions():
+    a = Jet2({(0, 0): 3, (1, 0): 1, (2, 0): -2})
+    b = Jet2({(0, 0): -2, (0, 1): 5, (1, 1): 4})
+    for v in (a + b, a - b, -a, a * b, 7 * a, 7 - a, a + 1, a**3, a**0, a * 0):
+        assert all(type(c) is int for c in v.c.values())
+        accessors = (v.value, v.first(1), v.first(2), v.second(1), v.second(2), v.mixed())
+        assert all(type(c) is Fraction for c in accessors)
+    assert ((a * b).value, (a * b).first(2), (a * b).mixed()) == (-6, 15, 1 * 5 + 3 * 4)
+    assert (a**2).second() == 2 * (2 * 3 * -2 + 1)
+
+
 def test_ring_axioms_random():
     rng = random.Random(12)
     for _ in range(40):
