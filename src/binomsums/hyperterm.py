@@ -9,13 +9,14 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes some variables (a parameter draw) once and returns a
-  :class:`BoundTerm`, whose ``row(point, var, ks)`` is the term along var at
-  the ks, with point giving the other free variables (n and j, along k, in
-  the certificate checks), under ``exact.py``'s ``(row, den)`` contract: ints
-  over one positive int denominator.  Each factor's values come from a row
-  kernel where they can.  A row raises what the first failing (k, factor)
-  raises, in point order: the ks in order, at each the sign, then the
-  factors in order.
+  :class:`BoundTerm`, whose ``rows(point, inner, js, var, ks)`` gives, for
+  each j in js, the term along var at the ks (n in point, the inner index j
+  and k along var in the certificate checks) as ints over one positive int
+  denominator, ``exact.py``'s ``(row, den)`` contract; ``row`` is the one-j
+  case.  Each factor is read from a row kernel where it can, along the one
+  variable it depends on: once along k, once along j, or at each j.  A row
+  raises what the first failing (k, factor) raises, in point order: the ks
+  in order, at each the sign, then the factors in order.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable.  A factor is evaluable when its lower
@@ -205,42 +206,70 @@ class BoundTerm:
         """([the term at var = k for k in ks] as ints, one positive int den), with
         point giving every other free variable a value; raises what the first
         failing (k, factor) raises, in point order."""
-        sign, slope = _line(self._sign, point, var)
-        signs = [sign + slope * k for k in ks]
-        failures = [(i, -1, ValueError("sign exponent is not an integer at this assignment"))
-                    for i, s in enumerate(signs) if s.denominator != 1][:1]
-        num, den, rows = self._constant.numerator, self._constant.denominator, []
+        return next(self.rows(point, None, (0,), var, ks))
+
+    def rows(self, point, inner, js, var, ks):
+        """For each j in js in turn, row({**point, inner: j}, var, ks), raising at the
+        first j whose row fails.  A factor free of inner is read once along var,
+        one free of var once along inner, and only a factor of both at each j."""
+        sign0, sign_j, sign_k = _line(self._sign, point, inner, var)
+        base, den = [self._constant.numerator] * len(ks), self._constant.denominator
+        failures, per_j = [], []
         for position, (top_split, bottom_split, exp, top, bottom) in enumerate(self._factors):
-            values, factor_den, failure = _binomial_row(
-                *_line(top_split, point, var), *_line(bottom_split, point, var), ks)
-            zero = next((i for i, v in enumerate(values) if not v), None) if exp == -1 else None
-            if zero is not None and (failure is None or zero < failure[0]):
-                failure = (zero, HyperTermPole(
-                    f"binom({top.render()},{bottom.render()}) vanished in a denominator"))
-            if failure is not None:
-                failures.append((failure[0], position, failure[1]))
-                continue
-            if exp == -1:
-                common = lcm(*values)
-                values, factor_den = [factor_den * (common // v) for v in values], common
-            rows.append(values)
-            den *= factor_den
-        if failures:
-            raise min(failures, key=lambda f: f[:2])[2]
-        row = [-num if s % 2 else num for s in signs]
-        for values in rows:     # one value: a factor constant along var
-            row = ([x * values[0] for x in row] if len(values) == 1
-                   else [x * v for x, v in zip(row, values)])
-        return row, den
+            t0, tj, tk = _line(top_split, point, inner, var)
+            b0, bj, bk = _line(bottom_split, point, inner, var)
+            factor = position, exp, top, bottom
+            if tj == bj == 0:       # one row along var, for every j
+                base, den = _times(base, den, factor, _binomial_row(t0, tk, b0, bk, ks), failures)
+            else:   # one row along inner if free of var and some k is read, as row reads it
+                per_j.append((t0, tj, tk, b0, bj, bk, factor, _binomial_row(t0, tj, b0, bj, js)
+                              if ks and tk == bk == 0 else None))
+        for index, j in enumerate(js):
+            signs = [sign0 + sign_j * j + sign_k * k for k in ks]
+            found = [(i, -1, ValueError("sign exponent is not an integer at this assignment"))
+                     for i, s in enumerate(signs) if s.denominator != 1][:1] + failures
+            row, row_den = [-x if s % 2 else x for x, s in zip(base, signs)], den
+            for t0, tj, tk, b0, bj, bk, factor, along in per_j:
+                if along and (along[2] is None or index < along[2][0]):
+                    read = along[0][index:index + 1], along[1], None
+                else:       # read at this j alone, as row reads it
+                    read = _binomial_row(t0 + tj * j, tk, b0 + bj * j, bk, ks)
+                row, row_den = _times(row, row_den, factor, read, found)
+            if found:
+                raise min(found, key=lambda f: f[:2])[2]
+            yield row, row_den
 
 
-def _line(split, point, var):
-    """A split form at point, along var: (its value at var = 0, its slope)."""
+def _line(split, point, inner, var):
+    """A split form at point: (its value at inner = var = 0, its two slopes)."""
     part, free = split
     for name, c in free:
-        if name != var:
+        if name != var and name != inner:
             part += c * point[name]
-    return part, dict(free).get(var, 0)
+    free = dict(free)
+    return part, free.get(inner, 0), free.get(var, 0)
+
+
+def _times(row, den, factor, read, failures):
+    """(row, den) times a factor's (values, den, failure) read, inverted for a
+    reciprocal factor, where a zero value is a pole; a failure goes to failures
+    as (index, position, exception) instead, and (row, den) stay as they were."""
+    position, exp, top, bottom = factor
+    values, factor_den, failure = read
+    if exp == -1:
+        zero = next((i for i, v in enumerate(values) if not v), None)
+        if zero is not None and (failure is None or zero < failure[0]):
+            failure = (zero, HyperTermPole(
+                f"binom({top.render()},{bottom.render()}) vanished in a denominator"))
+        elif failure is None:
+            common = lcm(*values)
+            values, factor_den = [factor_den * (common // v) for v in values], common
+    if failure is not None:
+        failures.append((failure[0], position, failure[1]))
+        return row, den
+    if len(values) == 1:     # one value: a factor constant along var
+        return [x * values[0] for x in row], den * factor_den
+    return [x * v for x, v in zip(row, values)], den * factor_den
 
 
 def _binomial_row(t0, a, b0, c, ks):

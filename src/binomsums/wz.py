@@ -22,9 +22,9 @@ Verification of a pair combines
       the telescoped sum, and
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
-(b), (c) and the telescoped sums run on seeded parameter draws, with the
-term read as int rows along k (:meth:`~binomsums.hyperterm.BoundTerm.row`)
-and the certificate as int polynomials.
+(b), (c) and the telescoped sums run on seeded parameter draws, one n at a
+time: the term as int rows along k for each inner j (``BoundTerm.rows``),
+and the certificate as int polynomials bound at each (n, k), read along j.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draw`, the same draw the
@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from math import lcm, prod
+from math import lcm
 
 from .expr import ExprSyntaxError, parse_ratfunc
 from .hyperterm import AffineForm, HyperTerm
@@ -327,26 +327,21 @@ class VerificationReport:
         return [row for row in self.rows if not row.ok]
 
 
-def _grid(pair: WZPair, n_max: int):
-    """(n, j, point) for n in 0..n_max and, for a pair with an inner index,
-    j in 0..n (else j is None); point maps n and j to those ints, and the
-    checks read the term along k from there."""
-    for n in range(n_max + 1):
-        for j in (range(n + 1) if pair.extra_index else (None,)):
-            point = {"n": n}
-            if j is not None:
-                point[pair.extra_index] = j
-            yield n, j, point
-
-
-def _int_poly(poly, assign):
-    """poly with assign put in and scaled by the one positive int that clears
-    its denominators, as a function that evaluates it at an int point."""
+def _int_poly(poly, assign, inner):
+    """poly with assign put in and scaled by the one positive int that clears its
+    denominators, as a function of (n, ks, js) that binds it at each (n, k) and
+    gives [[its value at (n, j, k) for j in js] for k in ks] (j the inner index)."""
     terms = poly.bind(assign).terms
     scale = lcm(*(c.denominator for c in terms.values()))
-    terms = [(int(c * scale), exp) for exp, c in terms.items()]
-    return lambda at: sum(c * prod(at[v] ** e for v, e in zip(VARS, exp) if e)
-                          for c, exp in terms)
+    terms = [(int(c * scale), dict(zip(VARS, exp))) for exp, c in terms.items()]
+
+    def values(n, ks, js):
+        columns = []
+        for k in ks:        # each term at (n, k): its coefficient and its power of j
+            along = [(c * n ** exp["n"] * k ** exp["k"], exp.get(inner, 0)) for c, exp in terms]
+            columns.append([sum(c * j ** e for c, e in along) for j in js])
+        return columns
+    return values
 
 
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
@@ -369,31 +364,36 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         # each row names its own first failing point; "" while none failed
         boundary_detail, base_detail, edge_failure = "", "", None
         try:
-            term = pair.term.bind(assign)
+            term, inner = pair.term.bind(assign), pair.extra_index
             # numerator and denominator bound apart, not through RatFunc,
             # so that a common factor vanishing on the grid stays a pole
-            cert_num = _int_poly(pair.certificate.num, assign)
-            cert_den = _int_poly(pair.certificate.den, assign)
-            for n, _, point in _grid(pair, n_max):
-                ks = (0, n + 2, n + 1)
-                poles = [i for i, k in enumerate(ks[:2]) if not cert_den({**point, "k": k})]
-                if poles:       # the term is read at the points before the pole
-                    term.row(point, "k", ks[:poles[0]])
-                    raise RatFuncPole("pole at assignment")
-                try:
-                    row, den = term.row(point, "k", ks)
-                except (ZeroDivisionError, ValueError) as exc:
-                    # boundary points are read first: an edge failure waits
-                    row, den = term.row(point, "k", ks[:2])
-                    edge_failure = edge_failure or exc
-                for k, value in zip(ks[:2], row):
-                    if value and cert_num({**point, "k": k}) and not boundary_detail:
-                        boundary_detail = f"G({n},{k}) != 0"
-                # base and edge values of the term itself
-                if n == 0 and row[0] != den:
-                    base_detail = "T(0,0) != 1"
-                if any(row[2:]) and not base_detail:
-                    base_detail = f"T({n},{n+1}) != 0"
+            cert_num = _int_poly(pair.certificate.num, assign, inner)
+            cert_den = _int_poly(pair.certificate.den, assign, inner)
+            for n in range(n_max + 1):
+                ks, js = (0, n + 2, n + 1), range(n + 1) if inner else (0,)
+                nums, dens = cert_num(n, ks[:2], js), cert_den(n, ks[:2], js)
+                reader = term.rows({"n": n}, inner, js, "k", ks)
+                for at, j in enumerate(js):
+                    poles = [i for i, column in enumerate(dens) if not column[at]]
+                    if poles:       # the term is read at the points before the pole
+                        next(term.rows({"n": n}, inner, (j,), "k", ks[:poles[0]]))
+                        raise RatFuncPole("pole at assignment")
+                    try:
+                        row, den = next(reader)
+                    except (ZeroDivisionError, ValueError) as exc:
+                        # boundary points are read first: an edge failure waits,
+                        # and a fresh reader goes on from the next j
+                        row, den = next(term.rows({"n": n}, inner, (j,), "k", ks[:2]))
+                        edge_failure = edge_failure or exc
+                        reader = term.rows({"n": n}, inner, js[at + 1:], "k", ks)
+                    for k, value, column in zip(ks[:2], row, nums):
+                        if value and column[at] and not boundary_detail:
+                            boundary_detail = f"G({n},{k}) != 0"
+                    # base and edge values of the term itself
+                    if n == 0 and row[0] != den:
+                        base_detail = "T(0,0) != 1"
+                    if any(row[2:]) and not base_detail:
+                        base_detail = f"T({n},{n+1}) != 0"
             if edge_failure:
                 raise edge_failure
         except (ZeroDivisionError, ValueError) as exc:
@@ -425,14 +425,15 @@ class TelescopeResult:
 def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
     shown = {k: str(v) for k, v in assign.items()}
     try:
-        term = pair.term.bind(assign)
-        for n, j, point in _grid(pair, n_max):
-            row, den = term.row(point, "k", range(n + 1))
-            if sum(row) != den:
-                return TelescopeResult(
-                    shown, False,
-                    f"sum at n={n}" + (f", j={j}" if j is not None else "")
-                    + f" is {Fraction(sum(row), den)}")
+        term, inner = pair.term.bind(assign), pair.extra_index
+        for n in range(n_max + 1):
+            js = range(n + 1) if inner else (0,)
+            for j, (row, den) in zip(js, term.rows({"n": n}, inner, js, "k", range(n + 1))):
+                if sum(row) != den:
+                    return TelescopeResult(
+                        shown, False,
+                        f"sum at n={n}" + (f", j={j}" if inner else "")
+                        + f" is {Fraction(sum(row), den)}")
     except TYPED_POLES as exc:
         return TelescopeResult(shown, None, f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:

@@ -11,19 +11,29 @@ import pytest
 from binomsums.cli import main
 
 
-# sha256 of `binomsums wz --n-max 20 --format json --seed 0`, the same bytes
-# that perfbench/golden.json pins for the wz-deep workload at seed 0
-GOLDEN_DEEP_WZ_SHA256 = "f3c17ca7acb120fab332c7610a0f349ec26f362744e65a7d9e50bb0fc750046d"
+# sha256 of `binomsums wz --n-max 20 --format json --seed N`, the same bytes
+# that perfbench/golden.json pins for the wz-deep workload at seeds 0-9.
+# These seeds exit 0: every row passes.
+GOLDEN_DEEP_WZ_SHA256 = {
+    0: "f3c17ca7acb120fab332c7610a0f349ec26f362744e65a7d9e50bb0fc750046d",
+    1: "f223276ee6a12eadcbe40ec8cc581dcca5a15c3548e684650f506752135aba32",
+    4: "91b7207fdb5cbad6548762e2715ec59c22cf42a4fa3203373ceffdd0d5e35ba2",
+    7: "f33d148aab893e1ecba2e80c6b01dc40eb76c8635eee9d765b8a29a98119b225",
+    9: "8523dd677485e6b4844806a4fb33de4666fb6a106ac5b36b49bfd8537abb8acf",
+}
 
-# the same run at seeds 2 and 3 (also pinned in perfbench/golden.json); their
-# thm3 draws include a positive integer p, so these bytes carry fail rows such
-# as "unexpected pole: binom(-49,-2) is indeterminate (0/0 ratio of poles)"
-# and pin the pole order and messages of the term's rows.  Those rows are the
-# known false fails of ROADMAP item 1: these pins move when its fix of thm3's
-# reject predicate lands.
+# The same run at the other seeds exits 1: their thm3 draws include a
+# positive integer p, so these bytes carry fail rows such as "unexpected
+# pole: binom(-49,-2) is indeterminate (0/0 ratio of poles)" and pin the pole
+# order and messages of the term's rows.  Those rows are the known false
+# fails of ROADMAP item 1: these pins move when its fix of thm3's reject
+# predicate lands.
 GOLDEN_DEEP_WZ_POLE_SHA256 = {
     2: "a084e0873d67c9e4b422ddfa9930b4eaa353b08fedc35d589f5ae4bc2708e783",
     3: "5f69b143c13628573717b7a4eb41b162d5cb78a7b6574d6a3a669967a2e25745",
+    5: "c4a1819d0bc442cf70506b5730d03917239a8b1f3f67f7e2e27ef9018a5525c8",
+    6: "d1ab4400c053f80ca44bb9b60a0363be2098eb8c36c951c32b6ed1706184250e",
+    8: "e43782d01b88c979f3ab6cb28c3f7fd04cc18dfa0fe5bc7740855ad036991966",
 }
 
 
@@ -176,12 +186,14 @@ def test_suite_small_run_json():
 
 
 def test_deep_wz_report_bytes_are_pinned(budget):
-    # the only Tier-1 run of the WZ grid past n = 10; the budget guards
+    # the only Tier-1 runs of the WZ grid past n = 10; the budget guards
     # against a hang, it is not a speed gate
-    with budget(60):
-        code, text = run_cli("wz", "--n-max", "20", "--format", "json", "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEEP_WZ_SHA256
+    for seed, digest in GOLDEN_DEEP_WZ_SHA256.items():
+        with budget(60):
+            code, text = run_cli("wz", "--n-max", "20", "--format", "json",
+                                 "--seed", str(seed))
+        assert code == 0, seed
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, seed
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_DEEP_WZ_POLE_SHA256))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from binomsums.hyperterm import (
     _eval_binomial,
 )
 from binomsums.params import draw
-from binomsums.wz import _grid, load_pair
+from binomsums.wz import load_pair
 
 F = Fraction
 
@@ -169,9 +170,11 @@ def test_bound_row_agrees_with_a_per_point_reference(name):
     if name == "thm3":
         draws.append({"s": F(1, 2), "p": F(3)})     # lands on 0/0 poles
     for assign in draws:
-        for n, _, point in _grid(pair, 6):
-            for ks in (range(n + 3), (0, n + 2, n + 1), (n + 2, 0), (n + 1,)):
-                _assert_row_matches(pair.term, assign, point, ks)
+        for n in range(7):
+            for j in range(n + 1) if pair.extra_index else (None,):
+                point = {"n": n} if j is None else {"n": n, pair.extra_index: j}
+                for ks in (range(n + 3), (0, n + 2, n + 1), (n + 2, 0), (n + 1,)):
+                    _assert_row_matches(pair.term, assign, point, ks)
 
 
 def test_bound_row_raises_the_first_failing_point():
@@ -203,6 +206,91 @@ def test_bound_row_raises_the_first_failing_point():
     with pytest.raises(HyperTermPole) as info:
         terms[0].bind({}).row({}, "k", range(5))
     assert str(info.value) == "binom(k,1) vanished in a denominator"
+
+
+def _assert_rows_match(term, assign, n, js, ks):
+    """rows({"n": n}, "j", js, "k", ks) gives the reference at every (j, k),
+    j by j, and raises what the reference raises at the first failing j (at
+    that j's first failing k)."""
+    def read(rows):
+        got = []
+        try:
+            for row in rows:
+                got.append(row)
+        except (HyperTermPole, ValueError) as exc:
+            got.append((type(exc), str(exc)))
+        return got
+
+    def by_points():
+        for j in js:
+            yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
+
+    def by_rows():
+        for row, den in term.bind(assign).rows({"n": n}, "j", js, "k", ks):
+            assert den > 0 and all(type(v) is int for v in row)
+            yield [F(v, den) for v in row]
+
+    assert read(by_rows()) == read(by_points()), (term.render(), assign, n, js, ks)
+
+
+def _grid_orders(n):
+    """Orders of j and of k to read at n: in order, out of order, past n."""
+    return [(range(n + 1), range(n + 1)), (range(n + 1), (0, n + 2, n + 1)),
+            ((n, 0), (n + 2, 0)), ((2, n + 1, 1), (3, 0, 1))]
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3"])
+def test_rows_along_j_agree_with_a_per_point_reference(name):
+    pair = load_pair(name)
+    rng = random.Random(f"rows:{name}")
+    draws = [draw(rng, pair.params, 6) for _ in range(3)]
+    if name == "thm3":
+        draws.append({"s": F(1, 2), "p": F(3)})     # lands on 0/0 poles
+    for assign in draws:
+        for n in range(7):
+            for js, ks in _grid_orders(n):
+                _assert_rows_match(pair.term, assign, n, js, ks)
+
+
+# factors that fail along k alone, along j alone, or along both, with the
+# first (j, k) each fails at for j, k >= 0
+FAILING_FACTORS = {
+    "k 0/0": (affine("2-k"), affine("-1"), 1),          # k >= 3
+    "k pole": (affine("k"), affine("1"), -1),           # k = 0
+    "j pole": (affine("j-1"), affine("1"), -1),         # j = 1 only
+    "j 0/0": (affine("j-2"), affine("j-3"), 1),         # j = 0, 1 only
+    "j 0/0 on": (affine("1-j"), affine("-1"), 1),       # j >= 2
+    "j not rational": (affine("1/3"), affine("j/2"), 1),   # odd j
+    "jk 0/0": (affine("j-k"), affine("-1"), 1),         # k > j
+    "jk pole": (affine("k-j"), affine("1"), -1),        # k = j
+}
+HEALTHY_FACTORS = [(affine("t+k"), affine("k"), 1), (affine("t+n"), affine("n-j"), -1),
+                   (affine("k"), affine("j"), 1)]
+
+
+def test_rows_along_j_raise_the_first_failing_point():
+    # each kind of failure alone and in pairs and triples, in both factor
+    # orders and among factors that never fail: the first failing j, and at
+    # it the first failing (k, factor), wins whichever kinds meet there
+    names = sorted(FAILING_FACTORS)
+    for size in (1, 2, 3):
+        for chosen in itertools.combinations(names, size):
+            failing = [FAILING_FACTORS[c] for c in chosen]
+            for factors in (HEALTHY_FACTORS[:1] + failing + HEALTHY_FACTORS[1:],
+                            failing[::-1] + HEALTHY_FACTORS):
+                for sign in ("n+k", "j/2"):
+                    term = HyperTerm(F(3, 2), affine(sign), tuple(factors))
+                    for n in range(4):
+                        for js, ks in _grid_orders(n):
+                            _assert_rows_match(term, {"t": F(1, 3)}, n, js, ks)
+    # a k-only pole at k = 0 and a j-only pole at j = 1 meet at (1, 0): the
+    # first factor's wins; at j = 0 only the k-only pole is there
+    term = HyperTerm(F(1), affine("0"), (FAILING_FACTORS["j pole"],
+                                         FAILING_FACTORS["k pole"]))
+    for js, message in (((1, 0), "binom(j-1,1)"), ((0, 1), "binom(k,1)")):
+        with pytest.raises(HyperTermPole) as info:
+            next(term.bind({}).rows({"n": 2}, "j", js, "k", range(3)))
+        assert str(info.value) == f"{message} vanished in a denominator"
 
 
 def test_bound_term_keeps_the_pole_message():

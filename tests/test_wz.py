@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from binomsums import hyperterm
 from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import HyperTerm
 from binomsums.params import draw
@@ -380,13 +381,54 @@ def test_telescoping_bare_division_by_zero_fails():
         def bind(self, fixed):
             return self
 
-        def row(self, point, var, ks):
-            return [F(1) / (point["n"] - point["n"])], 1
+        def rows(self, point, inner, js, var, ks):
+            yield [F(1) / (point["n"] - point["n"])], 1
 
     pair = replace(load_pair("thm2"), term=DividesByZero())
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
     assert results[0].ok is False
     assert "ZeroDivisionError" in results[0].reason
+
+
+def test_an_edge_failure_waits_for_the_later_boundary_points():
+    # binom(k-n-2-2*j, n-k) is 0/0 at the edge k = n+1 for every j, and at the
+    # boundary k = n+2 for j >= 1 only: the edge failure at (n, j) = (0, 0) is
+    # held, the points after it are still read, and the boundary failure at
+    # (1, 1) is the one reported
+    pair = load_pair("thm1")
+    term = parse_term_spec(pair.term.render() + " * binom(k-n-2-2*j,n-k)")
+    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1).rows
+    assert [(row.check, row.ok, row.detail) for row in rows[1:]] == [
+        ("draw-0", False,
+         "unexpected pole: binom(-2,-2) is indeterminate (0/0 ratio of poles)")]
+    # with the boundary failure gone, the held edge failure is reported
+    term = parse_term_spec(pair.term.render() + " * binom(k-n-2,n-k)")
+    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1).rows
+    assert rows[1].detail == (
+        "unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
+
+
+def test_each_factor_is_read_once_per_n(monkeypatch):
+    # each of thm1's kernel-read factors depends on k alone or on j alone, so
+    # both checks read each one once per n: at most 4 kernel rows per n, not
+    # 4 per (n, j)
+    calls = []
+
+    def counting(kernel):
+        def wrapped(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+        return wrapped
+
+    for name in ("binom_row", "rising_row"):
+        monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
+    pair, n_max = load_pair("thm1"), 8
+    assign = draw(random.Random("once:thm1"), pair.params, n_max)
+    assert telescoping_sum_check(pair, n_max, [assign])[0].ok is True
+    assert 0 < len(calls) <= 4 * (n_max + 1)
+    calls.clear()
+    assert verify_wz_pair(pair, n_max=n_max, samples=1).passed
+    assert 0 < len(calls) <= 4 * (n_max + 1)
 
 
 def test_a_non_rational_factor_is_a_fail_row():
