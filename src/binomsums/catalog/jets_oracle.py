@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..exact import (binom_int, binom_poly, digamma_diff, harmonic, harmonic_row, over,
-                     rising_row, trigamma_diff)
+from ..exact import harmonic
 from ..jets import Jet2
 from .entries import REGISTRY
 
@@ -34,7 +33,6 @@ F = Fraction
 __all__ = [
     "DerivSpec",
     "derived_identity_via_jets",
-    "general_s_second_derivative",
     "lift_sides",
     "oracle",
 ]
@@ -193,29 +191,3 @@ def oracle(entry_id: str, n: int, **params) -> tuple[Fraction, Fraction]:
         return oracle_id15(n, params["s"])
     return ORACLES[entry_id](n)
 
-
-def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
-    """The corrected general-s twice-differentiated identity.
-
-    Generated from the jets of ID07 (both second-derivative coefficients)
-    and, independently, from the closed forms
-
-        lhs = sum (-1)^(n+k) C(n,k) C(s+k,k) (H_k^2 + H_k^(2))
-        rhs = C(s,n) ((H_n + dd)^2 + H_n^(2) + td)
-
-    with dd = psi(s+1) - psi(s-n+1) and td = psi'(s+1) - psi'(s-n+1) as
-    rational differences.  At s = n the right side collapses to 4 H_n^2.
-    """
-    jet_lhs, jet_rhs = derived_identity_via_jets("ID07", _D_PP, n,
-                                                 {"s": s, "p": F(0)})
-    bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
-    h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too
-    terms = (binom_int(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
-    closed_lhs = over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * d2)
-    dd = digamma_diff(s, n)
-    td = trigamma_diff(s, n)
-    h_n = harmonic(n)
-    closed_rhs = binom_poly(s, n) * ((h_n + dd) ** 2 + harmonic(n, 2) + td)
-    return {"jet_lhs": jet_lhs, "jet_rhs": jet_rhs,
-            "closed_lhs": closed_lhs, "closed_rhs": closed_rhs}

@@ -17,6 +17,13 @@ leading coefficient.  Subtraction therefore normalizes to the zero RatFunc
 exactly when the two sides agree as functions, which is the zero-test the
 certificate verification reduces to.
 
+Coefficients are stored as nonzero Fractions, since content_primitive and
+the gcd helpers divide them with ``/``.  The inner loops run on ints: a
+product clears each operand's denominators by their lcm once, convolves the
+int numerators and builds one Fraction per output term, and an int or
+Fraction factor scales the coefficients; divexact subtracts from one int
+working dict in place.
+
 poly_gcd takes one of three routes:
 
 1. Short cut: a zero operand gives the primitive part of the other; a
@@ -45,7 +52,8 @@ gcd 1.  Such pairs go to the PRS.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd as int_gcd
+from math import comb, gcd as int_gcd, lcm
+from operator import add, sub
 from typing import Mapping
 
 __all__ = [
@@ -76,6 +84,12 @@ class RatFuncPole(ZeroDivisionError):
 
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
+
+
+def _int_terms(a: "MultiPoly") -> tuple[dict, int]:
+    """({exp: int numerator}, den): a's terms times their coefficient lcm."""
+    den = lcm(*[c.denominator for c in a.terms.values()])
+    return {exp: c.numerator * (den // c.denominator) for exp, c in a.terms.items()}, den
 
 
 class MultiPoly:
@@ -176,18 +190,27 @@ class MultiPoly:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            scale = Fraction(other)
+            res = MultiPoly.__new__(MultiPoly)
+            res.terms = {exp: c * scale for exp, c in self.terms.items()} if scale else {}
+            return res
+        if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(exp, _F0) + c1 * c2
-                if v:
-                    out[exp] = v
-                elif exp in out:
-                    del out[exp]
+        # int numerators over each operand's coefficient lcm: one int
+        # convolution, then one Fraction per output term
+        (n1, d1), (n2, d2) = _int_terms(self), _int_terms(other)
+        out: dict = {}
+        get = out.get
+        for e1, c1 in n1.items():
+            for e2, c2 in n2.items():
+                exp = tuple(map(add, e1, e2))
+                out[exp] = get(exp, 0) + c1 * c2
+        den = d1 * d2
+        for exp in [exp for exp, v in out.items() if not v]:
+            del out[exp]
+        for exp, v in out.items():
+            out[exp] = Fraction(v, den)
         res = MultiPoly.__new__(MultiPoly)
         res.terms = out
         return res
@@ -247,18 +270,9 @@ class MultiPoly:
         for exp, c in self.terms.items():
             e = exp[idx]
             for i in range(e + 1):
-                new_exp = list(exp)
-                new_exp[idx] = i
-                key = tuple(new_exp)
-                coeff = c * comb(e, i) * Fraction(delta) ** (e - i)
-                v = out.get(key, _F0) + coeff
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+                key = exp[:idx] + (i,) + exp[idx + 1:]
+                out[key] = out.get(key, _F0) + c * comb(e, i) * Fraction(delta) ** (e - i)
+        return MultiPoly(out)
 
     # -- content / primitive part -------------------------------------------
 
@@ -289,20 +303,37 @@ class MultiPoly:
         return NotImplemented if o is None else self.divexact(o)
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises ArithmeticError if not exact."""
+        """Exact polynomial division; raises ArithmeticError if not exact.
+
+        On int numerators: by Gauss's lemma an exact quotient by a primitive
+        int divisor has int coefficients, so a remainder means not exact."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d_exp, d_coeff = divisor.leading()
-        rem = self
-        out: dict[tuple[int, ...], Fraction] = {}
-        while not rem.is_zero:
-            r_exp, r_coeff = rem.leading()
-            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in q_exp):
+        rem, den = _int_terms(self)
+        d_terms, d_den = _int_terms(divisor)
+        content = int_gcd(*d_terms.values())
+        d_terms = {exp: c // content for exp, c in d_terms.items()}
+        d_exp = max(d_terms, key=_grlex_key)
+        d_lead = d_terms[d_exp]
+        out: dict = {}
+        while rem:
+            r_exp = max(rem, key=_grlex_key)
+            q_exp = tuple(map(sub, r_exp, d_exp))
+            q, r = divmod(rem[r_exp], d_lead)
+            if r or min(q_exp) < 0:
                 raise ArithmeticError("polynomial division is not exact")
-            q_coeff = r_coeff / d_coeff
-            out[q_exp] = q_coeff
-            rem = rem - MultiPoly({q_exp: q_coeff}) * divisor
+            out[q_exp] = q
+            # rem -= q * divisor, in place
+            for exp, c in d_terms.items():
+                exp = tuple(map(add, q_exp, exp))
+                v = rem.get(exp, 0) - q * c
+                if v:
+                    rem[exp] = v
+                else:
+                    del rem[exp]
+        den *= content
+        for exp, q in out.items():
+            out[exp] = Fraction(q * d_den, den)
         res = MultiPoly.__new__(MultiPoly)
         res.terms = out
         return res
@@ -345,15 +376,10 @@ class MultiPoly:
 
 def _coeffs_in(a: MultiPoly, idx: int) -> dict[int, MultiPoly]:
     """View a as univariate in VARS[idx] with MultiPoly coefficients."""
-    out: dict[int, MultiPoly] = {}
+    out: dict[int, dict] = {}
     for exp, c in a.terms.items():
-        e = exp[idx]
-        stripped = list(exp)
-        stripped[idx] = 0
-        key = tuple(stripped)
-        coeff = out.setdefault(e, MultiPoly.zero())
-        out[e] = coeff + MultiPoly({key: c})
-    return {e: p for e, p in out.items() if not p.is_zero}
+        out.setdefault(exp[idx], {})[exp[:idx] + (0,) + exp[idx + 1:]] = c
+    return {e: MultiPoly(terms) for e, terms in out.items()}
 
 
 def _prem(a: MultiPoly, b: MultiPoly, idx: int) -> MultiPoly:
@@ -433,20 +459,9 @@ def _eval_var_int(a: MultiPoly, idx: int, point: int) -> MultiPoly:
     out: dict[tuple[int, ...], Fraction] = {}
     for exp, c in a.terms.items():
         e = exp[idx]
-        key = exp
-        if e:
-            stripped = list(exp)
-            stripped[idx] = 0
-            key = tuple(stripped)
-            c = c * point**e
-        v = out.get(key, _F0) + c
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
-    res = MultiPoly.__new__(MultiPoly)
-    res.terms = out
-    return res
+        key = exp[:idx] + (0,) + exp[idx + 1:]
+        out[key] = out.get(key, _F0) + (c * point**e if e else c)
+    return MultiPoly(out)
 
 
 def _divides(candidate: MultiPoly, a: MultiPoly) -> bool:
@@ -462,27 +477,21 @@ def _interpolate_digits(values: MultiPoly, idx: int, point: int) -> MultiPoly:
     half = point // 2
     out: dict[tuple[int, ...], Fraction] = {}
     power = 0
-    current = values
-    while not current.is_zero:
+    current = values.terms
+    while current:
         rest: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in current.terms.items():
+        for exp, c in current.items():
             digit = c.numerator % point
             if digit > half:
                 digit -= point
             if digit:
-                placed = list(exp)
-                placed[idx] = power
-                out[tuple(placed)] = Fraction(digit)
+                out[exp[:idx] + (power,) + exp[idx + 1:]] = Fraction(digit)
             carry = (c - digit) / point
             if carry:
                 rest[exp] = carry
-        nxt = MultiPoly.__new__(MultiPoly)
-        nxt.terms = rest
-        current = nxt
+        current = rest
         power += 1
-    res = MultiPoly.__new__(MultiPoly)
-    res.terms = out
-    return res
+    return MultiPoly(out)
 
 
 def _int_content(a: MultiPoly) -> int:

@@ -10,7 +10,15 @@ import pytest
 from binomsums.exact import binom_poly, digamma_diff
 from binomsums.jets import Jet2, JetDivisionPole
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+
 F = Fraction
+KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def random_jet(rng: random.Random, slots: int = 2) -> Jet2:
@@ -196,3 +204,89 @@ def test_digamma_diff_lifts():
     jet = digamma_diff(Jet2.variable(s0), 3)
     assert jet.value == digamma_diff(s0, 3)
     assert jet.first() == -sum(1 / (s0 - i) ** 2 for i in range(3))
+
+
+# ---------------------------------------------------------------------------
+# The six written-out slots against the definition
+# ---------------------------------------------------------------------------
+
+def truncated_convolution(a: dict, b: dict) -> dict:
+    """The product from the definition: every pair of terms, degree > 2 dropped."""
+    out = {}
+    for (i1, j1), x in a.items():
+        for (i2, j2), y in b.items():
+            if i1 + i2 + j1 + j2 <= 2:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+if st is not None:
+    INTS = st.integers(-30, 30)
+    FRACTIONS = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    # all-int slots, all-Fraction slots, or a mix; zero slots included
+    SLOTS = st.one_of(*(st.dictionaries(st.sampled_from(KEYS), values, max_size=6)
+                        for values in (INTS, FRACTIONS, st.one_of(INTS, FRACTIONS))))
+
+
+@needs_hypothesis
+def test_written_out_product_is_the_truncated_convolution():
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(SLOTS, SLOTS, st.one_of(INTS, FRACTIONS))
+    def check(a, b, scalar):
+        x, y = Jet2(a), Jet2(b)
+        product = x * y
+        assert product.c == truncated_convolution(a, b)
+        if all(type(v) is int for v in (*a.values(), *b.values())):
+            assert all(type(v) is int for v in product.c.values())
+        for got in (x * scalar, scalar * x):
+            assert got.c == truncated_convolution(a, {(0, 0): scalar})
+        shifted = {**a, (0, 0): a.get((0, 0), 0) + scalar}
+        assert (x + scalar).c == {key: v for key, v in shifted.items() if v}
+        assert x + scalar == x + Jet2({(0, 0): scalar})
+        assert x - scalar == x - Jet2({(0, 0): scalar})
+        assert scalar - x == Jet2({(0, 0): scalar}) - x
+        # .c lists the nonzero slots only, keyed by the orders in e1, e2
+        assert x.c == {key: v for key, v in a.items() if v}
+        assert all(v != 0 for v in product.c.values())
+
+    check()
+
+
+@needs_hypothesis
+def test_dividing_by_an_int_scales_by_its_reciprocal():
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(SLOTS, st.integers(-50, 50).filter(bool))
+    def check(a, d):
+        x = Jet2(a)
+        assert x / d == x * F(1, d)
+        assert x / F(d) == x * F(1, d)
+        assert all(type(v) is Fraction for v in (x / d).c.values())
+        assert (x * d) / d == x
+
+    check()
+
+
+def test_equality_ignores_int_against_fraction_slots():
+    ints = Jet2({(0, 0): 3, (1, 0): -2, (1, 1): 5})
+    fractions = Jet2({(0, 0): F(3), (1, 0): F(-2), (1, 1): F(10, 2)})
+    assert ints == fractions and fractions == ints
+    assert ints != Jet2({(0, 0): 3, (1, 0): -2})
+    assert Jet2({(0, 0): 3}) == 3 == Jet2({(0, 0): F(3)})
+    assert Jet2({(0, 0): F(3, 2)}) == F(3, 2)
+    assert Jet2({(0, 0): 3, (0, 2): 1}) != 3
+    assert Jet2({}) == 0 == Jet2({(1, 1): F(0)})
+    assert Jet2({(2, 0): 0}).c == {} and Jet2({(2, 0): F(0)}).c == {}
+
+
+def test_division_by_a_jet_with_zero_constant_term_raises():
+    x = Jet2({(0, 0): F(2, 3), (1, 0): 1, (0, 2): F(5, 7)})
+    for zero in (Jet2({(1, 0): 1}), Jet2({(0, 0): F(0), (1, 1): 3}), Jet2({})):
+        for numerator in (x, 1, F(1, 2)):
+            with pytest.raises(JetDivisionPole):
+                numerator / zero
+        with pytest.raises(JetDivisionPole):
+            zero ** -1
+    for zero in (0, F(0)):
+        with pytest.raises(JetDivisionPole):
+            x / zero

@@ -13,11 +13,11 @@ from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.jets_oracle import (
     DerivSpec,
     derived_identity_via_jets,
-    general_s_second_derivative,
     lift_sides,
     oracle,
 )
-from binomsums.exact import harmonic, render_rational
+from binomsums.exact import (binom_int, binom_poly, digamma_diff, harmonic, harmonic_row,
+                             over, render_rational, rising_row, trigamma_diff)
 
 F = Fraction
 
@@ -98,6 +98,33 @@ def test_oracle_id15_with_draws():
             direct = check_identity("ID15", n, draw)
             assert direct.status == "pass"
             assert left == direct.lhs
+
+
+def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
+    """The corrected general-s twice-differentiated identity.
+
+    Generated from the jets of ID07 (both second-derivative coefficients)
+    and, independently, from the closed forms
+
+        lhs = sum (-1)^(n+k) C(n,k) C(s+k,k) (H_k^2 + H_k^(2))
+        rhs = C(s,n) ((H_n + dd)^2 + H_n^(2) + td)
+
+    with dd = psi(s+1) - psi(s-n+1) and td = psi'(s+1) - psi'(s-n+1) as
+    rational differences.  At s = n the right side collapses to 4 H_n^2.
+    """
+    jet_lhs, jet_rhs = derived_identity_via_jets(
+        "ID07", DerivSpec((("p", 2),), rescale="binom_n_p"), n, {"s": s, "p": F(0)})
+    bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
+    h, _ = harmonic_row(n)
+    h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too
+    terms = (binom_int(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
+    closed_lhs = over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * d2)
+    dd = digamma_diff(s, n)
+    td = trigamma_diff(s, n)
+    h_n = harmonic(n)
+    closed_rhs = binom_poly(s, n) * ((h_n + dd) ** 2 + harmonic(n, 2) + td)
+    return {"jet_lhs": jet_lhs, "jet_rhs": jet_rhs,
+            "closed_lhs": closed_lhs, "closed_rhs": closed_rhs}
 
 
 def test_general_s_second_derivative():

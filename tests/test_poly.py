@@ -17,6 +17,13 @@ from binomsums.poly import (
     poly_gcd,
 )
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+
 F = Fraction
 
 
@@ -366,3 +373,133 @@ def test_schwartz_zippel_smoke():
             except RatFuncPole:
                 continue
         assert hits >= 1
+
+
+# ---------------------------------------------------------------------------
+# The int product and division against a term-by-term Fraction reference
+# ---------------------------------------------------------------------------
+
+def _grlex(exp):
+    return (sum(exp), exp)
+
+
+def reference_mul(a: dict, b: dict) -> dict:
+    """a * b, one Fraction product and sum per pair of terms."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            out[exp] = out.get(exp, F(0)) + F(c1) * F(c2)
+    return {exp: c for exp, c in out.items() if c}
+
+
+def reference_add(a: dict, b: dict) -> dict:
+    out = {exp: F(c) for exp, c in a.items()}
+    for exp, c in b.items():
+        out[exp] = out.get(exp, F(0)) + c
+    return {exp: c for exp, c in out.items() if c}
+
+
+def reference_divexact(a: dict, b: dict) -> dict:
+    """a / b by graded-lex long division in Fractions; ArithmeticError when
+    a leading term does not divide (the division is not exact)."""
+    d_exp = max(b, key=_grlex)
+    rem, out = {exp: F(c) for exp, c in a.items() if c}, {}
+    while rem:
+        r_exp = max(rem, key=_grlex)
+        q_exp = tuple(x - y for x, y in zip(r_exp, d_exp))
+        if min(q_exp) < 0:
+            raise ArithmeticError("not exact")
+        q = rem[r_exp] / b[d_exp]
+        out[q_exp] = q
+        rem = reference_add(rem, reference_mul({q_exp: -q}, b))
+    return out
+
+
+def stored_as_fractions(p: MultiPoly) -> bool:
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+if st is not None:
+    COEFFS = st.one_of(st.integers(-9, 9),
+                       st.builds(F, st.integers(-40, 40), st.integers(1, 12)))
+    # sparse: up to six terms over three of the eight variables
+    EXPS = st.tuples(*(st.integers(0, 3) for _ in range(3))).map(
+        lambda e: (e[0], 0, e[1], 0, 0, e[2], 0, 0))
+    TERMS = st.dictionaries(EXPS, COEFFS, max_size=6)
+
+
+@needs_hypothesis
+def test_product_equals_the_fraction_reference():
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(TERMS, TERMS, TERMS, COEFFS)
+    def check(a, b, c, scalar):
+        pa, pb, pc = MultiPoly(a), MultiPoly(b), MultiPoly(c)
+        minus_c = {exp: -v for exp, v in c.items()}
+        scaled = reference_mul(a, {(0,) * 8: scalar})
+        cases = [
+            (pa * pb, reference_mul(a, b)),
+            # (a + c)(a - c): the cross terms cancel inside one product
+            ((pa + pc) * (pa - pc),
+             reference_mul(reference_add(a, c), reference_add(a, minus_c))),
+            (pa * MultiPoly.zero(), {}),
+            (pa * scalar, scaled),
+            (scalar * pa, scaled),
+            (pa * F(scalar), scaled),
+            (pa * MultiPoly.const(scalar), scaled),
+            (MultiPoly.const(scalar) * pa, scaled),
+            (pa * 0, {}),
+        ]
+        for exp, v in list(b.items())[:1]:                 # a one-term operand
+            cases.append((pa * MultiPoly({exp: v}), reference_mul(a, {exp: v})))
+        for got, want in cases:
+            assert got.terms == want
+            assert stored_as_fractions(got)
+        assert ((pa + pc) * (pa - pc)).terms == (pa * pa - pc * pc).terms
+
+    check()
+
+
+@needs_hypothesis
+def test_divexact_equals_the_fraction_reference():
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(TERMS, TERMS, TERMS)
+    def check(a, b, r):
+        pa, pb = MultiPoly(a), MultiPoly(b)
+        if pb.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                pa.divexact(pb)
+            return
+        product = pa * pb
+        quotient = product.divexact(pb)
+        assert quotient == pa and stored_as_fractions(quotient)
+        assert quotient.terms == reference_divexact(product.terms, pb.terms)
+        # a dividend that need not be a multiple: exact or not, both agree
+        dividend = product + MultiPoly(r)
+        try:
+            want = reference_divexact(dividend.terms, pb.terms)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                dividend.divexact(pb)
+        else:
+            got = dividend.divexact(pb)
+            assert got.terms == want and stored_as_fractions(got)
+            assert got * pb == dividend
+
+    check()
+
+
+def test_inexact_divisions_raise(budget):
+    n, k = MultiPoly.var("n"), MultiPoly.var("k")
+    cases = [(n * n + 1, n), (n * k + 1, n + k), (n + F(1, 2), 2 * n + 3),
+             (n * n * k, n * k + k * k), (MultiPoly.const(1), n),
+             # the leading coefficient 1 is not a multiple of 2
+             (n + 1, 2 * n + 1), (3 * n * n + n, 2 * n + 1)]
+    with budget(10):            # a division that loops fails instead of hanging
+        for a, b in cases:
+            with pytest.raises(ArithmeticError):
+                a.divexact(b)
+    # a divisor with rational coefficients and an int content
+    q = (n * F(3, 4) + k * F(3, 2)).divexact(F(3, 4) * n + F(3, 2) * k)
+    assert q == MultiPoly.const(1) and stored_as_fractions(q)
+    assert stored_as_fractions((6 * n * n + 4 * n).divexact(3 * n + 2))
