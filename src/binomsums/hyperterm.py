@@ -81,7 +81,7 @@ class AffineForm:
             raise ValueError("not an affine expression (non-constant divisor)")
         if r.num.degree() > 1:
             raise ValueError("not an affine expression (degree > 1)")
-        terms = r.num.terms
+        terms = r.num.coeffs()
         coeffs = {VARS[exp.index(1)]: c for exp, c in terms.items() if any(exp)}
         return cls.make(terms.get((0,) * len(VARS), 0), coeffs)
 

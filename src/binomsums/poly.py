@@ -17,12 +17,13 @@ leading coefficient.  Subtraction therefore normalizes to the zero RatFunc
 exactly when the two sides agree as functions, which is the zero-test the
 certificate verification reduces to.
 
-Coefficients are stored as nonzero Fractions, since content_primitive and
-the gcd helpers divide them with ``/``.  The inner loops run on ints: a
-product clears each operand's denominators by their lcm once, convolves the
-int numerators and builds one Fraction per output term, and an int or
-Fraction factor scales the coefficients; divexact subtracts from one int
-working dict in place.
+Coefficients are stored as nonzero ints over one int denominator den > 0
+that shares no factor with all of them, so the stored form is canonical and
+``==`` compares the data.  Every operation runs on the ints: a sum adds
+them over the lcm of the two denominators, a product convolves them over
+d1*d2, and each divides out one gcd with the new denominator; divexact
+subtracts from one int working dict in place.  ``coeffs()`` is the Fraction
+view.  A RatFunc sum over equal denominators adds the numerators only.
 
 poly_gcd takes one of three routes:
 
@@ -86,22 +87,40 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), exp)
 
 
-def _int_terms(a: "MultiPoly") -> tuple[dict, int]:
-    """({exp: int numerator}, den): a's terms times their coefficient lcm."""
-    den = lcm(*[c.denominator for c in a.terms.values()])
-    return {exp: c.numerator * (den // c.denominator) for exp, c in a.terms.items()}, den
+def _reduced(terms: dict, den: int) -> "MultiPoly":
+    """The MultiPoly terms/den, for int terms and an int den > 0: the zero terms
+    go and both sides are divided by their gcd, which makes the form canonical."""
+    for exp in [exp for exp, c in terms.items() if not c]:
+        del terms[exp]
+    if den != 1:
+        g = int_gcd(den, *terms.values())
+        if g != 1:
+            terms = {exp: c // g for exp, c in terms.items()}
+            den //= g
+    res = MultiPoly.__new__(MultiPoly)
+    res.terms = terms
+    res.den = den
+    return res
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent 8-tuple to nonzero Fraction."""
+    """Sparse polynomial: map from exponent 8-tuple to nonzero int, over the
+    one int den > 0 (see module docstring)."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        if terms:
-            self.terms = {exp: c for exp, c in terms.items() if c}
-        else:
-            self.terms = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], int | Fraction] | None = None):
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"polynomial coefficients are int or Fraction, "
+                                f"not {type(c).__name__}")
+        # over the lcm of the reduced denominators, no prime divides den and
+        # every numerator
+        den = lcm(*[c.denominator for c in terms.values()])
+        self.terms = {exp: c.numerator * (den // c.denominator)
+                      for exp, c in terms.items() if c}
+        self.den = den
 
     # -- constructors ---------------------------------------------------
 
@@ -111,7 +130,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value) -> "MultiPoly":
-        return cls({_ZERO_EXP: Fraction(value)})
+        return cls({_ZERO_EXP: value})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
@@ -119,13 +138,17 @@ class MultiPoly:
             raise ValueError(f"unknown variable {name!r}; known: {', '.join(VARS)}")
         exp = [0] * _NVARS
         exp[_INDEX[name]] = 1
-        return cls({tuple(exp): _F1})
+        return cls({tuple(exp): 1})
 
     # -- structure --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        """The coefficients as Fractions: {exponent: numerator / den}."""
+        return {exp: Fraction(c, self.den) for exp, c in self.terms.items()}
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -144,7 +167,7 @@ class MultiPoly:
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """(exponent, coefficient) of the graded-lex leading term."""
         exp = max(self.terms, key=_grlex_key)
-        return exp, self.terms[exp]
+        return exp, Fraction(self.terms[exp], self.den)
 
     # -- ring operations --------------------------------------------------
 
@@ -159,22 +182,20 @@ class MultiPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
+        den = lcm(self.den, o.den)
+        s1, s2 = den // self.den, den // o.den
+        out = {exp: c * s1 for exp, c in self.terms.items()}
+        get = out.get
         for exp, c in o.terms.items():
-            v = out.get(exp, _F0) + c
-            if v:
-                out[exp] = v
-            elif exp in out:
-                del out[exp]
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+            out[exp] = get(exp, 0) + c * s2
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         res = MultiPoly.__new__(MultiPoly)
         res.terms = {exp: -c for exp, c in self.terms.items()}
+        res.den = self.den
         return res
 
     def __sub__(self, other):
@@ -191,29 +212,17 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scale = Fraction(other)
-            res = MultiPoly.__new__(MultiPoly)
-            res.terms = {exp: c * scale for exp, c in self.terms.items()} if scale else {}
-            return res
+            p, q = other.numerator, other.denominator
+            return _reduced({exp: c * p for exp, c in self.terms.items()}, self.den * q)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        # int numerators over each operand's coefficient lcm: one int
-        # convolution, then one Fraction per output term
-        (n1, d1), (n2, d2) = _int_terms(self), _int_terms(other)
         out: dict = {}
         get = out.get
-        for e1, c1 in n1.items():
-            for e2, c2 in n2.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 exp = tuple(map(add, e1, e2))
                 out[exp] = get(exp, 0) + c1 * c2
-        den = d1 * d2
-        for exp in [exp for exp, v in out.items() if not v]:
-            del out[exp]
-        for exp, v in out.items():
-            out[exp] = Fraction(v, den)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -234,7 +243,7 @@ class MultiPoly:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.terms == o.terms and self.den == o.den
 
     __hash__ = None
 
@@ -248,31 +257,34 @@ class MultiPoly:
                 if e:
                     val *= assign[VARS[i]] ** e
             total += val
-        return total
+        return total / self.den
 
     def bind(self, fixed: Mapping[str, Fraction]) -> "MultiPoly":
         """Substitute the variables named in fixed; the others stay free."""
         out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
+        for exp, c in self.coeffs().items():
             for i, e in enumerate(exp):
                 if e and VARS[i] in fixed:
                     c *= fixed[VARS[i]] ** e
             key = tuple(0 if VARS[i] in fixed else e for i, e in enumerate(exp))
-            out[key] = out.get(key, _F0) + c
+            out[key] = out.get(key, 0) + c
         return MultiPoly(out)
 
     def shift(self, name: str, delta: int) -> "MultiPoly":
-        """Substitute name -> name + delta, expanding (x+delta)^e binomially."""
+        """Substitute name -> name + delta, expanding (x+delta)^e binomially.
+
+        The substitution is invertible over the integers, so the int
+        numerators keep their gcd and den stays."""
         if delta == 0:
             return self
         idx = _INDEX[name]
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for exp, c in self.terms.items():
             e = exp[idx]
             for i in range(e + 1):
                 key = exp[:idx] + (i,) + exp[idx + 1:]
-                out[key] = out.get(key, _F0) + c * comb(e, i) * Fraction(delta) ** (e - i)
-        return MultiPoly(out)
+                out[key] = out.get(key, 0) + c * comb(e, i) * delta ** (e - i)
+        return _reduced(out, self.den)
 
     # -- content / primitive part -------------------------------------------
 
@@ -285,17 +297,13 @@ class MultiPoly:
         """
         if not self.terms:
             return _F1, self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = int_gcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if self.leading()[1] < 0:
-            content = -content
+        g = int_gcd(*self.terms.values())
+        if self.terms[max(self.terms, key=_grlex_key)] < 0:
+            g = -g
         prim = MultiPoly.__new__(MultiPoly)
-        prim.terms = {exp: c / content for exp, c in self.terms.items()}
-        return content, prim
+        prim.terms = {exp: c // g for exp, c in self.terms.items()}
+        prim.den = 1
+        return Fraction(g, self.den), prim
 
     def __floordiv__(self, other):
         """Exact division (:meth:`divexact`): the ``//`` of the exact row kernels."""
@@ -309,10 +317,9 @@ class MultiPoly:
         int divisor has int coefficients, so a remainder means not exact."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem, den = _int_terms(self)
-        d_terms, d_den = _int_terms(divisor)
-        content = int_gcd(*d_terms.values())
-        d_terms = {exp: c // content for exp, c in d_terms.items()}
+        rem = dict(self.terms)
+        content = int_gcd(*divisor.terms.values())
+        d_terms = {exp: c // content for exp, c in divisor.terms.items()}
         d_exp = max(d_terms, key=_grlex_key)
         d_lead = d_terms[d_exp]
         out: dict = {}
@@ -322,7 +329,7 @@ class MultiPoly:
             q, r = divmod(rem[r_exp], d_lead)
             if r or min(q_exp) < 0:
                 raise ArithmeticError("polynomial division is not exact")
-            out[q_exp] = q
+            out[q_exp] = q * divisor.den
             # rem -= q * divisor, in place
             for exp, c in d_terms.items():
                 exp = tuple(map(add, q_exp, exp))
@@ -331,12 +338,7 @@ class MultiPoly:
                     rem[exp] = v
                 else:
                     del rem[exp]
-        den *= content
-        for exp, q in out.items():
-            out[exp] = Fraction(q * d_den, den)
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        return _reduced(out, self.den * content)
 
     # -- display ----------------------------------------------------------
 
@@ -345,7 +347,7 @@ class MultiPoly:
             return "0"
         parts = []
         for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exp]
+            c = Fraction(self.terms[exp], self.den)
             factors = []
             for i, e in enumerate(exp):
                 if e == 1:
@@ -379,7 +381,7 @@ def _coeffs_in(a: MultiPoly, idx: int) -> dict[int, MultiPoly]:
     out: dict[int, dict] = {}
     for exp, c in a.terms.items():
         out.setdefault(exp[idx], {})[exp[:idx] + (0,) + exp[idx + 1:]] = c
-    return {e: MultiPoly(terms) for e, terms in out.items()}
+    return {e: _reduced(terms, a.den) for e, terms in out.items()}
 
 
 def _prem(a: MultiPoly, b: MultiPoly, idx: int) -> MultiPoly:
@@ -452,16 +454,16 @@ class _HeuristicFailed(Exception):
 
 
 def _int_norm(a: MultiPoly) -> int:
-    return max(abs(c.numerator) for c in a.terms.values())
+    return max(abs(c) for c in a.terms.values())
 
 
 def _eval_var_int(a: MultiPoly, idx: int, point: int) -> MultiPoly:
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     for exp, c in a.terms.items():
         e = exp[idx]
         key = exp[:idx] + (0,) + exp[idx + 1:]
-        out[key] = out.get(key, _F0) + (c * point**e if e else c)
-    return MultiPoly(out)
+        out[key] = out.get(key, 0) + (c * point**e if e else c)
+    return _reduced(out, a.den)
 
 
 def _divides(candidate: MultiPoly, a: MultiPoly) -> bool:
@@ -475,36 +477,27 @@ def _divides(candidate: MultiPoly, a: MultiPoly) -> bool:
 def _interpolate_digits(values: MultiPoly, idx: int, point: int) -> MultiPoly:
     """Rebuild a polynomial in VARS[idx] from its balanced base-point digits."""
     half = point // 2
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], int] = {}
     power = 0
     current = values.terms
     while current:
-        rest: dict[tuple[int, ...], Fraction] = {}
+        rest: dict[tuple[int, ...], int] = {}
         for exp, c in current.items():
-            digit = c.numerator % point
+            digit = c % point
             if digit > half:
                 digit -= point
             if digit:
-                out[exp[:idx] + (power,) + exp[idx + 1:]] = Fraction(digit)
-            carry = (c - digit) / point
+                out[exp[:idx] + (power,) + exp[idx + 1:]] = digit
+            carry = (c - digit) // point
             if carry:
                 rest[exp] = carry
         current = rest
         power += 1
-    return MultiPoly(out)
-
-
-def _int_content(a: MultiPoly) -> int:
-    out = 0
-    for c in a.terms.values():
-        out = int_gcd(out, c.numerator)
-        if out == 1:
-            return 1
-    return out
+    return _reduced(out, 1)
 
 
 def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Heuristic gcd of two nonzero integer-coefficient polynomials.
+    """Heuristic gcd of two nonzero integer-coefficient polynomials (den 1).
 
     The integer-content gcd is split off at every level and multiplied back
     at the end: the content of the evaluated images carries the point-power
@@ -514,8 +507,8 @@ def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """
     used = a.variables() | b.variables()
     if not used:
-        return MultiPoly.const(int_gcd(int(_int_norm(a)), int(_int_norm(b))))
-    ca, cb = _int_content(a), _int_content(b)
+        return MultiPoly.const(int_gcd(_int_norm(a), _int_norm(b)))
+    ca, cb = int_gcd(*a.terms.values()), int_gcd(*b.terms.values())
     content = int_gcd(ca, cb)
     if ca > 1:
         a = a * Fraction(1, ca)
@@ -558,7 +551,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     pb = b.content_primitive()[1]
     if len(pa.terms) == 1 and len(pb.terms) == 1:
         exp = tuple(min(e1, e2) for e1, e2 in zip(*pa.terms, *pb.terms))
-        return MultiPoly({exp: _F1})
+        return MultiPoly({exp: 1})
     try:
         return _heugcd(pa, pb)
     except _HeuristicFailed:
@@ -628,6 +621,8 @@ class RatFunc:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:       # den 1 in most sums: canonical forms are unique
+            return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__

@@ -52,7 +52,6 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 
 from .expr import ExprSyntaxError, parse_ratfunc
 from .hyperterm import AffineForm, HyperTerm
@@ -328,12 +327,10 @@ class VerificationReport:
 
 
 def _int_poly(poly, assign, inner):
-    """poly with assign put in and scaled by the one positive int that clears its
-    denominators, as a function of (n, ks, js) that binds it at each (n, k) and
-    gives [[its value at (n, j, k) for j in js] for k in ks] (j the inner index)."""
-    terms = poly.bind(assign).terms
-    scale = lcm(*(c.denominator for c in terms.values()))
-    terms = [(int(c * scale), dict(zip(VARS, exp))) for exp, c in terms.items()]
+    """poly with assign put in, read as its int numerators (times its den), as a
+    function of (n, ks, js) that binds it at each (n, k) and gives
+    [[its value at (n, j, k) for j in js] for k in ks] (j the inner index)."""
+    terms = [(c, dict(zip(VARS, exp))) for exp, c in poly.bind(assign).terms.items()]
 
     def values(n, ks, js):
         columns = []

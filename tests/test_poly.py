@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -122,13 +123,8 @@ def test_content_primitive():
     c, prim = p.content_primitive()
     assert c * prim == p
     assert prim.leading()[1] > 0
-    nums = [coeff.numerator for coeff in prim.terms.values()]
-    assert all(coeff.denominator == 1 for coeff in prim.terms.values())
-    from math import gcd
-    g = 0
-    for v in nums:
-        g = gcd(g, v)
-    assert g == 1
+    assert prim.den == 1
+    assert gcd(*prim.terms.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +412,12 @@ def reference_divexact(a: dict, b: dict) -> dict:
     return out
 
 
-def stored_as_fractions(p: MultiPoly) -> bool:
-    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+def canonical(p: MultiPoly) -> bool:
+    """The stored form: nonzero int numerators over one int den > 0 that shares
+    no factor with all of them."""
+    values = list(p.terms.values())
+    return (all(type(c) is int and c != 0 for c in values)
+            and type(p.den) is int and p.den > 0 and gcd(p.den, *values) == 1)
 
 
 if st is not None:
@@ -453,9 +453,9 @@ def test_product_equals_the_fraction_reference():
         for exp, v in list(b.items())[:1]:                 # a one-term operand
             cases.append((pa * MultiPoly({exp: v}), reference_mul(a, {exp: v})))
         for got, want in cases:
-            assert got.terms == want
-            assert stored_as_fractions(got)
-        assert ((pa + pc) * (pa - pc)).terms == (pa * pa - pc * pc).terms
+            assert got.coeffs() == want
+            assert canonical(got)
+        assert (pa + pc) * (pa - pc) == pa * pa - pc * pc
 
     check()
 
@@ -472,21 +472,74 @@ def test_divexact_equals_the_fraction_reference():
             return
         product = pa * pb
         quotient = product.divexact(pb)
-        assert quotient == pa and stored_as_fractions(quotient)
-        assert quotient.terms == reference_divexact(product.terms, pb.terms)
+        assert quotient == pa and canonical(quotient)
+        assert quotient.coeffs() == reference_divexact(product.coeffs(), pb.coeffs())
         # a dividend that need not be a multiple: exact or not, both agree
         dividend = product + MultiPoly(r)
         try:
-            want = reference_divexact(dividend.terms, pb.terms)
+            want = reference_divexact(dividend.coeffs(), pb.coeffs())
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
                 dividend.divexact(pb)
         else:
             got = dividend.divexact(pb)
-            assert got.terms == want and stored_as_fractions(got)
+            assert got.coeffs() == want and canonical(got)
             assert got * pb == dividend
 
     check()
+
+
+@needs_hypothesis
+def test_one_polynomial_has_one_stored_form():
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(TERMS, TERMS, TERMS, COEFFS)
+    def check(a, b, c, q):
+        pa, pb, pc = MultiPoly(a), MultiPoly(b), MultiPoly(c)
+        routes = [MultiPoly({exp: F(v) for exp, v in a.items()}), (pa + pc) - pc]
+        if not pb.is_zero:
+            routes.append((pa * pb).divexact(pb))
+        if q:
+            routes.append(pa * q * (1 / F(q)))
+        for got in routes:
+            assert got.terms == pa.terms and got.den == pa.den and canonical(got)
+
+    check()
+
+
+@needs_hypothesis
+def test_ratfunc_sum_equals_the_cross_multiplied_sum():
+    seen = {"equal": 0, "unequal": 0}
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(TERMS, TERMS, TERMS, TERMS)
+    def check(n1, d1, n2, d2):
+        num1, den1, num2, den2 = (MultiPoly(t) for t in (n1, d1, n2, d2))
+        if den1.is_zero or den2.is_zero:
+            return
+        pairs = [(RatFunc(num1, den1), RatFunc(num2, den1)),
+                 (RatFunc(num1, den1), RatFunc(num2, den2)),
+                 (RatFunc.from_poly(num1), RatFunc.from_poly(num2))]
+        for a, b in pairs:
+            seen["equal" if a.den == b.den else "unequal"] += 1
+            assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+    check()
+    assert seen["equal"] and seen["unequal"]
+
+
+def test_coefficients_that_are_not_rational_raise_type_error():
+    for bad in (0.5, 0.0, 1j, "1", None):
+        with pytest.raises(TypeError):
+            MultiPoly({(0,) * 8: bad})
+        with pytest.raises(TypeError):
+            MultiPoly({(1,) + (0,) * 7: F(1, 2), (0,) * 8: bad})
+        with pytest.raises(TypeError):
+            MultiPoly.const(bad)
+        with pytest.raises(TypeError):
+            RatFunc.const(bad)
+    # a Fraction made from a float is an exact rational, stored as ints
+    half = MultiPoly.const(F(0.5))
+    assert half == MultiPoly.const(F(1, 2)) and canonical(half) and half.den == 2
 
 
 def test_inexact_divisions_raise(budget):
@@ -501,5 +554,5 @@ def test_inexact_divisions_raise(budget):
                 a.divexact(b)
     # a divisor with rational coefficients and an int content
     q = (n * F(3, 4) + k * F(3, 2)).divexact(F(3, 4) * n + F(3, 2) * k)
-    assert q == MultiPoly.const(1) and stored_as_fractions(q)
-    assert stored_as_fractions((6 * n * n + 4 * n).divexact(3 * n + 2))
+    assert q == MultiPoly.const(1) and canonical(q)
+    assert canonical((6 * n * n + 4 * n).divexact(3 * n + 2))

@@ -40,7 +40,7 @@ def to_sympy(p: MultiPoly):
     return sympy.Add(*(
         sympy.Rational(c.numerator, c.denominator)
         * sympy.Mul(*(x**e for x, e in zip(SYMBOLS, exp)))
-        for exp, c in p.terms.items()))
+        for exp, c in p.coeffs().items()))
 
 
 def assert_matches_oracle(a: MultiPoly, b: MultiPoly) -> None:
