@@ -8,21 +8,15 @@ where sign, top_i and bottom_i are affine forms in the catalog variables
 with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
-* ``bind`` -- fixes some variables (a parameter draw) once and returns a
-  :class:`BoundTerm`, whose ``rows(point, inner, js, var, ks)`` gives, for
-  each j in js, the term along var at the ks (n in point, the inner index j
-  and k along var in the certificate checks) as ints over one positive int
-  denominator, ``exact.py``'s ``(row, den)`` contract; ``row`` is the one-j
-  case.  Each factor is read from a row kernel where it can, along the one
-  variable it depends on: once along k, once along j, or at each j.  A row
-  raises what the first failing (k, factor) raises, in point order: the ks
-  in order, at each the sign, then the factors in order.
+* ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
+  a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n,
+  ``row``: one j), a factor whose kernel argument is free of n from one
+  ``binom_row`` or ``rising_row`` per call, one whose argument moves with n
+  once per n, an int factor of j and k by ``math.comb`` at each (n, j).  The
+  first failing (n, j, k, factor) raises: at each point the sign, then the factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
-  of length one along no variable.  A factor is evaluable when its lower
-  argument is an integer (polynomial falling-factorial form) or when
-  top - bottom is an integer m, in which case binom(top, bottom) =
-  binom(bottom + m, m) (zero for negative m).
+  of length one along no variable, rational where :func:`_eval_binomial` is.
 
 * ``shift_ratio`` -- T(v+1)/T(v) as a canonical rational function, built
   factor by factor from the ratio rule Gamma(x+m)/Gamma(x) =
@@ -35,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul, sub
 
 from .exact import binom_poly, binom_row, binom_upper_shift, rising_row
 from .poly import VARS, MultiPoly, RatFunc
@@ -189,13 +184,10 @@ class HyperTerm:
 class BoundTerm:
     """A :class:`HyperTerm` with some variables fixed, by :meth:`HyperTerm.bind`."""
 
-    __slots__ = ("_constant", "_sign", "_factors")
+    __slots__ = ("_term", "_fixed")
 
     def __init__(self, term: HyperTerm, fixed):
-        self._constant = term.constant
-        self._sign = term.sign.split(fixed)
-        self._factors = tuple((top.split(fixed), bottom.split(fixed), exp, top, bottom)
-                              for top, bottom, exp in term.factors)
+        self._term, self._fixed = term, fixed
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a point that gives every free variable a value."""
@@ -203,102 +195,134 @@ class BoundTerm:
         return Fraction(row[0], den)
 
     def row(self, point, var, ks):
-        """([the term at var = k for k in ks] as ints, one positive int den), with
-        point giving every other free variable a value; raises what the first
-        failing (k, factor) raises, in point order."""
+        """([the term at var = k for k in ks] as ints, int den > 0): one j of :meth:`rows`."""
         return next(self.rows(point, None, (0,), var, ks))
 
     def rows(self, point, inner, js, var, ks):
-        """For each j in js in turn, row({**point, inner: j}, var, ks), raising at the
-        first j whose row fails.  A factor free of inner is read once along var,
-        one free of var once along inner, and only a factor of both at each j."""
-        sign0, sign_j, sign_k = _line(self._sign, point, inner, var)
-        base, den = [self._constant.numerator] * len(ks), self._constant.denominator
-        failures, per_j = [], []
-        for position, (top_split, bottom_split, exp, top, bottom) in enumerate(self._factors):
-            t0, tj, tk = _line(top_split, point, inner, var)
-            b0, bj, bk = _line(bottom_split, point, inner, var)
-            factor = position, exp, top, bottom
-            if tj == bj == 0:       # one row along var, for every j
-                base, den = _times(base, den, factor, _binomial_row(t0, tk, b0, bk, ks), failures)
-            else:   # one row along inner if free of var and some k is read, as row reads it
-                per_j.append((t0, tj, tk, b0, bj, bk, factor, _binomial_row(t0, tj, b0, bj, js)
-                              if ks and tk == bk == 0 else None))
-        for index, j in enumerate(js):
-            signs = [sign0 + sign_j * j + sign_k * k for k in ks]
-            found = [(i, -1, ValueError("sign exponent is not an integer at this assignment"))
-                     for i, s in enumerate(signs) if s.denominator != 1][:1] + failures
-            row, row_den = [-x if s % 2 else x for x, s in zip(base, signs)], den
-            for t0, tj, tk, b0, bj, bk, factor, along in per_j:
-                if along and (along[2] is None or index < along[2][0]):
-                    read = along[0][index:index + 1], along[1], None
-                else:       # read at this j alone, as row reads it
-                    read = _binomial_row(t0 + tj * j, tk, b0 + bj * j, bk, ks)
-                row, row_den = _times(row, row_den, factor, read, found)
-            if found:
-                raise min(found, key=lambda f: f[:2])[2]
-            yield row, row_den
+        """row({**point, inner: j}, var, ks) for each j in js: one m of :meth:`grid`."""
+        for row, scale, den in self.grid(point, None, inner, var, ((0, js, ks),)):
+            yield [scale * x for x in row], den
+
+    def grid(self, point, outer, inner, var, reads):
+        """For each (m, js, ks) in reads and each j in js in turn, ints (row, scale, den > 0)
+        with the term at {**point, outer: m, inner: j} along var at the ks equal to
+        [scale * x / den for x in row]; a row where a point fails is read point by point."""
+        point, term = {**self._fixed, **point}, self._term
+        sign = _bind(term.sign, point, outer, inner, var)
+        forms = [(_bind(top, point, outer, inner, var), _bind(bottom, point, outer, inner, var))
+                 for top, bottom, _ in term.factors]
+        plans, reads, kernels = [_plan(*form) for form in forms], list(reads), {}
+        for m, js, ks in reads:
+            if None in plans or any(type(c) is not int for c in sign) or not (js and ks):
+                yield from (self._points(forms, sign, m, j, ks) for j in js)
+                continue
+            # factors of var alone: one row along var; free of var: one scale along inner
+            base, base_den = [-1 if sign[3] * k % 2 else 1 for k in ks], 1
+            num, scale_den = term.constant.numerator, term.constant.denominator
+            scales, per_j = [-num if _at(sign, m, j, 0) % 2 else num for j in js], []
+            for position, (plan, (_, _, exp)) in enumerate(zip(plans, term.factors)):
+                read, index, arg, _ = plan
+                key = position, arg[1] and m        # a row per call, or per m if it moves
+                if read and key not in kernels:
+                    reach = _reach(index, [(m, js, ks)] if arg[1] else reads)
+                    kernels[key] = read(_at(arg, m, 0, 0), reach)
+                on_j, on_k, kernel = index[2] or arg[2], index[3] or arg[3], kernels.get(key)
+                if on_j and on_k:
+                    per_j.append((plan, kernel, exp))
+                elif on_j or not on_k:
+                    values, den = _values(plan, kernel, m, 0, 2, js, exp)
+                    scales = [None if None in (s, v) else s * v for s, v in zip(scales, values)]
+                    scale_den *= den
+                else:
+                    values, den = _values(plan, kernel, m, 0, 3, ks, exp)
+                    base = None if base is None or None in values else list(map(mul, base, values))
+                    base_den *= den
+            for j, scale in zip(js, scales):
+                row, den = base if scale is not None else None, base_den * scale_den
+                for plan, kernel, exp in per_j:
+                    values, factor_den = _values(plan, kernel, m, j, 3, ks, exp)
+                    row = None if row is None or None in values else list(map(mul, row, values))
+                    den *= factor_den
+                yield self._points(forms, sign, m, j, ks) if row is None else (row, scale, den)
+
+    def _points(self, forms, sign, m, j, ks):
+        """grid's row at (m, j) through :func:`_eval_binomial`, point by point."""
+        term, values = self._term, []
+        for k in ks:
+            if _at(sign, m, j, k).denominator != 1:
+                raise ValueError("sign exponent is not an integer at this assignment")
+            values.append(-term.constant if _at(sign, m, j, k) % 2 else term.constant)
+            for (top, bottom), (top_form, bottom_form, exp) in zip(forms, term.factors):
+                f = _eval_binomial(_at(top, m, j, k), _at(bottom, m, j, k))
+                if exp == -1 and not f:
+                    raise HyperTermPole(f"binom({top_form.render()},{bottom_form.render()})"
+                                        " vanished in a denominator")
+                values[-1] *= f ** exp
+        den = lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], 1, den
 
 
-def _line(split, point, inner, var):
-    """A split form at point: (its value at inner = var = 0, its two slopes)."""
-    part, free = split
-    for name, c in free:
-        if name != var and name != inner:
-            part += c * point[name]
-    free = dict(free)
-    return part, free.get(inner, 0), free.get(var, 0)
+def _bind(form, point, outer, inner, var):
+    """form at point: (its value at outer = inner = var = 0, its three slopes)."""
+    axes = (outer, inner, var)
+    part, free = form.split({name: v for name, v in point.items() if name not in axes})
+    if missing := {name for name, _ in free} - set(axes):
+        raise KeyError(min(missing))
+    return part, *(dict(free).get(name, 0) for name in axes)
 
 
-def _times(row, den, factor, read, failures):
-    """(row, den) times a factor's (values, den, failure) read, inverted for a
-    reciprocal factor, where a zero value is a pole; a failure goes to failures
-    as (index, position, exception) instead, and (row, den) stay as they were."""
-    position, exp, top, bottom = factor
-    values, factor_den, failure = read
-    if exp == -1:
-        zero = next((i for i, v in enumerate(values) if not v), None)
-        if zero is not None and (failure is None or zero < failure[0]):
-            failure = (zero, HyperTermPole(
-                f"binom({top.render()},{bottom.render()}) vanished in a denominator"))
-        elif failure is None:
-            common = lcm(*values)
-            values, factor_den = [factor_den * (common // v) for v in values], common
-    if failure is not None:
-        failures.append((failure[0], position, failure[1]))
-        return row, den
-    if len(values) == 1:     # one value: a factor constant along var
-        return [x * values[0] for x in row], den * factor_den
-    return [x * v for x, v in zip(row, values)], den * factor_den
+def _at(form, m, j, k):
+    return form[1] * m + form[2] * j + form[3] * k + form[0]     # one Fraction sum at most
 
 
-def _binomial_row(t0, a, b0, c, ks):
-    """[C(t0 + a*k, b0 + c*k) for k in ks] (ks[0] alone if a = c = 0) as (ints,
-    one positive int den, the first failure as (index, exception) or None).
-    An int lower index reads binom_row, rising_row or math.comb; a negative
-    one, and any other factor, goes to :func:`_eval_binomial`."""
-    values, ks = None, ks if a or c else ks[:1]
-    if type(a) is int and type(c) is int and type(b0) is int:
-        bottoms = [b0 + c * k for k in ks]
-        if a == 0 or a == c:
-            last = max(bottoms, default=0)
-            kernel, den = binom_row(t0, last) if a == 0 else rising_row(t0 - b0, last)
-            values = [kernel[b] if b >= 0 else 0 for b in bottoms]
-        elif type(t0) is int:
-            tops = [t0 + a * k for k in ks]
-            values, den = [0 if b < 0 else comb(t, b) if t >= 0 else (-1) ** b
-                           * comb(b - t - 1, b) for t, b in zip(tops, bottoms)], 1
-    found, failure = [], None
-    for i in range(len(ks)) if values is None else [i for i, b in enumerate(bottoms) if b < 0]:
+def _plan(top, bottom):
+    """(kernel, index, argument, 1 if top = argument + index), (None, top, bottom, 0) or None."""
+    shift = tuple(int(c) if c.denominator == 1 else c for c in map(sub, top, bottom))
+    if all(type(c) is int for c in bottom):
+        if top[2:] == (0, 0):
+            return binom_row, bottom, top, 0
+        if shift[2:] == (0, 0):
+            return rising_row, bottom, shift, 1
+        if all(type(c) is int for c in top):
+            return None, top, bottom, 0
+    elif all(type(c) is int for c in shift + bottom[1:]) and bottom[2:] == (0, 0):
+        return rising_row, shift, bottom, 1
+    return None
+
+
+def _reach(index, reads):
+    """The deepest index over the (m, js, ks) reads, or 0."""
+    return max([_at(index, m, (min, max)[index[2] > 0](js), (min, max)[index[3] > 0](ks))
+                for m, js, ks in reads if js and ks] + [0])
+
+
+def _values(plan, kernel, m, j, axis, points, exp):
+    """A planned factor from (m, j) along axis (2: j, 3: k) at the points, to the
+    power exp, as ([ints], one int den > 0), None where a point fails."""
+    read, first, second, rising = plan
+    start, step = _at(first, m, j, 0), first[axis]
+    if read is None:
+        low, slope, den = _at(second, m, j, 0), second[axis], 1
         try:
-            found.append(_eval_binomial(t0 + a * ks[i], b0 + c * ks[i]))
-        except (HyperTermPole, ValueError) as exc:
-            failure = (i, exc)
-            break
-    if values is None:
-        den = lcm(*(v.denominator for v in found))
-        values = [v.numerator * (den // v.denominator) for v in found]
-    return values, den, failure
+            values = [comb(start + step * p, low + slope * p) for p in points]
+        except ValueError:      # a negative argument: below the bar, or a negative top
+            values = [_comb(start + step * p, low + slope * p) for p in points]
+    else:       # below the bar 0, or 0/0 where the top there is a negative int
+        (row, den), indices = kernel, [start + step * p for p in points]
+        values = list(map(row.__getitem__, indices)) if min(indices) >= 0 else [
+            row[i] if i >= 0 else _comb(_at(second, m, 0, 0) + rising * i, i)
+            if type(second[0]) is int else 0 for i in indices]
+    if exp == -1:
+        common = lcm(*filter(None, values))
+        values, den = [den * (common // v) if v else None for v in values], common
+    return values, den
+
+
+def _comb(t, b):
+    """C(t, b) at ints: 0 below the bar, None where it is 0/0."""
+    if b < 0:
+        return None if t < 0 else 0
+    return comb(t, b) if t >= 0 else (-1) ** b * comb(b - t - 1, b)
 
 
 def _eval_binomial(t: Fraction, b: Fraction) -> Fraction:

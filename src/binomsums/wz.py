@@ -22,9 +22,9 @@ Verification of a pair combines
       the telescoped sum, and
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
-(b), (c) and the telescoped sums run on seeded parameter draws, one n at a
-time: the term as int rows along k for each inner j (``BoundTerm.rows``),
-and the certificate as int polynomials bound at each (n, k), read along j.
+(b), (c) and the telescoped sums run on seeded parameter draws, each draw's
+(n, j) grid read in one pass (``BoundTerm.grid``), with the certificate bound
+once per draw to int polynomials, read at k = 0 and n+2 along j per n.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draw`, the same draw the
@@ -327,17 +327,15 @@ class VerificationReport:
 
 
 def _int_poly(poly, assign, inner):
-    """poly with assign put in, read as its int numerators (times its den), as a
-    function of (n, ks, js) that binds it at each (n, k) and gives
-    [[its value at (n, j, k) for j in js] for k in ks] (j the inner index)."""
+    """poly with assign put in, as its int numerators (times its den): a function
+    of (n, k, js) giving its values at (n, j, k) for j in js (j the inner index)."""
     terms = [(c, dict(zip(VARS, exp))) for exp, c in poly.bind(assign).terms.items()]
+    powers = range(max([exp.get(inner, 0) for _, exp in terms] + [0]) + 1)
 
-    def values(n, ks, js):
-        columns = []
-        for k in ks:        # each term at (n, k): its coefficient and its power of j
-            along = [(c * n ** exp["n"] * k ** exp["k"], exp.get(inner, 0)) for c, exp in terms]
-            columns.append([sum(c * j ** e for c, e in along) for j in js])
-        return columns
+    def values(n, k, js):
+        cs = [sum(c * n ** exp["n"] * k ** exp["k"] for c, exp in terms
+                  if exp.get(inner, 0) == e) for e in powers]
+        return [sum(c * j ** e for e, c in enumerate(cs)) for j in js] if cs[1:] else cs * len(js)
     return values
 
 
@@ -364,27 +362,30 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             term, inner = pair.term.bind(assign), pair.extra_index
             # numerator and denominator bound apart, not through RatFunc,
             # so that a common factor vanishing on the grid stays a pole
-            cert_num = _int_poly(pair.certificate.num, assign, inner)
-            cert_den = _int_poly(pair.certificate.den, assign, inner)
-            for n in range(n_max + 1):
-                ks, js = (0, n + 2, n + 1), range(n + 1) if inner else (0,)
-                nums, dens = cert_num(n, ks[:2], js), cert_den(n, ks[:2], js)
-                reader = term.rows({"n": n}, inner, js, "k", ks)
+            cert_num, cert_den = (_int_poly(poly, assign, inner)
+                                  for poly in (pair.certificate.num, pair.certificate.den))
+            reads = [(n, range(n + 1) if inner else (0,), (0, n + 2, n + 1))
+                     for n in range(n_max + 1)]
+            reader = term.grid({}, "n", inner, "k", reads)
+            for n, js, ks in reads:
+                dens = [cert_den(n, k, js) for k in ks[:2]]
                 for at, j in enumerate(js):
                     poles = [i for i, column in enumerate(dens) if not column[at]]
                     if poles:       # the term is read at the points before the pole
                         next(term.rows({"n": n}, inner, (j,), "k", ks[:poles[0]]))
                         raise RatFuncPole("pole at assignment")
                     try:
-                        row, den = next(reader)
+                        row, scale, den = next(reader)
                     except (ZeroDivisionError, ValueError) as exc:
                         # boundary points are read first: an edge failure waits,
                         # and a fresh reader goes on from the next j
-                        row, den = next(term.rows({"n": n}, inner, (j,), "k", ks[:2]))
+                        (row, den), scale = next(term.rows({"n": n}, inner, (j,), "k", ks[:2])), 1
                         edge_failure = edge_failure or exc
-                        reader = term.rows({"n": n}, inner, js[at + 1:], "k", ks)
-                    for k, value, column in zip(ks[:2], row, nums):
-                        if value and column[at] and not boundary_detail:
+                        reader = term.grid({}, "n", inner, "k",
+                                           [(n, js[at + 1:], ks)] + reads[n + 1:])
+                    row = [scale * x for x in row]
+                    for k, value in zip(ks[:2], row):
+                        if value and not boundary_detail and cert_num(n, k, (j,))[0]:
                             boundary_detail = f"G({n},{k}) != 0"
                     # base and edge values of the term itself
                     if n == 0 and row[0] != den:
@@ -423,14 +424,14 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
     shown = {k: str(v) for k, v in assign.items()}
     try:
         term, inner = pair.term.bind(assign), pair.extra_index
-        for n in range(n_max + 1):
-            js = range(n + 1) if inner else (0,)
-            for j, (row, den) in zip(js, term.rows({"n": n}, inner, js, "k", range(n + 1))):
-                if sum(row) != den:
-                    return TelescopeResult(
-                        shown, False,
-                        f"sum at n={n}" + (f", j={j}" if inner else "")
-                        + f" is {Fraction(sum(row), den)}")
+        reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
+        points = ((n, j) for n, js, _ in reads for j in js)
+        for (n, j), (row, scale, den) in zip(points, term.grid({}, "n", inner, "k", reads)):
+            if scale * sum(row) != den:
+                return TelescopeResult(
+                    shown, False,
+                    f"sum at n={n}" + (f", j={j}" if inner else "")
+                    + f" is {Fraction(scale * sum(row), den)}")
     except TYPED_POLES as exc:
         return TelescopeResult(shown, None, f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:

@@ -208,19 +208,21 @@ def test_bound_row_raises_the_first_failing_point():
     assert str(info.value) == "binom(k,1) vanished in a denominator"
 
 
+def _read(rows):
+    """Every row up to the first exception, then that exception's type and message."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except (HyperTermPole, ValueError) as exc:
+        got.append((type(exc), str(exc)))
+    return got
+
+
 def _assert_rows_match(term, assign, n, js, ks):
     """rows({"n": n}, "j", js, "k", ks) gives the reference at every (j, k),
     j by j, and raises what the reference raises at the first failing j (at
     that j's first failing k)."""
-    def read(rows):
-        got = []
-        try:
-            for row in rows:
-                got.append(row)
-        except (HyperTermPole, ValueError) as exc:
-            got.append((type(exc), str(exc)))
-        return got
-
     def by_points():
         for j in js:
             yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
@@ -230,7 +232,7 @@ def _assert_rows_match(term, assign, n, js, ks):
             assert den > 0 and all(type(v) is int for v in row)
             yield [F(v, den) for v in row]
 
-    assert read(by_rows()) == read(by_points()), (term.render(), assign, n, js, ks)
+    assert _read(by_rows()) == _read(by_points()), (term.render(), assign, n, js, ks)
 
 
 def _grid_orders(n):
@@ -291,6 +293,56 @@ def test_rows_along_j_raise_the_first_failing_point():
         with pytest.raises(HyperTermPole) as info:
             next(term.bind({}).rows({"n": 2}, "j", js, "k", range(3)))
         assert str(info.value) == f"{message} vanished in a denominator"
+
+
+def _assert_grid_matches(term, assign, reads):
+    """One grid call over the (n, js, ks) reads gives the reference at every
+    (n, j, k), and raises what the reference raises at its first failing point,
+    after the same rows."""
+    def by_points():
+        for n, js, ks in reads:
+            for j in js:
+                yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
+
+    def by_grid():
+        for row, scale, den in term.bind(assign).grid({}, "n", "j", "k", reads):
+            assert den > 0 and all(type(v) is int for v in (scale, *row))
+            yield [F(scale * v, den) for v in row]
+
+    assert _read(by_grid()) == _read(by_points()), (term.render(), assign, reads)
+
+
+def _whole_draw_reads(n_max):
+    """Reads of n = 0..n_max in one call each: every order of j and k of
+    _grid_orders at every n, out of order and past n, and once with n
+    backwards between reads of no j and of no k."""
+    reads = [[(n, *_grid_orders(n)[(n + shift) % 4]) for n in range(n_max + 1)]
+             for shift in range(4)]
+    return reads + [[(2, (), (0, 1))] + reads[0][::-1] + [(1, (1, 0), ())]]
+
+
+def test_one_grid_call_per_draw_agrees_with_a_per_point_reference():
+    for name in ("thm1", "thm2", "thm3"):
+        pair = load_pair(name)
+        rng = random.Random(f"grid:{name}")
+        draws = [draw(rng, pair.params, 8) for _ in range(3)]
+        if name == "thm3":
+            draws.append({"s": F(1, 2), "p": F(3)})     # lands on 0/0 poles
+        for assign in draws:
+            for reads in _whole_draw_reads(8):
+                _assert_grid_matches(pair.term, assign, reads)
+    # every term of test_rows_along_j_raise_the_first_failing_point, and the
+    # healthy factors alone: C(t+n, n-j) reads a row per n, C(t+k, k) one row
+    names = sorted(FAILING_FACTORS)
+    for size in (0, 1, 2, 3):
+        for chosen in itertools.combinations(names, size):
+            failing = [FAILING_FACTORS[c] for c in chosen]
+            for factors in (HEALTHY_FACTORS[:1] + failing + HEALTHY_FACTORS[1:],
+                            failing[::-1] + HEALTHY_FACTORS):
+                for sign in ("n+j+k", "j/2"):
+                    term = HyperTerm(F(3, 2), affine(sign), tuple(factors))
+                    for reads in _whole_draw_reads(8):
+                        _assert_grid_matches(term, {"t": F(1, 3)}, reads)
 
 
 def test_bound_term_keeps_the_pole_message():

@@ -381,8 +381,9 @@ def test_telescoping_bare_division_by_zero_fails():
         def bind(self, fixed):
             return self
 
-        def rows(self, point, inner, js, var, ks):
-            yield [F(1) / (point["n"] - point["n"])], 1
+        def grid(self, point, outer, inner, var, reads):
+            for n, js, ks in reads:
+                yield [F(1) / (n - n)], 1, 1
 
     pair = replace(load_pair("thm2"), term=DividesByZero())
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
@@ -408,10 +409,11 @@ def test_an_edge_failure_waits_for_the_later_boundary_points():
         "unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
 
 
-def test_each_factor_is_read_once_per_n(monkeypatch):
-    # each of thm1's kernel-read factors depends on k alone or on j alone, so
-    # both checks read each one once per n: at most 4 kernel rows per n, not
-    # 4 per (n, j)
+def test_each_factor_is_read_once_per_draw(monkeypatch):
+    # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j) do not
+    # move with n, so each check reads each once per draw; C(beta-alpha+n, n-j)
+    # is read once per n, and C(k, j) by math.comb: at most 3 + (n_max + 1)
+    # kernel rows per check, where reading once per n would take 4 (n_max + 1)
     calls = []
 
     def counting(kernel):
@@ -425,10 +427,10 @@ def test_each_factor_is_read_once_per_n(monkeypatch):
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
     assert telescoping_sum_check(pair, n_max, [assign])[0].ok is True
-    assert 0 < len(calls) <= 4 * (n_max + 1)
+    assert 0 < len(calls) <= 3 + (n_max + 1)
     calls.clear()
     assert verify_wz_pair(pair, n_max=n_max, samples=1).passed
-    assert 0 < len(calls) <= 4 * (n_max + 1)
+    assert 0 < len(calls) <= 3 + (n_max + 1)
 
 
 def test_a_non_rational_factor_is_a_fail_row():
