@@ -37,6 +37,7 @@ rhs.py keeps its own slot, so the two sides still share no computed value.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ..exact import (binom_int, binom_poly, binom_row, central_binomial, harmonic,
                      harmonic_row, over, power_row, reciprocal_row, rising_row, shift_row)
@@ -183,10 +184,9 @@ def id19(n, a):
 
 
 def id20(n, a):
-    total = F(0)
-    for k in range(n + 1):
-        total += F(4**k) * binom_int(n, k) ** 2 / central_binomial(k)
-    return total
+    den = lcm(*(central_binomial(k) for k in range(n + 1)))
+    return F(sum(4**k * binom_int(n, k) ** 2 * (den // central_binomial(k))
+                 for k in range(n + 1)), den)
 
 
 def id20e(n, a):

@@ -4,6 +4,11 @@ A run is fully determined by (seed, n_max override, samples, filter,
 mutations): parameter draws are seeded per entry id, rows are emitted in
 (id, n, draw) order, and rationals are rendered in the canonical string
 format, so repeated runs are byte-identical.
+
+``SuiteReport.to_json`` writes the JSON report row by row from a fixed
+template: its bytes are those of ``json.dumps(to_json_dict(), indent=2)``
+(two-space indent, ASCII escapes through the same C escaper), without the
+pure-Python encoder that ``indent`` selects and its list of chunks.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
 from ..params import MAX_TRIES, draw
@@ -70,6 +76,26 @@ class SuiteReport:
             ],
             "summary": self.counts(),
         }
+
+    def to_json(self) -> str:
+        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``."""
+        rows = []
+        for r in self.results:
+            params = ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}"
+                                     for k, v in r.params.items()) + "\n      }"
+                      if r.params else "{}")
+            rows.append(
+                f'    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
+                f'      "n": {"null" if r.n is None else int.__repr__(r.n)},\n'
+                f'      "lhs": {"null" if r.lhs is None else _str(r.lhs)},\n'
+                f'      "rhs": {"null" if r.rhs is None else _str(r.rhs)},\n'
+                f'      "status": {_str(r.status)},\n'
+                f'      "reason": {_str(r.reason)}\n    }}')
+        results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        c = self.counts()
+        return (f'{{\n  "suite": {_str(self.suite)},\n  "seed": {int.__repr__(self.seed)},\n'
+                f'  "results": {results},\n  "summary": {{\n    "pass": {c["pass"]},\n'
+                f'    "fail": {c["fail"]},\n    "skipped": {c["skipped"]}\n  }}\n}}')
 
     def render_text(self) -> str:
         lines = [f"suite: {self.suite}   seed: {self.seed}"]

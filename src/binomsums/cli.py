@@ -110,7 +110,7 @@ def _effective(args, file_config: dict):
 
 def _emit(report, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(report.to_json_dict(), indent=2))
+        out.write(report.to_json())
         out.write("\n")
     else:
         out.write(report.render_text())

@@ -28,6 +28,8 @@ a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
 row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
 reads the last entry of a fresh row.  Nothing is cached between calls.
+``digamma_diff`` is a row sum too: sum_i 1/(s - i) is one sum of products
+of the factors p - iq over their product, divided once by ``over``.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -281,16 +283,33 @@ def binom_upper_shift(b, m: int):
 def digamma_diff(s, n: int):
     """psi(s+1) - psi(s-n+1)  =  sum_{i=0..n-1} 1/(s-i).
 
-    Rational in s; equals H_n at s = n.  Raises :class:`DigammaPole` when s
-    is one of 0, 1, ..., n-1 (for jets: when the base point is).
+    One row sum: at s = p/q the terms are q/(p - iq), so the sum is
+    q sum_i prefix_i suffix_{i+1} over prod_i (p - iq), where prefix_i and
+    suffix_i are the products of the factors below i and from i on, and
+    ``over`` divides once.  Rational in s; equals H_n at s = n.  Raises
+    :class:`DigammaPole` at the first i with s = i, when s is one of 0, 1,
+    ..., n-1 (for jets: when the base point is).
     """
-    total = _ZERO
-    for i in range(n):
-        try:
-            total = total + 1 / (s - i)
-        except ZeroDivisionError as exc:
-            raise DigammaPole(i) from exc
-    return total
+    if n == 0:
+        return _ZERO
+    p, q = s.numerator, s.denominator
+    factors = [p - i * q for i in range(n)]
+    suffix = [p**0]             # suffix[n - i] = prod_{j >= i} (p - jq)
+    for f in reversed(factors):
+        suffix.append(suffix[-1] * f)
+    total, prefix = 0, p**0
+    for i, f in enumerate(factors):
+        total += prefix * suffix[n - 1 - i]
+        prefix *= f
+    try:
+        return over(q * total, prefix)
+    except ZeroDivisionError as exc:
+        for i in range(n):      # the first i where 1/(s - i) has no value
+            try:
+                1 / (s - i)
+            except ZeroDivisionError:
+                raise DigammaPole(i) from exc
+        raise
 
 
 def trigamma_diff(s, n: int):

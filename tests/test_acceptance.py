@@ -12,6 +12,7 @@ to see them.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import time
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
 from binomsums.catalog.jets_oracle import oracle
-from binomsums.catalog.suite import SuiteConfig, run_catalog, run_suite, run_wz
+from binomsums.catalog.suite import SuiteConfig, run_catalog, run_wz
 from binomsums.catalog.taylor import taylor_route_check
 from binomsums.cli import main as cli_main
 from binomsums.exact import binom_int, binom_poly
@@ -251,15 +252,21 @@ class _DevNull:
         pass
 
 
+def _suite_json_bytes() -> str:
+    """What ``binomsums suite --format json --seed 0`` writes."""
+    buf = io.StringIO()
+    cli_main(["suite", "--format", "json", "--seed", "0"], out=buf)
+    return buf.getvalue()
+
+
 def test_criterion_11_full_default_suite():
     start = time.monotonic()
-    first = run_suite(SuiteConfig(seed=0))
+    payload_a = _suite_json_bytes()
     elapsed = time.monotonic() - start
-    counts = first.counts()
+    counts = json.loads(payload_a)["summary"]
     ok = counts["fail"] == 0 and elapsed < 120.0
-    payload_a = json.dumps(first.to_json_dict(), indent=2)
-    payload_b = json.dumps(run_suite(SuiteConfig(seed=0)).to_json_dict(), indent=2)
-    digest = hashlib.sha256((payload_a + "\n").encode()).hexdigest()
+    payload_b = _suite_json_bytes()
+    digest = hashlib.sha256(payload_a.encode()).hexdigest()
     ok = ok and payload_a == payload_b and digest == GOLDEN_SUITE_SHA256
     report(11, ok, f"default suite: {counts['pass']} pass / {counts['fail']} fail "
                    f"/ {counts['skipped']} skipped in {elapsed:.1f}s (< 120s), "

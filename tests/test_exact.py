@@ -421,16 +421,53 @@ def test_central_binomial():
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
+def termwise_digamma_diff(s, n):
+    """The reference: sum_{i<n} 1/(s - i), one term at a time in s's ring."""
+    total = F(0)
+    for i in range(n):
+        total = total + 1 / (s - i)
+    return total
+
+
 def test_digamma_diff_examples():
     assert digamma_diff(F(7, 2), 0) == 0
+    assert digamma_diff(RatFunc.var("s"), 0) == 0
     assert digamma_diff(F(3), 3) == harmonic(3) == F(11, 6)
     assert digamma_diff(F(1, 2), 2) == 0          # 1/(1/2) + 1/(-1/2)
 
 
+def test_digamma_diff_is_the_termwise_sum():
+    rng = random.Random(19)
+    draws = [random_rational(rng) for _ in range(30)] + [F(1, 2), F(-3), F(31), F(59, 2)]
+    for s in draws:
+        for n in range(31):
+            if s.denominator == 1 and 0 <= s < n:
+                continue
+            assert digamma_diff(s, n) == termwise_digamma_diff(s, n), (s, n)
+    for s in draws[:4]:
+        for n in range(13):
+            jet = Jet2.variable(s, 1) + Jet2.variable(F(1, 3), 2) * s
+            assert digamma_diff(jet, n) == termwise_digamma_diff(jet, n), (s, n)
+
+
+def test_digamma_diff_over_ratfunc_is_the_termwise_sum():
+    s, t = RatFunc.var("s"), RatFunc.var("t")
+    for x in (s, s / 2 + F(1, 3), (s + t) / (s - 1), 1 / (2 * s + 3)):
+        for n in range(13):
+            got = digamma_diff(x, n)
+            assert isinstance(got, RatFunc) or n == 0
+            assert got == termwise_digamma_diff(x, n), (x, n)
+
+
 def test_digamma_diff_pole():
+    # the first vanishing s - i names the pole in every ring
+    for s in (F(2), Jet2.variable(F(2)), Jet2.variable(F(2), 2) * 3 - 4, RatFunc.const(2)):
+        with pytest.raises(DigammaPole) as exc:
+            digamma_diff(s, 5)
+        assert exc.value.index == 2
     with pytest.raises(DigammaPole) as exc:
-        digamma_diff(F(2), 5)
-    assert exc.value.index == 2
+        digamma_diff(F(0), 1)
+    assert exc.value.index == 0
 
 
 def test_digamma_diff_recurrence():

@@ -2,21 +2,60 @@
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 
-from binomsums.catalog.suite import SuiteConfig, run_catalog, run_suite, run_wz
+from binomsums.catalog.entries import check_identity
+from binomsums.catalog.suite import (ResultRow, SuiteConfig, SuiteReport, run_catalog,
+                                     run_suite, run_wz)
+from binomsums.cli import main
 
 F = Fraction
 
 SMALL = SuiteConfig(n_max=4, samples=3, seed=0)
 
 
+def _cli_json(*argv):
+    out = io.StringIO()
+    main([*argv, "--format", "json"], out=out)
+    return out.getvalue()
+
+
 def test_deterministic_repeat():
     a = run_suite(SMALL)
     b = run_suite(SMALL)
     assert a.results == b.results
-    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+    # the bytes the CLI writes, not a re-encoding of the rows
+    argv = ("suite", "--n-max", "4", "--samples", "3", "--seed", "0")
+    first = _cli_json(*argv)
+    assert first == _cli_json(*argv) == a.to_json() + "\n"
+
+
+def test_json_writer_matches_json_dumps():
+    tricky = ResultRow("ID\u00e9", {"x": 'a"b\\c\nd', "\u00fc\t": "\u2028\U0001f600\x00"},
+                       -3, "1/2", None, "fail", 'quote " backslash \\ newline \n caf\u00e9 \x7f')
+    pole = check_identity("ID15", 3, {"s": F(2)})
+    pole_row = ResultRow("ID15", pole.params, 3, None, None, pole.status, pole.reason)
+    flipped = run_catalog(SuiteConfig(n_max=3, samples=2, only=("ID24",),
+                                      mutations=("id24-flip-h2n",)))
+    empty = run_catalog(SuiteConfig(samples=0, only=("ID01",)))
+    empty.suite = "check:ID01"
+    reports = [
+        run_suite(SMALL),
+        empty,
+        run_wz(SuiteConfig(n_max=8, samples=4, seed=2, only=("thm3",))),
+        run_wz(SuiteConfig(n_max=2, samples=2, only=("thm1",), wz_scale=F(2))),
+        flipped,
+        SuiteReport("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
+    ]
+    assert not empty.results and pole_row.status == "skipped"
+    assert _cli_json("check", "ID01", "--samples", "0") == empty.to_json() + "\n"
+    rows = [row for report in reports for row in report.results]
+    assert {row.status for row in rows} == {"pass", "fail", "skipped"}
+    assert any(row.n is None for row in rows) and any(row.params == {} for row in rows)
+    for report in reports:
+        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
 
 def test_seed_changes_draws():
