@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from ..exact import over
 from ..params import TYPED_POLES, ParamSpec, draw, is_neg_int, not_negative_integers
 from . import lhs, rhs
 
@@ -251,29 +252,24 @@ class CheckResult:
 
 def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
              shown: dict) -> CheckResult:
-    inners = range(n + 1) if entry.inner_index else (None,)
-    last = (None, None)
-    for j in inners:
-        values = dict(assignment)
-        if j is not None:
-            values[entry.inner_index] = j
-        left = entry.lhs(n, values)
-        right = entry.rhs(n, values)
-        last = (left, right)
-        if left != right:
-            tag = f" at {entry.inner_index}={j}" if j is not None else ""
-            return CheckResult(entry.id, n, shown, left, right, "fail",
-                               f"sides differ{tag}")
-    return CheckResult(entry.id, n, shown, last[0], last[1], "pass")
+    left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
+    if entry.inner_index:       # each side is its whole j-row (row, den)
+        (lrow, lden), (rrow, rden) = left, right
+        j = next((j for j in range(n) if lrow[j] * rden != rrow[j] * lden), n)
+        left, right = over(lrow[j], lden), over(rrow[j], rden)
+        tag = f" at {entry.inner_index}={j}"
+    if left != right:
+        return CheckResult(entry.id, n, shown, left, right, "fail", f"sides differ{tag}")
+    return CheckResult(entry.id, n, shown, left, right, "pass")
 
 
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
     """Evaluate both sides; pass iff exactly equal.
 
-    For an entry with an inner index the check covers every index value in
-    0..n and reports the first mismatch.  A division by zero that is not a
-    typed pole is a fail row naming the exception.
+    For an entry with an inner index both sides are rows over 0..n (see
+    lhs.py); the first index where they differ is reported, n for a pass.
+    A division by zero that is not a typed pole is a fail row naming the exception.
     """
     entry = (entries or REGISTRY)[entry_id]
     shown = {k: str(v) for k, v in assignment.items()}

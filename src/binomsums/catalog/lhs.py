@@ -23,15 +23,18 @@ normalization is what makes every factor rational for every rational p
 checked separately for non-negative integer p, where they are directly
 evaluable.
 
-ID04 is checked at every inner index j = 0..n with the same n, alpha and
-beta, so its j-free weights (-1)^k C(beta+k, k) C(alpha, n-k) are kept in a
-one-slot memo, over the product of their rows' denominators, and each j
-costs only sum_{k>=j} C(k, j) w_k: for Fraction alpha and beta that is one
-int sum and one Fraction.  The memo key is n plus the identity of the alpha
-and beta objects, not their value: RatFunc and Jet2 values are unhashable,
-all values are immutable, the check hands every j the same objects, and the
-slot holds strong references, so an id cannot be reused while it is the key.
-rhs.py keeps its own slot, so the two sides still share no computed value.
+ID04 has an inner index j = 0..n.  Called without a["j"], a side returns its
+whole j-row (row, den), and the check compares the two rows.  The left row
+is the paper's Taylor step: the coefficients of f(x) = sum_k C(beta+k, k)
+C(alpha, n-k) x^k at the powers of x + 1 are those of f(y - 1), so the
+weights are Taylor-shifted by -1 in place (Horner's scheme, n(n+1)/2 int
+subtractions for Fraction alpha and beta).  With a["j"], a side divides that
+one entry of its row, which a one-slot memo keeps for per-j callers.  The
+memo key is n plus the identity of the alpha and beta objects, not their
+value: RatFunc and Jet2 values are unhashable, all values are immutable, a
+per-j caller hands every j the same objects, and the slot holds strong
+references, so an id cannot be reused while it is the key.  rhs.py keeps its
+own slot, so the two sides share no computed value.
 """
 
 from __future__ import annotations
@@ -68,30 +71,33 @@ def id03(n, a):
     return over(sum(ba[n - k] * bb[k] * px[k] for k in range(n + 1)), da * db * dx)
 
 
-# (n, alpha, beta, weights) of the last ID04 call; see the module docstring
+# (n, alpha, beta, (row, den)) of the last per-j ID04 call; see the module docstring
 _id04_memo = (None, None, None, None)
 
 
-def _id04_weights(n, alpha, beta):
-    """The j-free factors (-1)^k C(beta+k, k) C(alpha, n-k), k = 0..n, over
-    their one denominator (module docstring)."""
-    global _id04_memo
-    memo_n, memo_alpha, memo_beta, weights = _id04_memo
-    if memo_n == n and memo_alpha is alpha and memo_beta is beta:
-        return weights
+def _id04_row(n, alpha, beta):
+    """[sum_k (-1)^(k+j) C(k, j) C(beta+k, k) C(alpha, n-k)]_j, j = 0..n, over
+    one den: the weights Taylor-shifted by -1 (module docstring)."""
     ba, da = binom_row(alpha, n)
     bb, db = rising_row(beta, n)
-    terms = [-bb[k] * ba[n - k] if k % 2 else bb[k] * ba[n - k] for k in range(n + 1)]
-    weights = terms, da * db
-    _id04_memo = (n, alpha, beta, weights)
-    return weights
+    row = [bb[k] * ba[n - k] for k in range(n + 1)]
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            row[k] -= row[k + 1]
+    return row, da * db
 
 
 def id04(n, a):
-    j = int(a["j"])
-    weights, den = _id04_weights(n, a["alpha"], a["beta"])
-    total = over(sum(binom_int(k, j) * weights[k] for k in range(j, n + 1)), den)
-    return -total if j % 2 else total
+    global _id04_memo
+    alpha, beta = a["alpha"], a["beta"]
+    if "j" not in a:
+        return _id04_row(n, alpha, beta)
+    memo_n, memo_alpha, memo_beta, rows = _id04_memo
+    if not (memo_n == n and memo_alpha is alpha and memo_beta is beta):
+        rows = _id04_row(n, alpha, beta)
+        _id04_memo = (n, alpha, beta, rows)
+    row, den = rows
+    return over(row[int(a["j"])], den)
 
 
 def id05(n, a):

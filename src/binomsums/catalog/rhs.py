@@ -3,12 +3,12 @@
 Implemented from the displayed right sides only; see lhs.py for the
 independence convention and the C(n, p) normalization of ID07/ID19.
 
-ID04 builds its j-free rows C(beta+j, j) and C(beta-alpha+n, m) once per
-(n, alpha, beta) in a one-slot memo keyed, as in lhs.py, on n and the
-identity of the alpha and beta objects (RatFunc and Jet2 are unhashable;
-the slot's strong references keep an id from being reused).  The slot is
-this module's own, not shared with lhs.py, so a wrong row on one side cannot
-also appear on the other and cancel.
+ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
+C(beta-alpha+n, n-j) over one den without a["j"], and one entry of it,
+divided once, with a["j"].  The row of the last per-j call sits in a
+one-slot memo keyed, as in lhs.py, on n and the identity of the alpha and
+beta objects.  The slot is this module's own, so a wrong row on one side
+cannot also appear on the other and cancel.
 """
 
 from __future__ import annotations
@@ -61,26 +61,28 @@ def id03(n, a):
     return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
 
 
-# (n, alpha, beta, rows) of the last ID04 call; see the module docstring
+# (n, alpha, beta, (row, den)) of the last per-j ID04 call; see the module docstring
 _id04_memo = (None, None, None, None)
 
 
-def _id04_rows(n, alpha, beta):
-    """The rows [C(beta+j, j)]_j and [C(beta-alpha+n, m)]_m, each with its den."""
-    global _id04_memo
-    memo_n, memo_alpha, memo_beta, rows = _id04_memo
-    if memo_n == n and memo_alpha is alpha and memo_beta is beta:
-        return rows
-    rows = rising_row(beta, n), binom_row(beta - alpha + n, n)
-    _id04_memo = (n, alpha, beta, rows)
-    return rows
+def _id04_row(n, alpha, beta):
+    """[(-1)^(n+j) C(beta+j, j) C(beta-alpha+n, n-j)]_j, j = 0..n, over one den."""
+    (bb, db), (bg, dg) = rising_row(beta, n), binom_row(beta - alpha + n, n)
+    row = (bb[j] * bg[n - j] for j in range(n + 1))
+    return [-v if (n + j) % 2 else v for j, v in enumerate(row)], db * dg
 
 
 def id04(n, a):
-    j = int(a["j"])
-    (bb, db), (bg, dg) = _id04_rows(n, a["alpha"], a["beta"])
-    value = over(bb[j] * bg[n - j], db * dg)
-    return -value if (n + j) % 2 else value
+    global _id04_memo
+    alpha, beta = a["alpha"], a["beta"]
+    if "j" not in a:
+        return _id04_row(n, alpha, beta)
+    memo_n, memo_alpha, memo_beta, rows = _id04_memo
+    if not (memo_n == n and memo_alpha is alpha and memo_beta is beta):
+        rows = _id04_row(n, alpha, beta)
+        _id04_memo = (n, alpha, beta, rows)
+    row, den = rows
+    return over(row[int(a["j"])], den)
 
 
 def id05(n, a):

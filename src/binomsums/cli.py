@@ -14,17 +14,18 @@ may set n_max, samples, seed and format; explicit flags override the file,
 the file overrides the defaults (seed 0, samples 20, text).  No environment
 variables are read.
 
-Exit codes: 0 all checks passed, 1 at least one fail row or no pass and no
+Exit codes: 0 all checks passed, 1 at least one fail row, no pass and no
 fail row at all (nothing was checked, e.g. --samples 0 on an entry with
-parameters), 2 usage, parse or I/O error (a negative n_max or samples, from
-a flag or the file, is a usage error).  Output for a fixed seed and flag set
-is byte-stable.
+parameters) or a stdout reader gone before the report ended, 2 usage, parse
+or I/O error (a negative n_max or samples, from a flag or the file, is a
+usage error).  Output for a fixed seed and flag set is byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog.entries import MUTATIONS, REGISTRY
@@ -183,10 +184,16 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return _run(args, out)
+        status = _run(args, out)
+        if out is sys.stdout:
+            out.flush()     # a reader that closed early shows here, not at exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:     # the reader is gone: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def entry() -> None:

@@ -10,9 +10,9 @@ moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
   a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n,
-  ``row``: one j), a factor whose kernel argument is free of n from one
-  ``binom_row`` or ``rising_row`` per call, one whose argument moves with n
-  once per n, an int factor of j and k by ``math.comb`` at each (n, j).  The
+  ``row``: one j), each ``binom_row`` or ``rising_row`` argument form once
+  per call (once per n if it moves with n), as deep as the factors on it
+  read, an int factor of j and k by ``math.comb`` at each (n, j).  The
   first failing (n, j, k, factor) raises: at each point the sign, then the factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
@@ -212,6 +212,9 @@ class BoundTerm:
         forms = [(_bind(top, point, outer, inner, var), _bind(bottom, point, outer, inner, var))
                  for top, bottom, _ in term.factors]
         plans, reads, kernels = [_plan(*form) for form in forms], list(reads), {}
+        # factors with one (kernel, argument) = plan[::2] share a row, as deep as any reads it
+        owners = [plan and min(q for q, o in enumerate(plans) if o and o[::2] == plan[::2])
+                  for plan in plans]
         for m, js, ks in reads:
             if None in plans or any(type(c) is not int for c in sign) or not (js and ks):
                 yield from (self._points(forms, sign, m, j, ks) for j in js)
@@ -220,11 +223,12 @@ class BoundTerm:
             base, base_den = [-1 if sign[3] * k % 2 else 1 for k in ks], 1
             num, scale_den = term.constant.numerator, term.constant.denominator
             scales, per_j = [-num if _at(sign, m, j, 0) % 2 else num for j in js], []
-            for position, (plan, (_, _, exp)) in enumerate(zip(plans, term.factors)):
+            for plan, owner, (_, _, exp) in zip(plans, owners, term.factors):
                 read, index, arg, _ = plan
-                key = position, arg[1] and m        # a row per call, or per m if it moves
+                key = owner, arg[1] and m           # a row per call, or per m if it moves
                 if read and key not in kernels:
-                    reach = _reach(index, [(m, js, ks)] if arg[1] else reads)
+                    reach = max(_reach(other[1], [(m, js, ks)] if arg[1] else reads)
+                                for other, shared in zip(plans, owners) if shared == owner)
                     kernels[key] = read(_at(arg, m, 0, 0), reach)
                 on_j, on_k, kernel = index[2] or arg[2], index[3] or arg[3], kernels.get(key)
                 if on_j and on_k:

@@ -18,7 +18,7 @@ from binomsums.catalog.entries import (
     evaluate_side,
     SkipEvaluation,
 )
-from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic
+from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic, over
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
@@ -145,22 +145,24 @@ def test_all_entries_pass_on_seeded_draws():
 
 
 def test_inner_index_checked_for_all_j():
-    # ID04 holds for every j in 0..n; a rhs wrong at one inner j must fail there
-    assign = {"alpha": F(1, 2), "beta": F(1, 3)}
-    r = check_identity("ID04", 5, assign)
-    assert r.status == "pass"
-
+    # ID04 holds for every j in 0..n; a right row wrong at one inner j must fail there
+    n, assign = 5, {"alpha": F(1, 2), "beta": F(1, 3)}
     entry = REGISTRY["ID04"]
+    r = check_identity("ID04", n, assign)
+    assert r.status == "pass"
+    at_n = dict(assign, j=n)
+    assert (r.lhs, r.rhs) == (entry.lhs(n, at_n), entry.rhs(n, at_n))
 
-    def wrong_at_j2(n, a):
-        value = entry.rhs(n, a)
-        return value + 1 if a["j"] == 2 else value
+    for j in (2, 0, n):
+        def wrong_at_j(n, a, j=j):
+            row, den = entry.rhs(n, a)
+            return [v + den if i == j else v for i, v in enumerate(row)], den
 
-    r = check_identity("ID04", 5, assign, {"ID04": replace(entry, rhs=wrong_at_j2)})
-    assert r.status == "fail" and r.reason == "sides differ at j=2"
-    at_j2 = dict(assign, j=2)
-    assert r.lhs == entry.lhs(5, at_j2)
-    assert r.rhs == entry.rhs(5, at_j2) + 1
+        r = check_identity("ID04", n, assign, {"ID04": replace(entry, rhs=wrong_at_j)})
+        assert r.status == "fail" and r.reason == f"sides differ at j={j}"
+        at_j = dict(assign, j=j)
+        assert r.lhs == entry.lhs(n, at_j)
+        assert r.rhs == entry.rhs(n, at_j) + 1
 
 
 def _id04_reference(n, a):
@@ -172,6 +174,25 @@ def _id04_reference(n, a):
         left = left + (-term if (k + j) % 2 else term)
     right = binom_poly(beta + j, j) * binom_poly(beta - alpha + n, n - j)
     return left, -right if (n + j) % 2 else right
+
+
+def test_id04_rows_match_the_reference():
+    # both j-rows, and the per-j view of each, against the memo-free reference at
+    # every j, over Fraction draws and one RatFunc draw
+    entry = REGISTRY["ID04"]
+    draws = draw_for_entry(entry, seed=7, samples=3, n_max=10)
+    draws.append({"alpha": RatFunc.var("alpha"), "beta": RatFunc.var("beta")})
+    for params in draws:
+        for n in range(11):
+            rows = entry.lhs(n, params), entry.rhs(n, params)
+            assert [len(row) for row, _ in rows] == [n + 1, n + 1]
+            for j in range(n + 1):
+                a = dict(params, j=j)
+                want = _id04_reference(n, a)
+                from_rows = tuple(over(row[j], den) for row, den in rows)
+                per_j = entry.lhs(n, a), entry.rhs(n, a)
+                assert from_rows == want and per_j == want, (n, a)
+                assert [type(v) for v in from_rows + per_j] == [type(v) for v in want * 2]
 
 
 def test_id04_memo_never_serves_stale_rows():
@@ -444,6 +465,9 @@ def test_every_entry_detects_a_shifted_rhs(entry_id):
     entry = REGISTRY[entry_id]
 
     def shifted_rhs(n, a):
+        if entry.inner_index:       # the whole j-row (row, den): + 1/(n+2) at every j
+            row, den = entry.rhs(n, a)
+            return [v * (n + 2) + den for v in row], den * (n + 2)
         return entry.rhs(n, a) + F(1, n + 2)
 
     entries = {entry_id: replace(entry, rhs=shifted_rhs)}

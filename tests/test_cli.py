@@ -5,6 +5,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,14 @@ GOLDEN_DEEP_WZ_POLE_SHA256 = {
     6: "d1ab4400c053f80ca44bb9b60a0363be2098eb8c36c951c32b6ed1706184250e",
     8: "e43782d01b88c979f3ab6cb28c3f7fd04cc18dfa0fe5bc7740855ad036991966",
 }
+
+
+# sha256 of `binomsums check ID04 --format json --seed 0` through real stdout,
+# recorded while each inner j was still checked by its own pair of calls
+GOLDEN_CHECK_ID04_SHA256 = "75d2215b0efb43a97394f7eec1b3a95ffbac81cb34fcea6c5792c121a2c8f21b"
+
+CHECK_ID04 = [sys.executable, "-m", "binomsums.cli", "check", "ID04", "--format", "json",
+              "--seed", "0"]
 
 
 def run_cli(*argv):
@@ -203,3 +215,43 @@ def test_deep_wz_pole_rows_are_pinned(budget, seed):
     assert code == 1
     assert "unexpected pole: binom(" in text
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DEEP_WZ_POLE_SHA256[seed]
+
+
+def _cli_env():
+    # stdout block-buffered, as in a shell pipe, whatever the calling environment sets
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_check_id04_bytes_through_stdout_are_pinned():
+    done = subprocess.run(CHECK_ID04, env=_cli_env(), capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_CHECK_ID04_SHA256
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # the ID04 report (about 180 kB) outgrows the pipe, so a write sees the close
+    proc = subprocess.Popen(CHECK_ID04, env=_cli_env(), stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(300).startswith(b"{")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    # the listing fits in stdout's buffer: a reader gone before the start shows at
+    # the flush, and the buffer must not be flushed again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "binomsums.cli", "list"], env=_cli_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr, done.stderr

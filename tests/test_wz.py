@@ -411,26 +411,37 @@ def test_an_edge_failure_waits_for_the_later_boundary_points():
 
 def test_each_factor_is_read_once_per_draw(monkeypatch):
     # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j) do not
-    # move with n, so each check reads each once per draw; C(beta-alpha+n, n-j)
-    # is read once per n, and C(k, j) by math.comb: at most 3 + (n_max + 1)
-    # kernel rows per check, where reading once per n would take 4 (n_max + 1)
-    calls = []
+    # move with n, and C(beta+k, k) and C(beta+j, j) share rising_row(beta), so
+    # each check reads two rows once per draw; C(beta-alpha+n, n-j) is read once
+    # per n, and C(k, j) by math.comb: at most 2 + (n_max + 1) kernel rows per
+    # check, and no (kernel, argument) pair twice in one grid call
+    grids = []
 
     def counting(kernel):
         def wrapped(*args):
-            calls.append(kernel.__name__)
+            grids[-1].append((kernel.__name__, args[0]))
             return kernel(*args)
         return wrapped
 
+    def grid(self, *args):
+        grids.append([])
+        return real_grid(self, *args)
+
+    real_grid = hyperterm.BoundTerm.grid
+    monkeypatch.setattr(hyperterm.BoundTerm, "grid", grid)
     for name in ("binom_row", "rising_row"):
         monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
-    assert telescoping_sum_check(pair, n_max, [assign])[0].ok is True
-    assert 0 < len(calls) <= 3 + (n_max + 1)
-    calls.clear()
-    assert verify_wz_pair(pair, n_max=n_max, samples=1).passed
-    assert 0 < len(calls) <= 3 + (n_max + 1)
+    checks = (lambda: telescoping_sum_check(pair, n_max, [assign])[0].ok,
+              lambda: verify_wz_pair(pair, n_max=n_max, samples=1).passed)
+    for check in checks:
+        grids.clear()
+        assert check() is True
+        calls = [read for reads in grids for read in reads]
+        assert 0 < len(calls) <= 2 + (n_max + 1)
+        for reads in grids:
+            assert len(set(reads)) == len(reads), reads
 
 
 def test_a_non_rational_factor_is_a_fail_row():
