@@ -1,21 +1,21 @@
 """Left-hand-side evaluators, one per catalog entry.
 
 Each function computes the left side of its identity exactly as displayed,
-by direct summation; nothing here is shared with the right-hand sides beyond
-the scalar helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``),
-each tested on its own; a test breaks each row helper in both modules at once
-and every entry using it must then fail, so the two sides stay independent
-computation paths.  A parametric or harmonic sum multiplies row entries,
-which are ints over one denominator per row for exact parameters (see
-exact.py), and divides once by the product of those denominators (``over``),
-so an exact side builds one Fraction.  The harmonic sums (ID15, ID17, ID22,
-ID24-26) read ``harmonic_row``; H_k^2 and H_k^(2) both sit over
+by direct summation.  It shares with the right-hand sides only the scalar
+helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``), each tested
+on its own, and through them the rows a drawn value keeps (see exact.py).
+A kept row is a pure function of an immutable value and n, the ints either
+side would build, so it can hide a wrong row only as a shared kernel can: a
+test breaks each row helper in both modules at once, and every entry using
+it must then fail.  A parametric or harmonic sum multiplies row entries,
+ints over one denominator per row for exact parameters, and divides once by
+the product of those denominators (``over``).  The harmonic sums (ID15,
+ID17, ID22, ID24-26) read ``harmonic_row``; H_k^2 and H_k^(2) both sit over
 lcm(1..n)^2, the order-2 row's denominator.  The sums are ring-generic:
-parameters may also be RatFunc values, whose rows are MultiPoly values over
-one MultiPoly denominator, so a symbolic sum builds one RatFunc, or Jet2
-values (the jet oracle differentiates ID06, ID07, ID08 and ID21), whose
-rows are int-coefficient jets over one int (over one jet for
-``reciprocal_row``), so a jet sum is divided once.
+RatFunc parameters give MultiPoly rows over one MultiPoly, so a symbolic
+sum builds one RatFunc, and Jet2 parameters (the jet oracle differentiates
+ID06, ID07, ID08 and ID21) int-coefficient jet rows over one int (over one
+jet for ``reciprocal_row``), so a jet sum is divided once.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -31,10 +31,9 @@ weights are Taylor-shifted by -1 in place (Horner's scheme, n(n+1)/2 int
 subtractions for Fraction alpha and beta).  With a["j"], a side divides that
 one entry of its row, which a one-slot memo keeps for per-j callers.  The
 memo key is n plus the identity of the alpha and beta objects, not their
-value: RatFunc and Jet2 values are unhashable, all values are immutable, a
-per-j caller hands every j the same objects, and the slot holds strong
-references, so an id cannot be reused while it is the key.  rhs.py keeps its
-own slot, so the two sides share no computed value.
+value: RatFunc and Jet2 values are unhashable, values are immutable, a per-j
+caller hands every j the same objects, and the slot holds strong references,
+so an id cannot be reused while it is the key.  rhs.py keeps its own slot.
 """
 
 from __future__ import annotations

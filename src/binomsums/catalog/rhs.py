@@ -1,14 +1,15 @@
 """Right-hand-side evaluators, one per catalog entry.
 
 Implemented from the displayed right sides only; see lhs.py for the
-independence convention and the C(n, p) normalization of ID07/ID19.
+independence convention, rows kept on a drawn value included, and the
+C(n, p) normalization of ID07/ID19.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
 C(beta-alpha+n, n-j) over one den without a["j"], and one entry of it,
 divided once, with a["j"].  The row of the last per-j call sits in a
 one-slot memo keyed, as in lhs.py, on n and the identity of the alpha and
-beta objects.  The slot is this module's own, so a wrong row on one side
-cannot also appear on the other and cancel.
+beta objects.  The slot is this module's own, so a wrong memo row on one
+side cannot also appear on the other and cancel.
 """
 
 from __future__ import annotations

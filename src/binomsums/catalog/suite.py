@@ -134,11 +134,11 @@ def run_catalog(config: SuiteConfig) -> SuiteReport:
                         f"no admissible draw after {MAX_TRIES} tries"))
                     continue
                 result = check_identity(entry_id, n, assign, entries)
+                lhs = None if result.lhs is None else render_rational(result.lhs)
+                rhs = (lhs if result.status == "pass" else   # equal sides: one string
+                       None if result.rhs is None else render_rational(result.rhs))
                 report.results.append(ResultRow(
-                    entry_id, result.params, n,
-                    None if result.lhs is None else render_rational(result.lhs),
-                    None if result.rhs is None else render_rational(result.rhs),
-                    result.status, result.reason))
+                    entry_id, result.params, n, lhs, rhs, result.status, result.reason))
     return report
 
 

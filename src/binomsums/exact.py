@@ -8,26 +8,27 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
-Row convention: every ``*_row`` kernel returns ``(row, den)``.  The exact
-kernels read their input as p/q through ``numerator`` and ``denominator``,
-so one path serves all three rings.  For an int or ``Fraction`` input the
-row holds plain ints over one positive int denominator (n! q^n for the
-binomial rows, q^n for ``power_row``, lcm(1..n)^order for
-``harmonic_row``), so a sum of row products is one int sum, and
-``over(total, den)`` builds its one ``Fraction``.  For a ``RatFunc`` input
-the same products run over its ``MultiPoly`` numerator and denominator: the
-row holds ``MultiPoly`` values over one ``MultiPoly`` denominator, and
-``over`` builds one ``RatFunc``, so a row sum is canonicalised once.  A
-``Jet2`` input reads as an int-coefficient jet over one positive int, so
-its row holds int-coefficient jets over one int denominator, and ``over``
-divides the jet row sum once.  No kernel divides in the input's ring:
-``reciprocal_row``'s denominator is the product of the rising factors, so
-a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
-``over`` (``JetDivisionPole`` for a jet).
+Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only:
+no caller changes a returned row.  The kernels read their input as p/q
+through ``numerator`` and ``denominator``, so one path serves all three
+rings.  For an int or ``Fraction`` input the row holds ints over one int
+den > 0 (n! q^n for the binomial rows, q^n for ``power_row``,
+lcm(1..n)^order for ``harmonic_row``), and ``over(total, den)`` builds a
+row sum's one ``Fraction``; for a ``RatFunc`` input, ``MultiPoly`` values
+over one ``MultiPoly``, and ``over`` builds one ``RatFunc``; for a ``Jet2``
+input, read as an int-coefficient jet over one int, such jets over one int.
+No kernel divides in the input's ring.  ``binom_row``, ``rising_row``,
+``power_row`` and ``legendre_row`` are one builder, ``_row``, that only
+multiplies; ``reciprocal_row``'s den is the product of the rising factors,
+so a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
+``over`` (``JetDivisionPole`` for a jet).  A ``Drawn`` value, as
+``params.draw`` hands out, keeps each builder kernel's last row: checked at
+n = 0, 1, ..., a draw's row grows by one entry per n, and the second side
+reads it as it is.  Every other input, x + 1 included, gets a fresh row.
 
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
 row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
-reads the last entry of a fresh row.  Nothing is cached between calls.
+reads the last entry of a fresh row.  Harmonic rows are never kept.
 ``digamma_diff`` is a row sum too: sum_i 1/(s - i) is one sum of products
 of the factors p - iq over their product, divided once by ``over``.
 
@@ -47,6 +48,7 @@ from .poly import MultiPoly, RatFunc
 
 __all__ = [
     "DigammaPole",
+    "Drawn",
     "TrigammaPole",
     "binom_int",
     "binom_poly",
@@ -174,25 +176,52 @@ def over(total, den):
     return total if den == 1 else total / den
 
 
-def _over_last(pairs):
-    """(num, den) pairs, each den dividing the last one, as
-    ([num * (last // den)], last)."""
-    pairs = list(pairs)
-    last = pairs[-1][1]
-    return [num * (last // den) for num, den in pairs], last
+class Drawn(Fraction):
+    """A drawn parameter: a ``Fraction`` whose instance dict keeps ``_row``'s
+    state per kernel, as ``functools.cached_property`` keeps its values.
+    Arithmetic on it gives plain ``Fraction`` values, which keep nothing."""
 
 
-def _products(x, n: int, step: int):
-    """Pairs (prod_{i<m} (p + step*i*q), m! q^m) for m = 0..n, x = p/q, in the
-    ring of p and q (ints for a Fraction): their ratios are
-    prod_{i<m} (x + step*i) / m!."""
+def _row(kernel: str, x, n: int, step):
+    """(row, den) of a kernel at x = p/q to depth n, by multiplication only.
+
+    step(p, q, m, N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = 1; entry m
+    is N_m s_{m+1} ... s_n over den = s_1 ... s_n.  A state (depth d, row,
+    den, p, q, N_{d-1}, N_d) grows to n > d: each old entry takes one
+    product, by s_{d+1} ... s_n, and the new ones are built top-down; a fresh
+    row grows from d = 0.  A ``Drawn`` x keeps its state in ``vars(x)[kernel]``: grown to n,
+    as it is at n = d, rebuilt for n < d."""
+    kept = vars(x) if type(x) is Drawn else {}
+    state = kept.get(kernel)
+    if state is None or state[0] > n:
+        p, q = x.numerator, x.denominator
+        state = 0, [p**0], q**0, p, q, 0, p**0
+    d, row, den, p, q, prev, cur = state
+    if d < n:
+        steps, t, new = [], q**0, []
+        for m in range(d, n):
+            prev, (cur, s) = cur, step(p, q, m, prev, cur)
+            steps.append((cur, s))
+        for num, s in reversed(steps):      # entry m is N_m t, then t *= s_m
+            new.append(num * t)
+            t *= s
+        row, den = [v * t for v in row] + new[::-1], den * t
+        kept[kernel] = n, row, den, p, q, prev, cur
+    return row, den
+
+
+def _top(x, n: int, step):
+    """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n), without the row."""
     p, q = x.numerator, x.denominator
-    num, den = p**0, q**0       # the ones of p's and q's rings
-    yield num, den
-    for i in range(n):
-        num *= p + step * i * q
-        den *= (i + 1) * q
-        yield num, den
+    prev, cur, den = 0, p**0, q**0
+    for m in range(n):
+        prev, (cur, s) = cur, step(p, q, m, prev, cur)
+        den *= s
+    return over(cur, den)
+
+
+def _falling(p, q, m, _, num):
+    return num * (p - m * q), (m + 1) * q
 
 
 def binom_poly(s, k: int):
@@ -211,18 +240,17 @@ def binom_poly(s, k: int):
         return zero_like(s)
     if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
         return Fraction(binom_int(s.numerator, k))
-    *_, (num, den) = _products(s, k, -1)
-    return over(num, den)
+    return _top(s, k, _falling)
 
 
 def binom_row(s, n: int):
-    """([C(s, 0), ..., C(s, n)], den) by the falling-factorial recurrence."""
-    return _over_last(_products(s, n, -1))
+    """([C(s, 0), ..., C(s, n)], n! q^n) at s = p/q: C(s, m) = prod_{i<m} (s-i) / m!."""
+    return _row("binom", s, n, _falling)
 
 
 def rising_row(b, n: int):
-    """([C(b+k, k) for k = 0..n], den), C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
-    return _over_last(_products(b + 1, n, 1))
+    """([C(b+k, k) for k = 0..n], n! q^n) at b = p/q: C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
+    return _row("rising", b, n, lambda p, q, m, _, num: (num * (p + (m + 1) * q), (m + 1) * q))
 
 
 def reciprocal_row(b, n: int):
@@ -255,13 +283,8 @@ def shift_row(b, n: int):
 
 
 def power_row(x, n: int):
-    """([x^0, ..., x^n], den): p^k q^(n-k) over q^n at x = p/q."""
-    p, q = x.numerator, x.denominator
-    ps, qs = [p**0], [q**0]
-    for _ in range(n):
-        ps.append(ps[-1] * p)
-        qs.append(qs[-1] * q)
-    return [ps[k] * qs[n - k] for k in range(n + 1)], qs[n]
+    """([x^0, ..., x^n], q^n): p^k q^(n-k) over q^n at x = p/q."""
+    return _row("power", x, n, lambda p, q, m, _, num: (num * p, q))
 
 
 def binom_upper_shift(b, m: int):

@@ -7,19 +7,18 @@ argument (t^2+1)/(2t), which is where a rational t gives a rational
 argument covering [1, inf) and (-inf, -1]; t = 0 is excluded.
 
 Row convention, as in exact.py: at x = u/v the recurrence runs on
-R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, and
-``legendre_row`` returns them scaled over the one denominator n! v^n.  For
-an int or ``Fraction`` x these are ints; for a ``RatFunc`` x they are
-``MultiPoly`` values over its numerator and denominator, and ``over`` makes
-one ``RatFunc`` of them.  ``legendre_new_repr`` sums over ``power_row`` and
-folds t^n into the same one denominator.
+R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, through
+exact's one row builder: ``legendre_row`` is R_m scaled over n! v^n
+(ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x), and
+``legendre`` is R_n / (n! v^n), without the row.  ``legendre_new_repr``
+sums over ``power_row`` and folds t^n into the same one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import _over_last, binom_int, central_binomial, over, power_row
+from .exact import _row, _top, binom_int, central_binomial, over, power_row
 
 __all__ = [
     "legendre",
@@ -30,27 +29,20 @@ __all__ = [
 ]
 
 
-def _scaled_legendre(n: int, u, v):
-    """(R_m, m! v^m) for m = 0..n, with R_m = m! v^m P_m(u/v) in the ring of
-    u and v (an int for an exact x)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    prev, cur, den = 0, v**0, v**0
-    for m in range(n + 1):
-        yield cur, den
-        prev, cur = cur, (2 * m + 1) * u * cur - m * m * v * v * prev
-        den *= (m + 1) * v
+def _recurrence(u, v, m, prev, cur):
+    return (2 * m + 1) * u * cur - m * m * v * v * prev, (m + 1) * v
 
 
 def legendre_row(n: int, x):
-    """([P_0(x), ..., P_n(x)], den) by the three-term recurrence."""
-    return _over_last(_scaled_legendre(n, x.numerator, x.denominator))
+    """([P_0(x), ..., P_n(x)], n! v^n) by the three-term recurrence on R_m."""
+    return _row("legendre", x, n, _recurrence)
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence: its last scaled pair."""
-    *_, last = _scaled_legendre(n, x.numerator, x.denominator)
-    return over(*last)
+    """P_n(x) by the three-term recurrence: R_n over n! v^n, without the row."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
+    return _top(x, n, _recurrence)
 
 
 def _check_t(t: Fraction) -> None:

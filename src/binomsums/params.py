@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .exact import DigammaPole, TrigammaPole
+from .exact import DigammaPole, Drawn, TrigammaPole
 from .hyperterm import HyperTermPole
 from .jets import JetDivisionPole
 
@@ -63,9 +63,9 @@ def draw(rng: random.Random, spec: ParamSpec, n_max: int,
          bound: int = 100) -> dict[str, Fraction] | None:
     """One assignment with numerators in [-bound, bound] and denominators in
     [1, bound], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
-    after MAX_TRIES tries."""
+    after MAX_TRIES tries.  The values are ``exact.Drawn``, which keep rows."""
     for _ in range(MAX_TRIES):
-        assign = {name: Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        assign = {name: Drawn(rng.randint(-bound, bound), rng.randint(1, bound))
                   for name in spec.names}
         if spec.reject(n_max, assign) is None:
             return assign

@@ -305,11 +305,6 @@ class MultiPoly:
         prim.den = 1
         return Fraction(g, self.den), prim
 
-    def __floordiv__(self, other):
-        """Exact division (:meth:`divexact`): the ``//`` of the exact row kernels."""
-        o = self._coerced(other)
-        return NotImplemented if o is None else self.divexact(o)
-
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ArithmeticError if not exact.
 

@@ -258,11 +258,12 @@ def test_a_helper_bug_shared_by_both_sides_cannot_cancel(monkeypatch, helper):
     callers, current = set(), None
 
     def wrong_at_index_one(*args):
-        # one more than the right value at index 1, in the (row, den) contract
+        # one more than the right value at index 1, in the (row, den) contract,
+        # on a copy: a returned row is read-only, and a drawn value keeps its row
         callers.add(current)
         row, den = real(*args)
         if len(row) > 1:
-            row[1] = row[1] + den
+            row = [row[0], row[1] + den, *row[2:]]
         return row, den
 
     for module in (lhs, rhs):

@@ -8,8 +8,10 @@ from math import comb, factorial
 
 import pytest
 
+from binomsums.catalog.entries import REGISTRY, draw_for_entry
 from binomsums.exact import (
     DigammaPole,
+    Drawn,
     TrigammaPole,
     binom_poly,
     binom_row,
@@ -28,6 +30,8 @@ from binomsums.exact import (
     trigamma_diff,
 )
 from binomsums.jets import Jet2
+from binomsums.legendre import legendre_row
+from binomsums.params import ParamSpec, draw
 from binomsums.poly import MultiPoly, RatFunc
 
 try:
@@ -277,6 +281,61 @@ def test_binomial_kernels_on_nonnegative_integers_equal_comb():
             assert [binom_poly(x, k) for k in range(41)] == [comb(s, k) for k in range(41)]
             assert [binom_upper_shift(x, m) for m in range(41)] == [
                 comb(s + m, m) for m in range(41)]
+
+
+GROWN_KERNELS = {
+    "binom_row": binom_row,
+    "rising_row": rising_row,
+    "power_row": power_row,
+    "legendre_row": lambda x, n: legendre_row(n, x),
+}
+
+
+def test_grown_rows_equal_fresh_rows():
+    # a drawn value keeps each kernel's row and grows it; every visit must give
+    # the ints of a row built afresh at a plain Fraction of the same value
+    rng = random.Random("grown rows")
+    spec = ParamSpec(("x",))
+    drawn = [draw(rng, spec, 40)["x"] for _ in range(12)]
+    drawn += [Drawn(0), Drawn(0, 7), Drawn(5), Drawn(-3, 1), Drawn(1)]   # p = 0 and q = 1
+    visits = (list(range(41)) + [40, 40, 17, 17]            # increasing, repeated
+              + list(range(40, -1, -1))                     # decreasing
+              + [0, 7, 3, 19, 40, 1, 38, 2, 25, 25, 11])    # skipping both ways
+    names = list(GROWN_KERNELS)
+    for x in drawn:
+        assert type(x) is Drawn
+        plain = Fraction(x)
+        for i, n in enumerate(visits):
+            for name in names[i % 4:] + names[:i % 4]:      # kernels interleaved
+                kernel = GROWN_KERNELS[name]
+                row, den = kernel(x, n)
+                want, want_den = kernel(plain, n)
+                assert type(den) is int and all(type(v) is int for v in row), name
+                assert (row, den) == (want, want_den), (name, x, n)
+
+
+def test_drawn_values_act_as_fractions():
+    rng = random.Random("drawn values")
+    x, y = (draw(rng, ParamSpec(("x",)), 10)["x"] for _ in range(2))
+    binom_row(x, 6)                                         # x and y keep rows
+    power_row(y, 3)
+    for v in (x, y, Drawn(3, 6), Drawn(-4)):
+        f = Fraction(v.numerator, v.denominator)
+        assert type(v) is Drawn
+        assert (str(v), v, hash(v)) == (str(f), f, hash(f))
+        assert render_rational(v) == render_rational(f) and parse_rational(str(v)) == v
+    for derived in (x + 1, -x, 2 * x, x - y, x * y, x / y, 1 - x, x ** 2, +x, abs(x)):
+        assert type(derived) is Fraction
+
+    def shown(draws):
+        return [a if a is None else {k: str(v) for k, v in a.items()} for a in draws]
+
+    for entry in REGISTRY.values():
+        first = draw_for_entry(entry, 3, 4, entry.n_max)
+        for v in (v for a in first if a for v in a.values()):
+            binom_row(v, 5)
+            rising_row(v, 5)
+        assert shown(first) == shown(draw_for_entry(entry, 3, 4, entry.n_max))
 
 
 def fraction_branch_taylor(x, m):
