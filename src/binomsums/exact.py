@@ -189,23 +189,26 @@ def _row(kernel: str, x, n: int, step):
     is N_m s_{m+1} ... s_n over den = s_1 ... s_n.  A state (depth d, row,
     den, p, q, N_{d-1}, N_d) grows to n > d: each old entry takes one
     product, by s_{d+1} ... s_n, and the new ones are built top-down; a fresh
-    row grows from d = 0.  A ``Drawn`` x keeps its state in ``vars(x)[kernel]``: grown to n,
-    as it is at n = d, rebuilt for n < d."""
+    row grows from d = 0.  The row is a tuple, so a kept one cannot be edited.
+    A ``Drawn`` x keeps its state in ``vars(x)[kernel]``: grown to n, as it
+    is at n = d, rebuilt for n < d."""
     kept = vars(x) if type(x) is Drawn else {}
     state = kept.get(kernel)
     if state is None or state[0] > n:
         p, q = x.numerator, x.denominator
-        state = 0, [p**0], q**0, p, q, 0, p**0
+        state = 0, (p**0,), q**0, p, q, 0, p**0
     d, row, den, p, q, prev, cur = state
     if d < n:
-        steps, t, new = [], q**0, []
+        nums, scales = [], []
         for m in range(d, n):
             prev, (cur, s) = cur, step(p, q, m, prev, cur)
-            steps.append((cur, s))
-        for num, s in reversed(steps):      # entry m is N_m t, then t *= s_m
-            new.append(num * t)
-            t *= s
-        row, den = [v * t for v in row] + new[::-1], den * t
+            nums.append(cur)
+            scales.append(s)
+        t = q**0
+        for i in range(n - d - 1, -1, -1):  # entry d+1+i is N_{d+1+i} t, then t *= s_{d+1+i}
+            nums[i] = nums[i] * t
+            t *= scales[i]
+        row, den = (*[v * t for v in row], *nums), den * t
         kept[kernel] = n, row, den, p, q, prev, cur
     return row, den
 

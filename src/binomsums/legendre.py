@@ -35,6 +35,8 @@ def _recurrence(u, v, m, prev, cur):
 
 def legendre_row(n: int, x):
     """([P_0(x), ..., P_n(x)], n! v^n) by the three-term recurrence on R_m."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
     return _row("legendre", x, n, _recurrence)
 
 

@@ -305,6 +305,11 @@ class MultiPoly:
         prim.den = 1
         return Fraction(g, self.den), prim
 
+    def __floordiv__(self, other):
+        """Exact division (:meth:`divexact`), with int and Fraction divisors coerced."""
+        o = self._coerced(other)
+        return NotImplemented if o is None else self.divexact(o)
+
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ArithmeticError if not exact.
 

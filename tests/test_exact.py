@@ -310,6 +310,7 @@ def test_grown_rows_equal_fresh_rows():
                 kernel = GROWN_KERNELS[name]
                 row, den = kernel(x, n)
                 want, want_den = kernel(plain, n)
+                assert type(row) is tuple, name                  # a kept row is read-only
                 assert type(den) is int and all(type(v) is int for v in row), name
                 assert (row, den) == (want, want_den), (name, x, n)
 

@@ -58,6 +58,8 @@ def test_recurrence_invariant():
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         legendre(-1, F(1))
+    with pytest.raises(ValueError):
+        legendre_row(-1, F(1))
 
 
 def test_product_form_examples():

@@ -111,6 +111,11 @@ def test_divexact_and_failure():
     assert a.divexact(b) == parse_ratfunc("k-2").num
     with pytest.raises(ArithmeticError):
         a.divexact(parse_ratfunc("n+2").num)
+    # // is the same exact division, with int and Fraction divisors coerced
+    assert a // b == parse_ratfunc("k-2").num
+    assert a // 2 == parse_ratfunc("(n+1)*(k-2)/2").num
+    with pytest.raises(ArithmeticError):
+        a // parse_ratfunc("n+2").num
 
 
 def test_content_primitive():
