@@ -11,7 +11,6 @@ anywhere.
 from .catalog.entries import REGISTRY, check_identity, evaluate_side
 from .catalog.jets_oracle import derived_identity_via_jets, oracle
 from .catalog.suite import SuiteConfig, run_suite
-from .catalog.taylor import taylor_route_check
 from .exact import binom_poly, binom_upper_shift, digamma_diff, harmonic, trigamma_diff
 from .jets import Jet2
 from .legendre import legendre, legendre_inversion_check, legendre_new_repr
@@ -37,7 +36,6 @@ __all__ = [
     "legendre_new_repr",
     "oracle",
     "run_suite",
-    "taylor_route_check",
     "telescoping_sum_check",
     "trigamma_diff",
     "verify_wz_pair",

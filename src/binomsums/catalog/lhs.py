@@ -3,19 +3,21 @@
 Each function computes the left side of its identity exactly as displayed,
 by direct summation.  It shares with the right-hand sides only the scalar
 helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``), each tested
-on its own, and through them the rows a drawn value keeps (see exact.py).
-A kept row is a pure function of an immutable value and n, the ints either
-side would build, so it can hide a wrong row only as a shared kernel can: a
-test breaks each row helper in both modules at once, and every entry using
-it must then fail.  A parametric or harmonic sum multiplies row entries,
-ints over one denominator per row for exact parameters, and divides once by
-the product of those denominators (``over``).  The harmonic sums (ID15,
-ID17, ID22, ID24-26) read ``harmonic_row``; H_k^2 and H_k^(2) both sit over
-lcm(1..n)^2, the order-2 row's denominator.  The sums are ring-generic:
-RatFunc parameters give MultiPoly rows over one MultiPoly, so a symbolic
-sum builds one RatFunc, and Jet2 parameters (the jet oracle differentiates
-ID06, ID07, ID08 and ID21) int-coefficient jet rows over one int (over one
-jet for ``reciprocal_row``), so a jet sum is divided once.
+on its own, and through them the rows kept on a draw (see exact.py): a
+drawn value's, a ``derived`` argument's such as s + p, and ``pascal_row``'s
+C(n-p, .).  A kept row is a pure function of immutable values and n, the
+ints either side would build, so it can hide a wrong row only as a shared
+kernel can: a test breaks each row helper in both modules at once, and
+every entry using it must then fail.  A parametric or harmonic sum
+multiplies row entries, ints over one denominator per row for exact
+parameters, and divides once by the product of those denominators
+(``over``).  The harmonic sums (ID15, ID17, ID22, ID24-26) read
+``harmonic_row``; H_k^2 and H_k^(2) both sit over lcm(1..n)^2, the order-2
+row's denominator.  The sums are ring-generic: RatFunc parameters give
+MultiPoly rows over one MultiPoly, so a symbolic sum builds one RatFunc,
+and Jet2 parameters (the jet oracle differentiates ID06, ID07, ID08 and
+ID21) int-coefficient jet rows over one int (over one jet for
+``reciprocal_row``), so a jet sum is divided once.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -41,8 +43,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ..exact import (binom_int, binom_poly, binom_row, central_binomial, harmonic,
-                     harmonic_row, over, power_row, reciprocal_row, rising_row, shift_row)
+from ..exact import (binom_int, binom_poly, binom_row, central_binomial, derived, harmonic,
+                     harmonic_row, over, pascal_row, power_row, reciprocal_row, rising_row,
+                     shift_row)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
@@ -110,8 +113,8 @@ def id06(n, a):
 
 
 def id07(n, a):
-    bnp, dp = binom_row(n - a["p"], n)     # C(n-p, m)
-    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
+    bnp, dp = pascal_row(derived("-x", a["p"]), n)  # C(n-p, m)
+    bs, ds = rising_row(a["s"], n)                  # C(s+k, k)
     terms = (bs[k] * bnp[n - k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dp * ds)
 
@@ -148,12 +151,12 @@ def id12(n, a):
 
 def id13(n, a):
     t = a["t"]
-    return legendre(n, (t * t + 1) / (2 * t))
+    return legendre(n, derived("(x^2+1)/(2x)", t))
 
 
 def id14(n, a):
     t = a["t"]
-    values, dv = legendre_row(n, (t * t + 1) / (2 * t))
+    values, dv = legendre_row(n, derived("(x^2+1)/(2x)", t))
     pt, dt = power_row(t, n)
     terms = (binom_int(n, k) * values[k] * pt[k] for k in range(n + 1))
     return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dv * dt)
@@ -183,8 +186,8 @@ def id18(n, a):
 
 def id19(n, a):
     s, p = a["s"], a["p"]
-    bnp, dp = binom_row(n - p, n)          # C(n-p, m)
-    bsp, dsp = binom_row(s + p, n)         # C(s+p, k)
+    bnp, dp = pascal_row(derived("-x", p), n)      # C(n-p, m)
+    bsp, dsp = binom_row(derived("x+y", s, p), n)  # C(s+p, k)
     return over(sum(bsp[k] * bnp[n - k] for k in range(n + 1)), dp * dsp)
 
 

@@ -1,8 +1,9 @@
 """Right-hand-side evaluators, one per catalog entry.
 
 Implemented from the displayed right sides only; see lhs.py for the
-independence convention, rows kept on a drawn value included, and the
-C(n, p) normalization of ID07/ID19.
+independence convention, rows kept on a draw included, and the C(n, p)
+normalization of ID07/ID19.  The single binomials read kept rows: C(s+n, n)
+is entry n of s's ``rising_row``, so ID19 and ID21 call ``binom_upper_shift``.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
 C(beta-alpha+n, n-j) over one den without a["j"], and one entry of it,
@@ -16,37 +17,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exact import (
-    binom_int,
-    binom_poly,
-    binom_row,
-    binom_upper_shift,
-    central_binomial,
-    digamma_diff,
-    harmonic,
-    harmonic_row,
-    over,
-    power_row,
-    reciprocal_row,
-    rising_row,
-    shift_row,
-)
+from ..exact import (binom_int, binom_poly, binom_upper_shift, central_binomial, derived,
+                     digamma_diff, harmonic, harmonic_row, over, pascal_row, power_row,
+                     reciprocal_row, rising_row, shift_row)
 from ..legendre import legendre_new_repr
 
 F = Fraction
 
 
 def id01(n, a):
-    px, dx = power_row(a["x"] + 1, n)
+    px, dx = power_row(derived("x+1", a["x"]), n)
     terms = (binom_int(n, k) * binom_int(n + k, k) * px[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dx)
 
 
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg, dg = binom_row(beta - alpha + n, n)   # C(beta-alpha+n, m)
-    bb, db = rising_row(beta, n)              # C(beta+k, k)
-    pxy, dxy = power_row(x + y, n)
+    bg, dg = pascal_row(derived("x-y", beta, alpha), n)   # C(beta-alpha+n, m)
+    bb, db = rising_row(beta, n)                          # C(beta+k, k)
+    pxy, dxy = power_row(derived("x+y", x, y), n)
     py, dy = power_row(y, n)
     terms = (bg[n - k] * bb[k] * pxy[k] * py[n - k] for k in range(n + 1))
     total = sum(-v if (n + k) % 2 else v for k, v in enumerate(terms))
@@ -55,9 +44,9 @@ def id02(n, a):
 
 def id03(n, a):
     alpha, beta = a["alpha"], a["beta"]
-    bg, dg = binom_row(beta - alpha + n, n)
+    bg, dg = pascal_row(derived("x-y", beta, alpha), n)
     bb, db = rising_row(beta, n)
-    px, dx = power_row(a["x"] + 1, n)
+    px, dx = power_row(derived("x+1", a["x"]), n)
     terms = (bg[n - j] * bb[j] * px[j] for j in range(n + 1))
     return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
 
@@ -68,7 +57,7 @@ _id04_memo = (None, None, None, None)
 
 def _id04_row(n, alpha, beta):
     """[(-1)^(n+j) C(beta+j, j) C(beta-alpha+n, n-j)]_j, j = 0..n, over one den."""
-    (bb, db), (bg, dg) = rising_row(beta, n), binom_row(beta - alpha + n, n)
+    (bb, db), (bg, dg) = rising_row(beta, n), pascal_row(derived("x-y", beta, alpha), n)
     row = (bb[j] * bg[n - j] for j in range(n + 1))
     return [-v if (n + j) % 2 else v for j, v in enumerate(row)], db * dg
 
@@ -88,25 +77,25 @@ def id04(n, a):
 
 def id05(n, a):
     lam = a["lam"]
-    half = F(1, 2)
-    top, dt = binom_row(n - lam - half, n)       # C(n - lam - 1/2, k)
-    low, dl = reciprocal_row(-lam - half, n)     # 1/C(k - lam - 1/2, k)
+    g = derived("-x-1/2", lam)
+    top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
+    low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
     total = over(sum(binom_int(n, k) * top[k] * low[k] for k in range(n + 1)), dt * dl)
-    return binom_poly(2 * lam, n) * total
+    return binom_poly(derived("2x", lam), n) * total
 
 
 def id06(n, a):
     s, t = a["s"], a["t"]
-    return binom_upper_shift(s + t, n) / binom_upper_shift(t, n)
+    return binom_upper_shift(derived("x+y", s, t), n) / binom_upper_shift(t, n)
 
 
 def id07(n, a):
-    return binom_poly(a["s"] + a["p"], n)
+    return binom_poly(derived("x+y", a["s"], a["p"]), n)
 
 
 def id08(n, a):
     row, den = shift_row(a["beta"], n)        # C(beta+k, n)
-    px, dx = power_row(a["x"] + 1, n)
+    px, dx = power_row(derived("x+1", a["x"]), n)
     terms = (binom_int(n, k) * row[k] * px[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), den * dx)
 
@@ -127,7 +116,7 @@ def id11(n, a):
 
 
 def id12(n, a):
-    px, dx = power_row(a["x"] + 1, n)
+    px, dx = power_row(derived("x+1", a["x"]), n)
     total = sum(central_binomial(k) * central_binomial(n - k) * px[k] for k in range(n + 1))
     return over(total, dx * 4**n)
 
@@ -165,7 +154,7 @@ def id18(n, a):
 
 
 def id19(n, a):
-    return binom_poly(a["s"] + n, n)
+    return binom_upper_shift(a["s"], n)
 
 
 def id20(n, a):
@@ -178,7 +167,7 @@ def id20e(n, a):
 
 def id21(n, a):
     s = a["s"]
-    return central_binomial(n) * binom_upper_shift(2 * s + 1, 2 * n) / binom_poly(n + s, n)
+    return central_binomial(n) * binom_upper_shift(2 * s + 1, 2 * n) / binom_upper_shift(s, n)
 
 
 def id22(n, a):

@@ -24,7 +24,13 @@ so a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
 ``over`` (``JetDivisionPole`` for a jet).  A ``Drawn`` value, as
 ``params.draw`` hands out, keeps each builder kernel's last row: checked at
 n = 0, 1, ..., a draw's row grows by one entry per n, and the second side
-reads it as it is.  Every other input, x + 1 included, gets a fresh row.
+reads it as it is.  So do the n-free arguments the catalog derives from a
+draw (x + 1, x + y, (t^2+1)/(2t), ...), which ``derived`` hands out as
+``Drawn`` values kept on the draw; ``pascal_row`` keeps the row of an
+argument that moves with n, C(g+n, .), and steps it by Pascal's rule; and
+``binom_poly``, ``binom_upper_shift`` and ``legendre`` at a ``Drawn`` value
+read one entry of its kept row.  A kept row holds the ints a fresh build
+gives.  ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
 
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
 row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
@@ -55,18 +61,19 @@ __all__ = [
     "binom_row",
     "binom_upper_shift",
     "central_binomial",
+    "derived",
     "digamma_diff",
     "harmonic",
     "harmonic_row",
     "over",
     "parse_rational",
+    "pascal_row",
     "power_row",
     "reciprocal_row",
     "render_rational",
     "rising_row",
     "shift_row",
     "trigamma_diff",
-    "zero_like",
 ]
 
 _ZERO = Fraction(0)
@@ -159,11 +166,6 @@ def central_binomial(k: int) -> int:
     return _CENTRAL[k]
 
 
-def zero_like(x):
-    """The zero of x's ring (int 0 for an int)."""
-    return x * 0
-
-
 def over(total, den):
     """The exit of a row sum: ``total / den``, as one ``Fraction`` for int
     parts, one ``RatFunc`` when either part is a ``MultiPoly``, and in total's
@@ -178,8 +180,36 @@ def over(total, den):
 
 class Drawn(Fraction):
     """A drawn parameter: a ``Fraction`` whose instance dict keeps ``_row``'s
-    state per kernel, as ``functools.cached_property`` keeps its values.
-    Arithmetic on it gives plain ``Fraction`` values, which keep nothing."""
+    state per kernel, as ``functools.cached_property`` keeps its values, and
+    the values ``derived`` from it.  Arithmetic on it gives plain ``Fraction``
+    values, which keep nothing."""
+
+
+# the n-free arguments the catalog derives from its parameters, by form name
+_FORMS = {
+    "x+1": lambda x, _: x + 1,
+    "x+y": lambda x, y: x + y,
+    "x-y": lambda x, y: x - y,
+    "-x": lambda x, _: -x,
+    "-x-1/2": lambda x, _: -x - Fraction(1, 2),
+    "2x": lambda x, _: 2 * x,
+    "(x^2+1)/(2x)": lambda x, _: (x * x + 1) / (2 * x),
+    "(x^2-1)/4": lambda x, _: (x * x - 1) / 4,
+}
+
+
+def derived(form: str, x, y=None):
+    """The argument ``form`` names at x and partner y.  For a ``Drawn`` x and
+    no or a rational y, one ``Drawn`` kept in x's dict under (form, y), with
+    its rows; for any other x or y (a ``Jet2``, a ``RatFunc``), the value."""
+    make = _FORMS[form]
+    if type(x) is not Drawn or not (y is None or isinstance(y, Fraction)):
+        return make(x, y)
+    kept = vars(x)
+    value = kept.get((form, y))
+    if value is None:
+        value = kept[form, y] = Drawn(make(x, y))
+    return value
 
 
 def _row(kernel: str, x, n: int, step):
@@ -213,8 +243,12 @@ def _row(kernel: str, x, n: int, step):
     return row, den
 
 
-def _top(x, n: int, step):
-    """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n), without the row."""
+def _top(kernel: str, x, n: int, step):
+    """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n): read from the kept
+    row of a ``Drawn`` x, built without the row for any other x."""
+    if type(x) is Drawn:
+        row, den = _row(kernel, x, n, step)
+        return Fraction(row[n], den)
     p, q = x.numerator, x.denominator
     prev, cur, den = 0, p**0, q**0
     for m in range(n):
@@ -225,6 +259,10 @@ def _top(x, n: int, step):
 
 def _falling(p, q, m, _, num):
     return num * (p - m * q), (m + 1) * q
+
+
+def _rising(p, q, m, _, num):
+    return num * (p + (m + 1) * q), (m + 1) * q
 
 
 def binom_poly(s, k: int):
@@ -240,10 +278,10 @@ def binom_poly(s, k: int):
     if isinstance(s, int):
         s = Fraction(s)
     if k < 0:
-        return zero_like(s)
+        return s * 0            # the zero of s's ring
     if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
         return Fraction(binom_int(s.numerator, k))
-    return _top(s, k, _falling)
+    return _top("binom", s, k, _falling)
 
 
 def binom_row(s, n: int):
@@ -253,7 +291,26 @@ def binom_row(s, n: int):
 
 def rising_row(b, n: int):
     """([C(b+k, k) for k = 0..n], n! q^n) at b = p/q: C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
-    return _row("rising", b, n, lambda p, q, m, _, num: (num * (p + (m + 1) * q), (m + 1) * q))
+    return _row("rising", b, n, _rising)
+
+
+def pascal_row(g, n: int):
+    """([C(g+n, m) for m = 0..n], n! q^n) at g = p/q: the ints of
+    ``binom_row(g + n, n)``, as (p + nq)/q is in lowest terms.  A ``Drawn`` g
+    keeps the row and steps it from n to n+1 by Pascal's rule: entry m
+    becomes (N_m + N_{m-1}) (n+1) q, the new top N_n (p + (n+1) q), and den
+    takes the factor (n+1) q.  Below the kept depth the row is rebuilt."""
+    if type(g) is not Drawn:
+        return binom_row(g + n, n)
+    d, row, den = vars(g).get("pascal", (n + 1, None, None))
+    if d > n:
+        d, (row, den) = n, binom_row(g + n, n)
+    p, q = g.numerator, g.denominator
+    while d < n:
+        d, s = d + 1, (d + 1) * q
+        row, den = (*[(v + w) * s for v, w in zip(row, (0, *row))], row[-1] * (p + d * q)), den * s
+    vars(g)["pascal"] = n, row, den
+    return row, den
 
 
 def reciprocal_row(b, n: int):
@@ -293,13 +350,12 @@ def power_row(x, n: int):
 def binom_upper_shift(b, m: int):
     """binom(b + m, m)  =  prod_{i=1..m} (b + i) / m!   for integer m >= 0.
 
-    This is the one upper-shifted shape with a non-integer lower index that
-    the identity catalog needs; it is rational (indeed polynomial) in b and
-    therefore lifts to jets unchanged.
+    Polynomial in b, so it lifts to jets unchanged: entry m of
+    ``rising_row(b, m)``, read from a ``Drawn`` b's kept row.
     """
     if m < 0:
         raise ValueError("upper shift must be non-negative")
-    return binom_poly(b + m, m)
+    return _top("rising", b, m, _rising)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@ Row convention, as in exact.py: at x = u/v the recurrence runs on
 R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, through
 exact's one row builder: ``legendre_row`` is R_m scaled over n! v^n
 (ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x), and
-``legendre`` is R_n / (n! v^n), without the row.  ``legendre_new_repr``
-sums over ``power_row`` and folds t^n into the same one denominator.
+``legendre`` is R_n / (n! v^n), read from a ``Drawn`` x's kept row and
+built without the row otherwise.  ``legendre_new_repr`` sums over
+``power_row`` and folds t^n into the same one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import _row, _top, binom_int, central_binomial, over, power_row
+from .exact import _row, _top, binom_int, central_binomial, derived, over, power_row
 
 __all__ = [
     "legendre",
@@ -41,10 +42,10 @@ def legendre_row(n: int, x):
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence: R_n over n! v^n, without the row."""
+    """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._top``)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    return _top(x, n, _recurrence)
+    return _top("legendre", x, n, _recurrence)
 
 
 def _check_t(t: Fraction) -> None:
@@ -74,7 +75,7 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     survives, giving P_n(1) = 1.
     """
     _check_t(t)
-    powers, den = power_row((t * t - 1) / 4, n)
+    powers, den = power_row(derived("(x^2-1)/4", t), n)
     total = sum(binom_int(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
     # t^n joins the one denominator
     return over(total * t.denominator**n, den * t.numerator**n)

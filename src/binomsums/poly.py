@@ -164,11 +164,6 @@ class MultiPoly:
                     out.add(VARS[i])
         return out
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """(exponent, coefficient) of the graded-lex leading term."""
-        exp = max(self.terms, key=_grlex_key)
-        return exp, Fraction(self.terms[exp], self.den)
-
     # -- ring operations --------------------------------------------------
 
     def _coerced(self, other):

@@ -21,7 +21,6 @@ from fractions import Fraction
 from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
 from binomsums.catalog.jets_oracle import oracle
 from binomsums.catalog.suite import SuiteConfig, run_catalog, run_wz
-from binomsums.catalog.taylor import taylor_route_check
 from binomsums.cli import main as cli_main
 from binomsums.exact import binom_int, binom_poly
 from binomsums.legendre import (
@@ -121,8 +120,8 @@ def test_criterion_5_taylor_route():
         if (alpha.denominator == 1 and alpha < 0) or \
            (beta.denominator == 1 and beta < 0):
             continue
-        for n in range(21):
-            ok &= taylor_route_check(n, alpha, beta)
+        for n in range(21):     # ID04's left row is the Taylor shift (catalog/lhs.py)
+            ok &= check_identity("ID04", n, {"alpha": alpha, "beta": beta}).status == "pass"
     report(5, bool(ok), "polynomial-shift route matches all coefficients "
                         "for n<=20 x 20 draws")
     assert ok

@@ -230,7 +230,7 @@ def test_id04_rows_built_once_per_check(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(lhs, "binom_row", counting("lhs", lhs.binom_row))
-    monkeypatch.setattr(rhs, "binom_row", counting("rhs", rhs.binom_row))
+    monkeypatch.setattr(rhs, "pascal_row", counting("rhs", rhs.pascal_row))
     # fresh objects, so no earlier call can have left them in the memo
     assign = {k: F(v.numerator, v.denominator)
               for k, v in draw_for_entry(REGISTRY["ID04"], 0, 1, 8)[0].items()}
@@ -241,7 +241,8 @@ def test_id04_rows_built_once_per_check(monkeypatch):
 
 ROW_HELPER_CALLERS = {
     "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID10", "ID15", "ID21"},
-    "binom_row": {"ID02", "ID03", "ID04", "ID05", "ID06", "ID07", "ID19"},
+    "binom_row": {"ID02", "ID03", "ID04", "ID06", "ID19"},
+    "pascal_row": {"ID02", "ID03", "ID04", "ID05", "ID07", "ID19"},
     "power_row": {"ID01", "ID02", "ID03", "ID08", "ID12", "ID14"},
     "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
     "shift_row": {"ID08", "ID09"},

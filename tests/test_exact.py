@@ -9,6 +9,7 @@ from math import comb, factorial
 import pytest
 
 from binomsums.catalog.entries import REGISTRY, draw_for_entry
+from binomsums import exact
 from binomsums.exact import (
     DigammaPole,
     Drawn,
@@ -17,11 +18,13 @@ from binomsums.exact import (
     binom_row,
     binom_upper_shift,
     central_binomial,
+    derived,
     digamma_diff,
     harmonic,
     harmonic_row,
     over,
     parse_rational,
+    pascal_row,
     power_row,
     reciprocal_row,
     render_rational,
@@ -30,7 +33,7 @@ from binomsums.exact import (
     trigamma_diff,
 )
 from binomsums.jets import Jet2
-from binomsums.legendre import legendre_row
+from binomsums.legendre import legendre, legendre_row
 from binomsums.params import ParamSpec, draw
 from binomsums.poly import MultiPoly, RatFunc
 
@@ -291,21 +294,26 @@ GROWN_KERNELS = {
 }
 
 
+VISITS = (list(range(41)) + [40, 40, 17, 17]               # increasing, repeated
+          + list(range(40, -1, -1))                        # decreasing
+          + [0, 7, 3, 19, 40, 1, 38, 2, 25, 25, 11])       # skipping both ways
+
+
+def drawn_values(label):
+    rng = random.Random(label)
+    spec = ParamSpec(("x",))
+    drawn = [draw(rng, spec, 40)["x"] for _ in range(12)]
+    return drawn + [Drawn(0), Drawn(0, 7), Drawn(5), Drawn(-3, 1), Drawn(1)]   # p = 0 and q = 1
+
+
 def test_grown_rows_equal_fresh_rows():
     # a drawn value keeps each kernel's row and grows it; every visit must give
     # the ints of a row built afresh at a plain Fraction of the same value
-    rng = random.Random("grown rows")
-    spec = ParamSpec(("x",))
-    drawn = [draw(rng, spec, 40)["x"] for _ in range(12)]
-    drawn += [Drawn(0), Drawn(0, 7), Drawn(5), Drawn(-3, 1), Drawn(1)]   # p = 0 and q = 1
-    visits = (list(range(41)) + [40, 40, 17, 17]            # increasing, repeated
-              + list(range(40, -1, -1))                     # decreasing
-              + [0, 7, 3, 19, 40, 1, 38, 2, 25, 25, 11])    # skipping both ways
     names = list(GROWN_KERNELS)
-    for x in drawn:
+    for x in drawn_values("grown rows"):
         assert type(x) is Drawn
         plain = Fraction(x)
-        for i, n in enumerate(visits):
+        for i, n in enumerate(VISITS):
             for name in names[i % 4:] + names[:i % 4]:      # kernels interleaved
                 kernel = GROWN_KERNELS[name]
                 row, den = kernel(x, n)
@@ -313,6 +321,62 @@ def test_grown_rows_equal_fresh_rows():
                 assert type(row) is tuple, name                  # a kept row is read-only
                 assert type(den) is int and all(type(v) is int for v in row), name
                 assert (row, den) == (want, want_den), (name, x, n)
+
+
+# each derived form at x and partner y, computed here on its own
+DERIVED_FORMS = {
+    "x+1": lambda x, y: x + 1,
+    "x+y": lambda x, y: x + y,
+    "x-y": lambda x, y: x - y,
+    "-x": lambda x, y: -x,
+    "-x-1/2": lambda x, y: -x - F(1, 2),
+    "2x": lambda x, y: 2 * x,
+    "(x^2+1)/(2x)": lambda x, y: (x * x + 1) / (2 * x),
+    "(x^2-1)/4": lambda x, y: (x * x - 1) / 4,
+}
+
+KEPT_READERS = dict(
+    GROWN_KERNELS,
+    pascal_row=pascal_row,
+    binom_poly=lambda x, n: (binom_poly(x, n),),
+    binom_upper_shift=lambda x, n: (binom_upper_shift(x, n),),
+    legendre=lambda x, n: (legendre(n, x),),
+)
+
+
+def test_stepped_and_derived_rows_equal_fresh_rows():
+    # pascal_row steps a drawn g's row C(g+n, .) by Pascal's rule, derived values
+    # keep rows as a drawn value does, and the single binomials read kept rows:
+    # every visit must give the ints of a plain Fraction of the same value, and
+    # no derived value may serve another partner's or another form's row
+    assert sorted(DERIVED_FORMS) == sorted(exact._FORMS)
+    readers = list(KEPT_READERS)
+    for x in drawn_values("stepped and derived rows"):
+        plain = Fraction(x)
+        partners = (Drawn(x.denominator, 3), F(-2, 9), Drawn(0), F(1))
+        keys = [(form, y) for form in DERIVED_FORMS if "y" in form for y in partners]
+        keys += [(form, None) for form in DERIVED_FORMS if "y" not in form
+                 and not (form == "(x^2+1)/(2x)" and x == 0)]
+        for i, n in enumerate(VISITS):
+            row, den = pascal_row(x, n)
+            assert type(row) is tuple and all(type(v) is int for v in row)
+            assert (row, den) == binom_row(plain + n, n), (x, n)
+            for j, (form, y) in enumerate(keys):
+                value = derived(form, x, y)
+                same_value = y if y is None else Fraction(y.numerator, y.denominator)
+                assert type(value) is Drawn and derived(form, x, same_value) is value
+                assert value == DERIVED_FORMS[form](plain, y), (form, x, y)
+                name = readers[(i + j) % len(readers)]
+                got, want = KEPT_READERS[name](value, n), KEPT_READERS[name](Fraction(value), n)
+                assert got == want, (name, form, x, y, n)
+        assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
+        # a partner outside the rationals, or a plain x, keeps nothing
+        jet = Jet2.variable(F(1, 3), 1)
+        assert derived("x+y", x, jet) == jet + plain and type(derived("x+y", x, jet)) is Jet2
+        assert type(derived("x+y", x, RatFunc.var("p"))) is RatFunc
+        assert type(derived("x+y", plain, F(1))) is Fraction
+        assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
+    assert type(derived("x+y", RatFunc.var("s"), F(1))) is RatFunc
 
 
 def test_drawn_values_act_as_fractions():
