@@ -5,17 +5,21 @@ mutations): parameter draws are seeded per entry id, rows are emitted in
 (id, n, draw) order, and rationals are rendered in the canonical string
 format, so repeated runs are byte-identical.
 
-``SuiteReport.to_json`` writes the JSON report row by row from a fixed
-template: its bytes are those of ``json.dumps(to_json_dict(), indent=2)``
-(two-space indent, ASCII escapes through the same C escaper), without the
-pure-Python encoder that ``indent`` selects and its list of chunks.
+Rows are a stream: ``catalog_rows`` and ``wz_rows`` yield each row as it is
+checked, and ``write_json`` and ``write_text`` write it as it arrives and
+return the summary counts, so no run holds its whole report.  The JSON bytes
+are those of ``json.dumps(to_json_dict(), indent=2)`` (two-space indent, ASCII
+escapes through the same C escaper), without the pure-Python encoder.
 """
 
 from __future__ import annotations
 
+import io
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
@@ -23,7 +27,8 @@ from ..params import MAX_TRIES, draw
 from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
-__all__ = ["SuiteConfig", "ResultRow", "SuiteReport", "run_catalog", "run_suite", "run_wz"]
+__all__ = ["SuiteConfig", "ResultRow", "SuiteReport", "catalog_rows", "run_catalog",
+           "run_suite", "run_wz", "suite_rows", "write_json", "write_text", "wz_rows"]
 
 WZ_N_MAX = 10
 
@@ -61,10 +66,6 @@ class SuiteReport:
             out[row.status] += 1
         return out
 
-    @property
-    def failed(self) -> bool:
-        return any(row.status == "fail" for row in self.results)
-
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -79,72 +80,84 @@ class SuiteReport:
 
     def to_json(self) -> str:
         """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``."""
-        rows = []
-        for r in self.results:
-            params = ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}"
-                                     for k, v in r.params.items()) + "\n      }"
-                      if r.params else "{}")
-            rows.append(
-                f'    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
-                f'      "n": {"null" if r.n is None else int.__repr__(r.n)},\n'
-                f'      "lhs": {"null" if r.lhs is None else _str(r.lhs)},\n'
-                f'      "rhs": {"null" if r.rhs is None else _str(r.rhs)},\n'
-                f'      "status": {_str(r.status)},\n'
-                f'      "reason": {_str(r.reason)}\n    }}')
-        results = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        c = self.counts()
-        return (f'{{\n  "suite": {_str(self.suite)},\n  "seed": {int.__repr__(self.seed)},\n'
-                f'  "results": {results},\n  "summary": {{\n    "pass": {c["pass"]},\n'
-                f'    "fail": {c["fail"]},\n    "skipped": {c["skipped"]}\n  }}\n}}')
+        write_json(self.suite, self.seed, self.results, buffer := io.StringIO())
+        return buffer.getvalue()
 
     def render_text(self) -> str:
-        lines = [f"suite: {self.suite}   seed: {self.seed}"]
-        for r in self.results:
-            params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
-            n = "-" if r.n is None else str(r.n)
-            lhs = "-" if r.lhs is None else r.lhs
-            rhs = "-" if r.rhs is None else r.rhs
-            line = f"{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} {r.status}"
-            if r.reason:
-                line += f"  ({r.reason})"
-            lines.append(line)
-        c = self.counts()
-        lines.append(f"pass={c['pass']} fail={c['fail']} skipped={c['skipped']}")
-        return "\n".join(lines)
+        write_text(self.suite, self.seed, self.results, buffer := io.StringIO())
+        return buffer.getvalue()
+
+
+def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[str, int]:
+    """Write the JSON report to ``out``, each row as it arrives; its counts."""
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    out.write(f'{{\n  "suite": {_str(suite)},\n  "seed": {int.__repr__(seed)},\n  "results": ')
+    start = "[\n"
+    for r in rows:
+        counts[r.status] += 1
+        params = ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}"
+                                 for k, v in r.params.items()) + "\n      }"
+                  if r.params else "{}")
+        out.write(
+            f'{start}    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
+            f'      "n": {"null" if r.n is None else int.__repr__(r.n)},\n'
+            f'      "lhs": {"null" if r.lhs is None else _str(r.lhs)},\n'
+            f'      "rhs": {"null" if r.rhs is None else _str(r.rhs)},\n'
+            f'      "status": {_str(r.status)},\n'
+            f'      "reason": {_str(r.reason)}\n    }}')
+        start = ",\n"
+    end = "[]" if start == "[\n" else "\n  ]"
+    out.write(f'{end},\n  "summary": {{\n    "pass": {counts["pass"]},\n'
+              f'    "fail": {counts["fail"]},\n    "skipped": {counts["skipped"]}\n  }}\n}}')
+    return counts
+
+
+def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[str, int]:
+    """Write the text report to ``out``, each row as it arrives; its counts."""
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    out.write(f"suite: {suite}   seed: {seed}")
+    for r in rows:
+        counts[r.status] += 1
+        params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
+        n = "-" if r.n is None else str(r.n)
+        lhs = "-" if r.lhs is None else r.lhs
+        rhs = "-" if r.rhs is None else r.rhs
+        line = f"\n{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} {r.status}"
+        out.write(f"{line}  ({r.reason})" if r.reason else line)
+    out.write(f"\npass={counts['pass']} fail={counts['fail']} skipped={counts['skipped']}")
+    return counts
 
 
 def _selected(only: tuple[str, ...], name: str) -> bool:
     return not only or name in only
 
 
-def run_catalog(config: SuiteConfig) -> SuiteReport:
-    """Every selected entry at every n up to its depth, for every draw."""
-    report = SuiteReport("catalog", config.seed)
+def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
+    """Every selected entry at every n up to its depth, for every draw; the
+    rows of one draw share its rendered parameters."""
     entries = apply_mutations(config.mutations)
     for entry_id, entry in entries.items():
         if not _selected(config.only, entry_id):
             continue
         n_max = config.n_max if config.n_max is not None else entry.n_max
         draws = draw_for_entry(entry, config.seed, config.samples, n_max)
+        shown = [None if assign is None else {k: str(v) for k, v in assign.items()}
+                 for assign in draws]
         for n in range(n_max + 1):
-            for assign in draws:
+            for assign, params in zip(draws, shown):
                 if assign is None:
-                    report.results.append(ResultRow(
-                        entry_id, {}, n, None, None, "skipped",
-                        f"no admissible draw after {MAX_TRIES} tries"))
+                    yield ResultRow(entry_id, {}, n, None, None, "skipped",
+                                    f"no admissible draw after {MAX_TRIES} tries")
                     continue
-                result = check_identity(entry_id, n, assign, entries)
+                result = check_identity(entry_id, n, assign, entries, params)
                 lhs = None if result.lhs is None else render_rational(result.lhs)
                 rhs = (lhs if result.status == "pass" else   # equal sides: one string
                        None if result.rhs is None else render_rational(result.rhs))
-                report.results.append(ResultRow(
-                    entry_id, result.params, n, lhs, rhs, result.status, result.reason))
-    return report
+                yield ResultRow(entry_id, params, n, lhs, rhs, result.status, result.reason)
 
 
-def run_wz(config: SuiteConfig) -> SuiteReport:
+def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
     """Symbolic + boundary + telescoping rows for the selected pairs."""
-    report = SuiteReport("wz", config.seed)
     n_max = config.n_max if config.n_max is not None else WZ_N_MAX
     for name in PAIR_NAMES:
         if not (_selected(config.only, name) or _selected(config.only, f"WZ-{name}")):
@@ -162,9 +175,8 @@ def run_wz(config: SuiteConfig) -> SuiteReport:
                           else "symbolic residual != 0")
             else:
                 reason = f"{row.check}: {row.detail}" if row.detail else row.check
-            report.results.append(ResultRow(
-                row_id, row.params, row.n, None, None,
-                "pass" if row.ok else "fail", reason))
+            yield ResultRow(row_id, row.params, row.n, None, None,
+                            "pass" if row.ok else "fail", reason)
 
         rng = random.Random(f"{config.seed}:telescope:{name}")
         draws = [draw(rng, pair.params, n_max) for _ in range(config.samples)]
@@ -172,15 +184,22 @@ def run_wz(config: SuiteConfig) -> SuiteReport:
         for outcome in telescoping_sum_check(pair, n_max, admissible):
             status = ("pass" if outcome.ok else
                       "skipped" if outcome.ok is None else "fail")
-            report.results.append(ResultRow(
-                row_id, outcome.params, None, None, None, status,
-                outcome.reason or "telescoped sum = 1"))
-    return report
+            yield ResultRow(row_id, outcome.params, None, None, None, status,
+                            outcome.reason or "telescoped sum = 1")
+
+
+def suite_rows(config: SuiteConfig) -> Iterator[ResultRow]:
+    """Full catalog plus all three certificate pairs."""
+    return chain(catalog_rows(config), wz_rows(config))
+
+
+def run_catalog(config: SuiteConfig) -> SuiteReport:
+    return SuiteReport("catalog", config.seed, list(catalog_rows(config)))
+
+
+def run_wz(config: SuiteConfig) -> SuiteReport:
+    return SuiteReport("wz", config.seed, list(wz_rows(config)))
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Full catalog plus all three certificate pairs."""
-    report = SuiteReport("suite", config.seed)
-    report.results.extend(run_catalog(config).results)
-    report.results.extend(run_wz(config).results)
-    return report
+    return SuiteReport("suite", config.seed, list(suite_rows(config)))

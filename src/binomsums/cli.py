@@ -16,9 +16,10 @@ variables are read.
 
 Exit codes: 0 all checks passed, 1 at least one fail row, no pass and no
 fail row at all (nothing was checked, e.g. --samples 0 on an entry with
-parameters) or a stdout reader gone before the report ended, 2 usage, parse
-or I/O error (a negative n_max or samples, from a flag or the file, is a
-usage error).  Output for a fixed seed and flag set is byte-stable.
+parameters) or a stdout reader gone before the report ended, which stops the
+run there (each row is written as it is checked), 2 usage, parse or I/O error
+(a negative n_max or samples, from a flag or the file, is a usage error).
+Output for a fixed seed and flag set is byte-stable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import os
 import sys
 
 from .catalog.entries import MUTATIONS, REGISTRY
-from .catalog.suite import SuiteConfig, run_catalog, run_suite, run_wz
+from .catalog.suite import (SuiteConfig, catalog_rows, suite_rows, write_json,
+                            write_text, wz_rows)
 from .exact import parse_rational
 from .wz import PAIR_NAMES
 
@@ -109,13 +111,11 @@ def _effective(args, file_config: dict):
     return settings
 
 
-def _emit(report, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(report.to_json())
-        out.write("\n")
-    else:
-        out.write(report.render_text())
-        out.write("\n")
+def _emit(suite: str, seed: int, rows, fmt: str, out) -> dict[str, int]:
+    """Write the report while its rows are checked; the report's counts."""
+    counts = (write_json if fmt == "json" else write_text)(suite, seed, rows, out)
+    out.write("\n")
+    return counts
 
 
 def _run(args, out) -> int:
@@ -147,9 +147,9 @@ def _run(args, out) -> int:
                 raise UsageError(f"unknown mutation {args.mutate!r}; known: "
                                  + ", ".join(sorted(MUTATIONS)))
             mutations = (args.mutate,)
-        report = run_catalog(SuiteConfig(only=(args.id,), mutations=mutations,
-                                         **config_kwargs))
-        report.suite = f"check:{args.id}"
+        suite = f"check:{args.id}"
+        rows = catalog_rows(SuiteConfig(only=(args.id,), mutations=mutations,
+                                        **config_kwargs))
     elif args.command == "wz":
         scale = None
         if args.mutate is not None:
@@ -163,17 +163,16 @@ def _run(args, out) -> int:
             if scale == 1:
                 raise UsageError("scale-cert expects a rational != 1")
         only = () if args.pair == "all" else (args.pair,)
-        report = run_wz(SuiteConfig(only=only, wz_scale=scale, **config_kwargs))
-        report.suite = f"wz:{args.pair}"
+        suite = f"wz:{args.pair}"
+        rows = wz_rows(SuiteConfig(only=only, wz_scale=scale, **config_kwargs))
     else:
-        report = run_suite(SuiteConfig(**config_kwargs))
+        suite, rows = "suite", suite_rows(SuiteConfig(**config_kwargs))
 
-    _emit(report, fmt, out)
-    counts = report.counts()
+    counts = _emit(suite, settings["seed"], rows, fmt, out)
     if not counts["pass"] and not counts["fail"]:
         print("error: nothing was checked (no pass or fail rows)", file=sys.stderr)
         return 1
-    return 1 if report.failed else 0
+    return 1 if counts["fail"] else 0
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -191,8 +190,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:     # the reader is gone: keep the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:     # the reader is gone: the run stops here
+        if out is sys.stdout:   # and the flush at exit stays quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

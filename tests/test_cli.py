@@ -48,6 +48,14 @@ GOLDEN_CHECK_ID04_SHA256 = "75d2215b0efb43a97394f7eec1b3a95ffbac81cb34fcea6c5792
 CHECK_ID04 = [sys.executable, "-m", "binomsums.cli", "check", "ID04", "--format", "json",
               "--seed", "0"]
 
+# sha256 of the text reports through real stdout, recorded while the text
+# report was still built whole before it was written
+GOLDEN_TEXT_SHA256 = {
+    ("suite", "--seed", "0"): "ae86a1f49e3f5e2b9ef70641bc125274781579adf89e8bf3767ee2c23f33a02e",
+    ("check", "ID04", "--seed", "0"):
+        "073e05a658d5580d0168efa74a037e0a8433e18478c502098e83a34f0c3013fb",
+}
+
 
 def run_cli(*argv):
     out = io.StringIO()
@@ -229,6 +237,43 @@ def test_check_id04_bytes_through_stdout_are_pinned():
     done = subprocess.run(CHECK_ID04, env=_cli_env(), capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_CHECK_ID04_SHA256
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_TEXT_SHA256))
+def test_text_report_bytes_through_stdout_are_pinned(argv):
+    done = subprocess.run([sys.executable, "-m", "binomsums.cli", *argv], env=_cli_env(),
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN_TEXT_SHA256[argv]
+
+
+class _ClosedAfterFirstWrite(io.StringIO):
+    """An output whose reader is gone after the first write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_closed_output_stops_the_run_at_the_first_row(monkeypatch, capsys, fmt):
+    from binomsums.catalog import suite
+
+    checked = []
+    check_identity = suite.check_identity
+    monkeypatch.setattr(suite, "check_identity",
+                        lambda *args: checked.append(args[:2]) or check_identity(*args))
+    code = main(["suite", "--format", fmt], out=_ClosedAfterFirstWrite())
+    assert code == 1
+    # the header went out, the first row's write failed: one check of 11 914 rows
+    assert checked == [("ID01", 0)]
+    assert capsys.readouterr().err == ""       # no traceback, no error line
 
 
 def test_a_reader_that_closes_early_gets_no_traceback():

@@ -6,9 +6,9 @@ import io
 import json
 from fractions import Fraction
 
-from binomsums.catalog.entries import check_identity
+from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import (ResultRow, SuiteConfig, SuiteReport, run_catalog,
-                                     run_suite, run_wz)
+                                     run_suite, run_wz, write_json, write_text)
 from binomsums.cli import main
 
 F = Fraction
@@ -68,7 +68,6 @@ def test_small_suite_all_pass():
     report = run_suite(SMALL)
     counts = report.counts()
     assert counts["fail"] == 0
-    assert not report.failed
     assert counts["pass"] == len(report.results) - counts["skipped"]
 
 
@@ -99,7 +98,7 @@ def test_wz_rows_include_symbolic_boundary_telescoping():
     assert "symbolic residual = 0" in reasons
     assert "boundary" in reasons
     assert "telescoped sum = 1" in reasons
-    assert not report.failed
+    assert not report.counts()["fail"]
 
 
 def test_mutated_id24_fails_only_id24():
@@ -117,7 +116,7 @@ def test_mutated_id24_fails_only_id24():
 def test_scaled_certificate_fails_wz():
     report = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",),
                                 wz_scale=F(2)))
-    assert report.failed
+    assert report.counts()["fail"]
     symbolic = [r for r in report.results if "symbolic" in r.reason]
     assert symbolic and symbolic[0].status == "fail"
 
@@ -142,3 +141,42 @@ def test_text_rendering_contains_rows_and_summary():
     assert "ID16" in text
     assert "lhs=3/2 rhs=3/2" in text
     assert text.splitlines()[-1].startswith("pass=")
+
+
+STREAMED = [ResultRow("ID01", {"x": f"{i}/7"}, i, "1", "1", ("pass", "fail", "skipped")[i % 3],
+                      f"row-{i}:") for i in range(7)]
+
+
+def _rows_written_as_they_come(out):
+    """STREAMED, its i-th row yielded only once rows 0..i-1 are in ``out``."""
+    for i, row in enumerate(STREAMED):
+        written = out.getvalue()
+        assert all(f"row-{j}:" in written for j in range(i)), i
+        yield row
+
+
+def test_writers_hold_no_row():
+    report = SuiteReport("streamed", 5, STREAMED)
+    for writer, whole in ((write_json, report.to_json()), (write_text, report.render_text())):
+        out = io.StringIO()
+        counts = writer("streamed", 5, _rows_written_as_they_come(out), out)
+        assert counts == report.counts() == {"pass": 3, "fail": 2, "skipped": 2}
+        assert out.getvalue() == whole
+    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+
+
+def test_rows_of_one_draw_share_its_rendered_params():
+    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",))).results
+    draws = draw_for_entry(REGISTRY["ID06"], 0, 3, 3)
+    assert len(rows) == 4 * 3 and None not in draws
+    for i, row in enumerate(rows):            # rows run over n, then over draws
+        assert row.params is rows[i % 3].params
+        assert row.params == {k: str(v) for k, v in draws[i % 3].items()}
+    # pre-rendered params give the same result as params rendered in the check
+    for entry_id, n, assign in (("ID06", 3, draws[0]), ("ID15", 3, {"s": F(2)}),
+                                ("ID24", 2, {})):
+        shown = {k: str(v) for k, v in assign.items()}
+        result = check_identity(entry_id, n, assign, shown=shown)
+        assert result == check_identity(entry_id, n, assign)
+        assert result.params is shown
+    assert check_identity("ID15", 3, {"s": F(2)}).status == "skipped"
