@@ -264,17 +264,15 @@ def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
 
 
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
-                   entries: dict[str, IdentityEntry] | None = None,
-                   shown: dict[str, str] | None = None) -> CheckResult:
+                   entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
     """Evaluate both sides; pass iff exactly equal.
 
     For an entry with an inner index both sides are rows over 0..n (see
     lhs.py); the first index where they differ is reported, n for a pass.
     A division by zero that is not a typed pole is a fail row naming the exception.
-    ``shown``, the assignment as ``{name: str(value)}``, may come pre-rendered.
     """
     entry = (entries or REGISTRY)[entry_id]
-    shown = {k: str(v) for k, v in assignment.items()} if shown is None else shown
+    shown = {k: str(v) for k, v in assignment.items()}
     try:
         return _guarded(entry, n, assignment,
                         lambda: _compare(entry, n, assignment, shown))

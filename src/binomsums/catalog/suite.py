@@ -5,11 +5,9 @@ mutations): parameter draws are seeded per entry id, rows are emitted in
 (id, n, draw) order, and rationals are rendered in the canonical string
 format, so repeated runs are byte-identical.
 
-Rows are a stream: ``catalog_rows`` and ``wz_rows`` yield each row as it is
-checked, and ``write_json`` and ``write_text`` write it as it arrives and
-return the summary counts, so no run holds its whole report.  The JSON bytes
-are those of ``json.dumps(to_json_dict(), indent=2)`` (two-space indent, ASCII
-escapes through the same C escaper), without the pure-Python encoder.
+``catalog_rows`` and ``wz_rows`` yield rows as they are checked and the writers
+write each at once, so no run holds its report.  The JSON bytes are those of
+``json.dumps(..., indent=2)``, with no pure-Python encoder in between.
 """
 
 from __future__ import annotations
@@ -119,11 +117,9 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     for r in rows:
         counts[r.status] += 1
         params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
-        n = "-" if r.n is None else str(r.n)
-        lhs = "-" if r.lhs is None else r.lhs
-        rhs = "-" if r.rhs is None else r.rhs
-        line = f"\n{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} {r.status}"
-        out.write(f"{line}  ({r.reason})" if r.reason else line)
+        n = "-" if r.n is None else r.n
+        out.write(f"\n{r.id:<9} n={n:<4} {params:<28} lhs={r.lhs or '-'} rhs={r.rhs or '-'} "
+                  f"{r.status}{f'  ({r.reason})' if r.reason else ''}")
     out.write(f"\npass={counts['pass']} fail={counts['fail']} skipped={counts['skipped']}")
     return counts
 
@@ -133,23 +129,21 @@ def _selected(only: tuple[str, ...], name: str) -> bool:
 
 
 def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Every selected entry at every n up to its depth, for every draw; the
-    rows of one draw share its rendered parameters."""
+    """Every selected entry at every n up to its depth, for every draw."""
     entries = apply_mutations(config.mutations)
     for entry_id, entry in entries.items():
         if not _selected(config.only, entry_id):
             continue
         n_max = config.n_max if config.n_max is not None else entry.n_max
         draws = draw_for_entry(entry, config.seed, config.samples, n_max)
-        shown = [None if assign is None else {k: str(v) for k, v in assign.items()}
-                 for assign in draws]
+        shown = [None if a is None else {k: str(v) for k, v in a.items()} for a in draws]
         for n in range(n_max + 1):
             for assign, params in zip(draws, shown):
                 if assign is None:
                     yield ResultRow(entry_id, {}, n, None, None, "skipped",
                                     f"no admissible draw after {MAX_TRIES} tries")
                     continue
-                result = check_identity(entry_id, n, assign, entries, params)
+                result = check_identity(entry_id, n, assign, entries)
                 lhs = None if result.lhs is None else render_rational(result.lhs)
                 rhs = (lhs if result.status == "pass" else   # equal sides: one string
                        None if result.rhs is None else render_rational(result.rhs))

@@ -16,10 +16,9 @@ variables are read.
 
 Exit codes: 0 all checks passed, 1 at least one fail row, no pass and no
 fail row at all (nothing was checked, e.g. --samples 0 on an entry with
-parameters) or a stdout reader gone before the report ended, which stops the
-run there (each row is written as it is checked), 2 usage, parse or I/O error
-(a negative n_max or samples, from a flag or the file, is a usage error).
-Output for a fixed seed and flag set is byte-stable.
+parameters) or a stdout closed before the report ended, which stops the run,
+2 usage, parse or I/O error (a negative n_max or samples, from a flag or the
+file, is a usage error).  Output for a fixed seed and flag set is byte-stable.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ def _effective(args, file_config: dict):
 
 
 def _emit(suite: str, seed: int, rows, fmt: str, out) -> dict[str, int]:
-    """Write the report while its rows are checked; the report's counts."""
     counts = (write_json if fmt == "json" else write_text)(suite, seed, rows, out)
     out.write("\n")
     return counts
@@ -147,9 +145,8 @@ def _run(args, out) -> int:
                 raise UsageError(f"unknown mutation {args.mutate!r}; known: "
                                  + ", ".join(sorted(MUTATIONS)))
             mutations = (args.mutate,)
-        suite = f"check:{args.id}"
-        rows = catalog_rows(SuiteConfig(only=(args.id,), mutations=mutations,
-                                        **config_kwargs))
+        suite, rows = f"check:{args.id}", catalog_rows(SuiteConfig(
+            only=(args.id,), mutations=mutations, **config_kwargs))
     elif args.command == "wz":
         scale = None
         if args.mutate is not None:

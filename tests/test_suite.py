@@ -172,11 +172,8 @@ def test_rows_of_one_draw_share_its_rendered_params():
     for i, row in enumerate(rows):            # rows run over n, then over draws
         assert row.params is rows[i % 3].params
         assert row.params == {k: str(v) for k, v in draws[i % 3].items()}
-    # pre-rendered params give the same result as params rendered in the check
-    for entry_id, n, assign in (("ID06", 3, draws[0]), ("ID15", 3, {"s": F(2)}),
-                                ("ID24", 2, {})):
-        shown = {k: str(v) for k, v in assign.items()}
-        result = check_identity(entry_id, n, assign, shown=shown)
-        assert result == check_identity(entry_id, n, assign)
-        assert result.params is shown
+    # the shared dict is the one check_identity would render for the draw
+    for i, row in enumerate(rows):
+        result = check_identity("ID06", row.n, draws[i % 3])
+        assert (result.params, result.status) == (row.params, row.status)
     assert check_identity("ID15", 3, {"s": F(2)}).status == "skipped"
