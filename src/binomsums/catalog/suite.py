@@ -21,7 +21,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
-from ..params import MAX_TRIES, draw
+from ..params import MAX_TRIES, ResultRow, draw
 from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
@@ -39,17 +39,6 @@ class SuiteConfig:
     only: tuple[str, ...] = ()        # entry ids and/or pair names
     mutations: tuple[str, ...] = ()
     wz_scale: Fraction | None = None  # certificate scaling (negative control)
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    id: str
-    params: dict[str, str]
-    n: int | None
-    lhs: str | None
-    rhs: str | None
-    status: str                        # pass | fail | skipped
-    reason: str = ""
 
 
 @dataclass
@@ -159,27 +148,10 @@ def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
         pair = builtin_pairs()[name]
         if config.wz_scale is not None:
             pair = pair.scaled(config.wz_scale)
-        row_id = f"WZ-{name}"
-
-        verification = verify_wz_pair(pair, n_max=n_max,
-                                      samples=config.samples, seed=config.seed)
-        for row in verification.rows:
-            if row.check == "symbolic-residual":
-                reason = ("symbolic residual = 0" if row.ok
-                          else "symbolic residual != 0")
-            else:
-                reason = f"{row.check}: {row.detail}" if row.detail else row.check
-            yield ResultRow(row_id, row.params, row.n, None, None,
-                            "pass" if row.ok else "fail", reason)
-
+        yield from verify_wz_pair(pair, n_max=n_max, samples=config.samples, seed=config.seed)
         rng = random.Random(f"{config.seed}:telescope:{name}")
         draws = [draw(rng, pair.params, n_max) for _ in range(config.samples)]
-        admissible = [assign for assign in draws if assign is not None]
-        for outcome in telescoping_sum_check(pair, n_max, admissible):
-            status = ("pass" if outcome.ok else
-                      "skipped" if outcome.ok is None else "fail")
-            yield ResultRow(row_id, outcome.params, None, None, None, status,
-                            outcome.reason or "telescoped sum = 1")
+        yield from telescoping_sum_check(pair, n_max, [a for a in draws if a is not None])
 
 
 def suite_rows(config: SuiteConfig) -> Iterator[ResultRow]:

@@ -9,11 +9,11 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
-  a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n,
-  ``row``: one j), each ``binom_row`` or ``rising_row`` argument form once
-  per call (once per n if it moves with n), as deep as the factors on it
-  read, an int factor of j and k by ``math.comb`` at each (n, j).  The
-  first failing (n, j, k, factor) raises: at each point the sign, then the factors.
+  a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n),
+  each ``binom_row`` or ``rising_row`` argument form once per call (once per
+  n if it moves with n), as deep as the factors on it read, an int factor of
+  j and k by ``math.comb`` at each (n, j).  The first failing (n, j, k,
+  factor) raises: at each point the sign, then the factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
@@ -137,7 +137,8 @@ class HyperTerm:
 
     def evaluate(self, assign) -> Fraction:
         """Exact value at an assignment of Fractions to every variable used."""
-        return self.bind(assign).evaluate({})
+        row, den = next(self.bind(assign).rows({}, None, (0,), None, (0,)))
+        return Fraction(row[0], den)
 
     def bind(self, fixed) -> "BoundTerm":
         """The term with the variables of ``fixed`` set to their values."""
@@ -189,17 +190,9 @@ class BoundTerm:
     def __init__(self, term: HyperTerm, fixed):
         self._term, self._fixed = term, fixed
 
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a point that gives every free variable a value."""
-        row, den = self.row(point, None, (0,))
-        return Fraction(row[0], den)
-
-    def row(self, point, var, ks):
-        """([the term at var = k for k in ks] as ints, int den > 0): one j of :meth:`rows`."""
-        return next(self.rows(point, None, (0,), var, ks))
-
     def rows(self, point, inner, js, var, ks):
-        """row({**point, inner: j}, var, ks) for each j in js: one m of :meth:`grid`."""
+        """For each j in js, ([the term at {**point, inner: j}, var = k for k in ks]
+        as ints, int den > 0): one m of :meth:`grid`."""
         for row, scale, den in self.grid(point, None, inner, var, ((0, js, ks),)):
             yield [scale * x for x in row], den
 

@@ -1,5 +1,5 @@
-"""Parameter domains and the seeded draw, shared by the catalog entries and
-the certificate pairs.
+"""Parameter domains, the seeded draw and the report row, shared by the
+catalog entries and the certificate pairs.
 
 A :class:`ParamSpec` names an identity's free parameters and holds its
 rejection predicate ``reject(n_max, assignment) -> reason | None``, which
@@ -15,6 +15,9 @@ evaluator and is reported as a failure.
 base checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums); those
 strings, the draw order and the ``n_max`` handed to the predicate are part
 of the byte-stable report.
+
+A :class:`ResultRow` is one verdict of the report, as the catalog and the
+certificate checks give it and the writers write it.
 """
 
 from __future__ import annotations
@@ -28,12 +31,23 @@ from .exact import DigammaPole, Drawn, TrigammaPole
 from .hyperterm import HyperTermPole
 from .jets import JetDivisionPole
 
-__all__ = ["MAX_TRIES", "ParamSpec", "TYPED_POLES", "draw", "is_neg_int",
+__all__ = ["MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "is_neg_int",
            "not_negative_integers"]
 
 MAX_TRIES = 1000
 
 TYPED_POLES = (DigammaPole, TrigammaPole, JetDivisionPole, HyperTermPole)
+
+
+@dataclass(frozen=True)
+class ResultRow:
+    id: str
+    params: dict[str, str]
+    n: int | None
+    lhs: str | None
+    rhs: str | None
+    status: str                        # pass | fail | skipped
+    reason: str = ""
 
 
 def _accept(n_max: int, a: Mapping[str, Fraction]) -> str | None:

@@ -25,6 +25,8 @@ Verification of a pair combines
 (b), (c) and the telescoped sums run on seeded parameter draws, each draw's
 (n, j) grid read in one pass (``BoundTerm.grid``), with the certificate bound
 once per draw to int polynomials, read at k = 0 and n+2 along j per n.
+Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
+id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draw`, the same draw the
@@ -49,18 +51,16 @@ malformed field is a WZFixtureError with line and column.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
 from .expr import ExprSyntaxError, parse_ratfunc
 from .hyperterm import AffineForm, HyperTerm
-from .params import TYPED_POLES, ParamSpec, draw, is_neg_int
+from .params import TYPED_POLES, ParamSpec, ResultRow, draw, is_neg_int
 from .poly import VARS, RatFunc, RatFuncPole
 
 __all__ = [
-    "CheckRow",
-    "VerificationReport",
     "WZFixtureError",
     "WZPair",
     "builtin_pairs",
@@ -300,30 +300,12 @@ def certificate_residual(pair: WZPair) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# Verification report
+# Verification rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRow:
-    check: str
-    n: int | None
-    params: dict
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class VerificationReport:
-    pair: str
-    seed: int
-    rows: list[CheckRow] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def failures(self) -> list[CheckRow]:
-        return [row for row in self.rows if not row.ok]
+def _row(pair: WZPair, params: dict, status: str, reason: str) -> ResultRow:
+    """A report row of the pair: id WZ-<name>, no n and no sides."""
+    return ResultRow(f"WZ-{pair.name}", params, None, None, None, status, reason)
 
 
 def _int_poly(poly, assign, inner):
@@ -340,20 +322,18 @@ def _int_poly(poly, assign, inner):
 
 
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
-                   seed: int = 0) -> VerificationReport:
-    """Symbolic, boundary, and base/edge checks; failures are recorded rows."""
-    report = VerificationReport(pair.name, seed)
-    residual = certificate_residual(pair)
-    report.rows.append(CheckRow(
-        "symbolic-residual", None, {}, residual.is_zero,
-        "residual = 0" if residual.is_zero else f"residual = {residual.render()}"))
+                   seed: int = 0) -> list[ResultRow]:
+    """The symbolic row, then a boundary and a base-edge row per draw; a draw
+    that fails is one fail row ``draw-<i>: ...`` in their place."""
+    zero = certificate_residual(pair).is_zero
+    rows = [_row(pair, {}, "pass" if zero else "fail",
+                 f"symbolic residual {'=' if zero else '!='} 0")]
 
     rng = random.Random(f"{seed}:wz:{pair.name}")
     for index in range(samples):
         assign = draw(rng, pair.params, n_max)
         if assign is None:
-            report.rows.append(CheckRow(
-                f"draw-{index}", None, {}, False, "could not draw parameters"))
+            rows.append(_row(pair, {}, "fail", f"draw-{index}: could not draw parameters"))
             continue
         shown = {k: str(v) for k, v in assign.items()}
         # each row names its own first failing point; "" while none failed
@@ -397,30 +377,20 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         except (ZeroDivisionError, ValueError) as exc:
             # a ValueError: a factor that is not rational at this draw
             cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
-            report.rows.append(CheckRow(
-                f"draw-{index}", None, shown, False, f"unexpected {cause}: {exc}"))
+            rows.append(_row(pair, shown, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
             continue
-        report.rows.append(CheckRow(
-            "boundary", None, shown, not boundary_detail,
-            boundary_detail or "G(n,0) = G(n,n+2) = 0"))
-        report.rows.append(CheckRow(
-            "base-edge", None, shown, not base_detail,
-            base_detail or "T(0,0) = 1, T(n,n+1) = 0"))
-    return report
+        rows.append(_row(pair, shown, "fail" if boundary_detail else "pass",
+                         f"boundary: {boundary_detail or 'G(n,0) = G(n,n+2) = 0'}"))
+        rows.append(_row(pair, shown, "fail" if base_detail else "pass",
+                         f"base-edge: {base_detail or 'T(0,0) = 1, T(n,n+1) = 0'}"))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Telescoping sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TelescopeResult:
-    params: dict
-    ok: bool | None      # None means skipped
-    reason: str = ""
-
-
-def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
+def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
     shown = {k: str(v) for k, v in assign.items()}
     try:
         term, inner = pair.term.bind(assign), pair.extra_index
@@ -428,20 +398,18 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> TelescopeResult:
         points = ((n, j) for n, js, _ in reads for j in js)
         for (n, j), (row, scale, den) in zip(points, term.grid({}, "n", inner, "k", reads)):
             if scale * sum(row) != den:
-                return TelescopeResult(
-                    shown, False,
-                    f"sum at n={n}" + (f", j={j}" if inner else "")
-                    + f" is {Fraction(scale * sum(row), den)}")
+                return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={j}" if inner else "")
+                            + f" is {Fraction(scale * sum(row), den)}")
     except TYPED_POLES as exc:
-        return TelescopeResult(shown, None, f"skipped: pole ({exc})")
+        return _row(pair, shown, "skipped", f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:
-        return TelescopeResult(shown, False, f"unexpected {type(exc).__name__}: {exc}")
-    return TelescopeResult(shown, True)
+        return _row(pair, shown, "fail", f"unexpected {type(exc).__name__}: {exc}")
+    return _row(pair, shown, "pass", "telescoped sum = 1")
 
 
 def telescoping_sum_check(pair: WZPair, n_max: int,
-                          param_draws: list[dict]) -> list[TelescopeResult]:
-    """Check sum_{k=0..n} T(n,k) == 1 for every n <= n_max and every draw.
+                          param_draws: list[dict]) -> list[ResultRow]:
+    """Check sum_{k=0..n} T(n,k) == 1 for every n <= n_max: one row per draw.
 
     For a pair with an inner index the check runs for every value of that
     index in 0..n.  A draw that lands on a typed pole is reported as

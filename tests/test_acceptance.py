@@ -73,11 +73,11 @@ def test_criterion_2_telescoping():
     ok = True
     outcomes = telescoping_sum_check(pairs["thm1"], 25,
                                      seeded_draws(pairs["thm1"], 25, 20))
-    ok &= all(r.ok is True for r in outcomes)
+    ok &= all(r.status == "pass" for r in outcomes)
     for name in ("thm2", "thm3"):
         outcomes = telescoping_sum_check(pairs[name], 40,
                                          seeded_draws(pairs[name], 40, 20))
-        ok &= all(r.ok is True for r in outcomes)
+        ok &= all(r.status == "pass" for r in outcomes)
     elapsed = time.monotonic() - start
     ok = bool(ok) and elapsed < 60.0
     report(2, ok, f"sums telescope to 1 (j<=n<=25 and n<=40, 20 draws) "

@@ -195,6 +195,23 @@ def test_run_that_checked_nothing_exits_1(capsys):
     assert code == 0
 
 
+def test_an_entry_with_no_admissible_draw_gives_skipped_rows(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from binomsums.catalog.entries import REGISTRY
+    from binomsums.params import ParamSpec
+
+    monkeypatch.setitem(REGISTRY, "ID01", replace(
+        REGISTRY["ID01"], params=ParamSpec(("x",), lambda n_max, a: "rejected")))
+    code, payload = run_cli("check", "ID01", "--n-max", "1", "--samples", "2",
+                            "--format", "json")
+    assert code == 1
+    assert "nothing was checked" in capsys.readouterr().err
+    rows = json.loads(payload)["results"]
+    assert [(row["n"], row["params"], row["status"], row["reason"]) for row in rows] == [
+        (n, {}, "skipped", "no admissible draw after 1000 tries") for n in (0, 0, 1, 1)]
+
+
 def test_suite_small_run_json():
     code, payload = run_cli("suite", "--n-max", "2", "--samples", "1",
                             "--format", "json")

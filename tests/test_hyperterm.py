@@ -149,13 +149,13 @@ def _outcome(call):
 
 
 def _assert_row_matches(term, assign, point, ks):
-    """row(point, "k", ks) equals the reference at every k, or raises what
+    """rows(point, None, (0,), "k", ks) equals the reference at every k, or raises what
     the reference raises at the first failing k."""
     def by_points():
         return [_reference(term, assign, {**point, "k": k}) for k in ks]
 
     def by_row():
-        row, den = term.bind(assign).row(point, "k", ks)
+        row, den = next(term.bind(assign).rows(point, None, (0,), "k", ks))
         assert den > 0 and all(type(v) is int for v in row)
         return [F(v, den) for v in row]
 
@@ -204,7 +204,7 @@ def test_bound_row_raises_the_first_failing_point():
             for ks in (range(6), (3, 0), (5, 4, 1), (2,), (4, 1, 3)):
                 _assert_row_matches(term, {"t": F(1, 3)}, {"n": n}, ks)
     with pytest.raises(HyperTermPole) as info:
-        terms[0].bind({}).row({}, "k", range(5))
+        next(terms[0].bind({}).rows({}, None, (0,), "k", range(5)))
     assert str(info.value) == "binom(k,1) vanished in a denominator"
 
 
@@ -346,9 +346,9 @@ def test_one_grid_call_per_draw_agrees_with_a_per_point_reference():
 
 
 def test_bound_term_keeps_the_pole_message():
-    bound = load_pair("thm3").term.bind({"s": F(1, 2), "p": F(3)})
+    term = load_pair("thm3").term
     with pytest.raises(HyperTermPole) as info:
-        bound.evaluate({"n": 0, "k": 2})
+        term.evaluate({"s": F(1, 2), "p": F(3), "n": 0, "k": 2})
     assert str(info.value) == "binom(-3,-2) is indeterminate (0/0 ratio of poles)"
 
 

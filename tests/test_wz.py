@@ -201,10 +201,10 @@ def test_scaled_certificate_fails_symbolically():
 def test_perturbed_certificate_fails_symbolically():
     pair = load_pair("thm2")
     bumped = replace(pair, certificate=pair.certificate + parse_ratfunc("1/(n+1)"))
-    report = verify_wz_pair(bumped, n_max=4, samples=2, seed=0)
-    symbolic = [row for row in report.rows if row.check == "symbolic-residual"]
-    assert symbolic and not symbolic[0].ok
-    assert not report.passed
+    rows = verify_wz_pair(bumped, n_max=4, samples=2, seed=0)
+    symbolic = [row for row in rows if row.reason.startswith("symbolic residual")]
+    assert symbolic and symbolic[0].status == "fail"
+    assert not all(row.status == "pass" for row in rows)
 
 
 def _flip_factor(pair, index):
@@ -245,7 +245,7 @@ def test_mutated_pairs_fail():
                 assert certificate_residual(flipped).is_zero
                 results = telescoping_sum_check(
                     flipped, 4, [{"alpha": F(1, 2), "beta": F(1, 3)}])
-                assert results[0].ok is False
+                assert results[0].status == "fail"
             mutations += 1
 
 
@@ -255,10 +255,11 @@ def test_mutated_pairs_fail():
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_verify_report_all_pass(name):
-    report = verify_wz_pair(load_pair(name), n_max=10, samples=20, seed=0)
-    assert report.passed
-    checks = {row.check for row in report.rows}
-    assert "symbolic-residual" in checks
+    rows = verify_wz_pair(load_pair(name), n_max=10, samples=20, seed=0)
+    assert all(row.status == "pass" for row in rows)
+    assert {row.id for row in rows} == {f"WZ-{name}"}
+    checks = {row.reason.partition(":")[0] for row in rows}
+    assert "symbolic residual = 0" in checks
     assert "boundary" in checks
     assert "base-edge" in checks
 
@@ -268,9 +269,10 @@ def test_boundary_and_base_edge_rows_name_their_own_failure():
     pair = load_pair("thm2")
     bad = replace(pair, term=replace(pair.term, constant=2 * pair.term.constant),
                   certificate=pair.certificate + 1)
-    rows = {row.check: row for row in verify_wz_pair(bad, n_max=2, samples=1).rows}
-    assert not rows["boundary"].ok and rows["boundary"].detail == "G(0,0) != 0"
-    assert not rows["base-edge"].ok and rows["base-edge"].detail == "T(0,0) != 1"
+    rows = {row.reason.partition(":")[0]: row for row in verify_wz_pair(bad, n_max=2, samples=1)}
+    assert rows["boundary"].status == "fail" and rows["boundary"].reason == "boundary: G(0,0) != 0"
+    assert (rows["base-edge"].status == "fail"
+            and rows["base-edge"].reason == "base-edge: T(0,0) != 1")
 
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
@@ -309,15 +311,31 @@ def test_certificate_common_factor_still_gives_the_pole_row():
     cert = RatFunc.__new__(RatFunc)
     cert.num = pair.certificate.num * factor
     cert.den = pair.certificate.den * factor
-    rows = verify_wz_pair(replace(pair, certificate=cert), n_max=2, samples=1).rows
-    assert [(row.check, row.ok, row.detail) for row in rows[1:]] == [
-        ("draw-0", False, "unexpected pole: pole at assignment")]
+    rows = verify_wz_pair(replace(pair, certificate=cert), n_max=2, samples=1)
+    assert [(row.status, row.reason) for row in rows[1:]] == [
+        ("fail", "draw-0: unexpected pole: pole at assignment")]
+
+
+def test_a_pair_with_no_admissible_draw_gives_fail_rows(monkeypatch):
+    from binomsums.catalog import suite
+    from binomsums.params import ParamSpec, ResultRow
+
+    pair = replace(load_pair("thm2"), params=ParamSpec(("s", "t"), lambda n_max, a: "rejected"))
+    symbolic = ResultRow("WZ-thm2", {}, None, None, None, "pass", "symbolic residual = 0")
+    expected = [symbolic] + [
+        ResultRow("WZ-thm2", {}, None, None, None, "fail", f"draw-{i}: could not draw parameters")
+        for i in range(3)]
+    assert verify_wz_pair(pair, n_max=2, samples=3) == expected
+    # the report has the same rows and no telescoping row: no draw is left to sum
+    monkeypatch.setattr(suite, "builtin_pairs", lambda: {"thm2": pair})
+    config = suite.SuiteConfig(n_max=2, samples=3, only=("thm2",))
+    assert list(suite.wz_rows(config)) == expected
 
 
 def test_verify_is_deterministic():
     a = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
     b = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
-    assert a.rows == b.rows
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +345,7 @@ def test_verify_is_deterministic():
 def test_telescoping_thm1_spot():
     pair = load_pair("thm1")
     results = telescoping_sum_check(pair, 6, [{"alpha": F(1, 2), "beta": F(1, 3)}])
-    assert results[0].ok is True
+    assert results[0].status == "pass"
     # the unnormalized coefficient identity at n=1, j=0: both sides -5/6
     from binomsums.exact import binom_poly
     lhs = sum((-1) ** k * binom_poly(F(1, 3) + k, k) * binom_poly(F(k), 0)
@@ -339,13 +357,13 @@ def test_telescoping_thm1_spot():
 def test_telescoping_thm2_small_n():
     pair = load_pair("thm2")
     results = telescoping_sum_check(pair, 5, [{"s": F(1, 2), "t": F(1, 3)}])
-    assert results[0].ok is True
+    assert results[0].status == "pass"
 
 
 def test_telescoping_thm3_spot():
     pair = load_pair("thm3")
     results = telescoping_sum_check(pair, 4, [{"s": F(1, 2), "p": F(1)}])
-    assert results[0].ok is True
+    assert results[0].status == "pass"
     # unnormalized spot value at n=2: both sides of the un-divided identity = 3/4
     from binomsums.exact import binom_poly
     s, p = F(1, 2), 1
@@ -365,13 +383,13 @@ def test_telescoping_random_draws():
             assert d is not None
             draws.append(d)
         results = telescoping_sum_check(pair, 8, draws)
-        assert all(r.ok is True for r in results)
+        assert all(r.status == "pass" for r in results)
 
 
 def test_telescoping_pole_is_skipped():
     pair = load_pair("thm2")
     results = telescoping_sum_check(pair, 4, [{"s": F(1, 2), "t": F(-2)}])
-    assert results[0].ok is None
+    assert results[0].status == "skipped"
     assert results[0].reason == (
         "skipped: pole (binom(-2,-2) is indeterminate (0/0 ratio of poles))")
 
@@ -387,7 +405,7 @@ def test_telescoping_bare_division_by_zero_fails():
 
     pair = replace(load_pair("thm2"), term=DividesByZero())
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
-    assert results[0].ok is False
+    assert results[0].status == "fail"
     assert "ZeroDivisionError" in results[0].reason
 
 
@@ -398,15 +416,15 @@ def test_an_edge_failure_waits_for_the_later_boundary_points():
     # (1, 1) is the one reported
     pair = load_pair("thm1")
     term = parse_term_spec(pair.term.render() + " * binom(k-n-2-2*j,n-k)")
-    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1).rows
-    assert [(row.check, row.ok, row.detail) for row in rows[1:]] == [
-        ("draw-0", False,
-         "unexpected pole: binom(-2,-2) is indeterminate (0/0 ratio of poles)")]
+    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1)
+    assert [(row.status, row.reason) for row in rows[1:]] == [
+        ("fail",
+         "draw-0: unexpected pole: binom(-2,-2) is indeterminate (0/0 ratio of poles)")]
     # with the boundary failure gone, the held edge failure is reported
     term = parse_term_spec(pair.term.render() + " * binom(k-n-2,n-k)")
-    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1).rows
-    assert rows[1].detail == (
-        "unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
+    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1)
+    assert rows[1].reason == (
+        "draw-0: unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
 
 
 def test_each_factor_is_read_once_per_draw(monkeypatch):
@@ -433,8 +451,9 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
         monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
-    checks = (lambda: telescoping_sum_check(pair, n_max, [assign])[0].ok,
-              lambda: verify_wz_pair(pair, n_max=n_max, samples=1).passed)
+    checks = (lambda: telescoping_sum_check(pair, n_max, [assign])[0].status == "pass",
+              lambda: all(row.status == "pass" for row in verify_wz_pair(pair, n_max=n_max,
+                                                                         samples=1)))
     for check in checks:
         grids.clear()
         assert check() is True
@@ -449,10 +468,11 @@ def test_a_non_rational_factor_is_a_fail_row():
     # number, so both checks report the ValueError as a failed row
     pair = replace(load_pair("thm2"), term=parse_term_spec("binom(s+t,t) * binom(n,k)"))
     results = telescoping_sum_check(pair, 3, [{"s": F(1, 2), "t": F(1, 3)}])
-    assert results[0].ok is False
+    assert results[0].status == "fail"
     assert results[0].reason == (
         "unexpected ValueError: binom(5/6,1/3) is not rational (neither the lower "
         "index nor the upper shift is an integer)")
-    rows = verify_wz_pair(pair, n_max=3, samples=3).rows
-    assert len(rows) == 4 and all(not row.ok for row in rows[1:])
-    assert all(row.detail.startswith("unexpected ValueError: binom(") for row in rows[1:])
+    rows = verify_wz_pair(pair, n_max=3, samples=3)
+    assert len(rows) == 4 and all(row.status == "fail" for row in rows[1:])
+    assert all(row.reason.startswith(f"draw-{i}: unexpected ValueError: binom(")
+               for i, row in enumerate(rows[1:]))
