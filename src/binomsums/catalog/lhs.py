@@ -29,8 +29,7 @@ ID04 has an inner index j = 0..n.  Called without a["j"], a side returns its
 whole j-row (row, den), and the check compares the two rows.  The left row
 is the paper's Taylor step: the coefficients of f(x) = sum_k C(beta+k, k)
 C(alpha, n-k) x^k at the powers of x + 1 are those of f(y - 1), so the
-weights are Taylor-shifted by -1 in place (Horner's scheme, n(n+1)/2 int
-subtractions for Fraction alpha and beta).  With a["j"], a side divides that
+weights are Taylor-shifted by -1 (``taylor_shift``).  With a["j"], a side divides that
 one entry of its row, which a one-slot memo keeps for per-j callers.  The
 memo key is n plus the identity of the alpha and beta objects, not their
 value: RatFunc and Jet2 values are unhashable, values are immutable, a per-j
@@ -45,7 +44,7 @@ from math import lcm
 
 from ..exact import (binom_int, binom_poly, binom_row, central_binomial, derived, harmonic,
                      harmonic_row, over, pascal_row, power_row, reciprocal_row, rising_row,
-                     shift_row)
+                     shift_row, taylor_shift)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
@@ -82,11 +81,7 @@ def _id04_row(n, alpha, beta):
     one den: the weights Taylor-shifted by -1 (module docstring)."""
     ba, da = binom_row(alpha, n)
     bb, db = rising_row(beta, n)
-    row = [bb[k] * ba[n - k] for k in range(n + 1)]
-    for i in range(n):
-        for k in range(n - 1, i - 1, -1):
-            row[k] -= row[k + 1]
-    return row, da * db
+    return taylor_shift([bb[k] * ba[n - k] for k in range(n + 1)], -1), da * db
 
 
 def id04(n, a):

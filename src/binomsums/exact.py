@@ -68,11 +68,13 @@ __all__ = [
     "over",
     "parse_rational",
     "pascal_row",
+    "pascal_step",
     "power_row",
     "reciprocal_row",
     "render_rational",
     "rising_row",
     "shift_row",
+    "taylor_shift",
     "trigamma_diff",
 ]
 
@@ -295,11 +297,9 @@ def rising_row(b, n: int):
 
 
 def pascal_row(g, n: int):
-    """([C(g+n, m) for m = 0..n], n! q^n) at g = p/q: the ints of
-    ``binom_row(g + n, n)``, as (p + nq)/q is in lowest terms.  A ``Drawn`` g
-    keeps the row and steps it from n to n+1 by Pascal's rule: entry m
-    becomes (N_m + N_{m-1}) (n+1) q, the new top N_n (p + (n+1) q), and den
-    takes the factor (n+1) q.  Below the kept depth the row is rebuilt."""
+    """([C(g+n, m) for m = 0..n], n! q^n) at g = p/q: the ints of ``binom_row(g + n, n)``,
+    as (p + nq)/q is in lowest terms.  A ``Drawn`` g keeps the row and steps it from n
+    to n+1 by ``pascal_step``.  Below the kept depth the row is rebuilt."""
     if type(g) is not Drawn:
         return binom_row(g + n, n)
     d, row, den = vars(g).get("pascal", (n + 1, None, None))
@@ -307,10 +307,25 @@ def pascal_row(g, n: int):
         d, (row, den) = n, binom_row(g + n, n)
     p, q = g.numerator, g.denominator
     while d < n:
-        d, s = d + 1, (d + 1) * q
-        row, den = (*[(v + w) * s for v, w in zip(row, (0, *row))], row[-1] * (p + d * q)), den * s
+        d, (row, den) = d + 1, pascal_step(row, den, p + (d + 1) * q, q)
     vars(g)["pascal"] = n, row, den
     return row, den
+
+
+def pascal_step(row, den, p, q):
+    """``binom_row(x, r + 1)`` from ``binom_row(x - 1, r)``, x = p/q in lowest terms, by
+    Pascal's rule; each entry and den take (r+1) q, and the top C(x-1, r) x/(r+1) is row[r] p."""
+    s = len(row) * q
+    return (*[(v + w) * s for v, w in zip(row, (0, *row))], row[-1] * p), den * s
+
+
+def taylor_shift(row, by):
+    """P's coefficients in row made those of P(x + by), by = 1 or -1, in place by Horner's
+    scheme in n(n+1)/2 additions: [sum_k row[k] C(k, j) by^(k-j) for j = 0..n]."""
+    for i in range(len(row) - 1):
+        for k in range(len(row) - 2, i - 1, -1):
+            row[k] = row[k] + row[k + 1] if by > 0 else row[k] - row[k + 1]
+    return row
 
 
 def reciprocal_row(b, n: int):

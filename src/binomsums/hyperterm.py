@@ -10,10 +10,13 @@ moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
   a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n),
-  each ``binom_row`` or ``rising_row`` argument form once per call (once per
-  n if it moves with n), as deep as the factors on it read, an int factor of
-  j and k by ``math.comb`` at each (n, j).  The first failing (n, j, k,
-  factor) raises: at each point the sign, then the factors.
+  each ``binom_row`` or ``rising_row`` argument form once per call (per n if it
+  moves with n, C(g+n, .) stepped by Pascal's rule), as deep as the factors on
+  it read, inverted once for a reciprocal; an int factor of j and k by
+  ``math.comb`` at each (n, j), or in the telescoped sums by the paper's Taylor
+  step: sum_k w_k C(k, j) for every j is the k-row w shifted by +1, once per n.
+  The first failing (n, j, k, factor) raises: at each point the sign, then the
+  factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul, sub
 
-from .exact import binom_poly, binom_row, binom_upper_shift, rising_row
+from .exact import binom_poly, binom_row, binom_upper_shift, pascal_step, rising_row, taylor_shift
 from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = [
@@ -196,15 +199,18 @@ class BoundTerm:
         for row, scale, den in self.grid(point, None, inner, var, ((0, js, ks),)):
             yield [scale * x for x in row], den
 
-    def grid(self, point, outer, inner, var, reads):
+    def grid(self, point, outer, inner, var, reads, sums=False):
         """For each (m, js, ks) in reads and each j in js in turn, ints (row, scale, den > 0)
         with the term at {**point, outer: m, inner: j} along var at the ks equal to
-        [scale * x / den for x in row]; a row where a point fails is read point by point."""
+        [scale * x / den for x in row]; a row where a point fails is read point by point.
+        With sums only sum(row) is read: where C(var, inner) is the one factor of both
+        and the ks are 0, 1, ..., each row is its one sum, every j's from one Taylor shift."""
         point, term = {**self._fixed, **point}, self._term
         sign = _bind(term.sign, point, outer, inner, var)
         forms = [(_bind(top, point, outer, inner, var), _bind(bottom, point, outer, inner, var))
                  for top, bottom, _ in term.factors]
-        plans, reads, kernels = [_plan(*form) for form in forms], list(reads), {}
+        plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, term.factors)]
+        reads, kernels = list(reads), {}
         # factors with one (kernel, argument) = plan[::2] share a row, as deep as any reads it
         owners = [plan and min(q for q, o in enumerate(plans) if o and o[::2] == plan[::2])
                   for plan in plans]
@@ -222,8 +228,16 @@ class BoundTerm:
                 if read and key not in kernels:
                     reach = max(_reach(other[1], [(m, js, ks)] if arg[1] else reads)
                                 for other, shared in zip(plans, owners) if shared == owner)
-                    kernels[key] = read(_at(arg, m, 0, 0), reach)
-                on_j, on_k, kernel = index[2] or arg[2], index[3] or arg[3], kernels.get(key)
+                    # C(x, .) with x and its reach one above m - 1's: that row stepped
+                    x, last = _at(arg, m, 0, 0), kernels.get((owner, m - 1))
+                    kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
+                        read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
+                    ) else read(x, reach)
+                if read and exp < 0 and key + (-1,) not in kernels:     # inverted once
+                    (row, den), c = kernels[key], lcm(*filter(None, kernels[key][0]))
+                    kernels[key + (-1,)] = [den * (c // v) if v else None for v in row], c
+                on_j, on_k = index[2] or arg[2], index[3] or arg[3]
+                kernel = kernels.get(key + (-1,) if exp < 0 else key)
                 if on_j and on_k:
                     per_j.append((plan, kernel, exp))
                 elif on_j or not on_k:
@@ -234,6 +248,13 @@ class BoundTerm:
                     values, den = _values(plan, kernel, m, 0, 3, ks, exp)
                     base = None if base is None or None in values else list(map(mul, base, values))
                     base_den *= den
+            if sums and base and None not in scales and ks == range(len(ks)) and [
+                    plan for plan, _, _ in per_j] == [(None, (0, 0, 0, 1), (0, 0, 1, 0), 0)]:
+                # the paper's Taylor step: every j's sum_k w_k C(k, j), the k-row w shifted by +1
+                totals, den = taylor_shift(base, 1), base_den * scale_den
+                yield from (([totals[j] if 0 <= j < len(ks) else 0], scale, den)
+                            for j, scale in zip(js, scales))
+                continue
             for j, scale in zip(js, scales):
                 row, den = base if scale is not None else None, base_den * scale_den
                 for plan, kernel, exp in per_j:
@@ -272,7 +293,7 @@ def _at(form, m, j, k):
     return form[1] * m + form[2] * j + form[3] * k + form[0]     # one Fraction sum at most
 
 
-def _plan(top, bottom):
+def _plan(top, bottom, exp):
     """(kernel, index, argument, 1 if top = argument + index), (None, top, bottom, 0) or None."""
     shift = tuple(int(c) if c.denominator == 1 else c for c in map(sub, top, bottom))
     if all(type(c) is int for c in bottom):
@@ -280,7 +301,7 @@ def _plan(top, bottom):
             return binom_row, bottom, top, 0
         if shift[2:] == (0, 0):
             return rising_row, bottom, shift, 1
-        if all(type(c) is int for c in top):
+        if exp > 0 and all(type(c) is int for c in top):     # a reciprocal: point by point
             return None, top, bottom, 0
     elif all(type(c) is int for c in shift + bottom[1:]) and bottom[2:] == (0, 0):
         return rising_row, shift, bottom, 1
@@ -294,25 +315,21 @@ def _reach(index, reads):
 
 
 def _values(plan, kernel, m, j, axis, points, exp):
-    """A planned factor from (m, j) along axis (2: j, 3: k) at the points, to the
-    power exp, as ([ints], one int den > 0), None where a point fails."""
+    """A planned factor from (m, j) along axis (2: j, 3: k) at the points, to the power
+    exp (its kernel inverted for -1), as ([ints], one int den > 0), None where a point fails."""
     read, first, second, rising = plan
     start, step = _at(first, m, j, 0), first[axis]
     if read is None:
-        low, slope, den = _at(second, m, j, 0), second[axis], 1
+        low, slope = _at(second, m, j, 0), second[axis]
         try:
-            values = [comb(start + step * p, low + slope * p) for p in points]
+            return [comb(start + step * p, low + slope * p) for p in points], 1
         except ValueError:      # a negative argument: below the bar, or a negative top
-            values = [_comb(start + step * p, low + slope * p) for p in points]
-    else:       # below the bar 0, or 0/0 where the top there is a negative int
-        (row, den), indices = kernel, [start + step * p for p in points]
-        values = list(map(row.__getitem__, indices)) if min(indices) >= 0 else [
-            row[i] if i >= 0 else _comb(_at(second, m, 0, 0) + rising * i, i)
-            if type(second[0]) is int else 0 for i in indices]
-    if exp == -1:
-        common = lcm(*filter(None, values))
-        values, den = [den * (common // v) if v else None for v in values], common
-    return values, den
+            return [_comb(start + step * p, low + slope * p) for p in points], 1
+    # below the bar 0 (a pole in a reciprocal), or 0/0 where the top there is a negative int
+    (row, den), indices = kernel, [start + step * p for p in points]
+    return list(map(row.__getitem__, indices)) if min(indices) >= 0 else [
+        row[i] if i >= 0 else None if exp < 0 else _comb(_at(second, m, 0, 0) + rising * i, i)
+        if type(second[0]) is int else 0 for i in indices], den
 
 
 def _comb(t, b):

@@ -71,7 +71,6 @@ _INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
 _ZERO_EXP = (0,) * _NVARS
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -242,17 +241,7 @@ class MultiPoly:
 
     __hash__ = None
 
-    # -- evaluation and substitution ---------------------------------------
-
-    def evaluate(self, assign: Mapping[str, Fraction]) -> Fraction:
-        total = _F0
-        for exp, c in self.terms.items():
-            val = c
-            for i, e in enumerate(exp):
-                if e:
-                    val *= assign[VARS[i]] ** e
-            total += val
-        return total / self.den
+    # -- substitution ---------------------------------------------------
 
     def bind(self, fixed: Mapping[str, Fraction]) -> "MultiPoly":
         """Substitute the variables named in fixed; the others stay free."""
@@ -676,12 +665,6 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     __hash__ = None
-
-    def evaluate(self, assign: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.evaluate(assign)
-        if den == 0:
-            raise RatFuncPole("pole at assignment")
-        return self.num.evaluate(assign) / den
 
     def shift(self, name: str, delta: int) -> "RatFunc":
         """Substitute name -> name + delta."""

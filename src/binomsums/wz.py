@@ -396,7 +396,8 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
         term, inner = pair.term.bind(assign), pair.extra_index
         reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
         points = ((n, j) for n, js, _ in reads for j in js)
-        for (n, j), (row, scale, den) in zip(points, term.grid({}, "n", inner, "k", reads)):
+        rows = term.grid({}, "n", inner, "k", reads, sums=True)
+        for (n, j), (row, scale, den) in zip(points, rows):
             if scale * sum(row) != den:
                 return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={j}" if inner else "")
                             + f" is {Fraction(scale * sum(row), den)}")
@@ -412,8 +413,10 @@ def telescoping_sum_check(pair: WZPair, n_max: int,
     """Check sum_{k=0..n} T(n,k) == 1 for every n <= n_max: one row per draw.
 
     For a pair with an inner index the check runs for every value of that
-    index in 0..n.  A draw that lands on a typed pole is reported as
-    skipped; any other division by zero, or a factor that is not rational at
-    the draw (ValueError), is a failure naming the exception.
+    index in 0..n, for thm1 by the paper's Taylor step: an n's sums for every
+    j are its k-row shifted by +1 (``BoundTerm.grid`` with sums).  A draw that
+    lands on a typed pole is reported as skipped; any other division by zero,
+    or a factor that is not rational at the draw (ValueError), is a failure
+    naming the exception.
     """
     return [_telescope(pair, n_max, assign) for assign in param_draws]

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from binomsums import hyperterm
+from binomsums.exact import binom_row
 from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import (
     AffineForm,
@@ -18,6 +20,8 @@ from binomsums.hyperterm import (
 )
 from binomsums.params import draw
 from binomsums.wz import load_pair
+
+from ring_values import evaluate
 
 F = Fraction
 
@@ -71,8 +75,8 @@ def test_affine_eval_and_render_round_trip():
         again = affine(form.render())
         assert again == form
         assign = {v: F(rng.randint(-9, 9)) for v in ("n", "k", "j", "alpha", "beta")}
-        value = parse_ratfunc(text).evaluate(
-            {**{v: F(0) for v in ("s", "t", "p")}, **assign})
+        value = evaluate(parse_ratfunc(text),
+                         {**{v: F(0) for v in ("s", "t", "p")}, **assign})
         assert form.split(assign) == (value, ())
 
 
@@ -352,6 +356,113 @@ def test_bound_term_keeps_the_pole_message():
     assert str(info.value) == "binom(-3,-2) is indeterminate (0/0 ratio of poles)"
 
 
+def _sums(term, assign, reads, sums=True):
+    """The sum of each row grid reads, as a Fraction, up to the first exception."""
+    return _read(F(scale * sum(row), den) for row, scale, den
+                 in term.bind(assign).grid({}, "n", "j", "k", reads, sums=sums))
+
+
+def _counting(monkeypatch, name):
+    """Patch hyperterm's function of that name to record its calls' (args, result)."""
+    calls, real = [], getattr(hyperterm, name)
+
+    def counted(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+    monkeypatch.setattr(hyperterm, name, counted)
+    return calls
+
+
+def test_taylor_sums_equal_the_per_j_row_sums(monkeypatch):
+    # thm1's one factor of j and k is C(k, j) and k runs over 0..n: every n's
+    # sums come from one Taylor shift of its k-row, and equal the sums of the
+    # rows read j by j at every (n, j)
+    pair, n_max = load_pair("thm1"), 20
+    rng = random.Random("taylor:thm1")
+    reads = [(n, range(n + 1), range(n + 1)) for n in range(n_max + 1)]
+    shifts = _counting(monkeypatch, "taylor_shift")
+    for _ in range(6):
+        assign = draw(rng, pair.params, n_max)
+        shifts.clear()
+        by_rows = _sums(pair.term, assign, reads, sums=False)
+        assert not shifts
+        assert _sums(pair.term, assign, reads) == by_rows
+        assert len(by_rows) == (n_max + 1) * (n_max + 2) // 2 and len(shifts) == n_max + 1
+
+
+def test_sums_fall_back_to_the_rows_at_a_failing_point(monkeypatch):
+    # with C(k, j) among the factors, an n whose k-row or j-scales hold a failing
+    # point is read j by j: the sums equal the reference's up to its first
+    # failing (n, j, k, factor), which raises the same exception
+    def reference(term, reads):
+        for n, js, ks in reads:
+            for j in js:
+                yield sum(_reference(term, {"t": F(1, 3)}, {"n": n, "j": j, "k": k})
+                          for k in ks)
+
+    reads = [[(n, range(n + 1), range(n + 1)) for n in range(6)],
+             [(n, (n + 2, -1, 0, n), range(n + 1)) for n in range(5, -1, -1)]]
+    shifts, names, read = _counting(monkeypatch, "taylor_shift"), sorted(FAILING_FACTORS), 0
+    for size in (0, 1, 2):
+        for chosen in itertools.combinations(names, size):
+            failing = [FAILING_FACTORS[c] for c in chosen]
+            for factors in (HEALTHY_FACTORS[:1] + failing + HEALTHY_FACTORS[1:],
+                            failing[::-1] + HEALTHY_FACTORS):
+                for sign in ("n+j+k", "j/2"):
+                    term = HyperTerm(F(3, 2), affine(sign), tuple(factors))
+                    for each in reads:
+                        assert _sums(term, {"t": F(1, 3)}, each) == _read(
+                            reference(term, each)), (term.render(), each)
+                        read += len(each)
+    assert 0 < len(shifts) < read       # some n shifted, some read by the rows
+
+
+@pytest.mark.parametrize("top", ["t+n", "n"])
+def test_stepped_kernel_rows_equal_fresh_rows(monkeypatch, top):
+    # C(top, k) moves with n by one: built once per grid call, then stepped by
+    # Pascal's rule to the ints of a fresh binom_row at each n, as deep as the
+    # reads at that n (reach n, or n + 2 past the edge)
+    steps = _counting(monkeypatch, "pascal_step")
+    term = HyperTerm(F(1), affine("k"), ((affine(top), affine("k"), 1),
+                                         (affine("t+k"), affine("k"), -1)))
+    for past in (0, 2):
+        steps.clear()
+        reads = [(n, (0,), range(n + 1 + past)) for n in range(9)]
+        _assert_grid_matches(term, {"t": F(-7, 3)}, reads)
+        assert len(steps) == 8
+        for n, ((_, _, p, q), (row, den)) in enumerate(steps, start=1):
+            x = F(p, q)
+            assert x == (n - F(7, 3) if top == "t+n" else n)
+            assert len(row) == n + 1 + past and (row, den) == binom_row(x, n + past)
+
+
+def test_reciprocal_kernels_are_inverted_once_per_grid_call(monkeypatch):
+    # thm2's C(t+k, k)^-1 and C(s+t+n, s+t)^-1 read n-free kernels: one lcm
+    # each per grid call, not one per n; thm1's C(beta-alpha+n, n-j)^-1 moves
+    # with n and is inverted once per n
+    inversions = _counting(monkeypatch, "lcm")
+    for name, per_call in (("thm2", 2), ("thm1", 1 + 9)):
+        pair = load_pair(name)
+        assign = draw(random.Random(f"inverse:{name}"), pair.params, 8)
+        reads = [(n, range(n + 1), range(n + 3)) for n in range(9)]
+        inversions.clear()
+        _assert_grid_matches(pair.term, assign, reads)
+        assert len(inversions) == per_call
+
+
+def test_inverted_kernels_keep_their_poles():
+    # a 0 in an inverted kernel, 1/C(t+k, k) at t = -3 and k >= 3 or 1/C(2, n-k)
+    # at n - k > 2, and a read below the bar, 1/C(2, n-k) at k > n, are still
+    # failing points, raised where the reference raises
+    for factor in ((affine("t+k"), affine("k"), -1), (affine("2"), affine("n-k"), -1)):
+        term = HyperTerm(F(1), affine("n+k"), (factor, (affine("k"), affine("j"), 1)))
+        for past in (0, 2):
+            for n_last in range(6):
+                reads = [(n, range(n + 1), range(n + 1 + past)) for n in range(n_last + 1)]
+                _assert_grid_matches(term, {"t": F(-3)}, reads)
+                assert _sums(term, {"t": F(-3)}, reads) == _sums(term, {"t": F(-3)}, reads, False)
+
+
 # ---------------------------------------------------------------------------
 # Shift ratios
 # ---------------------------------------------------------------------------
@@ -399,7 +510,7 @@ def test_shift_ratio_matches_direct_evaluation():
                 try:
                     base_val = term.evaluate(assign)
                     shift_val = term.evaluate(shifted)
-                    ratio_val = ratio.evaluate(assign)
+                    ratio_val = evaluate(ratio, assign)
                 except ZeroDivisionError:
                     continue
                 if base_val == 0:

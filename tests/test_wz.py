@@ -25,6 +25,8 @@ from binomsums.wz import (
     verify_wz_pair,
 )
 
+from ring_values import evaluate
+
 F = Fraction
 
 
@@ -195,7 +197,7 @@ def test_scaled_certificate_fails_symbolically():
     # and the residual is genuinely nonzero at a pole-free rational point
     assign = {"n": F(5), "k": F(2), "j": F(1), "alpha": F(1, 2), "beta": F(1, 3),
               "s": F(0), "t": F(0), "p": F(0)}
-    assert residual.evaluate(assign) != 0
+    assert evaluate(residual, assign) != 0
 
 
 def test_perturbed_certificate_fails_symbolically():
@@ -292,14 +294,14 @@ def test_bound_certificate_equals_evaluate_on_the_grid(name):
                     point = {"n": n, "k": k}
                     if j is not None:
                         point[pair.extra_index] = j
-                    bound_den = den.evaluate(point)
+                    bound_den = evaluate(den, point)
                     try:
-                        want = cert.evaluate({**assign, **point})
+                        want = evaluate(cert, {**assign, **point})
                     except RatFuncPole:
                         assert bound_den == 0, (assign, point)
                         poles += 1
                         continue
-                    assert num.evaluate(point) / bound_den == want, (assign, point)
+                    assert evaluate(num, point) / bound_den == want, (assign, point)
     assert poles > 0     # every certificate has poles on this grid
 
 
@@ -399,7 +401,7 @@ def test_telescoping_bare_division_by_zero_fails():
         def bind(self, fixed):
             return self
 
-        def grid(self, point, outer, inner, var, reads):
+        def grid(self, point, outer, inner, var, reads, sums=False):
             for n, js, ks in reads:
                 yield [F(1) / (n - n)], 1, 1
 
@@ -407,6 +409,31 @@ def test_telescoping_bare_division_by_zero_fails():
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
     assert results[0].status == "fail"
     assert "ZeroDivisionError" in results[0].reason
+
+
+@pytest.mark.parametrize("perturb", ["2 * ", "binom(k-n+19,k-n+19) * "])
+def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
+    # the constant times 2 fails the first sum; binom(k-n+19, k-n+19) is 1 but
+    # at (n, k) = (20, 0), where it is 0/0: the n up to 19 are Taylor-shifted and
+    # n = 20 is read j by j.  Either way the row is the per-j path's, byte for byte
+    pair, n_max = load_pair("thm1"), 20
+    pair = replace(pair, term=parse_term_spec(perturb + pair.term.render()))
+    draws = [draw(random.Random(f"perturbed:{i}"), pair.params, n_max) for i in range(3)]
+    shifts, real_shift = [], hyperterm.taylor_shift
+
+    def shift(*args):
+        shifts.append(args)
+        return real_shift(*args)
+    monkeypatch.setattr(hyperterm, "taylor_shift", shift)
+    taylor = telescoping_sum_check(pair, n_max, draws)
+    assert len(shifts) == 3 * (1 if perturb == "2 * " else n_max)
+    real_grid = hyperterm.BoundTerm.grid
+    monkeypatch.setattr(hyperterm.BoundTerm, "grid",
+                        lambda self, *args, sums=False: real_grid(self, *args))
+    assert taylor == telescoping_sum_check(pair, n_max, draws)
+    assert {(row.status, row.reason) for row in taylor} == ({
+        ("fail", "sum at n=0, j=0 is 2")} if perturb == "2 * " else {
+        ("skipped", "skipped: pole (binom(-1,-1) is indeterminate (0/0 ratio of poles))")})
 
 
 def test_an_edge_failure_waits_for_the_later_boundary_points():
@@ -430,9 +457,10 @@ def test_an_edge_failure_waits_for_the_later_boundary_points():
 def test_each_factor_is_read_once_per_draw(monkeypatch):
     # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j) do not
     # move with n, and C(beta+k, k) and C(beta+j, j) share rising_row(beta), so
-    # each check reads two rows once per draw; C(beta-alpha+n, n-j) is read once
-    # per n, and C(k, j) by math.comb: at most 2 + (n_max + 1) kernel rows per
-    # check, and no (kernel, argument) pair twice in one grid call
+    # each check reads two rows once per draw; C(beta-alpha+n, n-j) is built once
+    # per grid call and stepped by Pascal's rule from n to n+1 after that, and
+    # C(k, j) is read by math.comb: at most 2 + 1 kernel rows per check, and no
+    # (kernel, argument) pair twice in one grid call
     grids = []
 
     def counting(kernel):
@@ -441,9 +469,9 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
             return kernel(*args)
         return wrapped
 
-    def grid(self, *args):
+    def grid(self, *args, **kwargs):
         grids.append([])
-        return real_grid(self, *args)
+        return real_grid(self, *args, **kwargs)
 
     real_grid = hyperterm.BoundTerm.grid
     monkeypatch.setattr(hyperterm.BoundTerm, "grid", grid)
@@ -458,7 +486,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
         grids.clear()
         assert check() is True
         calls = [read for reads in grids for read in reads]
-        assert 0 < len(calls) <= 2 + (n_max + 1)
+        assert 0 < len(calls) <= 2 + 1
         for reads in grids:
             assert len(set(reads)) == len(reads), reads
 
