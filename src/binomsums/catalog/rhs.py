@@ -167,7 +167,8 @@ def id20e(n, a):
 
 def id21(n, a):
     s = a["s"]
-    return central_binomial(n) * binom_upper_shift(2 * s + 1, 2 * n) / binom_upper_shift(s, n)
+    return (central_binomial(n) * binom_upper_shift(derived("2x+1", s), 2 * n)
+            / binom_upper_shift(s, n))
 
 
 def id22(n, a):

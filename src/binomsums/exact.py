@@ -195,6 +195,7 @@ _FORMS = {
     "-x": lambda x, _: -x,
     "-x-1/2": lambda x, _: -x - Fraction(1, 2),
     "2x": lambda x, _: 2 * x,
+    "2x+1": lambda x, _: 2 * x + 1,
     "(x^2+1)/(2x)": lambda x, _: (x * x + 1) / (2 * x),
     "(x^2-1)/4": lambda x, _: (x * x - 1) / 4,
 }

@@ -9,8 +9,8 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
-  a draw's whole (n, j) grid in one call as int rows along k (``rows``: one n),
-  each ``binom_row`` or ``rising_row`` argument form once per call (per n if it
+  a draw's whole (n, j) grid in one call as int rows along k, each
+  ``binom_row`` or ``rising_row`` argument form once per call (per n if it
   moves with n, C(g+n, .) stepped by Pascal's rule), as deep as the factors on
   it read, inverted once for a reciprocal; an int factor of j and k by
   ``math.comb`` at each (n, j), or in the telescoped sums by the paper's Taylor
@@ -140,8 +140,8 @@ class HyperTerm:
 
     def evaluate(self, assign) -> Fraction:
         """Exact value at an assignment of Fractions to every variable used."""
-        row, den = next(self.bind(assign).rows({}, None, (0,), None, (0,)))
-        return Fraction(row[0], den)
+        row, scale, den = next(self.bind(assign).grid({}, None, None, None, ((0, (0,), (0,)),)))
+        return Fraction(scale * row[0], den)
 
     def bind(self, fixed) -> "BoundTerm":
         """The term with the variables of ``fixed`` set to their values."""
@@ -192,12 +192,6 @@ class BoundTerm:
 
     def __init__(self, term: HyperTerm, fixed):
         self._term, self._fixed = term, fixed
-
-    def rows(self, point, inner, js, var, ks):
-        """For each j in js, ([the term at {**point, inner: j}, var = k for k in ks]
-        as ints, int den > 0): one m of :meth:`grid`."""
-        for row, scale, den in self.grid(point, None, inner, var, ((0, js, ks),)):
-            yield [scale * x for x in row], den
 
     def grid(self, point, outer, inner, var, reads, sums=False):
         """For each (m, js, ks) in reads and each j in js in turn, ints (row, scale, den > 0)

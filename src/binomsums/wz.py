@@ -24,7 +24,9 @@ Verification of a pair combines
       "the sum is constant" into "the sum is 1".
 (b), (c) and the telescoped sums run on seeded parameter draws, each draw's
 (n, j) grid read in one pass (``BoundTerm.grid``), with the certificate bound
-once per draw to int polynomials, read at k = 0 and n+2 along j per n.
+once per draw to int polynomials, read at k = 0 and n+2 along j per n.  A draw
+of (b), (c) fails at a pole of the certificate at any boundary point first,
+else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
 Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
 id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
@@ -324,7 +326,9 @@ def _int_poly(poly, assign, inner):
 def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                    seed: int = 0) -> list[ResultRow]:
     """The symbolic row, then a boundary and a base-edge row per draw; a draw
-    that fails is one fail row ``draw-<i>: ...`` in their place."""
+    that fails is one fail row ``draw-<i>: ...`` in their place: a pole of the
+    certificate at any k = 0 or n+2 first, read before the term, else the
+    term's first failing point in (n, j, k = 0, n+2, n+1) order."""
     zero = certificate_residual(pair).is_zero
     rows = [_row(pair, {}, "pass" if zero else "fail",
                  f"symbolic residual {'=' if zero else '!='} 0")]
@@ -337,7 +341,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             continue
         shown = {k: str(v) for k, v in assign.items()}
         # each row names its own first failing point; "" while none failed
-        boundary_detail, base_detail, edge_failure = "", "", None
+        boundary_detail, base_detail = "", ""
         try:
             term, inner = pair.term.bind(assign), pair.extra_index
             # numerator and denominator bound apart, not through RatFunc,
@@ -346,34 +350,19 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                                   for poly in (pair.certificate.num, pair.certificate.den))
             reads = [(n, range(n + 1) if inner else (0,), (0, n + 2, n + 1))
                      for n in range(n_max + 1)]
-            reader = term.grid({}, "n", inner, "k", reads)
-            for n, js, ks in reads:
-                dens = [cert_den(n, k, js) for k in ks[:2]]
-                for at, j in enumerate(js):
-                    poles = [i for i, column in enumerate(dens) if not column[at]]
-                    if poles:       # the term is read at the points before the pole
-                        next(term.rows({"n": n}, inner, (j,), "k", ks[:poles[0]]))
-                        raise RatFuncPole("pole at assignment")
-                    try:
-                        row, scale, den = next(reader)
-                    except (ZeroDivisionError, ValueError) as exc:
-                        # boundary points are read first: an edge failure waits,
-                        # and a fresh reader goes on from the next j
-                        (row, den), scale = next(term.rows({"n": n}, inner, (j,), "k", ks[:2])), 1
-                        edge_failure = edge_failure or exc
-                        reader = term.grid({}, "n", inner, "k",
-                                           [(n, js[at + 1:], ks)] + reads[n + 1:])
-                    row = [scale * x for x in row]
-                    for k, value in zip(ks[:2], row):
-                        if value and not boundary_detail and cert_num(n, k, (j,))[0]:
-                            boundary_detail = f"G({n},{k}) != 0"
-                    # base and edge values of the term itself
-                    if n == 0 and row[0] != den:
-                        base_detail = "T(0,0) != 1"
-                    if any(row[2:]) and not base_detail:
-                        base_detail = f"T({n},{n+1}) != 0"
-            if edge_failure:
-                raise edge_failure
+            if not all(all(cert_den(n, k, js)) for n, js, ks in reads for k in ks[:2]):
+                raise RatFuncPole("pole at assignment")
+            points = ((n, j) for n, js, _ in reads for j in js)
+            for (n, j), (row, scale, den) in zip(points, term.grid({}, "n", inner, "k", reads)):
+                row = [scale * x for x in row]
+                for k, value in zip((0, n + 2), row):
+                    if value and not boundary_detail and cert_num(n, k, (j,))[0]:
+                        boundary_detail = f"G({n},{k}) != 0"
+                # base and edge values of the term itself
+                if n == 0 and row[0] != den:
+                    base_detail = "T(0,0) != 1"
+                if row[2] and not base_detail:
+                    base_detail = f"T({n},{n+1}) != 0"
         except (ZeroDivisionError, ValueError) as exc:
             # a ValueError: a factor that is not rational at this draw
             cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__

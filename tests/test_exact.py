@@ -331,6 +331,7 @@ DERIVED_FORMS = {
     "-x": lambda x, y: -x,
     "-x-1/2": lambda x, y: -x - F(1, 2),
     "2x": lambda x, y: 2 * x,
+    "2x+1": lambda x, y: 2 * x + 1,
     "(x^2+1)/(2x)": lambda x, y: (x * x + 1) / (2 * x),
     "(x^2-1)/4": lambda x, y: (x * x - 1) / 4,
 }

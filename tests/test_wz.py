@@ -5,13 +5,14 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from binomsums import hyperterm
 from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import HyperTerm
-from binomsums.params import draw
+from binomsums.params import ResultRow, draw
 from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
 from binomsums.wz import (
     PAIR_NAMES,
@@ -266,12 +267,16 @@ def test_verify_report_all_pass(name):
     assert "base-edge" in checks
 
 
-def test_boundary_and_base_edge_rows_name_their_own_failure():
+def _broken_thm2():
     # doubling the term breaks T(0,0) = 1; adding 1 to the certificate breaks G(n,0) = 0
     pair = load_pair("thm2")
-    bad = replace(pair, term=replace(pair.term, constant=2 * pair.term.constant),
-                  certificate=pair.certificate + 1)
-    rows = {row.reason.partition(":")[0]: row for row in verify_wz_pair(bad, n_max=2, samples=1)}
+    return replace(pair, term=replace(pair.term, constant=2 * pair.term.constant),
+                   certificate=pair.certificate + 1)
+
+
+def test_boundary_and_base_edge_rows_name_their_own_failure():
+    rows = {row.reason.partition(":")[0]: row
+            for row in verify_wz_pair(_broken_thm2(), n_max=2, samples=1)}
     assert rows["boundary"].status == "fail" and rows["boundary"].reason == "boundary: G(0,0) != 0"
     assert (rows["base-edge"].status == "fail"
             and rows["base-edge"].reason == "base-edge: T(0,0) != 1")
@@ -305,7 +310,7 @@ def test_bound_certificate_equals_evaluate_on_the_grid(name):
     assert poles > 0     # every certificate has poles on this grid
 
 
-def test_certificate_common_factor_still_gives_the_pole_row():
+def _common_factor_pair():
     # (k-2) above and below the bar, built past RatFunc's canonicalising
     # constructor: binding must not cancel it, so G(0, 2) is a pole
     pair = load_pair("thm2")
@@ -313,7 +318,11 @@ def test_certificate_common_factor_still_gives_the_pole_row():
     cert = RatFunc.__new__(RatFunc)
     cert.num = pair.certificate.num * factor
     cert.den = pair.certificate.den * factor
-    rows = verify_wz_pair(replace(pair, certificate=cert), n_max=2, samples=1)
+    return replace(pair, certificate=cert)
+
+
+def test_certificate_common_factor_still_gives_the_pole_row():
+    rows = verify_wz_pair(_common_factor_pair(), n_max=2, samples=1)
     assert [(row.status, row.reason) for row in rows[1:]] == [
         ("fail", "draw-0: unexpected pole: pole at assignment")]
 
@@ -436,22 +445,90 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
         ("skipped", "skipped: pole (binom(-1,-1) is indeterminate (0/0 ratio of poles))")})
 
 
-def test_an_edge_failure_waits_for_the_later_boundary_points():
+def _with_factor(name, factor):
+    pair = load_pair(name)
+    return replace(pair, term=parse_term_spec(pair.term.render() + " * " + factor))
+
+
+def _pole_at_n2(pair):
+    """The pair with its certificate divided by n-2: a pole at every point of n = 2."""
+    return replace(pair, certificate=pair.certificate / (RatFunc.var("n") - 2))
+
+
+def test_a_draw_fails_at_its_first_failing_point_in_read_order():
     # binom(k-n-2-2*j, n-k) is 0/0 at the edge k = n+1 for every j, and at the
-    # boundary k = n+2 for j >= 1 only: the edge failure at (n, j) = (0, 0) is
-    # held, the points after it are still read, and the boundary failure at
-    # (1, 1) is the one reported
-    pair = load_pair("thm1")
-    term = parse_term_spec(pair.term.render() + " * binom(k-n-2-2*j,n-k)")
-    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1)
+    # boundary k = n+2 for j >= 1 only: the edge point (n, j, k) = (0, 0, 1) is
+    # read before the boundary point (1, 1, 3), and its failure is the row
+    pair = _with_factor("thm1", "binom(k-n-2-2*j,n-k)")
+    rows = verify_wz_pair(pair, n_max=3, samples=1)
     assert [(row.status, row.reason) for row in rows[1:]] == [
         ("fail",
-         "draw-0: unexpected pole: binom(-2,-2) is indeterminate (0/0 ratio of poles)")]
-    # with the boundary failure gone, the held edge failure is reported
-    term = parse_term_spec(pair.term.render() + " * binom(k-n-2,n-k)")
-    rows = verify_wz_pair(replace(pair, term=term), n_max=3, samples=1)
+         "draw-0: unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")]
+    rows = verify_wz_pair(_with_factor("thm1", "binom(k-n-2,n-k)"), n_max=3, samples=1)
     assert rows[1].reason == (
         "draw-0: unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
+    # the certificate's boundary poles are read before the term: a pole at
+    # n = 2 wins over the term's failures at n = 0 and 1
+    rows = verify_wz_pair(_pole_at_n2(pair), n_max=3, samples=1)
+    assert [(row.status, row.reason) for row in rows[1:]] == [
+        ("fail", "draw-0: unexpected pole: pole at assignment")]
+
+
+def _per_point_rows(pair, n_max, samples, seed):
+    """verify_wz_pair's rows by a plain walk over (n, j, k) with HyperTerm.evaluate
+    and the certificate read point by point: a pole of the certificate at any
+    k = 0 or n+2 first, else the term's first failing point in (n, j, k = 0,
+    n+2, n+1) order; then the first nonzero G at k = 0 or n+2, T(0, 0) and the
+    first nonzero T at k = n+1."""
+    def row(params, status, reason):
+        return ResultRow(f"WZ-{pair.name}", params, None, None, None, status, reason)
+
+    zero = certificate_residual(pair).is_zero
+    rows = [row({}, "pass" if zero else "fail", f"symbolic residual {'=' if zero else '!='} 0")]
+    rng = random.Random(f"{seed}:wz:{pair.name}")
+    for index in range(samples):
+        assign = draw(rng, pair.params, n_max)
+        if assign is None:
+            rows.append(row({}, "fail", f"draw-{index}: could not draw parameters"))
+            continue
+        shown = {k: str(v) for k, v in assign.items()}
+        points = [(n, j, k) for n in range(n_max + 1)
+                  for j in (range(n + 1) if pair.extra_index else (0,))
+                  for k in (0, n + 2, n + 1)]
+
+        def at(n, j, k):
+            inner = {pair.extra_index: F(j)} if pair.extra_index else {}
+            return {**assign, **inner, "n": F(n), "k": F(k)}
+        try:
+            if any(evaluate(pair.certificate.den, at(n, j, k)) == 0
+                   for n, j, k in points if k != n + 1):
+                raise RatFuncPole("pole at assignment")
+            term = {point: pair.term.evaluate(at(*point)) for point in points}
+        except (ZeroDivisionError, ValueError) as exc:
+            cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
+            rows.append(row(shown, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
+            continue
+        boundary = next((f"G({n},{k}) != 0" for n, j, k in points if k != n + 1 and term[n, j, k]
+                         and evaluate(pair.certificate.num, at(n, j, k))), "")
+        edge = next((f"T({n},{k}) != 0" for n, j, k in points if k == n + 1 and term[n, j, k]), "")
+        base = "T(0,0) != 1" if term[0, 0, 0] != 1 else edge
+        rows.append(row(shown, "fail" if boundary else "pass",
+                        f"boundary: {boundary or 'G(n,0) = G(n,n+2) = 0'}"))
+        rows.append(row(shown, "fail" if base else "pass",
+                        f"base-edge: {base or 'T(0,0) = 1, T(n,n+1) = 0'}"))
+    return rows
+
+
+@pytest.mark.parametrize("make, n_max, seed", [
+    *((partial(load_pair, name), 6, seed) for name in PAIR_NAMES for seed in (0, 1, 2)),
+    (partial(_with_factor, "thm1", "binom(k-n-2-2*j,n-k)"), 3, 0),
+    (partial(_with_factor, "thm1", "binom(k-n-2,n-k)"), 3, 0),
+    (lambda: _pole_at_n2(_with_factor("thm1", "binom(k-n-2-2*j,n-k)")), 3, 0),
+    (_common_factor_pair, 2, 0), (_broken_thm2, 4, 0)])
+def test_verify_rows_equal_a_per_point_reference(make, n_max, seed):
+    pair = make()
+    want = _per_point_rows(pair, n_max, 20, seed)
+    assert verify_wz_pair(pair, n_max=n_max, samples=20, seed=seed) == want
 
 
 def test_each_factor_is_read_once_per_draw(monkeypatch):
