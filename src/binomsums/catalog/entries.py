@@ -8,6 +8,15 @@ that must not be negative integers) and evaluability (digamma poles at s in
 {0..n-1}, vanishing denominators, t != 0 for the Legendre entries).  Draw
 rejection is decided against the largest n an assignment will be used with.
 
+ID04's sides return the whole row (row, den) over its inner index j = 0..n,
+and the check compares the two rows.  With a[inner] a side gives one entry of
+its row, divided once, from a row kept in that side's own closure, so a wrong
+kept row on one side cannot appear on the other and cancel.  The kept row is
+keyed on n and the identity (``is``) of the other values: RatFunc and Jet2
+values are unhashable, values are immutable, a per-j caller hands every j the
+same objects, and the key holds strong references, so no id is reused while
+it is the key.
+
 A check reports "skipped" only for an excluded assignment or a typed pole
 (see :data:`~binomsums.params.TYPED_POLES`); any other division by zero is a
 "fail" row that names the exception.
@@ -88,10 +97,28 @@ _NOT_NEG_B = ParamSpec(("beta",), not_negative_integers("beta"))
 _LEGENDRE_T = ParamSpec(("t",), _reject_nonzero_t)
 
 
+def _per_index(side, inner):
+    """side, or with a[inner] one entry of its kept row (module docstring)."""
+    kept = None, None, None     # (n, other names), their values, (row, den)
+
+    def view(n, a):
+        nonlocal kept
+        if inner not in a:
+            return side(n, a)
+        key = n, [k for k in a if k != inner]
+        if key != kept[0] or any(v is not a[k] for k, v in zip(key[1], kept[1])):
+            kept = key, [a[k] for k in key[1]], side(n, a)
+        row, den = kept[2]
+        return over(row[int(a[inner])], den)
+
+    return view
+
+
 def _entry(eid, statement, params, n_max, inner_index=None):
-    return IdentityEntry(eid, statement, params,
-                         getattr(lhs, eid.lower()), getattr(rhs, eid.lower()),
-                         n_max, inner_index)
+    left, right = getattr(lhs, eid.lower()), getattr(rhs, eid.lower())
+    if inner_index:
+        left, right = _per_index(left, inner_index), _per_index(right, inner_index)
+    return IdentityEntry(eid, statement, params, left, right, n_max, inner_index)
 
 
 REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
@@ -243,15 +270,13 @@ def evaluate_side(entry_id: str, side: str, n: int,
 class CheckResult:
     id: str
     n: int
-    params: dict
     lhs: Fraction | None
     rhs: Fraction | None
     status: str          # pass | fail | skipped
     reason: str = ""
 
 
-def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
-             shown: dict) -> CheckResult:
+def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction]) -> CheckResult:
     left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
     if entry.inner_index:       # each side is its whole j-row (row, den)
         (lrow, lden), (rrow, rden) = left, right
@@ -259,27 +284,25 @@ def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
         left, right = over(lrow[j], lden), over(rrow[j], rden)
         tag = f" at {entry.inner_index}={j}"
     if left != right:
-        return CheckResult(entry.id, n, shown, left, right, "fail", f"sides differ{tag}")
-    return CheckResult(entry.id, n, shown, left, right, "pass")
+        return CheckResult(entry.id, n, left, right, "fail", f"sides differ{tag}")
+    return CheckResult(entry.id, n, left, right, "pass")
 
 
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
     """Evaluate both sides; pass iff exactly equal.
 
-    For an entry with an inner index both sides are rows over 0..n (see
-    lhs.py); the first index where they differ is reported, n for a pass.
+    For an entry with an inner index both sides are rows over 0..n (module
+    docstring); the first index where they differ is reported, n for a pass.
     A division by zero that is not a typed pole is a fail row naming the exception.
     """
     entry = (entries or REGISTRY)[entry_id]
-    shown = {k: str(v) for k, v in assignment.items()}
     try:
-        return _guarded(entry, n, assignment,
-                        lambda: _compare(entry, n, assignment, shown))
+        return _guarded(entry, n, assignment, lambda: _compare(entry, n, assignment))
     except SkipEvaluation as exc:
-        return CheckResult(entry_id, n, shown, None, None, "skipped", exc.reason)
+        return CheckResult(entry_id, n, None, None, "skipped", exc.reason)
     except ZeroDivisionError as exc:
-        return CheckResult(entry_id, n, shown, None, None, "fail",
+        return CheckResult(entry_id, n, None, None, "fail",
                            f"unexpected {type(exc).__name__}: {exc}")
 
 

@@ -25,16 +25,11 @@ normalization is what makes every factor rational for every rational p
 checked separately for non-negative integer p, where they are directly
 evaluable.
 
-ID04 has an inner index j = 0..n.  Called without a["j"], a side returns its
-whole j-row (row, den), and the check compares the two rows.  The left row
-is the paper's Taylor step: the coefficients of f(x) = sum_k C(beta+k, k)
-C(alpha, n-k) x^k at the powers of x + 1 are those of f(y - 1), so the
-weights are Taylor-shifted by -1 (``taylor_shift``).  With a["j"], a side divides that
-one entry of its row, which a one-slot memo keeps for per-j callers.  The
-memo key is n plus the identity of the alpha and beta objects, not their
-value: RatFunc and Jet2 values are unhashable, values are immutable, a per-j
-caller hands every j the same objects, and the slot holds strong references,
-so an id cannot be reused while it is the key.  rhs.py keeps its own slot.
+ID04 has an inner index j = 0..n.  A side returns its whole j-row (row, den),
+and the check compares the two rows; entries.py gives a per-j caller one
+entry of it.  The left row is the paper's Taylor step: the coefficients of
+f(x) = sum_k C(beta+k, k) C(alpha, n-k) x^k at the powers of x + 1 are those
+of f(y - 1), so the weights are Taylor-shifted by -1 (``taylor_shift``).
 """
 
 from __future__ import annotations
@@ -72,29 +67,12 @@ def id03(n, a):
     return over(sum(ba[n - k] * bb[k] * px[k] for k in range(n + 1)), da * db * dx)
 
 
-# (n, alpha, beta, (row, den)) of the last per-j ID04 call; see the module docstring
-_id04_memo = (None, None, None, None)
-
-
-def _id04_row(n, alpha, beta):
+def id04(n, a):
     """[sum_k (-1)^(k+j) C(k, j) C(beta+k, k) C(alpha, n-k)]_j, j = 0..n, over
     one den: the weights Taylor-shifted by -1 (module docstring)."""
-    ba, da = binom_row(alpha, n)
-    bb, db = rising_row(beta, n)
+    ba, da = binom_row(a["alpha"], n)
+    bb, db = rising_row(a["beta"], n)
     return taylor_shift([bb[k] * ba[n - k] for k in range(n + 1)], -1), da * db
-
-
-def id04(n, a):
-    global _id04_memo
-    alpha, beta = a["alpha"], a["beta"]
-    if "j" not in a:
-        return _id04_row(n, alpha, beta)
-    memo_n, memo_alpha, memo_beta, rows = _id04_memo
-    if not (memo_n == n and memo_alpha is alpha and memo_beta is beta):
-        rows = _id04_row(n, alpha, beta)
-        _id04_memo = (n, alpha, beta, rows)
-    row, den = rows
-    return over(row[int(a["j"])], den)
 
 
 def id05(n, a):

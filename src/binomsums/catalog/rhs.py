@@ -6,11 +6,7 @@ normalization of ID07/ID19.  The single binomials read kept rows: C(s+n, n)
 is entry n of s's ``rising_row``, so ID19 and ID21 call ``binom_upper_shift``.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
-C(beta-alpha+n, n-j) over one den without a["j"], and one entry of it,
-divided once, with a["j"].  The row of the last per-j call sits in a
-one-slot memo keyed, as in lhs.py, on n and the identity of the alpha and
-beta objects.  The slot is this module's own, so a wrong memo row on one
-side cannot also appear on the other and cancel.
+C(beta-alpha+n, n-j) over one den.
 """
 
 from __future__ import annotations
@@ -51,28 +47,12 @@ def id03(n, a):
     return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
 
 
-# (n, alpha, beta, (row, den)) of the last per-j ID04 call; see the module docstring
-_id04_memo = (None, None, None, None)
-
-
-def _id04_row(n, alpha, beta):
+def id04(n, a):
     """[(-1)^(n+j) C(beta+j, j) C(beta-alpha+n, n-j)]_j, j = 0..n, over one den."""
+    alpha, beta = a["alpha"], a["beta"]
     (bb, db), (bg, dg) = rising_row(beta, n), pascal_row(derived("x-y", beta, alpha), n)
     row = (bb[j] * bg[n - j] for j in range(n + 1))
     return [-v if (n + j) % 2 else v for j, v in enumerate(row)], db * dg
-
-
-def id04(n, a):
-    global _id04_memo
-    alpha, beta = a["alpha"], a["beta"]
-    if "j" not in a:
-        return _id04_row(n, alpha, beta)
-    memo_n, memo_alpha, memo_beta, rows = _id04_memo
-    if not (memo_n == n and memo_alpha is alpha and memo_beta is beta):
-        rows = _id04_row(n, alpha, beta)
-        _id04_memo = (n, alpha, beta, rows)
-    row, den = rows
-    return over(row[int(a["j"])], den)
 
 
 def id05(n, a):

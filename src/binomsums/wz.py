@@ -52,6 +52,7 @@ malformed field is a WZFixtureError with line and column.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -268,21 +269,15 @@ _PAIR_INFO = {
     "thm3": (ParamSpec(("s", "p"), _reject_thm3), None),
 }
 
-_CACHED_PAIRS: dict[str, WZPair] = {}
-
-
+@functools.cache
 def load_pair(name: str) -> WZPair:
     """Load one of the shipped pairs (thm1, thm2, thm3) from its fixture."""
-    if name in _CACHED_PAIRS:
-        return _CACHED_PAIRS[name]
     if name not in _PAIR_INFO:
         raise KeyError(f"unknown pair {name!r}; known: {', '.join(PAIR_NAMES)}")
     text = resources.files("binomsums.fixtures").joinpath(f"{name}.wz").read_text()
     term, certificate, orientation = parse_pair_file(text)
     params, extra = _PAIR_INFO[name]
-    pair = WZPair(name, term, certificate, orientation, params, extra)
-    _CACHED_PAIRS[name] = pair
-    return pair
+    return WZPair(name, term, certificate, orientation, params, extra)
 
 
 def builtin_pairs() -> dict[str, WZPair]:

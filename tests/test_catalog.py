@@ -12,6 +12,7 @@ import pytest
 from binomsums.catalog import lhs, rhs
 from binomsums.catalog.entries import (
     REGISTRY,
+    _per_index,
     apply_mutations,
     check_identity,
     draw_for_entry,
@@ -239,6 +240,38 @@ def test_id04_rows_built_once_per_check(monkeypatch):
     assert built == {"lhs": 1, "rhs": 1}
 
 
+
+def test_per_index_view_keeps_one_row_per_side():
+    # two stub sides with different rows, each behind its own view
+    built = []
+
+    def stub(offset):
+        def side(n, a):
+            built.append(offset)
+            return [offset + 10 * n + i for i in range(n + 1)], 2
+        return side
+
+    left, right = _per_index(stub(100), "j"), _per_index(stub(200), "j")
+    x, y = F(1, 2), F(1, 3)
+    # alternate reads of the same objects: each side gives its own entries, built once
+    for j in (0, 2, 1, 2, 0):
+        assert left(2, {"x": x, "y": y, "j": j}) == F(120 + j, 2)
+        assert right(2, {"x": x, "y": y, "j": j}) == F(220 + j, 2)
+    assert built == [100, 200]
+    # a new n, or a new object for any non-inner value, even an equal one, rebuilds
+    for n, a in ((3, {"x": x, "y": y}), (3, {"x": F(1, 2), "y": y}),
+                 (3, {"x": x, "y": F(1, 3)}), (2, {"x": x, "y": y})):
+        built.clear()
+        assert left(n, dict(a, j=1)) == F(100 + 10 * n + 1, 2)
+        assert left(n, dict(a, j=0)) == F(100 + 10 * n, 2)
+        assert built == [100]
+    # without the inner index the call passes through and leaves the kept row alone
+    built.clear()
+    assert left(5, {"x": x, "y": y}) == ([150, 151, 152, 153, 154, 155], 2)
+    assert left(2, {"x": x, "y": y, "j": 2}) == F(122, 2)
+    assert built == [100]
+
+
 ROW_HELPER_CALLERS = {
     "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID10", "ID15", "ID21"},
     "binom_row": {"ID02", "ID03", "ID04", "ID06", "ID19"},
@@ -270,7 +303,6 @@ def test_a_helper_bug_shared_by_both_sides_cannot_cancel(monkeypatch, helper):
     for module in (lhs, rhs):
         if hasattr(module, helper):      # every module that uses the helper
             monkeypatch.setattr(module, helper, wrong_at_index_one)
-        monkeypatch.setattr(module, "_id04_memo", (None, None, None, None))
     missed = []
     for entry in REGISTRY.values():
         current = entry.id
@@ -484,6 +516,22 @@ def symbolic_params(entry):
     spare = [v for v in VARS[3:] if v not in entry.params.names]
     return {name: RatFunc.var(name if name in VARS else spare.pop(0))
             for name in entry.params.names}
+
+
+@pytest.mark.parametrize("entry_id", ["ID13", "ID14"])
+def test_legendre_entries_are_proved_for_every_t(entry_id):
+    # over a RatFunc t the two sides are rational functions of t, so a pass
+    # holds for every admissible t at that n, where 20 draws only bound a slip
+    t = RatFunc.var("t")
+    assert [check_identity(entry_id, n, {"t": t}).status for n in range(51)] == ["pass"] * 51
+
+
+def test_a_degree_150_slip_in_id13_fails_symbolically():
+    # the degree of ID13's own sides at n = 50, where a sampled pass is weakest
+    entry = REGISTRY["ID13"]
+    slipped = replace(entry, rhs=lambda n, a: entry.rhs(n, a) + (a["t"] * a["t"] - 1) ** 75)
+    r = check_identity("ID13", 50, {"t": RatFunc.var("t")}, {"ID13": slipped})
+    assert r.status == "fail" and r.reason == "sides differ"
 
 
 def test_ratfunc_sides_are_pinned(budget):

@@ -182,6 +182,14 @@ def test_builtin_pairs_load():
     assert pairs["thm3"].orientation == -1
 
 
+def test_each_pair_loads_once_and_an_unknown_name_raises_each_time():
+    for name in PAIR_NAMES:
+        assert load_pair(name) is load_pair(name) is builtin_pairs()[name]
+    for _ in range(2):      # an exception is not cached
+        with pytest.raises(KeyError, match="unknown pair 'thm4'; known: thm1, thm2, thm3"):
+            load_pair("thm4")
+
+
 # ---------------------------------------------------------------------------
 # Symbolic residuals (the core certification)
 # ---------------------------------------------------------------------------
