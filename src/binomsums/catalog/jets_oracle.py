@@ -46,10 +46,13 @@ class DerivSpec:
     rescale: str | None = None      # "binom_n_p": multiply back by jet C(n,p)|p=0
 
     def __post_init__(self):
-        if sum(order for _, order in self.eps) > 2:
-            raise ValueError("total derivative order is capped at 2")
-        if len(self.eps) > 2:
-            raise ValueError("at most two lifted parameters")
+        orders = [order for _, order in self.eps]
+        if not set(orders) <= {1, 2} or sum(orders) > 2:
+            raise ValueError("derivative orders are 1 or 2, at most 2 in total")
+        if len(dict(self.eps)) < len(self.eps):
+            raise ValueError("a lifted parameter appears twice")
+        if self.rescale not in (None, "binom_n_p"):
+            raise ValueError(f"unknown rescale {self.rescale!r}")
 
 
 def _binom_n_p_jet(n: int, slot: int) -> Jet2:
@@ -80,8 +83,6 @@ def lift_sides(base_id: str, spec: DerivSpec, n: int,
         u = _binom_n_p_jet(n, slots["p"])
         left = left * u
         right = right * u
-    elif spec.rescale is not None:
-        raise ValueError(f"unknown rescale {spec.rescale!r}")
     return left, right
 
 

@@ -35,9 +35,9 @@ of f(y - 1), so the weights are Taylor-shifted by -1 (``taylor_shift``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from ..exact import (binom_int, binom_poly, binom_row, central_binomial, derived, harmonic,
+from ..exact import (binom_poly, binom_row, central_binomial, derived, harmonic,
                      harmonic_row, over, pascal_row, power_row, reciprocal_row, rising_row,
                      shift_row, taylor_shift)
 from ..legendre import legendre, legendre_row
@@ -47,7 +47,7 @@ F = Fraction
 
 def id01(n, a):
     px, dx = power_row(a["x"], n)
-    terms = (binom_int(n, k) * binom_int(n + k, k) * px[k] for k in range(n + 1))
+    terms = (comb(n, k) * comb(n + k, k) * px[k] for k in range(n + 1))
     return over(sum(terms), dx)
 
 
@@ -82,7 +82,7 @@ def id05(n, a):
 def id06(n, a):
     bs, ds = binom_row(a["s"], n)          # C(s, k)
     rt, dt = reciprocal_row(a["t"], n)     # 1/C(t+k, k)
-    return over(sum(binom_int(n, k) * bs[k] * rt[k] for k in range(n + 1)), ds * dt)
+    return over(sum(comb(n, k) * bs[k] * rt[k] for k in range(n + 1)), ds * dt)
 
 
 def id07(n, a):
@@ -95,18 +95,18 @@ def id07(n, a):
 def id08(n, a):
     bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
     px, dx = power_row(a["x"], n)
-    return over(sum(binom_int(n, k) * bb[k] * px[k] for k in range(n + 1)), db * dx)
+    return over(sum(comb(n, k) * bb[k] * px[k] for k in range(n + 1)), db * dx)
 
 
 def id09(n, a):
     row, den = shift_row(a["beta"], n)     # C(beta+k, n)
-    terms = (binom_int(n, k) * row[k] for k in range(n + 1))
+    terms = (comb(n, k) * row[k] for k in range(n + 1))
     return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den)
 
 
 def id10(n, a):
     bb, den = rising_row(a["beta"], n)
-    terms = (-binom_int(n, k) * bb[k] if k % 2 else binom_int(n, k) * bb[k]
+    terms = (-comb(n, k) * bb[k] if k % 2 else comb(n, k) * bb[k]
              for k in range(n + 1))
     return over(sum(terms), den)
 
@@ -117,7 +117,7 @@ def id11(n, a):
 
 def id12(n, a):
     px, dx = power_row(a["x"], n)
-    terms = (binom_int(n, k) * central_binomial(k) * 4 ** (n - k) * px[k]
+    terms = (comb(n, k) * central_binomial(k) * 4 ** (n - k) * px[k]
              for k in range(n + 1))
     return over(sum(terms), dx * 4**n)
 
@@ -131,14 +131,14 @@ def id14(n, a):
     t = a["t"]
     values, dv = legendre_row(n, derived("(x^2+1)/(2x)", t))
     pt, dt = power_row(t, n)
-    terms = (binom_int(n, k) * values[k] * pt[k] for k in range(n + 1))
+    terms = (comb(n, k) * values[k] * pt[k] for k in range(n + 1))
     return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dv * dt)
 
 
 def id15(n, a):
     bs, ds = rising_row(a["s"], n)         # C(s+k, k)
     h, dh = harmonic_row(n)
-    terms = (binom_int(n, k) * bs[k] * h[k] for k in range(n + 1))
+    terms = (comb(n, k) * bs[k] * h[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * dh)
 
 
@@ -148,7 +148,7 @@ def id16(n, a):
 
 def id17(n, a):
     h, dh = harmonic_row(n)
-    terms = (binom_int(n, k) * central_binomial(k) * 4 ** (n - k) * h[k] for k in range(n + 1))
+    terms = (comb(n, k) * central_binomial(k) * 4 ** (n - k) * h[k] for k in range(n + 1))
     return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dh * 4**n)
 
 
@@ -166,14 +166,14 @@ def id19(n, a):
 
 def id20(n, a):
     den = lcm(*(central_binomial(k) for k in range(n + 1)))
-    return F(sum(4**k * binom_int(n, k) ** 2 * (den // central_binomial(k))
+    return F(sum(4**k * comb(n, k) ** 2 * (den // central_binomial(k))
                  for k in range(n + 1)), den)
 
 
 def id20e(n, a):
     total = 0
     for k in range(n + 1):
-        total += binom_int(2 * n, 2 * k) * central_binomial(n - k) * 4**k
+        total += comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k
     return F(total)
 
 
@@ -191,21 +191,21 @@ def id22(n, a):
 def id23(n, a):
     total = 0
     for k in range(1, n + 1):
-        total += k * binom_int(n, k) ** 2
+        total += k * comb(n, k) ** 2
     return F(total)
 
 
 def id24(n, a):
     h, dh = harmonic_row(n)
-    return over(sum(binom_int(n, k) ** 2 * h[k] for k in range(n + 1)), dh)
+    return over(sum(comb(n, k) ** 2 * h[k] for k in range(n + 1)), dh)
 
 
 def id25(n, a):
     h, dh = harmonic_row(n)
-    return over(sum(binom_int(n, k) ** 2 * h[k] * h[n - k] for k in range(n + 1)), dh * dh)
+    return over(sum(comb(n, k) ** 2 * h[k] * h[n - k] for k in range(n + 1)), dh * dh)
 
 
 def id26(n, a):
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)
-    return over(sum(binom_int(n, k) ** 2 * (h[k] * h[k] + h2[k]) for k in range(n + 1)), d2)
+    return over(sum(comb(n, k) ** 2 * (h[k] * h[k] + h2[k]) for k in range(n + 1)), d2)

@@ -12,8 +12,9 @@ C(beta-alpha+n, n-j) over one den.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from ..exact import (binom_int, binom_poly, binom_upper_shift, central_binomial, derived,
+from ..exact import (binom_poly, binom_upper_shift, central_binomial, derived,
                      digamma_diff, harmonic, harmonic_row, over, pascal_row, power_row,
                      reciprocal_row, rising_row, shift_row)
 from ..legendre import legendre_new_repr
@@ -23,7 +24,7 @@ F = Fraction
 
 def id01(n, a):
     px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = (binom_int(n, k) * binom_int(n + k, k) * px[k] for k in range(n + 1))
+    terms = (comb(n, k) * comb(n + k, k) * px[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dx)
 
 
@@ -60,7 +61,7 @@ def id05(n, a):
     g = derived("-x-1/2", lam)
     top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
     low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
-    total = over(sum(binom_int(n, k) * top[k] * low[k] for k in range(n + 1)), dt * dl)
+    total = over(sum(comb(n, k) * top[k] * low[k] for k in range(n + 1)), dt * dl)
     return binom_poly(derived("2x", lam), n) * total
 
 
@@ -76,7 +77,7 @@ def id07(n, a):
 def id08(n, a):
     row, den = shift_row(a["beta"], n)        # C(beta+k, n)
     px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = (binom_int(n, k) * row[k] * px[k] for k in range(n + 1))
+    terms = (comb(n, k) * row[k] * px[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), den * dx)
 
 
@@ -91,7 +92,7 @@ def id10(n, a):
 
 def id11(n, a):
     h, dh = harmonic_row(2 * n)
-    terms = (binom_int(n, k) * binom_int(n + k, k) * h[n + k] for k in range(n + 1))
+    terms = (comb(n, k) * comb(n + k, k) * h[n + k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
 
 
@@ -117,7 +118,7 @@ def id15(n, a):
 
 def id16(n, a):
     h, dh = harmonic_row(n)
-    terms = (binom_int(n, k) * binom_int(n + k, k) * h[k] for k in range(n + 1))
+    terms = (comb(n, k) * comb(n + k, k) * h[k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
 
 
@@ -128,7 +129,7 @@ def id17(n, a):
 def id18(n, a):
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)            # over lcm(1..n)^2, as H_k^2 is
-    terms = (binom_int(n, k) * binom_int(n + k, k) * (h[k] * h[k] + h2[k])
+    terms = (comb(n, k) * comb(n + k, k) * (h[k] * h[k] + h2[k])
              for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 4 * d2)
 
@@ -138,11 +139,11 @@ def id19(n, a):
 
 
 def id20(n, a):
-    return F(binom_int(4 * n, 2 * n)) / central_binomial(n)
+    return F(comb(4 * n, 2 * n)) / central_binomial(n)
 
 
 def id20e(n, a):
-    return F(binom_int(4 * n, 2 * n))
+    return F(comb(4 * n, 2 * n))
 
 
 def id21(n, a):

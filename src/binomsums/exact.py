@@ -56,7 +56,6 @@ __all__ = [
     "DigammaPole",
     "Drawn",
     "TrigammaPole",
-    "binom_int",
     "binom_poly",
     "binom_row",
     "binom_upper_shift",
@@ -149,13 +148,6 @@ def harmonic_row(n: int, order: int = 1):
 # ---------------------------------------------------------------------------
 # Binomial coefficients
 # ---------------------------------------------------------------------------
-
-def binom_int(n: int, k: int) -> int:
-    """Plain integer binomial; 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
 
 _CENTRAL: list[int] = [1]
 
@@ -283,7 +275,7 @@ def binom_poly(s, k: int):
     if k < 0:
         return s * 0            # the zero of s's ring
     if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
-        return Fraction(binom_int(s.numerator, k))
+        return Fraction(comb(s.numerator, k))
     return _top("binom", s, k, _falling)
 
 

@@ -1,13 +1,15 @@
-"""Expression language for entering certificates and binomial arguments.
+"""The fixture grammar: certificates, term specs and binomial arguments.
 
 Grammar (whitespace ignored, byte offsets reported on errors):
 
+    spec    :=  item ('*' item)*
+    item    :=  'sign' '(' expr ')' | 'binom' '(' expr ',' expr ')' ('^' ['+' | '-'] INT)?
+             |  expr          (its terms take '/' only, so '3/2 * ...' is two items)
     expr    :=  term (('+' | '-') term)*
     term    :=  factor (('*' | '/') factor)*
     factor  :=  '-' factor | power
     power   :=  atom ('^' INT)*
     atom    :=  INT | NAME | '(' expr ')'
-
     INT     :=  [0-9]+
     NAME    :=  [A-Za-z_][A-Za-z0-9_]*
 
@@ -21,15 +23,25 @@ There is no syntax tree: each grammar rule returns the canonical
 :class:`~binomsums.poly.RatFunc` of what it read, built with the ring's own
 ``+ - * / **`` in the order the rules finish (left operand, right operand,
 then the operator).  Syntax errors are :class:`ExprSyntaxError` with the
-offset of the first bad token; an unknown variable (``ValueError``) and a
-division by the zero function (``ZeroDenominator``) come from the ring.
+offset of the first bad token; in :func:`parse_ratfunc` an unknown variable
+(``ValueError``) and a division by the zero function (``ZeroDenominator``)
+come from the ring.  :func:`parse_term` reads a spec into a
+:class:`~binomsums.hyperterm.HyperTerm`.  Its arguments are affine, judged on
+the canonical form: n*k-n*k+n reads as n, while n*k, n^2+1 and 1/n are
+rejected.  A binomial's exponent is 1, +1 or -1, a sign comes at most once with
+an integer constant, and a bare item is a constant.  Each such error, and a
+ring error in an item, is an ExprSyntaxError at the first token of the item or
+argument it concerns.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from .hyperterm import AffineForm, HyperTerm
 from .poly import RatFunc
 
-__all__ = ["ExprSyntaxError", "parse_ratfunc"]
+__all__ = ["ExprSyntaxError", "parse_ratfunc", "parse_term"]
 
 
 class ExprSyntaxError(ValueError):
@@ -41,7 +53,7 @@ class ExprSyntaxError(ValueError):
         self.reason = message
 
 
-_OPS = set("+-*/^()")
+_OPS = set("+-*/^(),")
 MAX_DEPTH = 100          # five frames per '(': half the default recursion limit
 MAX_EXPONENT = 12        # (n+k+j+alpha)^12 expands in about 0.2 s, ^16 in seconds
 
@@ -55,9 +67,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < size and text[i].isdigit():
+            while i < size and text[i].isdecimal():
                 i += 1
             tokens.append(("INT", int(text[start:i]), start))
             continue
@@ -102,17 +114,22 @@ class _Parser:
         found = "end of input" if kind == "END" else f"{kind!r}"
         raise ExprSyntaxError(f"expected {expected}, found {found}", offset)
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expect(self, kind: str, expected: str | None = None):
+        if self.peek()[0] != kind:
+            self.fail(expected or repr(kind))
+        self.advance()
+
+    def expr(self, ops=("*", "/")) -> RatFunc:
+        value = self.term(ops)
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            rhs = self.term()
+            rhs = self.term(ops)
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    def term(self) -> RatFunc:
+    def term(self, ops) -> RatFunc:
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
+        while self.peek()[0] in ops:
             op = self.advance()[0]
             rhs = self.factor()
             value = value * rhs if op == "*" else value / rhs
@@ -152,18 +169,75 @@ class _Parser:
         if kind == "(":
             self.enter()
             inner = self.expr()
-            if self.peek()[0] != ")":
-                self.fail("')'")
-            self.advance()
+            self.expect(")")
             self.depth -= 1
             return inner
         self.fail("an integer, a variable or '('")
+
+    def affine(self, ops=("*", "/")) -> AffineForm:
+        """An expr's affine form; any other error is a syntax error at its first token."""
+        at = self.peek()[2]
+        try:
+            return AffineForm.from_ratfunc(self.expr(ops))
+        except ExprSyntaxError:
+            raise
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ExprSyntaxError(str(exc), at) from exc
+
+    def call(self, count: int) -> list[AffineForm]:
+        """A function name and its ``count`` affine arguments."""
+        self.advance()
+        forms = []
+        for opener in "(" + "," * (count - 1):
+            self.expect(opener)
+            forms.append(self.affine())
+        self.expect(")")
+        return forms
+
+    def exponent(self) -> int:
+        """A binomial's optional '^1', '^+1' or '^-1'."""
+        if self.peek()[0] != "^":
+            return 1
+        self.advance()
+        kind, _, at = self.peek()
+        if kind in ("+", "-"):
+            self.advance()
+        if self.peek()[:2] != ("INT", 1):
+            raise ExprSyntaxError("a binomial's exponent is 1, +1 or -1", at)
+        self.advance()
+        return -1 if kind == "-" else 1
 
 
 def parse_ratfunc(text: str) -> RatFunc:
     """The canonical rational function of the full string."""
     parser = _Parser(_tokenize(text))
     value = parser.expr()
-    if parser.peek()[0] != "END":
-        parser.fail("end of input")
+    parser.expect("END", "end of input")
     return value
+
+
+def parse_term(text: str) -> HyperTerm:
+    """The hypergeometric term of a spec ``sign(...) * const * binom(a,b)^e * ...``."""
+    parser = _Parser(_tokenize(text))
+    constant, sign, factors = Fraction(1), None, []
+    while True:
+        kind, name, at = parser.peek()
+        if kind == "NAME" and name == "sign":
+            if sign is not None:
+                raise ExprSyntaxError("duplicate sign(...) factor", at)
+            (sign,) = parser.call(1)
+            if sign.constant.denominator != 1:
+                raise ExprSyntaxError("sign exponent must have an integer constant", at)
+        elif kind == "NAME" and name == "binom":
+            top, bottom = parser.call(2)
+            factors.append((top, bottom, parser.exponent()))
+        else:
+            form = parser.affine(("/",))
+            if form.coeffs:
+                raise ExprSyntaxError("constant factor contains variables", at)
+            constant *= form.constant
+        if parser.peek()[0] != "*":
+            break
+        parser.advance()
+    parser.expect("END", "'*' or end of input")
+    return HyperTerm(constant, AffineForm.make(0) if sign is None else sign, tuple(factors))

@@ -18,8 +18,9 @@ built without the row otherwise.  ``legendre_new_repr`` sums over
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
-from .exact import _row, _top, binom_int, central_binomial, derived, over, power_row
+from .exact import _row, _top, central_binomial, derived, over, power_row
 
 __all__ = [
     "legendre",
@@ -76,7 +77,7 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     """
     _check_t(t)
     powers, den = power_row(derived("(x^2-1)/4", t), n)
-    total = sum(binom_int(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
+    total = sum(comb(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
     # t^n joins the one denominator
     return over(total * t.denominator**n, den * t.numerator**n)
 
@@ -93,7 +94,7 @@ def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
     _check_t(t)
     values, den = legendre_row(n, (t * t + 1) / (2 * t))
     powers, power_den = power_row(t, n)
-    terms = (binom_int(n, k) * values[k] * powers[k] for k in range(n + 1))
+    terms = (comb(n, k) * values[k] * powers[k] for k in range(n + 1))
     lhs = over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den * power_den)
     rhs = central_binomial(n) * ((1 - t * t) / 4) ** n
     return lhs, rhs

@@ -43,11 +43,9 @@ each file carries exactly the lines
     certificate: <expression>
     orientation: +1|-1
 
-with '#' comments allowed, the sign(...) and constant parts optional, and
-'^+1' omissible.  Each field is read by :func:`binomsums.expr.parse_ratfunc`,
-and "affine" is judged on the canonical form: n*k-n*k+n reads as n and
-(n^2-1)/(n-1) as n+1, while n*k, n^2+1 and 1/n are rejected.  Every
-malformed field is a WZFixtureError with line and column.
+with '#' comments allowed.  One grammar reads both expressions
+(:func:`binomsums.expr.parse_term`, :func:`~binomsums.expr.parse_ratfunc`);
+every malformed field is a WZFixtureError with line and column.
 """
 
 from __future__ import annotations
@@ -58,8 +56,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
-from .expr import ExprSyntaxError, parse_ratfunc
-from .hyperterm import AffineForm, HyperTerm
+from .expr import ExprSyntaxError, parse_ratfunc, parse_term
+from .hyperterm import HyperTerm
 from .params import TYPED_POLES, ParamSpec, ResultRow, draw, is_neg_int
 from .poly import VARS, RatFunc, RatFuncPole
 
@@ -106,42 +104,11 @@ class WZPair:
 # Fixture parsing
 # ---------------------------------------------------------------------------
 
-def _scan_balanced(text: str, start: int, line: int, col0: int) -> int:
-    """Index just past the ')' matching the '(' at ``start``."""
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise WZFixtureError("unbalanced parentheses", line, col0 + start + 1)
-
-
-def _split_top_level(text: str, sep: str) -> list[tuple[int, str]]:
-    """Split on a separator outside parentheses; keeps piece offsets."""
-    pieces = []
-    depth = 0
-    begin = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            pieces.append((begin, text[begin:i]))
-            begin = i + 1
-    pieces.append((begin, text[begin:]))
-    return pieces
-
-
-def _parse_field(text: str, line: int, col0: int, affine: bool = True):
-    """A fixture field's AffineForm (its RatFunc if not affine); a syntax
-    error is a WZFixtureError at its offset, a ring error one at the field."""
+def _parse_field(parse, text: str, line: int, col0: int):
+    """``parse(text)``; a syntax error is a WZFixtureError at its offset, a
+    ring error one at the field."""
     try:
-        value = parse_ratfunc(text)
-        return AffineForm.from_ratfunc(value) if affine else value
+        return parse(text)
     except ExprSyntaxError as exc:
         raise WZFixtureError(exc.reason, line, col0 + exc.offset + 1) from exc
     except (ValueError, ZeroDivisionError) as exc:
@@ -149,56 +116,9 @@ def _parse_field(text: str, line: int, col0: int, affine: bool = True):
 
 
 def parse_term_spec(text: str, line: int = 1, col0: int = 0) -> HyperTerm:
-    """Parse the product form ``sign(...) * const * binom(a,b)^e * ...``."""
-    constant = Fraction(1)
-    sign = AffineForm.make(0)
-    factors: list[tuple[AffineForm, AffineForm, int]] = []
-    seen_sign = False
-    for offset, piece in _split_top_level(text, "*"):
-        at = offset + col0
-        chunk = piece.strip()
-        pad = offset + (len(piece) - len(piece.lstrip()))
-        if not chunk:
-            raise WZFixtureError("empty factor", line, at + 1)
-        if chunk.startswith("sign"):
-            if seen_sign:
-                raise WZFixtureError("duplicate sign(...) factor", line, at + 1)
-            inner = chunk[4:].strip()
-            if not inner.startswith("(") or not inner.endswith(")"):
-                raise WZFixtureError("sign needs a parenthesized argument", line, at + 1)
-            sign = _parse_field(inner[1:-1], line, col0 + pad + chunk.find("(") + 1)
-            if sign.constant.denominator != 1:
-                raise WZFixtureError("sign exponent must have an integer constant",
-                                     line, at + 1)
-            seen_sign = True
-            continue
-        if chunk.startswith("binom"):
-            rest = chunk[5:].strip()
-            if not rest.startswith("("):
-                raise WZFixtureError("binom needs '('", line, at + 1)
-            close = _scan_balanced(rest, 0, line, col0 + pad)
-            args = rest[1:close - 1]
-            tail = rest[close:].strip()
-            split = _split_top_level(args, ",")
-            if len(split) != 2:
-                raise WZFixtureError("binom needs exactly two arguments", line, at + 1)
-            arg_col = col0 + pad + chunk.find("(") + 1
-            top = _parse_field(split[0][1], line, arg_col + split[0][0])
-            bottom = _parse_field(split[1][1], line, arg_col + split[1][0])
-            if tail in ("", "^1", "^+1"):
-                exp = 1
-            elif tail == "^-1":
-                exp = -1
-            else:
-                raise WZFixtureError(f"bad binomial exponent {tail!r}", line, at + 1)
-            factors.append((top, bottom, exp))
-            continue
-        # bare rational constant
-        form = _parse_field(chunk, line, col0 + pad)
-        if form.coeffs:
-            raise WZFixtureError("constant factor contains variables", line, at + 1)
-        constant *= form.constant
-    return HyperTerm(constant, sign, tuple(factors))
+    """The product form ``sign(...) * const * binom(a,b)^e * ...``, read by
+    :func:`binomsums.expr.parse_term`."""
+    return _parse_field(parse_term, text, line, col0)
 
 
 def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
@@ -221,12 +141,8 @@ def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
         if key not in fields:
             raise WZFixtureError(f"missing {key!r} line", len(text.splitlines()) + 1, 1)
 
-    value, line_no, col0 = fields["term"]
-    term = parse_term_spec(value, line_no, col0)
-
-    value, line_no, col0 = fields["certificate"]
-    certificate = _parse_field(value, line_no, col0, affine=False)
-
+    term = parse_term_spec(*fields["term"])
+    certificate = _parse_field(parse_ratfunc, *fields["certificate"])
     value, line_no, col0 = fields["orientation"]
     orientation_text = value.strip()
     if orientation_text not in ("+1", "-1"):

@@ -17,12 +17,13 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
 from binomsums.catalog.jets_oracle import oracle
 from binomsums.catalog.suite import SuiteConfig, run_catalog, run_wz
 from binomsums.cli import main as cli_main
-from binomsums.exact import binom_int, binom_poly
+from binomsums.exact import binom_poly
 from binomsums.legendre import (
     legendre,
     legendre_inversion_check,
@@ -99,7 +100,7 @@ def test_criterion_4_product_ratio_and_alternating_transforms():
     ok = spot6.status == "pass" and spot6.rhs == F(187, 112)
     # un-divided spot for the second form at integer p
     s, p = F(1, 2), 1
-    raw_lhs = sum((-1) ** ((2 + k) % 2) * binom_int(2, k) * binom_poly(s + k, k)
+    raw_lhs = sum((-1) ** ((2 + k) % 2) * comb(2, k) * binom_poly(s + k, k)
                   * binom_poly(F(k), p) for k in range(3))
     raw_rhs = binom_poly(F(2), p) * binom_poly(s + p, 2)
     ok = ok and raw_lhs == raw_rhs == F(3, 4)
@@ -215,9 +216,9 @@ def test_criterion_9_half_integer_specialization():
         for n in range(11):
             s, t = n - lam - half, -lam - half
             for k in range(n + 1):
-                al_term = binom_int(n, k) * binom_poly(n - lam - half, k) \
+                al_term = comb(n, k) * binom_poly(n - lam - half, k) \
                     / binom_poly(k - lam - half, k)
-                id06_term = binom_int(n, k) * binom_poly(s, k) / binom_poly(t + k, k)
+                id06_term = comb(n, k) * binom_poly(s, k) / binom_poly(t + k, k)
                 ok &= al_term == id06_term
             ok &= evaluate_side("ID06", "rhs", n, {"s": s, "t": t}) \
                 == 4**n * binom_poly(lam, n) / binom_poly(2 * lam, n)

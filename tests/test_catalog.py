@@ -6,6 +6,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from binomsums.catalog.entries import (
     evaluate_side,
     SkipEvaluation,
 )
-from binomsums.exact import binom_int, binom_poly, binom_upper_shift, harmonic, over
+from binomsums.exact import binom_poly, binom_upper_shift, harmonic, over
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
@@ -99,9 +100,9 @@ def test_id18_spot():
 
 def test_id20_spots():
     r = check_identity("ID20", 1, {})
-    assert r.status == "pass" and r.lhs == 3 == F(binom_int(4, 2), 2)
+    assert r.status == "pass" and r.lhs == 3 == F(comb(4, 2), 2)
     r = check_identity("ID20E", 1, {})
-    assert r.status == "pass" and r.lhs == 2 + 4 == binom_int(4, 2)
+    assert r.status == "pass" and r.lhs == 2 + 4 == comb(4, 2)
 
 
 def test_id21_spot():
@@ -171,7 +172,7 @@ def _id04_reference(n, a):
     alpha, beta, j = a["alpha"], a["beta"], a["j"]
     left = beta * 0
     for k in range(j, n + 1):
-        term = binom_poly(beta + k, k) * binom_int(k, j) * binom_poly(alpha, n - k)
+        term = binom_poly(beta + k, k) * comb(k, j) * binom_poly(alpha, n - k)
         left = left + (-term if (k + j) % 2 else term)
     right = binom_poly(beta + j, j) * binom_poly(beta - alpha + n, n - j)
     return left, -right if (n + j) % 2 else right
@@ -412,9 +413,9 @@ def test_id05_maps_onto_id06_term_by_term():
             s = n - lam - half
             t = -lam - half
             for k in range(n + 1):
-                al_term = binom_int(n, k) * binom_poly(n - lam - half, k) \
+                al_term = comb(n, k) * binom_poly(n - lam - half, k) \
                     / binom_poly(k - lam - half, k)
-                id06_term = binom_int(n, k) * binom_poly(s, k) \
+                id06_term = comb(n, k) * binom_poly(s, k) \
                     / binom_poly(t + k, k)
                 assert al_term == id06_term
             product = evaluate_side("ID06", "rhs", n, {"s": s, "t": t})
@@ -431,19 +432,19 @@ def test_id07_id19_unnormalized_for_integer_p():
         p = rng.randint(0, 4)
         for n in range(7):
             raw_lhs = sum(
-                (-1) ** ((n + k) % 2) * binom_int(n, k) * binom_poly(s + k, k)
-                * binom_int(k, p) for k in range(n + 1))
-            raw_rhs = binom_int(n, p) * binom_poly(s + p, n)
+                (-1) ** ((n + k) % 2) * comb(n, k) * binom_poly(s + k, k)
+                * comb(k, p) for k in range(n + 1))
+            raw_rhs = comb(n, p) * binom_poly(s + p, n)
             assert raw_lhs == raw_rhs
             norm = evaluate_side("ID07", "lhs", n, {"s": s, "p": F(p)})
-            assert raw_lhs == norm * binom_int(n, p)
+            assert raw_lhs == norm * comb(n, p)
             inv_lhs = sum(
-                binom_int(n, k) * binom_poly(s + p, k) * binom_int(k, p)
+                comb(n, k) * binom_poly(s + p, k) * comb(k, p)
                 for k in range(n + 1))
-            inv_rhs = binom_int(n, p) * binom_poly(s + n, n)
+            inv_rhs = comb(n, p) * binom_poly(s + n, n)
             assert inv_lhs == inv_rhs
             norm19 = evaluate_side("ID19", "lhs", n, {"s": s, "p": F(p)})
-            assert inv_lhs == norm19 * binom_int(n, p)
+            assert inv_lhs == norm19 * comb(n, p)
 
 
 def test_binomial_inversion_involution():
@@ -454,16 +455,16 @@ def test_binomial_inversion_involution():
         for n in range(len(seq)):
             total = F(0)
             for k in range(n + 1):
-                term = binom_int(n, k) * seq[k]
+                term = comb(n, k) * seq[k]
                 total += -term if k % 2 else term
             out.append(total)
         return out
 
     s, p = F(1, 2), 1
-    a = [binom_poly(s + k, k) * binom_int(k, p) for k in range(21)]
+    a = [binom_poly(s + k, k) * comb(k, p) for k in range(21)]
     b = invert(a)
     for n in range(21):
-        expect = binom_int(n, p) * binom_poly(s + p, n)
+        expect = comb(n, p) * binom_poly(s + p, n)
         assert b[n] == (-expect if n % 2 else expect)
     assert invert(b) == a
 

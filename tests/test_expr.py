@@ -46,6 +46,8 @@ def test_unknown_character_offset():
     ("n^-2", 2),
     ("n*", 2),
     ("n n", 2),
+    # INT and NAME are ASCII: a superscript digit is not an int() literal
+    pytest.param("n + \u00b2", 4, id="superscript-two"),
     # nesting past MAX_DEPTH: the 101st '(' or unary '-'
     pytest.param("(" * 400 + "k" + ")" * 400, 100, id="400-parens"),
     pytest.param("-" * 1200 + "k", 100, id="1200-minus"),

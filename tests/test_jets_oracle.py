@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,7 +17,7 @@ from binomsums.catalog.jets_oracle import (
     lift_sides,
     oracle,
 )
-from binomsums.exact import (binom_int, binom_poly, digamma_diff, harmonic, harmonic_row,
+from binomsums.exact import (binom_poly, digamma_diff, harmonic, harmonic_row,
                              over, render_rational, rising_row, trigamma_diff)
 
 F = Fraction
@@ -54,6 +55,11 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         lift_sides("ID07", DerivSpec((("p", 1),), rescale="nope"), 2,
                    {"s": F(1), "p": F(0)})
+    # an order other than 1 or 2 read as a second derivative, a repeated
+    # name as a mixed derivative that is 0
+    for eps in ((("s", 0),), (("s", -1),), (("s", 1), ("s", 1))):
+        with pytest.raises(ValueError):
+            DerivSpec(eps)
 
 
 def test_id15_reconstruction_spot():
@@ -117,7 +123,7 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too
-    terms = (binom_int(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
+    terms = (comb(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
     closed_lhs = over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * d2)
     dd = digamma_diff(s, n)
     td = trigamma_diff(s, n)

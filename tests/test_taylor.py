@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
-from binomsums.exact import binom_int, binom_poly, over
+from binomsums.exact import binom_poly, over
 
 F = Fraction
 
@@ -21,7 +22,7 @@ def weights(n, alpha, beta):
 def shifted(coeffs):
     """Coefficients in the (x+1)-basis of sum_k c_k x^k, from x^k = ((x+1) - 1)^k."""
     n = len(coeffs) - 1
-    return [sum((-1) ** (k - j) * binom_int(k, j) * coeffs[k] for k in range(j, n + 1))
+    return [sum((-1) ** (k - j) * comb(k, j) * coeffs[k] for k in range(j, n + 1))
             for j in range(n + 1)]
 
 

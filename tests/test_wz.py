@@ -60,6 +60,23 @@ def test_parse_term_spec_errors_carry_position():
     assert exc.value.line == 4
 
 
+def test_term_errors_sit_at_the_first_token_they_concern():
+    for term, column in [
+        ("binom(n,k) * n+k", 20),                 # the item, not the space before it
+        ("binom(n,k)^2", 18),                     # the exponent
+        ("binom(n,k) * sign(n) * sign(k)", 30),   # the second sign
+        ("binom(n,k) * 1/(n-n)", 20),             # a ring error sits at its item
+        ("binom(n,k) * binom(n*k,k)", 26),        # a non-affine argument
+        ("sign(n)^-1", 14),                       # only a binomial takes an exponent
+    ]:
+        with pytest.raises(WZFixtureError) as exc:
+            parse_pair_file(f"term: {term}\ncertificate: k\norientation: +1\n")
+        assert (exc.value.line, exc.value.column) == (1, column), term
+    # the grammar ignores whitespace, around an exponent too
+    assert parse_term_spec("binom(n,k) ^ -1") == parse_term_spec("binom(n,k)^-1")
+    assert parse_term_spec("binom ( n , k ) ^ + 1") == parse_term_spec("binom(n,k)")
+
+
 def test_parse_pair_file_round_trip():
     body = """
     # comment
