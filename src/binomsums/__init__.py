@@ -10,7 +10,7 @@ anywhere.
 
 from .catalog.entries import REGISTRY, check_identity, evaluate_side
 from .catalog.jets_oracle import derived_identity_via_jets, oracle
-from .catalog.suite import SuiteConfig, run_suite
+from .catalog.suite import SuiteConfig
 from .exact import binom_poly, binom_upper_shift, digamma_diff, harmonic, trigamma_diff
 from .jets import Jet2
 from .legendre import legendre, legendre_inversion_check, legendre_new_repr
@@ -35,7 +35,6 @@ __all__ = [
     "legendre_inversion_check",
     "legendre_new_repr",
     "oracle",
-    "run_suite",
     "telescoping_sum_check",
     "trigamma_diff",
     "verify_wz_pair",

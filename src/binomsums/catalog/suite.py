@@ -12,10 +12,9 @@ write each at once, so no run holds its report.  The JSON bytes are those of
 
 from __future__ import annotations
 
-import io
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
@@ -25,8 +24,8 @@ from ..params import MAX_TRIES, ResultRow, draw
 from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
-__all__ = ["SuiteConfig", "ResultRow", "SuiteReport", "catalog_rows", "run_catalog",
-           "run_suite", "run_wz", "suite_rows", "write_json", "write_text", "wz_rows"]
+__all__ = ["SuiteConfig", "ResultRow", "catalog_rows", "run_catalog", "run_wz",
+           "suite_rows", "write_json", "write_text", "wz_rows"]
 
 WZ_N_MAX = 10
 
@@ -39,40 +38,6 @@ class SuiteConfig:
     only: tuple[str, ...] = ()        # entry ids and/or pair names
     mutations: tuple[str, ...] = ()
     wz_scale: Fraction | None = None  # certificate scaling (negative control)
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    results: list[ResultRow] = field(default_factory=list)
-
-    def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "skipped": 0}
-        for row in self.results:
-            out[row.status] += 1
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "results": [
-                {"id": r.id, "params": r.params, "n": r.n, "lhs": r.lhs,
-                 "rhs": r.rhs, "status": r.status, "reason": r.reason}
-                for r in self.results
-            ],
-            "summary": self.counts(),
-        }
-
-    def to_json(self) -> str:
-        """The bytes of ``json.dumps(self.to_json_dict(), indent=2)``."""
-        write_json(self.suite, self.seed, self.results, buffer := io.StringIO())
-        return buffer.getvalue()
-
-    def render_text(self) -> str:
-        write_text(self.suite, self.seed, self.results, buffer := io.StringIO())
-        return buffer.getvalue()
 
 
 def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[str, int]:
@@ -159,13 +124,9 @@ def suite_rows(config: SuiteConfig) -> Iterator[ResultRow]:
     return chain(catalog_rows(config), wz_rows(config))
 
 
-def run_catalog(config: SuiteConfig) -> SuiteReport:
-    return SuiteReport("catalog", config.seed, list(catalog_rows(config)))
+def run_catalog(config: SuiteConfig) -> list[ResultRow]:
+    return list(catalog_rows(config))
 
 
-def run_wz(config: SuiteConfig) -> SuiteReport:
-    return SuiteReport("wz", config.seed, list(wz_rows(config)))
-
-
-def run_suite(config: SuiteConfig) -> SuiteReport:
-    return SuiteReport("suite", config.seed, list(suite_rows(config)))
+def run_wz(config: SuiteConfig) -> list[ResultRow]:
+    return list(wz_rows(config))

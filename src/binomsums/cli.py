@@ -9,7 +9,8 @@ Subcommands:
 
 Shared flags: --n-max, --samples, --seed, --format text|json, --config.
 --mutate applies a documented negative control and is accepted by check
-(id24-flip-h2n) and wz (scale-cert:<rational>) only.  A JSON config file
+(id24-flip-h2n) and wz (scale-cert:<rational>) only; a mutation that leaves
+the checked entry or pairs unchanged is a usage error.  A JSON config file
 may set n_max, samples, seed and format; explicit flags override the file,
 the file overrides the defaults (seed 0, samples 20, text).  No environment
 variables are read.
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 
-from .catalog.entries import MUTATIONS, REGISTRY
+from .catalog.entries import MUTATIONS, REGISTRY, apply_mutations
 from .catalog.suite import (SuiteConfig, catalog_rows, suite_rows, write_json,
                             write_text, wz_rows)
 from .exact import parse_rational
@@ -145,6 +146,8 @@ def _run(args, out) -> int:
                 raise UsageError(f"unknown mutation {args.mutate!r}; known: "
                                  + ", ".join(sorted(MUTATIONS)))
             mutations = (args.mutate,)
+            if apply_mutations(mutations)[args.id] is REGISTRY[args.id]:
+                raise UsageError(f"mutation {args.mutate!r} leaves {args.id} unchanged")
         suite, rows = f"check:{args.id}", catalog_rows(SuiteConfig(
             only=(args.id,), mutations=mutations, **config_kwargs))
     elif args.command == "wz":

@@ -24,19 +24,20 @@ There is no syntax tree: each grammar rule returns the canonical
 ``+ - * / **`` in the order the rules finish (left operand, right operand,
 then the operator).  Syntax errors are :class:`ExprSyntaxError` with the
 offset of the first bad token; in :func:`parse_ratfunc` an unknown variable
-(``ValueError``) and a division by the zero function (``ZeroDenominator``)
-come from the ring.  :func:`parse_term` reads a spec into a
-:class:`~binomsums.hyperterm.HyperTerm`.  Its arguments are affine, judged on
-the canonical form: n*k-n*k+n reads as n, while n*k, n^2+1 and 1/n are
-rejected.  A binomial's exponent is 1, +1 or -1, a sign comes at most once with
-an integer constant, and a bare item is a constant.  Each such error, and a
-ring error in an item, is an ExprSyntaxError at the first token of the item or
-argument it concerns.
+(``ValueError``) and a zero divisor (``ZeroDenominator``) come from the ring,
+with the offset of the name or of the divisor's first token as ``offset``.
+:func:`parse_term` reads a spec into a :class:`~binomsums.hyperterm.HyperTerm`.
+Its arguments are affine, judged on the canonical form: n*k-n*k+n reads as n,
+while n*k, n^2+1 and 1/n are rejected.  A binomial's exponent is 1, +1 or -1,
+a sign comes at most once with an integer constant, and a bare item is a
+constant.  Each such error, and a ring error in an item, is an
+ExprSyntaxError at the first token of the item or argument it concerns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
 from .hyperterm import AffineForm, HyperTerm
 from .poly import RatFunc
@@ -88,6 +89,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _ring(at: int, op, *args):
+    """``op(*args)``; a ring error it raises keeps its type and gets ``offset = at``."""
+    try:
+        return op(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        exc.offset = at
+        raise
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -130,9 +140,9 @@ class _Parser:
     def term(self, ops) -> RatFunc:
         value = self.factor()
         while self.peek()[0] in ops:
-            op = self.advance()[0]
+            op, at = self.advance()[0], self.peek()[2]
             rhs = self.factor()
-            value = value * rhs if op == "*" else value / rhs
+            value = value * rhs if op == "*" else _ring(at, truediv, value, rhs)
         return value
 
     def factor(self) -> RatFunc:
@@ -159,13 +169,13 @@ class _Parser:
         return value
 
     def atom(self) -> RatFunc:
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "INT":
             self.advance()
             return RatFunc.const(value)
         if kind == "NAME":
             self.advance()
-            return RatFunc.var(value)
+            return _ring(at, RatFunc.var, value)
         if kind == "(":
             self.enter()
             inner = self.expr()

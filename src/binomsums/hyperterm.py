@@ -8,15 +8,14 @@ where sign, top_i and bottom_i are affine forms in the catalog variables
 with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
-* ``bind`` -- fixes a parameter draw; the :class:`BoundTerm`'s ``grid`` reads
-  a draw's whole (n, j) grid in one call as int rows along k, each
-  ``binom_row`` or ``rising_row`` argument form once per call (per n if it
-  moves with n, C(g+n, .) stepped by Pascal's rule), as deep as the factors on
-  it read, inverted once for a reciprocal; an int factor of j and k by
-  ``math.comb`` at each (n, j), or in the telescoped sums by the paper's Taylor
-  step: sum_k w_k C(k, j) for every j is the k-row w shifted by +1, once per n.
-  The first failing (n, j, k, factor) raises: at each point the sign, then the
-  factors.
+* ``grid`` -- reads a parameter draw's whole (n, j) grid in one call as int
+  rows along k, each ``binom_row`` or ``rising_row`` argument form once per
+  call (per n if it moves with n, C(g+n, .) stepped by Pascal's rule), as deep
+  as the factors on it read, inverted once for a reciprocal; an int factor of
+  j and k by ``math.comb`` at each (n, j), or in the telescoped sums by the
+  paper's Taylor step: sum_k w_k C(k, j) for every j is the k-row w shifted by
+  +1, once per n.  The first failing (n, j, k, factor) raises: at each point
+  the sign, then the factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
@@ -39,7 +38,6 @@ from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = [
     "AffineForm",
-    "BoundTerm",
     "HyperTerm",
     "HyperTermPole",
     "NonHypergeometricShift",
@@ -140,58 +138,8 @@ class HyperTerm:
 
     def evaluate(self, assign) -> Fraction:
         """Exact value at an assignment of Fractions to every variable used."""
-        row, scale, den = next(self.bind(assign).grid({}, None, None, None, ((0, (0,), (0,)),)))
+        row, scale, den = next(self.grid(assign, None, None, None, ((0, (0,), (0,)),)))
         return Fraction(scale * row[0], den)
-
-    def bind(self, fixed) -> "BoundTerm":
-        """The term with the variables of ``fixed`` set to their values."""
-        return BoundTerm(self, fixed)
-
-    # -- shift ratio ----------------------------------------------------------
-
-    def shift_ratio(self, name: str) -> RatFunc:
-        """T(name+1)/T(name) as a canonical rational function."""
-        delta_sign = self.sign.coeff(name)
-        if delta_sign.denominator != 1:
-            raise NonHypergeometricShift(
-                f"sign exponent moves by {delta_sign} under a unit shift of {name}")
-        ratio = RatFunc.const(-1 if int(delta_sign) % 2 else 1)
-        for top, bottom, exp in self.factors:
-            a = top.coeff(name)
-            b = bottom.coeff(name)
-            if a.denominator != 1 or b.denominator != 1:
-                raise NonHypergeometricShift(
-                    f"binom({top.render()},{bottom.render()}) shifts by a non-integer in {name}")
-            a, b = int(a), int(b)
-            if a == 0 and b == 0:
-                continue
-            top_poly = top.to_poly()
-            bottom_poly = bottom.to_poly()
-            contrib = _gamma_ratio(top_poly + 1, a)
-            contrib = contrib / _gamma_ratio(bottom_poly + 1, b)
-            contrib = contrib / _gamma_ratio(top_poly - bottom_poly + 1, a - b)
-            ratio = ratio * contrib if exp == 1 else ratio / contrib
-        return ratio
-
-    def render(self) -> str:
-        parts = []
-        if self.sign.coeffs or self.sign.constant:
-            parts.append(f"sign({self.sign.render()})")
-        if self.constant != 1 or not self.factors:
-            parts.append(str(self.constant))
-        for top, bottom, exp in self.factors:
-            suffix = "" if exp == 1 else "^-1"
-            parts.append(f"binom({top.render()},{bottom.render()}){suffix}")
-        return " * ".join(parts)
-
-
-class BoundTerm:
-    """A :class:`HyperTerm` with some variables fixed, by :meth:`HyperTerm.bind`."""
-
-    __slots__ = ("_term", "_fixed")
-
-    def __init__(self, term: HyperTerm, fixed):
-        self._term, self._fixed = term, fixed
 
     def grid(self, point, outer, inner, var, reads, sums=False):
         """For each (m, js, ks) in reads and each j in js in turn, ints (row, scale, den > 0)
@@ -199,11 +147,10 @@ class BoundTerm:
         [scale * x / den for x in row]; a row where a point fails is read point by point.
         With sums only sum(row) is read: where C(var, inner) is the one factor of both
         and the ks are 0, 1, ..., each row is its one sum, every j's from one Taylor shift."""
-        point, term = {**self._fixed, **point}, self._term
-        sign = _bind(term.sign, point, outer, inner, var)
+        sign = _bind(self.sign, point, outer, inner, var)
         forms = [(_bind(top, point, outer, inner, var), _bind(bottom, point, outer, inner, var))
-                 for top, bottom, _ in term.factors]
-        plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, term.factors)]
+                 for top, bottom, _ in self.factors]
+        plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, self.factors)]
         reads, kernels = list(reads), {}
         # factors with one (kernel, argument) = plan[::2] share a row, as deep as any reads it
         owners = [plan and min(q for q, o in enumerate(plans) if o and o[::2] == plan[::2])
@@ -214,9 +161,9 @@ class BoundTerm:
                 continue
             # factors of var alone: one row along var; free of var: one scale along inner
             base, base_den = [-1 if sign[3] * k % 2 else 1 for k in ks], 1
-            num, scale_den = term.constant.numerator, term.constant.denominator
+            num, scale_den = self.constant.numerator, self.constant.denominator
             scales, per_j = [-num if _at(sign, m, j, 0) % 2 else num for j in js], []
-            for plan, owner, (_, _, exp) in zip(plans, owners, term.factors):
+            for plan, owner, (_, _, exp) in zip(plans, owners, self.factors):
                 read, index, arg, _ = plan
                 key = owner, arg[1] and m           # a row per call, or per m if it moves
                 if read and key not in kernels:
@@ -259,12 +206,12 @@ class BoundTerm:
 
     def _points(self, forms, sign, m, j, ks):
         """grid's row at (m, j) through :func:`_eval_binomial`, point by point."""
-        term, values = self._term, []
+        values = []
         for k in ks:
             if _at(sign, m, j, k).denominator != 1:
                 raise ValueError("sign exponent is not an integer at this assignment")
-            values.append(-term.constant if _at(sign, m, j, k) % 2 else term.constant)
-            for (top, bottom), (top_form, bottom_form, exp) in zip(forms, term.factors):
+            values.append(-self.constant if _at(sign, m, j, k) % 2 else self.constant)
+            for (top, bottom), (top_form, bottom_form, exp) in zip(forms, self.factors):
                 f = _eval_binomial(_at(top, m, j, k), _at(bottom, m, j, k))
                 if exp == -1 and not f:
                     raise HyperTermPole(f"binom({top_form.render()},{bottom_form.render()})"
@@ -272,6 +219,43 @@ class BoundTerm:
                 values[-1] *= f ** exp
         den = lcm(*(v.denominator for v in values))
         return [v.numerator * (den // v.denominator) for v in values], 1, den
+
+    # -- shift ratio ----------------------------------------------------------
+
+    def shift_ratio(self, name: str) -> RatFunc:
+        """T(name+1)/T(name) as a canonical rational function."""
+        delta_sign = self.sign.coeff(name)
+        if delta_sign.denominator != 1:
+            raise NonHypergeometricShift(
+                f"sign exponent moves by {delta_sign} under a unit shift of {name}")
+        ratio = RatFunc.const(-1 if int(delta_sign) % 2 else 1)
+        for top, bottom, exp in self.factors:
+            a = top.coeff(name)
+            b = bottom.coeff(name)
+            if a.denominator != 1 or b.denominator != 1:
+                raise NonHypergeometricShift(
+                    f"binom({top.render()},{bottom.render()}) shifts by a non-integer in {name}")
+            a, b = int(a), int(b)
+            if a == 0 and b == 0:
+                continue
+            top_poly = top.to_poly()
+            bottom_poly = bottom.to_poly()
+            contrib = _gamma_ratio(top_poly + 1, a)
+            contrib = contrib / _gamma_ratio(bottom_poly + 1, b)
+            contrib = contrib / _gamma_ratio(top_poly - bottom_poly + 1, a - b)
+            ratio = ratio * contrib if exp == 1 else ratio / contrib
+        return ratio
+
+    def render(self) -> str:
+        parts = []
+        if self.sign.coeffs or self.sign.constant:
+            parts.append(f"sign({self.sign.render()})")
+        if self.constant != 1 or not self.factors:
+            parts.append(str(self.constant))
+        for top, bottom, exp in self.factors:
+            suffix = "" if exp == 1 else "^-1"
+            parts.append(f"binom({top.render()},{bottom.render()}){suffix}")
+        return " * ".join(parts)
 
 
 def _bind(form, point, outer, inner, var):

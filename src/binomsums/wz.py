@@ -23,7 +23,7 @@ Verification of a pair combines
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
 (b), (c) and the telescoped sums run on seeded parameter draws, each draw's
-(n, j) grid read in one pass (``BoundTerm.grid``), with the certificate bound
+(n, j) grid read in one pass (``HyperTerm.grid``), with the certificate bound
 once per draw to int polynomials, read at k = 0 and n+2 along j per n.  A draw
 of (b), (c) fails at a pole of the certificate at any boundary point first,
 else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
@@ -45,7 +45,8 @@ each file carries exactly the lines
 
 with '#' comments allowed.  One grammar reads both expressions
 (:func:`binomsums.expr.parse_term`, :func:`~binomsums.expr.parse_ratfunc`);
-every malformed field is a WZFixtureError with line and column.
+every malformed field is a WZFixtureError at the line and column of its
+token, an unknown variable or a zero divisor in the certificate included.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
-from .expr import ExprSyntaxError, parse_ratfunc, parse_term
+from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
 from .params import TYPED_POLES, ParamSpec, ResultRow, draw, is_neg_int
 from .poly import VARS, RatFunc, RatFuncPole
@@ -66,7 +67,6 @@ __all__ = [
     "WZPair",
     "builtin_pairs",
     "certificate_residual",
-    "parse_term_spec",
     "parse_pair_file",
     "telescoping_sum_check",
     "verify_wz_pair",
@@ -105,20 +105,12 @@ class WZPair:
 # ---------------------------------------------------------------------------
 
 def _parse_field(parse, text: str, line: int, col0: int):
-    """``parse(text)``; a syntax error is a WZFixtureError at its offset, a
-    ring error one at the field."""
+    """``parse(text)``; an error is a WZFixtureError at the offset of its token."""
     try:
         return parse(text)
-    except ExprSyntaxError as exc:
-        raise WZFixtureError(exc.reason, line, col0 + exc.offset + 1) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise WZFixtureError(str(exc), line, col0 + 1) from exc
-
-
-def parse_term_spec(text: str, line: int = 1, col0: int = 0) -> HyperTerm:
-    """The product form ``sign(...) * const * binom(a,b)^e * ...``, read by
-    :func:`binomsums.expr.parse_term`."""
-    return _parse_field(parse_term, text, line, col0)
+        reason = getattr(exc, "reason", str(exc))      # a ring error has no reason
+        raise WZFixtureError(reason, line, col0 + exc.offset + 1) from exc
 
 
 def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
@@ -141,7 +133,7 @@ def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
         if key not in fields:
             raise WZFixtureError(f"missing {key!r} line", len(text.splitlines()) + 1, 1)
 
-    term = parse_term_spec(*fields["term"])
+    term = _parse_field(parse_term, *fields["term"])
     certificate = _parse_field(parse_ratfunc, *fields["certificate"])
     value, line_no, col0 = fields["orientation"]
     orientation_text = value.strip()
@@ -254,7 +246,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         # each row names its own first failing point; "" while none failed
         boundary_detail, base_detail = "", ""
         try:
-            term, inner = pair.term.bind(assign), pair.extra_index
+            inner = pair.extra_index
             # numerator and denominator bound apart, not through RatFunc,
             # so that a common factor vanishing on the grid stays a pole
             cert_num, cert_den = (_int_poly(poly, assign, inner)
@@ -264,7 +256,8 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             if not all(all(cert_den(n, k, js)) for n, js, ks in reads for k in ks[:2]):
                 raise RatFuncPole("pole at assignment")
             points = ((n, j) for n, js, _ in reads for j in js)
-            for (n, j), (row, scale, den) in zip(points, term.grid({}, "n", inner, "k", reads)):
+            grid = pair.term.grid(assign, "n", inner, "k", reads)
+            for (n, j), (row, scale, den) in zip(points, grid):
                 row = [scale * x for x in row]
                 for k, value in zip((0, n + 2), row):
                     if value and not boundary_detail and cert_num(n, k, (j,))[0]:
@@ -293,10 +286,10 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
 def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
     shown = {k: str(v) for k, v in assign.items()}
     try:
-        term, inner = pair.term.bind(assign), pair.extra_index
+        inner = pair.extra_index
         reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
         points = ((n, j) for n, js, _ in reads for j in js)
-        rows = term.grid({}, "n", inner, "k", reads, sums=True)
+        rows = pair.term.grid(assign, "n", inner, "k", reads, sums=True)
         for (n, j), (row, scale, den) in zip(points, rows):
             if scale * sum(row) != den:
                 return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={j}" if inner else "")
@@ -314,7 +307,7 @@ def telescoping_sum_check(pair: WZPair, n_max: int,
 
     For a pair with an inner index the check runs for every value of that
     index in 0..n, for thm1 by the paper's Taylor step: an n's sums for every
-    j are its k-row shifted by +1 (``BoundTerm.grid`` with sums).  A draw that
+    j are its k-row shifted by +1 (``HyperTerm.grid`` with sums).  A draw that
     lands on a typed pole is reported as skipped; any other division by zero,
     or a factor that is not rational at the draw (ValueError), is a failure
     naming the exception.

@@ -126,6 +126,10 @@ def test_check_mutation_flow():
     assert "fail" in text
     code, _ = run_cli("check", "ID24", "--n-max", "3", "--mutate", "bogus")
     assert code == 2
+    # a negative control that cannot trip: the mutation leaves ID01 as it is
+    code, text = run_cli("check", "ID01", "--mutate", "id24-flip-h2n",
+                         "--n-max", "2", "--samples", "1")
+    assert code == 2 and text == ""
 
 
 def test_json_output_byte_stable():

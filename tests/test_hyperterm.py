@@ -152,21 +152,21 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def _rows(bound, point, inner, js, var, ks):
-    """One m of ``bound.grid``: for each j in js, ([the term at {**point, inner: j},
+def _rows(term, point, inner, js, var, ks):
+    """One m of ``term.grid``: for each j in js, ([the term at {**point, inner: j},
     var = k for k in ks] as ints, int den > 0)."""
-    for row, scale, den in bound.grid(point, None, inner, var, ((0, js, ks),)):
+    for row, scale, den in term.grid(point, None, inner, var, ((0, js, ks),)):
         yield [scale * x for x in row], den
 
 
 def _assert_row_matches(term, assign, point, ks):
-    """_rows(bound, point, None, (0,), "k", ks) equals the reference at every k, or raises what
-    the reference raises at the first failing k."""
+    """_rows(term, {**assign, **point}, None, (0,), "k", ks) equals the reference at
+    every k, or raises what the reference raises at the first failing k."""
     def by_points():
         return [_reference(term, assign, {**point, "k": k}) for k in ks]
 
     def by_row():
-        row, den = next(_rows(term.bind(assign), point, None, (0,), "k", ks))
+        row, den = next(_rows(term, {**assign, **point}, None, (0,), "k", ks))
         assert den > 0 and all(type(v) is int for v in row)
         return [F(v, den) for v in row]
 
@@ -215,7 +215,7 @@ def test_bound_row_raises_the_first_failing_point():
             for ks in (range(6), (3, 0), (5, 4, 1), (2,), (4, 1, 3)):
                 _assert_row_matches(term, {"t": F(1, 3)}, {"n": n}, ks)
     with pytest.raises(HyperTermPole) as info:
-        next(_rows(terms[0].bind({}), {}, None, (0,), "k", range(5)))
+        next(_rows(terms[0], {}, None, (0,), "k", range(5)))
     assert str(info.value) == "binom(k,1) vanished in a denominator"
 
 
@@ -231,7 +231,7 @@ def _read(rows):
 
 
 def _assert_rows_match(term, assign, n, js, ks):
-    """_rows(bound, {"n": n}, "j", js, "k", ks) gives the reference at every (j, k),
+    """_rows(term, {**assign, "n": n}, "j", js, "k", ks) gives the reference at every (j, k),
     j by j, and raises what the reference raises at the first failing j (at
     that j's first failing k)."""
     def by_points():
@@ -239,7 +239,7 @@ def _assert_rows_match(term, assign, n, js, ks):
             yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
 
     def by_rows():
-        for row, den in _rows(term.bind(assign), {"n": n}, "j", js, "k", ks):
+        for row, den in _rows(term, {**assign, "n": n}, "j", js, "k", ks):
             assert den > 0 and all(type(v) is int for v in row)
             yield [F(v, den) for v in row]
 
@@ -302,7 +302,7 @@ def test_rows_along_j_raise_the_first_failing_point():
                                          FAILING_FACTORS["k pole"]))
     for js, message in (((1, 0), "binom(j-1,1)"), ((0, 1), "binom(k,1)")):
         with pytest.raises(HyperTermPole) as info:
-            next(_rows(term.bind({}), {"n": 2}, "j", js, "k", range(3)))
+            next(_rows(term, {"n": 2}, "j", js, "k", range(3)))
         assert str(info.value) == f"{message} vanished in a denominator"
 
 
@@ -316,7 +316,7 @@ def _assert_grid_matches(term, assign, reads):
                 yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
 
     def by_grid():
-        for row, scale, den in term.bind(assign).grid({}, "n", "j", "k", reads):
+        for row, scale, den in term.grid(assign, "n", "j", "k", reads):
             assert den > 0 and all(type(v) is int for v in (scale, *row))
             yield [F(scale * v, den) for v in row]
 
@@ -366,7 +366,7 @@ def test_bound_term_keeps_the_pole_message():
 def _sums(term, assign, reads, sums=True):
     """The sum of each row grid reads, as a Fraction, up to the first exception."""
     return _read(F(scale * sum(row), den) for row, scale, den
-                 in term.bind(assign).grid({}, "n", "j", "k", reads, sums=sums))
+                 in term.grid(assign, "n", "j", "k", reads, sums=sums))
 
 
 def _counting(monkeypatch, name):

@@ -31,20 +31,21 @@ GOLDEN_ORACLE_SHA256 = "e321373918bd71ee375f5fe6620f2a0f98f7e9f7c7ed9d13b4be058e
 
 
 def test_order_zero_equals_plain_evaluation():
-    # zeroth-order lifting is plain evaluation, for every catalog entry
+    # zeroth-order lifting is plain evaluation, for every catalog entry; an
+    # entry with an inner index is read as its two j-rows, each (row, den)
     for entry in REGISTRY.values():
         for draw in draw_for_entry(entry, seed=3, samples=2, n_max=8):
             for n in (0, 3, 7):
-                values = dict(draw)
-                if entry.inner_index:
-                    values[entry.inner_index] = n          # one inner slice
-                left, right = derived_identity_via_jets(entry.id, DerivSpec(),
-                                                        n, values)
-                assert left == right, (entry.id, n)
                 direct = check_identity(entry.id, n, draw)
                 assert direct.status == "pass"
-                if not entry.inner_index:
-                    assert left == direct.lhs and right == direct.rhs
+                if entry.inner_index:
+                    left, right = ([over(v, den) for v in row]
+                                   for row, den in (entry.lhs(n, draw), entry.rhs(n, draw)))
+                    assert left == right and left[n] == direct.lhs, (entry.id, n)
+                    continue
+                left, right = derived_identity_via_jets(entry.id, DerivSpec(), n, draw)
+                assert left == right, (entry.id, n)
+                assert left == direct.lhs and right == direct.rhs
 
 
 def test_spec_validation():

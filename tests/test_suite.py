@@ -7,13 +7,38 @@ import json
 from fractions import Fraction
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
-from binomsums.catalog.suite import (ResultRow, SuiteConfig, SuiteReport, run_catalog,
-                                     run_suite, run_wz, write_json, write_text)
+from binomsums.catalog.suite import (ResultRow, SuiteConfig, run_catalog, run_wz, suite_rows,
+                                     write_json, write_text)
 from binomsums.cli import main
 
 F = Fraction
 
 SMALL = SuiteConfig(n_max=4, samples=3, seed=0)
+
+
+def _counts(rows):
+    return {status: sum(r.status == status for r in rows)
+            for status in ("pass", "fail", "skipped")}
+
+
+def _json_dict(suite, seed, rows):
+    """The report as a dict: json.dumps(indent=2) of it is the reference for write_json."""
+    return {
+        "suite": suite,
+        "seed": seed,
+        "results": [
+            {"id": r.id, "params": r.params, "n": r.n, "lhs": r.lhs,
+             "rhs": r.rhs, "status": r.status, "reason": r.reason}
+            for r in rows
+        ],
+        "summary": _counts(rows),
+    }
+
+
+def _written(writer, suite, seed, rows):
+    """The report ``writer`` writes for the rows, as one string."""
+    writer(suite, seed, rows, out := io.StringIO())
+    return out.getvalue()
 
 
 def _cli_json(*argv):
@@ -23,13 +48,13 @@ def _cli_json(*argv):
 
 
 def test_deterministic_repeat():
-    a = run_suite(SMALL)
-    b = run_suite(SMALL)
-    assert a.results == b.results
+    a = list(suite_rows(SMALL))
+    b = list(suite_rows(SMALL))
+    assert a == b
     # the bytes the CLI writes, not a re-encoding of the rows
     argv = ("suite", "--n-max", "4", "--samples", "3", "--seed", "0")
     first = _cli_json(*argv)
-    assert first == _cli_json(*argv) == a.to_json() + "\n"
+    assert first == _cli_json(*argv) == _written(write_json, "suite", 0, a) + "\n"
 
 
 def test_json_writer_matches_json_dumps():
@@ -40,43 +65,42 @@ def test_json_writer_matches_json_dumps():
     flipped = run_catalog(SuiteConfig(n_max=3, samples=2, only=("ID24",),
                                       mutations=("id24-flip-h2n",)))
     empty = run_catalog(SuiteConfig(samples=0, only=("ID01",)))
-    empty.suite = "check:ID01"
     reports = [
-        run_suite(SMALL),
-        empty,
-        run_wz(SuiteConfig(n_max=8, samples=4, seed=2, only=("thm3",))),
-        run_wz(SuiteConfig(n_max=2, samples=2, only=("thm1",), wz_scale=F(2))),
-        flipped,
-        SuiteReport("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
+        ("suite", 0, list(suite_rows(SMALL))),
+        ("check:ID01", 0, empty),
+        ("wz", 2, run_wz(SuiteConfig(n_max=8, samples=4, seed=2, only=("thm3",)))),
+        ("wz", 0, run_wz(SuiteConfig(n_max=2, samples=2, only=("thm1",), wz_scale=F(2)))),
+        ("catalog", 0, flipped),
+        ("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
     ]
-    assert not empty.results and pole_row.status == "skipped"
-    assert _cli_json("check", "ID01", "--samples", "0") == empty.to_json() + "\n"
-    rows = [row for report in reports for row in report.results]
+    assert not empty and pole_row.status == "skipped"
+    assert (_cli_json("check", "ID01", "--samples", "0")
+            == _written(write_json, "check:ID01", 0, empty) + "\n")
+    rows = [row for _, _, report in reports for row in report]
     assert {row.status for row in rows} == {"pass", "fail", "skipped"}
     assert any(row.n is None for row in rows) and any(row.params == {} for row in rows)
     for report in reports:
-        assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+        assert _written(write_json, *report) == json.dumps(_json_dict(*report), indent=2)
 
 
 def test_seed_changes_draws():
     a = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",)))
     b = run_catalog(SuiteConfig(n_max=3, samples=3, seed=1, only=("ID06",)))
-    assert [r.params for r in a.results] != [r.params for r in b.results]
+    assert [r.params for r in a] != [r.params for r in b]
 
 
 def test_small_suite_all_pass():
-    report = run_suite(SMALL)
-    counts = report.counts()
+    rows = list(suite_rows(SMALL))
+    counts = _counts(rows)
     assert counts["fail"] == 0
-    assert counts["pass"] == len(report.results) - counts["skipped"]
+    assert counts["pass"] == len(rows) - counts["skipped"]
 
 
 def test_row_ordering_is_id_n_draw():
-    report = run_catalog(SuiteConfig(n_max=2, samples=2, seed=0,
-                                     only=("ID03", "ID01")))
-    ids = [r.id for r in report.results]
+    rows = run_catalog(SuiteConfig(n_max=2, samples=2, seed=0, only=("ID03", "ID01")))
+    ids = [r.id for r in rows]
     assert ids == sorted(ids)
-    id03_rows = [r for r in report.results if r.id == "ID03"]
+    id03_rows = [r for r in rows if r.id == "ID03"]
     ns = [r.n for r in id03_rows]
     assert ns == sorted(ns)
     # two draws per n, same order under each n
@@ -86,44 +110,43 @@ def test_row_ordering_is_id_n_draw():
 
 
 def test_filter_restricts_ids():
-    report = run_suite(SuiteConfig(n_max=3, samples=2, seed=0, only=("ID16",)))
-    assert {r.id for r in report.results} == {"ID16"}
-    report = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",)))
-    assert {r.id for r in report.results} == {"WZ-thm2"}
+    rows = suite_rows(SuiteConfig(n_max=3, samples=2, seed=0, only=("ID16",)))
+    assert {r.id for r in rows} == {"ID16"}
+    rows = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",)))
+    assert {r.id for r in rows} == {"WZ-thm2"}
 
 
 def test_wz_rows_include_symbolic_boundary_telescoping():
-    report = run_wz(SuiteConfig(n_max=4, samples=2, seed=0, only=("thm3",)))
-    reasons = " ".join(r.reason for r in report.results)
+    rows = run_wz(SuiteConfig(n_max=4, samples=2, seed=0, only=("thm3",)))
+    reasons = " ".join(r.reason for r in rows)
     assert "symbolic residual = 0" in reasons
     assert "boundary" in reasons
     assert "telescoped sum = 1" in reasons
-    assert not report.counts()["fail"]
+    assert not _counts(rows)["fail"]
 
 
 def test_mutated_id24_fails_only_id24():
     config = SuiteConfig(n_max=6, samples=2, seed=0,
                          mutations=("id24-flip-h2n",))
-    report = run_catalog(config)
-    failing_ids = {r.id for r in report.results if r.status == "fail"}
+    rows = run_catalog(config)
+    failing_ids = {r.id for r in rows if r.status == "fail"}
     assert failing_ids == {"ID24"}
     # n = 0 has H_0 = 0 twice, so every positive depth fails
-    id24_fail_ns = sorted(r.n for r in report.results
-                          if r.id == "ID24" and r.status == "fail")
+    id24_fail_ns = sorted(r.n for r in rows if r.id == "ID24" and r.status == "fail")
     assert id24_fail_ns == list(range(1, 7))
 
 
 def test_scaled_certificate_fails_wz():
-    report = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",),
-                                wz_scale=F(2)))
-    assert report.counts()["fail"]
-    symbolic = [r for r in report.results if "symbolic" in r.reason]
+    rows = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",), wz_scale=F(2)))
+    assert _counts(rows)["fail"]
+    symbolic = [r for r in rows if "symbolic" in r.reason]
     assert symbolic and symbolic[0].status == "fail"
 
 
 def test_json_schema():
-    report = run_suite(SuiteConfig(n_max=2, samples=2, seed=0, only=("ID16", "thm2")))
-    doc = report.to_json_dict()
+    rows = list(suite_rows(SuiteConfig(n_max=2, samples=2, seed=0, only=("ID16", "thm2"))))
+    doc = json.loads(_written(write_json, "suite", 0, rows))
+    assert doc == _json_dict("suite", 0, rows)
     assert set(doc) == {"suite", "seed", "results", "summary"}
     assert set(doc["summary"]) == {"pass", "fail", "skipped"}
     for row in doc["results"]:
@@ -136,8 +159,8 @@ def test_json_schema():
 
 
 def test_text_rendering_contains_rows_and_summary():
-    report = run_catalog(SuiteConfig(n_max=2, samples=1, seed=0, only=("ID16",)))
-    text = report.render_text()
+    rows = run_catalog(SuiteConfig(n_max=2, samples=1, seed=0, only=("ID16",)))
+    text = _written(write_text, "catalog", 0, rows)
     assert "ID16" in text
     assert "lhs=3/2 rhs=3/2" in text
     assert text.splitlines()[-1].startswith("pass=")
@@ -156,17 +179,17 @@ def _rows_written_as_they_come(out):
 
 
 def test_writers_hold_no_row():
-    report = SuiteReport("streamed", 5, STREAMED)
-    for writer, whole in ((write_json, report.to_json()), (write_text, report.render_text())):
+    for writer in (write_json, write_text):
         out = io.StringIO()
         counts = writer("streamed", 5, _rows_written_as_they_come(out), out)
-        assert counts == report.counts() == {"pass": 3, "fail": 2, "skipped": 2}
-        assert out.getvalue() == whole
-    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+        assert counts == _counts(STREAMED) == {"pass": 3, "fail": 2, "skipped": 2}
+        assert out.getvalue() == _written(writer, "streamed", 5, STREAMED)
+    assert (_written(write_json, "streamed", 5, STREAMED)
+            == json.dumps(_json_dict("streamed", 5, STREAMED), indent=2))
 
 
 def test_rows_of_one_draw_share_its_rendered_params():
-    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",))).results
+    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",)))
     draws = draw_for_entry(REGISTRY["ID06"], 0, 3, 3)
     assert len(rows) == 4 * 3 and None not in draws
     for i, row in enumerate(rows):            # rows run over n, then over draws

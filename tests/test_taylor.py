@@ -71,11 +71,10 @@ def test_random_grid():
 
 
 def test_route_agrees_with_id04():
-    # the Fraction re-expansion is ID04's left row, and each entry its per-j inner sum
+    # the Fraction re-expansion is ID04's left row, read bare and through evaluate_side
     alpha, beta = F(3, 4), F(-2, 5)
     n = 6
     row = shifted(weights(n, alpha, beta))
     assert row_values(n, alpha, beta) == row
-    for j in range(n + 1):
-        inner = evaluate_side("ID04", "lhs", n, {"alpha": alpha, "beta": beta, "j": j})
-        assert row[j] == inner
+    side, den = evaluate_side("ID04", "lhs", n, {"alpha": alpha, "beta": beta})
+    assert [over(v, den) for v in side] == row

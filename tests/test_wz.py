@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from binomsums import hyperterm
-from binomsums.expr import parse_ratfunc
+from binomsums.expr import ExprSyntaxError, parse_ratfunc, parse_term
 from binomsums.hyperterm import HyperTerm
 from binomsums.params import ResultRow, draw
 from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
@@ -21,7 +21,6 @@ from binomsums.wz import (
     certificate_residual,
     load_pair,
     parse_pair_file,
-    parse_term_spec,
     telescoping_sum_check,
     verify_wz_pair,
 )
@@ -36,7 +35,7 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 def test_parse_term_spec_full_shape():
-    term = parse_term_spec(
+    term = parse_term(
         "sign(n+k) * 3/2 * binom(beta+k,k) * binom(alpha,n-k)^-1")
     assert term.constant == F(3, 2)
     assert term.sign.coeff("n") == 1 and term.sign.coeff("k") == 1
@@ -46,18 +45,14 @@ def test_parse_term_spec_full_shape():
 
 
 def test_parse_term_spec_errors_carry_position():
-    with pytest.raises(WZFixtureError) as exc:
-        parse_term_spec("binom(n,k)^2", line=3)
-    assert exc.value.line == 3
-    with pytest.raises(WZFixtureError):
-        parse_term_spec("binom(n)")
-    with pytest.raises(WZFixtureError):
-        parse_term_spec("sign(n*k)")
-    with pytest.raises(WZFixtureError):
-        parse_term_spec("n+k")       # bare non-constant factor
-    with pytest.raises(WZFixtureError) as exc:
-        parse_term_spec("binom(q,k)", line=4)    # unknown variable
-    assert exc.value.line == 4
+    for line, term in [(3, "binom(n,k)^2"), (4, "binom(q,k)")]:     # q: an unknown variable
+        with pytest.raises(WZFixtureError) as exc:
+            parse_pair_file("# comment\n" * (line - 1)
+                            + f"term: {term}\ncertificate: k\norientation: +1\n")
+        assert exc.value.line == line
+    for term in ("binom(n)", "sign(n*k)", "n+k"):      # n+k: a bare non-constant factor
+        with pytest.raises(ExprSyntaxError):
+            parse_term(term)
 
 
 def test_term_errors_sit_at_the_first_token_they_concern():
@@ -73,8 +68,18 @@ def test_term_errors_sit_at_the_first_token_they_concern():
             parse_pair_file(f"term: {term}\ncertificate: k\norientation: +1\n")
         assert (exc.value.line, exc.value.column) == (1, column), term
     # the grammar ignores whitespace, around an exponent too
-    assert parse_term_spec("binom(n,k) ^ -1") == parse_term_spec("binom(n,k)^-1")
-    assert parse_term_spec("binom ( n , k ) ^ + 1") == parse_term_spec("binom(n,k)")
+    assert parse_term("binom(n,k) ^ -1") == parse_term("binom(n,k)^-1")
+    assert parse_term("binom ( n , k ) ^ + 1") == parse_term("binom(n,k)")
+
+
+def test_certificate_ring_errors_sit_at_their_token():
+    for certificate, column in [
+        ("k + q", 18),          # the unknown variable
+        ("1/(n-n)", 16),        # the zero divisor's first token
+    ]:
+        with pytest.raises(WZFixtureError) as exc:
+            parse_pair_file(f"term: binom(n,k)\ncertificate: {certificate}\norientation: +1\n")
+        assert (exc.value.line, exc.value.column) == (2, column), certificate
 
 
 def test_parse_pair_file_round_trip():
@@ -432,9 +437,6 @@ def test_telescoping_pole_is_skipped():
 
 def test_telescoping_bare_division_by_zero_fails():
     class DividesByZero:
-        def bind(self, fixed):
-            return self
-
         def grid(self, point, outer, inner, var, reads, sums=False):
             for n, js, ks in reads:
                 yield [F(1) / (n - n)], 1, 1
@@ -451,7 +453,7 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
     # at (n, k) = (20, 0), where it is 0/0: the n up to 19 are Taylor-shifted and
     # n = 20 is read j by j.  Either way the row is the per-j path's, byte for byte
     pair, n_max = load_pair("thm1"), 20
-    pair = replace(pair, term=parse_term_spec(perturb + pair.term.render()))
+    pair = replace(pair, term=parse_term(perturb + pair.term.render()))
     draws = [draw(random.Random(f"perturbed:{i}"), pair.params, n_max) for i in range(3)]
     shifts, real_shift = [], hyperterm.taylor_shift
 
@@ -461,8 +463,8 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
     monkeypatch.setattr(hyperterm, "taylor_shift", shift)
     taylor = telescoping_sum_check(pair, n_max, draws)
     assert len(shifts) == 3 * (1 if perturb == "2 * " else n_max)
-    real_grid = hyperterm.BoundTerm.grid
-    monkeypatch.setattr(hyperterm.BoundTerm, "grid",
+    real_grid = hyperterm.HyperTerm.grid
+    monkeypatch.setattr(hyperterm.HyperTerm, "grid",
                         lambda self, *args, sums=False: real_grid(self, *args))
     assert taylor == telescoping_sum_check(pair, n_max, draws)
     assert {(row.status, row.reason) for row in taylor} == ({
@@ -472,7 +474,7 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
 
 def _with_factor(name, factor):
     pair = load_pair(name)
-    return replace(pair, term=parse_term_spec(pair.term.render() + " * " + factor))
+    return replace(pair, term=parse_term(pair.term.render() + " * " + factor))
 
 
 def _pole_at_n2(pair):
@@ -575,8 +577,8 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
         grids.append([])
         return real_grid(self, *args, **kwargs)
 
-    real_grid = hyperterm.BoundTerm.grid
-    monkeypatch.setattr(hyperterm.BoundTerm, "grid", grid)
+    real_grid = hyperterm.HyperTerm.grid
+    monkeypatch.setattr(hyperterm.HyperTerm, "grid", grid)
     for name in ("binom_row", "rising_row"):
         monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
     pair, n_max = load_pair("thm1"), 8
@@ -596,7 +598,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
 def test_a_non_rational_factor_is_a_fail_row():
     # binom(s+t, t) at s = 1/2, t = 1/3 is binom(5/6, 1/3): not a rational
     # number, so both checks report the ValueError as a failed row
-    pair = replace(load_pair("thm2"), term=parse_term_spec("binom(s+t,t) * binom(n,k)"))
+    pair = replace(load_pair("thm2"), term=parse_term("binom(s+t,t) * binom(n,k)"))
     results = telescoping_sum_check(pair, 3, [{"s": F(1, 2), "t": F(1, 3)}])
     assert results[0].status == "fail"
     assert results[0].reason == (
