@@ -10,7 +10,6 @@ anywhere.
 
 from .catalog.entries import REGISTRY, check_identity, evaluate_side
 from .catalog.jets_oracle import derived_identity_via_jets, oracle
-from .catalog.suite import SuiteConfig
 from .exact import binom_poly, binom_upper_shift, digamma_diff, harmonic, trigamma_diff
 from .jets import Jet2
 from .legendre import legendre, legendre_inversion_check, legendre_new_repr
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Jet2",
     "REGISTRY",
-    "SuiteConfig",
     "binom_poly",
     "binom_upper_shift",
     "builtin_pairs",

@@ -4,12 +4,19 @@ The variable list is fixed and ordered once for the whole package:
 
     n, k, j, alpha, beta, s, t, p
 
-Exponent vectors are 8-tuples over this list, monomials are ordered
-graded-lexicographically (total degree first, then the exponent tuple with
-earlier variables weighing more), and that order is what "leading term"
-means everywhere below.  Fixing the order globally makes canonical forms
-byte-stable: two RatFunc values are equal as functions iff they are equal
-as data.
+Monomials are ordered graded-lexicographically (total degree first, then
+the exponents with earlier variables weighing more), and that order is what
+"leading term" means everywhere below.  Fixing the order globally makes
+canonical forms byte-stable: two RatFunc values are equal as functions iff
+they are equal as data.
+
+Each monomial is one int key of packed exponents (Monagan & Pearce 2007):
+16-bit fields, the total degree on top, then n, k, ..., p.  A product of
+monomials is one int addition, and int order is graded-lex order.  The top
+bit of each field is a guard: degrees stay below 2**15 (OverflowError past
+that, never a carry into the next field), and a field that goes negative in
+a subtraction sets it.  The constructor, ``coeffs()`` and ``render()`` speak
+exponent 8-tuples; ``unpack`` turns one key into one.
 
 Canonical form of a RatFunc: numerator and denominator coprime (their gcd
 is a unit), denominator primitive with integer coefficients and positive
@@ -52,9 +59,9 @@ gcd 1.  Such pairs go to the PRS.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import comb, gcd as int_gcd, lcm
-from operator import add, sub
 from typing import Mapping
 
 __all__ = [
@@ -64,12 +71,21 @@ __all__ = [
     "RatFuncPole",
     "ZeroDenominator",
     "poly_gcd",
+    "unpack",
 ]
 
 VARS = ("n", "k", "j", "alpha", "beta", "s", "t", "p")
 _INDEX = {name: i for i, name in enumerate(VARS)}
 _NVARS = len(VARS)
 _ZERO_EXP = (0,) * _NVARS
+
+_W = 16                                         # bits per field of a packed key
+_FIELDS = struct.Struct(f">{_NVARS + 1}H")      # its fields ("H": _W bits), degree first
+_MAXDEG = (1 << _W - 1) - 1                     # below each field's guard bit
+_DEG = 1 << _W * _NVARS                         # one in the total-degree field
+# one more of VARS[i] (and so one more total degree) is _UNITS[i] more on a key
+_UNITS = tuple((1 << _W * i) + _DEG for i in reversed(range(_NVARS)))
+_GUARDS = sum(1 << _W * i + _W - 1 for i in range(_NVARS))
 
 _F1 = Fraction(1)
 
@@ -82,8 +98,17 @@ class RatFuncPole(ZeroDivisionError):
     """Evaluation hit a zero of the denominator."""
 
 
-def _grlex_key(exp: tuple[int, ...]) -> tuple:
-    return (sum(exp), exp)
+def _pack(exp: tuple[int, ...]) -> int:
+    if len(exp) != _NVARS or min(exp) < 0:
+        raise ValueError(f"an exponent vector is {_NVARS} non-negative ints, not {exp!r}")
+    if sum(exp) > _MAXDEG:
+        raise OverflowError(f"total degree {sum(exp)} is past {_MAXDEG}")
+    return int.from_bytes(_FIELDS.pack(sum(exp), *exp), "big")
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The exponent 8-tuple of a packed monomial key."""
+    return _FIELDS.unpack(key.to_bytes(_FIELDS.size, "big"))[1:]
 
 
 def _reduced(terms: dict, den: int) -> "MultiPoly":
@@ -103,8 +128,8 @@ def _reduced(terms: dict, den: int) -> "MultiPoly":
 
 
 class MultiPoly:
-    """Sparse polynomial: map from exponent 8-tuple to nonzero int, over the
-    one int den > 0 (see module docstring)."""
+    """Sparse polynomial: map from packed monomial key to nonzero int, over
+    the one int den > 0 (see module docstring)."""
 
     __slots__ = ("terms", "den")
 
@@ -117,7 +142,7 @@ class MultiPoly:
         # over the lcm of the reduced denominators, no prime divides den and
         # every numerator
         den = lcm(*[c.denominator for c in terms.values()])
-        self.terms = {exp: c.numerator * (den // c.denominator)
+        self.terms = {_pack(exp): c.numerator * (den // c.denominator)
                       for exp, c in terms.items() if c}
         self.den = den
 
@@ -146,22 +171,18 @@ class MultiPoly:
         return not self.terms
 
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
-        """The coefficients as Fractions: {exponent: numerator / den}."""
-        return {exp: Fraction(c, self.den) for exp, c in self.terms.items()}
+        """The coefficients as Fractions: {exponent tuple: numerator / den}."""
+        return {unpack(key): Fraction(c, self.den) for key, c in self.terms.items()}
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(self.terms) // _DEG if self.terms else -1
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    out.add(VARS[i])
-        return out
+        used = 0
+        for key in self.terms:
+            used |= key
+        return {name for name, e in zip(VARS, unpack(used)) if e}
 
     # -- ring operations --------------------------------------------------
 
@@ -210,11 +231,13 @@ class MultiPoly:
             return _reduced({exp: c * p for exp, c in self.terms.items()}, self.den * q)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if (max(self.terms, default=0) + max(other.terms, default=0)) // _DEG > _MAXDEG:
+            raise OverflowError(f"a product's total degree is past {_MAXDEG}")
         out: dict = {}
         get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
+                exp = e1 + e2
                 out[exp] = get(exp, 0) + c1 * c2
         return _reduced(out, self.den * other.den)
 
@@ -229,8 +252,8 @@ class MultiPoly:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            base = base * base if e else base     # no square past the last bit
         return out
 
     def __eq__(self, other):
@@ -262,11 +285,11 @@ class MultiPoly:
         if delta == 0:
             return self
         idx = _INDEX[name]
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         for exp, c in self.terms.items():
-            e = exp[idx]
+            e = unpack(exp)[idx]
             for i in range(e + 1):
-                key = exp[:idx] + (i,) + exp[idx + 1:]
+                key = exp - (e - i) * _UNITS[idx]
                 out[key] = out.get(key, 0) + c * comb(e, i) * delta ** (e - i)
         return _reduced(out, self.den)
 
@@ -282,7 +305,7 @@ class MultiPoly:
         if not self.terms:
             return _F1, self
         g = int_gcd(*self.terms.values())
-        if self.terms[max(self.terms, key=_grlex_key)] < 0:
+        if self.terms[max(self.terms)] < 0:
             g = -g
         prim = MultiPoly.__new__(MultiPoly)
         prim.terms = {exp: c // g for exp, c in self.terms.items()}
@@ -304,19 +327,19 @@ class MultiPoly:
         rem = dict(self.terms)
         content = int_gcd(*divisor.terms.values())
         d_terms = {exp: c // content for exp, c in divisor.terms.items()}
-        d_exp = max(d_terms, key=_grlex_key)
+        d_exp = max(d_terms)
         d_lead = d_terms[d_exp]
         out: dict = {}
         while rem:
-            r_exp = max(rem, key=_grlex_key)
-            q_exp = tuple(map(sub, r_exp, d_exp))
+            r_exp = max(rem)
+            q_exp = r_exp - d_exp       # a negative field sets its guard bit
             q, r = divmod(rem[r_exp], d_lead)
-            if r or min(q_exp) < 0:
+            if r or q_exp < 0 or q_exp & _GUARDS:
                 raise ArithmeticError("polynomial division is not exact")
             out[q_exp] = q * divisor.den
             # rem -= q * divisor, in place
             for exp, c in d_terms.items():
-                exp = tuple(map(add, q_exp, exp))
+                exp += q_exp
                 v = rem.get(exp, 0) - q * c
                 if v:
                     rem[exp] = v
@@ -330,10 +353,10 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exp in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = Fraction(self.terms[exp], self.den)
+        for key in sorted(self.terms, reverse=True):
+            c = Fraction(self.terms[key], self.den)
             factors = []
-            for i, e in enumerate(exp):
+            for i, e in enumerate(unpack(key)):
                 if e == 1:
                     factors.append(VARS[i])
                 elif e > 1:
@@ -364,7 +387,8 @@ def _coeffs_in(a: MultiPoly, idx: int) -> dict[int, MultiPoly]:
     """View a as univariate in VARS[idx] with MultiPoly coefficients."""
     out: dict[int, dict] = {}
     for exp, c in a.terms.items():
-        out.setdefault(exp[idx], {})[exp[:idx] + (0,) + exp[idx + 1:]] = c
+        e = unpack(exp)[idx]
+        out.setdefault(e, {})[exp - e * _UNITS[idx]] = c
     return {e: _reduced(terms, a.den) for e, terms in out.items()}
 
 
@@ -442,10 +466,10 @@ def _int_norm(a: MultiPoly) -> int:
 
 
 def _eval_var_int(a: MultiPoly, idx: int, point: int) -> MultiPoly:
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     for exp, c in a.terms.items():
-        e = exp[idx]
-        key = exp[:idx] + (0,) + exp[idx + 1:]
+        e = unpack(exp)[idx]
+        key = exp - e * _UNITS[idx]
         out[key] = out.get(key, 0) + (c * point**e if e else c)
     return _reduced(out, a.den)
 
@@ -461,17 +485,17 @@ def _divides(candidate: MultiPoly, a: MultiPoly) -> bool:
 def _interpolate_digits(values: MultiPoly, idx: int, point: int) -> MultiPoly:
     """Rebuild a polynomial in VARS[idx] from its balanced base-point digits."""
     half = point // 2
-    out: dict[tuple[int, ...], int] = {}
+    out: dict[int, int] = {}
     power = 0
     current = values.terms
     while current:
-        rest: dict[tuple[int, ...], int] = {}
+        rest: dict[int, int] = {}
         for exp, c in current.items():
             digit = c % point
             if digit > half:
                 digit -= point
             if digit:
-                out[exp[:idx] + (power,) + exp[idx + 1:]] = digit
+                out[exp + power * _UNITS[idx]] = digit
             carry = (c - digit) // point
             if carry:
                 rest[exp] = carry
@@ -513,7 +537,7 @@ def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def _is_const(a: MultiPoly) -> bool:
-    return len(a.terms) == 1 and _ZERO_EXP in a.terms
+    return len(a.terms) == 1 and 0 in a.terms
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -534,8 +558,8 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     pa = a.content_primitive()[1]
     pb = b.content_primitive()[1]
     if len(pa.terms) == 1 and len(pb.terms) == 1:
-        exp = tuple(min(e1, e2) for e1, e2 in zip(*pa.terms, *pb.terms))
-        return MultiPoly({exp: 1})
+        (ka,), (kb,) = pa.terms, pb.terms
+        return MultiPoly({tuple(map(min, unpack(ka), unpack(kb))): 1})
     try:
         return _heugcd(pa, pb)
     except _HeuristicFailed:

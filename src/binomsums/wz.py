@@ -60,7 +60,7 @@ from importlib import resources
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
 from .params import TYPED_POLES, ParamSpec, ResultRow, draw, is_neg_int
-from .poly import VARS, RatFunc, RatFuncPole
+from .poly import VARS, RatFunc, RatFuncPole, unpack
 
 __all__ = [
     "WZFixtureError",
@@ -216,7 +216,7 @@ def _row(pair: WZPair, params: dict, status: str, reason: str) -> ResultRow:
 def _int_poly(poly, assign, inner):
     """poly with assign put in, as its int numerators (times its den): a function
     of (n, k, js) giving its values at (n, j, k) for j in js (j the inner index)."""
-    terms = [(c, dict(zip(VARS, exp))) for exp, c in poly.bind(assign).terms.items()]
+    terms = [(c, dict(zip(VARS, unpack(key)))) for key, c in poly.bind(assign).terms.items()]
     powers = range(max([exp.get(inner, 0) for _, exp in terms] + [0]) + 1)
 
     def values(n, k, js):

@@ -17,9 +17,9 @@ def evaluate(r, assign):
             raise RatFuncPole("pole at assignment")
         return evaluate(r.num, assign) / den
     total = Fraction(0)
-    for exp, c in r.terms.items():
+    for exp, c in r.coeffs().items():
         for i, e in enumerate(exp):
             if e:
                 c *= assign[VARS[i]] ** e
         total += c
-    return total / r.den
+    return total

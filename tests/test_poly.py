@@ -48,7 +48,8 @@ def random_assignment(rng: random.Random) -> dict[str, Fraction]:
 def leading_coefficient(p: MultiPoly) -> Fraction:
     """The coefficient of p's graded-lex leading term: highest total degree,
     then the earlier variables weighing more."""
-    return p.coeffs()[max(p.terms, key=lambda exp: (sum(exp), exp))]
+    coeffs = p.coeffs()
+    return coeffs[max(coeffs, key=lambda exp: (sum(exp), exp))]
 
 
 # ---------------------------------------------------------------------------
@@ -563,3 +564,88 @@ def test_inexact_divisions_raise(budget):
     q = (n * F(3, 4) + k * F(3, 2)).divexact(F(3, 4) * n + F(3, 2) * k)
     assert q == MultiPoly.const(1) and canonical(q)
     assert canonical((6 * n * n + 4 * n).divexact(3 * n + 2))
+
+
+# ---------------------------------------------------------------------------
+# Packed monomial keys
+# ---------------------------------------------------------------------------
+
+def test_exponent_vectors_that_are_not_monomials_raise():
+    for exp in [(-1,) + (0,) * 7, (1,) + (0,) * 6, (0,) * 9, ()]:
+        with pytest.raises(ValueError):
+            MultiPoly({exp: 1})
+
+
+def test_an_exponent_past_the_field_range_raises():
+    from binomsums.poly import _MAXDEG
+
+    def n_to(e):
+        return MultiPoly({(e,) + (0,) * 7: 1})
+
+    assert n_to(_MAXDEG).degree() == _MAXDEG
+    with pytest.raises(OverflowError):
+        n_to(_MAXDEG + 1)
+    with pytest.raises(OverflowError):
+        MultiPoly({(0, 0, 0, 0, 0, 0, 20_000, 20_000): 1})
+    big = MultiPoly({(0, 10_000) + (0,) * 5 + (10_000,): 1})
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises(OverflowError):
+        (big + 1) * n_to(_MAXDEG - 19_999)
+    assert (n_to(_MAXDEG - 20_000) * big).degree() == _MAXDEG
+    # a power squares its base only while bits remain
+    assert big ** 1 == big and n_to(16_383) ** 2 == n_to(32_766)
+    with pytest.raises(OverflowError):
+        big ** 2
+
+
+def test_divexact_rejects_a_larger_exponent_in_one_variable():
+    n, k = MultiPoly.var("n"), MultiPoly.var("k")
+    for a, b in [(n * k * k, k ** 3), (n, k), (k, n), (n * n * k, n * k * k)]:
+        with pytest.raises(ArithmeticError):
+            a.divexact(b)
+
+
+if st is not None:
+    EXP_VECTORS = st.tuples(*(st.integers(0, 2047) for _ in VARS))
+
+
+@needs_hypothesis
+def test_packed_keys_carry_the_exponent_arithmetic():
+    from binomsums.poly import _pack, unpack
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(EXP_VECTORS, EXP_VECTORS)
+    def check(a, b):
+        ka, kb = _pack(a), _pack(b)
+        assert unpack(ka) == a and unpack(kb) == b
+        assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+        assert unpack(ka + kb) == tuple(x + y for x, y in zip(a, b))
+        assert MultiPoly({a: 1}).coeffs() == {a: 1}
+
+    check()
+
+
+@needs_hypothesis
+def test_divexact_of_monomials_follows_the_exponents():
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(EXP_VECTORS, st.integers(0, 7), st.integers(0, 7), st.integers(1, 5))
+    def check(a, i, j, moved):
+        dividend = MultiPoly({a: 3})
+        # b: a with `moved` units taken from variable i and given to j, so
+        # that b exceeds a in variable j at the same total degree
+        if i == j or a[i] < moved:
+            return
+        b = list(a)
+        b[i] -= moved
+        b[j] += moved
+        with pytest.raises(ArithmeticError):
+            dividend.divexact(MultiPoly({tuple(b): 1}))
+        # and b without the units given to j divides a
+        b[j] -= moved
+        quotient = dividend.divexact(MultiPoly({tuple(b): 1}))
+        want = [0] * len(VARS)
+        want[i] = moved
+        assert quotient.coeffs() == {tuple(want): 3}
+
+    check()
