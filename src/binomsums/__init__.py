@@ -8,7 +8,7 @@ Everything is computed over ``fractions.Fraction``; no floating point
 anywhere.
 """
 
-from .catalog.entries import REGISTRY, check_identity, evaluate_side
+from .catalog.entries import REGISTRY, check_identity
 from .catalog.jets_oracle import derived_identity_via_jets, oracle
 from .exact import binom_poly, binom_upper_shift, digamma_diff, harmonic, trigamma_diff
 from .jets import Jet2
@@ -27,7 +27,6 @@ __all__ = [
     "check_identity",
     "derived_identity_via_jets",
     "digamma_diff",
-    "evaluate_side",
     "harmonic",
     "legendre",
     "legendre_inversion_check",

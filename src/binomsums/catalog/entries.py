@@ -17,20 +17,21 @@ values are unhashable, values are immutable, a per-j caller hands every j the
 same objects, and the key holds strong references, so no id is reused while
 it is the key.
 
-A check reports "skipped" only for an excluded assignment or a typed pole
-(see :data:`~binomsums.params.TYPED_POLES`); any other division by zero is a
-"fail" row that names the exception.
+:func:`check_identity` is the one guarded evaluation.  It reports "skipped"
+only for an assignment the predicate excludes at n + 1 or a typed pole (see
+:data:`~binomsums.params.TYPED_POLES`); any other division by zero is a
+"fail" row that names the exception.  :func:`draw_for_entry` draws through
+:func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from ..exact import over
-from ..params import TYPED_POLES, ParamSpec, draw, is_neg_int, not_negative_integers
+from ..params import TYPED_POLES, ParamSpec, draws, is_neg_int, not_negative_integers
 from . import lhs, rhs
 
 F = Fraction
@@ -39,21 +40,11 @@ __all__ = [
     "REGISTRY",
     "IdentityEntry",
     "ParamSpec",
-    "SkipEvaluation",
     "apply_mutations",
     "check_identity",
     "draw_for_entry",
-    "evaluate_side",
     "MUTATIONS",
 ]
-
-
-class SkipEvaluation(Exception):
-    """Signals that an assignment falls in an excluded region."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -244,28 +235,6 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _guarded(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction],
-             compute: Callable[[], object]):
-    """compute() unless the assignment is excluded at n; an exclusion or a
-    typed pole raises SkipEvaluation, any other exception propagates."""
-    reason = entry.params.reject(n + 1, assignment)
-    if reason is not None:
-        raise SkipEvaluation(reason)
-    try:
-        return compute()
-    except TYPED_POLES as exc:
-        raise SkipEvaluation(f"pole: {exc}") from exc
-
-
-def evaluate_side(entry_id: str, side: str, n: int,
-                  assignment: Mapping[str, Fraction],
-                  entries: dict[str, IdentityEntry] | None = None) -> Fraction:
-    """One side only, exactly; raises SkipEvaluation on excluded input."""
-    entry = (entries or REGISTRY)[entry_id]
-    fn = {"lhs": entry.lhs, "rhs": entry.rhs}[side]
-    return _guarded(entry, n, assignment, lambda: fn(n, assignment))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     id: str
@@ -276,34 +245,34 @@ class CheckResult:
     reason: str = ""
 
 
-def _compare(entry: IdentityEntry, n: int, assignment: Mapping[str, Fraction]) -> CheckResult:
-    left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
-    if entry.inner_index:       # each side is its whole j-row (row, den)
-        (lrow, lden), (rrow, rden) = left, right
-        j = next((j for j in range(n) if lrow[j] * rden != rrow[j] * lden), n)
-        left, right = over(lrow[j], lden), over(rrow[j], rden)
-        tag = f" at {entry.inner_index}={j}"
-    if left != right:
-        return CheckResult(entry.id, n, left, right, "fail", f"sides differ{tag}")
-    return CheckResult(entry.id, n, left, right, "pass")
-
-
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
     """Evaluate both sides; pass iff exactly equal.
 
-    For an entry with an inner index both sides are rows over 0..n (module
-    docstring); the first index where they differ is reported, n for a pass.
-    A division by zero that is not a typed pole is a fail row naming the exception.
+    Skipped where the predicate rejects the assignment at n + 1 or a side hits
+    a typed pole; a fail row naming any other division by zero.  For an entry
+    with an inner index both sides are rows over 0..n (module docstring); the
+    first index where they differ is reported, n for a pass.
     """
     entry = (entries or REGISTRY)[entry_id]
+    reason = entry.params.reject(n + 1, assignment)
+    if reason is not None:
+        return CheckResult(entry_id, n, None, None, "skipped", reason)
     try:
-        return _guarded(entry, n, assignment, lambda: _compare(entry, n, assignment))
-    except SkipEvaluation as exc:
-        return CheckResult(entry_id, n, None, None, "skipped", exc.reason)
+        left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
+        if entry.inner_index:       # each side is its whole j-row (row, den)
+            (lrow, lden), (rrow, rden) = left, right
+            j = next((j for j in range(n) if lrow[j] * rden != rrow[j] * lden), n)
+            left, right = over(lrow[j], lden), over(rrow[j], rden)
+            tag = f" at {entry.inner_index}={j}"
+        status = "pass" if left == right else "fail"
+    except TYPED_POLES as exc:
+        return CheckResult(entry_id, n, None, None, "skipped", f"pole: {exc}")
     except ZeroDivisionError as exc:
         return CheckResult(entry_id, n, None, None, "fail",
                            f"unexpected {type(exc).__name__}: {exc}")
+    return CheckResult(entry_id, n, left, right, status,
+                       f"sides differ{tag}" if status == "fail" else "")
 
 
 def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,
@@ -316,5 +285,4 @@ def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,
     """
     if not entry.params.names:
         return [{}]
-    rng = random.Random(f"{seed}:{entry.id}")
-    return [draw(rng, entry.params, n_max + 1) for _ in range(samples)]
+    return list(draws(f"{seed}:{entry.id}", entry.params, n_max + 1, samples))

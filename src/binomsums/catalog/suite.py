@@ -12,7 +12,6 @@ write each at once, so no run holds its report.  The JSON bytes are those of
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
-from ..params import MAX_TRIES, ResultRow, draw
+from ..params import MAX_TRIES, ResultRow, draws
 from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
@@ -89,10 +88,10 @@ def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
         if not _selected(config.only, entry_id):
             continue
         n_max = config.n_max if config.n_max is not None else entry.n_max
-        draws = draw_for_entry(entry, config.seed, config.samples, n_max)
-        shown = [None if a is None else {k: str(v) for k, v in a.items()} for a in draws]
+        drawn = draw_for_entry(entry, config.seed, config.samples, n_max)
+        shown = [None if a is None else {k: str(v) for k, v in a.items()} for a in drawn]
         for n in range(n_max + 1):
-            for assign, params in zip(draws, shown):
+            for assign, params in zip(drawn, shown):
                 if assign is None:
                     yield ResultRow(entry_id, {}, n, None, None, "skipped",
                                     f"no admissible draw after {MAX_TRIES} tries")
@@ -114,9 +113,8 @@ def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
         if config.wz_scale is not None:
             pair = pair.scaled(config.wz_scale)
         yield from verify_wz_pair(pair, n_max=n_max, samples=config.samples, seed=config.seed)
-        rng = random.Random(f"{config.seed}:telescope:{name}")
-        draws = [draw(rng, pair.params, n_max) for _ in range(config.samples)]
-        yield from telescoping_sum_check(pair, n_max, [a for a in draws if a is not None])
+        telescoped = draws(f"{config.seed}:telescope:{name}", pair.params, n_max, config.samples)
+        yield from telescoping_sum_check(pair, n_max, [a for a in telescoped if a is not None])
 
 
 def suite_rows(config: SuiteConfig) -> Iterator[ResultRow]:

@@ -7,7 +7,8 @@ Subcommands:
     wz [thm1|thm2|thm3|all]      certificate pair verification
     suite                        full catalog plus all three pairs
 
-Shared flags: --n-max, --samples, --seed, --format text|json, --config.
+Shared flags: --n-max (at most 200; 100 for wz and suite, whose pairs run at
+that depth), --samples (at most 100), --seed, --format text|json, --config.
 --mutate applies a documented negative control and is accepted by check
 (id24-flip-h2n) and wz (scale-cert:<rational>) only; a mutation that leaves
 the checked entry or pairs unchanged is a usage error.  A JSON config file
@@ -18,8 +19,9 @@ variables are read.
 Exit codes: 0 all checks passed, 1 at least one fail row, no pass and no
 fail row at all (nothing was checked, e.g. --samples 0 on an entry with
 parameters) or a stdout closed before the report ended, which stops the run,
-2 usage, parse or I/O error (a negative n_max or samples, from a flag or the
-file, is a usage error).  Output for a fixed seed and flag set is byte-stable.
+2 usage, parse or I/O error (an n_max or samples below 0 or above its cap,
+from a flag or the file, is a usage error before any row is computed).
+Output for a fixed seed and flag set is byte-stable.
 """
 
 from __future__ import annotations
@@ -105,9 +107,12 @@ def _effective(args, file_config: dict):
         "seed": pick(args.seed, "seed", 0),
         "format": pick(args.format, "format", "text"),
     }
-    for key in ("n_max", "samples"):
-        if settings[key] is not None and settings[key] < 0:
-            raise UsageError(f"{key} must be non-negative, got {settings[key]}")
+    for key, cap in (("n_max", 100 if args.command in ("wz", "suite") else 200), ("samples", 100)):
+        value = settings[key]
+        if value is not None and value < 0:
+            raise UsageError(f"{key} must be non-negative, got {value}")
+        if value is not None and value > cap:
+            raise UsageError(f"{key} must be at most {cap} for {args.command}, got {value}")
     return settings
 
 

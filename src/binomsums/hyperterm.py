@@ -9,9 +9,9 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``grid`` -- reads a parameter draw's whole (n, j) grid in one call as int
-  rows along k, each ``binom_row`` or ``rising_row`` argument form once per
-  call (per n if it moves with n, C(g+n, .) stepped by Pascal's rule), as deep
-  as the factors on it read, inverted once for a reciprocal; an int factor of
+  rows along k, each factor's ``binom_row`` or ``rising_row`` once per call
+  (per n if it moves with n, C(g+n, .) stepped by Pascal's rule), as deep as
+  that factor reads, inverted once for a reciprocal; an int factor of
   j and k by ``math.comb`` at each (n, j), or in the telescoped sums by the
   paper's Taylor step: sum_k w_k C(k, j) for every j is the k-row w shifted by
   +1, once per n.  The first failing (n, j, k, factor) raises: at each point
@@ -152,9 +152,6 @@ class HyperTerm:
                  for top, bottom, _ in self.factors]
         plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, self.factors)]
         reads, kernels = list(reads), {}
-        # factors with one (kernel, argument) = plan[::2] share a row, as deep as any reads it
-        owners = [plan and min(q for q, o in enumerate(plans) if o and o[::2] == plan[::2])
-                  for plan in plans]
         for m, js, ks in reads:
             if None in plans or any(type(c) is not int for c in sign) or not (js and ks):
                 yield from (self._points(forms, sign, m, j, ks) for j in js)
@@ -163,14 +160,13 @@ class HyperTerm:
             base, base_den = [-1 if sign[3] * k % 2 else 1 for k in ks], 1
             num, scale_den = self.constant.numerator, self.constant.denominator
             scales, per_j = [-num if _at(sign, m, j, 0) % 2 else num for j in js], []
-            for plan, owner, (_, _, exp) in zip(plans, owners, self.factors):
+            for q, (plan, (_, _, exp)) in enumerate(zip(plans, self.factors)):
                 read, index, arg, _ = plan
-                key = owner, arg[1] and m           # a row per call, or per m if it moves
+                key = q, arg[1] and m               # a row per call, or per m if it moves
                 if read and key not in kernels:
-                    reach = max(_reach(other[1], [(m, js, ks)] if arg[1] else reads)
-                                for other, shared in zip(plans, owners) if shared == owner)
+                    reach = _reach(index, [(m, js, ks)] if arg[1] else reads)
                     # C(x, .) with x and its reach one above m - 1's: that row stepped
-                    x, last = _at(arg, m, 0, 0), kernels.get((owner, m - 1))
+                    x, last = _at(arg, m, 0, 0), kernels.get((q, m - 1))
                     kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
                         read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
                     ) else read(x, reach)

@@ -10,11 +10,11 @@ poles in :data:`TYPED_POLES`; those are the only exceptions a check may
 report as "skipped".  Any other division by zero is a defect of the
 evaluator and is reported as a failure.
 
-:func:`draw` is the one seeded draw.  Callers seed the generator with
-``"{seed}:{entry id}"`` (catalog), ``"{seed}:wz:{pair}"`` (boundary and
-base checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums); those
-strings, the draw order and the ``n_max`` handed to the predicate are part
-of the byte-stable report.
+:func:`draw` is the one seeded draw, and :func:`draws` the one loop over it,
+with one generator per key: ``"{seed}:{entry id}"`` (catalog),
+``"{seed}:wz:{pair}"`` (boundary and base checks) or
+``"{seed}:telescope:{pair}"`` (telescoping sums).  Those keys, the draw order
+and the ``n_max`` handed to the predicate are part of the byte-stable report.
 
 A :class:`ResultRow` is one verdict of the report, as the catalog and the
 certificate checks give it and the writers write it.
@@ -25,14 +25,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .exact import DigammaPole, Drawn, TrigammaPole
 from .hyperterm import HyperTermPole
 from .jets import JetDivisionPole
 
-__all__ = ["MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "is_neg_int",
-           "not_negative_integers"]
+__all__ = ["MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "draws",
+           "is_neg_int", "not_negative_integers"]
 
 MAX_TRIES = 1000
 
@@ -84,3 +84,11 @@ def draw(rng: random.Random, spec: ParamSpec, n_max: int,
         if spec.reject(n_max, assign) is None:
             return assign
     return None
+
+
+def draws(key: str, spec: ParamSpec, n_max: int,
+          samples: int) -> Iterator[dict[str, Fraction] | None]:
+    """``samples`` draws in order from one generator seeded with ``key``, each
+    made as it is asked for."""
+    rng = random.Random(key)
+    return (draw(rng, spec, n_max) for _ in range(samples))

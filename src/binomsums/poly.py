@@ -266,17 +266,6 @@ class MultiPoly:
 
     # -- substitution ---------------------------------------------------
 
-    def bind(self, fixed: Mapping[str, Fraction]) -> "MultiPoly":
-        """Substitute the variables named in fixed; the others stay free."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.coeffs().items():
-            for i, e in enumerate(exp):
-                if e and VARS[i] in fixed:
-                    c *= fixed[VARS[i]] ** e
-            key = tuple(0 if VARS[i] in fixed else e for i, e in enumerate(exp))
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(out)
-
     def shift(self, name: str, delta: int) -> "MultiPoly":
         """Substitute name -> name + delta, expanding (x+delta)^e binomially.
 
@@ -311,11 +300,6 @@ class MultiPoly:
         prim.terms = {exp: c // g for exp, c in self.terms.items()}
         prim.den = 1
         return Fraction(g, self.den), prim
-
-    def __floordiv__(self, other):
-        """Exact division (:meth:`divexact`), with int and Fraction divisors coerced."""
-        o = self._coerced(other)
-        return NotImplemented if o is None else self.divexact(o)
 
     def divexact(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ArithmeticError if not exact.

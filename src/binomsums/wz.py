@@ -31,10 +31,10 @@ Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
 id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
-and its draws come from :func:`binomsums.params.draw`, the same draw the
-catalog uses.  In the telescoping check only a typed pole
-(:data:`~binomsums.params.TYPED_POLES`) is a skip; any other division by
-zero, and a factor that is not rational at the draw, is a failure.
+and its draws come from :func:`binomsums.params.draws`, the catalog's draw
+loop, keyed ``"{seed}:wz:{pair}"``.  In the telescoping check only a typed
+pole (:data:`~binomsums.params.TYPED_POLES`) is a skip; any other division
+by zero, and a factor that is not rational at the draw, is a failure.
 
 The three shipped pairs live as plain-text fixtures next to this module;
 each file carries exactly the lines
@@ -52,14 +52,14 @@ token, an unknown variable or a zero divisor in the certificate included.
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
-from .params import TYPED_POLES, ParamSpec, ResultRow, draw, is_neg_int
+from .params import TYPED_POLES, ParamSpec, ResultRow, draws, is_neg_int
 from .poly import VARS, RatFunc, RatFuncPole, unpack
 
 __all__ = [
@@ -214,14 +214,22 @@ def _row(pair: WZPair, params: dict, status: str, reason: str) -> ResultRow:
 
 
 def _int_poly(poly, assign, inner):
-    """poly with assign put in, as its int numerators (times its den): a function
-    of (n, k, js) giving its values at (n, j, k) for j in js (j the inner index)."""
-    terms = [(c, dict(zip(VARS, unpack(key)))) for key, c in poly.bind(assign).terms.items()]
-    powers = range(max([exp.get(inner, 0) for _, exp in terms] + [0]) + 1)
+    """poly with assign put in, summed per free monomial (n, k, inner) and scaled
+    to ints by one positive int: a function of (n, k, js) giving its values at
+    (n, j, k) for j in js (j the inner index)."""
+    merged = {}
+    for key, c in poly.terms.items():
+        exp = dict(zip(VARS, unpack(key)))
+        for name, value in assign.items():
+            c *= value ** exp[name]
+        monomial = exp["n"], exp["k"], exp.get(inner, 0)
+        merged[monomial] = merged.get(monomial, 0) + c
+    scale = lcm(*(Fraction(c).denominator for c in merged.values()))
+    terms = [(int(c * scale), monomial) for monomial, c in merged.items() if c]
+    powers = range(max([e for _, (_, _, e) in terms] + [0]) + 1)
 
     def values(n, k, js):
-        cs = [sum(c * n ** exp["n"] * k ** exp["k"] for c, exp in terms
-                  if exp.get(inner, 0) == e) for e in powers]
+        cs = [sum(c * n ** a * k ** b for c, (a, b, e) in terms if e == p) for p in powers]
         return [sum(c * j ** e for e, c in enumerate(cs)) for j in js] if cs[1:] else cs * len(js)
     return values
 
@@ -236,9 +244,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
     rows = [_row(pair, {}, "pass" if zero else "fail",
                  f"symbolic residual {'=' if zero else '!='} 0")]
 
-    rng = random.Random(f"{seed}:wz:{pair.name}")
-    for index in range(samples):
-        assign = draw(rng, pair.params, n_max)
+    for index, assign in enumerate(draws(f"{seed}:wz:{pair.name}", pair.params, n_max, samples)):
         if assign is None:
             rows.append(_row(pair, {}, "fail", f"draw-{index}: could not draw parameters"))
             continue

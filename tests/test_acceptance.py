@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
+from binomsums.catalog.entries import REGISTRY, check_identity
 from binomsums.catalog.jets_oracle import oracle
 from binomsums.catalog.suite import SuiteConfig, run_catalog, run_wz
 from binomsums.cli import main as cli_main
@@ -220,7 +220,7 @@ def test_criterion_9_half_integer_specialization():
                     / binom_poly(k - lam - half, k)
                 id06_term = comb(n, k) * binom_poly(s, k) / binom_poly(t + k, k)
                 ok &= al_term == id06_term
-            ok &= evaluate_side("ID06", "rhs", n, {"s": s, "t": t}) \
+            ok &= REGISTRY["ID06"].rhs(n, {"s": s, "t": t}) \
                 == 4**n * binom_poly(lam, n) / binom_poly(2 * lam, n)
         checked += 1
     report(9, bool(ok), "half-integer specialization exact for n<=30 x 50 draws "

@@ -190,6 +190,31 @@ def test_negative_n_max_or_samples_is_usage_error(tmp_path, capsys):
     assert code == 0
 
 
+# the caps of cli.py's docstring and README: (n_max, samples) per command
+CAPS = {"check": (200, 100), "suite": (100, 100), "wz": (100, 100)}
+
+
+def test_n_max_or_samples_above_its_cap_is_usage_error(tmp_path, monkeypatch, capsys):
+    # cap + 1, from a flag or the file, exits 2 before any row is computed; the
+    # cap itself gets through to the run, here one that yields no row
+    from binomsums import cli
+
+    for name in ("catalog_rows", "suite_rows", "wz_rows"):
+        monkeypatch.setattr(cli, name, lambda config: iter(()))
+    for command, caps in CAPS.items():
+        argv = (command, "ID01") if command == "check" else (command,)
+        for key, cap in zip(("n_max", "samples"), caps):
+            flag = "--" + key.replace("_", "-")
+            config = tmp_path / f"{command}-{key}.json"
+            config.write_text(json.dumps({key: cap + 1}))
+            for extra in ((flag, str(cap + 1)), ("--config", str(config))):
+                code, text = run_cli(*argv, *extra)
+                assert code == 2 and text == "", (command, extra)
+                assert f"{key} must be at most {cap} for {command}" in capsys.readouterr().err
+            code, _ = run_cli(*argv, flag, str(cap))
+            assert code == 1 and "nothing was checked" in capsys.readouterr().err
+
+
 def test_run_that_checked_nothing_exits_1(capsys):
     code, text = run_cli("check", "ID06", "--samples", "0")
     assert code == 1 and "pass=0 fail=0 skipped=0" in text

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from binomsums.catalog.entries import REGISTRY, check_identity, evaluate_side
+from binomsums.catalog.entries import REGISTRY, check_identity
 from binomsums.exact import binom_poly, over
 
 F = Fraction
@@ -71,10 +71,7 @@ def test_random_grid():
 
 
 def test_route_agrees_with_id04():
-    # the Fraction re-expansion is ID04's left row, read bare and through evaluate_side
+    # the Fraction re-expansion is ID04's left row, read through the registry
     alpha, beta = F(3, 4), F(-2, 5)
     n = 6
-    row = shifted(weights(n, alpha, beta))
-    assert row_values(n, alpha, beta) == row
-    side, den = evaluate_side("ID04", "lhs", n, {"alpha": alpha, "beta": beta})
-    assert [over(v, den) for v in side] == row
+    assert row_values(n, alpha, beta) == shifted(weights(n, alpha, beta))

@@ -17,6 +17,7 @@ from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
 from binomsums.wz import (
     PAIR_NAMES,
     WZFixtureError,
+    _int_poly,
     builtin_pairs,
     certificate_residual,
     load_pair,
@@ -314,29 +315,29 @@ def test_boundary_and_base_edge_rows_name_their_own_failure():
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_bound_certificate_equals_evaluate_on_the_grid(name):
-    # the draw bound into numerator and denominator once, as verify_wz_pair
-    # does, gives every value and every pole of certificate.evaluate
+    # the draw bound into numerator and denominator apart, once each, as
+    # verify_wz_pair does, gives each of them on the grid up to one positive
+    # scale per draw, so every value and every pole of the certificate
     pair = load_pair(name)
-    cert = pair.certificate
+    cert, inner = pair.certificate, pair.extra_index
     rng = random.Random(f"bind:{name}")
     poles = 0
     for _ in range(3):
         assign = draw(rng, pair.params, 6)
-        num, den = cert.num.bind(assign), cert.den.bind(assign)
-        for n in range(7):
-            for j in (range(n + 1) if pair.extra_index else (None,)):
+        for poly in (cert.num, cert.den):
+            values, scales = _int_poly(poly, assign, inner), set()
+            for n in range(7):
+                js = range(n + 1) if inner else (0,)
                 for k in range(n + 3):
-                    point = {"n": n, "k": k}
-                    if j is not None:
-                        point[pair.extra_index] = j
-                    bound_den = evaluate(den, point)
-                    try:
-                        want = evaluate(cert, {**assign, **point})
-                    except RatFuncPole:
-                        assert bound_den == 0, (assign, point)
-                        poles += 1
-                        continue
-                    assert evaluate(num, point) / bound_den == want, (assign, point)
+                    for j, got in zip(js, values(n, k, js)):
+                        assert type(got) is int
+                        want = evaluate(poly, {**assign, "n": n, "k": k, inner or "j": j})
+                        if want:
+                            scales.add(got / want)
+                        else:
+                            assert got == 0, (assign, n, j, k)
+                            poles += poly is cert.den
+            assert len(scales) == 1 and scales.pop() > 0, (assign, scales)
     assert poles > 0     # every certificate has poles on this grid
 
 
@@ -560,11 +561,10 @@ def test_verify_rows_equal_a_per_point_reference(make, n_max, seed):
 
 def test_each_factor_is_read_once_per_draw(monkeypatch):
     # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j) do not
-    # move with n, and C(beta+k, k) and C(beta+j, j) share rising_row(beta), so
-    # each check reads two rows once per draw; C(beta-alpha+n, n-j) is built once
-    # per grid call and stepped by Pascal's rule from n to n+1 after that, and
-    # C(k, j) is read by math.comb: at most 2 + 1 kernel rows per check, and no
-    # (kernel, argument) pair twice in one grid call
+    # move with n, so each is read once per draw, from its own row;
+    # C(beta-alpha+n, n-j) is built once per grid call and stepped by Pascal's
+    # rule from n to n+1 after that, and C(k, j) is read by math.comb: one
+    # kernel row per planned factor per check, 3 + 1
     grids = []
 
     def counting(kernel):
@@ -590,9 +590,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
         grids.clear()
         assert check() is True
         calls = [read for reads in grids for read in reads]
-        assert 0 < len(calls) <= 2 + 1
-        for reads in grids:
-            assert len(set(reads)) == len(reads), reads
+        assert len(calls) == 3 + 1, calls
 
 
 def test_a_non_rational_factor_is_a_fail_row():
