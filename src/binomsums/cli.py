@@ -7,8 +7,9 @@ Subcommands:
     wz [thm1|thm2|thm3|all]      certificate pair verification
     suite                        full catalog plus all three pairs
 
-Shared flags: --n-max (at most 200; 100 for wz and suite, whose pairs run at
-that depth), --samples (at most 100), --seed, --format text|json, --config.
+Shared flags: --format text|json and --config; all but list also take
+--n-max (at most 200; 100 for wz and suite, whose pairs run at that depth),
+--samples (at most 100) and --seed.
 --mutate applies a documented negative control and is accepted by check
 (id24-flip-h2n) and wz (scale-cert:<rational>) only; a mutation that leaves
 the checked entry or pairs unchanged is a usage error.  A JSON config file
@@ -52,16 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the binomial/harmonic identity catalog.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mutate: bool):
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, mutate: bool, draws: bool = True):
+        if draws:
+            p.add_argument("--n-max", type=int, default=None, dest="n_max")
+            p.add_argument("--samples", type=int, default=None)
+            p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default=None)
         p.add_argument("--config", default=None, metavar="PATH")
         if mutate:
             p.add_argument("--mutate", default=None, metavar="SPEC")
 
-    common(sub.add_parser("list", help="list catalog entries"), mutate=False)
+    common(sub.add_parser("list", help="list catalog entries"), mutate=False, draws=False)
     check = sub.add_parser("check", help="check one identity")
     check.add_argument("id", metavar="ID")
     common(check, mutate=True)
@@ -123,22 +125,19 @@ def _emit(suite: str, seed: int, rows, fmt: str, out) -> dict[str, int]:
 
 
 def _run(args, out) -> int:
-    settings = _effective(args, _load_config(args.config))
-    fmt = settings["format"]
-
+    file_config = _load_config(args.config)
     if args.command == "list":
-        if fmt == "json":
-            listing = [{"id": e.id, "params": list(e.params.names),
-                        "statement": e.statement}
+        if (args.format or file_config.get("format", "text")) == "json":
+            listing = [{"id": e.id, "params": list(e.params.names), "statement": e.statement}
                        for e in REGISTRY.values()]
-            out.write(json.dumps(listing, indent=2))
-            out.write("\n")
+            out.write(json.dumps(listing, indent=2) + "\n")
         else:
             for e in REGISTRY.values():
                 params = ",".join(e.params.names) or "-"
                 out.write(f"{e.id:<6} params={params:<18} {e.statement}\n")
         return 0
 
+    settings = _effective(args, file_config)
     config_kwargs = dict(n_max=settings["n_max"], samples=settings["samples"],
                          seed=settings["seed"])
 
@@ -173,7 +172,7 @@ def _run(args, out) -> int:
     else:
         suite, rows = "suite", suite_rows(SuiteConfig(**config_kwargs))
 
-    counts = _emit(suite, settings["seed"], rows, fmt, out)
+    counts = _emit(suite, settings["seed"], rows, settings["format"], out)
     if not counts["pass"] and not counts["fail"]:
         print("error: nothing was checked (no pass or fail rows)", file=sys.stderr)
         return 1

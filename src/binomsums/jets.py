@@ -16,32 +16,28 @@ Truncation stops at total order 2 because nothing in the catalog is
 differentiated more than twice (once in each of two parameters, or twice in
 one).
 
-A jet stores its six coefficients as six fixed slots, in the order above,
-and ``+``, ``-`` and ``*`` are written out slot by slot (the product is the
-truncated convolution).  An int or Fraction operand is a constant: it adds
-to the first slot, or scales every slot, without being turned into a jet;
-``jet / d`` for a rational d divides every slot.  Only division by a jet
-goes through the series inverse.  ``Jet2({key: value})`` builds a jet from
-coefficients keyed by (order in e1, order in e2), and ``.c`` reads back the
-nonzero ones the same way.
-
-Coefficients are exact rationals.  Int coefficients stay ints through
-``+``, ``-``, ``*`` and ``**``, so a jet reads as ``numerator /
-denominator`` like a Fraction: the numerator is the jet with int
-coefficients over the least positive int denominator.  The exact row
-kernels (exact.py) run on that numerator as on an int, and divide once at
-the end.  The accessors ``value``, ``first``, ``second`` and ``mixed``
-always return Fractions.
+A jet is stored as a Fraction is: six int slots, one per coefficient in the
+order above, over one int denominator, positive and in lowest terms, so
+``numerator`` (the jet of the slots) and ``denominator`` are plain reads
+and the exact row kernels (exact.py) run on the numerator as on an int.
+``+``, ``-`` and ``*`` are written out slot by slot in ints over the common
+or product denominator (the product is the truncated convolution), reduced
+by one gcd that a denominator of 1 skips.  An int or Fraction operand is
+not made a jet, and only division by a jet goes through the series inverse.
+``Jet2({key: value})`` builds a jet from coefficients keyed by (order in
+e1, order in e2); ``.c`` reads back the nonzero ones, ints over a
+denominator of 1, and ``value``, ``first``, ``second`` and ``mixed`` return
+Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import add, neg, sub
+from math import gcd, lcm
 
 __all__ = ["Jet2", "JetDivisionPole"]
 
+_new = object.__new__
 _KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
@@ -49,156 +45,161 @@ class JetDivisionPole(ZeroDivisionError):
     """Division by a jet whose constant coefficient is zero."""
 
 
-def _jet(slots: tuple) -> "Jet2":
-    out = Jet2.__new__(Jet2)
-    out._s = slots
+def _jet(slots: tuple, den: int = 1) -> "Jet2":
+    """The jet slots / den, den > 0, in lowest terms."""
+    if den != 1 and (g := gcd(den, *slots)) != 1:
+        slots, den = tuple([val // g for val in slots]), den // g
+    out = _new(Jet2)
+    out._s, out._d = slots, den
     return out
 
 
 class Jet2:
-    """Bivariate jet of total order <= 2 with int or Fraction coefficients."""
+    """Bivariate jet of total order <= 2: six int slots over one int denominator."""
 
-    __slots__ = ("_s",)
+    __slots__ = ("_s", "_d")
 
     def __init__(self, coeffs: dict[tuple[int, int], int | Fraction]):
-        self._s = tuple(coeffs.get(key, 0) for key in _KEYS)
+        values = [coeffs.get(key, 0) for key in _KEYS]
+        self._d = lcm(*[val.denominator for val in values])
+        self._s = tuple([val.numerator * (self._d // val.denominator) for val in values])
 
     @classmethod
     def const(cls, value) -> "Jet2":
-        return _jet((Fraction(value), 0, 0, 0, 0, 0))
+        return cls({(0, 0): value})
 
     @classmethod
     def variable(cls, base, slot: int = 1) -> "Jet2":
         """base + e_slot, for slot in {1, 2}."""
         if slot not in (1, 2):
             raise ValueError("slot must be 1 or 2")
-        return _jet((Fraction(base), 2 - slot, slot - 1, 0, 0, 0))
+        return cls({(0, 0): base, (2 - slot, slot - 1): 1})
 
     # -- coefficient access -------------------------------------------------
 
     @property
     def c(self) -> dict[tuple[int, int], int | Fraction]:
         """The nonzero coefficients, keyed by (order in e1, order in e2)."""
-        return {key: val for key, val in zip(_KEYS, self._s) if val}
+        d = self._d
+        return {key: val if d == 1 else Fraction(val, d)
+                for key, val in zip(_KEYS, self._s) if val}
 
     @property
     def value(self) -> Fraction:
         """Constant coefficient (the value at the base point)."""
-        return Fraction(self._s[0])
+        return Fraction(self._s[0], self._d)
 
     def first(self, slot: int = 1) -> Fraction:
         """First derivative in e_slot."""
-        return Fraction(self._s[slot])
+        return Fraction(self._s[slot], self._d)
 
     def second(self, slot: int = 1) -> Fraction:
         """Second derivative in e_slot (twice the e_slot^2 coefficient)."""
-        return 2 * Fraction(self._s[3 if slot == 1 else 5])
+        return Fraction(2 * self._s[3 if slot == 1 else 5], self._d)
 
     def mixed(self) -> Fraction:
         """Mixed second partial (the e1*e2 coefficient)."""
-        return Fraction(self._s[4])
+        return Fraction(self._s[4], self._d)
 
     @property
     def denominator(self) -> int:
         """The least positive int that makes every coefficient an int."""
-        return lcm(*[val.denominator for val in self._s])
+        return self._d
 
     @property
     def numerator(self) -> "Jet2":
         """self * denominator, with int coefficients."""
-        den = self.denominator
-        return _jet(tuple(val.numerator * (den // val.denominator) for val in self._s))
+        return _jet(self._s)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            return _jet(tuple(map(add, self._s, other._s)))
+        a0, a1, a2, a11, a12, a22 = self._s
+        d = self._d
+        if type(other) is Jet2:
+            if d == other._d:
+                b0, b1, b2, b11, b12, b22 = other._s
+                return _jet((a0 + b0, a1 + b1, a2 + b2, a11 + b11, a12 + b12, a22 + b22), d)
+            e = other._d
+            return _jet(tuple([a * e + b * d for a, b in zip(self._s, other._s)]), d * e)
+        if type(other) is int:
+            return _jet((a0 + other * d, a1, a2, a11, a12, a22), d)
         if isinstance(other, (int, Fraction)):
-            a0, a1, a2, a11, a12, a22 = self._s
-            return _jet((a0 + other, a1, a2, a11, a12, a22))
+            return self + Jet2.const(other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(tuple(map(neg, self._s)))
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return _jet(tuple(map(sub, self._s, other._s)))
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int:
             a0, a1, a2, a11, a12, a22 = self._s
-            return _jet((a0 - other, a1, a2, a11, a12, a22))
-        return NotImplemented
+            return _jet((a0 - other * self._d, a1, a2, a11, a12, a22), self._d)
+        return self + -other if isinstance(other, (Jet2, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            a0, a1, a2, a11, a12, a22 = self._s
-            return _jet((other - a0, -a1, -a2, -a11, -a12, -a22))
-        return NotImplemented
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, Jet2):
+        if type(other) is Jet2:
             a0, a1, a2, a11, a12, a22 = self._s
             b0, b1, b2, b11, b12, b22 = other._s
             return _jet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
                          a0 * b11 + a1 * b1 + a11 * b0,
                          a0 * b12 + a1 * b2 + a2 * b1 + a12 * b0,
-                         a0 * b22 + a2 * b2 + a22 * b0))
-        if isinstance(other, (int, Fraction)):
-            a0, a1, a2, a11, a12, a22 = self._s
-            return _jet((a0 * other, a1 * other, a2 * other, a11 * other, a12 * other,
-                         a22 * other))
-        return NotImplemented
+                         a0 * b22 + a2 * b2 + a22 * b0), self._d * other._d)
+        if type(other) is not int and not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num, den = other.numerator, other.denominator
+        a0, a1, a2, a11, a12, a22 = self._s
+        return _jet((a0 * num, a1 * num, a2 * num, a11 * num, a12 * num, a22 * num),
+                    self._d * den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Jet2":
         """Multiplicative inverse by series inversion to order 2."""
-        c0 = self.value
-        if not c0:
+        a0, a1, a2, a11, a12, a22 = self._s
+        if not a0:
             raise JetDivisionPole("jet division pole")
-        # self = c0 (1 - u) with u nilpotent, so 1/self = (1 + u + u^2) / c0
-        u = _jet((0,) + tuple(-val / c0 for val in self._s[1:]))
-        return (1 + u + u * u) * (1 / c0)
+        # self = (a0 + u) / d with u nilpotent, so 1/self = d (a0^2 - a0 u + u^2) / a0^3
+        d = self._d if a0 > 0 else -self._d
+        return _jet((d * a0 * a0, -d * a0 * a1, -d * a0 * a2, d * (a1 * a1 - a0 * a11),
+                     d * (2 * a1 * a2 - a0 * a12), d * (a2 * a2 - a0 * a22)), abs(a0) ** 3)
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
+        if type(other) is Jet2:
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if not other:
                 raise JetDivisionPole("jet division pole")
-            return _jet(tuple(Fraction(val, other) for val in self._s))
+            return self * Fraction(other.denominator, other.numerator)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse() * other
-        return NotImplemented
+        return self.inverse() * other
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
+        base = self if exponent >= 0 else self.inverse()
         out = _jet((1, 0, 0, 0, 0, 0))
-        for _ in range(exponent):
-            out = out * self
+        for _ in range(abs(exponent)):
+            out = out * base
         return out
 
     # -- comparison / display -----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Jet2):
-            return self._s == other._s
+        if type(other) is Jet2:
+            return self._s == other._s and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return self._s == (other, 0, 0, 0, 0, 0)
+            return self == Jet2.const(other)
         return NotImplemented
 
     __hash__ = None
 
     def __repr__(self):
-        names = ("", "*e1", "*e2", "*e1^2", "*e1*e2", "*e2^2")
-        parts = [f"{self._s[i]}{names[i]}" for i in (0, 2, 1, 5, 4, 3) if self._s[i]]
-        return "Jet2(" + (" + ".join(parts) or "0") + ")"
+        return f"Jet2({self.c})"

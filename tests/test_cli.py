@@ -74,6 +74,23 @@ def test_list_text_and_json():
     assert any(e["id"] == "ID15" and e["params"] == ["s"] for e in entries)
 
 
+def test_list_takes_no_draw_flags(capsys):
+    # list reads no n_max, samples or seed, so it has no flag for them
+    for flags in (("--n-max", "3"), ("--samples", "101"), ("--seed", "5")):
+        code, text = run_cli("list", *flags)
+        assert code == 2 and text == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_list_ignores_the_draw_settings_of_a_config_file(tmp_path):
+    # a config file's n_max and samples are neither read nor capped for list
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_max": 10**6, "samples": 10**6, "seed": 5,
+                                  "format": "json"}))
+    code, text = run_cli("list", "--config", str(config))
+    assert code == 0 and text == run_cli("list", "--format", "json")[1]
+
+
 def test_check_id16():
     code, text = run_cli("check", "ID16", "--n-max", "2")
     assert code == 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 
@@ -261,7 +263,7 @@ def test_dividing_by_an_int_scales_by_its_reciprocal():
         x = Jet2(a)
         assert x / d == x * F(1, d)
         assert x / F(d) == x * F(1, d)
-        assert all(type(v) is Fraction for v in (x / d).c.values())
+        assert (x / d).c == {k: F(v) / d for k, v in a.items() if v}
         assert (x * d) / d == x
 
     check()
@@ -290,3 +292,97 @@ def test_division_by_a_jet_with_zero_constant_term_raises():
     for zero in (0, F(0)):
         with pytest.raises(JetDivisionPole):
             x / zero
+
+
+# ---------------------------------------------------------------------------
+# Int slots over one denominator against a Fraction-slot reference
+# ---------------------------------------------------------------------------
+
+class FractionJet:
+    """The jet arithmetic with one Fraction per slot and no shared
+    denominator: the reference for Jet2's int slots.  Its inverse is the
+    series (1 + u + u^2) / c0 for self = c0 (1 - u)."""
+
+    def __init__(self, slots):
+        self.s = tuple(Fraction(v) for v in slots)
+
+    def __add__(self, other):
+        if isinstance(other, FractionJet):
+            return FractionJet(map(add, self.s, other.s))
+        return FractionJet((self.s[0] + other, *self.s[1:]))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionJet(-v for v in self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionJet):
+            return FractionJet(v * other for v in self.s)
+        a0, a1, a2, a11, a12, a22 = self.s
+        b0, b1, b2, b11, b12, b22 = other.s
+        return FractionJet((a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a2 * b0,
+                            a0 * b11 + a1 * b1 + a11 * b0,
+                            a0 * b12 + a1 * b2 + a2 * b1 + a12 * b0,
+                            a0 * b22 + a2 * b2 + a22 * b0))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        c0 = self.s[0]
+        u = FractionJet((0, *(-v / c0 for v in self.s[1:])))
+        return (1 + u + u * u) * (1 / c0)
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionJet):
+            return self * other.inverse()
+        return FractionJet(v / other for v in self.s)
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, exponent):
+        out, base = FractionJet((1, 0, 0, 0, 0, 0)), self if exponent >= 0 else self.inverse()
+        for _ in range(abs(exponent)):
+            out = out * base
+        return out
+
+
+def agrees_and_is_canonical(jet, ref: FractionJet) -> bool:
+    """jet equals ref slot by slot, and is stored as six ints over one positive
+    int in lowest terms."""
+    slots = [jet.numerator.c.get(key, 0) for key in KEYS]
+    return (type(jet) is Jet2 and all(type(v) is int for v in slots)
+            and jet.denominator > 0 and gcd(jet.denominator, *slots) == 1
+            and tuple(F(v, jet.denominator) for v in slots) == ref.s)
+
+
+@needs_hypothesis
+def test_int_slots_agree_with_the_fraction_reference():
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(SLOTS, SLOTS, INTS, FRACTIONS, st.integers(-3, 3))
+    def check(a, b, k, r, exponent):
+        x, y = Jet2(a), Jet2(b)
+        rx, ry = (FractionJet(slots.get(key, 0) for key in KEYS) for slots in (a, b))
+        cases = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                 (-x, -rx), (x ** max(exponent, 0), rx ** max(exponent, 0))]
+        for c in (k, r):
+            cases += [(x + c, rx + c), (c + x, c + rx), (x - c, rx - c), (c - x, c - rx),
+                      (x * c, rx * c), (c * x, c * rx)]
+            if c:
+                cases.append((x / c, rx / c))
+            if y.value:
+                cases.append((c / y, c / ry))
+        if y.value:
+            cases += [(x / y, rx / ry), (y.inverse(), ry.inverse()),
+                      (y ** exponent, ry ** exponent)]
+        for got, want in cases:
+            assert agrees_and_is_canonical(got, want)
+
+    check()
