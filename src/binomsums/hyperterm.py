@@ -9,21 +9,24 @@ with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``grid`` -- reads a parameter draw's whole (n, j) grid in one call as int
-  rows along k, each factor's ``binom_row`` or ``rising_row`` once per call
-  (per n if it moves with n, C(g+n, .) stepped by Pascal's rule), as deep as
-  that factor reads, inverted once for a reciprocal; an int factor of
-  j and k by ``math.comb`` at each (n, j), or in the telescoped sums by the
-  paper's Taylor step: sum_k w_k C(k, j) for every j is the k-row w shifted by
-  +1, once per n.  The first failing (n, j, k, factor) raises: at each point
-  the sign, then the factors.
+  rows along k, by a plan made once per call: each factor's ``binom_row`` or
+  ``rising_row`` once (per n if it moves with n, C(g+n, .) stepped by Pascal's
+  rule), as deep as it reads, inverted once for a reciprocal; the factors of k
+  alone (and of j alone) free of n fused with the sign's part into one weight
+  row, so an n reads only what moves with it; an int factor of j and k by
+  ``math.comb`` at each (n, j), or in the telescoped sums by the paper's Taylor
+  step: sum_k w_k C(k, j) for every j is the k-row w shifted by +1, once per n.
+  The first failing (n, j, k, factor) raises: at each point the sign, then the
+  factors.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
 
-* ``shift_ratio`` -- T(v+1)/T(v) as a canonical rational function, built
-  factor by factor from the ratio rule Gamma(x+m)/Gamma(x) =
-  prod_{i=0..m-1}(x+i).  This is the bridge from hypergeometric terms to
-  the rational-function algebra in which certificates are verified.
+* ``shift_ratio`` -- T(v+1)/T(v) as a canonical rational function: every
+  factor's ratio rule Gamma(x+m)/Gamma(x) = prod_{i=0..m-1}(x+i) multiplied
+  into one numerator and one denominator, canonicalised once.  This is the
+  bridge from hypergeometric terms to the rational-function algebra in which
+  certificates are verified.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class AffineForm:
         free = []
         for name, c in self.coeffs:
             if name in fixed:
-                part += c * fixed[name]
+                part += fixed[name] if c == 1 else c * fixed[name]
             else:
                 free.append((name, int(c) if c.denominator == 1 else c))
         return int(part) if part.denominator == 1 else part, tuple(free)
@@ -146,59 +149,86 @@ class HyperTerm:
         with the term at {**point, outer: m, inner: j} along var at the ks equal to
         [scale * x / den for x in row]; a row where a point fails is read point by point.
         With sums only sum(row) is read: where C(var, inner) is the one factor of both
-        and the ks are 0, 1, ..., each row is its one sum, every j's from one Taylor shift."""
-        sign = _bind(self.sign, point, outer, inner, var)
-        forms = [(_bind(top, point, outer, inner, var), _bind(bottom, point, outer, inner, var))
+        and the ks are 0, 1, ..., each row is its one sum, every j's from one Taylor shift.
+        Each factor's role is fixed once per call: a scale along inner, a row along var,
+        or both; a scale or row free of outer is fused into one weight row, read once."""
+        axes = outer, inner, var
+        fixed = {name: v for name, v in point.items() if name not in axes}
+        sign = _bind(self.sign, fixed, axes)
+        forms = [(_bind(top, fixed, axes), _bind(bottom, fixed, axes))
                  for top, bottom, _ in self.factors]
         plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, self.factors)]
         reads, kernels = list(reads), {}
-        for m, js, ks in reads:
-            if None in plans or any(type(c) is not int for c in sign) or not (js and ks):
-                yield from (self._points(forms, sign, m, j, ks) for j in js)
-                continue
-            # factors of var alone: one row along var; free of var: one scale along inner
-            base, base_den = [-1 if sign[3] * k % 2 else 1 for k in ks], 1
-            num, scale_den = self.constant.numerator, self.constant.denominator
-            scales, per_j = [-num if _at(sign, m, j, 0) % 2 else num for j in js], []
-            for q, (plan, (_, _, exp)) in enumerate(zip(plans, self.factors)):
-                read, index, arg, _ = plan
-                key = q, arg[1] and m               # a row per call, or per m if it moves
-                if read and key not in kernels:
-                    reach = _reach(index, [(m, js, ks)] if arg[1] else reads)
-                    # C(x, .) with x and its reach one above m - 1's: that row stepped
-                    x, last = _at(arg, m, 0, 0), kernels.get((q, m - 1))
-                    kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
-                        read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
-                    ) else read(x, reach)
-                if read and exp < 0 and key + (-1,) not in kernels:     # inverted once
+        live = [] if None in plans or any(type(c) is not int for c in sign) else [
+            (m, js, ks) for m, js, ks in reads if js and ks]
+
+        def kernel(q, m, js, ks):
+            # factor q's kernel row, inverted for a reciprocal: built once per call, or once
+            # per m if its argument moves with n, C(x, .) stepped from m - 1's row
+            read, index, arg, _ = plans[q]
+            key, exp = (q, arg[1] and m), self.factors[q][2]
+            if read and key not in kernels:
+                reach = _reach(index, [(m, js, ks)] if arg[1] else live)
+                x, last = _at(arg, m, 0, 0), kernels.get((q, m - 1))
+                kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
+                    read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
+                ) else read(x, reach)
+                if exp < 0:
                     (row, den), c = kernels[key], lcm(*filter(None, kernels[key][0]))
                     kernels[key + (-1,)] = [den * (c // v) if v else None for v in row], c
-                on_j, on_k = index[2] or arg[2], index[3] or arg[3]
-                kernel = kernels.get(key + (-1,) if exp < 0 else key)
-                if on_j and on_k:
-                    per_j.append((plan, kernel, exp))
-                elif on_j or not on_k:
-                    values, den = _values(plan, kernel, m, 0, 2, js, exp)
-                    scales = [None if None in (s, v) else s * v for s, v in zip(scales, values)]
-                    scale_den *= den
-                else:
-                    values, den = _values(plan, kernel, m, 0, 3, ks, exp)
-                    base = None if base is None or None in values else list(map(mul, base, values))
-                    base_den *= den
-            if sums and base and None not in scales and ks == range(len(ks)) and [
-                    plan for plan, _, _ in per_j] == [(None, (0, 0, 0, 1), (0, 0, 1, 0), 0)]:
+            return kernels.get(key + (-1,) if exp < 0 else key)
+
+        def along(factors, m, js, ks, rows):
+            # [(scales along js, den), (row along ks, den)] times the factors at m
+            for q, plan, exp, axis in factors:
+                (row, den), points = rows[axis - 2], (js, ks)[axis - 2]
+                values, factor_den = _values(plan, kernel(q, m, js, ks), m, 0, axis, points, exp)
+                product = [None if None in (v, w) else v * w for v, w in zip(row, values)] if (
+                    None in row or None in values) else list(map(mul, row, values))
+                rows[axis - 2] = product, den * factor_den
+            return rows
+
+        # the plan, once per call: a factor of j and k is read at each (m, j); any other
+        # along j (axis 2, the scales) or k (axis 3, the row) at each m if it moves with
+        # n, else once, fused with the constant and the sign's part on its axis
+        per_j, moving, fused = [], [], []
+        for q, (plan, (_, _, exp)) in enumerate(zip(plans, self.factors) if live else ()):
+            _, index, arg, _ = plan
+            on_j, on_k = index[2] or arg[2], index[3] or arg[3]
+            (per_j if on_j and on_k else moving if index[1] or arg[1] else fused).append(
+                (q, plan, exp, 3 if on_k else 2))
+        spans = [range(min(min(read[a]) for read in live), max(max(read[a]) for read in live) + 1)
+                 for a in (1, 2)] if live else (range(0), range(0))
+        c, d = self.constant.as_integer_ratio()
+        weights = along(fused, 0, *spans, [([-c if sign[2] * j % 2 else c for j in spans[0]], d),
+                                           ([-1 if sign[3] * k % 2 else 1 for k in spans[1]], 1)])
+        taylor = sums and [plan for _, plan, _, _ in per_j] == [
+            (None, (0, 0, 0, 1), (0, 0, 1, 0), 0)]
+
+        for m, js, ks in reads:
+            if not (live and js and ks):
+                yield from (self._points(forms, sign, m, j, ks) for j in js)
+                continue
+            (scales, scale_den), (base, base_den) = along(moving, m, js, ks, [
+                ([row[p - span.start] for p in points], den)
+                for (row, den), span, points in zip(weights, spans, (js, ks))])
+            if (sign[0] + sign[1] * m) % 2:
+                scales = [None if w is None else -w for w in scales]
+            base, den = None if None in base else base, base_den * scale_den
+            if taylor and base and None not in scales and ks == range(len(ks)):
                 # the paper's Taylor step: every j's sum_k w_k C(k, j), the k-row w shifted by +1
-                totals, den = taylor_shift(base, 1), base_den * scale_den
+                totals = taylor_shift(base, 1)
                 yield from (([totals[j] if 0 <= j < len(ks) else 0], scale, den)
                             for j, scale in zip(js, scales))
                 continue
+            kernel_rows = [(plan, kernel(q, m, js, ks), exp) for q, plan, exp, _ in per_j]
             for j, scale in zip(js, scales):
-                row, den = base if scale is not None else None, base_den * scale_den
-                for plan, kernel, exp in per_j:
-                    values, factor_den = _values(plan, kernel, m, j, 3, ks, exp)
+                row, row_den = base if scale is not None else None, den
+                for plan, kernel_row, exp in kernel_rows:
+                    values, factor_den = _values(plan, kernel_row, m, j, 3, ks, exp)
                     row = None if row is None or None in values else list(map(mul, row, values))
-                    den *= factor_den
-                yield self._points(forms, sign, m, j, ks) if row is None else (row, scale, den)
+                    row_den *= factor_den
+                yield self._points(forms, sign, m, j, ks) if row is None else (row, scale, row_den)
 
     def _points(self, forms, sign, m, j, ks):
         """grid's row at (m, j) through :func:`_eval_binomial`, point by point."""
@@ -219,28 +249,24 @@ class HyperTerm:
     # -- shift ratio ----------------------------------------------------------
 
     def shift_ratio(self, name: str) -> RatFunc:
-        """T(name+1)/T(name) as a canonical rational function."""
+        """T(name+1)/T(name) as a canonical rational function, one gcd for all factors."""
         delta_sign = self.sign.coeff(name)
         if delta_sign.denominator != 1:
             raise NonHypergeometricShift(
                 f"sign exponent moves by {delta_sign} under a unit shift of {name}")
-        ratio = RatFunc.const(-1 if int(delta_sign) % 2 else 1)
+        parts = [MultiPoly.const(-1 if int(delta_sign) % 2 else 1), MultiPoly.const(1)]
         for top, bottom, exp in self.factors:
-            a = top.coeff(name)
-            b = bottom.coeff(name)
+            a, b = top.coeff(name), bottom.coeff(name)
             if a.denominator != 1 or b.denominator != 1:
                 raise NonHypergeometricShift(
                     f"binom({top.render()},{bottom.render()}) shifts by a non-integer in {name}")
-            a, b = int(a), int(b)
-            if a == 0 and b == 0:
-                continue
-            top_poly = top.to_poly()
-            bottom_poly = bottom.to_poly()
-            contrib = _gamma_ratio(top_poly + 1, a)
-            contrib = contrib / _gamma_ratio(bottom_poly + 1, b)
-            contrib = contrib / _gamma_ratio(top_poly - bottom_poly + 1, a - b)
-            ratio = ratio * contrib if exp == 1 else ratio / contrib
-        return ratio
+            top_poly, bottom_poly = top.to_poly(), bottom.to_poly()
+            for x, m, side in ((top_poly + 1, int(a), 0), (bottom_poly + 1, int(b), 1),
+                               (top_poly - bottom_poly + 1, int(a - b), 1)):
+                # m < 0: Gamma(x+m)/Gamma(x) = 1 / prod_{i=1..-m} (x-i), on the other side
+                for i in range(m) if m >= 0 else range(-1, m - 1, -1):
+                    parts[side ^ (exp < 0) ^ (m < 0)] *= x + i
+        return RatFunc(*parts)
 
     def render(self) -> str:
         parts = []
@@ -254,13 +280,12 @@ class HyperTerm:
         return " * ".join(parts)
 
 
-def _bind(form, point, outer, inner, var):
-    """form at point: (its value at outer = inner = var = 0, its three slopes)."""
-    axes = (outer, inner, var)
-    part, free = form.split({name: v for name, v in point.items() if name not in axes})
-    if missing := {name for name, _ in free} - set(axes):
+def _bind(form, fixed, axes):
+    """form at the fixed values: (its value where the three axes are 0, its three slopes)."""
+    part, free = form.split(fixed)
+    if missing := (slopes := dict(free)).keys() - set(axes):
         raise KeyError(min(missing))
-    return part, *(dict(free).get(name, 0) for name in axes)
+    return part, *map(slopes.get, axes, (0, 0, 0))
 
 
 def _at(form, m, j, k):
@@ -284,7 +309,8 @@ def _plan(top, bottom, exp):
 
 def _reach(index, reads):
     """The deepest index over the (m, js, ks) reads, or 0."""
-    return max([_at(index, m, (min, max)[index[2] > 0](js), (min, max)[index[3] > 0](ks))
+    _, _, on_j, on_k = index
+    return max([_at(index, m, on_j and (min, max)[on_j > 0](js), on_k and (min, max)[on_k > 0](ks))
                 for m, js, ks in reads if js and ks] + [0])
 
 
@@ -339,15 +365,3 @@ def _eval_binomial(t: Fraction, b: Fraction) -> Fraction:
         # Gamma(t-b+1) has a pole below the bar, so the coefficient is 0
         return Fraction(0)
     return binom_upper_shift(b, m)
-
-
-def _gamma_ratio(x: MultiPoly, m: int) -> RatFunc:
-    """Gamma(x+m)/Gamma(x): prod_{i=0..m-1}(x+i), or its reciprocal shape."""
-    out = RatFunc.const(1)
-    if m >= 0:
-        for i in range(m):
-            out = out * RatFunc.from_poly(x + i)
-    else:
-        for i in range(1, -m + 1):
-            out = out / RatFunc.from_poly(x - i)
-    return out

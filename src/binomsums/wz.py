@@ -24,7 +24,8 @@ Verification of a pair combines
       "the sum is constant" into "the sum is 1".
 (b), (c) and the telescoped sums run on seeded parameter draws, each draw's
 (n, j) grid read in one pass (``HyperTerm.grid``), with the certificate bound
-once per draw to int polynomials, read at k = 0 and n+2 along j per n.  A draw
+once per draw to int polynomials, their monomials grouped by the power of j, and
+read at k = 0 and n+2 along j per n by Horner's rule in j.  A draw
 of (b), (c) fails at a pole of the certificate at any boundary point first,
 else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
 Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
@@ -55,7 +56,6 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
-from math import lcm
 
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
@@ -215,22 +215,27 @@ def _row(pair: WZPair, params: dict, status: str, reason: str) -> ResultRow:
 
 def _int_poly(poly, assign, inner):
     """poly with assign put in, summed per free monomial (n, k, inner) and scaled
-    to ints by one positive int: a function of (n, k, js) giving its values at
-    (n, j, k) for j in js (j the inner index)."""
+    to ints by one positive int, each value p/q put in as p^e q^(d-e), d its
+    variable's degree: a function of (n, k, js) giving its values at (n, j, k)
+    for j in js (j the inner index), by Horner's rule in j."""
+    exps = [(dict(zip(VARS, unpack(key))), c) for key, c in poly.terms.items()]
+    degree = {name: max([exp[name] for exp, _ in exps] + [0]) for name in assign}
     merged = {}
-    for key, c in poly.terms.items():
-        exp = dict(zip(VARS, unpack(key)))
+    for exp, c in exps:
         for name, value in assign.items():
-            c *= value ** exp[name]
+            c *= value.numerator ** exp[name] * value.denominator ** (degree[name] - exp[name])
         monomial = exp["n"], exp["k"], exp.get(inner, 0)
         merged[monomial] = merged.get(monomial, 0) + c
-    scale = lcm(*(Fraction(c).denominator for c in merged.values()))
-    terms = [(int(c * scale), monomial) for monomial, c in merged.items() if c]
-    powers = range(max([e for _, (_, _, e) in terms] + [0]) + 1)
+    terms = [(c, monomial) for monomial, c in merged.items() if c]
+    powers = [[(c, a, b) for c, (a, b, e) in terms if e == p]     # the highest first
+              for p in range(max([e for _, (_, _, e) in terms] + [0]), -1, -1)]
 
     def values(n, k, js):
-        cs = [sum(c * n ** a * k ** b for c, (a, b, e) in terms if e == p) for p in powers]
-        return [sum(c * j ** e for e, c in enumerate(cs)) for j in js] if cs[1:] else cs * len(js)
+        cs = [sum(c * n ** a * k ** b for c, a, b in group) for group in powers]
+        row = [cs[0]] * len(js)
+        for c in cs[1:]:
+            row = [v * j + c for v, j in zip(row, js)]
+        return row
     return values
 
 
@@ -261,12 +266,14 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                      for n in range(n_max + 1)]
             if not all(all(cert_den(n, k, js)) for n, js, ks in reads for k in ks[:2]):
                 raise RatFuncPole("pole at assignment")
+            # the numerator at k = 0 and n+2 along j, indexed by j
+            edges = [(cert_num(n, 0, js), cert_num(n, n + 2, js)) for n, js, _ in reads]
             points = ((n, j) for n, js, _ in reads for j in js)
             grid = pair.term.grid(assign, "n", inner, "k", reads)
             for (n, j), (row, scale, den) in zip(points, grid):
                 row = [scale * x for x in row]
-                for k, value in zip((0, n + 2), row):
-                    if value and not boundary_detail and cert_num(n, k, (j,))[0]:
+                for k, value, at_k in zip((0, n + 2), row, edges[n]):
+                    if value and not boundary_detail and at_k[j]:
                         boundary_detail = f"G({n},{k}) != 0"
                 # base and edge values of the term itself
                 if n == 0 and row[0] != den:

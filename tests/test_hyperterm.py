@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,8 @@ from binomsums.hyperterm import (
     _eval_binomial,
 )
 from binomsums.params import draw
-from binomsums.wz import load_pair
+from binomsums.poly import RatFunc
+from binomsums.wz import PAIR_NAMES, load_pair
 
 from ring_values import evaluate
 
@@ -277,8 +279,10 @@ FAILING_FACTORS = {
     "jk 0/0": (affine("j-k"), affine("-1"), 1),         # k > j
     "jk pole": (affine("k-j"), affine("1"), -1),        # k = j
 }
+# C(t, 4-k) is free of n and its index falls along k: the fused weight row reads
+# it backwards, and past k = 4 below the bar
 HEALTHY_FACTORS = [(affine("t+k"), affine("k"), 1), (affine("t+n"), affine("n-j"), -1),
-                   (affine("k"), affine("j"), 1)]
+                   (affine("k"), affine("j"), 1), (affine("t"), affine("4-k"), 1)]
 
 
 def test_rows_along_j_raise_the_first_failing_point():
@@ -343,7 +347,8 @@ def test_one_grid_call_per_draw_agrees_with_a_per_point_reference():
             for reads in _whole_draw_reads(8):
                 _assert_grid_matches(pair.term, assign, reads)
     # every term of test_rows_along_j_raise_the_first_failing_point, and the
-    # healthy factors alone: C(t+n, n-j) reads a row per n, C(t+k, k) one row
+    # healthy factors alone: C(t+n, n-j) reads a row per n, C(t+k, k) and
+    # C(t, 4-k) one row each, fused into one weight row along k
     names = sorted(FAILING_FACTORS)
     for size in (0, 1, 2, 3):
         for chosen in itertools.combinations(names, size):
@@ -457,6 +462,25 @@ def test_reciprocal_kernels_are_inverted_once_per_grid_call(monkeypatch):
         assert len(inversions) == per_call
 
 
+@pytest.mark.parametrize("name, per_call, per_n", [("thm2", 2, 3), ("thm3", 1, 2)])
+def test_the_plan_reads_each_factor_once_per_call_or_once_per_n(monkeypatch, name, per_call,
+                                                                 per_n):
+    # each factor's role is fixed once per grid call: a factor of k alone whose kernel
+    # and index are free of n (thm2's C(s, k) and C(t+k, k)^-1, thm3's C(s+k, k)) is
+    # read from its kernel once, into the fused weight row; a factor that moves with n
+    # (thm2's C(n, k), C(t+n, t) and C(s+t+n, s+t)^-1, thm3's C(n-p, n-k) and
+    # C(s+p, n)^-1) is read once per n
+    reads_of = _counting(monkeypatch, "_values")
+    pair = load_pair(name)
+    assign = draw(random.Random(f"plan:{name}"), pair.params, 8)
+    _assert_grid_matches(pair.term, assign, [(n, (0,), range(n + 3)) for n in range(9)])
+    counts = Counter(args[0] for args, _ in reads_of)        # by the factor's bound plan
+    assert len(counts) == len(pair.term.factors) == per_call + per_n
+    for (_, index, argument, _), reads in counts.items():
+        assert reads == (9 if index[1] or argument[1] else 1)
+    assert sorted(counts.values()) == [1] * per_call + [9] * per_n
+
+
 def test_inverted_kernels_keep_their_poles():
     # a 0 in an inverted kernel, 1/C(t+k, k) at t = -3 and k >= 3 or 1/C(2, n-k)
     # at n - k > 2, and a read below the bar, 1/C(2, n-k) at k > n, are still
@@ -481,6 +505,41 @@ def test_shift_ratio_examples():
     alt = HyperTerm(F(1), affine("n+k"),
                     ((affine("beta+k"), affine("k"), 1),))
     assert alt.shift_ratio("k") == parse_ratfunc("-(beta+k+1)/(k+1)")
+
+
+def _reference_shift_ratio(term, name):
+    """T(name+1)/T(name) built factor by factor, a canonical RatFunc at each step."""
+    def gamma_ratio(x, m):      # Gamma(x+m)/Gamma(x)
+        out = RatFunc.const(1)
+        for i in range(m) if m >= 0 else range(1, -m + 1):
+            out = out * RatFunc.from_poly(x + i) if m >= 0 else out / RatFunc.from_poly(x - i)
+        return out
+
+    ratio = RatFunc.const(-1 if int(term.sign.coeff(name)) % 2 else 1)
+    for top, bottom, exp in term.factors:
+        a, b = int(top.coeff(name)), int(bottom.coeff(name))
+        top_poly, bottom_poly = top.to_poly(), bottom.to_poly()
+        contrib = gamma_ratio(top_poly + 1, a) / gamma_ratio(bottom_poly + 1, b)
+        contrib = contrib / gamma_ratio(top_poly - bottom_poly + 1, a - b)
+        ratio = ratio * contrib if exp == 1 else ratio / contrib
+    return ratio
+
+
+def test_shift_ratio_equals_the_factor_by_factor_reference():
+    # one numerator and one denominator, canonicalised once, give the ratio built
+    # factor by factor byte for byte: on the three pairs, every one-factor flip of
+    # them (the terms test_mutated_pairs_fail draws from) and the example terms
+    terms = [term_binom("n", "k"), term_binom("beta+k", "k", sign="n+k"), term_binom("t+n", "t")]
+    for name in PAIR_NAMES:
+        term = load_pair(name).term
+        terms.append(term)
+        for i, (top, bottom, exp) in enumerate(term.factors):
+            flipped = term.factors[:i] + ((top, bottom, -exp),) + term.factors[i + 1:]
+            terms.append(HyperTerm(term.constant, term.sign, flipped))
+    for term in terms:
+        for var in ("n", "k", "j"):
+            got, want = term.shift_ratio(var), _reference_shift_ratio(term, var)
+            assert got == want and got.render() == want.render(), (term.render(), var)
 
 
 def test_shift_ratio_upper_shift_factor():
