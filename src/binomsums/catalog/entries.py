@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..exact import over
 from ..params import TYPED_POLES, ParamSpec, draws, is_neg_int, not_negative_integers
@@ -235,8 +235,7 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     n: int
     lhs: Fraction | None

@@ -2,21 +2,20 @@
 
 Each function computes the left side of its identity exactly as displayed,
 by direct summation.  It shares with the right-hand sides only the scalar
-helpers (the ``*_row`` kernels, ``binom_poly``, ``harmonic``), each tested
-on its own, and through them the rows kept on a draw (see exact.py): a
-drawn value's, a ``derived`` argument's such as s + p, and ``pascal_row``'s
-C(n-p, .).  A kept row is a pure function of immutable values and n, the
-ints either side would build, so it can hide a wrong row only as a shared
-kernel can: a test breaks each row helper in both modules at once, and
-every entry using it must then fail.  A parametric or harmonic sum
-multiplies row entries, ints over one denominator per row for exact
-parameters, and divides once by the product of those denominators
-(``over``).  The harmonic sums (ID15, ID17, ID22, ID24-26) read
-``harmonic_row``; H_k^2 and H_k^(2) both sit over lcm(1..n)^2, the order-2
-row's denominator.  The sums are ring-generic: RatFunc parameters give
-MultiPoly rows over one MultiPoly, so a symbolic sum builds one RatFunc,
-and Jet2 parameters (the jet oracle differentiates ID06, ID07, ID08 and
-ID21) int-coefficient jet rows over one int (over one jet for
+helpers of exact.py, each tested on its own, and through them kept rows:
+those kept on a draw (a drawn value's, a ``derived`` argument's such as
+s + p, ``pascal_row``'s C(n-p, .)) and those that depend on n alone, which
+both sides and every draw at one n read (``harmonic_row``, and ``n_row``'s
+signed coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A kept row holds
+the ints either side would build, so it can hide a wrong row only as a
+shared kernel can: a test breaks each row helper in both modules at once,
+and every entry using it must then fail.  A parametric or harmonic sum is a
+dot product of rows, ints over one denominator per row for exact
+parameters, divided once by the product of those denominators (``over``);
+H_k^2 and H_k^(2) both sit over lcm(1..n)^2.  The sums are ring-generic:
+RatFunc parameters give MultiPoly rows over one MultiPoly, so a symbolic sum
+builds one RatFunc, and Jet2 parameters (the jet oracle differentiates ID06,
+ID07, ID08 and ID21) int-coefficient jet rows over one int (over one jet for
 ``reciprocal_row``), so a jet sum is divided once.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
@@ -36,10 +35,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 
 from ..exact import (binom_poly, binom_row, central_binomial, derived, harmonic,
-                     harmonic_row, over, pascal_row, power_row, reciprocal_row, rising_row,
-                     shift_row, taylor_shift)
+                     harmonic_row, n_row, over, pascal_row, power_row, reciprocal_row,
+                     rising_row, shift_row, taylor_shift)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
@@ -47,8 +47,7 @@ F = Fraction
 
 def id01(n, a):
     px, dx = power_row(a["x"], n)
-    terms = (comb(n, k) * comb(n + k, k) * px[k] for k in range(n + 1))
-    return over(sum(terms), dx)
+    return over(sum(map(mul, n_row("C(n,k)C(n+k,k)", n), px)), dx)
 
 
 def id02(n, a):
@@ -82,7 +81,7 @@ def id05(n, a):
 def id06(n, a):
     bs, ds = binom_row(a["s"], n)          # C(s, k)
     rt, dt = reciprocal_row(a["t"], n)     # 1/C(t+k, k)
-    return over(sum(comb(n, k) * bs[k] * rt[k] for k in range(n + 1)), ds * dt)
+    return over(sum(map(mul, n_row("C(n,k)", n), map(mul, bs, rt))), ds * dt)
 
 
 def id07(n, a):
@@ -95,20 +94,17 @@ def id07(n, a):
 def id08(n, a):
     bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
     px, dx = power_row(a["x"], n)
-    return over(sum(comb(n, k) * bb[k] * px[k] for k in range(n + 1)), db * dx)
+    return over(sum(map(mul, n_row("C(n,k)", n), map(mul, bb, px))), db * dx)
 
 
 def id09(n, a):
     row, den = shift_row(a["beta"], n)     # C(beta+k, n)
-    terms = (comb(n, k) * row[k] for k in range(n + 1))
-    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den)
+    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), row)), den)
 
 
 def id10(n, a):
     bb, den = rising_row(a["beta"], n)
-    terms = (-comb(n, k) * bb[k] if k % 2 else comb(n, k) * bb[k]
-             for k in range(n + 1))
-    return over(sum(terms), den)
+    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), bb)), den)
 
 
 def id11(n, a):
@@ -117,29 +113,24 @@ def id11(n, a):
 
 def id12(n, a):
     px, dx = power_row(a["x"], n)
-    terms = (comb(n, k) * central_binomial(k) * 4 ** (n - k) * px[k]
-             for k in range(n + 1))
-    return over(sum(terms), dx * 4**n)
+    return over(sum(map(mul, n_row("C(n,k)C(2k,k)4^(n-k)", n), px)), dx * 4**n)
 
 
 def id13(n, a):
-    t = a["t"]
-    return legendre(n, derived("(x^2+1)/(2x)", t))
+    return legendre(n, derived("(x^2+1)/(2x)", a["t"]))
 
 
 def id14(n, a):
     t = a["t"]
     values, dv = legendre_row(n, derived("(x^2+1)/(2x)", t))
     pt, dt = power_row(t, n)
-    terms = (comb(n, k) * values[k] * pt[k] for k in range(n + 1))
-    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dv * dt)
+    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), map(mul, values, pt))), dv * dt)
 
 
 def id15(n, a):
     bs, ds = rising_row(a["s"], n)         # C(s+k, k)
     h, dh = harmonic_row(n)
-    terms = (comb(n, k) * bs[k] * h[k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * dh)
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)", n), map(mul, bs, h))), ds * dh)
 
 
 def id16(n, a):
@@ -148,13 +139,11 @@ def id16(n, a):
 
 def id17(n, a):
     h, dh = harmonic_row(n)
-    terms = (comb(n, k) * central_binomial(k) * 4 ** (n - k) * h[k] for k in range(n + 1))
-    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), dh * 4**n)
+    return over(sum(map(mul, n_row("(-1)^k C(n,k)C(2k,k)4^(n-k)", n), h)), dh * 4**n)
 
 
 def id18(n, a):
-    h = harmonic(n)
-    return h * h
+    return harmonic(n) ** 2
 
 
 def id19(n, a):
@@ -171,41 +160,35 @@ def id20(n, a):
 
 
 def id20e(n, a):
-    total = 0
-    for k in range(n + 1):
-        total += comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k
-    return F(total)
+    return F(sum(comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k for k in range(n + 1)))
 
 
 def id21(n, a):
     bs, ds = rising_row(a["s"], n)         # C(s+k, k)
-    return over(sum(bs[k] * (central_binomial(n - k) * 4**k) for k in range(n + 1)), ds)
+    return over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), bs)), ds)
 
 
 def id22(n, a):
-    h, dh = harmonic_row(n)
-    total = sum(central_binomial(k) * 4 ** (n - k) * h[n - k] for k in range(n + 1))
-    return over(total, dh * 4**n)
+    h, dh = harmonic_row(n)                # k -> n-k: C(2n-2k, n-k) 4^k H_k
+    return over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), h)), dh * 4**n)
 
 
 def id23(n, a):
-    total = 0
-    for k in range(1, n + 1):
-        total += k * comb(n, k) ** 2
-    return F(total)
+    return F(sum(k * comb(n, k) ** 2 for k in range(n + 1)))
 
 
 def id24(n, a):
     h, dh = harmonic_row(n)
-    return over(sum(comb(n, k) ** 2 * h[k] for k in range(n + 1)), dh)
+    return over(sum(map(mul, n_row("C(n,k)^2", n), h)), dh)
 
 
 def id25(n, a):
     h, dh = harmonic_row(n)
-    return over(sum(comb(n, k) ** 2 * h[k] * h[n - k] for k in range(n + 1)), dh * dh)
+    return over(sum(map(mul, n_row("C(n,k)^2", n), map(mul, h, reversed(h)))), dh * dh)
 
 
 def id26(n, a):
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)
-    return over(sum(comb(n, k) ** 2 * (h[k] * h[k] + h2[k]) for k in range(n + 1)), d2)
+    terms = (v * v + w for v, w in zip(h, h2))
+    return over(sum(map(mul, n_row("C(n,k)^2", n), terms)), d2)

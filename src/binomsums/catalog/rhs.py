@@ -1,7 +1,7 @@
 """Right-hand-side evaluators, one per catalog entry.
 
 Implemented from the displayed right sides only; see lhs.py for the
-independence convention, rows kept on a draw included, and the C(n, p)
+independence convention, kept rows and ``n_row`` included, and the C(n, p)
 normalization of ID07/ID19.  The single binomials read kept rows: C(s+n, n)
 is entry n of s's ``rising_row``, so ID19 and ID21 call ``binom_upper_shift``.
 
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from ..exact import (binom_poly, binom_upper_shift, central_binomial, derived,
-                     digamma_diff, harmonic, harmonic_row, over, pascal_row, power_row,
-                     reciprocal_row, rising_row, shift_row)
+                     digamma_diff, harmonic, harmonic_row, n_row, over, pascal_row,
+                     power_row, reciprocal_row, rising_row, shift_row)
 from ..legendre import legendre_new_repr
 
 F = Fraction
@@ -24,8 +25,7 @@ F = Fraction
 
 def id01(n, a):
     px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = (comb(n, k) * comb(n + k, k) * px[k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dx)
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), px)), dx)
 
 
 def id02(n, a):
@@ -35,8 +35,7 @@ def id02(n, a):
     pxy, dxy = power_row(derived("x+y", x, y), n)
     py, dy = power_row(y, n)
     terms = (bg[n - k] * bb[k] * pxy[k] * py[n - k] for k in range(n + 1))
-    total = sum(-v if (n + k) % 2 else v for k, v in enumerate(terms))
-    return over(total, dg * db * dxy * dy)
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dg * db * dxy * dy)
 
 
 def id03(n, a):
@@ -61,13 +60,12 @@ def id05(n, a):
     g = derived("-x-1/2", lam)
     top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
     low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
-    total = over(sum(comb(n, k) * top[k] * low[k] for k in range(n + 1)), dt * dl)
+    total = over(sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), dt * dl)
     return binom_poly(derived("2x", lam), n) * total
 
 
 def id06(n, a):
-    s, t = a["s"], a["t"]
-    return binom_upper_shift(derived("x+y", s, t), n) / binom_upper_shift(t, n)
+    return binom_upper_shift(derived("x+y", a["s"], a["t"]), n) / binom_upper_shift(a["t"], n)
 
 
 def id07(n, a):
@@ -77,8 +75,7 @@ def id07(n, a):
 def id08(n, a):
     row, den = shift_row(a["beta"], n)        # C(beta+k, n)
     px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = (comb(n, k) * row[k] * px[k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), den * dx)
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)", n), map(mul, row, px))), den * dx)
 
 
 def id09(n, a):
@@ -91,15 +88,13 @@ def id10(n, a):
 
 
 def id11(n, a):
-    h, dh = harmonic_row(2 * n)
-    terms = (comb(n, k) * comb(n + k, k) * h[n + k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
+    h, dh = harmonic_row(2 * n)            # H_{n+k} is h[n + k]
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h[n:])), 2 * dh)
 
 
 def id12(n, a):
     px, dx = power_row(derived("x+1", a["x"]), n)
-    total = sum(central_binomial(k) * central_binomial(n - k) * px[k] for k in range(n + 1))
-    return over(total, dx * 4**n)
+    return over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), px)), dx * 4**n)
 
 
 def id13(n, a):
@@ -107,8 +102,7 @@ def id13(n, a):
 
 
 def id14(n, a):
-    t = a["t"]
-    return central_binomial(n) * ((1 - t * t) / 4) ** n
+    return central_binomial(n) * ((1 - a["t"] * a["t"]) / 4) ** n
 
 
 def id15(n, a):
@@ -118,8 +112,7 @@ def id15(n, a):
 
 def id16(n, a):
     h, dh = harmonic_row(n)
-    terms = (comb(n, k) * comb(n + k, k) * h[k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 2 * dh)
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h)), 2 * dh)
 
 
 def id17(n, a):
@@ -129,9 +122,8 @@ def id17(n, a):
 def id18(n, a):
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)            # over lcm(1..n)^2, as H_k^2 is
-    terms = (comb(n, k) * comb(n + k, k) * (h[k] * h[k] + h2[k])
-             for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), 4 * d2)
+    terms = (v * v + w for v, w in zip(h, h2))
+    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
 
 
 def id19(n, a):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
@@ -39,6 +40,12 @@ class SuiteConfig:
     wz_scale: Fraction | None = None  # certificate scaling (negative control)
 
 
+@lru_cache(maxsize=64)          # a row's params object, rendered once per draw
+def _params_block(items: tuple) -> str:
+    return ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}" for k, v in items) + "\n      }"
+            if items else "{}")
+
+
 def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[str, int]:
     """Write the JSON report to ``out``, each row as it arrives; its counts."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
@@ -46,9 +53,7 @@ def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     start = "[\n"
     for r in rows:
         counts[r.status] += 1
-        params = ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}"
-                                 for k, v in r.params.items()) + "\n      }"
-                  if r.params else "{}")
+        params = _params_block(tuple(r.params.items()))
         out.write(
             f'{start}    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
             f'      "n": {"null" if r.n is None else int.__repr__(r.n)},\n'

@@ -18,13 +18,13 @@ row sum's one ``Fraction``; for a ``RatFunc`` input, ``MultiPoly`` values
 over one ``MultiPoly``, and ``over`` builds one ``RatFunc``; for a ``Jet2``
 input, read as an int-coefficient jet over one int, such jets over one int.
 No kernel divides in the input's ring.  ``binom_row``, ``rising_row``,
-``power_row`` and ``legendre_row`` are one builder, ``_row``, that only
-multiplies; ``reciprocal_row``'s den is the product of the rising factors,
-so a vanishing C(b+k, k) raises the ring's own ``ZeroDivisionError`` at its
-``over`` (``JetDivisionPole`` for a jet).  A ``Drawn`` value, as
-``params.draw`` hands out, keeps each builder kernel's last row: checked at
-n = 0, 1, ..., a draw's row grows by one entry per n, and the second side
-reads it as it is.  So do the n-free arguments the catalog derives from a
+``reciprocal_row``, ``power_row`` and ``legendre_row`` are one builder,
+``_row``, that only multiplies; ``reciprocal_row``'s den is the product of
+the rising factors, so a vanishing C(b+k, k) raises the ring's own
+``ZeroDivisionError`` at its ``over`` (``JetDivisionPole`` for a jet).  A
+``Drawn`` value, as ``params.draw`` hands out, keeps each builder kernel's
+last row: checked at n = 0, 1, ..., a draw's row grows by one entry per n,
+and the second side reads it as it is.  So do the n-free arguments the catalog derives from a
 draw (x + 1, x + y, (t^2+1)/(2t), ...), which ``derived`` hands out as
 ``Drawn`` values kept on the draw; ``pascal_row`` keeps the row of an
 argument that moves with n, C(g+n, .), and steps it by Pascal's rule; and
@@ -33,8 +33,11 @@ read one entry of its kept row.  A kept row holds the ints a fresh build
 gives.  ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
 
 ``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
-row products over lcm(1..n)^order, and the scalar ``harmonic(n, order)``
-reads the last entry of a fresh row.  Harmonic rows are never kept.
+row products over lcm(1..n)^order, and ``harmonic(n, order)`` reads the last
+entry of a row.  ``n_row(form, n)`` holds a sum's int coefficients along k
+that depend on n alone, its sign folded in, so a sum is one dot product.
+Both depend on n alone: the last eight rows of each are kept, as tuples, and
+shared by the draws at one n and by the two sides of an identity.
 ``digamma_diff`` is a row sum too: sum_i 1/(s - i) is one sum of products
 of the factors p - iq over their product, divided once by ``over``.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .poly import MultiPoly, RatFunc
@@ -64,6 +68,7 @@ __all__ = [
     "digamma_diff",
     "harmonic",
     "harmonic_row",
+    "n_row",
     "over",
     "parse_rational",
     "pascal_row",
@@ -133,7 +138,12 @@ def harmonic(n: int, order: int = 1) -> Fraction:
 
 
 def harmonic_row(n: int, order: int = 1):
-    """([H_0, ..., H_n] of the given order, lcm(1..n)^order), as ints."""
+    """((H_0, ..., H_n) of the given order, lcm(1..n)^order), as ints; kept."""
+    return _harmonic_row(n, order)
+
+
+@lru_cache(maxsize=8)
+def _harmonic_row(n: int, order: int):
     if order < 1:
         raise ValueError("harmonic order must be >= 1")
     if n < 0:
@@ -142,7 +152,7 @@ def harmonic_row(n: int, order: int = 1):
     row = [0]
     for i in range(1, n + 1):
         row.append(row[-1] + den // i**order)
-    return row, den
+    return tuple(row), den
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +164,34 @@ _CENTRAL: list[int] = [1]
 
 def central_binomial(k: int) -> int:
     """binom(2k, k) with a growable cache."""
+    if k < 0:
+        raise ValueError("central binomials are indexed by k >= 0")
     while len(_CENTRAL) <= k:
         m = len(_CENTRAL)
         _CENTRAL.append(_CENTRAL[-1] * (2 * m) * (2 * m - 1) // (m * m))
     return _CENTRAL[k]
+
+
+_COEFFS = {
+    "C(n,k)": comb,
+    "C(n,k)C(n+k,k)": lambda n, k: comb(n, k) * comb(n + k, k),
+    "C(n,k)^2": lambda n, k: comb(n, k) ** 2,
+    "C(n,k)C(2k,k)": lambda n, k: comb(n, k) * central_binomial(k),
+    "C(n,k)C(2k,k)4^(n-k)": lambda n, k: comb(n, k) * central_binomial(k) * 4 ** (n - k),
+    "C(2k,k)C(2n-2k,n-k)": lambda n, k: central_binomial(k) * central_binomial(n - k),
+    "C(2n-2k,n-k)4^k": lambda n, k: central_binomial(n - k) * 4**k,
+}
+
+
+@lru_cache(maxsize=8)
+def n_row(form: str, n: int) -> tuple[int, ...]:
+    """(c_0, ..., c_n), the ints ``form`` names along k at n, kept; a form led by
+    "(-1)^k " or "(-1)^(n+k) " has that sign folded in."""
+    if n < 0:
+        raise ValueError("row depth must be non-negative")
+    sign, _, body = form.rpartition(" ")  # "(-1)^k C(n,k)": "(-1)^k", "C(n,k)"
+    even, odd = {"": (1, 1), "(-1)^k": (1, -1), "(-1)^(n+k)": ((-1) ** n, (-1) ** (n + 1))}[sign]
+    return tuple((odd if k % 2 else even) * _COEFFS[body](n, k) for k in range(n + 1))
 
 
 def over(total, den):
@@ -210,18 +244,20 @@ def derived(form: str, x, y=None):
 def _row(kernel: str, x, n: int, step):
     """(row, den) of a kernel at x = p/q to depth n, by multiplication only.
 
-    step(p, q, m, N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = 1; entry m
+    step(p, q, m, N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = q^0; entry m
     is N_m s_{m+1} ... s_n over den = s_1 ... s_n.  A state (depth d, row,
     den, p, q, N_{d-1}, N_d) grows to n > d: each old entry takes one
     product, by s_{d+1} ... s_n, and the new ones are built top-down; a fresh
     row grows from d = 0.  The row is a tuple, so a kept one cannot be edited.
     A ``Drawn`` x keeps its state in ``vars(x)[kernel]``: grown to n, as it
     is at n = d, rebuilt for n < d."""
+    if n < 0:
+        raise ValueError("row depth must be non-negative")
     kept = vars(x) if type(x) is Drawn else {}
     state = kept.get(kernel)
     if state is None or state[0] > n:
         p, q = x.numerator, x.denominator
-        state = 0, (p**0,), q**0, p, q, 0, p**0
+        state = 0, (p**0,), q**0, p, q, 0, q**0
     d, row, den, p, q, prev, cur = state
     if d < n:
         nums, scales = [], []
@@ -229,7 +265,7 @@ def _row(kernel: str, x, n: int, step):
             prev, (cur, s) = cur, step(p, q, m, prev, cur)
             nums.append(cur)
             scales.append(s)
-        t = q**0
+        t = s**0                # 1 in the scales' ring, as den and every entry are
         for i in range(n - d - 1, -1, -1):  # entry d+1+i is N_{d+1+i} t, then t *= s_{d+1+i}
             nums[i] = nums[i] * t
             t *= scales[i]
@@ -241,6 +277,8 @@ def _row(kernel: str, x, n: int, step):
 def _top(kernel: str, x, n: int, step):
     """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n): read from the kept
     row of a ``Drawn`` x, built without the row for any other x."""
+    if n < 0:
+        raise ValueError("row depth must be non-negative")
     if type(x) is Drawn:
         row, den = _row(kernel, x, n, step)
         return Fraction(row[n], den)
@@ -293,15 +331,14 @@ def pascal_row(g, n: int):
     """([C(g+n, m) for m = 0..n], n! q^n) at g = p/q: the ints of ``binom_row(g + n, n)``,
     as (p + nq)/q is in lowest terms.  A ``Drawn`` g keeps the row and steps it from n
     to n+1 by ``pascal_step``.  Below the kept depth the row is rebuilt."""
-    if type(g) is not Drawn:
-        return binom_row(g + n, n)
-    d, row, den = vars(g).get("pascal", (n + 1, None, None))
+    kept = vars(g) if type(g) is Drawn else {}
+    d, row, den = kept.get("pascal", (n + 1, None, None))
     if d > n:
         d, (row, den) = n, binom_row(g + n, n)
     p, q = g.numerator, g.denominator
     while d < n:
         d, (row, den) = d + 1, pascal_step(row, den, p + (d + 1) * q, q)
-    vars(g)["pascal"] = n, row, den
+    kept["pascal"] = n, row, den
     return row, den
 
 
@@ -322,24 +359,19 @@ def taylor_shift(row, by):
 
 
 def reciprocal_row(b, n: int):
-    """([1/C(b+k, k) for k = 0..n], den), nothing divided: at b + 1 = p/q,
-    1/C(b+k, k) = k! q^k prod_{i=k..n-1} (p + i q) / prod_{i<n} (p + i q).  A
-    vanishing C(b+k, k) makes den vanish, and ``over`` raises."""
-    b1 = b + 1
-    p, q = b1.numerator, b1.denominator
-    suffix = [p**0]         # suffix[j] = prod_{i=n-j..n-1} (p + i q)
-    for i in range(n - 1, -1, -1):
-        suffix.append(suffix[-1] * (p + i * q))
-    row, scale = [], q**0   # scale = k! q^k
-    for k in range(n + 1):
-        row.append(scale * suffix[n - k])
-        scale *= (k + 1) * q
-    den = suffix[n]
-    return ([-v for v in row], -den) if isinstance(den, int) and den < 0 else (row, den)
+    """([1/C(b+k, k) for k = 0..n], den), nothing divided: at b = p/q,
+    1/C(b+k, k) = k! q^k prod_{i=k+1..n} (p + i q) / prod_{i=1..n} (p + i q),
+    ``_row``'s row of N_k = k! q^k and scales p + i q, turned so an int den is
+    > 0.  A vanishing C(b+k, k) makes den vanish, and ``over`` raises."""
+    row, den = _row("recip", b, n, lambda p, q, m, _, num: (num * (m + 1) * q, p + (m + 1) * q))
+    den = den if n else b.numerator**0  # in p's ring, as the scales are, also at n = 0
+    return (tuple(-v for v in row), -den) if isinstance(den, int) and den < 0 else (row, den)
 
 
 def shift_row(b, n: int):
     """([C(b+k, n) for k = 0..n], den)."""
+    if n < 0:
+        raise ValueError("row depth must be non-negative")
     # n! q^n C(b+k, n) = prod_{j=k-n+1..k} (p + j q) at b = p/q: a suffix of
     # the factors j <= 0 times a prefix of the factors j >= 1
     p, q = b.numerator, b.denominator
@@ -361,8 +393,6 @@ def binom_upper_shift(b, m: int):
     Polynomial in b, so it lifts to jets unchanged: entry m of
     ``rising_row(b, m)``, read from a ``Drawn`` b's kept row.
     """
-    if m < 0:
-        raise ValueError("upper shift must be non-negative")
     return _top("rising", b, m, _rising)
 
 

@@ -11,16 +11,17 @@ R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, through
 exact's one row builder: ``legendre_row`` is R_m scaled over n! v^n
 (ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x), and
 ``legendre`` is R_n / (n! v^n), read from a ``Drawn`` x's kept row and
-built without the row otherwise.  ``legendre_new_repr`` sums over
-``power_row`` and folds t^n into the same one denominator.
+built without the row otherwise.  The two summation forms are dot products
+of ``n_row``'s coefficients with a ``power_row``; ``legendre_new_repr``
+folds t^n into the row's one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from operator import mul
 
-from .exact import _row, _top, central_binomial, derived, over, power_row
+from .exact import _row, _top, central_binomial, derived, n_row, over, power_row
 
 __all__ = [
     "legendre",
@@ -37,15 +38,11 @@ def _recurrence(u, v, m, prev, cur):
 
 def legendre_row(n: int, x):
     """([P_0(x), ..., P_n(x)], n! v^n) by the three-term recurrence on R_m."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
     return _row("legendre", x, n, _recurrence)
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
     """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._top``)."""
-    if n < 0:
-        raise ValueError("degree must be non-negative")
     return _top("legendre", x, n, _recurrence)
 
 
@@ -60,13 +57,8 @@ def legendre_product_form(n: int, t: Fraction) -> Fraction:
     Equals t^n * P_n((t^2+1)/(2t)); the classical even-power expansion.
     """
     _check_t(t)
-    t2 = t * t
-    power = Fraction(1)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += central_binomial(k) * central_binomial(n - k) * power
-        power *= t2
-    return total / 4**n
+    powers, den = power_row(t * t, n)
+    return over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), powers)), den * 4**n)
 
 
 def legendre_new_repr(n: int, t: Fraction) -> Fraction:
@@ -77,7 +69,7 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
     """
     _check_t(t)
     powers, den = power_row(derived("(x^2-1)/4", t), n)
-    total = sum(comb(n, k) * central_binomial(k) * powers[k] for k in range(n + 1))
+    total = sum(map(mul, n_row("C(n,k)C(2k,k)", n), powers))
     # t^n joins the one denominator
     return over(total * t.denominator**n, den * t.numerator**n)
 
@@ -94,7 +86,7 @@ def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
     _check_t(t)
     values, den = legendre_row(n, (t * t + 1) / (2 * t))
     powers, power_den = power_row(t, n)
-    terms = (comb(n, k) * values[k] * powers[k] for k in range(n + 1))
-    lhs = over(sum(-v if k % 2 else v for k, v in enumerate(terms)), den * power_den)
+    lhs = over(sum(map(mul, n_row("(-1)^k C(n,k)", n), map(mul, values, powers))),
+               den * power_den)
     rhs = central_binomial(n) * ((1 - t * t) / 4) ** n
     return lhs, rhs

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .exact import DigammaPole, Drawn, TrigammaPole
 from .hyperterm import HyperTermPole
@@ -39,8 +39,7 @@ MAX_TRIES = 1000
 TYPED_POLES = (DigammaPole, TrigammaPole, JetDivisionPole, HyperTermPole)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
     id: str
     params: dict[str, str]
     n: int | None

@@ -22,6 +22,7 @@ from binomsums.exact import (
     digamma_diff,
     harmonic,
     harmonic_row,
+    n_row,
     over,
     parse_rational,
     pascal_row,
@@ -291,6 +292,7 @@ GROWN_KERNELS = {
     "rising_row": rising_row,
     "power_row": power_row,
     "legendre_row": lambda x, n: legendre_row(n, x),
+    "reciprocal_row": reciprocal_row,
 }
 
 
@@ -540,6 +542,80 @@ def test_jet_kernels_equal_jet_running_products():
 def test_central_binomial():
     for k in range(40):
         assert central_binomial(k) == comb(2 * k, k)
+
+
+def test_central_binomial_rejects_a_negative_index():
+    # the cache is a list: a negative index must not read one of its entries
+    central_binomial(5)
+    for k in (-1, -3, -6, -100):
+        with pytest.raises(ValueError):
+            central_binomial(k)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda m: binom_row(F(1, 3), m), lambda m: binom_row(Drawn(1, 3), m),
+    lambda m: rising_row(F(-5, 2), m), lambda m: power_row(F(2, 7), m),
+    lambda m: power_row(Drawn(2, 7), m), lambda m: reciprocal_row(F(1, 3), m),
+    lambda m: shift_row(F(1, 3), m), lambda m: pascal_row(F(1, 3), m),
+    lambda m: pascal_row(Drawn(1, 3), m), lambda m: legendre_row(m, F(5, 4)),
+    lambda m: harmonic_row(m), lambda m: harmonic_row(m, 2), lambda m: n_row("C(n,k)", m),
+    lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(Drawn(1, 3), m),
+    lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, Drawn(5, 4)),
+], ids=["binom_row", "binom_row-drawn", "rising_row", "power_row", "power_row-drawn",
+        "reciprocal_row", "shift_row", "pascal_row", "pascal_row-drawn", "legendre_row",
+        "harmonic_row", "harmonic_row-2", "n_row", "binom_upper_shift",
+        "binom_upper_shift-drawn", "legendre", "legendre-drawn"])
+def test_every_row_kernel_rejects_a_negative_depth(kernel):
+    kernel(3)                           # a kept row at depth 3 must not answer either
+    for m in (-1, -2):
+        with pytest.raises(ValueError):
+            kernel(m)
+
+
+def n_row_reference(form, n):
+    """The signed coefficients of ``form`` along k, one ``math.comb`` product each."""
+    sign, _, body = form.rpartition(" ")
+    c = {"C(n,k)": lambda k: comb(n, k),
+         "C(n,k)C(n+k,k)": lambda k: comb(n, k) * comb(n + k, k),
+         "C(n,k)^2": lambda k: comb(n, k) ** 2,
+         "C(n,k)C(2k,k)": lambda k: comb(n, k) * comb(2 * k, k),
+         "C(n,k)C(2k,k)4^(n-k)": lambda k: comb(n, k) * comb(2 * k, k) * 4 ** (n - k),
+         "C(2k,k)C(2n-2k,n-k)": lambda k: comb(2 * k, k) * comb(2 * n - 2 * k, n - k),
+         "C(2n-2k,n-k)4^k": lambda k: comb(2 * n - 2 * k, n - k) * 4**k}[body]
+    power = {"": lambda k: 0, "(-1)^k": lambda k: k, "(-1)^(n+k)": lambda k: n + k}[sign]
+    return [(-1) ** power(k) * c(k) for k in range(n + 1)]
+
+
+N_ROW_FORMS = [sign + body for sign in ("", "(-1)^k ", "(-1)^(n+k) ") for body in (
+    "C(n,k)", "C(n,k)C(n+k,k)", "C(n,k)^2", "C(n,k)C(2k,k)", "C(n,k)C(2k,k)4^(n-k)",
+    "C(2k,k)C(2n-2k,n-k)", "C(2n-2k,n-k)4^k")]
+
+
+def test_kept_n_rows_equal_fresh_rows_in_any_read_order():
+    # the rows that depend on n alone, read interleaved as the catalog reads them
+    # (n, 2n and 2n+1, orders 1 and 2, several forms) with n going up, down and
+    # back: each kept row is a tuple and equals a fresh build and the reference
+    fresh_harmonic = exact._harmonic_row.__wrapped__
+    ns = [*range(0, 25), *range(24, -1, -3), 7, 7, 0, 13, 2]
+    for n in ns:
+        for m in (n, 2 * n, 2 * n + 1):
+            for order in (1, 2):
+                row, den = harmonic_row(m, order)
+                assert type(row) is tuple and (row, den) == fresh_harmonic(m, order)
+                assert [F(v, den) for v in row] == harmonic_reference(m, order)
+                assert harmonic(m, order) == F(row[m], den)
+        for form in N_ROW_FORMS[n % 3::3]:
+            row = n_row(form, n)
+            assert type(row) is tuple and row == n_row.__wrapped__(form, n)
+            assert list(row) == n_row_reference(form, n)
+    # the store does not grow with n: a sweep to n = 200 leaves at most its bound
+    for n in range(201):
+        harmonic_row(n)
+        harmonic_row(2 * n, 2)
+        n_row(N_ROW_FORMS[n % len(N_ROW_FORMS)], n)
+    for kept in (exact._harmonic_row, n_row):
+        info = kept.cache_info()
+        assert info.currsize <= info.maxsize == 8
 
 
 # ---------------------------------------------------------------------------
