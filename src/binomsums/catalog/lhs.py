@@ -16,7 +16,9 @@ H_k^2 and H_k^(2) both sit over lcm(1..n)^2.  The sums are ring-generic:
 RatFunc parameters give MultiPoly rows over one MultiPoly, so a symbolic sum
 builds one RatFunc, and Jet2 parameters (the jet oracle differentiates ID06,
 ID07, ID08 and ID21) int-coefficient jet rows over one int (over one jet for
-``reciprocal_row``), so a jet sum is divided once.
+``reciprocal_row``), so a jet sum is divided once.  ID09's C(n, k) C(beta+k, n)
+is read as C(beta, n-k) C(beta+k, k), entries of beta's kept binomial and
+rising rows.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -39,7 +41,7 @@ from operator import mul
 
 from ..exact import (binom_poly, binom_row, central_binomial, derived, harmonic,
                      harmonic_row, n_row, over, pascal_row, power_row, reciprocal_row,
-                     rising_row, shift_row, taylor_shift)
+                     rising_row, taylor_shift)
 from ..legendre import legendre, legendre_row
 
 F = Fraction
@@ -98,8 +100,9 @@ def id08(n, a):
 
 
 def id09(n, a):
-    row, den = shift_row(a["beta"], n)     # C(beta+k, n)
-    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), row)), den)
+    (ba, da), (bb, db) = binom_row(a["beta"], n), rising_row(a["beta"], n)
+    terms = map(mul, reversed(ba), bb)     # C(n,k) C(beta+k,n) = C(beta,n-k) C(beta+k,k)
+    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), da * db)
 
 
 def id10(n, a):

@@ -4,6 +4,7 @@ Implemented from the displayed right sides only; see lhs.py for the
 independence convention, kept rows and ``n_row`` included, and the C(n, p)
 normalization of ID07/ID19.  The single binomials read kept rows: C(s+n, n)
 is entry n of s's ``rising_row``, so ID19 and ID21 call ``binom_upper_shift``.
+ID08 reads C(n, k) C(beta+k, n) from beta's rows, as lhs.py's ID09 does.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
 C(beta-alpha+n, n-j) over one den.
@@ -15,9 +16,9 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from ..exact import (binom_poly, binom_upper_shift, central_binomial, derived,
+from ..exact import (binom_poly, binom_row, binom_upper_shift, central_binomial, derived,
                      digamma_diff, harmonic, harmonic_row, n_row, over, pascal_row,
-                     power_row, reciprocal_row, rising_row, shift_row)
+                     power_row, reciprocal_row, rising_row)
 from ..legendre import legendre_new_repr
 
 F = Fraction
@@ -73,9 +74,10 @@ def id07(n, a):
 
 
 def id08(n, a):
-    row, den = shift_row(a["beta"], n)        # C(beta+k, n)
+    (ba, da), (bb, db) = binom_row(a["beta"], n), rising_row(a["beta"], n)
     px, dx = power_row(derived("x+1", a["x"]), n)
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)", n), map(mul, row, px))), den * dx)
+    terms = map(mul, map(mul, reversed(ba), bb), px)  # C(beta,n-k) C(beta+k,k): lhs.id09
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), da * db * dx)
 
 
 def id09(n, a):

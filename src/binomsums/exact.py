@@ -38,8 +38,9 @@ entry of a row.  ``n_row(form, n)`` holds a sum's int coefficients along k
 that depend on n alone, its sign folded in, so a sum is one dot product.
 Both depend on n alone: the last eight rows of each are kept, as tuples, and
 shared by the draws at one n and by the two sides of an identity.
-``digamma_diff`` is a row sum too: sum_i 1/(s - i) is one sum of products
-of the factors p - iq over their product, divided once by ``over``.
+``digamma_diff`` and ``trigamma_diff`` are one row sum, ``_pole_sum``: sum_i
+1/(s - i)^power is one sum of products of the factors (p - iq)^power over
+their product, divided once by ``over``.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -52,7 +53,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .poly import MultiPoly, RatFunc
 
@@ -77,7 +78,6 @@ __all__ = [
     "reciprocal_row",
     "render_rational",
     "rising_row",
-    "shift_row",
     "taylor_shift",
     "trigamma_diff",
 ]
@@ -368,20 +368,6 @@ def reciprocal_row(b, n: int):
     return (tuple(-v for v in row), -den) if isinstance(den, int) and den < 0 else (row, den)
 
 
-def shift_row(b, n: int):
-    """([C(b+k, n) for k = 0..n], den)."""
-    if n < 0:
-        raise ValueError("row depth must be non-negative")
-    # n! q^n C(b+k, n) = prod_{j=k-n+1..k} (p + j q) at b = p/q: a suffix of
-    # the factors j <= 0 times a prefix of the factors j >= 1
-    p, q = b.numerator, b.denominator
-    low, high = [p**0], [p**0]
-    for j in range(n):
-        low.append(low[-1] * (p - j * q))
-        high.append(high[-1] * (p + (j + 1) * q))
-    return [low[n - k] * high[k] for k in range(n + 1)], factorial(n) * q**n
-
-
 def power_row(x, n: int):
     """([x^0, ..., x^n], q^n): p^k q^(n-k) over q^n at x = p/q."""
     return _row("power", x, n, lambda p, q, m, _, num: (num * p, q))
@@ -400,21 +386,22 @@ def binom_upper_shift(b, m: int):
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
-def digamma_diff(s, n: int):
-    """psi(s+1) - psi(s-n+1)  =  sum_{i=0..n-1} 1/(s-i).
+def _pole_sum(s, n: int, power: int, pole):
+    """sum_{i=0..n-1} 1/(s-i)^power for power 1 or 2, as one row sum.
 
-    One row sum: at s = p/q the terms are q/(p - iq), so the sum is
-    q sum_i prefix_i suffix_{i+1} over prod_i (p - iq), where prefix_i and
-    suffix_i are the products of the factors below i and from i on, and
-    ``over`` divides once.  Rational in s; equals H_n at s = n.  Raises
-    :class:`DigammaPole` at the first i with s = i, when s is one of 0, 1,
-    ..., n-1 (for jets: when the base point is).
+    At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, so the
+    sum is q^power sum_i prefix_i suffix_{i+1} over prod_i f_i, where prefix_i
+    and suffix_i are the products of the f below i and from i on, and ``over``
+    divides once.  Raises ``pole(i)`` at the first i with s = i, when s is one
+    of 0, 1, ..., n-1 (for jets: when the base point is).
     """
+    if n < 0:
+        raise ValueError("row depth must be non-negative")
     if n == 0:
         return _ZERO
     p, q = s.numerator, s.denominator
-    factors = [p - i * q for i in range(n)]
-    suffix = [p**0]             # suffix[n - i] = prod_{j >= i} (p - jq)
+    factors = [(p - i * q) ** power for i in range(n)]
+    suffix = [p**0]             # suffix[n - i] = prod_{j >= i} f_j
     for f in reversed(factors):
         suffix.append(suffix[-1] * f)
     total, prefix = 0, p**0
@@ -422,26 +409,21 @@ def digamma_diff(s, n: int):
         total += prefix * suffix[n - 1 - i]
         prefix *= f
     try:
-        return over(q * total, prefix)
+        return over(q**power * total, prefix)
     except ZeroDivisionError as exc:
         for i in range(n):      # the first i where 1/(s - i) has no value
             try:
                 1 / (s - i)
             except ZeroDivisionError:
-                raise DigammaPole(i) from exc
+                raise pole(i) from exc
         raise
 
 
-def trigamma_diff(s, n: int):
-    """psi'(s+1) - psi'(s-n+1)  =  -sum_{i=0..n-1} 1/(s-i)^2.
+def digamma_diff(s, n: int):
+    """psi(s+1) - psi(s-n+1) = sum_{i<n} 1/(s-i), H_n at s = n; DigammaPole at a pole."""
+    return _pole_sum(s, n, 1, DigammaPole)
 
-    Rational in s; equals -H_n^(2) at s = n.
-    """
-    total = _ZERO
-    for i in range(n):
-        d = s - i
-        try:
-            total = total + 1 / (d * d)
-        except ZeroDivisionError as exc:
-            raise TrigammaPole(i) from exc
-    return -total
+
+def trigamma_diff(s, n: int):
+    """psi'(s+1) - psi'(s-n+1) = -sum_{i<n} 1/(s-i)^2, -H_n^(2) at s = n; TrigammaPole at a pole."""
+    return -_pole_sum(s, n, 2, TrigammaPole)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact import _row, _top, central_binomial, derived, n_row, over, power_row
+from .exact import _row, _top, derived, n_row, over, power_row
 
 __all__ = [
     "legendre",
@@ -75,7 +75,7 @@ def legendre_new_repr(n: int, t: Fraction) -> Fraction:
 
 
 def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
-    """Both sides of the inverted representation, computed independently:
+    """Both sides of the inverted representation, ID14's two catalog sides:
 
         sum_k (-1)^k binom(n,k) P_k((t^2+1)/(2t)) t^k
             =  binom(2n,n) ((1-t^2)/4)^n.
@@ -83,10 +83,6 @@ def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
     The left side uses the recurrence evaluator, the right side is a closed
     form; they are returned as a pair and equal exactly on success.
     """
+    from .catalog import lhs, rhs    # the catalog imports this module
     _check_t(t)
-    values, den = legendre_row(n, (t * t + 1) / (2 * t))
-    powers, power_den = power_row(t, n)
-    lhs = over(sum(map(mul, n_row("(-1)^k C(n,k)", n), map(mul, values, powers))),
-               den * power_den)
-    rhs = central_binomial(n) * ((1 - t * t) / 4) ** n
-    return lhs, rhs
+    return lhs.id14(n, {"t": t}), rhs.id14(n, {"t": t})

@@ -31,10 +31,11 @@ from .exact import DigammaPole, Drawn, TrigammaPole
 from .hyperterm import HyperTermPole
 from .jets import JetDivisionPole
 
-__all__ = ["MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "draws",
+__all__ = ["BOUND", "MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "draws",
            "is_neg_int", "not_negative_integers"]
 
 MAX_TRIES = 1000
+BOUND = 100                            # a drawn value's numerator and denominator bound
 
 TYPED_POLES = (DigammaPole, TrigammaPole, JetDivisionPole, HyperTermPole)
 
@@ -72,13 +73,12 @@ def not_negative_integers(*names: str):
     return reject
 
 
-def draw(rng: random.Random, spec: ParamSpec, n_max: int,
-         bound: int = 100) -> dict[str, Fraction] | None:
-    """One assignment with numerators in [-bound, bound] and denominators in
-    [1, bound], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
+def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> dict[str, Fraction] | None:
+    """One assignment with numerators in [-BOUND, BOUND] and denominators in
+    [1, BOUND], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
     after MAX_TRIES tries.  The values are ``exact.Drawn``, which keep rows."""
     for _ in range(MAX_TRIES):
-        assign = {name: Drawn(rng.randint(-bound, bound), rng.randint(1, bound))
+        assign = {name: Drawn(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
                   for name in spec.names}
         if spec.reject(n_max, assign) is None:
             return assign

@@ -273,15 +273,14 @@ def test_per_index_view_keeps_one_row_per_side():
 
 
 ROW_HELPER_CALLERS = {
-    "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID10", "ID15", "ID21"},
-    "binom_row": {"ID02", "ID03", "ID04", "ID06", "ID19"},
+    "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID09", "ID10", "ID15", "ID21"},
+    "binom_row": {"ID02", "ID03", "ID04", "ID06", "ID08", "ID09", "ID19"},
     "pascal_row": {"ID02", "ID03", "ID04", "ID05", "ID07", "ID19"},
     "power_row": {"ID01", "ID02", "ID03", "ID08", "ID12", "ID13", "ID14"},
     "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
-    "shift_row": {"ID08", "ID09"},
     "reciprocal_row": {"ID05", "ID06"},
     "legendre_row": {"ID14"},
-    "n_row": {"ID01", "ID05", "ID06", "ID08", "ID09", "ID10", "ID11", "ID12", "ID13", "ID14",
+    "n_row": {"ID01", "ID05", "ID06", "ID08", "ID10", "ID11", "ID12", "ID13", "ID14",
               "ID15", "ID16", "ID17", "ID18", "ID21", "ID22", "ID24", "ID25", "ID26"},
 }
 

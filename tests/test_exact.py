@@ -8,6 +8,7 @@ from math import comb, factorial
 
 import pytest
 
+from binomsums.catalog import lhs, rhs
 from binomsums.catalog.entries import REGISTRY, draw_for_entry
 from binomsums import exact
 from binomsums.exact import (
@@ -30,7 +31,6 @@ from binomsums.exact import (
     reciprocal_row,
     render_rational,
     rising_row,
-    shift_row,
     trigamma_diff,
 )
 from binomsums.jets import Jet2
@@ -264,8 +264,7 @@ def test_binomial_kernels_equal_fraction_running_products():
             powers.append(powers[-1] * x)
         kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
                    (power_row(x, n), powers), (harmonic_row(n), harmonic_reference(n, 1)),
-                   (harmonic_row(n, 2), harmonic_reference(n, 2)),
-                   (shift_row(x, n), vandermonde(falling))]
+                   (harmonic_row(n, 2), harmonic_reference(n, 2))]
         kernels += reciprocal_case(x, n, rising)
         for (row, den), want in kernels:
             assert type(den) is int and den > 0
@@ -453,12 +452,6 @@ def reciprocal_case(x, n, rising):
     return [(reciprocal_row(x, n), inverses)]
 
 
-def vandermonde(falling):
-    """[C(x+k, n) for k = 0..n] = [sum_j C(k, j) C(x, n-j)] from falling = [C(x, m)]."""
-    n = len(falling) - 1
-    return [sum(comb(k, j) * falling[n - j] for j in range(k + 1)) for k in range(n + 1)]
-
-
 def ring_falling_reference(x, n):
     """[C(x, m) for m = 0..n] as a running product in x's ring, one factor at a time."""
     row = [x**0]
@@ -484,16 +477,13 @@ def check_ring_kernels(x, n):
     """Every row kernel at a Jet2 or RatFunc x, equal to the running products.
     A Jet2 row holds int-coefficient jets over one positive int (over one
     int-coefficient jet for reciprocal_row); a RatFunc row holds MultiPoly
-    numerators over one MultiPoly denominator.  The shift row's reference is
-    binom_poly at the ring values x + k, which the last lines check at every
-    ring value."""
+    numerators over one MultiPoly denominator."""
     falling, rising = ring_falling_reference(x, n), ring_rising_reference(x, n)
     powers = [x**0]
     for _ in range(n):
         powers.append(powers[-1] * x)
     kernels = [(binom_row(x, n), falling), (rising_row(x, n), rising),
-               (power_row(x, n), powers),
-               (shift_row(x, n), [binom_poly(x + k, n) for k in range(n + 1)])]
+               (power_row(x, n), powers)]
     reciprocal = reciprocal_case(x, n, rising)
     for (row, den), want in kernels + reciprocal:
         if isinstance(x, Jet2):
@@ -521,6 +511,23 @@ if st is not None:
                               st.integers(-n - 1, -1).map(F)))
         coeffs = draw(st.lists(RATIONALS, min_size=5, max_size=5))
         return Jet2({(0, 0): base, **dict(zip(JET_KEYS, coeffs))}), n
+
+
+def test_shifted_binomial_sums_equal_the_direct_sums():
+    # ID09's left side and ID08's right side read C(n, k) C(beta+k, n) as
+    # C(beta, n-k) C(beta+k, k), from beta's binom_row and rising_row: equal to
+    # the sums of binom_poly at the ring values beta + k, in every ring
+    s, t = RatFunc.var("s"), RatFunc.var("t")
+    jet = Jet2.variable(F(-7, 3), 1) + Jet2.variable(F(1, 3), 2) * 5
+    x = F(2, 5)
+    for beta in (F(1, 3), F(-7, 2), F(-5), F(4), Drawn(-3, 7), jet, Jet2.variable(F(2)),
+                 s, s / 2 + F(1, 3), (s + t) / (2 * s - 1)):
+        for n in range(13):
+            shifted = [comb(n, k) * binom_poly(beta + k, n) for k in range(n + 1)]
+            assert lhs.id09(n, {"beta": beta}) == sum(
+                -v if k % 2 else v for k, v in enumerate(shifted)), (beta, n)
+            assert rhs.id08(n, {"beta": beta, "x": x}) == sum(
+                (-1) ** (n + k) * v * (x + 1) ** k for k, v in enumerate(shifted)), (beta, n)
 
 
 @needs_hypothesis
@@ -556,15 +563,17 @@ def test_central_binomial_rejects_a_negative_index():
     lambda m: binom_row(F(1, 3), m), lambda m: binom_row(Drawn(1, 3), m),
     lambda m: rising_row(F(-5, 2), m), lambda m: power_row(F(2, 7), m),
     lambda m: power_row(Drawn(2, 7), m), lambda m: reciprocal_row(F(1, 3), m),
-    lambda m: shift_row(F(1, 3), m), lambda m: pascal_row(F(1, 3), m),
+    lambda m: pascal_row(F(1, 3), m),
     lambda m: pascal_row(Drawn(1, 3), m), lambda m: legendre_row(m, F(5, 4)),
     lambda m: harmonic_row(m), lambda m: harmonic_row(m, 2), lambda m: n_row("C(n,k)", m),
     lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(Drawn(1, 3), m),
     lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, Drawn(5, 4)),
+    lambda m: digamma_diff(F(1, 3), m), lambda m: trigamma_diff(F(1, 3), m),
 ], ids=["binom_row", "binom_row-drawn", "rising_row", "power_row", "power_row-drawn",
-        "reciprocal_row", "shift_row", "pascal_row", "pascal_row-drawn", "legendre_row",
+        "reciprocal_row", "pascal_row", "pascal_row-drawn", "legendre_row",
         "harmonic_row", "harmonic_row-2", "n_row", "binom_upper_shift",
-        "binom_upper_shift-drawn", "legendre", "legendre-drawn"])
+        "binom_upper_shift-drawn", "legendre", "legendre-drawn", "digamma_diff",
+        "trigamma_diff"])
 def test_every_row_kernel_rejects_a_negative_depth(kernel):
     kernel(3)                           # a kept row at depth 3 must not answer either
     for m in (-1, -2):
@@ -622,12 +631,18 @@ def test_kept_n_rows_equal_fresh_rows_in_any_read_order():
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
-def termwise_digamma_diff(s, n):
-    """The reference: sum_{i<n} 1/(s - i), one term at a time in s's ring."""
-    total = F(0)
+def termwise_diffs(s, n):
+    """The references: (sum_{i<n} 1/(s - i), -sum_{i<n} 1/(s - i)^2), one term
+    at a time in s's ring."""
+    digamma, trigamma = F(0), F(0)
     for i in range(n):
-        total = total + 1 / (s - i)
-    return total
+        term = 1 / (s - i)
+        digamma, trigamma = digamma + term, trigamma - term * term
+    return digamma, trigamma
+
+
+def diffs(s, n):
+    return digamma_diff(s, n), trigamma_diff(s, n)
 
 
 def test_digamma_diff_examples():
@@ -644,28 +659,29 @@ def test_digamma_diff_is_the_termwise_sum():
         for n in range(31):
             if s.denominator == 1 and 0 <= s < n:
                 continue
-            assert digamma_diff(s, n) == termwise_digamma_diff(s, n), (s, n)
+            assert diffs(s, n) == termwise_diffs(s, n), (s, n)
     for s in draws[:4]:
         for n in range(13):
             jet = Jet2.variable(s, 1) + Jet2.variable(F(1, 3), 2) * s
-            assert digamma_diff(jet, n) == termwise_digamma_diff(jet, n), (s, n)
+            assert diffs(jet, n) == termwise_diffs(jet, n), (s, n)
 
 
 def test_digamma_diff_over_ratfunc_is_the_termwise_sum():
     s, t = RatFunc.var("s"), RatFunc.var("t")
     for x in (s, s / 2 + F(1, 3), (s + t) / (s - 1), 1 / (2 * s + 3)):
         for n in range(13):
-            got = digamma_diff(x, n)
-            assert isinstance(got, RatFunc) or n == 0
-            assert got == termwise_digamma_diff(x, n), (x, n)
+            got = diffs(x, n)
+            assert all(isinstance(v, RatFunc) for v in got) or n == 0
+            assert got == termwise_diffs(x, n), (x, n)
 
 
 def test_digamma_diff_pole():
     # the first vanishing s - i names the pole in every ring
     for s in (F(2), Jet2.variable(F(2)), Jet2.variable(F(2), 2) * 3 - 4, RatFunc.const(2)):
-        with pytest.raises(DigammaPole) as exc:
-            digamma_diff(s, 5)
-        assert exc.value.index == 2
+        for diff, pole in ((digamma_diff, DigammaPole), (trigamma_diff, TrigammaPole)):
+            with pytest.raises(pole) as exc:
+                diff(s, 5)
+            assert exc.value.index == 2
     with pytest.raises(DigammaPole) as exc:
         digamma_diff(F(0), 1)
     assert exc.value.index == 0

@@ -421,7 +421,7 @@ def test_telescoping_random_draws():
         rng = random.Random(f"44:{name}")
         draws = []
         while len(draws) < 5:
-            d = draw(rng, pair.params, 8, bound=40)
+            d = draw(rng, pair.params, 8)
             assert d is not None
             draws.append(d)
         results = telescoping_sum_check(pair, 8, draws)
