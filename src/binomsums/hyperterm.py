@@ -8,16 +8,15 @@ where sign, top_i and bottom_i are affine forms in the catalog variables
 with integer variable coefficients (so that shifting any variable by one
 moves every binomial argument by an integer).  Three primitives are exposed:
 
-* ``grid`` -- reads a parameter draw's whole (n, j) grid in one call as int
-  rows along k, by a plan made once per call: each factor's ``binom_row`` or
-  ``rising_row`` once (per n if it moves with n, C(g+n, .) stepped by Pascal's
-  rule), as deep as it reads, inverted once for a reciprocal; the factors of k
-  alone (and of j alone) free of n fused with the sign's part into one weight
-  row, so an n reads only what moves with it; an int factor of j and k by
-  ``math.comb`` at each (n, j), or in the telescoped sums by the paper's Taylor
-  step: sum_k w_k C(k, j) for every j is the k-row w shifted by +1, once per n.
-  The first failing (n, j, k, factor) raises: at each point the sign, then the
-  factors.
+* ``grid`` -- reads a parameter draw's whole (n, j, k) grid in one call, one
+  block of ints per n: the rows along k of every j, the scales along j and one
+  den.  A plan made once per call reads each factor's kernel row once (per n if
+  its argument moves with n, C(g+n, .) stepped by Pascal's rule; a reciprocal
+  by products alone), as deep as it reads; the factors free of n are fused with
+  the sign into weight rows along n, j and k, so an n reads only what moves
+  with it; an int factor of j and k by ``math.comb`` along j at each k, or in
+  the telescoped sums by the paper's Taylor step: sum_k w_k C(k, j) for every j
+  is the k-row w shifted by +1.  The first failing (n, j, k, factor) raises.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
@@ -36,7 +35,8 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul, sub
 
-from .exact import binom_poly, binom_row, binom_upper_shift, pascal_step, rising_row, taylor_shift
+from .exact import (binom_poly, binom_row, binom_upper_shift, pascal_step, reciprocal_row,
+                    rising_row, taylor_shift)
 from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = [
@@ -141,17 +141,16 @@ class HyperTerm:
 
     def evaluate(self, assign) -> Fraction:
         """Exact value at an assignment of Fractions to every variable used."""
-        row, scale, den = next(self.grid(assign, None, None, None, ((0, (0,), (0,)),)))
-        return Fraction(scale * row[0], den)
+        rows, scales, den = next(self.grid(assign, None, None, None, ((0, (0,), (0,)),)))
+        return Fraction(scales[0] * rows[0][0], den)
 
     def grid(self, point, outer, inner, var, reads, sums=False):
-        """For each (m, js, ks) in reads and each j in js in turn, ints (row, scale, den > 0)
-        with the term at {**point, outer: m, inner: j} along var at the ks equal to
-        [scale * x / den for x in row]; a row where a point fails is read point by point.
-        With sums only sum(row) is read: where C(var, inner) is the one factor of both
-        and the ks are 0, 1, ..., each row is its one sum, every j's from one Taylor shift.
-        Each factor's role is fixed once per call: a scale along inner, a row along var,
-        or both; a scale or row free of outer is fused into one weight row, read once."""
+        """For each (m, js, ks) in reads one block (rows, scales, den) of ints, den > 0: the
+        term at {**point, outer: m, inner: js[i]} along var at the ks is [scales[i] * x / den
+        for x in rows[i]].  A block holding a failing point is read point by point: the rows
+        of the js before it come as a shorter block, then that point raises.  With sums only
+        sum(rows[i]) is read: where C(var, inner) is the one factor of both and the ks are
+        0, 1, ..., each row is its one sum, every j's from one Taylor shift of the k-row."""
         axes = outer, inner, var
         fixed = {name: v for name, v in point.items() if name not in axes}
         sign = _bind(self.sign, fixed, axes)
@@ -163,88 +162,115 @@ class HyperTerm:
             (m, js, ks) for m, js, ks in reads if js and ks]
 
         def kernel(q, m, js, ks):
-            # factor q's kernel row, inverted for a reciprocal: built once per call, or once
-            # per m if its argument moves with n, C(x, .) stepped from m - 1's row
+            # factor q's kernel row: built once per call, or once per m if its argument
+            # moves with n, C(x, .) stepped from m - 1's row; a reciprocal's 1/C(b+i, i), or
+            # 1/C(x, i) = (-1)^i / C(i-x-1, i), by products alone, failing if a C vanishes
             read, index, arg, _ = plans[q]
-            key, exp = (q, arg[1] and m), self.factors[q][2]
+            key = q, arg[1] and m
             if read and key not in kernels:
                 reach = _reach(index, [(m, js, ks)] if arg[1] else live)
-                x, last = _at(arg, m, 0, 0), kernels.get((q, m - 1))
-                kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
-                    read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
-                ) else read(x, reach)
-                if exp < 0:
-                    (row, den), c = kernels[key], lcm(*filter(None, kernels[key][0]))
-                    kernels[key + (-1,)] = [den * (c // v) if v else None for v in row], c
-            return kernels.get(key + (-1,) if exp < 0 else key)
+                x = _at(arg, m, 0, 0)
+                if self.factors[q][2] < 0:
+                    row, den = reciprocal_row(x if read is rising_row else -1 - x, reach)
+                    if read is binom_row:
+                        row = [-v if i % 2 else v for i, v in enumerate(row)]
+                    kernels[key] = (row, den) if den else ([None] * len(row), 1)
+                else:
+                    last = kernels.get((q, m - 1))
+                    kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
+                        read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
+                    ) else read(x, reach)
+            return kernels.get(key)
 
-        def along(factors, m, js, ks, rows):
-            # [(scales along js, den), (row along ks, den)] times the factors at m
+        def along(factors, m, points, rows):
+            # rows [(along n, den), (along j, den), (along k, den)] times the factors at m,
+            # each on its axis (1: n, 2: j, 3: k) at those points
             for q, plan, exp, axis in factors:
-                (row, den), points = rows[axis - 2], (js, ks)[axis - 2]
-                values, factor_den = _values(plan, kernel(q, m, js, ks), m, 0, axis, points, exp)
+                row, den = rows[axis - 1]
+                values, factor_den = _values(plan, kernel(q, m, *points[1:]), m, 0, axis,
+                                             points[axis - 1], exp)
                 product = [None if None in (v, w) else v * w for v, w in zip(row, values)] if (
                     None in row or None in values) else list(map(mul, row, values))
-                rows[axis - 2] = product, den * factor_den
+                rows[axis - 1] = product, den * factor_den
             return rows
 
-        # the plan, once per call: a factor of j and k is read at each (m, j); any other
-        # along j (axis 2, the scales) or k (axis 3, the row) at each m if it moves with
-        # n, else once, fused with the constant and the sign's part on its axis
+        # the plan, once per call: a factor of j and k is read along j at each (m, k); a
+        # factor of n alone from one kernel is read along n (axis 1) once; any other along
+        # j (axis 2, the scales) or k (axis 3, the row) at each m if it moves with n, else
+        # once; what is read once is fused with the constant and the sign's part on its axis
         per_j, moving, fused = [], [], []
         for q, (plan, (_, _, exp)) in enumerate(zip(plans, self.factors) if live else ()):
             _, index, arg, _ = plan
             on_j, on_k = index[2] or arg[2], index[3] or arg[3]
-            (per_j if on_j and on_k else moving if index[1] or arg[1] else fused).append(
-                (q, plan, exp, 3 if on_k else 2))
-        spans = [range(min(min(read[a]) for read in live), max(max(read[a]) for read in live) + 1)
-                 for a in (1, 2)] if live else (range(0), range(0))
+            axis = 3 if on_k else 2 if on_j or arg[1] else 1
+            (per_j if on_j and on_k else moving if axis > 1 and (index[1] or arg[1]) else
+             fused).append((q, plan, exp, axis))
+        spans = [range(min(p), max(p) + 1) if p else range(0) for p in (
+            [m for m, _, _ in live], [j for _, js, _ in live for j in js],
+            [k for _, _, ks in live for k in ks])]
         c, d = self.constant.as_integer_ratio()
-        weights = along(fused, 0, *spans, [([-c if sign[2] * j % 2 else c for j in spans[0]], d),
-                                           ([-1 if sign[3] * k % 2 else 1 for k in spans[1]], 1)])
+        weights = along(fused, 0, spans, [
+            ([-c if (sign[0] + sign[1] * m) % 2 else c for m in spans[0]], d),
+            ([-1 if sign[2] * j % 2 else 1 for j in spans[1]], 1),
+            ([-1 if sign[3] * k % 2 else 1 for k in spans[2]], 1)])
         taylor = sums and [plan for _, plan, _, _ in per_j] == [
             (None, (0, 0, 0, 1), (0, 0, 1, 0), 0)]
 
         for m, js, ks in reads:
-            if not (live and js and ks):
-                yield from (self._points(forms, sign, m, j, ks) for j in js)
+            scale = weights[0][0][m - spans[0].start] if live and js and ks else None
+            if scale is not None:
+                _, (scales, scale_den), (base, den) = along(moving, m, (None, js, ks), [None] + [
+                    ([row[p - span.start] for p in points], den)
+                    for (row, den), span, points in zip(weights[1:], spans[1:], (js, ks))])
+                den *= weights[0][1] * scale_den
+            if scale is None or None in scales or None in base:
+                yield from self._points(forms, sign, m, js, ks)
                 continue
-            (scales, scale_den), (base, base_den) = along(moving, m, js, ks, [
-                ([row[p - span.start] for p in points], den)
-                for (row, den), span, points in zip(weights, spans, (js, ks))])
-            if (sign[0] + sign[1] * m) % 2:
-                scales = [None if w is None else -w for w in scales]
-            base, den = None if None in base else base, base_den * scale_den
-            if taylor and base and None not in scales and ks == range(len(ks)):
-                # the paper's Taylor step: every j's sum_k w_k C(k, j), the k-row w shifted by +1
+            scales = scales if scale == 1 else [scale * w for w in scales]
+            if taylor and ks == range(len(ks)):
+                # the paper's Taylor step: every j's sum_k w_k C(k, j), the k-row w shifted by 1
                 totals = taylor_shift(base, 1)
-                yield from (([totals[j] if 0 <= j < len(ks) else 0], scale, den)
-                            for j, scale in zip(js, scales))
+                yield [[totals[j]] if 0 <= j < len(ks) else [0] for j in js], scales, den
                 continue
-            kernel_rows = [(plan, kernel(q, m, js, ks), exp) for q, plan, exp, _ in per_j]
-            for j, scale in zip(js, scales):
-                row, row_den = base if scale is not None else None, den
-                for plan, kernel_row, exp in kernel_rows:
-                    values, factor_den = _values(plan, kernel_row, m, j, 3, ks, exp)
-                    row = None if row is None or None in values else list(map(mul, row, values))
-                    row_den *= factor_den
-                yield self._points(forms, sign, m, j, ks) if row is None else (row, scale, row_den)
+            # the factors of j and k along j at each k: a column per k, then a row per j
+            rows, columns = [base] * len(js), [[b] * len(js) for b in base] if per_j else ()
+            for q, plan, exp, _ in per_j:
+                kernel_row = kernel(q, m, js, ks)
+                for i, k in enumerate(ks):
+                    values, factor_den = _values(plan, kernel_row, m, k, 2, js, exp)
+                    columns[i] = None if columns[i] is None or None in values else list(
+                        map(mul, columns[i], values))
+                den *= factor_den
+            if per_j:
+                rows = None if None in columns else list(zip(*columns))
+            if rows is None:
+                yield from self._points(forms, sign, m, js, ks)
+            else:
+                yield rows, scales, den
 
-    def _points(self, forms, sign, m, j, ks):
-        """grid's row at (m, j) through :func:`_eval_binomial`, point by point."""
-        values = []
-        for k in ks:
-            if _at(sign, m, j, k).denominator != 1:
-                raise ValueError("sign exponent is not an integer at this assignment")
-            values.append(-self.constant if _at(sign, m, j, k) % 2 else self.constant)
-            for (top, bottom), (top_form, bottom_form, exp) in zip(forms, self.factors):
-                f = _eval_binomial(_at(top, m, j, k), _at(bottom, m, j, k))
-                if exp == -1 and not f:
-                    raise HyperTermPole(f"binom({top_form.render()},{bottom_form.render()})"
-                                        " vanished in a denominator")
-                values[-1] *= f ** exp
-        den = lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], 1, den
+    def _points(self, forms, sign, m, js, ks):
+        """grid's block at m through :func:`_eval_binomial`, point by point: at a failing
+        point, the rows of the js before it as a shorter block, then what that point raises."""
+        rows = []
+        try:
+            for j in js:
+                rows.append([])
+                for k in ks:
+                    if _at(sign, m, j, k).denominator != 1:
+                        raise ValueError("sign exponent is not an integer at this assignment")
+                    rows[-1].append(-self.constant if _at(sign, m, j, k) % 2 else self.constant)
+                    for (top, bottom), (top_form, bottom_form, exp) in zip(forms, self.factors):
+                        f = _eval_binomial(_at(top, m, j, k), _at(bottom, m, j, k))
+                        if exp == -1 and not f:
+                            raise HyperTermPole(f"binom({top_form.render()},{bottom_form.render()})"
+                                                " vanished in a denominator")
+                        rows[-1][-1] *= f ** exp
+        except (ValueError, ZeroDivisionError):
+            del rows[-1]
+            if rows:
+                yield _block(rows)
+            raise
+        yield _block(rows)
 
     # -- shift ratio ----------------------------------------------------------
 
@@ -314,13 +340,15 @@ def _reach(index, reads):
                 for m, js, ks in reads if js and ks] + [0])
 
 
-def _values(plan, kernel, m, j, axis, points, exp):
-    """A planned factor from (m, j) along axis (2: j, 3: k) at the points, to the power
-    exp (its kernel inverted for -1), as ([ints], one int den > 0), None where a point fails."""
+def _values(plan, kernel, m, at, axis, points, exp):
+    """A planned factor along axis (1: n, 2: j, 3: k) at the points, from n = m with the
+    other of j and k at `at` (j and k at 0 along n), to the power exp (its kernel inverted
+    for -1), as ([ints], one int den > 0), None where a point fails."""
     read, first, second, rising = plan
-    start, step = _at(first, m, j, 0), first[axis]
+    j, k = (at, 0) if axis == 3 else (0, at)
+    start, step = _at(first, m, j, k), first[axis]
     if read is None:
-        low, slope = _at(second, m, j, 0), second[axis]
+        low, slope = _at(second, m, j, k), second[axis]
         try:
             return [comb(start + step * p, low + slope * p) for p in points], 1
         except ValueError:      # a negative argument: below the bar, or a negative top
@@ -330,6 +358,13 @@ def _values(plan, kernel, m, j, axis, points, exp):
     return list(map(row.__getitem__, indices)) if min(indices) >= 0 else [
         row[i] if i >= 0 else None if exp < 0 else _comb(_at(second, m, 0, 0) + rising * i, i)
         if type(second[0]) is int else 0 for i in indices], den
+
+
+def _block(rows):
+    """Rows of Fractions as a grid block: (their ints over one den, every scale 1, that den)."""
+    den = lcm(*(v.denominator for row in rows for v in row))
+    rows = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    return rows, [1] * len(rows), den
 
 
 def _comb(t, b):

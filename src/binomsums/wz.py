@@ -23,11 +23,11 @@ Verification of a pair combines
   (c) the base and edge values T(0, 0) = 1 and T(n, n+1) = 0 that convert
       "the sum is constant" into "the sum is 1".
 (b), (c) and the telescoped sums run on seeded parameter draws, each draw's
-(n, j) grid read in one pass (``HyperTerm.grid``), with the certificate bound
-once per draw to int polynomials, their monomials grouped by the power of j, and
-read at k = 0 and n+2 along j per n by Horner's rule in j.  A draw
-of (b), (c) fails at a pole of the certificate at any boundary point first,
-else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
+grid read in one pass, one block of every j per n (``HyperTerm.grid``) that is
+tested with list operations; the certificate is bound once per draw to int
+polynomials read along j by Horner's rule, its numerator only where T is not 0.
+A draw of (b), (c) fails at a pole of the certificate at any boundary point
+first, else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
 Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
 id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
@@ -56,6 +56,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
@@ -266,19 +267,21 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
                      for n in range(n_max + 1)]
             if not all(all(cert_den(n, k, js)) for n, js, ks in reads for k in ks[:2]):
                 raise RatFuncPole("pole at assignment")
-            # the numerator at k = 0 and n+2 along j, indexed by j
-            edges = [(cert_num(n, 0, js), cert_num(n, n + 2, js)) for n, js, _ in reads]
-            points = ((n, j) for n, js, _ in reads for j in js)
             grid = pair.term.grid(assign, "n", inner, "k", reads)
-            for (n, j), (row, scale, den) in zip(points, grid):
-                row = [scale * x for x in row]
-                for k, value, at_k in zip((0, n + 2), row, edges[n]):
-                    if value and not boundary_detail and at_k[j]:
-                        boundary_detail = f"G({n},{k}) != 0"
+            for (term_rows, scales, den), (n, js, _) in zip(grid, reads):
+                # the term along j at k = 0, n+2 and n+1; G's numerator is read only where
+                # the term is nonzero, and the first (j, k) where G is nonzero names the row
+                at_0, at_end, at_edge = zip(*term_rows)
+                hits = []
+                for k, at_k in ((0, at_0), (n + 2, at_end)) if not boundary_detail else ():
+                    if nonzero := [j for j, s, t in zip(js, scales, at_k) if s and t]:
+                        hits += [(j, k) for j, c in zip(nonzero, cert_num(n, k, nonzero)) if c]
+                if hits:
+                    boundary_detail = f"G({n},{min(hits)[1]}) != 0"
                 # base and edge values of the term itself
-                if n == 0 and row[0] != den:
+                if n == 0 and scales[0] * at_0[0] != den:
                     base_detail = "T(0,0) != 1"
-                if row[2] and not base_detail:
+                if any(map(mul, scales, at_edge)) and not base_detail:
                     base_detail = f"T({n},{n+1}) != 0"
         except (ZeroDivisionError, ValueError) as exc:
             # a ValueError: a factor that is not rational at this draw
@@ -301,12 +304,13 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
     try:
         inner = pair.extra_index
         reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
-        points = ((n, j) for n, js, _ in reads for j in js)
-        rows = pair.term.grid(assign, "n", inner, "k", reads, sums=True)
-        for (n, j), (row, scale, den) in zip(points, rows):
-            if scale * sum(row) != den:
-                return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={j}" if inner else "")
-                            + f" is {Fraction(scale * sum(row), den)}")
+        blocks = pair.term.grid(assign, "n", inner, "k", reads, sums=True)
+        for (rows, scales, den), (n, js, _) in zip(blocks, reads):
+            sums = list(map(mul, scales, map(sum, rows)))
+            if sums.count(den) < len(sums):
+                i = next(i for i, total in enumerate(sums) if total != den)
+                return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={js[i]}" if inner else "")
+                            + f" is {Fraction(sums[i], den)}")
     except TYPED_POLES as exc:
         return _row(pair, shown, "skipped", f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:

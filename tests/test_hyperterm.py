@@ -154,11 +154,27 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _flat(term, point, outer, inner, var, reads, sums=False):
+    """``term.grid``'s blocks over the reads, one ([the term at each k, times den], den)
+    per j in read order: a block has ints, den > 0, a row and a scale for every j and,
+    unless only sums are read, a value for every k; only the block right before the
+    exception that its next j raises may have fewer rows."""
+    short = False
+    for (rows, scales, den), (_, js, ks) in zip(term.grid(point, outer, inner, var, reads,
+                                                          sums=sums), reads):
+        assert not short and den > 0 and type(den) is int
+        assert len(rows) == len(scales) and 0 < len(rows) <= len(js) or len(js) == 0 == len(rows)
+        short = len(rows) < len(js)
+        for row, scale in zip(rows, scales):
+            assert (sums or len(row) == len(ks)) and all(type(v) is int for v in (scale, *row))
+            yield [scale * x for x in row], den
+    assert not short, "a shorter block must be followed by an exception"
+
+
 def _rows(term, point, inner, js, var, ks):
     """One m of ``term.grid``: for each j in js, ([the term at {**point, inner: j},
     var = k for k in ks] as ints, int den > 0)."""
-    for row, scale, den in term.grid(point, None, inner, var, ((0, js, ks),)):
-        yield [scale * x for x in row], den
+    return _flat(term, point, None, inner, var, ((0, js, ks),))
 
 
 def _assert_row_matches(term, assign, point, ks):
@@ -169,7 +185,6 @@ def _assert_row_matches(term, assign, point, ks):
 
     def by_row():
         row, den = next(_rows(term, {**assign, **point}, None, (0,), "k", ks))
-        assert den > 0 and all(type(v) is int for v in row)
         return [F(v, den) for v in row]
 
     assert _outcome(by_row) == _outcome(by_points), (assign, point, ks)
@@ -242,7 +257,6 @@ def _assert_rows_match(term, assign, n, js, ks):
 
     def by_rows():
         for row, den in _rows(term, {**assign, "n": n}, "j", js, "k", ks):
-            assert den > 0 and all(type(v) is int for v in row)
             yield [F(v, den) for v in row]
 
     assert _read(by_rows()) == _read(by_points()), (term.render(), assign, n, js, ks)
@@ -320,9 +334,8 @@ def _assert_grid_matches(term, assign, reads):
                 yield [_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks]
 
     def by_grid():
-        for row, scale, den in term.grid(assign, "n", "j", "k", reads):
-            assert den > 0 and all(type(v) is int for v in (scale, *row))
-            yield [F(scale * v, den) for v in row]
+        for row, den in _flat(term, assign, "n", "j", "k", reads):
+            yield [F(v, den) for v in row]
 
     assert _read(by_grid()) == _read(by_points()), (term.render(), assign, reads)
 
@@ -336,6 +349,13 @@ def _whole_draw_reads(n_max):
     return reads + [[(2, (), (0, 1))] + reads[0][::-1] + [(1, (1, 0), ())]]
 
 
+def _reference_sums(term, assign, reads):
+    """Each (n, j)'s sum over its ks through the per-point reference, in read order."""
+    for n, js, ks in reads:
+        for j in js:
+            yield sum(_reference(term, assign, {"n": n, "j": j, "k": k}) for k in ks)
+
+
 def test_one_grid_call_per_draw_agrees_with_a_per_point_reference():
     for name in ("thm1", "thm2", "thm3"):
         pair = load_pair(name)
@@ -346,6 +366,14 @@ def test_one_grid_call_per_draw_agrees_with_a_per_point_reference():
         for assign in draws:
             for reads in _whole_draw_reads(8):
                 _assert_grid_matches(pair.term, assign, reads)
+            # the reads the two checks make at n <= 8: k = 0, n+2, n+1 for the boundary
+            # and edge, and every sum over k = 0..n (thm1's by the Taylor step)
+            js = [range(n + 1) if pair.extra_index else (0,) for n in range(9)]
+            _assert_grid_matches(pair.term, assign, [(n, js[n], (0, n + 2, n + 1))
+                                                     for n in range(9)])
+            reads = [(n, js[n], range(n + 1)) for n in range(9)]
+            assert _sums(pair.term, assign, reads) == _read(
+                _reference_sums(pair.term, assign, reads)), (name, assign)
     # every term of test_rows_along_j_raise_the_first_failing_point, and the
     # healthy factors alone: C(t+n, n-j) reads a row per n, C(t+k, k) and
     # C(t, 4-k) one row each, fused into one weight row along k
@@ -370,8 +398,7 @@ def test_bound_term_keeps_the_pole_message():
 
 def _sums(term, assign, reads, sums=True):
     """The sum of each row grid reads, as a Fraction, up to the first exception."""
-    return _read(F(scale * sum(row), den) for row, scale, den
-                 in term.grid(assign, "n", "j", "k", reads, sums=sums))
+    return _read(F(sum(row), den) for row, den in _flat(term, assign, "n", "j", "k", reads, sums))
 
 
 def _counting(monkeypatch, name):
@@ -449,27 +476,29 @@ def test_stepped_kernel_rows_equal_fresh_rows(monkeypatch, top):
 
 
 def test_reciprocal_kernels_are_inverted_once_per_grid_call(monkeypatch):
-    # thm2's C(t+k, k)^-1 and C(s+t+n, s+t)^-1 read n-free kernels: one lcm
-    # each per grid call, not one per n; thm1's C(beta-alpha+n, n-j)^-1 moves
-    # with n and is inverted once per n
-    inversions = _counting(monkeypatch, "lcm")
+    # a reciprocal factor's kernel is its row of 1/C, built by products alone with
+    # nothing divided: thm2's C(t+k, k)^-1 and C(s+t+n, s+t)^-1 read n-free kernels,
+    # one row each per grid call, not one per n; thm1's C(beta+j, j)^-1 reads one row
+    # per call, and its C(beta-alpha+n, n-j)^-1 moves with n and is built once per n
+    inversions, divisions = _counting(monkeypatch, "reciprocal_row"), _counting(monkeypatch, "lcm")
     for name, per_call in (("thm2", 2), ("thm1", 1 + 9)):
         pair = load_pair(name)
         assign = draw(random.Random(f"inverse:{name}"), pair.params, 8)
         reads = [(n, range(n + 1), range(n + 3)) for n in range(9)]
         inversions.clear()
         _assert_grid_matches(pair.term, assign, reads)
-        assert len(inversions) == per_call
+        assert len(inversions) == per_call and not divisions
 
 
-@pytest.mark.parametrize("name, per_call, per_n", [("thm2", 2, 3), ("thm3", 1, 2)])
+@pytest.mark.parametrize("name, per_call, per_n", [("thm2", 4, 1), ("thm3", 2, 1)])
 def test_the_plan_reads_each_factor_once_per_call_or_once_per_n(monkeypatch, name, per_call,
                                                                  per_n):
     # each factor's role is fixed once per grid call: a factor of k alone whose kernel
     # and index are free of n (thm2's C(s, k) and C(t+k, k)^-1, thm3's C(s+k, k)) is
-    # read from its kernel once, into the fused weight row; a factor that moves with n
-    # (thm2's C(n, k), C(t+n, t) and C(s+t+n, s+t)^-1, thm3's C(n-p, n-k) and
-    # C(s+p, n)^-1) is read once per n
+    # read from its kernel once, into the fused weight row along k; a factor of n alone
+    # whose kernel is free of n (thm2's C(t+n, t) and C(s+t+n, s+t)^-1, thm3's
+    # C(s+p, n)^-1) once, into the weight row along n; a factor of k that moves with n
+    # (thm2's C(n, k), thm3's C(n-p, n-k)) is read once per n
     reads_of = _counting(monkeypatch, "_values")
     pair = load_pair(name)
     assign = draw(random.Random(f"plan:{name}"), pair.params, 8)
@@ -477,7 +506,7 @@ def test_the_plan_reads_each_factor_once_per_call_or_once_per_n(monkeypatch, nam
     counts = Counter(args[0] for args, _ in reads_of)        # by the factor's bound plan
     assert len(counts) == len(pair.term.factors) == per_call + per_n
     for (_, index, argument, _), reads in counts.items():
-        assert reads == (9 if index[1] or argument[1] else 1)
+        assert reads == (9 if argument[1] or index[1] and (index[2] or index[3]) else 1)
     assert sorted(counts.values()) == [1] * per_call + [9] * per_n
 
 

@@ -249,6 +249,33 @@ def _flip_factor(pair, index):
     return replace(pair, term=term)
 
 
+def test_sympy_rebuilds_each_residual_verdict_from_the_fixture_text():
+    # an independent residual: sympy reads each fixture's text (sign(e) as (-1)**e), puts
+    # T(n+1,k)/T(n,k) and T(n,k+1)/T(n,k) through combsimp and cancels the residual; its
+    # zero/nonzero verdict is certificate_residual's for the three pairs and for their
+    # scale-cert:2 and scale-cert:8/7 mutants
+    import sympy
+    from importlib import resources
+
+    symbols = {str(v): v for v in sympy.symbols("n k j alpha beta s t p")}
+    n, k = symbols["n"], symbols["k"]
+    for name in PAIR_NAMES:
+        text = resources.files("binomsums.fixtures").joinpath(f"{name}.wz").read_text()
+        fields = dict(line.split(":", 1) for raw in text.splitlines()
+                      if (line := raw.split("#", 1)[0]).strip())
+        term = sympy.sympify(fields["term"].replace("sign(", "(-1)**(").replace("^", "**")
+                             .replace("binom(", "binomial("), locals=symbols)
+        cert = sympy.sympify(fields["certificate"], locals=symbols)
+        r_n, r_k = (sympy.combsimp(term.subs(v, v + 1) / term) for v in (n, k))
+        for scale in ("1", "2", "8/7"):
+            c = cert * sympy.Rational(scale)
+            residual = sympy.cancel(int(fields["orientation"]) * (r_n - 1)
+                                    - c.subs(k, k + 1) * r_k + c)
+            pair = load_pair(name).scaled(F(scale)) if scale != "1" else load_pair(name)
+            assert (residual == 0) is certificate_residual(pair).is_zero is (scale == "1"), (
+                name, scale, residual)
+
+
 def test_mutated_pairs_fail():
     # Ten seeded mutations per pair.  Flipping a factor that moves under the
     # n/k shifts, or scaling the certificate, breaks the symbolic residual.
@@ -440,7 +467,7 @@ def test_telescoping_bare_division_by_zero_fails():
     class DividesByZero:
         def grid(self, point, outer, inner, var, reads, sums=False):
             for n, js, ks in reads:
-                yield [F(1) / (n - n)], 1, 1
+                yield [[F(1) / (n - n)]], [1], 1
 
     pair = replace(load_pair("thm2"), term=DividesByZero())
     results = telescoping_sum_check(pair, 2, [{"s": F(1, 2), "t": F(1, 3)}])
@@ -559,12 +586,59 @@ def test_verify_rows_equal_a_per_point_reference(make, n_max, seed):
     assert verify_wz_pair(pair, n_max=n_max, samples=20, seed=seed) == want
 
 
+# thm1 with C(k, j) and C(alpha, n-k) moved so that the term can be nonzero at k = n+2
+# and at k = 0 for j >= 2, times C(n-k+2, n+j-3), which at k = 0 and n+2 is 0 for n <= 1
+# and is nonzero at n = 2 only at (j, k) = (1, 4) and (2, 0): there G is first nonzero
+_BOUNDARY_IN_BLOCK = ("sign(n+k) * binom(beta+k,k) * binom(k+2*j-2,j) * binom(alpha,n-k+2)"
+                      " * binom(beta+j,j)^-1 * binom(beta-alpha+n,n-j)^-1 * binom(n-k+2,n+j-3)")
+
+
+def test_a_boundary_failing_inside_a_block_names_its_first_j():
+    # the block of n = 2 holds the first nonzero G; its first j is 1, where only
+    # G(2,4) is nonzero, so the row is G(2,4) != 0, as in the per-point walk.  Reading
+    # k = 0 for every j first, or taking the last failing j, would give G(2,0)
+    pair = replace(load_pair("thm1"), term=parse_term(_BOUNDARY_IN_BLOCK))
+    rows = verify_wz_pair(pair, n_max=4, samples=5)
+    assert rows == _per_point_rows(pair, 4, 5, 0)
+    assert [row.reason for row in rows[1::2]] == ["boundary: G(2,4) != 0"] * 5
+
+
+def _per_j_sums(pair, n_max, assign):
+    """The telescoping row's reason by a walk over (n, j), each sum of HyperTerm.evaluate."""
+    for n in range(n_max + 1):
+        for j in range(n + 1):
+            total = sum(pair.term.evaluate({**assign, "n": F(n), "j": F(j), "k": F(k)})
+                        for k in range(n + 1))
+            if total != 1:
+                return f"sum at n={n}, j={j} is {total}"
+    return "telescoped sum = 1"
+
+
+def test_a_sum_failing_inside_a_block_names_its_first_j(monkeypatch):
+    # binom(n+j-1, j) is 1 for n <= 1 and j+1 at n = 2: the block of n = 2, from one
+    # Taylor shift, fails at j = 1 and 2 (sums 2 and 3) but not at j = 0, and the row
+    # is the per-j walk's, with the Taylor step and without it
+    pair, n_max = _with_factor("thm1", "binom(n+j-1,j)"), 6
+    draws = [draw(random.Random(f"block-sum:{i}"), pair.params, n_max) for i in range(3)]
+    shifts = []
+    real_shift, real_grid = hyperterm.taylor_shift, hyperterm.HyperTerm.grid
+    monkeypatch.setattr(hyperterm, "taylor_shift", lambda *args: shifts.append(args) or
+                        real_shift(*args))
+    rows = telescoping_sum_check(pair, n_max, draws)
+    assert len(shifts) == 3 * 3         # n = 0, 1, 2 of each draw
+    assert [row.reason for row in rows] == [_per_j_sums(pair, n_max, a) for a in draws]
+    assert {row.reason for row in rows} == {"sum at n=2, j=1 is 2"}
+    monkeypatch.setattr(hyperterm.HyperTerm, "grid",
+                        lambda self, *args, sums=False: real_grid(self, *args))
+    assert telescoping_sum_check(pair, n_max, draws) == rows
+
+
 def test_each_factor_is_read_once_per_draw(monkeypatch):
-    # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j) do not
-    # move with n, so each is read once per draw, from its own row;
-    # C(beta-alpha+n, n-j) is built once per grid call and stepped by Pascal's
-    # rule from n to n+1 after that, and C(k, j) is read by math.comb: one
-    # kernel row per planned factor per check, 3 + 1
+    # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j)^-1 do not
+    # move with n, so each is read once per draw, from its own row (the reciprocal's
+    # row of 1/C by products alone); C(beta-alpha+n, n-j)^-1 moves with n and its row
+    # of 1/C is built once per n, and C(k, j) is read by math.comb: 3 + (n_max + 1)
+    # kernel rows per check
     grids = []
 
     def counting(kernel):
@@ -579,7 +653,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
 
     real_grid = hyperterm.HyperTerm.grid
     monkeypatch.setattr(hyperterm.HyperTerm, "grid", grid)
-    for name in ("binom_row", "rising_row"):
+    for name in ("binom_row", "rising_row", "reciprocal_row"):
         monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
@@ -590,7 +664,8 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
         grids.clear()
         assert check() is True
         calls = [read for reads in grids for read in reads]
-        assert len(calls) == 3 + 1, calls
+        assert len(calls) == 3 + n_max + 1, calls
+        assert [name for name, _ in calls].count("reciprocal_row") == 1 + n_max + 1, calls
 
 
 def test_a_non_rational_factor_is_a_fail_row():
