@@ -1,15 +1,17 @@
 """Exact-arithmetic verification of binomial-coefficient and harmonic-number
-summation identities: a catalog of two-sided identity checks, certified
-telescoping pairs with symbolic residual verification, Legendre polynomial
-representations, and a jet (truncated Taylor) oracle that rederives the
-harmonic corollaries by exact parameter differentiation.
+summation identities: the catalog of two-sided identities and its one check
+(``REGISTRY``, ``check_identity``); certified telescoping pairs with their
+symbolic residual and sampled checks (``builtin_pairs``,
+``certificate_residual``, ``verify_wz_pair``, ``telescoping_sum_check``);
+Legendre polynomial representations; the scalar binomials and harmonic and
+polygamma differences; and the jet ring ``Jet2`` with its ``oracle``, which
+rederives the harmonic corollaries by exact parameter differentiation.
 
-Everything is computed over ``fractions.Fraction``; no floating point
-anywhere.
+Every value is an exact rational; no floating point anywhere.
 """
 
 from .catalog.entries import REGISTRY, check_identity
-from .catalog.jets_oracle import derived_identity_via_jets, oracle
+from .catalog.jets_oracle import oracle
 from .exact import binom_poly, binom_upper_shift, digamma_diff, harmonic, trigamma_diff
 from .jets import Jet2
 from .legendre import legendre, legendre_inversion_check, legendre_new_repr
@@ -25,7 +27,6 @@ __all__ = [
     "builtin_pairs",
     "certificate_residual",
     "check_identity",
-    "derived_identity_via_jets",
     "digamma_diff",
     "harmonic",
     "legendre",

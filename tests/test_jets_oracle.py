@@ -11,12 +11,7 @@ from math import comb
 import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
-from binomsums.catalog.jets_oracle import (
-    DerivSpec,
-    derived_identity_via_jets,
-    lift_sides,
-    oracle,
-)
+from binomsums.catalog.jets_oracle import _id07_undivided, lift_sides, oracle
 from binomsums.exact import (binom_poly, digamma_diff, harmonic, harmonic_row,
                              over, render_rational, rising_row, trigamma_diff)
 
@@ -43,31 +38,20 @@ def test_order_zero_equals_plain_evaluation():
                                    for row, den in (entry.lhs(n, draw), entry.rhs(n, draw)))
                     assert left == right and left[n] == direct.lhs, (entry.id, n)
                     continue
-                left, right = derived_identity_via_jets(entry.id, DerivSpec(), n, draw)
+                left, right = lift_sides(entry.id, n, draw)
                 assert left == right, (entry.id, n)
-                assert left == direct.lhs and right == direct.rhs
+                assert left.value == direct.lhs and right.value == direct.rhs
 
 
-def test_spec_validation():
+def test_a_third_lifted_name_raises():
+    # a jet has two slots
+    draw = {"alpha": F(1, 3), "beta": F(1, 2), "x": F(3)}
     with pytest.raises(ValueError):
-        DerivSpec((("s", 2), ("t", 1)))
-    with pytest.raises(ValueError):
-        DerivSpec((("s", 1), ("t", 1), ("p", 1)))
-    with pytest.raises(ValueError):
-        lift_sides("ID07", DerivSpec((("p", 1),), rescale="nope"), 2,
-                   {"s": F(1), "p": F(0)})
-    # an order other than 1 or 2 read as a second derivative, a repeated
-    # name as a mixed derivative that is 0
-    for eps in ((("s", 0),), (("s", -1),), (("s", 1), ("s", 1))):
-        with pytest.raises(ValueError):
-            DerivSpec(eps)
+        lift_sides("ID03", 2, draw, "alpha", "beta", "x")
 
 
 def test_id15_reconstruction_spot():
-    pair = derived_identity_via_jets(
-        "ID07", DerivSpec((("p", 1),), rescale="binom_n_p"), 2,
-        {"s": F(1, 2), "p": F(0)})
-    assert pair == (F(-3, 16), F(-3, 16))
+    assert oracle("ID15", 2, s=F(1, 2)) == (F(-3, 16), F(-3, 16))
 
 
 def test_base_jets_agree_on_all_coefficients():
@@ -77,11 +61,9 @@ def test_base_jets_agree_on_all_coefficients():
     for n in (1, 4, 9):
         s = F(rng.randint(-30, 30), rng.randint(2, 9))
         t = F(rng.randint(1, 30), rng.randint(1, 9))
-        jl, jr = lift_sides("ID06", DerivSpec((("s", 1), ("t", 1))), n,
-                            {"s": s, "t": t})
+        jl, jr = lift_sides("ID06", n, {"s": s, "t": t}, "s", "t")
         assert jl == jr
-        p0 = F(0)
-        jl, jr = lift_sides("ID07", DerivSpec((("p", 2),)), n, {"s": s, "p": p0})
+        jl, jr = lift_sides("ID07", n, {"s": s, "p": F(0)}, "p")
         assert jl == jr
 
 
@@ -119,8 +101,7 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     with dd = psi(s+1) - psi(s-n+1) and td = psi'(s+1) - psi'(s-n+1) as
     rational differences.  At s = n the right side collapses to 4 H_n^2.
     """
-    jet_lhs, jet_rhs = derived_identity_via_jets(
-        "ID07", DerivSpec((("p", 2),), rescale="binom_n_p"), n, {"s": s, "p": F(0)})
+    jet_lhs, jet_rhs = (jet.second() for jet in _id07_undivided(n, s))
     bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
     h, _ = harmonic_row(n)
     h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too

@@ -11,7 +11,7 @@ import pytest
 
 from binomsums import hyperterm
 from binomsums.expr import ExprSyntaxError, parse_ratfunc, parse_term
-from binomsums.hyperterm import HyperTerm
+from binomsums.hyperterm import HyperTerm, HyperTermPole
 from binomsums.params import ResultRow, draw
 from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
 from binomsums.wz import (
@@ -27,6 +27,13 @@ from binomsums.wz import (
 )
 
 from ring_values import evaluate
+
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 F = Fraction
 
@@ -214,6 +221,41 @@ def test_each_pair_loads_once_and_an_unknown_name_raises_each_time():
 
 
 # ---------------------------------------------------------------------------
+# Parameter predicates against the terms
+# ---------------------------------------------------------------------------
+
+@needs_hypothesis
+@pytest.mark.parametrize("name, explicit", [
+    ("thm1", None), ("thm2", None),
+    # the predicate admits a positive integer p, where C(n-p, n-k) is 0/0 for n < p
+    pytest.param("thm3", {"s": F(1, 2), "p": F(3)}, marks=pytest.mark.xfail(
+        strict=True, raises=HyperTermPole, reason="thm3's predicate admits integer p > 0"))],
+    ids=PAIR_NAMES)
+def test_each_admitted_draw_reads_the_term_at_every_grid_point(name, explicit):
+    # every draw a pair's predicate admits reads its term at every n <= 8, j <= n and
+    # k <= n+2 without an exception; small denominators make integer values likely
+    pair, n_max = load_pair(name), 8
+    inner = pair.extra_index
+    reads = [(n, range(n + 1) if inner else (0,), range(n + 3)) for n in range(n_max + 1)]
+
+    def read_all(assign):
+        if pair.params.reject(n_max, assign) is None:
+            assert len(list(pair.term.grid(assign, "n", inner, "k", reads))) == n_max + 1
+
+    if explicit is not None:
+        read_all(explicit)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.fixed_dictionaries({v: st.builds(F, st.integers(-12, 12), st.integers(1, 3))
+                                  for v in pair.params.names}))
+    def check(assign):
+        assume(pair.params.reject(n_max, assign) is None)
+        read_all(assign)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
 # Symbolic residuals (the core certification)
 # ---------------------------------------------------------------------------
 
@@ -252,28 +294,47 @@ def _flip_factor(pair, index):
 def test_sympy_rebuilds_each_residual_verdict_from_the_fixture_text():
     # an independent residual: sympy reads each fixture's text (sign(e) as (-1)**e), puts
     # T(n+1,k)/T(n,k) and T(n,k+1)/T(n,k) through combsimp and cancels the residual; its
-    # zero/nonzero verdict is certificate_residual's for the three pairs and for their
-    # scale-cert:2 and scale-cert:8/7 mutants
+    # zero/nonzero verdict is certificate_residual's for the three pairs, for their
+    # scale-cert:2 and scale-cert:8/7 mutants and for each one-factor exponent flip, of
+    # which only thm1's binom(beta+j,j)^-1, free of n and k, leaves the residual zero
     import sympy
     from importlib import resources
 
     symbols = {str(v): v for v in sympy.symbols("n k j alpha beta s t p")}
     n, k = symbols["n"], symbols["k"]
+
+    def residual(term_text, cert, orientation):
+        term = sympy.sympify(term_text.replace("sign(", "(-1)**(").replace("^", "**")
+                             .replace("binom(", "binomial("), locals=symbols)
+        r_n, r_k = (sympy.combsimp(term.subs(v, v + 1) / term) for v in (n, k))
+        return sympy.cancel(orientation * (r_n - 1) - cert.subs(k, k + 1) * r_k + cert)
+
+    flips_left_zero = []
     for name in PAIR_NAMES:
         text = resources.files("binomsums.fixtures").joinpath(f"{name}.wz").read_text()
         fields = dict(line.split(":", 1) for raw in text.splitlines()
                       if (line := raw.split("#", 1)[0]).strip())
-        term = sympy.sympify(fields["term"].replace("sign(", "(-1)**(").replace("^", "**")
-                             .replace("binom(", "binomial("), locals=symbols)
+        orientation = int(fields["orientation"])
         cert = sympy.sympify(fields["certificate"], locals=symbols)
-        r_n, r_k = (sympy.combsimp(term.subs(v, v + 1) / term) for v in (n, k))
+        pair = load_pair(name)
         for scale in ("1", "2", "8/7"):
-            c = cert * sympy.Rational(scale)
-            residual = sympy.cancel(int(fields["orientation"]) * (r_n - 1)
-                                    - c.subs(k, k + 1) * r_k + c)
-            pair = load_pair(name).scaled(F(scale)) if scale != "1" else load_pair(name)
-            assert (residual == 0) is certificate_residual(pair).is_zero is (scale == "1"), (
-                name, scale, residual)
+            got = residual(fields["term"], cert * sympy.Rational(scale), orientation)
+            scaled = pair.scaled(F(scale)) if scale != "1" else pair
+            assert (got == 0) is certificate_residual(scaled).is_zero is (scale == "1"), (
+                name, scale, got)
+        pieces = [piece.strip() for piece in fields["term"].split(" * ")]
+        binoms = [i for i, piece in enumerate(pieces) if piece.startswith("binom(")]
+        assert len(binoms) == len(pair.term.factors)
+        for index, at in enumerate(binoms):
+            flipped = list(pieces)
+            flipped[at] = (pieces[at].removesuffix("^-1") if pieces[at].endswith("^-1")
+                           else pieces[at] + "^-1")
+            got = residual(" * ".join(flipped), cert, orientation)
+            assert (got == 0) is certificate_residual(_flip_factor(pair, index)).is_zero, (
+                name, flipped[at], got)
+            if got == 0:
+                flips_left_zero.append((name, pieces[at]))
+    assert flips_left_zero == [("thm1", "binom(beta+j,j)^-1")]
 
 
 def test_mutated_pairs_fail():
