@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from ..exact import over
-from ..params import TYPED_POLES, ParamSpec, draws, is_neg_int, not_negative_integers
+from ..params import TYPED_POLES, ParamSpec, ResultRow, draws, is_neg_int, not_negative_integers
 from . import lhs, rhs
 
 F = Fraction
@@ -235,28 +235,21 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-class CheckResult(NamedTuple):
-    id: str
-    n: int
-    lhs: Fraction | None
-    rhs: Fraction | None
-    status: str          # pass | fail | skipped
-    reason: str = ""
-
-
 def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
-                   entries: dict[str, IdentityEntry] | None = None) -> CheckResult:
-    """Evaluate both sides; pass iff exactly equal.
+                   entries: dict[str, IdentityEntry] | None = None,
+                   params: dict[str, str] | None = None) -> ResultRow:
+    """The report's row of one check; pass iff both sides are exactly equal.
 
     Skipped where the predicate rejects the assignment at n + 1 or a side hits
     a typed pole; a fail row naming any other division by zero.  For an entry
     with an inner index both sides are rows over 0..n (module docstring); the
-    first index where they differ is reported, n for a pass.
-    """
+    first index where they differ is reported, n for a pass.  ``params`` is
+    the draw as the report shows it, by default the assignment rendered."""
     entry = (entries or REGISTRY)[entry_id]
+    params = {k: str(v) for k, v in assignment.items()} if params is None else params
     reason = entry.params.reject(n + 1, assignment)
     if reason is not None:
-        return CheckResult(entry_id, n, None, None, "skipped", reason)
+        return ResultRow(entry_id, params, n, None, None, "skipped", reason)
     try:
         left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
         if entry.inner_index:       # each side is its whole j-row (row, den)
@@ -266,12 +259,12 @@ def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
             tag = f" at {entry.inner_index}={j}"
         status = "pass" if left == right else "fail"
     except TYPED_POLES as exc:
-        return CheckResult(entry_id, n, None, None, "skipped", f"pole: {exc}")
+        return ResultRow(entry_id, params, n, None, None, "skipped", f"pole: {exc}")
     except ZeroDivisionError as exc:
-        return CheckResult(entry_id, n, None, None, "fail",
-                           f"unexpected {type(exc).__name__}: {exc}")
-    return CheckResult(entry_id, n, left, right, status,
-                       f"sides differ{tag}" if status == "fail" else "")
+        return ResultRow(entry_id, params, n, None, None, "fail",
+                         f"unexpected {type(exc).__name__}: {exc}")
+    return ResultRow(entry_id, params, n, left, right, status,
+                     f"sides differ{tag}" if status == "fail" else "")
 
 
 def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,

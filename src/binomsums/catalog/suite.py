@@ -2,7 +2,7 @@
 
 A run is fully determined by (seed, n_max override, samples, filter,
 mutations): parameter draws are seeded per entry id, rows are emitted in
-(id, n, draw) order, and rationals are rendered in the canonical string
+(id, n, draw) order, and the writers render sides in the canonical rational
 format, so repeated runs are byte-identical.
 
 ``catalog_rows`` and ``wz_rows`` yield rows as they are checked and the writers
@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
 from ..params import MAX_TRIES, ResultRow, draws
-from ..wz import PAIR_NAMES, builtin_pairs, telescoping_sum_check, verify_wz_pair
+from ..wz import builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
 __all__ = ["SuiteConfig", "ResultRow", "catalog_rows", "run_catalog", "run_wz",
@@ -46,6 +46,11 @@ def _params_block(items: tuple) -> str:
             if items else "{}")
 
 
+def _sides(r: ResultRow) -> tuple[str | None, str | None]:
+    lhs = None if r.lhs is None else render_rational(r.lhs)
+    return lhs, lhs if r.status == "pass" else None if r.rhs is None else render_rational(r.rhs)
+
+
 def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[str, int]:
     """Write the JSON report to ``out``, each row as it arrives; its counts."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
@@ -54,11 +59,12 @@ def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     for r in rows:
         counts[r.status] += 1
         params = _params_block(tuple(r.params.items()))
+        lhs, rhs = _sides(r)
         out.write(
             f'{start}    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
             f'      "n": {"null" if r.n is None else int.__repr__(r.n)},\n'
-            f'      "lhs": {"null" if r.lhs is None else _str(r.lhs)},\n'
-            f'      "rhs": {"null" if r.rhs is None else _str(r.rhs)},\n'
+            f'      "lhs": {"null" if lhs is None else _str(lhs)},\n'
+            f'      "rhs": {"null" if rhs is None else _str(rhs)},\n'
             f'      "status": {_str(r.status)},\n'
             f'      "reason": {_str(r.reason)}\n    }}')
         start = ",\n"
@@ -75,22 +81,18 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     for r in rows:
         counts[r.status] += 1
         params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
-        n = "-" if r.n is None else r.n
-        out.write(f"\n{r.id:<9} n={n:<4} {params:<28} lhs={r.lhs or '-'} rhs={r.rhs or '-'} "
+        n, lhs, rhs = ("-" if value is None else value for value in (r.n, *_sides(r)))
+        out.write(f"\n{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} "
                   f"{r.status}{f'  ({r.reason})' if r.reason else ''}")
     out.write(f"\npass={counts['pass']} fail={counts['fail']} skipped={counts['skipped']}")
     return counts
-
-
-def _selected(only: tuple[str, ...], name: str) -> bool:
-    return not only or name in only
 
 
 def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
     """Every selected entry at every n up to its depth, for every draw."""
     entries = apply_mutations(config.mutations)
     for entry_id, entry in entries.items():
-        if not _selected(config.only, entry_id):
+        if config.only and entry_id not in config.only:
             continue
         n_max = config.n_max if config.n_max is not None else entry.n_max
         drawn = draw_for_entry(entry, config.seed, config.samples, n_max)
@@ -100,21 +102,16 @@ def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
                 if assign is None:
                     yield ResultRow(entry_id, {}, n, None, None, "skipped",
                                     f"no admissible draw after {MAX_TRIES} tries")
-                    continue
-                result = check_identity(entry_id, n, assign, entries)
-                lhs = None if result.lhs is None else render_rational(result.lhs)
-                rhs = (lhs if result.status == "pass" else   # equal sides: one string
-                       None if result.rhs is None else render_rational(result.rhs))
-                yield ResultRow(entry_id, params, n, lhs, rhs, result.status, result.reason)
+                else:
+                    yield check_identity(entry_id, n, assign, entries, params)
 
 
 def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
     """Symbolic + boundary + telescoping rows for the selected pairs."""
     n_max = config.n_max if config.n_max is not None else WZ_N_MAX
-    for name in PAIR_NAMES:
-        if not (_selected(config.only, name) or _selected(config.only, f"WZ-{name}")):
+    for name, pair in builtin_pairs().items():
+        if config.only and name not in config.only:
             continue
-        pair = builtin_pairs()[name]
         if config.wz_scale is not None:
             pair = pair.scaled(config.wz_scale)
         yield from verify_wz_pair(pair, n_max=n_max, samples=config.samples, seed=config.seed)

@@ -17,7 +17,7 @@ with one generator per key: ``"{seed}:{entry id}"`` (catalog),
 and the ``n_max`` handed to the predicate are part of the byte-stable report.
 
 A :class:`ResultRow` is one verdict of the report, as the catalog and the
-certificate checks give it and the writers write it.
+certificate checks give it; its sides are values, which the writers render.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ResultRow(NamedTuple):
     id: str
     params: dict[str, str]
     n: int | None
-    lhs: str | None
-    rhs: str | None
+    lhs: Fraction | None
+    rhs: Fraction | None
     status: str                        # pass | fail | skipped
     reason: str = ""
 

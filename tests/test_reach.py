@@ -44,7 +44,7 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (434 of 1 610)
+# never-run statements per module under the commands above (433 of 1 602)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
@@ -52,7 +52,7 @@ BUDGET = {
     "catalog/jets_oracle.py": 39,
     "catalog/lhs.py": 0,
     "catalog/rhs.py": 0,
-    "catalog/suite.py": 4,
+    "catalog/suite.py": 3,
     "cli.py": 25,
     "exact.py": 25,
     "expr.py": 34,

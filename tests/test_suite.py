@@ -10,6 +10,7 @@ from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import (ResultRow, SuiteConfig, run_catalog, run_wz, suite_rows,
                                      write_json, write_text)
 from binomsums.cli import main
+from binomsums.exact import render_rational
 
 F = Fraction
 
@@ -21,14 +22,18 @@ def _counts(rows):
             for status in ("pass", "fail", "skipped")}
 
 
+def _rendered(side):
+    return None if side is None else render_rational(side)
+
+
 def _json_dict(suite, seed, rows):
     """The report as a dict: json.dumps(indent=2) of it is the reference for write_json."""
     return {
         "suite": suite,
         "seed": seed,
         "results": [
-            {"id": r.id, "params": r.params, "n": r.n, "lhs": r.lhs,
-             "rhs": r.rhs, "status": r.status, "reason": r.reason}
+            {"id": r.id, "params": r.params, "n": r.n, "lhs": _rendered(r.lhs),
+             "rhs": _rendered(r.rhs), "status": r.status, "reason": r.reason}
             for r in rows
         ],
         "summary": _counts(rows),
@@ -59,9 +64,8 @@ def test_deterministic_repeat():
 
 def test_json_writer_matches_json_dumps():
     tricky = ResultRow("ID\u00e9", {"x": 'a"b\\c\nd', "\u00fc\t": "\u2028\U0001f600\x00"},
-                       -3, "1/2", None, "fail", 'quote " backslash \\ newline \n caf\u00e9 \x7f')
-    pole = check_identity("ID15", 3, {"s": F(2)})
-    pole_row = ResultRow("ID15", {"s": "2"}, 3, None, None, pole.status, pole.reason)
+                       -3, F(1, 2), None, "fail", 'quote " backslash \\ newline \n caf\u00e9 \x7f')
+    pole_row = check_identity("ID15", 3, {"s": F(2)})
     flipped = run_catalog(SuiteConfig(n_max=3, samples=2, only=("ID24",),
                                       mutations=("id24-flip-h2n",)))
     empty = run_catalog(SuiteConfig(samples=0, only=("ID01",)))
@@ -73,7 +77,7 @@ def test_json_writer_matches_json_dumps():
         ("catalog", 0, flipped),
         ("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
     ]
-    assert not empty and pole_row.status == "skipped"
+    assert not empty and pole_row.status == "skipped" and pole_row.params == {"s": "2"}
     assert (_cli_json("check", "ID01", "--samples", "0")
             == _written(write_json, "check:ID01", 0, empty) + "\n")
     rows = [row for _, _, report in reports for row in report]
@@ -166,7 +170,7 @@ def test_text_rendering_contains_rows_and_summary():
     assert text.splitlines()[-1].startswith("pass=")
 
 
-STREAMED = [ResultRow("ID01", {"x": f"{i}/7"}, i, "1", "1", ("pass", "fail", "skipped")[i % 3],
+STREAMED = [ResultRow("ID01", {"x": f"{i}/7"}, i, F(1), F(1), ("pass", "fail", "skipped")[i % 3],
                       f"row-{i}:") for i in range(7)]
 
 
@@ -186,6 +190,19 @@ def test_writers_hold_no_row():
         assert out.getvalue() == _written(writer, "streamed", 5, STREAMED)
     assert (_written(write_json, "streamed", 5, STREAMED)
             == json.dumps(_json_dict("streamed", 5, STREAMED), indent=2))
+
+
+def test_a_zero_side_prints_0_in_both_writers():
+    # ID05 at an integer lam below n: 4^n C(lam, n) = 0, as in the seed-0 text report
+    row = check_identity("ID05", 22, {"lam": F(21)})
+    assert row.status == "pass" and row.lhs == row.rhs == 0
+    fails = [ResultRow("ID05", {}, 1, F(0), F(1), "fail", ""),
+             ResultRow("ID05", {}, 1, F(1), F(0), "fail", "")]
+    text = _written(write_text, "check:ID05", 0, [row, *fails]).splitlines()
+    assert [line.split()[3:5] for line in text[1:4]] == [
+        ["lhs=0", "rhs=0"], ["lhs=0", "rhs=1"], ["lhs=1", "rhs=0"]]
+    report = json.loads(_written(write_json, "check:ID05", 0, [row, *fails]))
+    assert [(r["lhs"], r["rhs"]) for r in report["results"]] == [("0", "0"), ("0", "1"), ("1", "0")]
 
 
 def test_rows_of_one_draw_share_its_rendered_params():

@@ -12,7 +12,8 @@ import pytest
 from binomsums import hyperterm
 from binomsums.expr import ExprSyntaxError, parse_ratfunc, parse_term
 from binomsums.hyperterm import HyperTerm, HyperTermPole
-from binomsums.params import ResultRow, draw
+from binomsums.catalog.entries import REGISTRY
+from binomsums.params import TYPED_POLES, ResultRow, draw, draws
 from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
 from binomsums.wz import (
     PAIR_NAMES,
@@ -742,3 +743,55 @@ def test_a_non_rational_factor_is_a_fail_row():
     assert len(rows) == 4 and all(row.status == "fail" for row in rows[1:])
     assert all(row.reason.startswith(f"draw-{i}: unexpected ValueError: binom(")
                for i, row in enumerate(rows[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Pair-entry links
+# ---------------------------------------------------------------------------
+
+# each pair's T is the summand of the entry named here over that entry's right side
+LINKED_ENTRY = {"thm1": "ID04", "thm2": "ID06", "thm3": "ID07"}
+# thm3's predicate admits a positive integer p; its term's 0/0 there is at k = n+2 alone
+# (the xfail above), so the sums over k <= n read no pole and the link holds
+LINK_DRAWS = {"thm3": [{"s": F(1, 2), "p": F(3)}]}
+
+
+def _link(pair, assigns, n_max=8):
+    """(checked, poles, mismatches) over the assignments: sum_k T(n,k), read through
+    HyperTerm.grid, times the linked entry's right side against its left side at every
+    n <= n_max (and j <= n for thm1); a draw on which T raises a typed pole is counted."""
+    entry, inner = REGISTRY[LINKED_ENTRY[pair.name]], pair.extra_index
+    reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
+    checked, poles, mismatches = 0, 0, []
+    for assign in assigns:
+        try:
+            blocks = list(pair.term.grid(assign, "n", inner, "k", reads, sums=True))
+        except TYPED_POLES:
+            poles += 1
+            continue
+        checked += 1
+        for n, (rows, scales, den) in enumerate(blocks):
+            sums = [F(scale * sum(row), den) for scale, row in zip(scales, rows)]
+            left, right = entry.lhs(n, assign), entry.rhs(n, assign)
+            if inner:           # ID04's sides are rows over j, each over one den
+                (lrow, lden), (rrow, rden) = left, right
+                left, right = [F(v, lden) for v in lrow], [F(v, rden) for v in rrow]
+            else:
+                left, right = [left], [right]
+            if [t * r for t, r in zip(sums, right)] != left:
+                mismatches.append((n, assign))
+    return checked, poles, mismatches
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_each_pair_sums_to_its_entrys_sides(name):
+    pair, n_max = load_pair(name), 8
+    assigns = [a for a in [*draws(f"link:{name}", pair.params, n_max, 3), *LINK_DRAWS.get(name, [])]
+               if a is not None and pair.params.reject(n_max, a) is None]
+    checked, poles, mismatches = _link(pair, assigns, n_max)
+    assert not mismatches and not poles and checked == len(assigns) >= 3
+    # with one factor's exponent flipped the term no longer sums to the entry's sides,
+    # or has a pole on all but at most one draw (thm1's binom(k,j)^-1, on every draw)
+    for index in range(len(pair.term.factors)):
+        checked, _, mismatches = _link(_flip_factor(pair, index), assigns, n_max)
+        assert mismatches or checked < 2, (name, index)
