@@ -18,9 +18,9 @@ same objects, and the key holds strong references, so no id is reused while
 it is the key.
 
 :func:`check_identity` is the one guarded evaluation.  It reports "skipped"
-only for an assignment the predicate excludes at n + 1 or a typed pole (see
-:data:`~binomsums.params.TYPED_POLES`); any other division by zero is a
-"fail" row that names the exception.  :func:`draw_for_entry` draws through
+only for an assignment the predicate excludes at n + 1 or a
+:class:`~binomsums.exact.Pole`; any other division by zero is a "fail" row
+that names the exception.  :func:`draw_for_entry` draws through
 :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from ..exact import over
-from ..params import TYPED_POLES, ParamSpec, ResultRow, draws, is_neg_int, not_negative_integers
+from ..exact import Pole, over
+from ..params import (ParamSpec, ResultRow, draws, is_neg_int, not_negative_integers,
+                      render_draw)
 from . import lhs, rhs
 
 F = Fraction
@@ -241,12 +242,12 @@ def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
     """The report's row of one check; pass iff both sides are exactly equal.
 
     Skipped where the predicate rejects the assignment at n + 1 or a side hits
-    a typed pole; a fail row naming any other division by zero.  For an entry
+    a ``Pole``; a fail row naming any other division by zero.  For an entry
     with an inner index both sides are rows over 0..n (module docstring); the
     first index where they differ is reported, n for a pass.  ``params`` is
     the draw as the report shows it, by default the assignment rendered."""
     entry = (entries or REGISTRY)[entry_id]
-    params = {k: str(v) for k, v in assignment.items()} if params is None else params
+    params = render_draw(assignment) if params is None else params
     reason = entry.params.reject(n + 1, assignment)
     if reason is not None:
         return ResultRow(entry_id, params, n, None, None, "skipped", reason)
@@ -258,7 +259,7 @@ def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
             left, right = over(lrow[j], lden), over(rrow[j], rden)
             tag = f" at {entry.inner_index}={j}"
         status = "pass" if left == right else "fail"
-    except TYPED_POLES as exc:
+    except Pole as exc:
         return ResultRow(entry_id, params, n, None, None, "skipped", f"pole: {exc}")
     except ZeroDivisionError as exc:
         return ResultRow(entry_id, params, n, None, None, "fail",

@@ -20,7 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
-from ..params import MAX_TRIES, ResultRow, draws
+from ..params import MAX_TRIES, ResultRow, draws, render_draw
 from ..wz import builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
@@ -96,7 +96,7 @@ def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
             continue
         n_max = config.n_max if config.n_max is not None else entry.n_max
         drawn = draw_for_entry(entry, config.seed, config.samples, n_max)
-        shown = [None if a is None else {k: str(v) for k, v in a.items()} for a in drawn]
+        shown = [None if a is None else render_draw(a) for a in drawn]
         for n in range(n_max + 1):
             for assign, params in zip(drawn, shown):
                 if assign is None:

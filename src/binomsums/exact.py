@@ -21,7 +21,7 @@ No kernel divides in the input's ring.  ``binom_row``, ``rising_row``,
 ``reciprocal_row``, ``power_row`` and ``legendre_row`` are one builder,
 ``_row``, that only multiplies; ``reciprocal_row``'s den is the product of
 the rising factors, so a vanishing C(b+k, k) raises the ring's own
-``ZeroDivisionError`` at its ``over`` (``JetDivisionPole`` for a jet).  A
+``ZeroDivisionError`` at its ``over`` (``Pole`` for a jet).  A
 ``Drawn`` value, as ``params.draw`` hands out, keeps each builder kernel's
 last row: checked at n = 0, 1, ..., a draw's row grows by one entry per n,
 and the second side reads it as it is.  So do the n-free arguments the catalog derives from a
@@ -58,9 +58,8 @@ from math import comb, lcm
 from .poly import MultiPoly, RatFunc
 
 __all__ = [
-    "DigammaPole",
     "Drawn",
-    "TrigammaPole",
+    "Pole",
     "binom_poly",
     "binom_row",
     "binom_upper_shift",
@@ -85,20 +84,8 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
-class DigammaPole(ZeroDivisionError):
-    """Raised when psi(s+1) - psi(s-n+1) is evaluated at s in {0, .., n-1}."""
-
-    def __init__(self, index: int):
-        super().__init__(f"digamma pole: s - {index} vanishes")
-        self.index = index
-
-
-class TrigammaPole(ZeroDivisionError):
-    """Raised when psi'(s+1) - psi'(s-n+1) is evaluated at s in {0, .., n-1}."""
-
-    def __init__(self, index: int):
-        super().__init__(f"trigamma pole: s - {index} vanishes")
-        self.index = index
+class Pole(ZeroDivisionError):
+    """A term with no value at a draw: the only exception a check reports as skipped."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +118,6 @@ def parse_rational(text: str) -> Fraction:
 
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n^(order) = sum_{i=1..n} 1/i^order, with H_0 = 0."""
-    if n < 0:
-        raise IndexError("harmonic numbers are indexed by n >= 0")
     row, den = harmonic_row(n, order)
     return Fraction(row[n], den)
 
@@ -386,13 +371,13 @@ def binom_upper_shift(b, m: int):
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
-def _pole_sum(s, n: int, power: int, pole):
+def _pole_sum(s, n: int, power: int):
     """sum_{i=0..n-1} 1/(s-i)^power for power 1 or 2, as one row sum.
 
     At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, so the
     sum is q^power sum_i prefix_i suffix_{i+1} over prod_i f_i, where prefix_i
     and suffix_i are the products of the f below i and from i on, and ``over``
-    divides once.  Raises ``pole(i)`` at the first i with s = i, when s is one
+    divides once.  Raises ``Pole`` at the first i with s = i, when s is one
     of 0, 1, ..., n-1 (for jets: when the base point is).
     """
     if n < 0:
@@ -415,15 +400,16 @@ def _pole_sum(s, n: int, power: int, pole):
             try:
                 1 / (s - i)
             except ZeroDivisionError:
-                raise pole(i) from exc
+                name = "digamma" if power == 1 else "trigamma"
+                raise Pole(f"{name} pole: s - {i} vanishes") from exc
         raise
 
 
 def digamma_diff(s, n: int):
-    """psi(s+1) - psi(s-n+1) = sum_{i<n} 1/(s-i), H_n at s = n; DigammaPole at a pole."""
-    return _pole_sum(s, n, 1, DigammaPole)
+    """psi(s+1) - psi(s-n+1) = sum_{i<n} 1/(s-i), H_n at s = n; Pole at a pole."""
+    return _pole_sum(s, n, 1)
 
 
 def trigamma_diff(s, n: int):
-    """psi'(s+1) - psi'(s-n+1) = -sum_{i<n} 1/(s-i)^2, -H_n^(2) at s = n; TrigammaPole at a pole."""
-    return -_pole_sum(s, n, 2, TrigammaPole)
+    """psi'(s+1) - psi'(s-n+1) = -sum_{i<n} 1/(s-i)^2, -H_n^(2) at s = n; Pole at a pole."""
+    return -_pole_sum(s, n, 2)

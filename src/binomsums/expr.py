@@ -24,8 +24,9 @@ There is no syntax tree: each grammar rule returns the canonical
 ``+ - * / **`` in the order the rules finish (left operand, right operand,
 then the operator).  Syntax errors are :class:`ExprSyntaxError` with the
 offset of the first bad token; in :func:`parse_ratfunc` an unknown variable
-(``ValueError``) and a zero divisor (``ZeroDenominator``) come from the ring,
-with the offset of the name or of the divisor's first token as ``offset``.
+(``ValueError``) and a zero divisor (``ZeroDivisionError``) come from the
+ring, with the offset of the name or of the divisor's first token as
+``offset``.
 :func:`parse_term` reads a spec into a :class:`~binomsums.hyperterm.HyperTerm`.
 Its arguments are affine, judged on the canonical form: n*k-n*k+n reads as n,
 while n*k, n^2+1 and 1/n are rejected.  A binomial's exponent is 1, +1 or -1,

@@ -35,24 +35,11 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul, sub
 
-from .exact import (binom_poly, binom_row, binom_upper_shift, pascal_step, reciprocal_row,
-                    rising_row, taylor_shift)
+from .exact import (Pole, binom_poly, binom_row, binom_upper_shift, pascal_step,
+                    reciprocal_row, rising_row, taylor_shift)
 from .poly import VARS, MultiPoly, RatFunc
 
-__all__ = [
-    "AffineForm",
-    "HyperTerm",
-    "HyperTermPole",
-    "NonHypergeometricShift",
-]
-
-
-class NonHypergeometricShift(ValueError):
-    """A unit shift moved a binomial argument by a non-integer."""
-
-
-class HyperTermPole(ZeroDivisionError):
-    """A denominator binomial vanished at the assignment."""
+__all__ = ["AffineForm", "HyperTerm"]
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,8 @@ class HyperTerm:
                     for (top, bottom), (top_form, bottom_form, exp) in zip(forms, self.factors):
                         f = _eval_binomial(_at(top, m, j, k), _at(bottom, m, j, k))
                         if exp == -1 and not f:
-                            raise HyperTermPole(f"binom({top_form.render()},{bottom_form.render()})"
-                                                " vanished in a denominator")
+                            raise Pole(f"binom({top_form.render()},{bottom_form.render()})"
+                                       " vanished in a denominator")
                         rows[-1][-1] *= f ** exp
         except (ValueError, ZeroDivisionError):
             del rows[-1]
@@ -278,13 +265,13 @@ class HyperTerm:
         """T(name+1)/T(name) as a canonical rational function, one gcd for all factors."""
         delta_sign = self.sign.coeff(name)
         if delta_sign.denominator != 1:
-            raise NonHypergeometricShift(
+            raise ValueError(
                 f"sign exponent moves by {delta_sign} under a unit shift of {name}")
         parts = [MultiPoly.const(-1 if int(delta_sign) % 2 else 1), MultiPoly.const(1)]
         for top, bottom, exp in self.factors:
             a, b = top.coeff(name), bottom.coeff(name)
             if a.denominator != 1 or b.denominator != 1:
-                raise NonHypergeometricShift(
+                raise ValueError(
                     f"binom({top.render()},{bottom.render()}) shifts by a non-integer in {name}")
             top_poly, bottom_poly = top.to_poly(), bottom.to_poly()
             for x, m, side in ((top_poly + 1, int(a), 0), (bottom_poly + 1, int(b), 1),
@@ -386,8 +373,7 @@ def _eval_binomial(t: Fraction, b: Fraction) -> Fraction:
     if b.denominator == 1:
         if b < 0:
             if t.denominator == 1 and t < 0:
-                raise HyperTermPole(
-                    f"binom({t},{b}) is indeterminate (0/0 ratio of poles)")
+                raise Pole(f"binom({t},{b}) is indeterminate (0/0 ratio of poles)")
             return Fraction(0)
         return binom_poly(t, int(b))
     diff = t - b

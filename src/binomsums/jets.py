@@ -35,14 +35,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["Jet2", "JetDivisionPole"]
+from .exact import Pole
+
+__all__ = ["Jet2"]
 
 _new = object.__new__
 _KEYS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-
-
-class JetDivisionPole(ZeroDivisionError):
-    """Division by a jet whose constant coefficient is zero."""
 
 
 def _jet(slots: tuple, den: int = 1) -> "Jet2":
@@ -160,10 +158,10 @@ class Jet2:
     __rmul__ = __mul__
 
     def inverse(self) -> "Jet2":
-        """Multiplicative inverse by series inversion to order 2."""
+        """Multiplicative inverse by series inversion to order 2; Pole at a zero constant term."""
         a0, a1, a2, a11, a12, a22 = self._s
         if not a0:
-            raise JetDivisionPole("jet division pole")
+            raise Pole("jet division pole")
         # self = (a0 + u) / d with u nilpotent, so 1/self = d (a0^2 - a0 u + u^2) / a0^3
         d = self._d if a0 > 0 else -self._d
         return _jet((d * a0 * a0, -d * a0 * a1, -d * a0 * a2, d * (a1 * a1 - a0 * a11),
@@ -174,7 +172,7 @@ class Jet2:
             return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if not other:
-                raise JetDivisionPole("jet division pole")
+                raise Pole("jet division pole")
             return self * Fraction(other.denominator, other.numerator)
         return NotImplemented
 

@@ -5,10 +5,10 @@ A :class:`ParamSpec` names an identity's free parameters and holds its
 rejection predicate ``reject(n_max, assignment) -> reason | None``, which
 encodes the statement's hypotheses (e.g. "alpha, beta are not negative
 integers") and the values where an evaluation would hit a pole.  An
-assignment that passes the predicate may still land on one of the typed
-poles in :data:`TYPED_POLES`; those are the only exceptions a check may
-report as "skipped".  Any other division by zero is a defect of the
-evaluator and is reported as a failure.
+assignment that passes the predicate may still land on a
+:class:`~binomsums.exact.Pole`, the only exception a check may report as
+"skipped".  Any other division by zero is a defect of the evaluator and is
+reported as a failure.
 
 :func:`draw` is the one seeded draw, and :func:`draws` the one loop over it,
 with one generator per key: ``"{seed}:{entry id}"`` (catalog),
@@ -17,7 +17,8 @@ with one generator per key: ``"{seed}:{entry id}"`` (catalog),
 and the ``n_max`` handed to the predicate are part of the byte-stable report.
 
 A :class:`ResultRow` is one verdict of the report, as the catalog and the
-certificate checks give it; its sides are values, which the writers render.
+certificate checks give it; its sides are values, which the writers render,
+and its draw is :func:`render_draw`'s.
 """
 
 from __future__ import annotations
@@ -27,17 +28,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .exact import DigammaPole, Drawn, TrigammaPole
-from .hyperterm import HyperTermPole
-from .jets import JetDivisionPole
+from .exact import Drawn
 
-__all__ = ["BOUND", "MAX_TRIES", "ParamSpec", "ResultRow", "TYPED_POLES", "draw", "draws",
-           "is_neg_int", "not_negative_integers"]
+__all__ = ["BOUND", "MAX_TRIES", "ParamSpec", "ResultRow", "draw", "draws", "is_neg_int",
+           "not_negative_integers", "render_draw"]
 
 MAX_TRIES = 1000
 BOUND = 100                            # a drawn value's numerator and denominator bound
-
-TYPED_POLES = (DigammaPole, TrigammaPole, JetDivisionPole, HyperTermPole)
 
 
 class ResultRow(NamedTuple):
@@ -48,6 +45,11 @@ class ResultRow(NamedTuple):
     rhs: Fraction | None
     status: str                        # pass | fail | skipped
     reason: str = ""
+
+
+def render_draw(assign: Mapping[str, Fraction]) -> dict[str, str]:
+    """A draw as the report shows it: each value as ``str`` gives it."""
+    return {k: str(v) for k, v in assign.items()}
 
 
 def _accept(n_max: int, a: Mapping[str, Fraction]) -> str | None:

@@ -68,8 +68,6 @@ __all__ = [
     "VARS",
     "MultiPoly",
     "RatFunc",
-    "RatFuncPole",
-    "ZeroDenominator",
     "poly_gcd",
     "unpack",
 ]
@@ -88,14 +86,6 @@ _UNITS = tuple((1 << _W * i) + _DEG for i in reversed(range(_NVARS)))
 _GUARDS = sum(1 << _W * i + _W - 1 for i in range(_NVARS))
 
 _F1 = Fraction(1)
-
-
-class ZeroDenominator(ZeroDivisionError):
-    """A rational function was built with the zero polynomial below the bar."""
-
-
-class RatFuncPole(ZeroDivisionError):
-    """Evaluation hit a zero of the denominator."""
 
 
 def _pack(exp: tuple[int, ...]) -> int:
@@ -561,7 +551,7 @@ class RatFunc:
 
     def __init__(self, num: MultiPoly, den: MultiPoly):
         if den.is_zero:
-            raise ZeroDenominator("zero denominator expression")
+            raise ZeroDivisionError("zero denominator expression")
         if num.is_zero:
             self.num = MultiPoly.zero()
             self.den = MultiPoly.const(1)
@@ -650,7 +640,7 @@ class RatFunc:
         if o is None:
             return NotImplemented
         if o.num.is_zero:
-            raise ZeroDenominator("zero denominator expression")
+            raise ZeroDivisionError("zero denominator expression")
         return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):

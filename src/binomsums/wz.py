@@ -33,9 +33,9 @@ id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
 and its draws come from :func:`binomsums.params.draws`, the catalog's draw
-loop, keyed ``"{seed}:wz:{pair}"``.  In the telescoping check only a typed
-pole (:data:`~binomsums.params.TYPED_POLES`) is a skip; any other division
-by zero, and a factor that is not rational at the draw, is a failure.
+loop, keyed ``"{seed}:wz:{pair}"``.  In the telescoping check only a
+:class:`~binomsums.exact.Pole` is a skip; any other division by zero, and a
+factor that is not rational at the draw, is a failure.
 
 The three shipped pairs live as plain-text fixtures next to this module;
 each file carries exactly the lines
@@ -58,10 +58,11 @@ from fractions import Fraction
 from importlib import resources
 from operator import mul
 
+from .exact import Pole
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import HyperTerm
-from .params import TYPED_POLES, ParamSpec, ResultRow, draws, is_neg_int
-from .poly import VARS, RatFunc, RatFuncPole, unpack
+from .params import ParamSpec, ResultRow, draws, is_neg_int, render_draw
+from .poly import VARS, RatFunc, unpack
 
 __all__ = [
     "WZFixtureError",
@@ -254,7 +255,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         if assign is None:
             rows.append(_row(pair, {}, "fail", f"draw-{index}: could not draw parameters"))
             continue
-        shown = {k: str(v) for k, v in assign.items()}
+        shown = render_draw(assign)
         # each row names its own first failing point; "" while none failed
         boundary_detail, base_detail = "", ""
         try:
@@ -266,7 +267,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
             reads = [(n, range(n + 1) if inner else (0,), (0, n + 2, n + 1))
                      for n in range(n_max + 1)]
             if not all(all(cert_den(n, k, js)) for n, js, ks in reads for k in ks[:2]):
-                raise RatFuncPole("pole at assignment")
+                raise ZeroDivisionError("pole at assignment")
             grid = pair.term.grid(assign, "n", inner, "k", reads)
             for (term_rows, scales, den), (n, js, _) in zip(grid, reads):
                 # the term along j at k = 0, n+2 and n+1; G's numerator is read only where
@@ -300,7 +301,7 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
 # ---------------------------------------------------------------------------
 
 def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
-    shown = {k: str(v) for k, v in assign.items()}
+    shown = render_draw(assign)
     try:
         inner = pair.extra_index
         reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
@@ -311,7 +312,7 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
                 i = next(i for i, total in enumerate(sums) if total != den)
                 return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={js[i]}" if inner else "")
                             + f" is {Fraction(sums[i], den)}")
-    except TYPED_POLES as exc:
+    except Pole as exc:
         return _row(pair, shown, "skipped", f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:
         return _row(pair, shown, "fail", f"unexpected {type(exc).__name__}: {exc}")
@@ -325,7 +326,7 @@ def telescoping_sum_check(pair: WZPair, n_max: int,
     For a pair with an inner index the check runs for every value of that
     index in 0..n, for thm1 by the paper's Taylor step: an n's sums for every
     j are its k-row shifted by +1 (``HyperTerm.grid`` with sums).  A draw that
-    lands on a typed pole is reported as skipped; any other division by zero,
+    lands on a ``Pole`` is reported as skipped; any other division by zero,
     or a factor that is not rational at the draw (ValueError), is a failure
     naming the exception.
     """

@@ -5,16 +5,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from binomsums.poly import VARS, MultiPoly, RatFuncPole
+from binomsums.poly import VARS, MultiPoly
 
 
 def evaluate(r, assign):
     """r (a MultiPoly or a RatFunc) at an assignment of Fractions to every
-    variable it uses; RatFuncPole where a RatFunc's denominator vanishes."""
+    variable it uses; ZeroDivisionError where a RatFunc's denominator vanishes."""
     if not isinstance(r, MultiPoly):
         den = evaluate(r.den, assign)
         if den == 0:
-            raise RatFuncPole("pole at assignment")
+            raise ZeroDivisionError("pole at assignment")
         return evaluate(r.num, assign) / den
     total = Fraction(0)
     for exp, c in r.coeffs().items():

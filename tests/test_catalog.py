@@ -327,7 +327,7 @@ def test_exclusions_produce_skips():
 
 
 def test_only_typed_poles_are_skips():
-    # ID15's rhs raises DigammaPole at s = 2, n = 3 once its predicate lets s through
+    # ID15's rhs raises a digamma Pole at s = 2, n = 3 once its predicate lets s through
     open_id15 = replace(REGISTRY["ID15"], params=ParamSpec(("s",)))
     r = check_identity("ID15", 3, {"s": F(2)}, {"ID15": open_id15})
     assert r.status == "skipped" and "digamma pole" in r.reason

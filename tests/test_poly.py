@@ -13,8 +13,6 @@ from binomsums.poly import (
     VARS,
     MultiPoly,
     RatFunc,
-    RatFuncPole,
-    ZeroDenominator,
     poly_gcd,
 )
 
@@ -316,7 +314,7 @@ def test_eval_and_pole():
     assert evaluate(r, assign) == 1
     bad = parse_ratfunc("n/(n-1)")
     assign["n"] = F(1)
-    with pytest.raises(RatFuncPole):
+    with pytest.raises(ZeroDivisionError, match="pole at assignment"):
         evaluate(bad, assign)
 
 
@@ -333,9 +331,9 @@ def test_certificate_ratio_example():
 
 
 def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ZeroDivisionError, match="zero denominator expression"):
         parse_ratfunc("1/(n-n)")
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ZeroDivisionError, match="zero denominator expression"):
         RatFunc(MultiPoly.const(1), MultiPoly.zero())
 
 
@@ -349,7 +347,7 @@ def test_shift_matches_substitution():
         moved["k"] = assign["k"] + 1
         try:
             expect = evaluate(r, moved)
-        except RatFuncPole:
+        except ZeroDivisionError:
             continue
         assert evaluate(shifted, assign) == expect
 
@@ -371,7 +369,7 @@ def test_schwartz_zippel_smoke():
             try:
                 if evaluate(r, assign) != 0:
                     hits += 1
-            except RatFuncPole:
+            except ZeroDivisionError:
                 continue
         assert hits >= 1
 

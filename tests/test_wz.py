@@ -10,11 +10,12 @@ from functools import partial
 import pytest
 
 from binomsums import hyperterm
+from binomsums.exact import Pole, binom_poly
 from binomsums.expr import ExprSyntaxError, parse_ratfunc, parse_term
-from binomsums.hyperterm import HyperTerm, HyperTermPole
+from binomsums.hyperterm import HyperTerm
 from binomsums.catalog.entries import REGISTRY
-from binomsums.params import TYPED_POLES, ResultRow, draw, draws
-from binomsums.poly import MultiPoly, RatFunc, RatFuncPole
+from binomsums.params import ResultRow, draw, draws
+from binomsums.poly import MultiPoly, RatFunc
 from binomsums.wz import (
     PAIR_NAMES,
     WZFixtureError,
@@ -230,7 +231,7 @@ def test_each_pair_loads_once_and_an_unknown_name_raises_each_time():
     ("thm1", None), ("thm2", None),
     # the predicate admits a positive integer p, where C(n-p, n-k) is 0/0 for n < p
     pytest.param("thm3", {"s": F(1, 2), "p": F(3)}, marks=pytest.mark.xfail(
-        strict=True, raises=HyperTermPole, reason="thm3's predicate admits integer p > 0"))],
+        strict=True, raises=Pole, reason="thm3's predicate admits integer p > 0"))],
     ids=PAIR_NAMES)
 def test_each_admitted_draw_reads_the_term_at_every_grid_point(name, explicit):
     # every draw a pair's predicate admits reads its term at every n <= 8, j <= n and
@@ -478,7 +479,6 @@ def test_telescoping_thm1_spot():
     results = telescoping_sum_check(pair, 6, [{"alpha": F(1, 2), "beta": F(1, 3)}])
     assert results[0].status == "pass"
     # the unnormalized coefficient identity at n=1, j=0: both sides -5/6
-    from binomsums.exact import binom_poly
     lhs = sum((-1) ** k * binom_poly(F(1, 3) + k, k) * binom_poly(F(k), 0)
               * binom_poly(F(1, 2), 1 - k) for k in range(2))
     rhs = -binom_poly(F(1, 3), 0) * binom_poly(F(1, 3) - F(1, 2) + 1, 1)
@@ -496,7 +496,6 @@ def test_telescoping_thm3_spot():
     results = telescoping_sum_check(pair, 4, [{"s": F(1, 2), "p": F(1)}])
     assert results[0].status == "pass"
     # unnormalized spot value at n=2: both sides of the un-divided identity = 3/4
-    from binomsums.exact import binom_poly
     s, p = F(1, 2), 1
     lhs = sum((-1) ** k * binom_poly(F(2), k) * binom_poly(s + k, k)
               * binom_poly(F(k), p) for k in range(3))
@@ -619,7 +618,7 @@ def _per_point_rows(pair, n_max, samples, seed):
         try:
             if any(evaluate(pair.certificate.den, at(n, j, k)) == 0
                    for n, j, k in points if k != n + 1):
-                raise RatFuncPole("pole at assignment")
+                raise ZeroDivisionError("pole at assignment")
             term = {point: pair.term.evaluate(at(*point)) for point in points}
         except (ZeroDivisionError, ValueError) as exc:
             cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
@@ -756,30 +755,49 @@ LINKED_ENTRY = {"thm1": "ID04", "thm2": "ID06", "thm3": "ID07"}
 LINK_DRAWS = {"thm3": [{"s": F(1, 2), "p": F(3)}]}
 
 
+# the linked entry's summand at (n, j, k), as its statement prints it
+SUMMAND = {
+    "thm1": lambda a, n, j, k: ((-1) ** (k + j) * binom_poly(a["beta"] + k, k)
+                                * binom_poly(F(k), j) * binom_poly(a["alpha"], n - k)),
+    "thm2": lambda a, n, j, k: (binom_poly(F(n), k) * binom_poly(a["s"], k)
+                                / binom_poly(a["t"] + k, k)),
+    "thm3": lambda a, n, j, k: ((-1) ** (n + k) * binom_poly(a["s"] + k, k)
+                                * binom_poly(n - a["p"], n - k)),
+}
+
+
 def _link(pair, assigns, n_max=8):
-    """(checked, poles, mismatches) over the assignments: sum_k T(n,k), read through
-    HyperTerm.grid, times the linked entry's right side against its left side at every
-    n <= n_max (and j <= n for thm1); a draw on which T raises a typed pole is counted."""
-    entry, inner = REGISTRY[LINKED_ENTRY[pair.name]], pair.extra_index
+    """(checked, poles, mismatches) over the assignments, T read through HyperTerm.grid
+    at every n <= n_max (and j <= n for thm1) against the linked entry: sum_k T(n,k)
+    times the entry's right side against its left side (a "sum" mismatch), and each
+    T(n,k) times the right side against the entry's summand (a "term" mismatch).  A
+    draw on which T raises a Pole is counted."""
+    entry, inner, summand = REGISTRY[LINKED_ENTRY[pair.name]], pair.extra_index, SUMMAND[pair.name]
     reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
     checked, poles, mismatches = 0, 0, []
     for assign in assigns:
         try:
-            blocks = list(pair.term.grid(assign, "n", inner, "k", reads, sums=True))
-        except TYPED_POLES:
+            sums = list(pair.term.grid(assign, "n", inner, "k", reads, sums=True))
+            terms = list(pair.term.grid(assign, "n", inner, "k", reads))
+        except Pole:
             poles += 1
             continue
         checked += 1
-        for n, (rows, scales, den) in enumerate(blocks):
-            sums = [F(scale * sum(row), den) for scale, row in zip(scales, rows)]
+        for (n, js, ks), (sum_rows, scales, den), (rows, row_scales, row_den) in zip(
+                reads, sums, terms):
             left, right = entry.lhs(n, assign), entry.rhs(n, assign)
             if inner:           # ID04's sides are rows over j, each over one den
                 (lrow, lden), (rrow, rden) = left, right
                 left, right = [F(v, lden) for v in lrow], [F(v, rden) for v in rrow]
             else:
                 left, right = [left], [right]
-            if [t * r for t, r in zip(sums, right)] != left:
-                mismatches.append((n, assign))
+            totals = [F(scale * sum(row), den) for scale, row in zip(scales, sum_rows)]
+            if [t * r for t, r in zip(totals, right)] != left:
+                mismatches.append(("sum", n, assign))
+            if any(F(scale * x, row_den) * r != summand(assign, n, j, k)
+                   for j, scale, row, r in zip(js, row_scales, rows, right)
+                   for k, x in zip(ks, row)):
+                mismatches.append(("term", n, assign))
     return checked, poles, mismatches
 
 
@@ -790,8 +808,10 @@ def test_each_pair_sums_to_its_entrys_sides(name):
                if a is not None and pair.params.reject(n_max, a) is None]
     checked, poles, mismatches = _link(pair, assigns, n_max)
     assert not mismatches and not poles and checked == len(assigns) >= 3
-    # with one factor's exponent flipped the term no longer sums to the entry's sides,
-    # or has a pole on all but at most one draw (thm1's binom(k,j)^-1, on every draw)
+    # with one factor's exponent flipped the term no longer sums to the entry's sides
+    # and is no longer its summand over the right side, or has a pole on all but at most
+    # one draw (thm1's binom(k,j)^-1, on every draw)
     for index in range(len(pair.term.factors)):
         checked, _, mismatches = _link(_flip_factor(pair, index), assigns, n_max)
-        assert mismatches or checked < 2, (name, index)
+        assert {kind for kind, *_ in mismatches} == {"sum", "term"} or checked < 2, (
+            name, index)
