@@ -6,19 +6,21 @@ helpers of exact.py, each tested on its own, and through them kept rows:
 those kept on a draw (a drawn value's, a ``derived`` argument's such as
 s + p, ``pascal_row``'s C(n-p, .)) and those that depend on n alone, which
 both sides and every draw at one n read (``harmonic_row``, and ``n_row``'s
-signed coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A kept row holds
-the ints either side would build, so it can hide a wrong row only as a
-shared kernel can: a test breaks each row helper in both modules at once,
-and every entry using it must then fail.  A parametric or harmonic sum is a
-dot product of rows, ints over one denominator per row for exact
-parameters, divided once by the product of those denominators (``over``);
-H_k^2 and H_k^(2) both sit over lcm(1..n)^2.  The sums are ring-generic:
-RatFunc parameters give MultiPoly rows over one MultiPoly, so a symbolic sum
-builds one RatFunc, and Jet2 parameters (the jet oracle differentiates ID06,
-ID07, ID08 and ID21) int-coefficient jet rows over one int (over one jet for
-``reciprocal_row``), so a jet sum is divided once.  ID09's C(n, k) C(beta+k, n)
-is read as C(beta, n-k) C(beta+k, k), entries of beta's kept binomial and
-rising rows.
+signed coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A drawn value's
+row is built once at its draw's depth and read as a prefix, and a harmonic
+row is a prefix of one table, so a kept row's entries have the values
+either side would build: it can hide a wrong row only as a shared kernel
+can, and a test breaks each row helper in both modules at once, and every
+entry using it must then fail.  A parametric or harmonic sum is a dot
+product of rows, ints over one denominator per row for exact parameters,
+divided once by the product of those denominators (``over``); H_k^2 and
+H_k^(2) both sit over lcm(1..N)^2, N the harmonic table's depth.  The sums
+are ring-generic: RatFunc parameters give MultiPoly rows over one
+MultiPoly, so a symbolic sum builds one RatFunc, and Jet2 parameters (the
+jet oracle differentiates ID06, ID07, ID08 and ID21) int-coefficient jet
+rows over one int (over one jet for ``reciprocal_row``), so a jet sum is
+divided once.  ID09's C(n, k) C(beta+k, n) is read as C(beta, n-k)
+C(beta+k, k), entries of beta's kept binomial and rising rows.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p

@@ -123,7 +123,7 @@ def id17(n, a):
 
 def id18(n, a):
     h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)            # over lcm(1..n)^2, as H_k^2 is
+    h2, d2 = harmonic_row(n, 2)            # over lcm(1..N)^2, one table's, as H_k^2 is
     terms = (v * v + w for v, w in zip(h, h2))
     return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
 

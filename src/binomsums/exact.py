@@ -12,32 +12,38 @@ Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only:
 no caller changes a returned row.  The kernels read their input as p/q
 through ``numerator`` and ``denominator``, so one path serves all three
 rings.  For an int or ``Fraction`` input the row holds ints over one int
-den > 0 (n! q^n for the binomial rows, q^n for ``power_row``,
-lcm(1..n)^order for ``harmonic_row``), and ``over(total, den)`` builds a
-row sum's one ``Fraction``; for a ``RatFunc`` input, ``MultiPoly`` values
-over one ``MultiPoly``, and ``over`` builds one ``RatFunc``; for a ``Jet2``
-input, read as an int-coefficient jet over one int, such jets over one int.
+den > 0 (n! q^n for the binomial rows, q^n for ``power_row``, each at the
+depth it was built to; lcm(1..N)^order for ``harmonic_row``), and
+``over(total, den)`` builds a row sum's one ``Fraction``; for a ``RatFunc``
+input, ``MultiPoly`` values over one ``MultiPoly``, and ``over`` builds one
+``RatFunc``; for a ``Jet2`` input, read as an int-coefficient jet over one
+int, such jets over one int.
 No kernel divides in the input's ring.  ``binom_row``, ``rising_row``,
 ``reciprocal_row``, ``power_row`` and ``legendre_row`` are one builder,
 ``_row``, that only multiplies; ``reciprocal_row``'s den is the product of
 the rising factors, so a vanishing C(b+k, k) raises the ring's own
 ``ZeroDivisionError`` at its ``over`` (``Pole`` for a jet).  A
 ``Drawn`` value, as ``params.draw`` hands out, keeps each builder kernel's
-last row: checked at n = 0, 1, ..., a draw's row grows by one entry per n,
-and the second side reads it as it is.  So do the n-free arguments the catalog derives from a
-draw (x + 1, x + y, (t^2+1)/(2t), ...), which ``derived`` hands out as
-``Drawn`` values kept on the draw; ``pascal_row`` keeps the row of an
-argument that moves with n, C(g+n, .), and steps it by Pascal's rule; and
-``binom_poly``, ``binom_upper_shift`` and ``legendre`` at a ``Drawn`` value
-read one entry of its kept row.  A kept row holds the ints a fresh build
-gives.  ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
+row, built once at the depth its draw was admitted for (``Drawn.depth``, the
+n_max its predicate saw, which rules out a vanishing reciprocal den there):
+a read at n up to that depth is the prefix row[:n+1] over the kept den, and
+only a read past it grows the row.  So do the n-free arguments the catalog
+derives from a draw (x + 1, x + y, (t^2+1)/(2t), ...), which ``derived``
+hands out as ``Drawn`` values kept on the draw, at its depth;
+``pascal_row`` keeps the row of an argument that moves with n, C(g+n, .),
+and steps it by Pascal's rule; and ``binom_poly``, ``binom_upper_shift`` and
+``legendre`` at a ``Drawn`` value read one entry of its kept row.  A kept
+row's entries have the values a fresh build's have.  ``Fraction``,
+``RatFunc`` and ``Jet2`` inputs get fresh rows.
 
-``harmonic_row`` is the one harmonic table: a harmonic sum is an int sum of
-row products over lcm(1..n)^order, and ``harmonic(n, order)`` reads the last
-entry of a row.  ``n_row(form, n)`` holds a sum's int coefficients along k
-that depend on n alone, its sign folded in, so a sum is one dot product.
-Both depend on n alone: the last eight rows of each are kept, as tuples, and
-shared by the draws at one n and by the two sides of an identity.
+``harmonic_row`` is a prefix of the one harmonic table, kept for the run: a
+row per order, all at one depth N, the deepest n read so far, the row of
+order o over lcm(1..N)^o, so H_k^2 and H_k^(2) share a den.  A harmonic sum
+is an int sum of row products, and ``harmonic(n, order)`` reads entry n.
+``n_row(form, n)`` holds a sum's int coefficients along k that depend on n
+alone, its sign folded in, so a sum is one dot product; the last eight are
+kept, as tuples.  Both are shared by the draws at one n and by the two sides
+of an identity.
 ``digamma_diff`` and ``trigamma_diff`` are one row sum, ``_pole_sum``: sum_i
 1/(s - i)^power is one sum of products of the factors (p - iq)^power over
 their product, divided once by ``over``.
@@ -118,26 +124,43 @@ def parse_rational(text: str) -> Fraction:
 
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n^(order) = sum_{i=1..n} 1/i^order, with H_0 = 0."""
-    row, den = harmonic_row(n, order)
+    row, den = _harmonic_table(n, order)
     return Fraction(row[n], den)
 
 
 def harmonic_row(n: int, order: int = 1):
-    """((H_0, ..., H_n) of the given order, lcm(1..n)^order), as ints; kept."""
-    return _harmonic_row(n, order)
+    """((H_0, ..., H_n) of the given order, lcm(1..N)^order), as ints: a prefix
+    of the one kept table, whose depth N is the deepest n read so far."""
+    row, den = _harmonic_table(n, order)
+    return row[:n + 1], den
 
 
-@lru_cache(maxsize=8)
-def _harmonic_row(n: int, order: int):
+# order -> ((H_0, ..., H_N) of that order, lcm(1..N)^order): one table, one depth N
+_HARMONIC = {1: ((0,), 1)}
+
+
+def _harmonic_table(n: int, order: int):
+    """The kept (row, den) of ``order``, at least n deep.  A new order, or an n
+    past the depth, grows every kept order together to max(n, depth), so the
+    orders' dens stay powers of one lcm: lcm(1..N)^2 = den(H)^2 = den(H^(2))."""
     if order < 1:
         raise ValueError("harmonic order must be >= 1")
     if n < 0:
         raise ValueError("harmonic rows are indexed by n >= 0")
-    den = lcm(*range(1, n + 1)) ** order
-    row = [0]
-    for i in range(1, n + 1):
-        row.append(row[-1] + den // i**order)
-    return tuple(row), den
+    table = _HARMONIC
+    row, scale = table[1]               # order 1's den is lcm(1..N) itself
+    if n >= len(row) or order not in table:
+        depth = max(n, len(row) - 1)
+        scale = lcm(scale, *range(len(row), depth + 1))
+        for o in {*table, order}:
+            row, den = table.get(o, ((0,), 1))
+            top = scale**o
+            factor = top // den
+            row = [v * factor for v in row]
+            for i in range(len(row), depth + 1):
+                row.append(row[-1] + top // i**o)
+            table[o] = tuple(row), top
+    return table[order]
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +217,12 @@ def over(total, den):
 class Drawn(Fraction):
     """A drawn parameter: a ``Fraction`` whose instance dict keeps ``_row``'s
     state per kernel, as ``functools.cached_property`` keeps its values, and
-    the values ``derived`` from it.  Arithmetic on it gives plain ``Fraction``
-    values, which keep nothing."""
+    the values ``derived`` from it.  ``depth`` is the n its draw's predicate
+    admitted it for (``params.draw``), which ``_row`` builds its rows to at
+    once.  Arithmetic on it gives plain ``Fraction`` values, which keep
+    nothing."""
+
+    depth = 0
 
 
 # the n-free arguments the catalog derives from its parameters, by form name
@@ -223,6 +250,7 @@ def derived(form: str, x, y=None):
     value = kept.get((form, y))
     if value is None:
         value = kept[form, y] = Drawn(make(x, y))
+        value.depth = x.depth
     return value
 
 
@@ -233,30 +261,31 @@ def _row(kernel: str, x, n: int, step):
     is N_m s_{m+1} ... s_n over den = s_1 ... s_n.  A state (depth d, row,
     den, p, q, N_{d-1}, N_d) grows to n > d: each old entry takes one
     product, by s_{d+1} ... s_n, and the new ones are built top-down; a fresh
-    row grows from d = 0.  The row is a tuple, so a kept one cannot be edited.
-    A ``Drawn`` x keeps its state in ``vars(x)[kernel]``: grown to n, as it
-    is at n = d, rebuilt for n < d."""
+    row grows from d = 0.  A read at n <= d is the prefix row[:n+1] over the
+    same den.  The row is a tuple, so a kept one cannot be edited.  A
+    ``Drawn`` x keeps its state in ``vars(x)[kernel]``, built once at
+    max(n, x.depth) and grown only by a read past it."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    kept = vars(x) if type(x) is Drawn else {}
+    kept, depth = (vars(x), max(n, x.depth)) if type(x) is Drawn else ({}, n)
     state = kept.get(kernel)
-    if state is None or state[0] > n:
+    if state is None:
         p, q = x.numerator, x.denominator
         state = 0, (p**0,), q**0, p, q, 0, q**0
     d, row, den, p, q, prev, cur = state
-    if d < n:
+    if d < depth:
         nums, scales = [], []
-        for m in range(d, n):
+        for m in range(d, depth):
             prev, (cur, s) = cur, step(p, q, m, prev, cur)
             nums.append(cur)
             scales.append(s)
         t = s**0                # 1 in the scales' ring, as den and every entry are
-        for i in range(n - d - 1, -1, -1):  # entry d+1+i is N_{d+1+i} t, then t *= s_{d+1+i}
+        for i in range(depth - d - 1, -1, -1):  # entry d+1+i: N_{d+1+i} t, then t *= s_{d+1+i}
             nums[i] = nums[i] * t
             t *= scales[i]
         row, den = (*[v * t for v in row], *nums), den * t
-        kept[kernel] = n, row, den, p, q, prev, cur
-    return row, den
+        kept[kernel] = depth, row, den, p, q, prev, cur
+    return row[:n + 1], den
 
 
 def _top(kernel: str, x, n: int, step):
@@ -349,7 +378,7 @@ def reciprocal_row(b, n: int):
     ``_row``'s row of N_k = k! q^k and scales p + i q, turned so an int den is
     > 0.  A vanishing C(b+k, k) makes den vanish, and ``over`` raises."""
     row, den = _row("recip", b, n, lambda p, q, m, _, num: (num * (m + 1) * q, p + (m + 1) * q))
-    den = den if n else b.numerator**0  # in p's ring, as the scales are, also at n = 0
+    den = den if n or type(b) is Drawn else b.numerator**0  # a fresh depth-0 den in p's ring
     return (tuple(-v for v in row), -den) if isinstance(den, int) and den < 0 else (row, den)
 
 

@@ -78,11 +78,15 @@ def not_negative_integers(*names: str):
 def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> dict[str, Fraction] | None:
     """One assignment with numerators in [-BOUND, BOUND] and denominators in
     [1, BOUND], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
-    after MAX_TRIES tries.  The values are ``exact.Drawn``, which keep rows."""
+    after MAX_TRIES tries.  The values are ``exact.Drawn`` at depth n_max:
+    each kernel row is built once at n_max, where the predicate has ruled out
+    its poles, and a read at n <= n_max is its prefix."""
     for _ in range(MAX_TRIES):
         assign = {name: Drawn(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
                   for name in spec.names}
         if spec.reject(n_max, assign) is None:
+            for value in assign.values():
+                value.depth = n_max
             return assign
     return None
 

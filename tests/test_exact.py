@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from importlib import import_module
+from math import comb, factorial, lcm
 
 import pytest
 
 from binomsums.catalog import lhs, rhs
-from binomsums.catalog.entries import REGISTRY, draw_for_entry
+from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums import exact
 from binomsums.exact import (
     Drawn,
@@ -34,7 +36,7 @@ from binomsums.exact import (
 )
 from binomsums.jets import Jet2
 from binomsums.legendre import legendre, legendre_row
-from binomsums.params import ParamSpec, draw
+from binomsums.params import ParamSpec, draw, not_negative_integers
 from binomsums.poly import MultiPoly, RatFunc
 
 try:
@@ -306,21 +308,69 @@ def drawn_values(label):
     return drawn + [Drawn(0), Drawn(0, 7), Drawn(5), Drawn(-3, 1), Drawn(1)]   # p = 0 and q = 1
 
 
+def assert_fresh(readers, name, x, n):
+    """readers[name] at the kept value x reads what it reads at a plain Fraction
+    of x's value: a row as a tuple of n + 1 ints over an int den > 0, each
+    entry's value that of the fresh row's; a single value as it is."""
+    got, want = readers[name](x, n), readers[name](Fraction(x), n)
+    if len(got) == 1:
+        assert got == want, (name, x, n)
+        return
+    row, den = got
+    assert type(row) is tuple, name                          # a kept row is read-only
+    assert len(row) == n + 1 and all(type(v) is int for v in row) and type(den) is int, name
+    if name == "reciprocal_row" and x.denominator == 1 and x < 0:
+        return      # 1/C(x+k, k) has a pole at k = -x: a draw's predicate rules it out
+    assert den > 0 and values(got) == values(want), (name, x, n)
+
+
 def test_grown_rows_equal_fresh_rows():
-    # a drawn value keeps each kernel's row and grows it; every visit must give
-    # the ints of a row built afresh at a plain Fraction of the same value
+    # a drawn value keeps each kernel's row, built at its depth and grown past
+    # it; every visit must give the values of a row built afresh at a plain
+    # Fraction of the same value
     names = list(GROWN_KERNELS)
     for x in drawn_values("grown rows"):
         assert type(x) is Drawn
-        plain = Fraction(x)
         for i, n in enumerate(VISITS):
             for name in names[i % 4:] + names[:i % 4]:      # kernels interleaved
-                kernel = GROWN_KERNELS[name]
-                row, den = kernel(x, n)
-                want, want_den = kernel(plain, n)
-                assert type(row) is tuple, name                  # a kept row is read-only
-                assert type(den) is int and all(type(v) is int for v in row), name
-                assert (row, den) == (want, want_den), (name, x, n)
+                assert_fresh(GROWN_KERNELS, name, x, n)
+
+
+def test_a_draw_builds_each_row_once_at_its_depth(monkeypatch):
+    # every read at n <= the depth a draw was admitted for is a prefix of one
+    # row built at that depth: each kernel steps d times for the reads n = 0..d
+    # and back, and keeps the state its first read built, with no regrowth; a
+    # derived value is at the draw's depth too; a read past it grows the row
+    steps = Counter()
+    real = exact._row
+
+    def counted(kernel, x, n, step):
+        def counting_step(*args):
+            steps[kernel] += type(x) is Drawn      # not the fresh builds it is compared with
+            return step(*args)
+        return real(kernel, x, n, counting_step)
+
+    monkeypatch.setattr(exact, "_row", counted)
+    # import_module: the package re-exports a function named like the module
+    monkeypatch.setattr(import_module("binomsums.legendre"), "_row", counted)
+    d, kernels = 12, ("binom", "rising", "recip", "power", "legendre")
+    rng = random.Random("rows at the draw's depth")
+    spec = ParamSpec(("x",), not_negative_integers("x"))
+    for x in [draw(rng, spec, d)["x"] for _ in range(4)]:
+        for value in (x, derived("2x+1", x)):
+            assert value.depth == d
+            steps.clear()
+            for i, n in enumerate([*range(d + 1), *range(d, -1, -1)]):
+                for name in KEPT_READERS:
+                    if name != "pascal_row":
+                        assert_fresh(KEPT_READERS, name, value, n)
+                if i == 0:
+                    built = {kernel: vars(value)[kernel] for kernel in kernels}
+            assert steps == {kernel: d for kernel in kernels}, (x, value)
+            assert all(vars(value)[kernel] is state for kernel, state in built.items())
+            for name in GROWN_KERNELS:
+                assert_fresh(GROWN_KERNELS, name, value, d + 3)
+            assert steps == {kernel: d + 3 for kernel in kernels}, (x, value)
 
 
 # each derived form at x and partner y, computed here on its own
@@ -359,17 +409,14 @@ def test_stepped_and_derived_rows_equal_fresh_rows():
         keys += [(form, None) for form in DERIVED_FORMS if "y" not in form
                  and not (form == "(x^2+1)/(2x)" and x == 0)]
         for i, n in enumerate(VISITS):
-            row, den = pascal_row(x, n)
-            assert type(row) is tuple and all(type(v) is int for v in row)
-            assert (row, den) == binom_row(plain + n, n), (x, n)
+            assert_fresh(KEPT_READERS, "pascal_row", x, n)
             for j, (form, y) in enumerate(keys):
                 value = derived(form, x, y)
                 same_value = y if y is None else Fraction(y.numerator, y.denominator)
                 assert type(value) is Drawn and derived(form, x, same_value) is value
                 assert value == DERIVED_FORMS[form](plain, y), (form, x, y)
-                name = readers[(i + j) % len(readers)]
-                got, want = KEPT_READERS[name](value, n), KEPT_READERS[name](Fraction(value), n)
-                assert got == want, (name, form, x, y, n)
+                assert value.depth == x.depth
+                assert_fresh(KEPT_READERS, readers[(i + j) % len(readers)], value, n)
         assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
         # a partner outside the rationals, or a plain x, keeps nothing
         jet = Jet2.variable(F(1, 3), 1)
@@ -449,6 +496,33 @@ def reciprocal_case(x, n, rising):
             over(row[0], den)
         return []
     return [(reciprocal_row(x, n), inverses)]
+
+
+def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
+    # a draw's rows are built at the depth its predicate admitted it for, so
+    # that depth must be safe: ID05's and ID06's predicates reject exactly the
+    # draws whose factor p + iq of 1/C(b+k, k) vanishes for some i <= depth
+    for entry_id, argument in (("ID05", lambda a: derived("-x-1/2", a["lam"])),
+                               ("ID06", lambda a: a["t"])):
+        entry = REGISTRY[entry_id]
+        drawn = draw_for_entry(entry, 0, 500, entry.n_max)
+        assert None not in drawn and len(drawn) == 500
+        for a in drawn:
+            b = argument(a)
+            assert b.depth == entry.n_max + 1
+            assert reciprocal_row(b, b.depth)[1] > 0, (entry_id, a)
+    # a draw ID05 rejects at depth 31 has a vanishing den there, and a drawn
+    # value admitted at that depth would fail every read, even at n = 0
+    lam = Drawn(31, 2)
+    assert REGISTRY["ID05"].params.reject(31, {"lam": lam}) is not None
+    row, den = reciprocal_row(Fraction(-lam - F(1, 2)), 31)
+    assert den == 0
+    with pytest.raises(ZeroDivisionError):
+        over(row[0], den)
+    lam.depth = 31
+    row, den = reciprocal_row(derived("-x-1/2", lam), 0)
+    with pytest.raises(ZeroDivisionError):
+        over(row[0], den)
 
 
 def ring_falling_reference(x, n):
@@ -599,31 +673,57 @@ N_ROW_FORMS = [sign + body for sign in ("", "(-1)^k ", "(-1)^(n+k) ") for body i
     "C(2k,k)C(2n-2k,n-k)", "C(2n-2k,n-k)4^k")]
 
 
-def test_kept_n_rows_equal_fresh_rows_in_any_read_order():
+def harmonic_depths():
+    """The depth of each order's row in the one harmonic table."""
+    return {order: len(row) - 1 for order, (row, _) in exact._HARMONIC.items()}
+
+
+def test_kept_n_rows_equal_fresh_rows_in_any_read_order(monkeypatch):
     # the rows that depend on n alone, read interleaved as the catalog reads them
     # (n, 2n and 2n+1, orders 1 and 2, several forms) with n going up, down and
-    # back: each kept row is a tuple and equals a fresh build and the reference
-    fresh_harmonic = exact._harmonic_row.__wrapped__
+    # back: each kept row is a tuple of ints over an int den > 0, and its values
+    # are the reference's; the harmonic table is as deep as the deepest read
+    monkeypatch.setattr(exact, "_HARMONIC", {1: ((0,), 1)})
     ns = [*range(0, 25), *range(24, -1, -3), 7, 7, 0, 13, 2]
     for n in ns:
         for m in (n, 2 * n, 2 * n + 1):
             for order in (1, 2):
                 row, den = harmonic_row(m, order)
-                assert type(row) is tuple and (row, den) == fresh_harmonic(m, order)
+                assert type(row) is tuple and len(row) == m + 1
+                assert all(type(v) is int for v in row) and type(den) is int and den > 0
                 assert [F(v, den) for v in row] == harmonic_reference(m, order)
                 assert harmonic(m, order) == F(row[m], den)
         for form in N_ROW_FORMS[n % 3::3]:
             row = n_row(form, n)
             assert type(row) is tuple and row == n_row.__wrapped__(form, n)
             assert list(row) == n_row_reference(form, n)
-    # the store does not grow with n: a sweep to n = 200 leaves at most its bound
+    assert harmonic_depths() == {1: 49, 2: 49}
+    # a sweep to n = 200 leaves the table at the deepest n read, every order over
+    # one lcm, and the n_row store at most its bound
     for n in range(201):
         harmonic_row(n)
         harmonic_row(2 * n, 2)
         n_row(N_ROW_FORMS[n % len(N_ROW_FORMS)], n)
-    for kept in (exact._harmonic_row, n_row):
-        info = kept.cache_info()
-        assert info.currsize <= info.maxsize == 8
+    assert harmonic_depths() == {1: 400, 2: 400}
+    scale = lcm(*range(1, 401))
+    assert [den for _, den in exact._HARMONIC.values()] == [scale, scale**2]
+    info = n_row.cache_info()
+    assert info.currsize <= info.maxsize == 8
+
+
+def test_every_harmonic_order_grows_with_the_table(monkeypatch):
+    # a deep read of order 1 puts a later order-2 read at the same depth, so
+    # H_k^2 and H_k^(2) share one den, as ID18 and ID26 add them over it
+    monkeypatch.setattr(exact, "_HARMONIC", {1: ((0,), 1)})
+    harmonic_row(201)
+    assert harmonic_row(5, 2)[1] == harmonic_row(5)[1] ** 2 == lcm(*range(1, 202)) ** 2
+    assert harmonic_depths() == {1: 201, 2: 201}
+    for entry_id in ("ID18", "ID26"):
+        for n in range(13):
+            assert check_identity(entry_id, n, {}).status == "pass", (entry_id, n)
+    harmonic_row(3, 3)
+    harmonic_row(260)
+    assert harmonic_depths() == {1: 260, 2: 260, 3: 260}
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def general_s_second_derivative(n: int, s: Fraction) -> dict[str, Fraction]:
     jet_lhs, jet_rhs = (jet.second() for jet in _id07_undivided(n, s))
     bs, ds = rising_row(s, n)      # C(s+k, k) = bs[k] / ds
     h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..n)^2 too
+    h2, d2 = harmonic_row(n, 2)    # H_k^2 sits over lcm(1..N)^2 too: one table's depth N
     terms = (comb(n, k) * bs[k] * (h[k] * h[k] + h2[k]) for k in range(n + 1))
     closed_lhs = over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), ds * d2)
     dd = digamma_diff(s, n)

@@ -10,7 +10,10 @@ and ID25) at every n <= 12, ID03 at three seed-0 draws.
 Entry statements, as ``list`` prints them, are transcribed in sympy too,
 keyed by the exact statement string, so an edited statement fails until its
 transcription follows.  ID04's sides are rows over j; each j of both rows is
-compared at every n <= 8 on three seed-0 draws.
+compared at every n <= 8 on three seed-0 draws.  The harmonic entries the
+paper applies its identities to (ID11, ID15, ID17, ID18, ID22, ID24 and
+ID26) are compared side by side at every n <= 12, ID15 at three seed-0
+draws.
 
 sympy is optional: without it, this module is skipped.
 """
@@ -62,27 +65,95 @@ def id04(n, j, alpha, beta):
             (-1) ** (n + j) * C(beta + j, j) * C(beta - alpha + n, n - j))
 
 
+def id11(n):
+    """H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}"""
+    return H(n), _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k) * H(n + k)) / 2
+
+
+def id15(n, s):
+    """sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))"""
+    return (_sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(s + k, k) * H(k)),
+            C(s, n) * (H(n) + _sum(0, n - 1, lambda i: 1 / (s - i))))
+
+
+def id17(n):
+    """sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})"""
+    return (_sum(0, n, lambda k: (-1) ** k * C(n, k) * C(2 * k, k) * H(k) / sympy.Integer(4) ** k),
+            sympy.Integer(2) ** (1 - 2 * n) * C(2 * n, n) * (H(n) - H(2 * n)))
+
+
+def id18(n):
+    """H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))"""
+    return H(n) ** 2, _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k)
+                           * (H(k) ** 2 + H(k, 2))) / 4
+
+
+def id22(n):
+    """sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)"""
+    return (_sum(0, n, lambda k: C(2 * k, k) * H(n - k) / sympy.Integer(4) ** k),
+            (2 * n + 1) * sympy.Integer(4) ** -n * C(2 * n, n) * (2 * H(2 * n + 1) - H(n) - 2))
+
+
+def id24(n):
+    """sum C(n,k)^2 H_k = C(2n,n) (2 H_n - H_{2n})"""
+    return _sum(0, n, lambda k: C(n, k) ** 2 * H(k)), C(2 * n, n) * (2 * H(n) - H(2 * n))
+
+
+def id26(n):
+    """sum C(n,k)^2 (H_k^2 + H_k^(2)) = C(2n,n) ((H_{2n}-2H_n)^2 + 2 H_n^(2) - H_{2n}^(2))"""
+    return (_sum(0, n, lambda k: C(n, k) ** 2 * (H(k) ** 2 + H(k, 2))),
+            C(2 * n, n) * ((H(2 * n) - 2 * H(n)) ** 2 + 2 * H(n, 2) - H(2 * n, 2)))
+
+
 # each transcribed statement, keyed by the entry's statement string: (entry id, sides)
 STATEMENTS = {
     "sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)": ("ID04", id04),
+    "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}": ("ID11", id11),
+    "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))": ("ID15", id15),
+    "sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})": ("ID17", id17),
+    "H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))": ("ID18", id18),
+    "sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)": ("ID22", id22),
+    "sum C(n,k)^2 H_k = C(2n,n) (2 H_n - H_{2n})": ("ID24", id24),
+    "sum C(n,k)^2 (H_k^2 + H_k^(2)) = "
+    "C(2n,n) ((H_{2n}-2H_n)^2 + 2 H_n^(2) - H_{2n}^(2))": ("ID26", id26),
 }
 
 
-@pytest.mark.parametrize("entry_id", PAPER)
-def test_each_side_of_a_displayed_identity_is_its_entrys_side(entry_id):
-    entry = REGISTRY[entry_id]
+def assert_sides(entry, transcribed):
+    """Each side of entry is the same side of transcribed(n, **draw) at every
+    n <= N_MAX, on three seed-0 draws (one empty draw for no parameters)."""
     draws = draw_for_entry(entry, 0, 3, N_MAX)
     assert None not in draws and len(draws) == (3 if entry.params.names else 1)
     for draw in draws:
         symbolic = {name: sympy.Rational(v.numerator, v.denominator) for name, v in draw.items()}
         for n in range(N_MAX + 1):
-            for side, expected in zip((entry.lhs, entry.rhs), PAPER[entry_id](n, **symbolic)):
+            for side, expected in zip((entry.lhs, entry.rhs), transcribed(n, **symbolic)):
                 expected = sympy.Rational(expected)
                 assert side(n, draw) == Fraction(int(expected.p), int(expected.q)), (
-                    entry_id, n, draw, side.__name__)
+                    entry.id, n, draw, side.__name__)
 
 
-@pytest.mark.parametrize("statement", STATEMENTS, ids=lambda text: STATEMENTS[text][0])
+@pytest.mark.parametrize("entry_id", PAPER)
+def test_each_side_of_a_displayed_identity_is_its_entrys_side(entry_id):
+    assert_sides(REGISTRY[entry_id], PAPER[entry_id])
+
+
+def _statements(rows: bool):
+    return [text for text, (entry_id, _) in STATEMENTS.items()
+            if bool(REGISTRY[entry_id].inner_index) == rows]
+
+
+@pytest.mark.parametrize("statement", _statements(rows=False),
+                         ids=lambda text: STATEMENTS[text][0])
+def test_each_statement_is_its_entrys_sides(statement):
+    entry_id, sides = STATEMENTS[statement]
+    entry = REGISTRY[entry_id]
+    assert entry.statement == statement
+    assert_sides(entry, sides)
+
+
+@pytest.mark.parametrize("statement", _statements(rows=True),
+                         ids=lambda text: STATEMENTS[text][0])
 def test_each_j_of_a_row_entry_is_its_transcribed_statement(statement):
     entry_id, sides = STATEMENTS[statement]
     entry = REGISTRY[entry_id]
