@@ -27,14 +27,15 @@ the rising factors, so a vanishing C(b+k, k) raises the ring's own
 row, built once at the depth its draw was admitted for (``Drawn.depth``, the
 n_max its predicate saw, which rules out a vanishing reciprocal den there):
 a read at n up to that depth is the prefix row[:n+1] over the kept den, and
-only a read past it grows the row.  So do the n-free arguments the catalog
-derives from a draw (x + 1, x + y, (t^2+1)/(2t), ...), which ``derived``
-hands out as ``Drawn`` values kept on the draw, at its depth;
-``pascal_row`` keeps the row of an argument that moves with n, C(g+n, .),
-and steps it by Pascal's rule; and ``binom_poly``, ``binom_upper_shift`` and
-``legendre`` at a ``Drawn`` value read one entry of its kept row.  A kept
-row's entries have the values a fresh build's have.  ``Fraction``,
-``RatFunc`` and ``Jet2`` inputs get fresh rows.
+only a read past it grows the row (a reciprocal row kept past its pole, over
+den 0, is read below the kept depth as a fresh row).  So do the n-free
+arguments the catalog derives from a draw (x + 1, x + y, (t^2+1)/(2t), ...),
+which ``derived`` hands out as ``Drawn`` values kept on the draw, at its
+depth; ``pascal_row`` keeps the row of an argument that moves with n,
+C(g+n, .), and steps it by Pascal's rule; and ``binom_poly``,
+``binom_upper_shift`` and ``legendre`` at a ``Drawn`` value read one entry
+of its kept row.  A kept row's entries have the values a fresh build's
+have.  ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
 
 ``harmonic_row`` is a prefix of the one harmonic table, kept for the run: a
 row per order, all at one depth N, the deepest n read so far, the row of
@@ -110,12 +111,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical format back; inverse of :func:`render_rational`."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,8 @@ def _row(kernel: str, x, n: int, step):
     row grows from d = 0.  A read at n <= d is the prefix row[:n+1] over the
     same den.  The row is a tuple, so a kept one cannot be edited.  A
     ``Drawn`` x keeps its state in ``vars(x)[kernel]``, built once at
-    max(n, x.depth) and grown only by a read past it."""
+    max(n, x.depth) and grown only by a read past it.  A kept den 0 (a
+    reciprocal row past its pole) is no prefix: a read below it is fresh."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
     kept, depth = (vars(x), max(n, x.depth)) if type(x) is Drawn else ({}, n)
@@ -285,6 +285,8 @@ def _row(kernel: str, x, n: int, step):
             t *= scales[i]
         row, den = (*[v * t for v in row], *nums), den * t
         kept[kernel] = depth, row, den, p, q, prev, cur
+    if n + 1 < len(row) and not den:
+        return _row(kernel, Fraction(x), n, step)
     return row[:n + 1], den
 
 

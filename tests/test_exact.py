@@ -311,7 +311,8 @@ def drawn_values(label):
 def assert_fresh(readers, name, x, n):
     """readers[name] at the kept value x reads what it reads at a plain Fraction
     of x's value: a row as a tuple of n + 1 ints over an int den > 0, each
-    entry's value that of the fresh row's; a single value as it is."""
+    entry's value that of the fresh row's, or over den 0 where the fresh row's
+    den is 0 (a reciprocal row past its pole); a single value as it is."""
     got, want = readers[name](x, n), readers[name](Fraction(x), n)
     if len(got) == 1:
         assert got == want, (name, x, n)
@@ -319,9 +320,10 @@ def assert_fresh(readers, name, x, n):
     row, den = got
     assert type(row) is tuple, name                          # a kept row is read-only
     assert len(row) == n + 1 and all(type(v) is int for v in row) and type(den) is int, name
-    if name == "reciprocal_row" and x.denominator == 1 and x < 0:
-        return      # 1/C(x+k, k) has a pole at k = -x: a draw's predicate rules it out
-    assert den > 0 and values(got) == values(want), (name, x, n)
+    if want[1] == 0:
+        assert den == 0, (name, x, n)
+    else:
+        assert den > 0 and values(got) == values(want), (name, x, n)
 
 
 def test_grown_rows_equal_fresh_rows():
@@ -511,8 +513,9 @@ def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
             b = argument(a)
             assert b.depth == entry.n_max + 1
             assert reciprocal_row(b, b.depth)[1] > 0, (entry_id, a)
-    # a draw ID05 rejects at depth 31 has a vanishing den there, and a drawn
-    # value admitted at that depth would fail every read, even at n = 0
+    # a draw ID05 rejects at depth 31 has a vanishing den there (-lam-1/2 =
+    # -16, a pole at k = 16), so over raises; a drawn value kept at that depth
+    # anyway still reads a fresh build's values below the pole
     lam = Drawn(31, 2)
     assert REGISTRY["ID05"].params.reject(31, {"lam": lam}) is not None
     row, den = reciprocal_row(Fraction(-lam - F(1, 2)), 31)
@@ -520,9 +523,23 @@ def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
     with pytest.raises(ZeroDivisionError):
         over(row[0], den)
     lam.depth = 31
-    row, den = reciprocal_row(derived("-x-1/2", lam), 0)
-    with pytest.raises(ZeroDivisionError):
-        over(row[0], den)
+    b = derived("-x-1/2", lam)
+    for n in (0, 15, 16, 31, 2):
+        assert_fresh(GROWN_KERNELS, "reciprocal_row", b, n)
+    assert vars(b)["recip"][0] == 31 and vars(b)["recip"][2] == 0
+
+
+def test_a_row_kept_past_its_pole_reads_fresh_values_below_it():
+    # 1/C(b+k, k) at b = -3 has a pole at k = 3: a row built past it keeps den
+    # 0, so a later read below the pole is a fresh row over a den > 0, as a
+    # plain Fraction's is, and a read at or past the pole is over den 0 again
+    b = Drawn(-3, 1)
+    for n in (5, 2, 0, 3, 4, 1, 40, 2):
+        assert_fresh(GROWN_KERNELS, "reciprocal_row", b, n)
+        assert_fresh(KEPT_READERS, "binom_upper_shift", b, n)   # entry n of the rising row
+    assert reciprocal_row(b, 2) == reciprocal_row(Fraction(-3), 2)
+    assert [over(v, reciprocal_row(b, 2)[1]) for v in reciprocal_row(b, 2)[0]] == [1, F(-1, 2), 1]
+    assert reciprocal_row(b, 5)[1] == 0
 
 
 def ring_falling_reference(x, n):

@@ -45,7 +45,7 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (420 of 1 597)
+# never-run statements per module under the commands above (418 of 1 612)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
@@ -55,7 +55,7 @@ BUDGET = {
     "catalog/rhs.py": 0,
     "catalog/suite.py": 3,
     "cli.py": 16,
-    "exact.py": 21,
+    "exact.py": 19,
     "expr.py": 34,
     "hyperterm.py": 48,
     "jets.py": 74,
