@@ -1,12 +1,12 @@
 """The identity catalog: entries, parameter domains, single checks.
 
 Each entry binds an id to independent left/right evaluators (see lhs.py and
-rhs.py), a parameter specification with its exclusions (a
-:class:`~binomsums.params.ParamSpec`), and a default depth n_max.
-Exclusions exist for two reasons: hypotheses of the statements (parameters
-that must not be negative integers) and evaluability (digamma poles at s in
-{0..n-1}, vanishing denominators, t != 0 for the Legendre entries).  Draw
-rejection is decided against the largest n an assignment will be used with.
+rhs.py), its parameters and their domain (a :class:`~binomsums.params.ParamSpec`
+holding a :class:`~binomsums.params.Domain` of ``Avoid`` data), and a default
+depth n_max.  A domain excludes for two reasons: hypotheses of the statements
+(parameters that must not be negative integers) and evaluability (digamma
+poles at s in {0..n-1}, a vanishing denominator binomial, t = 0 for the
+Legendre entries), decided at the largest n a draw will be used with.
 
 ID04's sides return the whole row (row, den) over its inner index j = 0..n,
 and the check compares the two rows.  With a[inner] a side gives one entry of
@@ -18,7 +18,7 @@ same objects, and the key holds strong references, so no id is reused while
 it is the key.
 
 :func:`check_identity` is the one guarded evaluation.  It reports "skipped"
-only for an assignment the predicate excludes at n + 1 or a
+only for an assignment the domain excludes at n + 1 or a
 :class:`~binomsums.exact.Pole`; any other division by zero is a "fail" row
 that names the exception.  :func:`draw_for_entry` draws through
 :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
@@ -31,8 +31,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from ..exact import Pole, over
-from ..params import (ParamSpec, ResultRow, draws, is_neg_int, not_negative_integers,
-                      render_draw)
+from ..hyperterm import AffineForm
+from ..params import (N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws,
+                      not_negative_integers, render_draw)
 from . import lhs, rhs
 
 F = Fraction
@@ -59,34 +60,18 @@ class IdentityEntry:
     inner_index: str | None = None
 
 
-# -- rejection predicates ----------------------------------------------------
-
-def _reject_id05(n_max, a):
-    lam = a["lam"]
-    shifted = lam - F(1, 2)
-    if shifted.denominator == 1 and 0 <= shifted < n_max:
-        return "lam - 1/2 is an integer in [0, n_max): denominator binomial vanishes"
-    return None
-
-
-def _reject_id15(n_max, a):
-    s = a["s"]
-    if s.denominator == 1 and 0 <= s < n_max:
-        return "s in {0..n-1}: digamma pole"
-    if is_neg_int(s):
-        return "s is a negative integer"
-    return None
-
-
-def _reject_nonzero_t(n_max, a):
-    if a["t"] == 0:
-        return "t = 0 excluded"
-    return None
-
+# -- parameter domains ------------------------------------------------------
 
 _NOT_NEG_AB = ParamSpec(("alpha", "beta"), not_negative_integers("alpha", "beta"))
 _NOT_NEG_B = ParamSpec(("beta",), not_negative_integers("beta"))
-_LEGENDRE_T = ParamSpec(("t",), _reject_nonzero_t)
+_LEGENDRE_T = ParamSpec(("t",), Domain([Avoid(AffineForm.make(0, {"t": 1}), 0, 1,
+                                              "t = 0 excluded")]))
+_ID05 = ParamSpec(("lam",), Domain([Avoid(
+    AffineForm.make(F(-1, 2), {"lam": 1}), 0, N_MAX,
+    "lam - 1/2 is an integer in [0, n_max): denominator binomial vanishes")]))
+_ID15 = ParamSpec(("s",), Domain([Avoid(AffineForm.make(0, {"s": 1}), 0, N_MAX,
+                                        "s in {0..n-1}: digamma pole"),
+                                  *not_negative_integers("s")]))
 
 
 def _per_index(side, inner):
@@ -131,7 +116,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            _NOT_NEG_AB, 30, inner_index="j"),
     _entry("ID05",
            "4^n C(lam,n) = C(2 lam,n) sum C(n,k) C(n-lam-1/2,k) / C(k-lam-1/2,k)",
-           ParamSpec(("lam",), _reject_id05), 30),
+           _ID05, 30),
     _entry("ID06",
            "sum C(n,k) C(s,k) / C(t+k,k) = prod_{i=1..n} (s+t+i)/(t+i)",
            ParamSpec(("s", "t"), not_negative_integers("s", "t")), 30),
@@ -161,7 +146,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
            _LEGENDRE_T, 50),
     _entry("ID15",
            "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))",
-           ParamSpec(("s",), _reject_id15), 30),
+           _ID15, 30),
     _entry("ID16",
            "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_k",
            ParamSpec(), 100),
@@ -241,7 +226,7 @@ def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    params: dict[str, str] | None = None) -> ResultRow:
     """The report's row of one check; pass iff both sides are exactly equal.
 
-    Skipped where the predicate rejects the assignment at n + 1 or a side hits
+    Skipped where the domain rejects the assignment at n + 1 or a side hits
     a ``Pole``; a fail row naming any other division by zero.  For an entry
     with an inner index both sides are rows over 0..n (module docstring); the
     first index where they differ is reported, n for a pass.  ``params`` is

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    list                         catalog listing (id, parameters, statement)
+    list                         catalog listing (id, parameters, statement; json: domain)
     check <ID>                   one identity over its seeded grid
     wz [thm1|thm2|thm3|all]      certificate pair verification
     suite                        full catalog plus all three pairs
@@ -128,7 +128,9 @@ def _run(args, out) -> int:
     file_config = _load_config(args.config)
     if args.command == "list":
         if (args.format or file_config.get("format", "text")) == "json":
-            listing = [{"id": e.id, "params": list(e.params.names), "statement": e.statement}
+            listing = [{"id": e.id, "params": list(e.params.names), "statement": e.statement,
+                        "domain": [{**c._asdict(), "form": c.form.render()}
+                                   for c in e.params.reject]}
                        for e in REGISTRY.values()]
             out.write(json.dumps(listing, indent=2) + "\n")
         else:

@@ -25,7 +25,7 @@ the rising factors, so a vanishing C(b+k, k) raises the ring's own
 ``ZeroDivisionError`` at its ``over`` (``Pole`` for a jet).  A
 ``Drawn`` value, as ``params.draw`` hands out, keeps each builder kernel's
 row, built once at the depth its draw was admitted for (``Drawn.depth``, the
-n_max its predicate saw, which rules out a vanishing reciprocal den there):
+n_max its domain saw, which rules out a vanishing reciprocal den there):
 a read at n up to that depth is the prefix row[:n+1] over the kept den, and
 only a read past it grows the row (a reciprocal row kept past its pole, over
 den 0, is read below the kept depth as a fresh row).  So do the n-free
@@ -216,7 +216,7 @@ def over(total, den):
 class Drawn(Fraction):
     """A drawn parameter: a ``Fraction`` whose instance dict keeps ``_row``'s
     state per kernel, as ``functools.cached_property`` keeps its values, and
-    the values ``derived`` from it.  ``depth`` is the n its draw's predicate
+    the values ``derived`` from it.  ``depth`` is the n its draw's domain
     admitted it for (``params.draw``), which ``_row`` builds its rows to at
     once.  Arithmetic on it gives plain ``Fraction`` values, which keep
     nothing."""

@@ -31,9 +31,10 @@ first, else at the term's first failing point in (n, j, k = 0, n+2, n+1) order.
 Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
 id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
-Each pair's parameter hypotheses are a :class:`~binomsums.params.ParamSpec`,
-and its draws come from :func:`binomsums.params.draws`, the catalog's draw
-loop, keyed ``"{seed}:wz:{pair}"``.  In the telescoping check only a
+Each pair's parameter hypotheses are a :class:`~binomsums.params.Domain` of
+``Avoid`` data, as a catalog entry's are, and its draws come from
+:func:`binomsums.params.draws`, the catalog's draw loop, keyed
+``"{seed}:wz:{pair}"``.  In the telescoping check only a
 :class:`~binomsums.exact.Pole` is a skip; any other division by zero, and a
 factor that is not rational at the draw, is a failure.
 
@@ -60,8 +61,8 @@ from operator import mul
 
 from .exact import Pole
 from .expr import parse_ratfunc, parse_term
-from .hyperterm import HyperTerm
-from .params import ParamSpec, ResultRow, draws, is_neg_int, render_draw
+from .hyperterm import AffineForm, HyperTerm
+from .params import Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers, render_draw
 from .poly import VARS, RatFunc, unpack
 
 __all__ = [
@@ -148,35 +149,21 @@ def parse_pair_file(text: str) -> tuple[HyperTerm, RatFunc, int]:
 # The three shipped pairs
 # ---------------------------------------------------------------------------
 
-def _reject_thm1(n_max: int, a: dict) -> str | None:
-    if is_neg_int(a["alpha"]) or is_neg_int(a["beta"]):
-        return "negative integer parameter"
-    if (a["beta"] - a["alpha"]).denominator == 1:
-        return "beta - alpha is an integer (boundary binomials may vanish)"
-    return None
-
-
-def _reject_thm2(n_max: int, a: dict) -> str | None:
-    if is_neg_int(a["s"]) or is_neg_int(a["t"]):
-        return "negative integer parameter"
-    if is_neg_int(a["s"] + a["t"]):
-        return "s + t is a negative integer (denominator products vanish)"
-    return None
-
-
-def _reject_thm3(n_max: int, a: dict) -> str | None:
-    if is_neg_int(a["s"]) or is_neg_int(a["p"]):
-        return "negative integer parameter"
-    total = a["s"] + a["p"]
-    if total.denominator == 1 and total >= 0:
-        return "s + p is a non-negative integer (normalizing binomial may vanish)"
-    return None
+def _spec(names, coeffs, lo, hi, reason):
+    """No parameter a negative integer, and sum(coeffs * names) not an integer in [lo, hi)."""
+    return ParamSpec(names, Domain([
+        *not_negative_integers(*names, reason="negative integer parameter"),
+        Avoid(AffineForm.make(0, dict(zip(names, coeffs))), lo, hi, reason)]))
 
 
 _PAIR_INFO = {
-    "thm1": (ParamSpec(("alpha", "beta"), _reject_thm1), "j"),
-    "thm2": (ParamSpec(("s", "t"), _reject_thm2), None),
-    "thm3": (ParamSpec(("s", "p"), _reject_thm3), None),
+    "thm1": (_spec(("alpha", "beta"), (-1, 1), None, None,
+                   "beta - alpha is an integer (boundary binomials may vanish)"), "j"),
+    "thm2": (_spec(("s", "t"), (1, 1), None, 0,
+                   "s + t is a negative integer (denominator products vanish)"), None),
+    # admits a positive integer p, where C(n-p, n-k) is 0/0 (ROADMAP item 1)
+    "thm3": (_spec(("s", "p"), (1, 1), 0, None,
+                   "s + p is a non-negative integer (normalizing binomial may vanish)"), None),
 }
 
 @functools.cache

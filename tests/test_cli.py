@@ -72,6 +72,13 @@ def test_list_text_and_json():
     entries = json.loads(payload)
     assert entries[0]["id"] == "ID01"
     assert any(e["id"] == "ID15" and e["params"] == ["s"] for e in entries)
+    # each entry's domain as data: its Avoid constraints in order, the form rendered
+    domains = {e["id"]: e["domain"] for e in entries}
+    assert domains["ID05"] == [{
+        "form": "lam-1/2", "lo": 0, "hi": "n_max",
+        "reason": "lam - 1/2 is an integer in [0, n_max): denominator binomial vanishes"}]
+    assert [c["form"] for c in domains["ID02"]] == ["alpha", "beta"] and domains["ID11"] == []
+    assert "denominator binomial vanishes" not in text      # the text list is unchanged
 
 
 def test_list_takes_no_draw_flags(capsys):

@@ -513,6 +513,15 @@ def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
             b = argument(a)
             assert b.depth == entry.n_max + 1
             assert reciprocal_row(b, b.depth)[1] > 0, (entry_id, a)
+    # every value whose den vanishes at a depth d <= 51 is rejected there: b = -lam-1/2
+    # (ID05) or t (ID06) in {-d..-1}; ID05's domain rejects no other b
+    id05, id06 = REGISTRY["ID05"].params.reject, REGISTRY["ID06"].params.reject
+    for d in range(52):
+        for b in range(-d - 3, d + 3):
+            vanishes = reciprocal_row(F(b), d)[1] == 0
+            assert vanishes == (-d <= b <= -1), (d, b)
+            assert (id05(d, {"lam": F(-b) - F(1, 2)}) is not None) == vanishes, (d, b)
+            assert not vanishes or id06(d, {"s": F(1, 2), "t": F(b)}) is not None, (d, b)
     # a draw ID05 rejects at depth 31 has a vanishing den there (-lam-1/2 =
     # -16, a pole at k = 16), so over raises; a drawn value kept at that depth
     # anyway still reads a fresh build's values below the pole

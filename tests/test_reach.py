@@ -45,11 +45,11 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (418 of 1 612)
+# never-run statements per module under the commands above (404 of 1 595)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
-    "catalog/entries.py": 10,
+    "catalog/entries.py": 9,
     "catalog/jets_oracle.py": 39,
     "catalog/lhs.py": 0,
     "catalog/rhs.py": 0,
@@ -57,12 +57,12 @@ BUDGET = {
     "cli.py": 16,
     "exact.py": 19,
     "expr.py": 34,
-    "hyperterm.py": 48,
+    "hyperterm.py": 38,
     "jets.py": 74,
     "legendre.py": 7,
     "params.py": 1,
     "poly.py": 143,
-    "wz.py": 24,
+    "wz.py": 21,
 }
 
 _NO_CODE = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Try,

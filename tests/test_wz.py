@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 
@@ -229,7 +230,8 @@ def test_each_pair_loads_once_and_an_unknown_name_raises_each_time():
 @needs_hypothesis
 @pytest.mark.parametrize("name, explicit", [
     ("thm1", None), ("thm2", None),
-    # the predicate admits a positive integer p, where C(n-p, n-k) is 0/0 for n < p
+    # the domain admits a positive integer p, where C(n-p, n-k) is 0/0 for n < p; flips
+    # together with test_each_pair_domain_rejects_its_terms_singular_set's thm3 case
     pytest.param("thm3", {"s": F(1, 2), "p": F(3)}, marks=pytest.mark.xfail(
         strict=True, raises=Pole, reason="thm3's predicate admits integer p > 0"))],
     ids=PAIR_NAMES)
@@ -255,6 +257,88 @@ def test_each_admitted_draw_reads_the_term_at_every_grid_point(name, explicit):
         read_all(assign)
 
     check()
+
+
+# the depth of the singular-set check and the values of the parameters it does not solve for
+SINGULAR_N_MAX, GENERIC = 10, (F(1, 2), F(1, 7))
+
+
+def _factor_is_singular(top, bottom, exp, d):
+    """C(top/d, bottom/d)^exp, at ints top and bottom, is 0/0 (both negative integers),
+    or a ^-1 of a C that vanishes: below the bar, at an integer top in [0, bottom), or at
+    top - bottom a negative integer over a bottom that is not one."""
+    if bottom % d == 0 and bottom < 0:
+        return exp < 0 or (top % d == 0 and top < 0)
+    if exp > 0:
+        return False
+    if bottom % d == 0:
+        return top % d == 0 and 0 <= top < bottom
+    return (top - bottom) % d == 0 and top < bottom
+
+
+def _singular_witnesses(pair, domain, n_max=SINGULAR_N_MAX):
+    """The assignments that ``domain`` admits at n_max where a factor of the pair's term
+    is singular at some n <= n_max, j <= n, k <= n+2, and whether it rejects any that
+    is.  Each factor's top, bottom and top - bottom at each grid point is set to each
+    integer m with |m| <= 2 n_max + 3 and solved for one parameter, the others at
+    generic values; the generic assignments themselves are candidates too."""
+    names, inner = pair.params.names, pair.extra_index
+    factors = set()             # each factor at each grid point, in the parameters alone
+    for n in range(n_max + 1):
+        for j in range(n + 1) if inner else (0,):
+            for k in range(n + 3):
+                at = {"n": n, "k": k, **({inner: j} if inner else {})}
+                factors.update((top.split(at), bottom.split(at), exp)
+                               for top, bottom, exp in pair.term.factors)
+    forms = set()               # top, bottom and top - bottom of each, as (constant, coeffs)
+    for (t0, top), (b0, bottom), _ in factors:
+        difference = {v: dict(top).get(v, 0) - dict(bottom).get(v, 0) for v in names}
+        forms.update([(t0, top), (b0, bottom),
+                      (t0 - b0, tuple((v, c) for v, c in difference.items() if c))])
+    bases = [dict(zip(names, GENERIC[i:] + GENERIC[:i])) for i in range(len(GENERIC))]
+    candidates = {tuple(base.values()) for base in bases}
+    for constant, coeffs in forms:
+        for solved, c in coeffs:
+            for base in bases:
+                rest = constant + sum(cv * base[v] for v, cv in coeffs if v != solved)
+                candidates.update(tuple(F(m - rest) / c if v == solved else base[v]
+                                        for v in names)
+                                  for m in range(-2 * n_max - 3, 2 * n_max + 4))
+
+    # every value is a multiple of 1/d, and the variables' coefficients are ints: each
+    # form is read as d times its value, an int
+    d = lcm(*(x.denominator for values in candidates for x in values),
+            *(form[0].denominator for factor in factors for form in factor[:2]))
+    scaled = [(int(t0 * d), top, int(b0 * d), bottom, exp)
+              for (t0, top), (b0, bottom), exp in factors]
+
+    def singular(a):
+        a = {v: int(x * d) for v, x in a.items()}
+        return any(_factor_is_singular(t0 + sum(c * a[v] for v, c in top),
+                                       b0 + sum(c * a[v] for v, c in bottom), exp, d)
+                   for t0, top, b0, bottom, exp in scaled)
+
+    assigns = [dict(zip(names, values)) for values in sorted(candidates)]
+    admitted = [domain(n_max, a) is None for a in assigns]
+    return ([a for a, ok in zip(assigns, admitted) if ok and singular(a)],
+            any(singular(a) for a, ok in zip(assigns, admitted) if not ok))
+
+
+@pytest.mark.parametrize("name", PAIR_NAMES)
+def test_each_pair_domain_rejects_its_terms_singular_set(name):
+    # the domain must reject every assignment where a factor of the term is 0/0 or a
+    # vanishing ^-1 at a grid point, derived from the factors' affine forms
+    pair = load_pair(name)
+    missed, rejects_one = _singular_witnesses(pair, pair.params.reject)
+    assert rejects_one, "no singular candidate that the domain rejects"
+    if name == "thm3":
+        # the known gap of ROADMAP item 1: a positive integer p, where C(n-p, n-k) is 0/0
+        # at k > n for every n < p; this flips to none together with the strict xfail of
+        # the grid test above when that item's fix lands
+        assert missed and all(a["p"].denominator == 1 and a["p"] > 0 for a in missed), missed
+        assert {"s": F(1, 2), "p": F(3)} in missed
+    else:
+        assert not missed, missed[:10]
 
 
 # ---------------------------------------------------------------------------
