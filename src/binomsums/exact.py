@@ -27,8 +27,8 @@ the rising factors, so a vanishing C(b+k, k) raises the ring's own
 row, built once at the depth its draw was admitted for (``Drawn.depth``, the
 n_max its domain saw, which rules out a vanishing reciprocal den there):
 a read at n up to that depth is the prefix row[:n+1] over the kept den, and
-only a read past it grows the row (a reciprocal row kept past its pole, over
-den 0, is read below the kept depth as a fresh row).  So do the n-free
+a read past it (ID21 reads 2s + 1 at 2n) is a fresh row, not kept (as is a
+read below a reciprocal row kept past its pole, over den 0).  So do the n-free
 arguments the catalog derives from a draw (x + 1, x + y, (t^2+1)/(2t), ...),
 which ``derived`` hands out as ``Drawn`` values kept on the draw, at its
 depth; ``pascal_row`` keeps the row of an argument that moves with n,
@@ -46,13 +46,13 @@ alone, its sign folded in, so a sum is one dot product; the last eight are
 kept, as tuples.  Both are shared by the draws at one n and by the two sides
 of an identity.
 ``digamma_diff`` and ``trigamma_diff`` are one row sum, ``_pole_sum``: sum_i
-1/(s - i)^power is one sum of products of the factors (p - iq)^power over
-their product, divided once by ``over``.
+1/(s - i)^power is one running int sum over the product of the factors
+(p - iq)^power, divided once by ``over``.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
-with a leading ``-`` on the numerator.  ``parse_rational`` accepts exactly
-this format and nothing else (no floats, no exponents, no whitespace).
+with a leading ``-`` on the numerator.  ``parse_rational`` reads it back, and
+any other ``-``? digits (``/`` digits) spelling too (``007``, ``4/2``).
 """
 
 from __future__ import annotations
@@ -108,7 +108,9 @@ def render_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical format back; inverse of :func:`render_rational`."""
+    """``-``? digits (``/`` digits of a nonzero den), any Unicode decimal digit, and no ``+``,
+    space, float or exponent: :func:`render_rational`'s output or any other spelling, so
+    ``007``, ``-0``, ``4/2`` and ``3/1`` read as 7, 0, 2 and 3."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
@@ -257,45 +259,39 @@ def _row(kernel: str, x, n: int, step):
     """(row, den) of a kernel at x = p/q to depth n, by multiplication only.
 
     step(p, q, m, N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = q^0; entry m
-    is N_m s_{m+1} ... s_n over den = s_1 ... s_n.  A state (depth d, row,
-    den, p, q, N_{d-1}, N_d) grows to n > d: each old entry takes one
-    product, by s_{d+1} ... s_n, and the new ones are built top-down; a fresh
-    row grows from d = 0.  A read at n <= d is the prefix row[:n+1] over the
-    same den.  The row is a tuple, so a kept one cannot be edited.  A
-    ``Drawn`` x keeps its state in ``vars(x)[kernel]``, built once at
-    max(n, x.depth) and grown only by a read past it.  A kept den 0 (a
-    reciprocal row past its pole) is no prefix: a read below it is fresh."""
+    is N_m s_{m+1} ... s_n over den = s_1 ... s_n, built top-down as a tuple.
+    A ``Drawn`` x keeps the row built once at x.depth in ``vars(x)[kernel]``:
+    a read at n <= x.depth is its prefix row[:n+1] over the kept den, and a
+    read past the depth is a fresh row, not kept.  A kept den 0 (a reciprocal
+    row past its pole) is no prefix: a read below the depth is fresh too."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    kept, depth = (vars(x), max(n, x.depth)) if type(x) is Drawn else ({}, n)
-    state = kept.get(kernel)
-    if state is None:
-        p, q = x.numerator, x.denominator
-        state = 0, (p**0,), q**0, p, q, 0, q**0
-    d, row, den, p, q, prev, cur = state
-    if d < depth:
-        nums, scales = [], []
-        for m in range(d, depth):
-            prev, (cur, s) = cur, step(p, q, m, prev, cur)
-            nums.append(cur)
-            scales.append(s)
-        t = s**0                # 1 in the scales' ring, as den and every entry are
-        for i in range(depth - d - 1, -1, -1):  # entry d+1+i: N_{d+1+i} t, then t *= s_{d+1+i}
-            nums[i] = nums[i] * t
-            t *= scales[i]
-        row, den = (*[v * t for v in row], *nums), den * t
-        kept[kernel] = depth, row, den, p, q, prev, cur
-    if n + 1 < len(row) and not den:
-        return _row(kernel, Fraction(x), n, step)
-    return row[:n + 1], den
+    if type(x) is Drawn and n <= x.depth:
+        kept = vars(x)
+        if kernel not in kept:
+            kept[kernel] = _row(kernel, Fraction(x), x.depth, step)
+        row, den = kept[kernel]
+        if den or n == x.depth:
+            return row[:n + 1], den
+    p, q = x.numerator, x.denominator
+    prev, cur, row, scales = 0, q**0, [p**0], [q**0]   # N_0 and s_0 = 1
+    for m in range(n):
+        prev, (cur, s) = cur, step(p, q, m, prev, cur)
+        row.append(cur)
+        scales.append(s)
+    den = scales[-1] ** 0       # 1 in the scales' ring, as every entry and den are
+    for m in range(n, -1, -1):  # entry m takes s_{m+1} ... s_n, then den takes s_m
+        row[m] *= den
+        den *= scales[m]
+    return tuple(row), den
 
 
 def _top(kernel: str, x, n: int, step):
     """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n): read from the kept
-    row of a ``Drawn`` x, built without the row for any other x."""
+    row of a ``Drawn`` x up to its depth, built without a row otherwise."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    if type(x) is Drawn:
+    if type(x) is Drawn and n <= x.depth:
         row, den = _row(kernel, x, n, step)
         return Fraction(row[n], den)
     p, q = x.numerator, x.denominator
@@ -405,27 +401,23 @@ def binom_upper_shift(b, m: int):
 def _pole_sum(s, n: int, power: int):
     """sum_{i=0..n-1} 1/(s-i)^power for power 1 or 2, as one row sum.
 
-    At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, so the
-    sum is q^power sum_i prefix_i suffix_{i+1} over prod_i f_i, where prefix_i
-    and suffix_i are the products of the f below i and from i on, and ``over``
-    divides once.  Raises ``Pole`` at the first i with s = i, when s is one
-    of 0, 1, ..., n-1 (for jets: when the base point is).
+    At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, added
+    in one pass: from 0 / 1, each f_i takes total / den to (total f_i + den) /
+    (den f_i), so den ends as prod_i f_i, and ``over`` divides once.  Raises
+    ``Pole`` at the first i with s = i, when s is one of 0, 1, ..., n-1 (for
+    jets: when the base point is).
     """
     if n < 0:
         raise ValueError("row depth must be non-negative")
     if n == 0:
         return _ZERO
     p, q = s.numerator, s.denominator
-    factors = [(p - i * q) ** power for i in range(n)]
-    suffix = [p**0]             # suffix[n - i] = prod_{j >= i} f_j
-    for f in reversed(factors):
-        suffix.append(suffix[-1] * f)
-    total, prefix = 0, p**0
-    for i, f in enumerate(factors):
-        total += prefix * suffix[n - 1 - i]
-        prefix *= f
+    total, den = 0, p**0
+    for i in range(n):
+        f = (p - i * q) ** power
+        total, den = total * f + den, den * f
     try:
-        return over(q**power * total, prefix)
+        return over(q**power * total, den)
     except ZeroDivisionError as exc:
         for i in range(n):      # the first i where 1/(s - i) has no value
             try:

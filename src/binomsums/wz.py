@@ -75,8 +75,6 @@ __all__ = [
     "verify_wz_pair",
 ]
 
-PAIR_NAMES = ("thm1", "thm2", "thm3")
-
 
 class WZFixtureError(ValueError):
     """Malformed certificate fixture; carries line and column."""
@@ -165,6 +163,8 @@ _PAIR_INFO = {
     "thm3": (_spec(("s", "p"), (1, 1), 0, None,
                    "s + p is a non-negative integer (normalizing binomial may vanish)"), None),
 }
+PAIR_NAMES = tuple(_PAIR_INFO)
+
 
 @functools.cache
 def load_pair(name: str) -> WZPair:

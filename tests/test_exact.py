@@ -287,7 +287,7 @@ def test_binomial_kernels_on_nonnegative_integers_equal_comb():
                 comb(s + m, m) for m in range(41)]
 
 
-GROWN_KERNELS = {
+ROW_KERNELS = {
     "binom_row": binom_row,
     "rising_row": rising_row,
     "power_row": power_row,
@@ -327,22 +327,23 @@ def assert_fresh(readers, name, x, n):
 
 
 def test_grown_rows_equal_fresh_rows():
-    # a drawn value keeps each kernel's row, built at its depth and grown past
-    # it; every visit must give the values of a row built afresh at a plain
-    # Fraction of the same value
-    names = list(GROWN_KERNELS)
+    # a drawn value keeps each kernel's row, built at its depth, and reads a
+    # fresh row past it; every visit must give the values of a row built afresh
+    # at a plain Fraction of the same value
+    names = list(ROW_KERNELS)
     for x in drawn_values("grown rows"):
         assert type(x) is Drawn
         for i, n in enumerate(VISITS):
             for name in names[i % 4:] + names[:i % 4]:      # kernels interleaved
-                assert_fresh(GROWN_KERNELS, name, x, n)
+                assert_fresh(ROW_KERNELS, name, x, n)
 
 
 def test_a_draw_builds_each_row_once_at_its_depth(monkeypatch):
     # every read at n <= the depth a draw was admitted for is a prefix of one
     # row built at that depth: each kernel steps d times for the reads n = 0..d
-    # and back, and keeps the state its first read built, with no regrowth; a
-    # derived value is at the draw's depth too; a read past it grows the row
+    # and back, and keeps the row its first read built, with no regrowth; a
+    # derived value is at the draw's depth too; a read past it is a fresh row,
+    # built in as many steps as it is deep, and leaves the kept row as it is
     steps = Counter()
     real = exact._row
 
@@ -370,9 +371,11 @@ def test_a_draw_builds_each_row_once_at_its_depth(monkeypatch):
                     built = {kernel: vars(value)[kernel] for kernel in kernels}
             assert steps == {kernel: d for kernel in kernels}, (x, value)
             assert all(vars(value)[kernel] is state for kernel, state in built.items())
-            for name in GROWN_KERNELS:
-                assert_fresh(GROWN_KERNELS, name, value, d + 3)
+            steps.clear()
+            for name in ROW_KERNELS:
+                assert_fresh(ROW_KERNELS, name, value, d + 3)
             assert steps == {kernel: d + 3 for kernel in kernels}, (x, value)
+            assert all(vars(value)[kernel] is state for kernel, state in built.items())
 
 
 # each derived form at x and partner y, computed here on its own
@@ -389,7 +392,7 @@ DERIVED_FORMS = {
 }
 
 KEPT_READERS = dict(
-    GROWN_KERNELS,
+    ROW_KERNELS,
     pascal_row=pascal_row,
     binom_poly=lambda x, n: (binom_poly(x, n),),
     binom_upper_shift=lambda x, n: (binom_upper_shift(x, n),),
@@ -534,21 +537,24 @@ def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
     lam.depth = 31
     b = derived("-x-1/2", lam)
     for n in (0, 15, 16, 31, 2):
-        assert_fresh(GROWN_KERNELS, "reciprocal_row", b, n)
-    assert vars(b)["recip"][0] == 31 and vars(b)["recip"][2] == 0
+        assert_fresh(ROW_KERNELS, "reciprocal_row", b, n)
+    row, den = vars(b)["recip"]
+    assert len(row) == 32 and den == 0
 
 
 def test_a_row_kept_past_its_pole_reads_fresh_values_below_it():
-    # 1/C(b+k, k) at b = -3 has a pole at k = 3: a row built past it keeps den
-    # 0, so a later read below the pole is a fresh row over a den > 0, as a
-    # plain Fraction's is, and a read at or past the pole is over den 0 again
+    # 1/C(b+k, k) at b = -3 has a pole at k = 3: a row kept at depth 5, past
+    # it, has den 0, so a later read below the pole is a fresh row over a den
+    # > 0, as a plain Fraction's is, and a read at or past the pole is over den
+    # 0 again
     b = Drawn(-3, 1)
+    b.depth = 5
     for n in (5, 2, 0, 3, 4, 1, 40, 2):
-        assert_fresh(GROWN_KERNELS, "reciprocal_row", b, n)
+        assert_fresh(ROW_KERNELS, "reciprocal_row", b, n)
         assert_fresh(KEPT_READERS, "binom_upper_shift", b, n)   # entry n of the rising row
     assert reciprocal_row(b, 2) == reciprocal_row(Fraction(-3), 2)
     assert [over(v, reciprocal_row(b, 2)[1]) for v in reciprocal_row(b, 2)[0]] == [1, F(-1, 2), 1]
-    assert reciprocal_row(b, 5)[1] == 0
+    assert reciprocal_row(b, 5)[1] == 0 and vars(b)["recip"][1] == 0
 
 
 def ring_falling_reference(x, n):

@@ -157,20 +157,62 @@ def test_domains_match_their_references_on_the_pinned_draw_streams():
             assert not both.differ and both.calls >= 4 * 20, (name, seed, both.differ[:3])
 
 
-@pytest.mark.parametrize("key", [k for i, k in enumerate(SPECS) if SPECS[k] not in
-                                 list(SPECS.values())[:i]])      # each distinct spec once
-def test_domains_match_their_references_on_small_rationals(key):
-    # 10 000 assignments, numerators in -12..12 and denominators in 1..3, each at one of
-    # the depths; every reason the domain can give comes up
+DISTINCT = [k for i, k in enumerate(SPECS) if SPECS[k] not in list(SPECS.values())[:i]]
+DEPTHS = (0, 1, 5, 31, 51)
+
+
+def small_cases(key):
+    """10 000 seeded (n_max, assignment) cases for a spec, numerators in -12..12 and
+    denominators in 1..3, each at one of DEPTHS."""
     spec, rng = SPECS[key], random.Random(f"domains:{key}")
     pool = [F(p, q) for p in range(-12, 13) for q in (1, 2, 3)]
     values = iter(rng.choices(pool, k=10_000 * len(spec.names)))
-    cases = [(n_max, {name: next(values) for name in spec.names})
-             for n_max in rng.choices((0, 1, 5, 31, 51), k=10_000)]
+    return [(n_max, {name: next(values) for name in spec.names})
+            for n_max in rng.choices(DEPTHS, k=10_000)]
+
+
+@pytest.mark.parametrize("key", DISTINCT)      # each distinct spec once
+def test_domains_match_their_references_on_small_rationals(key):
+    # every reason the domain can give comes up
+    spec, cases = SPECS[key], small_cases(key)
     got = [spec.reject(n_max, a) for n_max, a in cases]
     want = [REFERENCE[key](n_max, a) for n_max, a in cases]
     assert got == want, next((case, g, w) for case, g, w in zip(cases, got, want) if g != w)
     assert set(got) - {None} == {c.reason for c in spec.reject}
+
+
+def test_an_assignment_admitted_at_a_depth_is_admitted_at_every_smaller_one():
+    # a draw is admitted once, at the deepest n its kept rows are read at, and every
+    # row below reads their prefix: sound only if a domain admits, at every smaller
+    # depth, what it admits at a depth (so check_identity's re-ask at n + 1 of a draw
+    # admitted at n_max + 1 finds nothing)
+    for seed in range(10):
+        for key, spec in SPECS.items():
+            if key in REGISTRY:
+                entry = REGISTRY[key]
+                streams = [(entry.n_max + 1, draw_for_entry(entry, seed, 20, entry.n_max))]
+            else:
+                streams = [(n_max, draws(f"{seed}:{kind}:{key}", spec, n_max, 20))
+                           for kind in ("wz", "telescope") for n_max in (WZ_N_MAX, 20)]
+            for depth, drawn in streams:
+                for a in drawn:
+                    rejected = [(d, spec.reject(d, a)) for d in range(depth)
+                                if spec.reject(d, a) is not None]
+                    assert not rejected, (key, seed, a, rejected)
+
+
+@pytest.mark.parametrize("key", DISTINCT)
+def test_a_small_rational_admitted_at_a_depth_is_admitted_at_every_smaller_one(key):
+    # each distinct assignment of the small-rational cases, at each of DEPTHS up to
+    # the deepest it comes with: the depths that admit it are the smallest ones
+    spec, deepest = SPECS[key], {}
+    for n_max, a in small_cases(key):
+        values = tuple(a.values())
+        deepest[values] = max(n_max, deepest.get(values, 0))
+    for values, top in deepest.items():
+        a = dict(zip(spec.names, values))
+        admitted = [spec.reject(d, a) is None for d in DEPTHS if d <= top]
+        assert admitted == sorted(admitted, reverse=True), (key, a, admitted)
 
 
 @pytest.mark.parametrize("key", sorted(SPECS))

@@ -45,7 +45,7 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (404 of 1 595)
+# never-run statements per module under the commands above (403 of 1 590)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
@@ -55,7 +55,7 @@ BUDGET = {
     "catalog/rhs.py": 0,
     "catalog/suite.py": 3,
     "cli.py": 16,
-    "exact.py": 19,
+    "exact.py": 18,
     "expr.py": 34,
     "hyperterm.py": 38,
     "jets.py": 74,

@@ -10,10 +10,12 @@ and ID25) at every n <= 12, ID03 at three seed-0 draws.
 Entry statements, as ``list`` prints them, are transcribed in sympy too,
 keyed by the exact statement string, so an edited statement fails until its
 transcription follows.  ID04's sides are rows over j; each j of both rows is
-compared at every n <= 8 on three seed-0 draws.  The harmonic entries the
+compared at every n <= 8 on three seed-0 draws.  The other transcribed
+entries are compared side by side at every n <= 12, the one-parameter ones
+(ID01, ID09, ID10, ID12 and ID15) at three seed-0 draws: the binomial sums
+ID01, ID09, ID10, ID12, ID20, ID20E and ID23, and the harmonic entries the
 paper applies its identities to (ID11, ID15, ID17, ID18, ID22, ID24 and
-ID26) are compared side by side at every n <= 12, ID15 at three seed-0
-draws.
+ID26).
 
 sympy is optional: without it, this module is skipped.
 """
@@ -59,15 +61,38 @@ def harmonic_product_sum(n):
 PAPER = {"ID03": munarini, "ID16": harmonic_as_alternating_sum, "ID25": harmonic_product_sum}
 
 
+def id01(n, x):
+    """sum C(n,k) C(n+k,k) x^k = sum (-1)^(n+k) C(n,k) C(n+k,k) (x+1)^k"""
+    return (_sum(0, n, lambda k: C(n, k) * C(n + k, k) * x**k),
+            _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k) * (x + 1) ** k))
+
+
 def id04(n, j, alpha, beta):
     """sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)"""
     return (_sum(0, n, lambda k: (-1) ** (k + j) * C(beta + k, k) * C(k, j) * C(alpha, n - k)),
             (-1) ** (n + j) * C(beta + j, j) * C(beta - alpha + n, n - j))
 
 
+def id09(n, beta):
+    """sum (-1)^k C(n,k) C(b+k,n) = (-1)^n"""
+    return _sum(0, n, lambda k: (-1) ** k * C(n, k) * C(beta + k, n)), (-1) ** n
+
+
+def id10(n, beta):
+    """sum (-1)^k C(n,k) C(b+k,k) = (-1)^n C(b,n)"""
+    return _sum(0, n, lambda k: (-1) ** k * C(n, k) * C(beta + k, k)), (-1) ** n * C(beta, n)
+
+
 def id11(n):
     """H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}"""
     return H(n), _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k) * H(n + k)) / 2
+
+
+def id12(n, x):
+    """sum C(n,k) C(2k,k) x^k / 4^k = 4^-n sum C(2k,k) C(2n-2k,n-k) (1+x)^k"""
+    return (_sum(0, n, lambda k: C(n, k) * C(2 * k, k) * x**k / sympy.Integer(4) ** k),
+            sympy.Integer(4) ** -n
+            * _sum(0, n, lambda k: C(2 * k, k) * C(2 * n - 2 * k, n - k) * (1 + x) ** k))
 
 
 def id15(n, s):
@@ -88,10 +113,27 @@ def id18(n):
                            * (H(k) ** 2 + H(k, 2))) / 4
 
 
+def id20(n):
+    """sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)"""
+    return (_sum(0, n, lambda k: sympy.Integer(4) ** k * C(n, k) ** 2 / C(2 * k, k)),
+            C(4 * n, 2 * n) / C(2 * n, n))
+
+
+def id20e(n):
+    """sum C(2n,2k) C(2n-2k,n-k) 4^k = C(4n,2n)"""
+    return (_sum(0, n, lambda k: C(2 * n, 2 * k) * C(2 * n - 2 * k, n - k) * 4**k),
+            C(4 * n, 2 * n))
+
+
 def id22(n):
     """sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)"""
     return (_sum(0, n, lambda k: C(2 * k, k) * H(n - k) / sympy.Integer(4) ** k),
             (2 * n + 1) * sympy.Integer(4) ** -n * C(2 * n, n) * (2 * H(2 * n + 1) - H(n) - 2))
+
+
+def id23(n):
+    """sum k C(n,k)^2 = (n/2) C(2n,n)"""
+    return _sum(0, n, lambda k: k * C(n, k) ** 2), sympy.Rational(n, 2) * C(2 * n, n)
 
 
 def id24(n):
@@ -107,12 +149,19 @@ def id26(n):
 
 # each transcribed statement, keyed by the entry's statement string: (entry id, sides)
 STATEMENTS = {
+    "sum C(n,k) C(n+k,k) x^k = sum (-1)^(n+k) C(n,k) C(n+k,k) (x+1)^k": ("ID01", id01),
     "sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)": ("ID04", id04),
+    "sum (-1)^k C(n,k) C(b+k,n) = (-1)^n": ("ID09", id09),
+    "sum (-1)^k C(n,k) C(b+k,k) = (-1)^n C(b,n)": ("ID10", id10),
     "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}": ("ID11", id11),
+    "sum C(n,k) C(2k,k) x^k / 4^k = 4^-n sum C(2k,k) C(2n-2k,n-k) (1+x)^k": ("ID12", id12),
     "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))": ("ID15", id15),
     "sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})": ("ID17", id17),
     "H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))": ("ID18", id18),
+    "sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)": ("ID20", id20),
+    "sum C(2n,2k) C(2n-2k,n-k) 4^k = C(4n,2n)": ("ID20E", id20e),
     "sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)": ("ID22", id22),
+    "sum k C(n,k)^2 = (n/2) C(2n,n)": ("ID23", id23),
     "sum C(n,k)^2 H_k = C(2n,n) (2 H_n - H_{2n})": ("ID24", id24),
     "sum C(n,k)^2 (H_k^2 + H_k^(2)) = "
     "C(2n,n) ((H_{2n}-2H_n)^2 + 2 H_n^(2) - H_{2n}^(2))": ("ID26", id26),
