@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Mapping
 
 from ..exact import Pole, over
 from ..hyperterm import AffineForm
-from ..params import (N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws,
+from ..params import (N_MAX, Admitted, Avoid, Domain, ParamSpec, ResultRow, draws,
                       not_negative_integers, render_draw)
 from . import lhs, rhs
 
@@ -226,21 +227,25 @@ def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
                    params: dict[str, str] | None = None) -> ResultRow:
     """The report's row of one check; pass iff both sides are exactly equal.
 
-    Skipped where the domain rejects the assignment at n + 1 or a side hits
-    a ``Pole``; a fail row naming any other division by zero.  For an entry
+    Skipped where the domain rejects the assignment at n + 1 (not asked of a
+    draw it admitted deeper, ``params.Admitted``) or a side hits a ``Pole``;
+    a fail row naming any other division by zero.  For an entry
     with an inner index both sides are rows over 0..n (module docstring); the
     first index where they differ is reported, n for a pass.  ``params`` is
     the draw as the report shows it, by default the assignment rendered."""
     entry = (entries or REGISTRY)[entry_id]
     params = render_draw(assignment) if params is None else params
-    reason = entry.params.reject(n + 1, assignment)
+    admitted = type(assignment) is Admitted and assignment.reject is entry.params.reject
+    reason = None if admitted and assignment.depth > n else entry.params.reject(n + 1, assignment)
     if reason is not None:
         return ResultRow(entry_id, params, n, None, None, "skipped", reason)
     try:
         left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
         if entry.inner_index:       # each side is its whole j-row (row, den)
             (lrow, lden), (rrow, rden) = left, right
-            j = next((j for j in range(n) if lrow[j] * rden != rrow[j] * lden), n)
+            ls, rs = ((rden // (g := gcd(lden, rden)), lden // g)     # over lcm(lden, rden)
+                      if type(lden) is type(rden) is int else (rden, lden))
+            j = next((j for j in range(n) if lrow[j] * ls != rrow[j] * rs), n)
             left, right = over(lrow[j], lden), over(rrow[j], rden)
             tag = f" at {entry.inner_index}={j}"
         status = "pass" if left == right else "fail"

@@ -4,23 +4,19 @@ Each function computes the left side of its identity exactly as displayed,
 by direct summation.  It shares with the right-hand sides only the scalar
 helpers of exact.py, each tested on its own, and through them kept rows:
 those kept on a draw (a drawn value's, a ``derived`` argument's such as
-s + p, ``pascal_row``'s C(n-p, .)) and those that depend on n alone, which
-both sides and every draw at one n read (``harmonic_row``, and ``n_row``'s
-signed coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A drawn value's
-row is built once at its draw's depth and read as a prefix, and a harmonic
-row is a prefix of one table, so a kept row's entries have the values
-either side would build: it can hide a wrong row only as a shared kernel
-can, and a test breaks each row helper in both modules at once, and every
-entry using it must then fail.  A parametric or harmonic sum is a dot
-product of rows, ints over one denominator per row for exact parameters,
-divided once by the product of those denominators (``over``); H_k^2 and
-H_k^(2) both sit over lcm(1..N)^2, N the harmonic table's depth.  The sums
-are ring-generic: RatFunc parameters give MultiPoly rows over one
-MultiPoly, so a symbolic sum builds one RatFunc, and Jet2 parameters (the
-jet oracle differentiates ID06, ID07, ID08 and ID21) int-coefficient jet
-rows over one int (over one jet for ``reciprocal_row``), so a jet sum is
-divided once.  ID09's C(n, k) C(beta+k, n) is read as C(beta, n-k)
-C(beta+k, k), entries of beta's kept binomial and rising rows.
+s + p, ``pascal_row``'s C(n-p, .), a ``product_row`` of two along one k such
+as C(beta+k, k) x^k) and those that depend on n alone (``harmonic_row``,
+``n_row``'s signed coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A
+kept row's entries have the values either side would build: it can hide a
+wrong row only as a shared kernel can, and a test breaks each row helper in
+both modules at once, and every entry using it must then fail.  A sum is a
+dot product of rows, ints over one den per row for exact parameters, divided
+once by the product of those dens (``over``); H_k^2 and H_k^(2) both sit
+over lcm(1..N)^2.  The sums are ring-generic: RatFunc parameters give
+MultiPoly rows over one MultiPoly, so a symbolic side builds one RatFunc,
+and Jet2 parameters (the jet oracle differentiates ID06, ID07, ID08 and
+ID21) jet rows, so a jet side is divided once.  ID09's C(n, k) C(beta+k, n)
+is read as C(beta, n-k) C(beta+k, k), entries of beta's kept rows.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -41,12 +37,10 @@ from fractions import Fraction
 from math import comb, lcm
 from operator import mul
 
-from ..exact import (binom_poly, binom_row, central_binomial, derived, harmonic,
-                     harmonic_row, n_row, over, pascal_row, power_row, reciprocal_row,
+from ..exact import (binom_row, binom_top, central_binomial, derived, harmonic, harmonic_row,
+                     n_row, over, pascal_row, power_row, product_row, reciprocal_row,
                      rising_row, taylor_shift)
 from ..legendre import legendre, legendre_row
-
-F = Fraction
 
 
 def id01(n, a):
@@ -55,19 +49,15 @@ def id01(n, a):
 
 
 def id02(n, a):
-    ba, da = binom_row(a["alpha"], n)      # C(alpha, m)
-    bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
-    px, dx = power_row(a["x"], n)
-    py, dy = power_row(a["y"], n)
-    total = sum(ba[n - k] * bb[k] * px[k] * py[n - k] for k in range(n + 1))
-    return over(total, da * db * dx * dy)
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)   # C(beta+k, k) x^k
+    ay, day = product_row(binom_row, a["alpha"], power_row, a["y"], n)   # C(alpha, m) y^m
+    return over(sum(map(mul, bx, reversed(ay))), dbx * day)
 
 
 def id03(n, a):
     ba, da = binom_row(a["alpha"], n)
-    bb, db = rising_row(a["beta"], n)
-    px, dx = power_row(a["x"], n)
-    return over(sum(ba[n - k] * bb[k] * px[k] for k in range(n + 1)), da * db * dx)
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)
+    return over(sum(map(mul, bx, reversed(ba))), da * dbx)
 
 
 def id04(n, a):
@@ -79,13 +69,13 @@ def id04(n, a):
 
 
 def id05(n, a):
-    return 4**n * binom_poly(a["lam"], n)
+    num, den = binom_top(a["lam"], n)
+    return over(4**n * num, den)
 
 
 def id06(n, a):
-    bs, ds = binom_row(a["s"], n)          # C(s, k)
-    rt, dt = reciprocal_row(a["t"], n)     # 1/C(t+k, k)
-    return over(sum(map(mul, n_row("C(n,k)", n), map(mul, bs, rt))), ds * dt)
+    st, dst = product_row(binom_row, a["s"], reciprocal_row, a["t"], n)  # C(s, k) / C(t+k, k)
+    return over(sum(map(mul, n_row("C(n,k)", n), st)), dst)
 
 
 def id07(n, a):
@@ -96,9 +86,8 @@ def id07(n, a):
 
 
 def id08(n, a):
-    bb, db = rising_row(a["beta"], n)      # C(beta+k, k)
-    px, dx = power_row(a["x"], n)
-    return over(sum(map(mul, n_row("C(n,k)", n), map(mul, bb, px))), db * dx)
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)   # C(beta+k, k) x^k
+    return over(sum(map(mul, n_row("C(n,k)", n), bx)), dbx)
 
 
 def id09(n, a):
@@ -160,12 +149,12 @@ def id19(n, a):
 
 def id20(n, a):
     den = lcm(*(central_binomial(k) for k in range(n + 1)))
-    return F(sum(4**k * comb(n, k) ** 2 * (den // central_binomial(k))
+    return Fraction(sum(4**k * comb(n, k) ** 2 * (den // central_binomial(k))
                  for k in range(n + 1)), den)
 
 
 def id20e(n, a):
-    return F(sum(comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k for k in range(n + 1)))
+    return Fraction(sum(comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k for k in range(n + 1)))
 
 
 def id21(n, a):
@@ -179,7 +168,7 @@ def id22(n, a):
 
 
 def id23(n, a):
-    return F(sum(k * comb(n, k) ** 2 for k in range(n + 1)))
+    return Fraction(sum(k * comb(n, k) ** 2 for k in range(n + 1)))
 
 
 def id24(n, a):

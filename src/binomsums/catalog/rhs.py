@@ -2,9 +2,13 @@
 
 Implemented from the displayed right sides only; see lhs.py for the
 independence convention, kept rows and ``n_row`` included, and the C(n, p)
-normalization of ID07/ID19.  The single binomials read kept rows: C(s+n, n)
-is entry n of s's ``rising_row``, so ID19 and ID21 call ``binom_upper_shift``.
-ID08 reads C(n, k) C(beta+k, n) from beta's rows, as lhs.py's ID09 does.
+normalization of ID07/ID19.  Each closed form builds one numerator and one
+denominator and divides once (``over``), so a ``RatFunc`` side is
+canonicalised once: a single binomial is entry n of a kept row as a pair
+(``binom_top``, ``rising_top``), the harmonic numbers are entries of one
+``harmonic_row`` read at its deepest index first, and ID15's digamma sum
+is ``pole_sum``'s pair.  ID08 reads C(n, k) C(beta+k, n) from beta's rows,
+as lhs.py's ID09 does.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
 C(beta-alpha+n, n-j) over one den.
@@ -16,12 +20,10 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from ..exact import (binom_poly, binom_row, binom_upper_shift, central_binomial, derived,
-                     digamma_diff, harmonic, harmonic_row, n_row, over, pascal_row,
-                     power_row, reciprocal_row, rising_row)
+from ..exact import (binom_poly, binom_row, binom_top, binom_upper_shift, central_binomial,
+                     derived, harmonic_row, n_row, over, pascal_row, pole_sum, power_row,
+                     product_row, reciprocal_row, rising_row, rising_top)
 from ..legendre import legendre_new_repr
-
-F = Fraction
 
 
 def id01(n, a):
@@ -32,20 +34,18 @@ def id01(n, a):
 def id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
     bg, dg = pascal_row(derived("x-y", beta, alpha), n)   # C(beta-alpha+n, m)
-    bb, db = rising_row(beta, n)                          # C(beta+k, k)
-    pxy, dxy = power_row(derived("x+y", x, y), n)
+    bp, dp = product_row(rising_row, beta, power_row, derived("x+y", x, y), n)  # C(b+k,k) (x+y)^k
     py, dy = power_row(y, n)
-    terms = (bg[n - k] * bb[k] * pxy[k] * py[n - k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dg * db * dxy * dy)
+    terms = (bg[n - k] * bp[k] * py[n - k] for k in range(n + 1))
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dg * dp * dy)
 
 
 def id03(n, a):
     alpha, beta = a["alpha"], a["beta"]
     bg, dg = pascal_row(derived("x-y", beta, alpha), n)
-    bb, db = rising_row(beta, n)
-    px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = (bg[n - j] * bb[j] * px[j] for j in range(n + 1))
-    return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
+    bp, dp = product_row(rising_row, beta, power_row, derived("x+1", a["x"]), n)
+    terms = map(mul, reversed(bg), bp)
+    return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * dp)
 
 
 def id04(n, a):
@@ -61,12 +61,13 @@ def id05(n, a):
     g = derived("-x-1/2", lam)
     top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
     low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
-    total = over(sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), dt * dl)
-    return binom_poly(derived("2x", lam), n) * total
+    nb, db = binom_top(derived("2x", lam), n)
+    return over(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
 
 
 def id06(n, a):
-    return binom_upper_shift(derived("x+y", a["s"], a["t"]), n) / binom_upper_shift(a["t"], n)
+    (nu, du), (nt, dt) = rising_top(derived("x+y", a["s"], a["t"]), n), rising_top(a["t"], n)
+    return over(nu * dt, du * nt)
 
 
 def id07(n, a):
@@ -74,14 +75,14 @@ def id07(n, a):
 
 
 def id08(n, a):
-    (ba, da), (bb, db) = binom_row(a["beta"], n), rising_row(a["beta"], n)
-    px, dx = power_row(derived("x+1", a["x"]), n)
-    terms = map(mul, map(mul, reversed(ba), bb), px)  # C(beta,n-k) C(beta+k,k): lhs.id09
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), da * db * dx)
+    ba, da = binom_row(a["beta"], n)
+    bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), n)
+    terms = map(mul, reversed(ba), bp)  # C(beta,n-k) C(beta+k,k) (x+1)^k: lhs.id09
+    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), da * dp)
 
 
 def id09(n, a):
-    return F(-1 if n % 2 else 1)
+    return Fraction(-1 if n % 2 else 1)
 
 
 def id10(n, a):
@@ -104,12 +105,14 @@ def id13(n, a):
 
 
 def id14(n, a):
-    return central_binomial(n) * ((1 - a["t"] * a["t"]) / 4) ** n
+    p, q = a["t"].numerator, a["t"].denominator
+    return over(central_binomial(n) * (q * q - p * p) ** n, (4 * q * q) ** n)
 
 
 def id15(n, a):
     s = a["s"]
-    return binom_poly(s, n) * (harmonic(n) + digamma_diff(s, n))
+    (nb, db), (h, dh) = binom_top(s, n), harmonic_row(n)
+    return pole_sum(s, n, 1, lambda t, d: (nb * (h[n] * d + t * dh), db * dh * d))
 
 
 def id16(n, a):
@@ -118,7 +121,8 @@ def id16(n, a):
 
 
 def id17(n, a):
-    return central_binomial(n) * (harmonic(n) - harmonic(2 * n)) / F(2 ** (2 * n - 1))
+    h, dh = harmonic_row(2 * n)
+    return over(2 * central_binomial(n) * (h[n] - h[2 * n]), dh * 4**n)
 
 
 def id18(n, a):
@@ -133,37 +137,40 @@ def id19(n, a):
 
 
 def id20(n, a):
-    return F(comb(4 * n, 2 * n)) / central_binomial(n)
+    return over(comb(4 * n, 2 * n), central_binomial(n))
 
 
 def id20e(n, a):
-    return F(comb(4 * n, 2 * n))
+    return Fraction(comb(4 * n, 2 * n))
 
 
 def id21(n, a):
     s = a["s"]
-    return (central_binomial(n) * binom_upper_shift(derived("2x+1", s), 2 * n)
-            / binom_upper_shift(s, n))
+    (nu, du), (ns, ds) = rising_top(derived("2x+1", s), 2 * n), rising_top(s, n)
+    return over(central_binomial(n) * nu * ds, du * ns)
 
 
 def id22(n, a):
-    return ((2 * n + 1) * central_binomial(n)
-            * (2 * harmonic(2 * n + 1) - harmonic(n) - 2) / F(4**n))
+    h, dh = harmonic_row(2 * n + 1)
+    return over((2 * n + 1) * central_binomial(n) * (2 * h[2 * n + 1] - h[n] - 2 * dh), dh * 4**n)
 
 
 def id23(n, a):
-    return F(n) * central_binomial(n) / 2
+    return over(n * central_binomial(n), 2)
 
 
 def id24(n, a):
-    return central_binomial(n) * (2 * harmonic(n) - harmonic(2 * n))
+    h, dh = harmonic_row(2 * n)
+    return over(central_binomial(n) * (2 * h[n] - h[2 * n]), dh)
 
 
 def id25(n, a):
-    d = harmonic(2 * n) - 2 * harmonic(n)
-    return central_binomial(n) * (d * d + harmonic(n, 2) - harmonic(2 * n, 2))
+    (h, _), (h2, d2) = harmonic_row(2 * n), harmonic_row(2 * n, 2)   # d2: the den of h, squared
+    d = h[2 * n] - 2 * h[n]
+    return over(central_binomial(n) * (d * d + h2[n] - h2[2 * n]), d2)
 
 
 def id26(n, a):
-    d = harmonic(2 * n) - 2 * harmonic(n)
-    return central_binomial(n) * (d * d + 2 * harmonic(n, 2) - harmonic(2 * n, 2))
+    (h, _), (h2, d2) = harmonic_row(2 * n), harmonic_row(2 * n, 2)
+    d = h[2 * n] - 2 * h[n]
+    return over(central_binomial(n) * (d * d + 2 * h2[n] - h2[2 * n]), d2)

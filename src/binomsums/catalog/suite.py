@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
@@ -40,10 +39,9 @@ class SuiteConfig:
     wz_scale: Fraction | None = None  # certificate scaling (negative control)
 
 
-@lru_cache(maxsize=64)          # a row's params object, rendered once per draw
-def _params_block(items: tuple) -> str:
-    return ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}" for k, v in items) + "\n      }"
-            if items else "{}")
+def _params_block(params: dict) -> str:
+    return ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}" for k, v in params.items())
+            + "\n      }" if params else "{}")
 
 
 def _sides(r: ResultRow) -> tuple[str | None, str | None]:
@@ -55,10 +53,14 @@ def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     """Write the JSON report to ``out``, each row as it arrives; its counts."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     out.write(f'{{\n  "suite": {_str(suite)},\n  "seed": {int.__repr__(seed)},\n  "results": ')
-    start = "[\n"
+    start, blocks = "[\n", {}   # id of a draw's one params dict -> (the dict, held, its block)
     for r in rows:
         counts[r.status] += 1
-        params = _params_block(tuple(r.params.items()))
+        if (kept := blocks.get(id(r.params))) is None:
+            if len(blocks) > 256:
+                blocks.clear()
+            kept = blocks[id(r.params)] = r.params, _params_block(r.params)
+        params = kept[1]
         lhs, rhs = _sides(r)
         out.write(
             f'{start}    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'

@@ -8,87 +8,65 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
-Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only:
-no caller changes a returned row.  The kernels read their input as p/q
-through ``numerator`` and ``denominator``, so one path serves all three
-rings.  For an int or ``Fraction`` input the row holds ints over one int
-den > 0 (n! q^n for the binomial rows, q^n for ``power_row``, each at the
-depth it was built to; lcm(1..N)^order for ``harmonic_row``), and
-``over(total, den)`` builds a row sum's one ``Fraction``; for a ``RatFunc``
-input, ``MultiPoly`` values over one ``MultiPoly``, and ``over`` builds one
-``RatFunc``; for a ``Jet2`` input, read as an int-coefficient jet over one
-int, such jets over one int.
-No kernel divides in the input's ring.  ``binom_row``, ``rising_row``,
-``reciprocal_row``, ``power_row`` and ``legendre_row`` are one builder,
-``_row``, that only multiplies; ``reciprocal_row``'s den is the product of
-the rising factors, so a vanishing C(b+k, k) raises the ring's own
-``ZeroDivisionError`` at its ``over`` (``Pole`` for a jet).  A
-``Drawn`` value, as ``params.draw`` hands out, keeps each builder kernel's
-row, built once at the depth its draw was admitted for (``Drawn.depth``, the
-n_max its domain saw, which rules out a vanishing reciprocal den there):
-a read at n up to that depth is the prefix row[:n+1] over the kept den, and
-a read past it (ID21 reads 2s + 1 at 2n) is a fresh row, not kept (as is a
-read below a reciprocal row kept past its pole, over den 0).  So do the n-free
-arguments the catalog derives from a draw (x + 1, x + y, (t^2+1)/(2t), ...),
-which ``derived`` hands out as ``Drawn`` values kept on the draw, at its
-depth; ``pascal_row`` keeps the row of an argument that moves with n,
-C(g+n, .), and steps it by Pascal's rule; and ``binom_poly``,
-``binom_upper_shift`` and ``legendre`` at a ``Drawn`` value read one entry
-of its kept row.  A kept row's entries have the values a fresh build's
-have.  ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
+Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only,
+and reads its input as p/q through ``numerator`` and ``denominator``, so one
+path serves all three rings: ints over one int den > 0 for an int or
+``Fraction`` (n! q^n for the binomial rows, q^n for ``power_row``,
+lcm(1..N)^order for ``harmonic_row``), ``MultiPoly`` values over one
+``MultiPoly`` for a ``RatFunc``, int-coefficient jets over one int for a
+``Jet2``.  No kernel divides, and every side, closed forms included, builds
+one numerator and one denominator and ends in one ``over``: one
+``Fraction``, one ``RatFunc`` or a jet.  ``binom_top`` and ``rising_top``
+read one entry of a kernel's row as such a pair (``_top``; ``binom_poly``,
+``binom_upper_shift`` and ``legendre`` are ``over`` of it), and ``pole_sum``
+adds sum_i 1/(s - i)^power as one running int sum over the product of the
+(p - iq)^power.  ``reciprocal_row``'s den is the product of the rising
+factors, so a vanishing C(b+k, k) raises the ring's ``ZeroDivisionError`` at
+``over`` (``Pole`` for a jet).
+
+A ``Drawn`` value, as ``params.draw`` hands out, keeps each kernel's row
+(``_kept``), built once at the depth its draw was admitted for
+(``Drawn.depth``, where its domain ruled out a vanishing reciprocal den): a
+read at n up to that depth is the prefix row[:n+1] over the kept den, and a
+read past it (ID21 reads 2s + 1 at 2n), or below a reciprocal row kept past
+its pole (den 0), is fresh and not kept.  The n-free arguments ``derived``
+from a draw (x + 1, x + y, (t^2+1)/(2t), ...) and the products of two of its
+rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k))
+are kept on the draw so too; ``pascal_row`` keeps C(g+n, .), which moves
+with n, and steps it by Pascal's rule.  A kept row's entries have the values
+a fresh build's have; ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get
+fresh rows.
 
 ``harmonic_row`` is a prefix of the one harmonic table, kept for the run: a
 row per order, all at one depth N, the deepest n read so far, the row of
-order o over lcm(1..N)^o, so H_k^2 and H_k^(2) share a den.  A harmonic sum
-is an int sum of row products, and ``harmonic(n, order)`` reads entry n.
-``n_row(form, n)`` holds a sum's int coefficients along k that depend on n
-alone, its sign folded in, so a sum is one dot product; the last eight are
-kept, as tuples.  Both are shared by the draws at one n and by the two sides
-of an identity.
-``digamma_diff`` and ``trigamma_diff`` are one row sum, ``_pole_sum``: sum_i
-1/(s - i)^power is one running int sum over the product of the factors
-(p - iq)^power, divided once by ``over``.
+order o over lcm(1..N)^o, so H_k^2 and H_k^(2) share a den.  The table may
+grow between two reads, so a side reads its entries from one table state,
+the deepest first.  ``n_row(form, n)`` holds a sum's int coefficients along
+k that depend on n alone, its sign folded in, so a sum is one dot product;
+the last eight are kept, as tuples.  Both are shared by the draws at one n
+and by the two sides of an identity.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
 with a leading ``-`` on the numerator.  ``parse_rational`` reads it back, and
-any other ``-``? digits (``/`` digits) spelling too (``007``, ``4/2``).
+any other ``-``? digits (``/`` digits) spelling in ASCII digits too (``007``, ``4/2``).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, lcm
+from operator import mul
 
 from .poly import MultiPoly, RatFunc
 
-__all__ = [
-    "Drawn",
-    "Pole",
-    "binom_poly",
-    "binom_row",
-    "binom_upper_shift",
-    "central_binomial",
-    "derived",
-    "digamma_diff",
-    "harmonic",
-    "harmonic_row",
-    "n_row",
-    "over",
-    "parse_rational",
-    "pascal_row",
-    "pascal_step",
-    "power_row",
-    "reciprocal_row",
-    "render_rational",
-    "rising_row",
-    "taylor_shift",
-    "trigamma_diff",
-]
-
-_ZERO = Fraction(0)
+__all__ = ["Drawn", "Pole", "binom_poly", "binom_row", "binom_top", "binom_upper_shift",
+           "central_binomial", "derived", "digamma_diff", "harmonic", "harmonic_row", "n_row",
+           "over", "parse_rational", "pascal_row", "pascal_step", "pole_sum", "power_row",
+           "product_row", "reciprocal_row", "render_rational", "rising_row", "rising_top",
+           "taylor_shift", "trigamma_diff"]
 
 
 class Pole(ZeroDivisionError):
@@ -99,7 +77,7 @@ class Pole(ZeroDivisionError):
 # Rendering / parsing
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def render_rational(q: Fraction) -> str:
@@ -108,8 +86,8 @@ def render_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """``-``? digits (``/`` digits of a nonzero den), any Unicode decimal digit, and no ``+``,
-    space, float or exponent: :func:`render_rational`'s output or any other spelling, so
+    """``-``? digits (``/`` digits of a nonzero den), ASCII 0-9 only, and no ``+``, space,
+    float or exponent: :func:`render_rational`'s output or any other spelling, so
     ``007``, ``-0``, ``4/2`` and ``3/1`` read as 7, 0, 2 and 3."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
@@ -216,12 +194,11 @@ def over(total, den):
 
 
 class Drawn(Fraction):
-    """A drawn parameter: a ``Fraction`` whose instance dict keeps ``_row``'s
-    state per kernel, as ``functools.cached_property`` keeps its values, and
-    the values ``derived`` from it.  ``depth`` is the n its draw's domain
-    admitted it for (``params.draw``), which ``_row`` builds its rows to at
-    once.  Arithmetic on it gives plain ``Fraction`` values, which keep
-    nothing."""
+    """A drawn parameter: a ``Fraction`` whose instance dict keeps its rows
+    (``_kept``), as ``functools.cached_property`` keeps its values, and the
+    values ``derived`` from it.  ``depth`` is the n its draw's domain admitted
+    it for (``params.draw``).  Arithmetic on it gives plain ``Fraction``
+    values, which keep nothing."""
 
     depth = 0
 
@@ -255,24 +232,29 @@ def derived(form: str, x, y=None):
     return value
 
 
-def _row(kernel: str, x, n: int, step):
-    """(row, den) of a kernel at x = p/q to depth n, by multiplication only.
+def _kept(x, key, n: int, build, *args):
+    """build(x, n, *args), a (row, den, ...); a ``Drawn`` x keeps build(x, x.depth, *args)
+    under ``key`` (if not None) and reads its prefix up to the depth, but over den 0."""
+    if key and type(x) is Drawn and n <= x.depth:
+        kept = vars(x)
+        if key not in kept:
+            kept[key] = build(x, x.depth, *args)
+        state = kept[key]
+        if state[1] or n == x.depth:
+            return state[0][:n + 1], state[1]
+    return build(x, n, *args)
 
-    step(p, q, m, N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = q^0; entry m
-    is N_m s_{m+1} ... s_n over den = s_1 ... s_n, built top-down as a tuple.
-    A ``Drawn`` x keeps the row built once at x.depth in ``vars(x)[kernel]``:
-    a read at n <= x.depth is its prefix row[:n+1] over the kept den, and a
-    read past the depth is a fresh row, not kept.  A kept den 0 (a reciprocal
-    row past its pole) is no prefix: a read below the depth is fresh too."""
+
+def _row(kernel: str, x, n: int, step):
+    """(row, den) of a kernel at x to depth n, kept on a ``Drawn`` x."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    if type(x) is Drawn and n <= x.depth:
-        kept = vars(x)
-        if kernel not in kept:
-            kept[kernel] = _row(kernel, Fraction(x), x.depth, step)
-        row, den = kept[kernel]
-        if den or n == x.depth:
-            return row[:n + 1], den
+    return _kept(x, kernel, n, _build, step)
+
+
+def _build(x, n: int, step):
+    """``_row`` at x = p/q by multiplication only: step(p, q, m, N_{m-1}, N_m) is (N_{m+1},
+    s_{m+1}), from N_0 = q^0; entry m is N_m s_{m+1} ... s_n over den = s_1 ... s_n."""
     p, q = x.numerator, x.denominator
     prev, cur, row, scales = 0, q**0, [p**0], [q**0]   # N_0 and s_0 = 1
     for m in range(n):
@@ -287,19 +269,28 @@ def _row(kernel: str, x, n: int, step):
 
 
 def _top(kernel: str, x, n: int, step):
-    """Entry n of ``_row``'s row at x, N_n / (s_1 ... s_n): read from the kept
-    row of a ``Drawn`` x up to its depth, built without a row otherwise."""
-    if n < 0:
-        raise ValueError("row depth must be non-negative")
-    if type(x) is Drawn and n <= x.depth:
+    """Entry n of ``_row``'s row at x as (N_n, s_1 ... s_n): read from a kept
+    row up to a ``Drawn`` x's depth (``_row`` refuses n < 0), else built alone."""
+    if type(x) is Drawn and n <= x.depth or n < 0:
         row, den = _row(kernel, x, n, step)
-        return Fraction(row[n], den)
+        return row[n], den
     p, q = x.numerator, x.denominator
     prev, cur, den = 0, p**0, q**0
     for m in range(n):
         prev, (cur, s) = cur, step(p, q, m, prev, cur)
         den *= s
-    return over(cur, den)
+    return cur, den
+
+
+def product_row(f, x, g, y, n: int):
+    """([a_k b_k for k = 0..n], da db) of the rows (a, da) = f(x, n) and (b, db) =
+    g(y, n); for a ``Drawn`` x and y, kept on x under (f, g, id(y)), y held."""
+    return _kept(x, (f, g, id(y)) if type(y) is Drawn else None, n, _product, f, g, y)[:2]
+
+
+def _product(x, n: int, f, g, y):
+    (a, da), (b, db) = f(x, n), g(y, n)
+    return tuple(map(mul, a, b)), da * db, y
 
 
 def _falling(p, q, m, _, num):
@@ -318,7 +309,7 @@ def binom_poly(s, k: int):
     Returns 0 for k < 0 (the boundary convention that makes the summation
     identities run over k = 0..n with out-of-support terms vanishing).  The
     upper argument may be an int, a Fraction, a RatFunc or a Jet2, since the
-    product form is polynomial in s.
+    product form is polynomial in s: ``binom_top``, divided once.
     """
     if isinstance(s, int):
         s = Fraction(s)
@@ -326,7 +317,7 @@ def binom_poly(s, k: int):
         return s * 0            # the zero of s's ring
     if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
         return Fraction(comb(s.numerator, k))
-    return _top("binom", s, k, _falling)
+    return over(*binom_top(s, k))
 
 
 def binom_row(s, n: int):
@@ -386,38 +377,38 @@ def power_row(x, n: int):
 
 
 def binom_upper_shift(b, m: int):
-    """binom(b + m, m)  =  prod_{i=1..m} (b + i) / m!   for integer m >= 0.
+    """binom(b + m, m) = prod_{i=1..m} (b + i) / m!, m >= 0, polynomial in b: ``rising_top``."""
+    return over(*rising_top(b, m))
 
-    Polynomial in b, so it lifts to jets unchanged: entry m of
-    ``rising_row(b, m)``, read from a ``Drawn`` b's kept row.
-    """
-    return _top("rising", b, m, _rising)
+
+# C(s, k) and C(b + m, m) as (num, den): entry k of binom_row(s, k), m of rising_row(b, m)
+binom_top = partial(_top, "binom", step=_falling)
+rising_top = partial(_top, "rising", step=_rising)
 
 
 # ---------------------------------------------------------------------------
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
-def _pole_sum(s, n: int, power: int):
+def pole_sum(s, n: int, power: int, lift=None):
     """sum_{i=0..n-1} 1/(s-i)^power for power 1 or 2, as one row sum.
 
     At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, added
     in one pass: from 0 / 1, each f_i takes total / den to (total f_i + den) /
-    (den f_i), so den ends as prod_i f_i, and ``over`` divides once.  Raises
-    ``Pole`` at the first i with s = i, when s is one of 0, 1, ..., n-1 (for
-    jets: when the base point is).
+    (den f_i).  ``lift(q^power total, den)``, if given, is the (num, den) of the
+    value to return (ID15 folds C(s, n) and H_n in); ``over`` divides once.
+    Raises ``Pole`` at the first i with s = i in 0..n-1 (for jets: the base point).
     """
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    if n == 0:
-        return _ZERO
     p, q = s.numerator, s.denominator
-    total, den = 0, p**0
+    total, den = 0, 1
     for i in range(n):
         f = (p - i * q) ** power
         total, den = total * f + den, den * f
+    parts = q**power * total, den
     try:
-        return over(q**power * total, den)
+        return over(*(lift(*parts) if lift else parts))
     except ZeroDivisionError as exc:
         for i in range(n):      # the first i where 1/(s - i) has no value
             try:
@@ -430,9 +421,9 @@ def _pole_sum(s, n: int, power: int):
 
 def digamma_diff(s, n: int):
     """psi(s+1) - psi(s-n+1) = sum_{i<n} 1/(s-i), H_n at s = n; Pole at a pole."""
-    return _pole_sum(s, n, 1)
+    return pole_sum(s, n, 1)
 
 
 def trigamma_diff(s, n: int):
     """psi'(s+1) - psi'(s-n+1) = -sum_{i<n} 1/(s-i)^2, -H_n^(2) at s = n; Pole at a pole."""
-    return -_pole_sum(s, n, 2)
+    return -pole_sum(s, n, 2)

@@ -43,7 +43,7 @@ def legendre_row(n: int, x):
 
 def legendre(n: int, x: Fraction) -> Fraction:
     """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._top``)."""
-    return _top("legendre", x, n, _recurrence)
+    return over(*_top("legendre", x, n, _recurrence))
 
 
 def _check_t(t: Fraction) -> None:

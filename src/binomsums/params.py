@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .exact import Drawn
 from .hyperterm import AffineForm
 
-__all__ = ["BOUND", "MAX_TRIES", "N_MAX", "Avoid", "Domain", "ParamSpec", "ResultRow", "draw",
-           "draws", "not_negative_integers", "render_draw"]
+__all__ = ["BOUND", "MAX_TRIES", "N_MAX", "Admitted", "Avoid", "Domain", "ParamSpec", "ResultRow",
+           "draw", "draws", "not_negative_integers", "render_draw"]
 
 MAX_TRIES = 1000
 BOUND = 100                            # a drawn value's numerator and denominator bound
@@ -99,18 +99,24 @@ def not_negative_integers(*names: str, reason: str | None = None) -> Domain:
                         reason or f"{name} is a negative integer") for name in names)
 
 
-def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> dict[str, Fraction] | None:
+class Admitted(dict):
+    """A drawn assignment that the domain ``reject`` admitted at ``depth`` (so at every
+    smaller depth), not to be changed in place."""
+
+
+def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> Admitted | None:
     """One assignment with numerators in [-BOUND, BOUND] and denominators in
     [1, BOUND], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
     after MAX_TRIES tries.  The values are ``exact.Drawn`` at depth n_max:
     each kernel row is built once at n_max, where the domain has ruled out
     its poles, and a read at n <= n_max is its prefix."""
     for _ in range(MAX_TRIES):
-        assign = {name: Drawn(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
-                  for name in spec.names}
+        assign = Admitted((name, Drawn(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND)))
+                          for name in spec.names)
         if spec.reject(n_max, assign) is None:
             for value in assign.values():
                 value.depth = n_max
+            assign.reject, assign.depth = spec.reject, n_max
             return assign
     return None
 

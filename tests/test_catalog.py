@@ -19,9 +19,9 @@ from binomsums.catalog.entries import (
     check_identity,
     draw_for_entry,
 )
-from binomsums.exact import binom_poly, binom_upper_shift, harmonic, over
+from binomsums.exact import Drawn, binom_poly, binom_upper_shift, harmonic, over
 from binomsums.jets import Jet2
-from binomsums.params import ParamSpec
+from binomsums.params import Admitted, ParamSpec
 from binomsums.poly import VARS, RatFunc
 
 F = Fraction
@@ -196,6 +196,26 @@ def test_id04_rows_match_the_reference():
                 assert [type(v) for v in from_rows + per_j] == [type(v) for v in want * 2]
 
 
+def test_id04_rows_compare_over_the_gcd_of_their_dens_in_every_ring():
+    # int dens are compared over their lcm, MultiPoly dens cross-multiplied; a
+    # right row off by one at j = 1 fails there, at every n >= 1, in both rings
+    entry = REGISTRY["ID04"]
+
+    def slipped(n, a):
+        row, den = entry.rhs(n, a)
+        return [v + den * (j == 1) for j, v in enumerate(row)], den
+
+    wrong = {"ID04": replace(entry, rhs=slipped)}
+    b = RatFunc.var("beta")
+    alpha, beta = 1 / (RatFunc.var("alpha") + 2), b / (b + 1)     # dens that differ
+    for a in ({"alpha": F(5, 3), "beta": F(-2, 7)}, {"alpha": alpha, "beta": beta}):
+        for n in range(5):
+            assert check_identity("ID04", n, a).status == "pass"
+            r = check_identity("ID04", n, a, wrong)
+            assert (r.status, r.reason) == (("fail", "sides differ at j=1") if n else
+                                            ("pass", "")), (a, n)
+
+
 def test_id04_memo_never_serves_stale_rows():
     entry = REGISTRY["ID04"]
     half, third, other = F(1, 2), F(1, 3), F(-7, 5)
@@ -280,6 +300,7 @@ ROW_HELPER_CALLERS = {
     "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
     "reciprocal_row": {"ID05", "ID06"},
     "legendre_row": {"ID14"},
+    "product_row": {"ID02", "ID03", "ID06", "ID08"},
     "n_row": {"ID01", "ID05", "ID06", "ID08", "ID10", "ID11", "ID12", "ID13", "ID14",
               "ID15", "ID16", "ID17", "ID18", "ID21", "ID22", "ID24", "ID25", "ID26"},
 }
@@ -349,6 +370,34 @@ def test_draws_respect_exclusions():
     entry = REGISTRY["ID15"]
     for draw in draw_for_entry(entry, seed=9, samples=50, n_max=30):
         assert entry.params.reject(31, draw) is None
+
+
+def test_a_draw_is_not_asked_again_below_the_depth_its_domain_admitted_it_at():
+    # a draw of this entry's own domain, admitted at n_max + 1, is admitted at
+    # every smaller depth, so check_identity asks nothing of it at n <= n_max;
+    # at its depth, as a plain dict, or as another domain's draw it asks at n + 1
+    asked = []
+
+    def counting(n_max, a):
+        asked.append(n_max)
+        return REGISTRY["ID15"].params.reject(n_max, a)
+
+    entries = {"ID15": replace(REGISTRY["ID15"], params=ParamSpec(("s",), counting))}
+    drawn = draw_for_entry(entries["ID15"], 0, 5, 10)
+    assert all(type(a) is Admitted and a.reject is counting and a.depth == 11 for a in drawn)
+    asked.clear()
+    assert {check_identity("ID15", n, a, entries).status for a in drawn for n in range(11)} == {
+        "pass"}
+    assert asked == []
+    for a in (drawn[0], dict(drawn[0]), {"s": F(drawn[0]["s"])}):
+        assert check_identity("ID15", 11 if a is drawn[0] else 4, a, entries).status == "pass"
+    assert asked == [12, 5, 5]
+    # s = 2 as ID21's domain admits it: ID15's own domain still skips it at n = 3
+    other = Admitted(s=Drawn(2))
+    other.reject, other.depth = REGISTRY["ID21"].params.reject, 31
+    r = check_identity("ID15", 3, other)
+    assert (r.status, r.reason) == ("skipped", "s in {0..n-1}: digamma pole")
+    assert check_identity("ID15", 3, other, entries).status == "skipped" and asked[-1] == 4
 
 
 def test_draw_determinism_and_independence_from_filter():

@@ -370,3 +370,12 @@ def test_a_reader_that_closes_early_gets_no_traceback():
         os.close(write_end)
     assert done.returncode == 1
     assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr, done.stderr
+
+
+def test_wz_mutation_takes_only_ascii_digits(capsys):
+    # reports render 0-9 only, so a scale spelled in other decimal digits is a
+    # usage error, not a mutant: Arabic-Indic three and a full-width one
+    for spec in ("scale-cert:٣/2", "scale-cert:１", "scale-cert:2/٣"):
+        code, _ = run_cli("wz", "thm2", "--n-max", "1", "--samples", "1", "--mutate", spec)
+        assert code == 2
+        assert "not a rational literal" in capsys.readouterr().err

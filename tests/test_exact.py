@@ -29,6 +29,7 @@ from binomsums.exact import (
     parse_rational,
     pascal_row,
     power_row,
+    product_row,
     reciprocal_row,
     render_rational,
     rising_row,
@@ -97,7 +98,8 @@ def test_render_parse_round_trip():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["1.5", "3e2", " 1/2", "1/2 ", "1//2", "", "+1", "a", "1/0"])
+@pytest.mark.parametrize("bad", ["1.5", "3e2", " 1/2", "1/2 ", "1//2", "", "+1", "a", "1/0",
+                                 "\u0663/2", "\uff11"])
 def test_parse_rejects_non_canonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -555,6 +557,88 @@ def test_a_row_kept_past_its_pole_reads_fresh_values_below_it():
     assert reciprocal_row(b, 2) == reciprocal_row(Fraction(-3), 2)
     assert [over(v, reciprocal_row(b, 2)[1]) for v in reciprocal_row(b, 2)[0]] == [1, F(-1, 2), 1]
     assert reciprocal_row(b, 5)[1] == 0 and vars(b)["recip"][1] == 0
+
+
+# row pairs multiplied along k: the three the catalog multiplies, and power by rising
+PRODUCTS = [(rising_row, power_row), (binom_row, reciprocal_row), (binom_row, power_row),
+            (power_row, rising_row)]
+
+
+def fresh_product(f, x, g, y, n):
+    """The values of f's row at x times g's at y, entry by entry, from plain Fractions."""
+    return [a * b for a, b in zip(values(f(Fraction(x), n)), values(g(Fraction(y), n)))]
+
+
+def test_a_kept_product_row_is_the_fresh_product_at_every_depth():
+    # a product of two drawn values' rows is built once at the draw's depth and
+    # read as its prefix: every read at n <= d has the fresh product's values,
+    # as ints over an int den > 0, and the state kept on x, which holds y, is
+    # the same object throughout
+    d = 12
+    rng = random.Random("kept product rows")
+    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
+    for _ in range(4):
+        a = draw(rng, spec, d)
+        for x, y in ((a["x"], a["y"]), (a["x"], derived("x+1", a["y"])), (a["y"], a["x"])):
+            for f, g in PRODUCTS:
+                product_row(f, x, g, y, 0)
+                state = vars(x)[f, g, id(y)]
+                assert state[2] is y and len(state[0]) == d + 1
+                assert state[1] == f(x, d)[1] * g(y, d)[1]
+                for n in [*range(d + 1), *range(d, -1, -1), 5, 0, 11]:
+                    row, den = product_row(f, x, g, y, n)
+                    assert type(row) is tuple and len(row) == n + 1
+                    assert all(type(v) is int for v in row) and type(den) is int and den > 0
+                    assert values((row, den)) == fresh_product(f, x, g, y, n), (f, g, x, y, n)
+                    assert vars(x)[f, g, id(y)] is state
+
+
+def test_a_product_read_past_the_depth_is_fresh_and_not_kept():
+    d = 6
+    rng = random.Random("products past the depth")
+    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
+    for _ in range(4):
+        a = draw(rng, spec, d)
+        x, y = a["x"], a["y"]
+        for f, g in PRODUCTS:
+            product_row(f, x, g, y, d)
+            kept = dict(vars(x))
+            for n in (d + 1, d + 5, 2 * d):
+                row, den = product_row(f, x, g, y, n)
+                assert len(row) == n + 1 and values((row, den)) == fresh_product(f, x, g, y, n)
+            assert vars(x).keys() == kept.keys()
+            assert all(vars(x)[k] is v for k, v in kept.items())
+
+
+def test_a_product_over_a_reciprocal_row_kept_past_its_pole_reads_fresh_below_it():
+    # 1/C(b+k, k) at b = -3 has a pole at k = 3: the product kept at depth 5 has
+    # den 0, and a read below the pole is the fresh product over a den > 0, and
+    # a read at or past the pole is over den 0 again, as a plain Fraction's is
+    for s in (Drawn(1, 2), Drawn(-7, 3), Drawn(4)):
+        b = Drawn(-3, 1)
+        s.depth = b.depth = 5
+        for n in (5, 2, 0, 1, 4, 3, 2, 9, 1):
+            row, den = product_row(binom_row, s, reciprocal_row, b, n)
+            assert len(row) == n + 1
+            if n < 3:
+                assert den > 0
+                assert values((row, den)) == fresh_product(binom_row, s, reciprocal_row, b, n)
+            else:
+                assert den == 0 == reciprocal_row(F(-3), n)[1]
+        assert vars(s)[binom_row, reciprocal_row, id(b)][1] == 0
+
+
+def test_a_product_with_a_ring_value_is_the_product_of_the_rows():
+    # a Jet2, a RatFunc or a plain Fraction partner is multiplied afresh, and
+    # nothing is kept on x
+    x = Drawn(2, 3)
+    x.depth = 8
+    for y in (Jet2.variable(F(1, 3), 1), RatFunc.var("s"), F(5, 7)):
+        for n in (0, 3, 8):
+            row, den = product_row(rising_row, x, power_row, y, n)
+            (a, da), (b, db) = rising_row(x, n), power_row(y, n)
+            assert list(row) == [u * v for u, v in zip(a, b)] and den == da * db
+    assert [k for k in vars(x) if type(k) is tuple] == []
 
 
 def ring_falling_reference(x, n):

@@ -215,3 +215,24 @@ def test_rows_of_one_draw_share_its_rendered_params():
     for i, row in enumerate(rows):
         assert check_identity("ID06", row.n, draws[i % 3]).status == row.status
     assert check_identity("ID15", 3, {"s": F(2)}).status == "skipped"
+
+
+def test_params_blocks_follow_the_row_objects():
+    # the JSON writer renders a params dict once and keeps the block by the
+    # dict's identity, holding the dict: rows that share a dict, equal dicts
+    # apart, more dicts than it keeps at once, and fresh dicts that die as soon
+    # as their row is written (so their ids come free) all render as json.dumps
+    # renders them
+    shared = [{"x": str(i), "y": "1/2"} for i in range(300)]
+    rows = [ResultRow("ID02", shared[i], n, F(n), F(n), "pass")
+            for n in range(3) for i in range(300)]
+    rows += [ResultRow("ID02", {"x": "7", "y": "1/2"}, 3, None, None, "skipped", "r")]
+    assert _written(write_json, "blocks", 1, rows) == json.dumps(_json_dict("blocks", 1, rows),
+                                                                 indent=2)
+
+    def fresh():
+        for i in range(1000):
+            yield ResultRow("ID15", {"s": str(i)} if i % 7 else {}, i, F(i), F(i), "pass")
+
+    written = _written(write_json, "fresh", 2, fresh())
+    assert written == json.dumps(_json_dict("fresh", 2, list(fresh())), indent=2)
