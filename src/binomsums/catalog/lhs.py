@@ -116,9 +116,8 @@ def id13(n, a):
 
 def id14(n, a):
     t = a["t"]
-    values, dv = legendre_row(n, derived("(x^2+1)/(2x)", t))
-    pt, dt = power_row(t, n)
-    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), map(mul, values, pt))), dv * dt)
+    pt, dpt = product_row(legendre_row, derived("(x^2+1)/(2x)", t), power_row, t, n)  # P_k t^k
+    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), pt)), dpt)
 
 
 def id15(n, a):

@@ -31,11 +31,12 @@ read at n up to that depth is the prefix row[:n+1] over the kept den, and a
 read past it (ID21 reads 2s + 1 at 2n), or below a reciprocal row kept past
 its pole (den 0), is fresh and not kept.  The n-free arguments ``derived``
 from a draw (x + 1, x + y, (t^2+1)/(2t), ...) and the products of two of its
-rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k))
-are kept on the draw so too; ``pascal_row`` keeps C(g+n, .), which moves
-with n, and steps it by Pascal's rule.  A kept row's entries have the values
-a fresh build's have; ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get
-fresh rows.
+rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k),
+P_k t^k) are kept on the draw so too; ``pascal_row`` keeps C(g+n, .), which
+moves with n, and steps it by Pascal's rule (``pascal_step``).  A kept row's
+entries have the values a fresh build's have; ``Fraction``, ``RatFunc`` and
+``Jet2`` inputs get fresh rows.  ``reciprocal_step``, beside ``pascal_step``,
+takes a row of 1/C(b+k, k) one deeper at b - 1 (the WZ grid's moving 1/C).
 
 ``harmonic_row`` is a prefix of the one harmonic table, kept for the run: a
 row per order, all at one depth N, the deepest n read so far, the row of
@@ -65,8 +66,8 @@ from .poly import MultiPoly, RatFunc
 __all__ = ["Drawn", "Pole", "binom_poly", "binom_row", "binom_top", "binom_upper_shift",
            "central_binomial", "derived", "digamma_diff", "harmonic", "harmonic_row", "n_row",
            "over", "parse_rational", "pascal_row", "pascal_step", "pole_sum", "power_row",
-           "product_row", "reciprocal_row", "render_rational", "rising_row", "rising_top",
-           "taylor_shift", "trigamma_diff"]
+           "product_row", "reciprocal_row", "reciprocal_step", "render_rational", "rising_row",
+           "rising_top", "taylor_shift", "trigamma_diff"]
 
 
 class Pole(ZeroDivisionError):
@@ -350,6 +351,14 @@ def pascal_step(row, den, p, q):
     Pascal's rule; each entry and den take (r+1) q, and the top C(x-1, r) x/(r+1) is row[r] p."""
     s = len(row) * q
     return (*[(v + w) * s for v, w in zip(row, (0, *row))], row[-1] * p), den * s
+
+
+def reciprocal_step(row, den, p, q):
+    """``reciprocal_row(b - 1, r + 1)`` from ``reciprocal_row(b, r)``, b = p/q in lowest terms:
+    a fresh entry k is k! q^k prod_{i=k..r} (p + iq), so entry k takes p + kq, the top is
+    row[r] (r+1) q and den takes p, turned so den > 0 (den is 0 where a fresh den is)."""
+    row, den = (*map(mul, row, range(p, p + len(row) * q, q)), row[-1] * len(row) * q), den * p
+    return (tuple(-v for v in row), -den) if den < 0 else (row, den)
 
 
 def taylor_shift(row, by):

@@ -10,13 +10,15 @@ moves every binomial argument by an integer).  Three primitives are exposed:
 
 * ``grid`` -- reads a parameter draw's whole (n, j, k) grid in one call, one
   block of ints per n: the rows along k of every j, the scales along j and one
-  den.  A plan made once per call reads each factor's kernel row once (per n if
-  its argument moves with n, C(g+n, .) stepped by Pascal's rule; a reciprocal
-  by products alone), as deep as it reads; the factors free of n are fused with
-  the sign into weight rows along n, j and k, so an n reads only what moves
-  with it; an int factor of j and k by ``math.comb`` along j at each k, or in
-  the telescoped sums by the paper's Taylor step: sum_k w_k C(k, j) for every j
-  is the k-row w shifted by +1.  The first failing (n, j, k, factor) raises.
+  den.  A plan made once per call reads each factor's kernel row once, as deep
+  as it reads (a reciprocal's by products alone); one that moves with n is
+  stepped from the last n's row, C(g+n, .) by Pascal's rule and 1/C(g+n, .) by
+  ``reciprocal_step``, else built at each n; the factors free of n are fused
+  with the sign into weight rows along n, j and k, so an n reads only what
+  moves with it; an int factor of j and k by ``math.comb`` along j at each k,
+  or in the telescoped sums by the paper's Taylor step: sum_k w_k C(k, j) for
+  every j is the k-row w shifted by +1.  The first failing (n, j, k, factor)
+  raises.
 
 * ``evaluate`` -- the exact rational value at a concrete assignment: a row
   of length one along no variable, rational where :func:`_eval_binomial` is.
@@ -33,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .exact import (Pole, binom_poly, binom_row, binom_upper_shift, pascal_step,
-                    reciprocal_row, rising_row, taylor_shift)
+                    reciprocal_row, reciprocal_step, rising_row, taylor_shift)
 from .poly import VARS, MultiPoly, RatFunc
 
 __all__ = ["AffineForm", "HyperTerm"]
@@ -80,15 +82,17 @@ class AffineForm:
     def split(self, fixed) -> tuple[int | Fraction, tuple[tuple[str, int | Fraction], ...]]:
         """(constant plus the fixed variables' terms, the coefficients of the
         free variables), each an int where integral; with every variable
-        fixed, the first part is the form's value."""
-        part = self.constant
+        fixed, the first part is the form's value; the fixed terms are added as
+        ints over one den, divided out once."""
+        num, den = self.constant.as_integer_ratio()
         free = []
         for name, c in self.coeffs:
             if name in fixed:
-                part += fixed[name] if c == 1 else c * fixed[name]
+                (a, b), (p, q) = c.as_integer_ratio(), fixed[name].as_integer_ratio()
+                num, den = num * b * q + a * p * den, den * b * q
             else:
                 free.append((name, int(c) if c.denominator == 1 else c))
-        return int(part) if part.denominator == 1 else part, tuple(free)
+        return num // den if num % den == 0 else Fraction(num, den), tuple(free)
 
     def to_poly(self) -> MultiPoly:
         poly = MultiPoly.const(self.constant)
@@ -145,36 +149,33 @@ class HyperTerm:
                  for top, bottom, _ in self.factors]
         plans = [_plan(*form, exp) for form, (_, _, exp) in zip(forms, self.factors)]
         reads, kernels = list(reads), {}
+        ends = [(m, *_ends(js), *_ends(ks)) if js and ks else None for m, js, ks in reads]
         live = [] if None in plans or any(type(c) is not int for c in sign) else [
-            (m, js, ks) for m, js, ks in reads if js and ks]
+            end for end in ends if end]
 
-        def kernel(q, m, js, ks):
-            # factor q's kernel row: built once per call, or once per m if its argument
-            # moves with n, C(x, .) stepped from m - 1's row; a reciprocal's 1/C(b+i, i), or
-            # 1/C(x, i) = (-1)^i / C(i-x-1, i), by products alone, failing if a C vanishes
+        def kernel(q, m, end):
+            # factor q's kernel row from its argument's ints p/d at m, once per call or per m if
+            # it moves with n: a reciprocal's 1/C(b+i, i), b = -1 - x for 1/C(x, i), by products
+            # alone; C(x, .) or 1/C(x, .), x up one per m, stepped from m - 1's as it grows by one
             read, index, arg, _ = plans[q]
-            key = q, arg[1] and m
+            key, exp = (q, arg[1] and m), self.factors[q][2]
             if read and key not in kernels:
-                reach = _reach(index, [(m, js, ks)] if arg[1] else live)
-                x = _at(arg, m, 0, 0)
-                if self.factors[q][2] < 0:
-                    row, den = reciprocal_row(x if read is rising_row else -1 - x, reach)
-                    if read is binom_row:
-                        row = [-v if i % 2 else v for i, v in enumerate(row)]
-                    kernels[key] = (row, den) if den else ([None] * len(row), 1)
+                reach, last = _reach(index, [end] if arg[1] else live), kernels.get((q, m - 1))
+                p, d = arg[0].numerator + arg[1] * m * arg[0].denominator, arg[0].denominator
+                if read is binom_row and arg[1] == 1 and last and len(last[0]) == reach:
+                    kernels[key] = (pascal_step(*last, p, d) if exp > 0 else
+                                    reciprocal_step(*last, -p, d))
                 else:
-                    last = kernels.get((q, m - 1))
-                    kernels[key] = pascal_step(*last, x.numerator, x.denominator) if (
-                        read is binom_row and arg[1] == 1 and last and len(last[0]) == reach
-                    ) else read(x, reach)
+                    b = Fraction(-d - p if exp < 0 and read is binom_row else p, d)
+                    kernels[key] = (read if exp > 0 else reciprocal_row)(b, reach)
             return kernels.get(key)
 
-        def along(factors, m, points, rows):
-            # rows [(along n, den), (along j, den), (along k, den)] times the factors at m,
-            # each on its axis (1: n, 2: j, 3: k) at those points
+        def along(factors, m, end, points, rows):
+            # rows [(along n, den), (along j, den), (along k, den)] times the factors at m, for
+            # the read of those ends, each on its axis (1: n, 2: j, 3: k) at those points
             for q, plan, exp, axis in factors:
                 row, den = rows[axis - 1]
-                values, factor_den = _values(plan, kernel(q, m, *points[1:]), m, 0, axis,
+                values, factor_den = _values(plan, kernel(q, m, end), m, 0, axis,
                                              points[axis - 1], exp)
                 product = [None if None in (v, w) else v * w for v, w in zip(row, values)] if (
                     None in row or None in values) else list(map(mul, row, values))
@@ -185,30 +186,31 @@ class HyperTerm:
         # factor of n alone from one kernel is read along n (axis 1) once; any other along
         # j (axis 2, the scales) or k (axis 3, the row) at each m if it moves with n, else
         # once; what is read once is fused with the constant and the sign's part on its axis
-        per_j, moving, fused = [], [], []
+        per_j, moving, fused, parity = [], [], [], sign
         for q, (plan, (_, _, exp)) in enumerate(zip(plans, self.factors) if live else ()):
-            _, index, arg, _ = plan
+            read, index, arg, _ = plan
+            if read is binom_row and exp < 0:   # 1/C(x, i) = (-1)^i / C(i-x-1, i): (-1)^i signs
+                parity = tuple(map(add, parity, index))
             on_j, on_k = index[2] or arg[2], index[3] or arg[3]
             axis = 3 if on_k else 2 if on_j or arg[1] else 1
             (per_j if on_j and on_k else moving if axis > 1 and (index[1] or arg[1]) else
              fused).append((q, plan, exp, axis))
-        spans = [range(min(p), max(p) + 1) if p else range(0) for p in (
-            [m for m, _, _ in live], [j for _, js, _ in live for j in js],
-            [k for _, _, ks in live for k in ks])]
+        ms, lo_j, hi_j, lo_k, hi_k = zip(*live) if live else [(0,)] * 5
+        spans = [range(min(lo), max(hi) + 1) for lo, hi in ((ms, ms), (lo_j, hi_j), (lo_k, hi_k))]
         c, d = self.constant.as_integer_ratio()
-        weights = along(fused, 0, spans, [
-            ([-c if (sign[0] + sign[1] * m) % 2 else c for m in spans[0]], d),
-            ([-1 if sign[2] * j % 2 else 1 for j in spans[1]], 1),
-            ([-1 if sign[3] * k % 2 else 1 for k in spans[2]], 1)])
+        weights = along(fused, 0, None, spans, [
+            ([-c if (parity[0] + parity[1] * m) % 2 else c for m in spans[0]], d),
+            ([-1 if parity[2] * j % 2 else 1 for j in spans[1]], 1),
+            ([-1 if parity[3] * k % 2 else 1 for k in spans[2]], 1)])
         taylor = sums and [plan for _, plan, _, _ in per_j] == [
             (None, (0, 0, 0, 1), (0, 0, 1, 0), 0)]
 
-        for m, js, ks in reads:
-            scale = weights[0][0][m - spans[0].start] if live and js and ks else None
+        for (m, js, ks), end in zip(reads, ends):
+            scale = weights[0][0][m - spans[0].start] if live and end else None
             if scale is not None:
-                _, (scales, scale_den), (base, den) = along(moving, m, (None, js, ks), [None] + [
-                    ([row[p - span.start] for p in points], den)
-                    for (row, den), span, points in zip(weights[1:], spans[1:], (js, ks))])
+                _, (scales, scale_den), (base, den) = along(moving, m, end, (None, js, ks), [
+                    None, *[([row[p - span.start] for p in points], den) for (row, den), span,
+                            points in zip(weights[1:], spans[1:], (js, ks))]])
                 den *= weights[0][1] * scale_den
             if scale is None or None in scales or None in base:
                 yield from self._points(forms, sign, m, js, ks)
@@ -222,7 +224,7 @@ class HyperTerm:
             # the factors of j and k along j at each k: a column per k, then a row per j
             rows, columns = [base] * len(js), [[b] * len(js) for b in base] if per_j else ()
             for q, plan, exp, _ in per_j:
-                kernel_row = kernel(q, m, js, ks)
+                kernel_row = kernel(q, m, end)
                 for i, k in enumerate(ks):
                     values, factor_den = _values(plan, kernel_row, m, k, 2, js, exp)
                     columns[i] = None if columns[i] is None or None in values else list(
@@ -320,11 +322,16 @@ def _plan(top, bottom, exp):
     return None
 
 
-def _reach(index, reads):
-    """The deepest index over the (m, js, ks) reads, or 0."""
+def _ends(points):
+    """(min, max) of a read's js or ks, taken once per grid call: a range's two ends."""
+    return sorted((points[0], points[-1])) if type(points) is range else (min(points), max(points))
+
+
+def _reach(index, ends):
+    """The deepest index over the reads' ends (m, lo_j, hi_j, lo_k, hi_k), or 0."""
     _, _, on_j, on_k = index
-    return max([_at(index, m, on_j and (min, max)[on_j > 0](js), on_k and (min, max)[on_k > 0](ks))
-                for m, js, ks in reads if js and ks] + [0])
+    return max([_at(index, m, on_j and (lo_j, hi_j)[on_j > 0], on_k and (lo_k, hi_k)[on_k > 0])
+                for m, lo_j, hi_j, lo_k, hi_k in ends] + [0])
 
 
 def _values(plan, kernel, m, at, axis, points, exp):
@@ -340,8 +347,9 @@ def _values(plan, kernel, m, at, axis, points, exp):
             return [comb(start + step * p, low + slope * p) for p in points], 1
         except ValueError:      # a negative argument: below the bar, or a negative top
             return [_comb(start + step * p, low + slope * p) for p in points], 1
-    # below the bar 0 (a pole in a reciprocal), or 0/0 where the top there is a negative int
-    (row, den), indices = kernel, [start + step * p for p in points]
+    # a pole: below the bar 0 or any read of a row over den 0; 0/0 at a negative int top
+    (row, den), indices = kernel if kernel[1] else ((None,) * len(kernel[0]), 1), [
+        start + step * p for p in points]
     return list(map(row.__getitem__, indices)) if min(indices) >= 0 else [
         row[i] if i >= 0 else None if exp < 0 else _comb(_at(second, m, 0, 0) + rising * i, i)
         if type(second[0]) is int else 0 for i in indices], den

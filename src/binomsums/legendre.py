@@ -36,7 +36,7 @@ def _recurrence(u, v, m, prev, cur):
     return (2 * m + 1) * u * cur - m * m * v * v * prev, (m + 1) * v
 
 
-def legendre_row(n: int, x):
+def legendre_row(x, n: int):
     """([P_0(x), ..., P_n(x)], n! v^n) by the three-term recurrence on R_m."""
     return _row("legendre", x, n, _recurrence)
 

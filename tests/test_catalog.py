@@ -300,7 +300,7 @@ ROW_HELPER_CALLERS = {
     "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
     "reciprocal_row": {"ID05", "ID06"},
     "legendre_row": {"ID14"},
-    "product_row": {"ID02", "ID03", "ID06", "ID08"},
+    "product_row": {"ID02", "ID03", "ID06", "ID08", "ID14"},
     "n_row": {"ID01", "ID05", "ID06", "ID08", "ID10", "ID11", "ID12", "ID13", "ID14",
               "ID15", "ID16", "ID17", "ID18", "ID21", "ID22", "ID24", "ID25", "ID26"},
 }

@@ -293,7 +293,7 @@ ROW_KERNELS = {
     "binom_row": binom_row,
     "rising_row": rising_row,
     "power_row": power_row,
-    "legendre_row": lambda x, n: legendre_row(n, x),
+    "legendre_row": legendre_row,
     "reciprocal_row": reciprocal_row,
 }
 
@@ -559,9 +559,9 @@ def test_a_row_kept_past_its_pole_reads_fresh_values_below_it():
     assert reciprocal_row(b, 5)[1] == 0 and vars(b)["recip"][1] == 0
 
 
-# row pairs multiplied along k: the three the catalog multiplies, and power by rising
+# row pairs multiplied along k: the four the catalog multiplies, and power by rising
 PRODUCTS = [(rising_row, power_row), (binom_row, reciprocal_row), (binom_row, power_row),
-            (power_row, rising_row)]
+            (legendre_row, power_row), (power_row, rising_row)]
 
 
 def fresh_product(f, x, g, y, n):
@@ -753,7 +753,7 @@ def test_central_binomial_rejects_a_negative_index():
     lambda m: rising_row(F(-5, 2), m), lambda m: power_row(F(2, 7), m),
     lambda m: power_row(Drawn(2, 7), m), lambda m: reciprocal_row(F(1, 3), m),
     lambda m: pascal_row(F(1, 3), m),
-    lambda m: pascal_row(Drawn(1, 3), m), lambda m: legendre_row(m, F(5, 4)),
+    lambda m: pascal_row(Drawn(1, 3), m), lambda m: legendre_row(F(5, 4), m),
     lambda m: harmonic_row(m), lambda m: harmonic_row(m, 2), lambda m: n_row("C(n,k)", m),
     lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(Drawn(1, 3), m),
     lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, Drawn(5, 4)),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from binomsums import hyperterm
-from binomsums.exact import Pole, binom_row
+from binomsums.exact import Pole, binom_row, reciprocal_row, reciprocal_step
 from binomsums.expr import parse_ratfunc
 from binomsums.hyperterm import (
     AffineForm,
@@ -473,19 +473,44 @@ def test_stepped_kernel_rows_equal_fresh_rows(monkeypatch, top):
             assert len(row) == n + 1 + past and (row, den) == binom_row(x, n + past)
 
 
+@pytest.mark.parametrize("t", [F(7, 3), F(-3)], ids=["negative-p", "pole"])
+def test_stepped_reciprocal_rows_equal_fresh_rows(monkeypatch, t):
+    # 1/C(t+n, n-j) = (-1)^(n-j) / C(b+n-j, n-j), b = -1-t-n, moves with n: its row is
+    # built at n = 0, then stepped from b to b - 1, one deeper, to the ints of a fresh
+    # reciprocal_row at each n.  At t = 7/3 every step's p is negative, so each step
+    # turns its row; at t = -3 the step to n = 3 lands on the pole of C(0, 3-j), den 0
+    steps = _counting(monkeypatch, "reciprocal_step")
+    term = HyperTerm(F(1), affine("n+k"), ((affine("t+n"), affine("n-j"), -1),
+                                           (affine("k"), affine("j"), 1)))
+    _assert_grid_matches(term, {"t": t}, [(n, range(n + 1), range(n + 2)) for n in range(9)])
+    assert len(steps) == (8 if t > 0 else 3)
+    for n, ((_, _, p, q), (row, den)) in enumerate(steps, start=1):
+        assert F(p, q) == -t - n and (row, den) == reciprocal_row(F(p, q) - 1, n)
+        assert p < 0 if t > 0 else (den == 0) == (n == 3)
+    # and called alone from b = -1 - t at n = 0, where a grid stops at t = -3, past the pole
+    b, (row, den) = -1 - t, reciprocal_row(-1 - t, 0)
+    for r in range(1, 11):
+        row, den = reciprocal_step(row, den, b.numerator, b.denominator)
+        b -= 1
+        assert (row, den) == reciprocal_row(b, r) and (den == 0) == (t < 0 and r >= 3)
+
+
 def test_reciprocal_kernels_are_inverted_once_per_grid_call(monkeypatch):
     # a reciprocal factor's kernel is its row of 1/C, built by products alone with
     # nothing divided: thm2's C(t+k, k)^-1 and C(s+t+n, s+t)^-1 read n-free kernels,
     # one row each per grid call, not one per n; thm1's C(beta+j, j)^-1 reads one row
-    # per call, and its C(beta-alpha+n, n-j)^-1 moves with n and is built once per n
+    # per call, and its C(beta-alpha+n, n-j)^-1 moves with n: built at n = 0, then
+    # stepped one deeper at each n
     inversions, divisions = _counting(monkeypatch, "reciprocal_row"), _counting(monkeypatch, "lcm")
-    for name, per_call in (("thm2", 2), ("thm1", 1 + 9)):
+    steps = _counting(monkeypatch, "reciprocal_step")
+    for name, per_call, per_n in (("thm2", 2, 0), ("thm1", 2, 8)):
         pair = load_pair(name)
         assign = draw(random.Random(f"inverse:{name}"), pair.params, 8)
         reads = [(n, range(n + 1), range(n + 3)) for n in range(9)]
         inversions.clear()
+        steps.clear()
         _assert_grid_matches(pair.term, assign, reads)
-        assert len(inversions) == per_call and not divisions
+        assert len(inversions) == per_call and len(steps) == per_n and not divisions
 
 
 @pytest.mark.parametrize("name, per_call, per_n", [("thm2", 4, 1), ("thm3", 2, 1)])

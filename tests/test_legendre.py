@@ -59,7 +59,7 @@ def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         legendre(-1, F(1))
     with pytest.raises(ValueError):
-        legendre_row(-1, F(1))
+        legendre_row(F(1), -1)
 
 
 def test_product_form_examples():
@@ -124,7 +124,7 @@ def row_values(n, x):
     """legendre_row's (row, den) as values, after checking the row's contract:
     ints over a positive int den for exact x, MultiPoly numerators over one
     MultiPoly den for a RatFunc x."""
-    row, den = legendre_row(n, x)
+    row, den = legendre_row(x, n)
     if isinstance(x, (int, F)):
         assert type(den) is int and den > 0 and all(type(v) is int for v in row)
     else:
@@ -177,6 +177,6 @@ def test_scalar_legendre_is_the_last_row_entry():
           (t * t + 1) / (2 * t), t]
     for x in xs:
         for n in range(12):
-            row, den = legendre_row(n, x)
+            row, den = legendre_row(x, n)
             assert legendre(n, x) == over(row[n], den), (n, x)
 

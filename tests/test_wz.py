@@ -782,8 +782,8 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
     # thm1's kernel factors C(beta+k, k), C(alpha, n-k) and C(beta+j, j)^-1 do not
     # move with n, so each is read once per draw, from its own row (the reciprocal's
     # row of 1/C by products alone); C(beta-alpha+n, n-j)^-1 moves with n and its row
-    # of 1/C is built once per n, and C(k, j) is read by math.comb: 3 + (n_max + 1)
-    # kernel rows per check
+    # of 1/C is built at n = 0 and stepped at each later n, and C(k, j) is read by
+    # math.comb: 4 kernel rows, 2 of them reciprocal, and n_max steps per check
     grids = []
 
     def counting(kernel):
@@ -798,7 +798,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
 
     real_grid = hyperterm.HyperTerm.grid
     monkeypatch.setattr(hyperterm.HyperTerm, "grid", grid)
-    for name in ("binom_row", "rising_row", "reciprocal_row"):
+    for name in ("binom_row", "rising_row", "reciprocal_row", "reciprocal_step"):
         monkeypatch.setattr(hyperterm, name, counting(getattr(hyperterm, name)))
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
@@ -808,9 +808,9 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
     for check in checks:
         grids.clear()
         assert check() is True
-        calls = [read for reads in grids for read in reads]
-        assert len(calls) == 3 + n_max + 1, calls
-        assert [name for name, _ in calls].count("reciprocal_row") == 1 + n_max + 1, calls
+        calls = [name for reads in grids for name, _ in reads]
+        assert len(calls) == 4 + n_max, calls
+        assert calls.count("reciprocal_row") == 2 and calls.count("reciprocal_step") == n_max
 
 
 def test_a_non_rational_factor_is_a_fail_row():
