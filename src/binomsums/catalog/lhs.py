@@ -11,12 +11,13 @@ kept row's entries have the values either side would build: it can hide a
 wrong row only as a shared kernel can, and a test breaks each row helper in
 both modules at once, and every entry using it must then fail.  A sum is a
 dot product of rows, ints over one den per row for exact parameters, divided
-once by the product of those dens (``over``); H_k^2 and H_k^(2) both sit
-over lcm(1..N)^2.  The sums are ring-generic: RatFunc parameters give
-MultiPoly rows over one MultiPoly, so a symbolic side builds one RatFunc,
-and Jet2 parameters (the jet oracle differentiates ID06, ID07, ID08 and
-ID21) jet rows, so a jet side is divided once.  ID09's C(n, k) C(beta+k, n)
-is read as C(beta, n-k) C(beta+k, k), entries of beta's kept rows.
+once by the product of those dens (``over``); H_k^2 and H_k^(2) read at
+one n both sit over lcm(1..N)^2, N the depth class of n.  The sums are
+ring-generic: RatFunc parameters give MultiPoly rows over one MultiPoly, so
+a symbolic side builds one RatFunc, and Jet2 parameters (the jet oracle
+differentiates ID06, ID07, ID08 and ID21) jet rows, so a jet side is
+divided once.  ID09's C(n, k) C(beta+k, n) is read as C(beta, n-k)
+C(beta+k, k), entries of beta's kept rows.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p

@@ -5,8 +5,8 @@ independence convention, kept rows and ``n_row`` included, and the C(n, p)
 normalization of ID07/ID19.  Each closed form builds one numerator and one
 denominator and divides once (``over``), so a ``RatFunc`` side is
 canonicalised once: a single binomial is entry n of a kept row as a pair
-(``binom_top``, ``rising_top``), the harmonic numbers are entries of one
-``harmonic_row`` read at its deepest index first, and ID15's digamma sum
+(``binom_top``, ``rising_top``), the harmonic numbers are entries of
+``harmonic_row`` at one n, over one den, and ID15's digamma sum
 is ``pole_sum``'s pair.  ID08 reads C(n, k) C(beta+k, n) from beta's rows,
 as lhs.py's ID09 does.
 
@@ -127,7 +127,7 @@ def id17(n, a):
 
 def id18(n, a):
     h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)            # over lcm(1..N)^2, one table's, as H_k^2 is
+    h2, d2 = harmonic_row(n, 2)            # over lcm(1..N)^2 at one n, as H_k^2 is
     terms = (v * v + w for v, w in zip(h, h2))
     return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
 

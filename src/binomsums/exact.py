@@ -32,20 +32,20 @@ read past it (ID21 reads 2s + 1 at 2n), or below a reciprocal row kept past
 its pole (den 0), is fresh and not kept.  The n-free arguments ``derived``
 from a draw (x + 1, x + y, (t^2+1)/(2t), ...) and the products of two of its
 rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k),
-P_k t^k) are kept on the draw so too; ``pascal_row`` keeps C(g+n, .), which
-moves with n, and steps it by Pascal's rule (``pascal_step``).  A kept row's
-entries have the values a fresh build's have; ``Fraction``, ``RatFunc`` and
-``Jet2`` inputs get fresh rows.  ``reciprocal_step``, beside ``pascal_step``,
-takes a row of 1/C(b+k, k) one deeper at b - 1 (the WZ grid's moving 1/C).
+P_k t^k, without their factors' rows) are kept on the draw so too;
+``pascal_row`` keeps C(g+n, .), which moves with n, and steps it by Pascal's
+rule (``pascal_step``).  A kept row's entries have the values a fresh
+build's have; ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
+``reciprocal_step``, beside ``pascal_step``, takes a row of 1/C(b+k, k) one
+deeper at b - 1 (the WZ grid's moving 1/C).
 
-``harmonic_row`` is a prefix of the one harmonic table, kept for the run: a
-row per order, all at one depth N, the deepest n read so far, the row of
-order o over lcm(1..N)^o, so H_k^2 and H_k^(2) share a den.  The table may
-grow between two reads, so a side reads its entries from one table state,
-the deepest first.  ``n_row(form, n)`` holds a sum's int coefficients along
-k that depend on n alone, its sign folded in, so a sum is one dot product;
-the last eight are kept, as tuples.  Both are shared by the draws at one n
-and by the two sides of an identity.
+``harmonic_row(n, order)`` is a prefix of the table kept for n's depth
+class N, the least power of two >= max(n, 32): H_0 .. H_N over
+lcm(1..N)^order, so a read depends on n alone and two orders read at one n
+share a den (H_k^2 and H_k^(2) over lcm(1..N)^2).  ``n_row(form, n)`` holds
+a sum's int coefficients along k that depend on n alone, its sign folded
+in, so a sum is one dot product; the last eight are kept, as tuples.  Both
+are shared by the draws at one n and by the two sides of an identity.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -58,6 +58,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
@@ -104,60 +105,39 @@ def parse_rational(text: str) -> Fraction:
 
 def harmonic(n: int, order: int = 1) -> Fraction:
     """H_n^(order) = sum_{i=1..n} 1/i^order, with H_0 = 0."""
-    row, den = _harmonic_table(n, order)
+    row, den = harmonic_row(n, order)
     return Fraction(row[n], den)
 
 
 def harmonic_row(n: int, order: int = 1):
-    """((H_0, ..., H_n) of the given order, lcm(1..N)^order), as ints: a prefix
-    of the one kept table, whose depth N is the deepest n read so far."""
-    row, den = _harmonic_table(n, order)
-    return row[:n + 1], den
-
-
-# order -> ((H_0, ..., H_N) of that order, lcm(1..N)^order): one table, one depth N
-_HARMONIC = {1: ((0,), 1)}
-
-
-def _harmonic_table(n: int, order: int):
-    """The kept (row, den) of ``order``, at least n deep.  A new order, or an n
-    past the depth, grows every kept order together to max(n, depth), so the
-    orders' dens stay powers of one lcm: lcm(1..N)^2 = den(H)^2 = den(H^(2))."""
+    """((H_0, ..., H_n) of the given order, lcm(1..N)^order), as ints: a prefix of
+    the table at n's depth class N, the least power of two >= max(n, 32)."""
     if order < 1:
         raise ValueError("harmonic order must be >= 1")
     if n < 0:
         raise ValueError("harmonic rows are indexed by n >= 0")
-    table = _HARMONIC
-    row, scale = table[1]               # order 1's den is lcm(1..N) itself
-    if n >= len(row) or order not in table:
-        depth = max(n, len(row) - 1)
-        scale = lcm(scale, *range(len(row), depth + 1))
-        for o in {*table, order}:
-            row, den = table.get(o, ((0,), 1))
-            top = scale**o
-            factor = top // den
-            row = [v * factor for v in row]
-            for i in range(len(row), depth + 1):
-                row.append(row[-1] + top // i**o)
-            table[o] = tuple(row), top
-    return table[order]
+    row, den = _harmonic_table(max(32, 1 << (n - 1).bit_length()), order)
+    return row[:n + 1], den
+
+
+@lru_cache(maxsize=None)
+def _harmonic_table(depth: int, order: int):
+    """((H_0, ..., H_depth) of ``order`` over lcm(1..depth)^order, that den): the
+    orders at one depth share a power of one lcm, lcm^2 = den(H)^2 = den(H^(2))."""
+    top = lcm(*range(1, depth + 1)) ** order
+    return (0, *accumulate(top // i**order for i in range(1, depth + 1))), top
 
 
 # ---------------------------------------------------------------------------
 # Binomial coefficients
 # ---------------------------------------------------------------------------
 
-_CENTRAL: list[int] = [1]
-
-
+@lru_cache(maxsize=None)
 def central_binomial(k: int) -> int:
-    """binom(2k, k) with a growable cache."""
+    """binom(2k, k), kept."""
     if k < 0:
         raise ValueError("central binomials are indexed by k >= 0")
-    while len(_CENTRAL) <= k:
-        m = len(_CENTRAL)
-        _CENTRAL.append(_CENTRAL[-1] * (2 * m) * (2 * m - 1) // (m * m))
-    return _CENTRAL[k]
+    return comb(2 * k, k)
 
 
 _COEFFS = {
@@ -290,7 +270,8 @@ def product_row(f, x, g, y, n: int):
 
 
 def _product(x, n: int, f, g, y):
-    (a, da), (b, db) = f(x, n), g(y, n)
+    plain = type(x) is type(y) is Drawn     # read as Fractions, which keep no factor rows
+    (a, da), (b, db) = f(Fraction(x) if plain else x, n), g(Fraction(y) if plain else y, n)
     return tuple(map(mul, a, b)), da * db, y
 
 

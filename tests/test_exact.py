@@ -641,6 +641,20 @@ def test_a_product_with_a_ring_value_is_the_product_of_the_rows():
     assert [k for k in vars(x) if type(k) is tuple] == []
 
 
+def test_a_kept_product_keeps_no_rows_of_its_factors():
+    # the product is what a side reads, so x keeps the product alone and y nothing
+    d = 9
+    rng = random.Random("products keep only themselves")
+    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
+    for f, g in PRODUCTS:
+        a = draw(rng, spec, d)
+        x, y = a["x"], a["y"]
+        for n in (d, 0, 4, d):
+            product_row(f, x, g, y, n)
+        assert [k for k in vars(x) if k != "depth"] == [(f, g, id(y))]
+        assert [k for k in vars(y) if k != "depth"] == []
+
+
 def ring_falling_reference(x, n):
     """[C(x, m) for m = 0..n] as a running product in x's ring, one factor at a time."""
     row = [x**0]
@@ -741,7 +755,7 @@ def test_central_binomial():
 
 
 def test_central_binomial_rejects_a_negative_index():
-    # the cache is a list: a negative index must not read one of its entries
+    # a negative index raises, also once entries are kept
     central_binomial(5)
     for k in (-1, -3, -6, -100):
         with pytest.raises(ValueError):
@@ -789,57 +803,69 @@ N_ROW_FORMS = [sign + body for sign in ("", "(-1)^k ", "(-1)^(n+k) ") for body i
     "C(2k,k)C(2n-2k,n-k)", "C(2n-2k,n-k)4^k")]
 
 
-def harmonic_depths():
-    """The depth of each order's row in the one harmonic table."""
-    return {order: len(row) - 1 for order, (row, _) in exact._HARMONIC.items()}
+def depth_class(n):
+    """The least power of two >= max(n, 32): the depth of a read's harmonic table."""
+    depth = 32
+    while depth < n:
+        depth *= 2
+    return depth
 
 
-def test_kept_n_rows_equal_fresh_rows_in_any_read_order(monkeypatch):
+def test_kept_n_rows_equal_fresh_rows_in_any_read_order():
     # the rows that depend on n alone, read interleaved as the catalog reads them
     # (n, 2n and 2n+1, orders 1 and 2, several forms) with n going up, down and
     # back: each kept row is a tuple of ints over an int den > 0, and its values
-    # are the reference's; the harmonic table is as deep as the deepest read
-    monkeypatch.setattr(exact, "_HARMONIC", {1: ((0,), 1)})
+    # are the reference's; a harmonic read at m sits over lcm(1..N)^order, N the
+    # depth class of m, so the order-2 den is the order-1 den squared
     ns = [*range(0, 25), *range(24, -1, -3), 7, 7, 0, 13, 2]
     for n in ns:
         for m in (n, 2 * n, 2 * n + 1):
+            scale = lcm(*range(1, depth_class(m) + 1))
             for order in (1, 2):
                 row, den = harmonic_row(m, order)
                 assert type(row) is tuple and len(row) == m + 1
                 assert all(type(v) is int for v in row) and type(den) is int and den > 0
+                assert den == scale**order
                 assert [F(v, den) for v in row] == harmonic_reference(m, order)
                 assert harmonic(m, order) == F(row[m], den)
+            assert harmonic_row(m, 2)[1] == harmonic_row(m)[1] ** 2
         for form in N_ROW_FORMS[n % 3::3]:
             row = n_row(form, n)
             assert type(row) is tuple and row == n_row.__wrapped__(form, n)
             assert list(row) == n_row_reference(form, n)
-    assert harmonic_depths() == {1: 49, 2: 49}
-    # a sweep to n = 200 leaves the table at the deepest n read, every order over
-    # one lcm, and the n_row store at most its bound
+    # a sweep to n = 200 reads every depth class to 512 over its own lcm, and
+    # leaves the n_row store at most its bound
     for n in range(201):
         harmonic_row(n)
-        harmonic_row(2 * n, 2)
+        row, den = harmonic_row(2 * n, 2)
+        assert den == lcm(*range(1, depth_class(2 * n) + 1)) ** 2
+        assert F(row[-1], den) == harmonic(2 * n, 2)
         n_row(N_ROW_FORMS[n % len(N_ROW_FORMS)], n)
-    assert harmonic_depths() == {1: 400, 2: 400}
-    scale = lcm(*range(1, 401))
-    assert [den for _, den in exact._HARMONIC.values()] == [scale, scale**2]
+    assert [depth_class(m) for m in (0, 1, 32, 33, 64, 65, 400)] == [32, 32, 32, 64, 64, 128, 512]
     info = n_row.cache_info()
     assert info.currsize <= info.maxsize == 8
 
 
-def test_every_harmonic_order_grows_with_the_table(monkeypatch):
-    # a deep read of order 1 puts a later order-2 read at the same depth, so
-    # H_k^2 and H_k^(2) share one den, as ID18 and ID26 add them over it
-    monkeypatch.setattr(exact, "_HARMONIC", {1: ((0,), 1)})
+def test_every_harmonic_order_read_at_one_n_shares_one_den():
+    # whatever was read before, two orders read at one n sit over powers of one
+    # lcm, so H_k^2 and H_k^(2) share a den, as ID18, ID25 and ID26 add them over it
     harmonic_row(201)
-    assert harmonic_row(5, 2)[1] == harmonic_row(5)[1] ** 2 == lcm(*range(1, 202)) ** 2
-    assert harmonic_depths() == {1: 201, 2: 201}
-    for entry_id in ("ID18", "ID26"):
+    for n in (0, 5, 31, 32, 33, 64, 201, 260):
+        scale = lcm(*range(1, depth_class(n) + 1))
+        assert harmonic_row(n, 2)[1] == harmonic_row(n)[1] ** 2 == scale**2
+        assert harmonic_row(n, 3)[1] == scale**3
+    for entry_id in ("ID18", "ID25", "ID26"):
         for n in range(13):
             assert check_identity(entry_id, n, {}).status == "pass", (entry_id, n)
-    harmonic_row(3, 3)
-    harmonic_row(260)
-    assert harmonic_depths() == {1: 260, 2: 260, 3: 260}
+
+
+def test_a_harmonic_row_does_not_depend_on_earlier_reads():
+    # a read is a function of (n, order) alone: a deep read in between leaves
+    # the ints and the den of a shallow one as they were
+    before = [harmonic_row(5, order) for order in (1, 2)]
+    harmonic_row(401)
+    harmonic_row(401, 2)
+    assert [harmonic_row(5, order) for order in (1, 2)] == before
 
 
 # ---------------------------------------------------------------------------

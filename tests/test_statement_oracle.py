@@ -13,9 +13,9 @@ transcription follows.  ID04's sides are rows over j; each j of both rows is
 compared at every n <= 8 on three seed-0 draws.  The other transcribed
 entries are compared side by side at every n <= 12, the one-parameter ones
 (ID01, ID09, ID10, ID12 and ID15) at three seed-0 draws: the binomial sums
-ID01, ID09, ID10, ID12, ID20, ID20E and ID23, and the harmonic entries the
-paper applies its identities to (ID11, ID15, ID17, ID18, ID22, ID24 and
-ID26).
+ID01, ID09, ID10, ID12, ID20, ID20E and ID23, and the nine harmonic entries
+(ID11, ID15-ID18, ID22 and ID24-ID26): ID16 and ID25 so twice, as their
+statements and as the paper displays them.
 
 sympy is optional: without it, this module is skipped.
 """
@@ -101,6 +101,11 @@ def id15(n, s):
             C(s, n) * (H(n) + _sum(0, n - 1, lambda i: 1 / (s - i))))
 
 
+def id16(n):
+    """H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_k"""
+    return H(n), _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k) * H(k)) / 2
+
+
 def id17(n):
     """sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})"""
     return (_sum(0, n, lambda k: (-1) ** k * C(n, k) * C(2 * k, k) * H(k) / sympy.Integer(4) ** k),
@@ -141,6 +146,12 @@ def id24(n):
     return _sum(0, n, lambda k: C(n, k) ** 2 * H(k)), C(2 * n, n) * (2 * H(n) - H(2 * n))
 
 
+def id25(n):
+    """sum C(n,k)^2 H_k H_{n-k} = C(2n,n) ((H_{2n}-2H_n)^2 + H_n^(2) - H_{2n}^(2))"""
+    return (_sum(0, n, lambda k: C(n, k) ** 2 * H(k) * H(n - k)),
+            C(2 * n, n) * ((H(2 * n) - 2 * H(n)) ** 2 + H(n, 2) - H(2 * n, 2)))
+
+
 def id26(n):
     """sum C(n,k)^2 (H_k^2 + H_k^(2)) = C(2n,n) ((H_{2n}-2H_n)^2 + 2 H_n^(2) - H_{2n}^(2))"""
     return (_sum(0, n, lambda k: C(n, k) ** 2 * (H(k) ** 2 + H(k, 2))),
@@ -156,6 +167,7 @@ STATEMENTS = {
     "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}": ("ID11", id11),
     "sum C(n,k) C(2k,k) x^k / 4^k = 4^-n sum C(2k,k) C(2n-2k,n-k) (1+x)^k": ("ID12", id12),
     "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))": ("ID15", id15),
+    "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_k": ("ID16", id16),
     "sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})": ("ID17", id17),
     "H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))": ("ID18", id18),
     "sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)": ("ID20", id20),
@@ -163,6 +175,7 @@ STATEMENTS = {
     "sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)": ("ID22", id22),
     "sum k C(n,k)^2 = (n/2) C(2n,n)": ("ID23", id23),
     "sum C(n,k)^2 H_k = C(2n,n) (2 H_n - H_{2n})": ("ID24", id24),
+    "sum C(n,k)^2 H_k H_{n-k} = C(2n,n) ((H_{2n}-2H_n)^2 + H_n^(2) - H_{2n}^(2))": ("ID25", id25),
     "sum C(n,k)^2 (H_k^2 + H_k^(2)) = "
     "C(2n,n) ((H_{2n}-2H_n)^2 + 2 H_n^(2) - H_{2n}^(2))": ("ID26", id26),
 }
