@@ -3,11 +3,14 @@ oracle for the harmonic-number corollaries.
 
 The base identities ID06, ID07, ID08 and ID21 hold for every rational value
 of their parameters, so both sides lift to jets and every derivative
-coefficient must agree.  Each corollary below lifts its base identity once
-through ``lift_sides`` and reads the coefficient it needs, rearranged; the
-reconstruction formulas combine base-side jet coefficients with harmonic
-numbers only, never the corollary's own evaluators, giving a second
-computation path for every corollary value.
+coefficient must agree.  Each corollary reads a lift of its base, with
+harmonic numbers only, never its own evaluators: a second computation path.
+Siblings share a lift: ID24-ID26 read ID06 at (s, t) = (n, 0), s in slot 1
+and t in slot 2; ID11, ID16 and ID18 read ID07's p-lift at s = n, ID17 at
+s = -1/2 and ID15 at its s; ID11 also ID08's beta-lift at (n, 0), ID22
+ID21's s-lift at 0.  ``lift_sides`` keeps the last 256 lifts, two jets
+each, keyed by the base entry's ``lhs`` and ``rhs`` (not its id: a replaced
+entry is lifted afresh), n, the point and the names; a raise keeps nothing.
 
 The ID07 family needs one extra ingredient, applied in ``_id07_undivided``
 (read by ID15 and ID18, and through ID15 by ID16 and ID17).  ID07 is stored
@@ -24,6 +27,7 @@ the c-free combinations.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ..exact import harmonic
 from ..jets import Jet2
@@ -38,18 +42,18 @@ def lift_sides(base_id: str, n: int, assignment: dict[str, Fraction],
                *names: str) -> tuple[Jet2, Jet2]:
     """Both sides of a base identity over jets at the assignment, the named
     parameters lifted into jet slots 1 and 2 in order; with no names this is
-    plain evaluation."""
+    plain evaluation.  The pair is kept (see module docstring)."""
     entry = REGISTRY[base_id]
-    lifted: dict[str, object] = dict(assignment)
+    return _lift(entry.lhs, entry.rhs, n, tuple(assignment.items()), names)
+
+
+@lru_cache(maxsize=256)
+def _lift(lhs, rhs, n: int, point: tuple, names: tuple) -> tuple[Jet2, Jet2]:
+    lifted = dict(point)
     for slot, name in enumerate(names, start=1):
-        lifted[name] = Jet2.variable(assignment[name], slot)
-    left = entry.lhs(n, lifted)
-    right = entry.rhs(n, lifted)
-    if not isinstance(left, Jet2):
-        left = Jet2.const(left)
-    if not isinstance(right, Jet2):
-        right = Jet2.const(right)
-    return left, right
+        lifted[name] = Jet2.variable(lifted[name], slot)
+    return tuple([v if isinstance(v, Jet2) else Jet2.const(v)
+                  for v in (lhs(n, lifted), rhs(n, lifted))])
 
 
 def _id07_undivided(n: int, s: Fraction) -> tuple[Jet2, Jet2]:
@@ -102,34 +106,30 @@ def _h_combo(jet: Jet2, n: int) -> Fraction:
     return harmonic(n) * jet.value - jet.first()
 
 
+def _id06_at_n(n: int) -> tuple[Jet2, Jet2]:
+    return lift_sides("ID06", n, {"s": F(n), "t": F(0)}, "s", "t")
+
+
 def oracle_id24(n: int) -> tuple[Fraction, Fraction]:
-    jl, jr = lift_sides("ID06", n, {"s": F(n), "t": F(0)}, "s")
+    jl, jr = _id06_at_n(n)
     return _h_combo(jl, n), _h_combo(jr, n)
 
 
 def oracle_id25(n: int) -> tuple[Fraction, Fraction]:
-    jl, jr = lift_sides("ID06", n, {"s": F(n), "t": F(0)}, "s", "t")
+    jl, jr = _id06_at_n(n)
     h = harmonic(n)
     return (jl.mixed() + h * _h_combo(jl, n),
             jr.mixed() + h * _h_combo(jr, n))
 
 
 def oracle_id26(n: int) -> tuple[Fraction, Fraction]:
-    jl, jr = lift_sides("ID06", n, {"s": F(n), "t": F(0)}, "t")
-    return jl.second(), jr.second()
+    jl, jr = _id06_at_n(n)
+    return jl.second(2), jr.second(2)
 
 
-ORACLES = {
-    "ID11": oracle_id11,
-    "ID15": oracle_id15,
-    "ID16": oracle_id16,
-    "ID17": oracle_id17,
-    "ID18": oracle_id18,
-    "ID22": oracle_id22,
-    "ID24": oracle_id24,
-    "ID25": oracle_id25,
-    "ID26": oracle_id26,
-}
+ORACLES = {"ID11": oracle_id11, "ID15": oracle_id15, "ID16": oracle_id16,
+           "ID17": oracle_id17, "ID18": oracle_id18, "ID22": oracle_id22,
+           "ID24": oracle_id24, "ID25": oracle_id25, "ID26": oracle_id26}
 
 
 def oracle(entry_id: str, n: int, **params) -> tuple[Fraction, Fraction]:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -12,8 +14,9 @@ import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.jets_oracle import _id07_undivided, lift_sides, oracle
-from binomsums.exact import (binom_poly, digamma_diff, harmonic, harmonic_row,
+from binomsums.exact import (Pole, binom_poly, digamma_diff, harmonic, harmonic_row,
                              over, render_rational, rising_row, trigamma_diff)
+from binomsums.jets import Jet2
 
 F = Fraction
 
@@ -44,10 +47,70 @@ def test_order_zero_equals_plain_evaluation():
 
 
 def test_a_third_lifted_name_raises():
-    # a jet has two slots
+    # a jet has two slots; a lift that raises keeps nothing, so it raises again
     draw = {"alpha": F(1, 3), "beta": F(1, 2), "x": F(3)}
-    with pytest.raises(ValueError):
-        lift_sides("ID03", 2, draw, "alpha", "beta", "x")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            lift_sides("ID03", 2, draw, "alpha", "beta", "x")
+
+
+def test_a_lift_at_a_jet_pole_raises_again():
+    # t + 1 vanishes at t = -1: the lift keeps nothing, so it raises again
+    for _ in range(2):
+        with pytest.raises(Pole):
+            lift_sides("ID06", 2, {"s": F(1, 2), "t": F(-1)}, "t")
+
+
+def _counting(entry, calls: Counter):
+    """entry with each side counting its calls by (id, side, n, point, names):
+    the point is every value at its base, the names the jet-valued ones in
+    slot order."""
+    def count(which, side):
+        def counted(n, values):
+            point = tuple((name, v.value if isinstance(v, Jet2) else v)
+                          for name, v in values.items())
+            names = tuple(name for slot in (1, 2) for name, v in values.items()
+                          if isinstance(v, Jet2) and v.first(slot) == 1)
+            calls[entry.id, which, n, point, names] += 1
+            return side(n, values)
+        return counted
+    return replace(entry, lhs=count("lhs", entry.lhs), rhs=count("rhs", entry.rhs))
+
+
+def test_a_sweep_lifts_each_base_once_per_point(monkeypatch):
+    # the eight fixed-point corollaries at n <= 50, in the order the callers
+    # ask them: siblings read one lift, so no side runs twice on one key, and
+    # ID06 runs at one (point, names) per n for ID24, ID25 and ID26 together
+    calls = Counter()
+    for base_id in ("ID06", "ID07", "ID08", "ID21"):
+        monkeypatch.setitem(REGISTRY, base_id, _counting(REGISTRY[base_id], calls))
+    for entry_id in ORACLE_IDS:
+        for n in range(51):
+            oracle(entry_id, n)
+    assert set(calls.values()) == {1}
+    lifts = Counter(key[0] for key in calls if key[1] == "lhs")
+    # ID07 at s = n (ID11, ID16, ID18) and at s = -1/2 (ID17)
+    assert lifts == {"ID06": 51, "ID07": 102, "ID08": 51, "ID21": 51}
+
+
+def test_a_replaced_base_entry_is_lifted_afresh(monkeypatch):
+    # the kept lift is keyed by the side functions, not by the entry's id
+    before = oracle("ID24", 3)
+    entry = REGISTRY["ID06"]
+    monkeypatch.setitem(REGISTRY, "ID06", replace(entry, lhs=lambda n, a: 2 * entry.lhs(n, a)))
+    after = oracle("ID24", 3)
+    assert before[0] != 0 and after == (2 * before[0], before[1])
+
+
+def test_the_shared_id06_lift_reads_as_one_slot_lifts():
+    # ID24 and ID26 read ID06 lifted in s and t together; their coefficients
+    # are those of the lifts in s alone and in t alone
+    for n in range(13):
+        point = {"s": F(n), "t": F(0)}
+        (sl, sr), (tl, tr) = (lift_sides("ID06", n, point, name) for name in ("s", "t"))
+        h = harmonic(n)
+        assert oracle("ID24", n) == (h * sl.value - sl.first(), h * sr.value - sr.first()), n
+        assert oracle("ID26", n) == (tl.second(), tr.second()), n
 
 
 def test_id15_reconstruction_spot():

@@ -45,12 +45,12 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (403 of 1 590)
+# never-run statements per module under the commands above (399 of 1 587)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
     "catalog/entries.py": 9,
-    "catalog/jets_oracle.py": 39,
+    "catalog/jets_oracle.py": 35,
     "catalog/lhs.py": 0,
     "catalog/rhs.py": 0,
     "catalog/suite.py": 3,

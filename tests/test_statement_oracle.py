@@ -11,11 +11,13 @@ Entry statements, as ``list`` prints them, are transcribed in sympy too,
 keyed by the exact statement string, so an edited statement fails until its
 transcription follows.  ID04's sides are rows over j; each j of both rows is
 compared at every n <= 8 on three seed-0 draws.  The other transcribed
-entries are compared side by side at every n <= 12, the one-parameter ones
-(ID01, ID09, ID10, ID12 and ID15) at three seed-0 draws: the binomial sums
-ID01, ID09, ID10, ID12, ID20, ID20E and ID23, and the nine harmonic entries
-(ID11, ID15-ID18, ID22 and ID24-ID26): ID16 and ID25 so twice, as their
-statements and as the paper displays them.
+entries are compared side by side at every n <= 12, the parametric ones
+(ID01, ID06-ID10, ID12, ID15 and ID21) at three seed-0 draws: the binomial
+sums ID01, ID06-ID10, ID12, ID20, ID20E, ID21 and ID23 (ID06, ID07, ID08
+and ID21 are the bases the jet oracle lifts; ID07 as printed, both sides
+over C(n,p)), and the nine harmonic entries (ID11, ID15-ID18, ID22 and
+ID24-ID26): ID16 and ID25 so twice, as their statements and as the paper
+displays them.
 
 sympy is optional: without it, this module is skipped.
 """
@@ -71,6 +73,27 @@ def id04(n, j, alpha, beta):
     """sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)"""
     return (_sum(0, n, lambda k: (-1) ** (k + j) * C(beta + k, k) * C(k, j) * C(alpha, n - k)),
             (-1) ** (n + j) * C(beta + j, j) * C(beta - alpha + n, n - j))
+
+
+def id06(n, s, t):
+    """sum C(n,k) C(s,k) / C(t+k,k) = prod_{i=1..n} (s+t+i)/(t+i)"""
+    return (_sum(0, n, lambda k: C(n, k) * C(s, k) / C(t + k, k)),
+            sympy.prod([(s + t + i) / (t + i) for i in range(1, n + 1)]))
+
+
+def id07(n, s, p):
+    """sum (-1)^(n+k) C(s+k,k) C(n-p,n-k) = C(s+p,n)   [both sides / C(n,p)]
+
+    The sides as printed: the note says they are the sides of thm3's form
+    over C(n,p), which leaves every factor polynomial in p."""
+    return (_sum(0, n, lambda k: (-1) ** (n + k) * C(s + k, k) * C(n - p, n - k)),
+            C(s + p, n))
+
+
+def id08(n, beta, x):
+    """sum C(n,k) C(b+k,k) x^k = sum (-1)^(n+k) C(n,k) C(b+k,n) (1+x)^k"""
+    return (_sum(0, n, lambda k: C(n, k) * C(beta + k, k) * x**k),
+            _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(beta + k, n) * (1 + x) ** k))
 
 
 def id09(n, beta):
@@ -130,6 +153,15 @@ def id20e(n):
             C(4 * n, 2 * n))
 
 
+def id21(n, s):
+    """sum C(s+k,k) C(2n-2k,n-k) 4^k = C(2n,n) C(2n+2s+1,2s+1) / C(n+s,n)
+
+    A rational bottom (2s+1, for rational s) makes sympy's binomials gamma
+    ratios; ``gammasimp`` reduces them to a rational."""
+    return (_sum(0, n, lambda k: C(s + k, k) * C(2 * n - 2 * k, n - k) * 4**k),
+            sympy.gammasimp(C(2 * n, n) * C(2 * n + 2 * s + 1, 2 * s + 1) / C(n + s, n)))
+
+
 def id22(n):
     """sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)"""
     return (_sum(0, n, lambda k: C(2 * k, k) * H(n - k) / sympy.Integer(4) ** k),
@@ -162,6 +194,9 @@ def id26(n):
 STATEMENTS = {
     "sum C(n,k) C(n+k,k) x^k = sum (-1)^(n+k) C(n,k) C(n+k,k) (x+1)^k": ("ID01", id01),
     "sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)": ("ID04", id04),
+    "sum C(n,k) C(s,k) / C(t+k,k) = prod_{i=1..n} (s+t+i)/(t+i)": ("ID06", id06),
+    "sum (-1)^(n+k) C(s+k,k) C(n-p,n-k) = C(s+p,n)   [both sides / C(n,p)]": ("ID07", id07),
+    "sum C(n,k) C(b+k,k) x^k = sum (-1)^(n+k) C(n,k) C(b+k,n) (1+x)^k": ("ID08", id08),
     "sum (-1)^k C(n,k) C(b+k,n) = (-1)^n": ("ID09", id09),
     "sum (-1)^k C(n,k) C(b+k,k) = (-1)^n C(b,n)": ("ID10", id10),
     "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}": ("ID11", id11),
@@ -172,6 +207,7 @@ STATEMENTS = {
     "H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))": ("ID18", id18),
     "sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)": ("ID20", id20),
     "sum C(2n,2k) C(2n-2k,n-k) 4^k = C(4n,2n)": ("ID20E", id20e),
+    "sum C(s+k,k) C(2n-2k,n-k) 4^k = C(2n,n) C(2n+2s+1,2s+1) / C(n+s,n)": ("ID21", id21),
     "sum C(2k,k) H_{n-k} / 4^k = (2n+1) 4^-n C(2n,n) (2 H_{2n+1} - H_n - 2)": ("ID22", id22),
     "sum k C(n,k)^2 = (n/2) C(2n,n)": ("ID23", id23),
     "sum C(n,k)^2 H_k = C(2n,n) (2 H_n - H_{2n})": ("ID24", id24),
