@@ -7,17 +7,17 @@ prints it, apart from the package's evaluators, and each side is compared on
 its own with the same side of the catalog entry that carries it (ID03, ID16
 and ID25) at every n <= 12, ID03 at three seed-0 draws.
 
-Entry statements, as ``list`` prints them, are transcribed in sympy too,
+Every entry statement, as ``list`` prints it, is transcribed in sympy too,
 keyed by the exact statement string, so an edited statement fails until its
-transcription follows.  ID04's sides are rows over j; each j of both rows is
-compared at every n <= 8 on three seed-0 draws.  The other transcribed
-entries are compared side by side at every n <= 12, the parametric ones
-(ID01, ID06-ID10, ID12, ID15 and ID21) at three seed-0 draws: the binomial
-sums ID01, ID06-ID10, ID12, ID20, ID20E, ID21 and ID23 (ID06, ID07, ID08
-and ID21 are the bases the jet oracle lifts; ID07 as printed, both sides
-over C(n,p)), and the nine harmonic entries (ID11, ID15-ID18, ID22 and
-ID24-ID26): ID16 and ID25 so twice, as their statements and as the paper
-displays them.
+transcription follows, and the keys are the registry's statements.  ID04's
+sides are rows over j; each j of both rows is compared at every n <= 8 on
+three seed-0 draws.  The other entries are compared side by side at every
+n <= 12, the parametric ones at three seed-0 draws: the binomial sums
+ID01-ID03, ID05-ID10, ID12, ID19, ID20, ID20E, ID21 and ID23 (ID06, ID07,
+ID08 and ID21 are the bases the jet oracle lifts; ID07 and ID19 as printed,
+both sides over C(n,p)), the Legendre entries ID13 and ID14 (sympy's P_n),
+and the nine harmonic entries (ID11, ID15-ID18, ID22 and ID24-ID26): ID03,
+ID16 and ID25 so twice, as their statements and as the paper displays them.
 
 sympy is optional: without it, this module is skipped.
 """
@@ -69,10 +69,32 @@ def id01(n, x):
             _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k) * (x + 1) ** k))
 
 
+def id02(n, alpha, beta, x, y):
+    """sum C(a,n-k) C(b+k,k) x^k y^(n-k) = sum (-1)^(n+k) C(b-a+n,n-k) C(b+k,k) (x+y)^k y^(n-k)"""
+    return (_sum(0, n, lambda k: C(alpha, n - k) * C(beta + k, k) * x**k * y ** (n - k)),
+            _sum(0, n, lambda k: (-1) ** (n + k) * C(beta - alpha + n, n - k) * C(beta + k, k)
+                 * (x + y) ** k * y ** (n - k)))
+
+
+def id03(n, alpha, beta, x):
+    """sum C(a,n-k) C(b+k,k) x^k = sum (-1)^(n+j) C(b-a+n,n-j) C(b+j,j) (x+1)^j"""
+    return (_sum(0, n, lambda k: C(alpha, n - k) * C(beta + k, k) * x**k),
+            _sum(0, n, lambda j: (-1) ** (n + j) * C(beta - alpha + n, n - j) * C(beta + j, j)
+                 * (x + 1) ** j))
+
+
 def id04(n, j, alpha, beta):
     """sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)"""
     return (_sum(0, n, lambda k: (-1) ** (k + j) * C(beta + k, k) * C(k, j) * C(alpha, n - k)),
             (-1) ** (n + j) * C(beta + j, j) * C(beta - alpha + n, n - j))
+
+
+def id05(n, lam):
+    """4^n C(lam,n) = C(2 lam,n) sum C(n,k) C(n-lam-1/2,k) / C(k-lam-1/2,k)"""
+    half = sympy.Rational(1, 2)
+    return (4**n * C(lam, n),
+            C(2 * lam, n) * _sum(0, n, lambda k: C(n, k) * C(n - lam - half, k)
+                                 / C(k - lam - half, k)))
 
 
 def id06(n, s, t):
@@ -118,6 +140,19 @@ def id12(n, x):
             * _sum(0, n, lambda k: C(2 * k, k) * C(2 * n - 2 * k, n - k) * (1 + x) ** k))
 
 
+def id13(n, t):
+    """P_n((t^2+1)/(2t)) = t^-n sum C(n,k) C(2k,k) ((t^2-1)/4)^k"""
+    return (sympy.legendre(n, (t**2 + 1) / (2 * t)),
+            t**-n * _sum(0, n, lambda k: C(n, k) * C(2 * k, k) * ((t**2 - 1) / 4) ** k))
+
+
+def id14(n, t):
+    """sum (-1)^k C(n,k) P_k((t^2+1)/(2t)) t^k = C(2n,n) ((1-t^2)/4)^n"""
+    return (_sum(0, n, lambda k: (-1) ** k * C(n, k) * sympy.legendre(k, (t**2 + 1) / (2 * t))
+                 * t**k),
+            C(2 * n, n) * ((1 - t**2) / 4) ** n)
+
+
 def id15(n, s):
     """sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))"""
     return (_sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(s + k, k) * H(k)),
@@ -139,6 +174,13 @@ def id18(n):
     """H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))"""
     return H(n) ** 2, _sum(0, n, lambda k: (-1) ** (n + k) * C(n, k) * C(n + k, k)
                            * (H(k) ** 2 + H(k, 2))) / 4
+
+
+def id19(n, s, p):
+    """sum C(s+p,k) C(n-p,n-k) = C(s+n,n)   [both sides / C(n,p)]
+
+    The sides as printed, as ID07's are."""
+    return _sum(0, n, lambda k: C(s + p, k) * C(n - p, n - k)), C(s + n, n)
 
 
 def id20(n):
@@ -193,7 +235,11 @@ def id26(n):
 # each transcribed statement, keyed by the entry's statement string: (entry id, sides)
 STATEMENTS = {
     "sum C(n,k) C(n+k,k) x^k = sum (-1)^(n+k) C(n,k) C(n+k,k) (x+1)^k": ("ID01", id01),
+    "sum C(a,n-k) C(b+k,k) x^k y^(n-k) = "
+    "sum (-1)^(n+k) C(b-a+n,n-k) C(b+k,k) (x+y)^k y^(n-k)": ("ID02", id02),
+    "sum C(a,n-k) C(b+k,k) x^k = sum (-1)^(n+j) C(b-a+n,n-j) C(b+j,j) (x+1)^j": ("ID03", id03),
     "sum (-1)^(k+j) C(b+k,k) C(k,j) C(a,n-k) = (-1)^(n+j) C(b+j,j) C(b-a+n,n-j)": ("ID04", id04),
+    "4^n C(lam,n) = C(2 lam,n) sum C(n,k) C(n-lam-1/2,k) / C(k-lam-1/2,k)": ("ID05", id05),
     "sum C(n,k) C(s,k) / C(t+k,k) = prod_{i=1..n} (s+t+i)/(t+i)": ("ID06", id06),
     "sum (-1)^(n+k) C(s+k,k) C(n-p,n-k) = C(s+p,n)   [both sides / C(n,p)]": ("ID07", id07),
     "sum C(n,k) C(b+k,k) x^k = sum (-1)^(n+k) C(n,k) C(b+k,n) (1+x)^k": ("ID08", id08),
@@ -201,10 +247,13 @@ STATEMENTS = {
     "sum (-1)^k C(n,k) C(b+k,k) = (-1)^n C(b,n)": ("ID10", id10),
     "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_{n+k}": ("ID11", id11),
     "sum C(n,k) C(2k,k) x^k / 4^k = 4^-n sum C(2k,k) C(2n-2k,n-k) (1+x)^k": ("ID12", id12),
+    "P_n((t^2+1)/(2t)) = t^-n sum C(n,k) C(2k,k) ((t^2-1)/4)^k": ("ID13", id13),
+    "sum (-1)^k C(n,k) P_k((t^2+1)/(2t)) t^k = C(2n,n) ((1-t^2)/4)^n": ("ID14", id14),
     "sum (-1)^(n+k) C(n,k) C(s+k,k) H_k = C(s,n) (H_n + sum_{i<n} 1/(s-i))": ("ID15", id15),
     "H_n = 1/2 sum (-1)^(n+k) C(n,k) C(n+k,k) H_k": ("ID16", id16),
     "sum (-1)^k C(n,k) C(2k,k) H_k / 4^k = 2^(1-2n) C(2n,n) (H_n - H_{2n})": ("ID17", id17),
     "H_n^2 = 1/4 sum (-1)^(n+k) C(n,k) C(n+k,k) (H_k^2 + H_k^(2))": ("ID18", id18),
+    "sum C(s+p,k) C(n-p,n-k) = C(s+n,n)   [both sides / C(n,p)]": ("ID19", id19),
     "sum 4^k C(n,k)^2 / C(2k,k) = C(4n,2n) / C(2n,n)": ("ID20", id20),
     "sum C(2n,2k) C(2n-2k,n-k) 4^k = C(4n,2n)": ("ID20E", id20e),
     "sum C(s+k,k) C(2n-2k,n-k) 4^k = C(2n,n) C(2n+2s+1,2s+1) / C(n+s,n)": ("ID21", id21),
@@ -234,6 +283,11 @@ def assert_sides(entry, transcribed):
 @pytest.mark.parametrize("entry_id", PAPER)
 def test_each_side_of_a_displayed_identity_is_its_entrys_side(entry_id):
     assert_sides(REGISTRY[entry_id], PAPER[entry_id])
+
+
+def test_every_entry_statement_is_transcribed():
+    assert set(STATEMENTS) == {entry.statement for entry in REGISTRY.values()}
+    assert sorted(entry_id for entry_id, _ in STATEMENTS.values()) == sorted(REGISTRY)
 
 
 def _statements(rows: bool):
