@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping
 
-from ..exact import Pole, over
+from ..exact import Pole, block, over
 from ..hyperterm import AffineForm
 from ..params import (N_MAX, Admitted, Avoid, Domain, ParamSpec, ResultRow, draws,
                       not_negative_integers, render_draw)
@@ -93,7 +93,7 @@ def _per_index(side, inner):
 
 
 def _entry(eid, statement, params, n_max, inner_index=None):
-    left, right = getattr(lhs, eid.lower()), getattr(rhs, eid.lower())
+    left, right = block(getattr(lhs, eid.lower())), block(getattr(rhs, eid.lower()))
     if inner_index:
         left, right = _per_index(left, inner_index), _per_index(right, inner_index)
     return IdentityEntry(eid, statement, params, left, right, n_max, inner_index)
@@ -195,11 +195,11 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
 def _id24_flip_h2n(entries: dict[str, IdentityEntry]) -> dict[str, IdentityEntry]:
     from ..exact import central_binomial, harmonic
 
-    def flipped_rhs(n, a):
-        return central_binomial(n) * (2 * harmonic(n) + harmonic(2 * n))
+    def flipped_rhs(ns, a):
+        return [central_binomial(n) * (2 * harmonic(n) + harmonic(2 * n)) for n in ns]
 
     out = dict(entries)
-    out["ID24"] = replace(entries["ID24"], rhs=flipped_rhs)
+    out["ID24"] = replace(entries["ID24"], rhs=block(flipped_rhs))
     return out
 
 
@@ -222,40 +222,51 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def check_identity(entry_id: str, n: int, assignment: Mapping[str, Fraction],
+def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fraction],
                    entries: dict[str, IdentityEntry] | None = None,
-                   params: dict[str, str] | None = None) -> ResultRow:
-    """The report's row of one check; pass iff both sides are exactly equal.
+                   params: dict[str, str] | None = None) -> ResultRow | list[ResultRow]:
+    """The report's row of one check, pass iff both sides are exactly equal;
+    for a range of n, the draw's rows over it in n order, each side one block.
 
     Skipped where the domain rejects the assignment at n + 1 (not asked of a
     draw it admitted deeper, ``params.Admitted``) or a side hits a ``Pole``;
-    a fail row naming any other division by zero.  For an entry
-    with an inner index both sides are rows over 0..n (module docstring); the
-    first index where they differ is reported, n for a pass.  ``params`` is
-    the draw as the report shows it, by default the assignment rendered."""
+    a fail row naming any other division by zero.  A block where the domain
+    rejects an n or a side raises is re-read n by n, so each row keeps its
+    reason.  For an entry with an inner index both sides are rows over 0..n
+    (module docstring); the first index where they differ is reported, n for
+    a pass.  ``params`` is the draw as the report shows it, by default the
+    assignment rendered."""
     entry = (entries or REGISTRY)[entry_id]
     params = render_draw(assignment) if params is None else params
+    many = type(n) is range
     admitted = type(assignment) is Admitted and assignment.reject is entry.params.reject
-    reason = None if admitted and assignment.depth > n else entry.params.reject(n + 1, assignment)
-    if reason is not None:
-        return ResultRow(entry_id, params, n, None, None, "skipped", reason)
-    try:
-        left, right, tag = entry.lhs(n, assignment), entry.rhs(n, assignment), ""
+    reason = next(filter(None, (entry.params.reject(m + 1, assignment)   # the first rejection
+                                for m in (n if many else (n,))
+                                if not admitted or assignment.depth <= m)), None)
+
+    def compared(m, left, right):
+        tag = ""
         if entry.inner_index:       # each side is its whole j-row (row, den)
             (lrow, lden), (rrow, rden) = left, right
             ls, rs = ((rden // (g := gcd(lden, rden)), lden // g)     # over lcm(lden, rden)
                       if type(lden) is type(rden) is int else (rden, lden))
-            j = next((j for j in range(n) if lrow[j] * ls != rrow[j] * rs), n)
+            j = next((j for j in range(m) if lrow[j] * ls != rrow[j] * rs), m)
             left, right = over(lrow[j], lden), over(rrow[j], rden)
             tag = f" at {entry.inner_index}={j}"
         status = "pass" if left == right else "fail"
-    except Pole as exc:
-        return ResultRow(entry_id, params, n, None, None, "skipped", f"pole: {exc}")
+        return ResultRow(entry_id, params, m, left, right, status,
+                         f"sides differ{tag}" if status == "fail" else "")
+
+    status = "skipped"
+    try:
+        if reason is None:
+            left, right = entry.lhs(n, assignment), entry.rhs(n, assignment)
+            return list(map(compared, n, left, right)) if many else compared(n, left, right)
     except ZeroDivisionError as exc:
-        return ResultRow(entry_id, params, n, None, None, "fail",
-                         f"unexpected {type(exc).__name__}: {exc}")
-    return ResultRow(entry_id, params, n, left, right, status,
-                     f"sides differ{tag}" if status == "fail" else "")
+        status, reason = (("skipped", f"pole: {exc}") if isinstance(exc, Pole)
+                          else ("fail", f"unexpected {type(exc).__name__}: {exc}"))
+    return ([check_identity(entry_id, m, assignment, entries, params) for m in n] if many
+            else ResultRow(entry_id, params, n, None, None, status, reason))
 
 
 def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,

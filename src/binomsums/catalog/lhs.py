@@ -1,7 +1,13 @@
 """Left-hand-side evaluators, one per catalog entry.
 
 Each function computes the left side of its identity exactly as displayed,
-by direct summation.  It shares with the right-hand sides only the scalar
+by direct summation, as a block evaluator: ``idNN(ns, a)`` takes an
+ascending range of n and returns the side at each n in order.  It reads
+each of its rows once, at the top of the range, and each n's value ends in
+one ``over``; entries.py makes it a catalog side with ``exact.block``, where
+a single n is a block of one.  An alternating sign is folded into a row
+(``alternating``) and a row that moves with n (``pascal_row``) is read at
+each n.  It shares with the right-hand sides only the scalar
 helpers of exact.py, each tested on its own, and through them kept rows:
 those kept on a draw (a drawn value's, a ``derived`` argument's such as
 s + p, ``pascal_row``'s C(n-p, .), a ``product_row`` of two along one k such
@@ -25,7 +31,7 @@ normalization is what makes every factor rational for every rational p
 checked separately for non-negative integer p, where they are directly
 evaluable.
 
-ID04 has an inner index j = 0..n.  A side returns its whole j-row (row, den),
+ID04 has an inner index j = 0..n.  A side gives its whole j-row (row, den),
 and the check compares the two rows; entries.py gives a per-j caller one
 entry of it.  The left row is the paper's Taylor step: the coefficients of
 f(x) = sum_k C(beta+k, k) C(alpha, n-k) x^k at the powers of x + 1 are those
@@ -35,154 +41,158 @@ of f(y - 1), so the weights are Taylor-shifted by -1 (``taylor_shift``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from ..exact import (binom_row, binom_top, central_binomial, derived, harmonic, harmonic_row,
+from ..exact import (alternating, binom_row, binom_tops, central_binomial, derived, harmonic_row,
                      n_row, over, pascal_row, power_row, product_row, reciprocal_row,
                      rising_row, taylor_shift)
 from ..legendre import legendre, legendre_row
 
 
-def id01(n, a):
-    px, dx = power_row(a["x"], n)
-    return over(sum(map(mul, n_row("C(n,k)C(n+k,k)", n), px)), dx)
+def id01(ns, a):
+    px, dx = power_row(a["x"], ns[-1])
+    return [over(sum(map(mul, n_row("C(n,k)C(n+k,k)", n), px)), dx) for n in ns]
 
 
-def id02(n, a):
-    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)   # C(beta+k, k) x^k
-    ay, day = product_row(binom_row, a["alpha"], power_row, a["y"], n)   # C(alpha, m) y^m
-    return over(sum(map(mul, bx, reversed(ay))), dbx * day)
+def id02(ns, a):
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], ns[-1])   # C(beta+k, k) x^k
+    ay, day = product_row(binom_row, a["alpha"], power_row, a["y"], ns[-1])   # C(alpha, m) y^m
+    return [over(sum(map(mul, bx, ay[n::-1])), dbx * day) for n in ns]
 
 
-def id03(n, a):
-    ba, da = binom_row(a["alpha"], n)
-    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)
-    return over(sum(map(mul, bx, reversed(ba))), da * dbx)
+def id03(ns, a):
+    ba, da = binom_row(a["alpha"], ns[-1])
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], ns[-1])
+    return [over(sum(map(mul, bx, ba[n::-1])), da * dbx) for n in ns]
 
 
-def id04(n, a):
+def id04(ns, a):
     """[sum_k (-1)^(k+j) C(k, j) C(beta+k, k) C(alpha, n-k)]_j, j = 0..n, over
     one den: the weights Taylor-shifted by -1 (module docstring)."""
-    ba, da = binom_row(a["alpha"], n)
-    bb, db = rising_row(a["beta"], n)
-    return taylor_shift([bb[k] * ba[n - k] for k in range(n + 1)], -1), da * db
+    (ba, da), (bb, db) = binom_row(a["alpha"], ns[-1]), rising_row(a["beta"], ns[-1])
+    return [(taylor_shift(list(map(mul, bb, ba[n::-1])), -1), da * db) for n in ns]
 
 
-def id05(n, a):
-    num, den = binom_top(a["lam"], n)
-    return over(4**n * num, den)
+def id05(ns, a):
+    return [over(4**n * b, d) for n, (b, d) in zip(ns, binom_tops(a["lam"], ns))]
 
 
-def id06(n, a):
-    st, dst = product_row(binom_row, a["s"], reciprocal_row, a["t"], n)  # C(s, k) / C(t+k, k)
-    return over(sum(map(mul, n_row("C(n,k)", n), st)), dst)
+def id06(ns, a):
+    st, dst = product_row(binom_row, a["s"], reciprocal_row, a["t"], ns[-1])  # C(s, k) / C(t+k, k)
+    return [over(sum(map(mul, n_row("C(n,k)", n), st)), dst) for n in ns]
 
 
-def id07(n, a):
-    bnp, dp = pascal_row(derived("-x", a["p"]), n)  # C(n-p, m)
-    bs, ds = rising_row(a["s"], n)                  # C(s+k, k)
-    terms = (bs[k] * bnp[n - k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dp * ds)
+def id07(ns, a):
+    g, (bs, ds) = derived("-x", a["p"]), rising_row(a["s"], ns[-1])   # C(s+k, k)
+    return [over(sum(map(mul, bs, alternating(bnp)[::-1])), dp * ds)
+            for n in ns for bnp, dp in [pascal_row(g, n)]]          # C(n-p, m)
 
 
-def id08(n, a):
-    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], n)   # C(beta+k, k) x^k
-    return over(sum(map(mul, n_row("C(n,k)", n), bx)), dbx)
+def id08(ns, a):
+    bx, dbx = product_row(rising_row, a["beta"], power_row, a["x"], ns[-1])   # C(beta+k, k) x^k
+    return [over(sum(map(mul, n_row("C(n,k)", n), bx)), dbx) for n in ns]
 
 
-def id09(n, a):
-    (ba, da), (bb, db) = binom_row(a["beta"], n), rising_row(a["beta"], n)
-    terms = map(mul, reversed(ba), bb)     # C(n,k) C(beta+k,n) = C(beta,n-k) C(beta+k,k)
-    return over(sum(-v if k % 2 else v for k, v in enumerate(terms)), da * db)
+def id09(ns, a):
+    (ba, da), (bb, db) = binom_row(a["beta"], ns[-1]), rising_row(a["beta"], ns[-1])
+    bb = alternating(bb)        # C(n,k) C(beta+k,n) = C(beta,n-k) C(beta+k,k), signed (-1)^k
+    return [over(sum(map(mul, ba[n::-1], bb)), da * db) for n in ns]
 
 
-def id10(n, a):
-    bb, den = rising_row(a["beta"], n)
-    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), bb)), den)
+def id10(ns, a):
+    bb, den = rising_row(a["beta"], ns[-1])
+    return [over(sum(map(mul, n_row("(-1)^k C(n,k)", n), bb)), den) for n in ns]
 
 
-def id11(n, a):
-    return harmonic(n)
+def id11(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(h[n], dh) for n in ns]
 
 
-def id12(n, a):
-    px, dx = power_row(a["x"], n)
-    return over(sum(map(mul, n_row("C(n,k)C(2k,k)4^(n-k)", n), px)), dx * 4**n)
+def id12(ns, a):
+    px, dx = power_row(a["x"], ns[-1])
+    return [over(sum(map(mul, n_row("C(n,k)C(2k,k)4^(n-k)", n), px)), dx * 4**n) for n in ns]
 
 
-def id13(n, a):
-    return legendre(n, derived("(x^2+1)/(2x)", a["t"]))
+def id13(ns, a):
+    x = derived("(x^2+1)/(2x)", a["t"])
+    return [legendre(n, x) for n in ns]
 
 
-def id14(n, a):
+def id14(ns, a):
     t = a["t"]
-    pt, dpt = product_row(legendre_row, derived("(x^2+1)/(2x)", t), power_row, t, n)  # P_k t^k
-    return over(sum(map(mul, n_row("(-1)^k C(n,k)", n), pt)), dpt)
+    pt, dpt = product_row(legendre_row, derived("(x^2+1)/(2x)", t), power_row, t, ns[-1])  # P_k t^k
+    return [over(sum(map(mul, n_row("(-1)^k C(n,k)", n), pt)), dpt) for n in ns]
 
 
-def id15(n, a):
-    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
-    h, dh = harmonic_row(n)
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)", n), map(mul, bs, h))), ds * dh)
+def id15(ns, a):
+    (bs, ds), (h, dh) = rising_row(a["s"], ns[-1]), harmonic_row(ns[-1])   # C(s+k, k), H_k
+    bh = tuple(map(mul, bs, h))
+    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)", n), bh)), ds * dh) for n in ns]
 
 
-def id16(n, a):
-    return harmonic(n)
+def id16(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(h[n], dh) for n in ns]
 
 
-def id17(n, a):
-    h, dh = harmonic_row(n)
-    return over(sum(map(mul, n_row("(-1)^k C(n,k)C(2k,k)4^(n-k)", n), h)), dh * 4**n)
+def id17(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(sum(map(mul, n_row("(-1)^k C(n,k)C(2k,k)4^(n-k)", n), h)), dh * 4**n)
+            for n in ns]
 
 
-def id18(n, a):
-    return harmonic(n) ** 2
+def id18(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(h[n] * h[n], dh * dh) for n in ns]
 
 
-def id19(n, a):
+def id19(ns, a):
     s, p = a["s"], a["p"]
-    bnp, dp = pascal_row(derived("-x", p), n)      # C(n-p, m)
-    bsp, dsp = binom_row(derived("x+y", s, p), n)  # C(s+p, k)
-    return over(sum(bsp[k] * bnp[n - k] for k in range(n + 1)), dp * dsp)
+    g, (bsp, dsp) = derived("-x", p), binom_row(derived("x+y", s, p), ns[-1])   # C(s+p, k)
+    return [over(sum(map(mul, bsp, bnp[::-1])), dp * dsp)
+            for n in ns for bnp, dp in [pascal_row(g, n)]]                  # C(n-p, m)
 
 
-def id20(n, a):
-    den = lcm(*(central_binomial(k) for k in range(n + 1)))
-    return Fraction(sum(4**k * comb(n, k) ** 2 * (den // central_binomial(k))
-                 for k in range(n + 1)), den)
+def id20(ns, a):
+    dens = list(accumulate(map(central_binomial, range(ns[-1] + 1)), lcm))
+    return [Fraction(sum(4**k * comb(n, k) ** 2 * (dens[n] // central_binomial(k))
+                         for k in range(n + 1)), dens[n]) for n in ns]
 
 
-def id20e(n, a):
-    return Fraction(sum(comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k for k in range(n + 1)))
+def id20e(ns, a):
+    return [Fraction(sum(comb(2 * n, 2 * k) * central_binomial(n - k) * 4**k
+                         for k in range(n + 1))) for n in ns]
 
 
-def id21(n, a):
-    bs, ds = rising_row(a["s"], n)         # C(s+k, k)
-    return over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), bs)), ds)
+def id21(ns, a):
+    bs, ds = rising_row(a["s"], ns[-1])         # C(s+k, k)
+    return [over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), bs)), ds) for n in ns]
 
 
-def id22(n, a):
-    h, dh = harmonic_row(n)                # k -> n-k: C(2n-2k, n-k) 4^k H_k
-    return over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), h)), dh * 4**n)
+def id22(ns, a):
+    h, dh = harmonic_row(ns[-1])                # k -> n-k: C(2n-2k, n-k) 4^k H_k
+    return [over(sum(map(mul, n_row("C(2n-2k,n-k)4^k", n), h)), dh * 4**n) for n in ns]
 
 
-def id23(n, a):
-    return Fraction(sum(k * comb(n, k) ** 2 for k in range(n + 1)))
+def id23(ns, a):
+    return [Fraction(sum(k * comb(n, k) ** 2 for k in range(n + 1))) for n in ns]
 
 
-def id24(n, a):
-    h, dh = harmonic_row(n)
-    return over(sum(map(mul, n_row("C(n,k)^2", n), h)), dh)
+def id24(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(sum(map(mul, n_row("C(n,k)^2", n), h)), dh) for n in ns]
 
 
-def id25(n, a):
-    h, dh = harmonic_row(n)
-    return over(sum(map(mul, n_row("C(n,k)^2", n), map(mul, h, reversed(h)))), dh * dh)
+def id25(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(sum(map(mul, n_row("C(n,k)^2", n), map(mul, h, h[n::-1]))), dh * dh)
+            for n in ns]
 
 
-def id26(n, a):
-    h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)
-    terms = (v * v + w for v, w in zip(h, h2))
-    return over(sum(map(mul, n_row("C(n,k)^2", n), terms)), d2)
+def id26(ns, a):
+    (h, _), (h2, d2) = harmonic_row(ns[-1]), harmonic_row(ns[-1], 2)
+    terms = tuple(v * v + w for v, w in zip(h, h2))
+    return [over(sum(map(mul, n_row("C(n,k)^2", n), terms)), d2) for n in ns]

@@ -2,11 +2,12 @@
 
 Implemented from the displayed right sides only; see lhs.py for the
 independence convention, kept rows and ``n_row`` included, and the C(n, p)
-normalization of ID07/ID19.  Each closed form builds one numerator and one
+normalization of ID07/ID19, and the block protocol.  Each closed form builds one numerator and one
 denominator and divides once (``over``), so a ``RatFunc`` side is
-canonicalised once: a single binomial is entry n of a kept row as a pair
-(``binom_top``, ``rising_top``), the harmonic numbers are entries of
-``harmonic_row`` at one n, over one den, and ID15's digamma sum
+canonicalised once: a single binomial is entry n of a row as a pair
+(``binom_tops``, ``rising_tops``, each block's n at once), the harmonic
+numbers are entries of ``harmonic_row`` at the block's top, over one den,
+and ID15's digamma sum
 is ``pole_sum``'s pair.  ID08 reads C(n, k) C(beta+k, n) from beta's rows,
 as lhs.py's ID09 does.
 
@@ -20,157 +21,156 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from ..exact import (binom_poly, binom_row, binom_top, binom_upper_shift, central_binomial,
+from ..exact import (alternating, binom_row, binom_tops, binom_upper_shift, central_binomial,
                      derived, harmonic_row, n_row, over, pascal_row, pole_sum, power_row,
-                     product_row, reciprocal_row, rising_row, rising_top)
+                     product_row, reciprocal_row, rising_row, rising_tops)
 from ..legendre import legendre_new_repr
 
 
-def id01(n, a):
-    px, dx = power_row(derived("x+1", a["x"]), n)
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), px)), dx)
+def id01(ns, a):
+    px, dx = power_row(derived("x+1", a["x"]), ns[-1])
+    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), px)), dx) for n in ns]
 
 
-def id02(n, a):
+def id02(ns, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg, dg = pascal_row(derived("x-y", beta, alpha), n)   # C(beta-alpha+n, m)
-    bp, dp = product_row(rising_row, beta, power_row, derived("x+y", x, y), n)  # C(b+k,k) (x+y)^k
-    py, dy = power_row(y, n)
-    terms = (bg[n - k] * bp[k] * py[n - k] for k in range(n + 1))
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dg * dp * dy)
+    g, (py, dy) = derived("x-y", beta, alpha), power_row(y, ns[-1])
+    bp, dp = product_row(rising_row, beta, power_row, derived("x+y", x, y), ns[-1])
+    return [over(sum(map(mul, bp, map(mul, alternating(bg)[::-1], py[n::-1]))), dg * dp * dy)
+            for n in ns for bg, dg in [pascal_row(g, n)]]     # C(beta-alpha+n, m)
 
 
-def id03(n, a):
-    alpha, beta = a["alpha"], a["beta"]
-    bg, dg = pascal_row(derived("x-y", beta, alpha), n)
-    bp, dp = product_row(rising_row, beta, power_row, derived("x+1", a["x"]), n)
-    terms = map(mul, reversed(bg), bp)
-    return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * dp)
+def id03(ns, a):
+    g = derived("x-y", a["beta"], a["alpha"])
+    bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), ns[-1])
+    return [over(sum(map(mul, alternating(bg)[::-1], bp)), dg * dp)
+            for n in ns for bg, dg in [pascal_row(g, n)]]
 
 
-def id04(n, a):
+def id04(ns, a):
     """[(-1)^(n+j) C(beta+j, j) C(beta-alpha+n, n-j)]_j, j = 0..n, over one den."""
-    alpha, beta = a["alpha"], a["beta"]
-    (bb, db), (bg, dg) = rising_row(beta, n), pascal_row(derived("x-y", beta, alpha), n)
-    row = (bb[j] * bg[n - j] for j in range(n + 1))
-    return [-v if (n + j) % 2 else v for j, v in enumerate(row)], db * dg
+    g, (bb, db) = derived("x-y", a["beta"], a["alpha"]), rising_row(a["beta"], ns[-1])
+    return [(list(map(mul, bb, alternating(bg)[::-1])), db * dg)
+            for n in ns for bg, dg in [pascal_row(g, n)]]
 
 
-def id05(n, a):
+def id05(ns, a):
     lam = a["lam"]
     g = derived("-x-1/2", lam)
-    top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
-    low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
-    nb, db = binom_top(derived("2x", lam), n)
-    return over(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
+    low, dl = reciprocal_row(g, ns[-1])                 # 1/C(k - lam - 1/2, k)
+    tops = zip(ns, binom_tops(derived("2x", lam), ns))  # C(2 lam, n)
+    return [over(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
+            for n, (nb, db) in tops for top, dt in [pascal_row(g, n)]]   # C(n - lam - 1/2, k)
 
 
-def id06(n, a):
-    (nu, du), (nt, dt) = rising_top(derived("x+y", a["s"], a["t"]), n), rising_top(a["t"], n)
-    return over(nu * dt, du * nt)
+def id06(ns, a):
+    tops = zip(rising_tops(derived("x+y", a["s"], a["t"]), ns), rising_tops(a["t"], ns))
+    return [over(nu * dt, du * nt) for (nu, du), (nt, dt) in tops]   # C(s+t+n, n) / C(t+n, n)
 
 
-def id07(n, a):
-    return binom_poly(derived("x+y", a["s"], a["p"]), n)
+def id07(ns, a):
+    return [over(*top) for top in binom_tops(derived("x+y", a["s"], a["p"]), ns)]
 
 
-def id08(n, a):
-    ba, da = binom_row(a["beta"], n)
-    bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), n)
-    terms = map(mul, reversed(ba), bp)  # C(beta,n-k) C(beta+k,k) (x+1)^k: lhs.id09
-    return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), da * dp)
+def id08(ns, a):
+    ba, da = binom_row(a["beta"], ns[-1])
+    bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), ns[-1])
+    ba = alternating(ba)        # C(beta,n-k) C(beta+k,k) (x+1)^k: lhs.id09
+    return [over(sum(map(mul, ba[n::-1], bp)), da * dp) for n in ns]
 
 
-def id09(n, a):
-    return Fraction(-1 if n % 2 else 1)
+def id09(ns, a):
+    return [Fraction(-1 if n % 2 else 1) for n in ns]
 
 
-def id10(n, a):
-    value = binom_poly(a["beta"], n)
-    return -value if n % 2 else value
+def id10(ns, a):
+    return [over(-b if n % 2 else b, d) for n, (b, d) in zip(ns, binom_tops(a["beta"], ns))]
 
 
-def id11(n, a):
-    h, dh = harmonic_row(2 * n)            # H_{n+k} is h[n + k]
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h[n:])), 2 * dh)
+def id11(ns, a):
+    h, dh = harmonic_row(2 * ns[-1])       # H_{n+k} is h[n + k]
+    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h[n:])), 2 * dh)
+            for n in ns]
 
 
-def id12(n, a):
-    px, dx = power_row(derived("x+1", a["x"]), n)
-    return over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), px)), dx * 4**n)
+def id12(ns, a):
+    px, dx = power_row(derived("x+1", a["x"]), ns[-1])
+    return [over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), px)), dx * 4**n) for n in ns]
 
 
-def id13(n, a):
-    return legendre_new_repr(n, a["t"])
+def id13(ns, a):
+    return [legendre_new_repr(n, a["t"]) for n in ns]
 
 
-def id14(n, a):
+def id14(ns, a):
     p, q = a["t"].numerator, a["t"].denominator
-    return over(central_binomial(n) * (q * q - p * p) ** n, (4 * q * q) ** n)
+    return [over(central_binomial(n) * (q * q - p * p) ** n, (4 * q * q) ** n) for n in ns]
 
 
-def id15(n, a):
-    s = a["s"]
-    (nb, db), (h, dh) = binom_top(s, n), harmonic_row(n)
-    return pole_sum(s, n, 1, lambda t, d: (nb * (h[n] * d + t * dh), db * dh * d))
+def id15(ns, a):
+    s, (h, dh) = a["s"], harmonic_row(ns[-1])
+    return [pole_sum(s, n, 1, lambda t, d: (nb * (h[n] * d + t * dh), db * dh * d))
+            for n, (nb, db) in zip(ns, binom_tops(s, ns))]
 
 
-def id16(n, a):
-    h, dh = harmonic_row(n)
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h)), 2 * dh)
+def id16(ns, a):
+    h, dh = harmonic_row(ns[-1])
+    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h)), 2 * dh) for n in ns]
 
 
-def id17(n, a):
-    h, dh = harmonic_row(2 * n)
-    return over(2 * central_binomial(n) * (h[n] - h[2 * n]), dh * 4**n)
+def id17(ns, a):
+    h, dh = harmonic_row(2 * ns[-1])
+    return [over(2 * central_binomial(n) * (h[n] - h[2 * n]), dh * 4**n) for n in ns]
 
 
-def id18(n, a):
-    h, _ = harmonic_row(n)
-    h2, d2 = harmonic_row(n, 2)            # over lcm(1..N)^2 at one n, as H_k^2 is
-    terms = (v * v + w for v, w in zip(h, h2))
-    return over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
+def id18(ns, a):
+    h, _ = harmonic_row(ns[-1])
+    h2, d2 = harmonic_row(ns[-1], 2)       # over lcm(1..N)^2 at one n, as H_k^2 is
+    terms = tuple(v * v + w for v, w in zip(h, h2))
+    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
+            for n in ns]
 
 
-def id19(n, a):
-    return binom_upper_shift(a["s"], n)
+def id19(ns, a):
+    return [binom_upper_shift(a["s"], n) for n in ns]
 
 
-def id20(n, a):
-    return over(comb(4 * n, 2 * n), central_binomial(n))
+def id20(ns, a):
+    return [over(comb(4 * n, 2 * n), central_binomial(n)) for n in ns]
 
 
-def id20e(n, a):
-    return Fraction(comb(4 * n, 2 * n))
+def id20e(ns, a):
+    return [Fraction(comb(4 * n, 2 * n)) for n in ns]
 
 
-def id21(n, a):
-    s = a["s"]
-    (nu, du), (ns, ds) = rising_top(derived("2x+1", s), 2 * n), rising_top(s, n)
-    return over(central_binomial(n) * nu * ds, du * ns)
+def id21(ns, a):
+    s, twice = a["s"], range(2 * ns[0], 2 * ns[-1] + 1, 2)
+    tops = zip(ns, rising_tops(derived("2x+1", s), twice), rising_tops(s, ns))
+    return [over(central_binomial(n) * nu * dd, du * nd) for n, (nu, du), (nd, dd) in tops]
 
 
-def id22(n, a):
-    h, dh = harmonic_row(2 * n + 1)
-    return over((2 * n + 1) * central_binomial(n) * (2 * h[2 * n + 1] - h[n] - 2 * dh), dh * 4**n)
+def id22(ns, a):
+    h, dh = harmonic_row(2 * ns[-1] + 1)
+    return [over((2 * n + 1) * central_binomial(n) * (2 * h[2 * n + 1] - h[n] - 2 * dh),
+                 dh * 4**n) for n in ns]
 
 
-def id23(n, a):
-    return over(n * central_binomial(n), 2)
+def id23(ns, a):
+    return [over(n * central_binomial(n), 2) for n in ns]
 
 
-def id24(n, a):
-    h, dh = harmonic_row(2 * n)
-    return over(central_binomial(n) * (2 * h[n] - h[2 * n]), dh)
+def id24(ns, a):
+    h, dh = harmonic_row(2 * ns[-1])
+    return [over(central_binomial(n) * (2 * h[n] - h[2 * n]), dh) for n in ns]
 
 
-def id25(n, a):
-    (h, _), (h2, d2) = harmonic_row(2 * n), harmonic_row(2 * n, 2)   # d2: the den of h, squared
-    d = h[2 * n] - 2 * h[n]
-    return over(central_binomial(n) * (d * d + h2[n] - h2[2 * n]), d2)
+def id25(ns, a):
+    (h, _), (h2, d2) = harmonic_row(2 * ns[-1]), harmonic_row(2 * ns[-1], 2)   # d2: h's den squared
+    return [over(central_binomial(n) * (d * d + h2[n] - h2[2 * n]), d2)
+            for n in ns for d in [h[2 * n] - 2 * h[n]]]
 
 
-def id26(n, a):
-    (h, _), (h2, d2) = harmonic_row(2 * n), harmonic_row(2 * n, 2)
-    d = h[2 * n] - 2 * h[n]
-    return over(central_binomial(n) * (d * d + 2 * h2[n] - h2[2 * n]), d2)
+def id26(ns, a):
+    (h, _), (h2, d2) = harmonic_row(2 * ns[-1]), harmonic_row(2 * ns[-1], 2)
+    return [over(central_binomial(n) * (d * d + 2 * h2[n] - h2[2 * n]), d2)
+            for n in ns for d in [h[2 * n] - 2 * h[n]]]

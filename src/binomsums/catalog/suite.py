@@ -5,9 +5,11 @@ mutations): parameter draws are seeded per entry id, rows are emitted in
 (id, n, draw) order, and the writers render sides in the canonical rational
 format, so repeated runs are byte-identical.
 
-``catalog_rows`` and ``wz_rows`` yield rows as they are checked and the writers
-write each at once, so no run holds its report.  The JSON bytes are those of
-``json.dumps(..., indent=2)``, with no pure-Python encoder in between.
+``catalog_rows`` checks each draw of an entry as one block of n and yields
+the entry's rows n-major, ``wz_rows`` yields rows as they are checked, and
+the writers write each row at once, so a run holds at most one entry's rows.
+The JSON bytes are those of ``json.dumps(..., indent=2)``, with no
+pure-Python encoder in between.
 """
 
 from __future__ import annotations
@@ -91,21 +93,20 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
 
 
 def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Every selected entry at every n up to its depth, for every draw."""
+    """Every selected entry at every n up to its depth, for every draw: each
+    draw checked as one block of n, the rows yielded n-major."""
     entries = apply_mutations(config.mutations)
     for entry_id, entry in entries.items():
         if config.only and entry_id not in config.only:
             continue
-        n_max = config.n_max if config.n_max is not None else entry.n_max
-        drawn = draw_for_entry(entry, config.seed, config.samples, n_max)
-        shown = [None if a is None else render_draw(a) for a in drawn]
-        for n in range(n_max + 1):
-            for assign, params in zip(drawn, shown):
-                if assign is None:
-                    yield ResultRow(entry_id, {}, n, None, None, "skipped",
-                                    f"no admissible draw after {MAX_TRIES} tries")
-                else:
-                    yield check_identity(entry_id, n, assign, entries, params)
+        ns = range((config.n_max if config.n_max is not None else entry.n_max) + 1)
+        blocks = [[ResultRow(entry_id, {}, n, None, None, "skipped",
+                             f"no admissible draw after {MAX_TRIES} tries") for n in ns]
+                  if assign is None else check_identity(entry_id, ns, assign, entries,
+                                                        render_draw(assign))
+                  for assign in draw_for_entry(entry, config.seed, config.samples, ns[-1])]
+        for rows in zip(*blocks):
+            yield from rows
 
 
 def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:

@@ -16,9 +16,10 @@ lcm(1..N)^order for ``harmonic_row``), ``MultiPoly`` values over one
 ``MultiPoly`` for a ``RatFunc``, int-coefficient jets over one int for a
 ``Jet2``.  No kernel divides, and every side, closed forms included, builds
 one numerator and one denominator and ends in one ``over``: one
-``Fraction``, one ``RatFunc`` or a jet.  ``binom_top`` and ``rising_top``
-read one entry of a kernel's row as such a pair (``_top``; ``binom_poly``,
-``binom_upper_shift`` and ``legendre`` are ``over`` of it), and ``pole_sum``
+``Fraction``, one ``RatFunc`` or a jet.  ``binom_tops`` and ``rising_tops``
+read entries of a kernel's row as such pairs, without the rest of the row
+(``_tops``; ``binom_poly``, ``binom_upper_shift`` and ``legendre`` are
+``over`` of one), and ``pole_sum``
 adds sum_i 1/(s - i)^power as one running int sum over the product of the
 (p - iq)^power.  ``reciprocal_row``'s den is the product of the rising
 factors, so a vanishing C(b+k, k) raises the ring's ``ZeroDivisionError`` at
@@ -44,8 +45,10 @@ class N, the least power of two >= max(n, 32): H_0 .. H_N over
 lcm(1..N)^order, so a read depends on n alone and two orders read at one n
 share a den (H_k^2 and H_k^(2) over lcm(1..N)^2).  ``n_row(form, n)`` holds
 a sum's int coefficients along k that depend on n alone, its sign folded
-in, so a sum is one dot product; the last eight are kept, as tuples.  Both
-are shared by the draws at one n and by the two sides of an identity.
+in, so a sum is one dot product; the last 256 are kept, as tuples, enough
+for two forms of one entry's sweep to n = 127 draw by draw.  Both are shared
+by the draws at one n and by the two sides of an identity.  ``block`` makes
+a catalog side of a block evaluator (lhs.py): a single n is a block of one.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -57,18 +60,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, update_wrapper
 from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
 from .poly import MultiPoly, RatFunc
 
-__all__ = ["Drawn", "Pole", "binom_poly", "binom_row", "binom_top", "binom_upper_shift",
-           "central_binomial", "derived", "digamma_diff", "harmonic", "harmonic_row", "n_row",
-           "over", "parse_rational", "pascal_row", "pascal_step", "pole_sum", "power_row",
-           "product_row", "reciprocal_row", "reciprocal_step", "render_rational", "rising_row",
-           "rising_top", "taylor_shift", "trigamma_diff"]
+__all__ = ["Drawn", "Pole", "alternating", "binom_poly", "binom_row", "binom_tops",
+           "binom_upper_shift", "block", "central_binomial", "derived", "digamma_diff",
+           "harmonic", "harmonic_row", "n_row", "over", "parse_rational", "pascal_row",
+           "pascal_step", "pole_sum", "power_row", "product_row", "reciprocal_row",
+           "reciprocal_step", "render_rational", "rising_row", "rising_tops", "taylor_shift",
+           "trigamma_diff"]
 
 
 class Pole(ZeroDivisionError):
@@ -151,7 +155,7 @@ _COEFFS = {
 }
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=256)
 def n_row(form: str, n: int) -> tuple[int, ...]:
     """(c_0, ..., c_n), the ints ``form`` names along k at n, kept; a form led by
     "(-1)^k " or "(-1)^(n+k) " has that sign folded in."""
@@ -160,6 +164,18 @@ def n_row(form: str, n: int) -> tuple[int, ...]:
     sign, _, body = form.rpartition(" ")  # "(-1)^k C(n,k)": "(-1)^k", "C(n,k)"
     even, odd = {"": (1, 1), "(-1)^k": (1, -1), "(-1)^(n+k)": ((-1) ** n, (-1) ** (n + 1))}[sign]
     return tuple((odd if k % 2 else even) * _COEFFS[body](n, k) for k in range(n + 1))
+
+
+def block(side):
+    """``side(ns, a)``, its values over an ascending range ns, as a catalog side that
+    also takes a single n as a block of one and gives that n's value."""
+    return update_wrapper(lambda n, a: side(n, a) if type(n) is range
+                          else side(range(n, n + 1), a)[0], side)
+
+
+def alternating(row):
+    """[(-1)^k row[k]]: read reversed from n, entry k is (-1)^(n+k) row[n-k]."""
+    return tuple(-v if k % 2 else v for k, v in enumerate(row))
 
 
 def over(total, den):
@@ -249,18 +265,20 @@ def _build(x, n: int, step):
     return tuple(row), den
 
 
-def _top(kernel: str, x, n: int, step):
-    """Entry n of ``_row``'s row at x as (N_n, s_1 ... s_n): read from a kept
-    row up to a ``Drawn`` x's depth (``_row`` refuses n < 0), else built alone."""
-    if type(x) is Drawn and n <= x.depth or n < 0:
-        row, den = _row(kernel, x, n, step)
-        return row[n], den
+def _tops(kernel: str, x, ns: range, step):
+    """Entry n of ``_row``'s row at x for each n in ns, as (N_n, s_1 ... s_n) built alone,
+    or over the kept den from a ``Drawn`` x's kept row up to its depth (``_row`` refuses n < 0)."""
+    if type(x) is Drawn and ns[-1] <= x.depth or ns[-1] < 0:
+        row, den = _row(kernel, x, ns[-1], step)
+        return [(row[n], den) for n in ns]
     p, q = x.numerator, x.denominator
-    prev, cur, den = 0, p**0, q**0
-    for m in range(n):
+    tops = [(p**0, q**0)]
+    prev, cur, den = 0, *tops[0]
+    for m in range(ns[-1]):
         prev, (cur, s) = cur, step(p, q, m, prev, cur)
         den *= s
-    return cur, den
+        tops.append((cur, den))
+    return tops[ns.start::ns.step]
 
 
 def product_row(f, x, g, y, n: int):
@@ -291,15 +309,13 @@ def binom_poly(s, k: int):
     Returns 0 for k < 0 (the boundary convention that makes the summation
     identities run over k = 0..n with out-of-support terms vanishing).  The
     upper argument may be an int, a Fraction, a RatFunc or a Jet2, since the
-    product form is polynomial in s: ``binom_top``, divided once.
+    product form is polynomial in s: ``binom_tops``, divided once.
     """
     if isinstance(s, int):
         s = Fraction(s)
     if k < 0:
         return s * 0            # the zero of s's ring
-    if isinstance(s, Fraction) and s.denominator == 1 and s >= 0:
-        return Fraction(comb(s.numerator, k))
-    return over(*binom_top(s, k))
+    return over(*binom_tops(s, range(k, k + 1))[0])
 
 
 def binom_row(s, n: int):
@@ -367,13 +383,13 @@ def power_row(x, n: int):
 
 
 def binom_upper_shift(b, m: int):
-    """binom(b + m, m) = prod_{i=1..m} (b + i) / m!, m >= 0, polynomial in b: ``rising_top``."""
-    return over(*rising_top(b, m))
+    """binom(b + m, m) = prod_{i=1..m} (b + i) / m!, m >= 0, polynomial in b: ``rising_tops``."""
+    return over(*rising_tops(b, range(m, m + 1))[0])
 
 
-# C(s, k) and C(b + m, m) as (num, den): entry k of binom_row(s, k), m of rising_row(b, m)
-binom_top = partial(_top, "binom", step=_falling)
-rising_top = partial(_top, "rising", step=_rising)
+# C(s, n) and C(b + n, n) as (num, den) for each n in a range: entries of binom_row, rising_row
+binom_tops = partial(_tops, "binom", step=_falling)
+rising_tops = partial(_tops, "rising", step=_rising)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact import _row, _top, derived, n_row, over, power_row
+from .exact import _row, _tops, derived, n_row, over, power_row
 
 __all__ = [
     "legendre",
@@ -42,8 +42,8 @@ def legendre_row(x, n: int):
 
 
 def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._top``)."""
-    return over(*_top("legendre", x, n, _recurrence))
+    """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._tops``)."""
+    return over(*_tops("legendre", x, range(n, n + 1), _recurrence)[0])
 
 
 def _check_t(t: Fraction) -> None:
@@ -83,6 +83,6 @@ def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:
     The left side uses the recurrence evaluator, the right side is a closed
     form; they are returned as a pair and equal exactly on success.
     """
-    from .catalog import lhs, rhs    # the catalog imports this module
+    from .catalog.entries import REGISTRY    # the catalog imports this module
     _check_t(t)
-    return lhs.id14(n, {"t": t}), rhs.id14(n, {"t": t})
+    return REGISTRY["ID14"].lhs(n, {"t": t}), REGISTRY["ID14"].rhs(n, {"t": t})

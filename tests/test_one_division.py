@@ -20,7 +20,6 @@ from operator import mul
 
 import pytest
 
-from binomsums.catalog import lhs, rhs
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, central_binomial, derived,
                              digamma_diff, harmonic, n_row, over, pascal_row, power_row,
@@ -159,7 +158,8 @@ PARAMETRIC = [key for key in SIDES if REGISTRY[key[0]].params.names]
 
 
 def side(entry_id, which):
-    return getattr(lhs if which == "lhs" else rhs, entry_id.lower())
+    """The entry's side, which takes a single n as a block of one."""
+    return getattr(REGISTRY[entry_id], which)
 
 
 def plain(a):

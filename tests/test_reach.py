@@ -45,15 +45,15 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (399 of 1 587)
+# never-run statements per module under the commands above (397 of 1 581)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
-    "catalog/entries.py": 9,
+    "catalog/entries.py": 8,
     "catalog/jets_oracle.py": 35,
     "catalog/lhs.py": 0,
     "catalog/rhs.py": 0,
-    "catalog/suite.py": 3,
+    "catalog/suite.py": 2,
     "cli.py": 16,
     "exact.py": 18,
     "expr.py": 34,
