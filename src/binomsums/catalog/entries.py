@@ -17,11 +17,12 @@ values are unhashable, values are immutable, a per-j caller hands every j the
 same objects, and the key holds strong references, so no id is reused while
 it is the key.
 
-:func:`check_identity` is the one guarded evaluation.  It reports "skipped"
-only for an assignment the domain excludes at n + 1 or a
-:class:`~binomsums.exact.Pole`; any other division by zero is a "fail" row
-that names the exception.  :func:`draw_for_entry` draws through
-:func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
+:func:`check_identity` is the one guarded evaluation, and where a catalog
+row divides: int (num, den) pairs are equal iff their cross products are,
+and a pass row builds one ``Fraction`` for both sides, or reuses a side's
+reduced value (ID13, ID15 and ID19); a fail row, a zero den and the other
+rings divide each side, the left first.  :func:`draw_for_entry` draws
+through :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping
 
-from ..exact import Pole, block, over
+from ..exact import Pole, block, divided, over
 from ..hyperterm import AffineForm
 from ..params import (N_MAX, Admitted, Avoid, Domain, ParamSpec, ResultRow, draws,
                       not_negative_integers, render_draw)
@@ -93,7 +94,7 @@ def _per_index(side, inner):
 
 
 def _entry(eid, statement, params, n_max, inner_index=None):
-    left, right = block(getattr(lhs, eid.lower())), block(getattr(rhs, eid.lower()))
+    left, right = (block(getattr(module, eid.lower()), not inner_index) for module in (lhs, rhs))
     if inner_index:
         left, right = _per_index(left, inner_index), _per_index(right, inner_index)
     return IdentityEntry(eid, statement, params, left, right, n_max, inner_index)
@@ -198,9 +199,7 @@ def _id24_flip_h2n(entries: dict[str, IdentityEntry]) -> dict[str, IdentityEntry
     def flipped_rhs(ns, a):
         return [central_binomial(n) * (2 * harmonic(n) + harmonic(2 * n)) for n in ns]
 
-    out = dict(entries)
-    out["ID24"] = replace(entries["ID24"], rhs=block(flipped_rhs))
-    return out
+    return {**entries, "ID24": replace(entries["ID24"], rhs=block(flipped_rhs))}
 
 
 MUTATIONS: dict[str, Callable[[dict], dict]] = {
@@ -251,9 +250,16 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
             ls, rs = ((rden // (g := gcd(lden, rden)), lden // g)     # over lcm(lden, rden)
                       if type(lden) is type(rden) is int else (rden, lden))
             j = next((j for j in range(m) if lrow[j] * ls != rrow[j] * rs), m)
-            left, right = over(lrow[j], lden), over(rrow[j], rden)
+            left, right = (lrow[j], lden), (rrow[j], rden)
             tag = f" at {entry.inner_index}={j}"
-        status = "pass" if left == right else "fail"
+        ln, ld = left if type(left) is tuple else (left.numerator, left.denominator)
+        rn, rd = right if type(right) is tuple else (right.numerator, right.denominator)
+        ints = type(ln) is type(ld) is type(rn) is type(rd) is int and ld and rd
+        if ints and ln * rd == rn * ld:     # p/q = r/s iff ps = rq: one division for both
+            value = right if type(right) is Fraction else over(ln, ld)
+            return ResultRow(entry_id, params, m, value, value, "pass", "")
+        left, right = divided(left), divided(right)     # a fail, a zero den or another ring
+        status = "pass" if not ints and left == right else "fail"
         return ResultRow(entry_id, params, m, left, right, status,
                          f"sides differ{tag}" if status == "fail" else "")
 

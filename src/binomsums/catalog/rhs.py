@@ -1,15 +1,15 @@
 """Right-hand-side evaluators, one per catalog entry.
 
-Implemented from the displayed right sides only; see lhs.py for the
-independence convention, kept rows and ``n_row`` included, and the C(n, p)
-normalization of ID07/ID19, and the block protocol.  Each closed form builds one numerator and one
-denominator and divides once (``over``), so a ``RatFunc`` side is
+Implemented from the displayed right sides only; see lhs.py for the block
+protocol, the independence convention, kept rows and ``n_row`` included,
+and the C(n, p) normalization of ID07/ID19.  Each closed form hands back
+one numerator and one denominator per n, so a ``RatFunc`` side is
 canonicalised once: a single binomial is entry n of a row as a pair
-(``binom_tops``, ``rising_tops``, each block's n at once), the harmonic
-numbers are entries of ``harmonic_row`` at the block's top, over one den,
-and ID15's digamma sum
-is ``pole_sum``'s pair.  ID08 reads C(n, k) C(beta+k, n) from beta's rows,
-as lhs.py's ID09 does.
+(``binom_tops``, ``rising_tops``, each block's n at once) and the harmonic
+numbers are entries of ``harmonic_row`` at the block's top, over one den.
+ID13, ID15 and ID19 give values their helpers divided (``legendre_new_repr``,
+``pole_sum``, ``binom_upper_shift``).  ID08 reads C(n, k) C(beta+k, n) from
+beta's rows, as lhs.py's ID09 does.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
 C(beta-alpha+n, n-j) over one den.
@@ -17,33 +17,32 @@ C(beta-alpha+n, n-j) over one den.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from operator import mul
 
 from ..exact import (alternating, binom_row, binom_tops, binom_upper_shift, central_binomial,
-                     derived, harmonic_row, n_row, over, pascal_row, pole_sum, power_row,
+                     derived, harmonic_row, n_row, pascal_row, pole_sum, power_row,
                      product_row, reciprocal_row, rising_row, rising_tops)
 from ..legendre import legendre_new_repr
 
 
 def id01(ns, a):
     px, dx = power_row(derived("x+1", a["x"]), ns[-1])
-    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), px)), dx) for n in ns]
+    return [(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), px)), dx) for n in ns]
 
 
 def id02(ns, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
     g, (py, dy) = derived("x-y", beta, alpha), power_row(y, ns[-1])
     bp, dp = product_row(rising_row, beta, power_row, derived("x+y", x, y), ns[-1])
-    return [over(sum(map(mul, bp, map(mul, alternating(bg)[::-1], py[n::-1]))), dg * dp * dy)
+    return [(sum(map(mul, bp, map(mul, alternating(bg)[::-1], py[n::-1]))), dg * dp * dy)
             for n in ns for bg, dg in [pascal_row(g, n)]]     # C(beta-alpha+n, m)
 
 
 def id03(ns, a):
     g = derived("x-y", a["beta"], a["alpha"])
     bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), ns[-1])
-    return [over(sum(map(mul, alternating(bg)[::-1], bp)), dg * dp)
+    return [(sum(map(mul, alternating(bg)[::-1], bp)), dg * dp)
             for n in ns for bg, dg in [pascal_row(g, n)]]
 
 
@@ -59,43 +58,42 @@ def id05(ns, a):
     g = derived("-x-1/2", lam)
     low, dl = reciprocal_row(g, ns[-1])                 # 1/C(k - lam - 1/2, k)
     tops = zip(ns, binom_tops(derived("2x", lam), ns))  # C(2 lam, n)
-    return [over(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
+    return [(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
             for n, (nb, db) in tops for top, dt in [pascal_row(g, n)]]   # C(n - lam - 1/2, k)
 
 
 def id06(ns, a):
     tops = zip(rising_tops(derived("x+y", a["s"], a["t"]), ns), rising_tops(a["t"], ns))
-    return [over(nu * dt, du * nt) for (nu, du), (nt, dt) in tops]   # C(s+t+n, n) / C(t+n, n)
+    return [(nu * dt, du * nt) for (nu, du), (nt, dt) in tops]   # C(s+t+n, n) / C(t+n, n)
 
 
 def id07(ns, a):
-    return [over(*top) for top in binom_tops(derived("x+y", a["s"], a["p"]), ns)]
+    return binom_tops(derived("x+y", a["s"], a["p"]), ns)
 
 
 def id08(ns, a):
     ba, da = binom_row(a["beta"], ns[-1])
     bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), ns[-1])
     ba = alternating(ba)        # C(beta,n-k) C(beta+k,k) (x+1)^k: lhs.id09
-    return [over(sum(map(mul, ba[n::-1], bp)), da * dp) for n in ns]
+    return [(sum(map(mul, ba[n::-1], bp)), da * dp) for n in ns]
 
 
 def id09(ns, a):
-    return [Fraction(-1 if n % 2 else 1) for n in ns]
+    return [(-1 if n % 2 else 1, 1) for n in ns]
 
 
 def id10(ns, a):
-    return [over(-b if n % 2 else b, d) for n, (b, d) in zip(ns, binom_tops(a["beta"], ns))]
+    return [(-b if n % 2 else b, d) for n, (b, d) in zip(ns, binom_tops(a["beta"], ns))]
 
 
 def id11(ns, a):
     h, dh = harmonic_row(2 * ns[-1])       # H_{n+k} is h[n + k]
-    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h[n:])), 2 * dh)
-            for n in ns]
+    return [(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h[n:])), 2 * dh) for n in ns]
 
 
 def id12(ns, a):
     px, dx = power_row(derived("x+1", a["x"]), ns[-1])
-    return [over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), px)), dx * 4**n) for n in ns]
+    return [(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), px)), dx * 4**n) for n in ns]
 
 
 def id13(ns, a):
@@ -104,7 +102,7 @@ def id13(ns, a):
 
 def id14(ns, a):
     p, q = a["t"].numerator, a["t"].denominator
-    return [over(central_binomial(n) * (q * q - p * p) ** n, (4 * q * q) ** n) for n in ns]
+    return [(central_binomial(n) * (q * q - p * p) ** n, (4 * q * q) ** n) for n in ns]
 
 
 def id15(ns, a):
@@ -115,20 +113,19 @@ def id15(ns, a):
 
 def id16(ns, a):
     h, dh = harmonic_row(ns[-1])
-    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h)), 2 * dh) for n in ns]
+    return [(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), h)), 2 * dh) for n in ns]
 
 
 def id17(ns, a):
     h, dh = harmonic_row(2 * ns[-1])
-    return [over(2 * central_binomial(n) * (h[n] - h[2 * n]), dh * 4**n) for n in ns]
+    return [(2 * central_binomial(n) * (h[n] - h[2 * n]), dh * 4**n) for n in ns]
 
 
 def id18(ns, a):
     h, _ = harmonic_row(ns[-1])
     h2, d2 = harmonic_row(ns[-1], 2)       # over lcm(1..N)^2 at one n, as H_k^2 is
     terms = tuple(v * v + w for v, w in zip(h, h2))
-    return [over(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2)
-            for n in ns]
+    return [(sum(map(mul, n_row("(-1)^(n+k) C(n,k)C(n+k,k)", n), terms)), 4 * d2) for n in ns]
 
 
 def id19(ns, a):
@@ -136,41 +133,41 @@ def id19(ns, a):
 
 
 def id20(ns, a):
-    return [over(comb(4 * n, 2 * n), central_binomial(n)) for n in ns]
+    return [(comb(4 * n, 2 * n), central_binomial(n)) for n in ns]
 
 
 def id20e(ns, a):
-    return [Fraction(comb(4 * n, 2 * n)) for n in ns]
+    return [(comb(4 * n, 2 * n), 1) for n in ns]
 
 
 def id21(ns, a):
     s, twice = a["s"], range(2 * ns[0], 2 * ns[-1] + 1, 2)
     tops = zip(ns, rising_tops(derived("2x+1", s), twice), rising_tops(s, ns))
-    return [over(central_binomial(n) * nu * dd, du * nd) for n, (nu, du), (nd, dd) in tops]
+    return [(central_binomial(n) * nu * dd, du * nd) for n, (nu, du), (nd, dd) in tops]
 
 
 def id22(ns, a):
     h, dh = harmonic_row(2 * ns[-1] + 1)
-    return [over((2 * n + 1) * central_binomial(n) * (2 * h[2 * n + 1] - h[n] - 2 * dh),
-                 dh * 4**n) for n in ns]
+    return [((2 * n + 1) * central_binomial(n) * (2 * h[2 * n + 1] - h[n] - 2 * dh),
+             dh * 4**n) for n in ns]
 
 
 def id23(ns, a):
-    return [over(n * central_binomial(n), 2) for n in ns]
+    return [(n * central_binomial(n), 2) for n in ns]
 
 
 def id24(ns, a):
     h, dh = harmonic_row(2 * ns[-1])
-    return [over(central_binomial(n) * (2 * h[n] - h[2 * n]), dh) for n in ns]
+    return [(central_binomial(n) * (2 * h[n] - h[2 * n]), dh) for n in ns]
 
 
 def id25(ns, a):
     (h, _), (h2, d2) = harmonic_row(2 * ns[-1]), harmonic_row(2 * ns[-1], 2)   # d2: h's den squared
-    return [over(central_binomial(n) * (d * d + h2[n] - h2[2 * n]), d2)
+    return [(central_binomial(n) * (d * d + h2[n] - h2[2 * n]), d2)
             for n in ns for d in [h[2 * n] - 2 * h[n]]]
 
 
 def id26(ns, a):
     (h, _), (h2, d2) = harmonic_row(2 * ns[-1]), harmonic_row(2 * ns[-1], 2)
-    return [over(central_binomial(n) * (d * d + 2 * h2[n] - h2[2 * n]), d2)
+    return [(central_binomial(n) * (d * d + 2 * h2[n] - h2[2 * n]), d2)
             for n in ns for d in [h[2 * n] - 2 * h[n]]]

@@ -14,16 +14,16 @@ path serves all three rings: ints over one int den > 0 for an int or
 ``Fraction`` (n! q^n for the binomial rows, q^n for ``power_row``,
 lcm(1..N)^order for ``harmonic_row``), ``MultiPoly`` values over one
 ``MultiPoly`` for a ``RatFunc``, int-coefficient jets over one int for a
-``Jet2``.  No kernel divides, and every side, closed forms included, builds
-one numerator and one denominator and ends in one ``over``: one
+``Jet2``.  No kernel divides, and a catalog side hands back each n's (num,
+den) undivided (``block``: a single n is a block of one, ``divided``); the
+check divides a row once, and ``over`` divides a pair in its ring, into one
 ``Fraction``, one ``RatFunc`` or a jet.  ``binom_tops`` and ``rising_tops``
 read entries of a kernel's row as such pairs, without the rest of the row
 (``_tops``; ``binom_poly``, ``binom_upper_shift`` and ``legendre`` are
-``over`` of one), and ``pole_sum``
-adds sum_i 1/(s - i)^power as one running int sum over the product of the
-(p - iq)^power.  ``reciprocal_row``'s den is the product of the rising
-factors, so a vanishing C(b+k, k) raises the ring's ``ZeroDivisionError`` at
-``over`` (``Pole`` for a jet).
+``over`` of one), and ``pole_sum`` adds sum_i 1/(s - i)^power as one
+running int sum over the product of the (p - iq)^power.  ``reciprocal_row``'s
+den is the product of the rising factors, so a vanishing C(b+k, k) raises
+the ring's ``ZeroDivisionError`` at ``over`` (``Pole`` for a jet).
 
 A ``Drawn`` value, as ``params.draw`` hands out, keeps each kernel's row
 (``_kept``), built once at the depth its draw was admitted for
@@ -47,8 +47,7 @@ share a den (H_k^2 and H_k^(2) over lcm(1..N)^2).  ``n_row(form, n)`` holds
 a sum's int coefficients along k that depend on n alone, its sign folded
 in, so a sum is one dot product; the last 256 are kept, as tuples, enough
 for two forms of one entry's sweep to n = 127 draw by draw.  Both are shared
-by the draws at one n and by the two sides of an identity.  ``block`` makes
-a catalog side of a block evaluator (lhs.py): a single n is a block of one.
+by the draws at one n and by the two sides of an identity.
 
 Rendering convention (used by the CLI and all JSON output): lowest terms
 with positive denominator, ``p/q``, or just ``p`` when the denominator is 1,
@@ -68,7 +67,7 @@ from operator import mul
 from .poly import MultiPoly, RatFunc
 
 __all__ = ["Drawn", "Pole", "alternating", "binom_poly", "binom_row", "binom_tops",
-           "binom_upper_shift", "block", "central_binomial", "derived", "digamma_diff",
+           "binom_upper_shift", "block", "central_binomial", "derived", "digamma_diff", "divided",
            "harmonic", "harmonic_row", "n_row", "over", "parse_rational", "pascal_row",
            "pascal_step", "pole_sum", "power_row", "product_row", "reciprocal_row",
            "reciprocal_step", "render_rational", "rising_row", "rising_tops", "taylor_shift",
@@ -166,11 +165,12 @@ def n_row(form: str, n: int) -> tuple[int, ...]:
     return tuple((odd if k % 2 else even) * _COEFFS[body](n, k) for k in range(n + 1))
 
 
-def block(side):
-    """``side(ns, a)``, its values over an ascending range ns, as a catalog side that
-    also takes a single n as a block of one and gives that n's value."""
+def block(side, divide=True):
+    """``side(ns, a)``, its (num, den) pairs over an ascending range ns, as a catalog side
+    that also takes a single n as a block of one: its pair, ``divided`` if ``divide``."""
+    one = divided if divide else (lambda value: value)
     return update_wrapper(lambda n, a: side(n, a) if type(n) is range
-                          else side(range(n, n + 1), a)[0], side)
+                          else one(side(range(n, n + 1), a)[0]), side)
 
 
 def alternating(row):
@@ -182,12 +182,16 @@ def over(total, den):
     """The exit of a row sum: ``total / den``, as one ``Fraction`` for int
     parts, one ``RatFunc`` when either part is a ``MultiPoly``, and in total's
     ring otherwise (total itself when den == 1)."""
-    if isinstance(total, MultiPoly) or isinstance(den, MultiPoly):
-        return RatFunc(*(v if isinstance(v, MultiPoly) else MultiPoly.const(v)
-                         for v in (total, den)))
-    if isinstance(total, int):
+    if type(total) is type(den) is int:
         return Fraction(total, den)
-    return total if den == 1 else total / den
+    return (RatFunc(*(v if isinstance(v, MultiPoly) else MultiPoly.const(v) for v in (total, den)))
+            if isinstance(total, MultiPoly) or isinstance(den, MultiPoly)
+            else total if den == 1 else total / den)
+
+
+def divided(value):
+    """A catalog side's value at one n: its (num, den) ``over``, or the value it gave."""
+    return over(*value) if type(value) is tuple else value
 
 
 class Drawn(Fraction):

@@ -1,8 +1,8 @@
 """Catalog sides as block evaluators, against the same sides read one n at a time.
 
 A side called with an ascending range of n reads each of its rows once, at
-the top of the range, and gives the value at each n; a single n is a block
-of one.  Every entry's block over range(0, n_max + 1) must equal its per-n
+the top of the range, and gives each n's (num, den) pair undivided; a single
+n is a block of one, divided.  Every entry's block over range(0, n_max + 1) must equal its per-n
 values over ``Fraction`` (the seed-0 draws, and plain copies of three, which
 keep no rows), over ``RatFunc`` (n <= 4) and over ``Jet2`` at the points the
 jet oracle lifts (ID06, ID07, ID08 and ID21, n <= 6).  ``check_identity``
@@ -20,7 +20,7 @@ import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import SuiteConfig, catalog_rows
-from binomsums.exact import n_row, over
+from binomsums.exact import divided, n_row, over
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
@@ -30,8 +30,9 @@ PARAMETRIC = [entry_id for entry_id, entry in REGISTRY.items() if entry.params.n
 
 
 def values(entry, value):
-    """A side's value at one n; an inner-index entry's (row, den) as its entries."""
-    return [over(v, value[1]) for v in value[0]] if entry.inner_index else value
+    """A side's value at one n, a block's (num, den) pair divided first; an inner-index
+    entry's (row, den) as its entries."""
+    return [over(v, value[1]) for v in value[0]] if entry.inner_index else divided(value)
 
 
 def assert_block_is_per_n(entry, ns, a):

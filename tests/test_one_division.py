@@ -1,34 +1,138 @@
-"""Sides that divide once, against the code they replaced.
+"""Catalog rows that divide once, and sides against the code they replaced.
+
+A side hands back each n's (num, den) undivided, and the check divides a
+catalog row once: it compares two int pairs by cross-multiplying, which
+must give the verdict of comparing the two Fractions (negative dens, zero
+numerators, pairs that differ by a common factor), and a zero den fails the
+row naming the first side's division, as a side that divided itself did.  A
+default sweep of ID01 and of ID24 divides once per pass row, where sides
+that divided themselves made two divisions per row.
 
 Each closed-form right side (and the left side of ID05) was a chain of ring
 divisions, and each side that multiplies two of a draw's rows along one k
 read the two rows apart.  Both are kept here, as they were, as independent
 references: every reference runs on plain copies of a draw's values, so it
 builds its own rows and shares no kept state with the side it checks.  The
-sides must give the same values over ``Fraction`` (draws of seeds 0-2 at
-every n up to the entry's depth), over ``RatFunc`` (n <= 8) and over
-``Jet2`` at the points the jet oracle lifts, and keep the status and reason
-of their poles.
+sides, a single n divided (``exact.block``), must give the same values over
+``Fraction`` (draws of seeds 0-2 at every n up to the entry's depth), over
+``RatFunc`` (n <= 8) and over ``Jet2`` at the points the jet oracle lifts,
+and keep the status and reason of their poles.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from importlib import import_module
 from math import comb
 from operator import mul
 
 import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
-from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, central_binomial, derived,
-                             digamma_diff, harmonic, n_row, over, pascal_row, power_row,
+from binomsums.catalog.suite import SuiteConfig, catalog_rows
+from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, block, central_binomial,
+                             derived, digamma_diff, harmonic, n_row, over, pascal_row, power_row,
                              reciprocal_row, rising_row)
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
 
+try:
+    from hypothesis import example, given, settings, strategies as st
+except ImportError:          # optional test dependency: the property tests skip
+    st = None
+
+needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+
 F = Fraction
+
+
+# -- one division per row ----------------------------------------------------
+
+def given_pairs(left, right):
+    """ID23, parameter-free, with sides that give these (num, den) pairs at every n."""
+    def side(pair):
+        return block(lambda ns, a: [pair] * len(ns))
+    return {"ID23": replace(REGISTRY["ID23"], lhs=side(left), rhs=side(right))}
+
+
+def checked(left, right):
+    """The rows of a block over n = 0..2 and of each n alone, which must agree."""
+    entries = given_pairs(left, right)
+    rows = check_identity("ID23", range(3), {}, entries)
+    assert rows == [check_identity("ID23", n, {}, entries) for n in range(3)]
+    return rows
+
+
+@needs_hypothesis
+def test_a_pair_verdict_is_the_verdict_of_its_fractions():
+    ints = st.integers(-10**12, 10**12)
+    nonzero = ints.filter(bool)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.tuples(ints, nonzero), st.tuples(ints, nonzero), nonzero, st.booleans())
+    @example((0, 3), (0, -7), 1, False)         # zero numerators, a negative den
+    @example((6, -4), (-3, 2), 1, False)        # equal, the dens of opposite signs
+    @example((5, 3), (5, 3), 1, False)          # equal pairs, the same value twice
+    @example((5, 3), (6, 3), 1, False)
+    @example((-2, 7), None, -12, True)          # a common factor of the pair
+    def check(left, right, factor, scaled):
+        if scaled:
+            right = left[0] * factor, left[1] * factor
+        same = F(*left) == F(*right)
+        for r in checked(left, right):
+            assert (r.status, r.reason) == (("pass", "") if same else ("fail", "sides differ"))
+            assert (r.lhs, r.rhs) == (F(*left), F(*right))
+            assert type(r.lhs) is type(r.rhs) is Fraction
+
+    check()
+
+
+@needs_hypothesis
+def test_a_zero_den_fails_the_row_naming_the_first_side_to_divide():
+    ints = st.integers(-10**12, 10**12)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.tuples(ints, ints), st.tuples(ints, ints), st.sampled_from(["lhs", "rhs", "both"]))
+    @example((3, 5), (7, 5), "rhs")
+    @example((-18, 6), (0, 1), "lhs")
+    def check(left, right, zero):
+        left = (left[0], 0) if zero != "rhs" else left
+        right = (right[0], 0) if zero != "lhs" else right
+        first = left if left[1] == 0 else right
+        reason = f"unexpected ZeroDivisionError: Fraction({first[0]}, 0)"
+        for r in checked(left, right):
+            assert (r.status, r.reason, r.lhs, r.rhs) == ("fail", reason, None, None)
+
+    check()
+
+
+DIVIDING = [import_module(f"binomsums.{name}")
+            for name in ("exact", "catalog.lhs", "catalog.rhs", "catalog.entries")]
+
+
+@pytest.mark.parametrize("entry_id", ["ID01", "ID24"])
+def test_a_sweep_divides_once_per_pass_row(entry_id, monkeypatch):
+    # every over of the catalog's modules, and a side module's Fraction, counted:
+    # one division per pass row, its one value printed as both sides
+    divisions = []
+
+    def counted(divide):
+        def wrapped(*args):
+            divisions.append(args)
+            return divide(*args)
+        return wrapped
+
+    for module in DIVIDING:
+        names = ("over", "Fraction") if module.__name__.endswith(("lhs", "rhs")) else ("over",)
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    rows = list(catalog_rows(SuiteConfig(only=(entry_id,))))
+    assert rows and all(r.status == "pass" for r in rows)
+    assert len(divisions) == len(rows)
+    assert all(r.lhs is r.rhs for r in rows)
 
 
 # -- the replaced sides, as they were -----------------------------------------

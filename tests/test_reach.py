@@ -45,7 +45,7 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (397 of 1 581)
+# never-run statements per module under the commands above (396 of 1 578)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
@@ -55,7 +55,7 @@ BUDGET = {
     "catalog/rhs.py": 0,
     "catalog/suite.py": 2,
     "cli.py": 16,
-    "exact.py": 18,
+    "exact.py": 17,
     "expr.py": 34,
     "hyperterm.py": 38,
     "jets.py": 74,
