@@ -19,9 +19,9 @@ it is the key.
 
 :func:`check_identity` is the one guarded evaluation, and where a catalog
 row divides: int (num, den) pairs are equal iff their cross products are,
-and a pass row builds one ``Fraction`` for both sides, or reuses a side's
-reduced value (ID13, ID15 and ID19); a fail row, a zero den and the other
-rings divide each side, the left first.  :func:`draw_for_entry` draws
+and a pass row builds one ``Fraction`` for both sides, from the pair with
+the shorter den (every side hands back pairs); a fail row, a zero den and
+the other rings divide each side, the left first.  :func:`draw_for_entry` draws
 through :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
@@ -256,7 +256,7 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
         rn, rd = right if type(right) is tuple else (right.numerator, right.denominator)
         ints = type(ln) is type(ld) is type(rn) is type(rd) is int and ld and rd
         if ints and ln * rd == rn * ld:     # p/q = r/s iff ps = rq: one division for both
-            value = right if type(right) is Fraction else over(ln, ld)
+            value = over(ln, ld) if abs(ld) <= abs(rd) else over(rn, rd)    # the shorter den
             return ResultRow(entry_id, params, m, value, value, "pass", "")
         left, right = divided(left), divided(right)     # a fail, a zero den or another ring
         status = "pass" if not ints and left == right else "fail"

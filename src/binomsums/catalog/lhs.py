@@ -6,22 +6,22 @@ ascending range of n, reads each of its rows once, at the top of the range,
 and returns each n's (num, den) pair in order, undivided: the check divides
 a row once (entries.py, where ``exact.block`` makes a single n a block of
 one, divided).  An alternating sign is folded into a row (``alternating``)
-and a row that moves with n (``pascal_row``) is read at each n.  A side
-shares with the right-hand sides only the scalar helpers of exact.py, each
-tested on its own, and through them kept rows: those kept on a draw (a drawn
-value's, a ``derived`` argument's such as s + p, ``pascal_row``'s C(n-p, .),
-a ``product_row`` of two along one k such as C(beta+k, k) x^k) and those
-that depend on n alone (``harmonic_row``, ``n_row``'s signed coefficients
-such as (-1)^(n+k) C(n, k) C(n+k, k)).  A kept row's entries have the values
-either side would build: it can hide a wrong row only as a shared kernel
-can, and a test breaks each row helper in both modules at once, and every
-entry using it must then fail.  A sum is a dot product of rows, ints over
-one den per row for exact parameters, over the product of those dens; H_k^2
-and H_k^(2) read at one n both sit over lcm(1..N)^2, N the depth class of n.
-The sums are ring-generic: RatFunc parameters give MultiPoly pairs, one
-RatFunc once divided, and Jet2 parameters (the jet oracle differentiates
-ID06, ID07, ID08 and ID21) jet pairs.  ID09's C(n, k) C(beta+k, n) is read
-as C(beta, n-k) C(beta+k, k), entries of beta's kept rows.
+and a row that moves with n (``pascal_rows``' C(n-p, .)) comes one per n of
+the block, read reversed.  A side shares with the right-hand sides only the
+scalar helpers of exact.py, each tested on its own, and through them kept
+rows: those kept on a draw (a drawn value's, a ``derived`` argument's such
+as s + p or -p, a ``product_row`` of two along one k such as C(beta+k, k)
+x^k) and those that depend on n alone (``harmonic_row``, ``n_row``'s signed
+coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A kept row's entries
+have the values either side would build: it can hide a wrong row only as a
+shared kernel can, and a test breaks each row helper in both modules at
+once, and every entry using it must then fail.  A sum is a dot product of
+rows, ints over one den per row for exact parameters, over the product of
+those dens; H_k^2 and H_k^(2) read at one n both sit over lcm(1..N)^2, N the
+depth class of n.  The sums are ring-generic: RatFunc parameters give
+MultiPoly pairs, one RatFunc once divided, and Jet2 parameters (the jet
+oracle differentiates ID06, ID07, ID08 and ID21) jet pairs.  ID09 reads
+C(n, k) C(beta+k, n) as C(beta, n-k) C(beta+k, k), from beta's kept rows.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -43,7 +43,7 @@ from math import comb, lcm
 from operator import mul
 
 from ..exact import (alternating, binom_row, binom_tops, central_binomial, derived, harmonic_row,
-                     n_row, pascal_row, power_row, product_row, reciprocal_row,
+                     n_row, pascal_rows, power_row, product_row, reciprocal_row,
                      rising_row, taylor_shift)
 from ..legendre import legendre, legendre_row
 
@@ -82,9 +82,9 @@ def id06(ns, a):
 
 
 def id07(ns, a):
-    g, (bs, ds) = derived("-x", a["p"]), rising_row(a["s"], ns[-1])   # C(s+k, k)
-    return [(sum(map(mul, bs, alternating(bnp)[::-1])), dp * ds)
-            for n in ns for bnp, dp in [pascal_row(g, n)]]          # C(n-p, m)
+    bs, ds = rising_row(a["s"], ns[-1])                       # C(s+k, k)
+    rows, dp = pascal_rows(derived("-x", a["p"]), ns, True)   # (-1)^m C(n-p, m)
+    return [(sum(map(mul, bs, reversed(bnp))), dp * ds) for bnp in rows]
 
 
 def id08(ns, a):
@@ -114,8 +114,7 @@ def id12(ns, a):
 
 
 def id13(ns, a):
-    x = derived("(x^2+1)/(2x)", a["t"])
-    return [legendre(n, x) for n in ns]
+    return legendre(ns, derived("(x^2+1)/(2x)", a["t"]))
 
 
 def id14(ns, a):
@@ -145,9 +144,9 @@ def id18(ns, a):
 
 def id19(ns, a):
     s, p = a["s"], a["p"]
-    g, (bsp, dsp) = derived("-x", p), binom_row(derived("x+y", s, p), ns[-1])   # C(s+p, k)
-    return [(sum(map(mul, bsp, bnp[::-1])), dp * dsp)
-            for n in ns for bnp, dp in [pascal_row(g, n)]]                  # C(n-p, m)
+    bsp, dsp = binom_row(derived("x+y", s, p), ns[-1])         # C(s+p, k)
+    rows, dp = pascal_rows(derived("-x", p), ns)              # C(n-p, m)
+    return [(sum(map(mul, bsp, reversed(bnp))), dp * dsp) for bnp in rows]
 
 
 def id20(ns, a):

@@ -7,8 +7,9 @@ one numerator and one denominator per n, so a ``RatFunc`` side is
 canonicalised once: a single binomial is entry n of a row as a pair
 (``binom_tops``, ``rising_tops``, each block's n at once) and the harmonic
 numbers are entries of ``harmonic_row`` at the block's top, over one den.
-ID13, ID15 and ID19 give values their helpers divided (``legendre_new_repr``,
-``pole_sum``, ``binom_upper_shift``).  ID08 reads C(n, k) C(beta+k, n) from
+ID13, ID15 and ID19 read pairs over the range (``legendre_new_repr``,
+``pole_sum``'s one digamma pass, ``binom_upper_shift``), ID02-ID05 the
+moving rows of ``pascal_rows``.  ID08 reads C(n, k) C(beta+k, n) from
 beta's rows, as lhs.py's ID09 does.
 
 ID04's right side is, as in lhs.py, its whole j-row (-1)^(n+j) C(beta+j, j)
@@ -21,7 +22,7 @@ from math import comb
 from operator import mul
 
 from ..exact import (alternating, binom_row, binom_tops, binom_upper_shift, central_binomial,
-                     derived, harmonic_row, n_row, pascal_row, pole_sum, power_row,
+                     derived, harmonic_row, n_row, pascal_rows, pole_sum, power_row,
                      product_row, reciprocal_row, rising_row, rising_tops)
 from ..legendre import legendre_new_repr
 
@@ -33,33 +34,32 @@ def id01(ns, a):
 
 def id02(ns, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    g, (py, dy) = derived("x-y", beta, alpha), power_row(y, ns[-1])
+    (rows, dg), (py, dy) = pascal_rows(derived("x-y", beta, alpha), ns, True), power_row(y, ns[-1])
     bp, dp = product_row(rising_row, beta, power_row, derived("x+y", x, y), ns[-1])
-    return [(sum(map(mul, bp, map(mul, alternating(bg)[::-1], py[n::-1]))), dg * dp * dy)
-            for n in ns for bg, dg in [pascal_row(g, n)]]     # C(beta-alpha+n, m)
+    return [(sum(map(mul, bp, map(mul, reversed(bg), py[n::-1]))), dg * dp * dy)
+            for n, bg in zip(ns, rows)]         # bg: (-1)^m C(beta-alpha+n, m)
 
 
 def id03(ns, a):
-    g = derived("x-y", a["beta"], a["alpha"])
+    rows, dg = pascal_rows(derived("x-y", a["beta"], a["alpha"]), ns, True)
     bp, dp = product_row(rising_row, a["beta"], power_row, derived("x+1", a["x"]), ns[-1])
-    return [(sum(map(mul, alternating(bg)[::-1], bp)), dg * dp)
-            for n in ns for bg, dg in [pascal_row(g, n)]]
+    return [(sum(map(mul, reversed(bg), bp)), dg * dp) for bg in rows]
 
 
 def id04(ns, a):
     """[(-1)^(n+j) C(beta+j, j) C(beta-alpha+n, n-j)]_j, j = 0..n, over one den."""
-    g, (bb, db) = derived("x-y", a["beta"], a["alpha"]), rising_row(a["beta"], ns[-1])
-    return [(list(map(mul, bb, alternating(bg)[::-1])), db * dg)
-            for n in ns for bg, dg in [pascal_row(g, n)]]
+    rows, dg = pascal_rows(derived("x-y", a["beta"], a["alpha"]), ns, True)
+    bb, db = rising_row(a["beta"], ns[-1])
+    return [(list(map(mul, bb, reversed(bg))), db * dg) for bg in rows]
 
 
 def id05(ns, a):
     lam = a["lam"]
     g = derived("-x-1/2", lam)
-    low, dl = reciprocal_row(g, ns[-1])                 # 1/C(k - lam - 1/2, k)
-    tops = zip(ns, binom_tops(derived("2x", lam), ns))  # C(2 lam, n)
+    (low, dl), (rows, dt) = reciprocal_row(g, ns[-1]), pascal_rows(g, ns)  # 1/C(k-lam-1/2, k)
+    tops = zip(ns, binom_tops(derived("2x", lam), ns), rows)    # C(2 lam, n), C(n-lam-1/2, k)
     return [(nb * sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), db * dt * dl)
-            for n, (nb, db) in tops for top, dt in [pascal_row(g, n)]]   # C(n - lam - 1/2, k)
+            for n, (nb, db), top in tops]
 
 
 def id06(ns, a):
@@ -97,7 +97,7 @@ def id12(ns, a):
 
 
 def id13(ns, a):
-    return [legendre_new_repr(n, a["t"]) for n in ns]
+    return legendre_new_repr(ns, a["t"])
 
 
 def id14(ns, a):
@@ -107,8 +107,8 @@ def id14(ns, a):
 
 def id15(ns, a):
     s, (h, dh) = a["s"], harmonic_row(ns[-1])
-    return [pole_sum(s, n, 1, lambda t, d: (nb * (h[n] * d + t * dh), db * dh * d))
-            for n, (nb, db) in zip(ns, binom_tops(s, ns))]
+    sums = zip(ns, binom_tops(s, ns), pole_sum(s, ns, 1))     # C(s, n), sum_{i<n} 1/(s-i)
+    return [(nb * (h[n] * d + t * dh), db * dh * d) for n, (nb, db), (t, d) in sums]
 
 
 def id16(ns, a):
@@ -129,7 +129,7 @@ def id18(ns, a):
 
 
 def id19(ns, a):
-    return [binom_upper_shift(a["s"], n) for n in ns]
+    return binom_upper_shift(a["s"], ns)
 
 
 def id20(ns, a):

@@ -19,11 +19,11 @@ den) undivided (``block``: a single n is a block of one, ``divided``); the
 check divides a row once, and ``over`` divides a pair in its ring, into one
 ``Fraction``, one ``RatFunc`` or a jet.  ``binom_tops`` and ``rising_tops``
 read entries of a kernel's row as such pairs, without the rest of the row
-(``_tops``; ``binom_poly``, ``binom_upper_shift`` and ``legendre`` are
-``over`` of one), and ``pole_sum`` adds sum_i 1/(s - i)^power as one
-running int sum over the product of the (p - iq)^power.  ``reciprocal_row``'s
-den is the product of the rising factors, so a vanishing C(b+k, k) raises
-the ring's ``ZeroDivisionError`` at ``over`` (``Pole`` for a jet).
+(``_tops``), as ``binom_upper_shift``, ``pole_sum`` (sum_{i<n} 1/(s-i)^power,
+one running sum over the product of the (p - iq)^power) and ``legendre`` do
+for a range of n, dividing one for one n.  ``reciprocal_row``'s den is the
+product of the rising factors, so a vanishing C(b+k, k) raises the ring's
+``ZeroDivisionError`` at ``over`` (``Pole`` for a jet).
 
 A ``Drawn`` value, as ``params.draw`` hands out, keeps each kernel's row
 (``_kept``), built once at the depth its draw was admitted for
@@ -33,12 +33,12 @@ read past it (ID21 reads 2s + 1 at 2n), or below a reciprocal row kept past
 its pole (den 0), is fresh and not kept.  The n-free arguments ``derived``
 from a draw (x + 1, x + y, (t^2+1)/(2t), ...) and the products of two of its
 rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k),
-P_k t^k, without their factors' rows) are kept on the draw so too;
-``pascal_row`` keeps C(g+n, .), which moves with n, and steps it by Pascal's
-rule (``pascal_step``).  A kept row's entries have the values a fresh
-build's have; ``Fraction``, ``RatFunc`` and ``Jet2`` inputs get fresh rows.
-``reciprocal_step``, beside ``pascal_step``, takes a row of 1/C(b+k, k) one
-deeper at b - 1 (the WZ grid's moving 1/C).
+P_k t^k, without their factors' rows) are kept on the draw so too.  A kept
+row's entries have the values a fresh build's have; ``Fraction``,
+``RatFunc`` and ``Jet2`` inputs get fresh rows.  ``pascal_rows`` steps
+C(g+n, .), which moves with n, through a block by Pascal's rule in additions,
+over g's rising den; ``pascal_step`` and ``reciprocal_step`` take a row of
+C(x, k) or 1/C(b+k, k) one deeper at x + 1 or b - 1 (the WZ grid's moving C).
 
 ``harmonic_row(n, order)`` is a prefix of the table kept for n's depth
 class N, the least power of two >= max(n, 32): H_0 .. H_N over
@@ -62,13 +62,13 @@ from fractions import Fraction
 from functools import lru_cache, partial, update_wrapper
 from itertools import accumulate
 from math import comb, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .poly import MultiPoly, RatFunc
 
 __all__ = ["Drawn", "Pole", "alternating", "binom_poly", "binom_row", "binom_tops",
            "binom_upper_shift", "block", "central_binomial", "derived", "digamma_diff", "divided",
-           "harmonic", "harmonic_row", "n_row", "over", "parse_rational", "pascal_row",
+           "harmonic", "harmonic_row", "n_row", "over", "parse_rational", "pascal_rows",
            "pascal_step", "pole_sum", "power_row", "product_row", "reciprocal_row",
            "reciprocal_step", "render_rational", "rising_row", "rising_tops", "taylor_shift",
            "trigamma_diff"]
@@ -332,19 +332,20 @@ def rising_row(b, n: int):
     return _row("rising", b, n, _rising)
 
 
-def pascal_row(g, n: int):
-    """([C(g+n, m) for m = 0..n], n! q^n) at g = p/q: the ints of ``binom_row(g + n, n)``,
-    as (p + nq)/q is in lowest terms.  A ``Drawn`` g keeps the row and steps it from n
-    to n+1 by ``pascal_step``.  Below the kept depth the row is rebuilt."""
-    kept = vars(g) if type(g) is Drawn else {}
-    d, row, den = kept.get("pascal", (n + 1, None, None))
-    if d > n:
-        d, (row, den) = n, binom_row(g + n, n)
-    p, q = g.numerator, g.denominator
-    while d < n:
-        d, (row, den) = d + 1, pascal_step(row, den, p + (d + 1) * q, q)
-    kept["pascal"] = n, row, den
-    return row, den
+def pascal_rows(g, ns: range, signed=False):
+    """([[(-1)^m C(g+n, m)]_{m<=n} for n in ns], den), the sign if ``signed``: ``binom_row(g +
+    ns[0], ns[0])``, for a block scaled to the den of ``rising_row(g, ns[-1])`` and stepped by
+    Pascal's rule in additions (signed: subtractions), each new top read from that row."""
+    rise, (row, den) = (), binom_row(g + ns[0], ns[0])
+    if len(ns) > 1:             # one n reads no rising row: O(n) in every ring
+        rise, top = rising_row(g, ns[-1])
+        scale = top // den if type(top) is int else top.divexact(den)
+        row, den = tuple(v * scale for v in row), top
+    rows, step = [alternating(row) if signed else row], sub if signed else add
+    for n in range(ns[0] + 1, ns[-1] + 1):
+        row = rows[-1]
+        rows.append((row[0], *map(step, row[1:], row), -rise[n] if signed and n % 2 else rise[n]))
+    return rows[::ns.step], den
 
 
 def pascal_step(row, den, p, q):
@@ -386,9 +387,9 @@ def power_row(x, n: int):
     return _row("power", x, n, lambda p, q, m, _, num: (num * p, q))
 
 
-def binom_upper_shift(b, m: int):
-    """binom(b + m, m) = prod_{i=1..m} (b + i) / m!, m >= 0, polynomial in b: ``rising_tops``."""
-    return over(*rising_tops(b, range(m, m + 1))[0])
+def binom_upper_shift(b, m):
+    """binom(b + m, m) = prod_{i=1..m} (b + i) / m!, m >= 0, or a range's pairs: ``rising_tops``."""
+    return rising_tops(b, m) if type(m) is range else over(*rising_tops(b, range(m, m + 1))[0])
 
 
 # C(s, n) and C(b + n, n) as (num, den) for each n in a range: entries of binom_row, rising_row
@@ -400,27 +401,25 @@ rising_tops = partial(_tops, "rising", step=_rising)
 # Digamma / trigamma differences
 # ---------------------------------------------------------------------------
 
-def pole_sum(s, n: int, power: int, lift=None):
-    """sum_{i=0..n-1} 1/(s-i)^power for power 1 or 2, as one row sum.
-
-    At s = p/q the terms are q^power / f_i with f_i = (p - iq)^power, added
-    in one pass: from 0 / 1, each f_i takes total / den to (total f_i + den) /
-    (den f_i).  ``lift(q^power total, den)``, if given, is the (num, den) of the
-    value to return (ID15 folds C(s, n) and H_n in); ``over`` divides once.
-    Raises ``Pole`` at the first i with s = i in 0..n-1 (for jets: the base point).
-    """
-    if n < 0:
+def pole_sum(s, n, power: int):
+    """sum_{i<n} 1/(s-i)^power for power 1 or 2, or for a range of n each one's
+    (num, den), as one running pass: at s = p/q the terms are q^power / f_i,
+    f_i = (p - iq)^power, and each f_i takes total / den to (total f_i + den) /
+    (den f_i).  Raises ``Pole`` at the first i with s = i in 0..n-1, where the
+    top den vanishes or (for jets: at the base point) a single n's division."""
+    ns = n if type(n) is range else range(n, n + 1)
+    if ns[-1] < 0:
         raise ValueError("row depth must be non-negative")
     p, q = s.numerator, s.denominator
-    total, den = 0, 1
-    for i in range(n):
-        f = (p - i * q) ** power
-        total, den = total * f + den, den * f
-    parts = q**power * total, den
-    try:
-        return over(*(lift(*parts) if lift else parts))
+    sums = [(0, 1)]
+    for i in range(ns[-1]):
+        (total, den), f = sums[-1], (p - i * q) ** power
+        sums.append((total * f + den, den * f))
+    pairs = [(q**power * t, d) for t, d in sums[ns.start::ns.step]]
+    try:    # one n, or a block whose top den vanishes, divides its (last) pair
+        return pairs if type(n) is range and sums[-1][1] != 0 else over(*pairs[-1])
     except ZeroDivisionError as exc:
-        for i in range(n):      # the first i where 1/(s - i) has no value
+        for i in range(ns[-1]):     # the first i where 1/(s - i) has no value
             try:
                 1 / (s - i)
             except ZeroDivisionError:

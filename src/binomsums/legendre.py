@@ -9,11 +9,11 @@ argument covering [1, inf) and (-inf, -1]; t = 0 is excluded.
 Row convention, as in exact.py: at x = u/v the recurrence runs on
 R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, through
 exact's one row builder: ``legendre_row`` is R_m scaled over n! v^n
-(ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x), and
-``legendre`` is R_n / (n! v^n), read from a ``Drawn`` x's kept row and
-built without the row otherwise.  The two summation forms are dot products
-of ``n_row``'s coefficients with a ``power_row``; ``legendre_new_repr``
-folds t^n into the row's one denominator.
+(ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x).  The
+summation forms are dot products of ``n_row``'s coefficients with a
+``power_row``.  ``legendre`` (R_n over n! v^n, from a ``Drawn`` x's kept
+row or built without it) and ``legendre_new_repr`` (t^n in its den) give
+each n's (num, den) for a range of n, the value for one (``exact.block``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact import _row, _tops, derived, n_row, over, power_row
+from .exact import _row, _tops, block, derived, n_row, over, power_row
 
 __all__ = [
     "legendre",
@@ -41,9 +41,10 @@ def legendre_row(x, n: int):
     return _row("legendre", x, n, _recurrence)
 
 
-def legendre(n: int, x: Fraction) -> Fraction:
-    """P_n(x) by the three-term recurrence: R_n over n! v^n (``exact._tops``)."""
-    return over(*_tops("legendre", x, range(n, n + 1), _recurrence)[0])
+@block
+def legendre(ns, x):
+    """P_n(x) by the three-term recurrence: (R_n, n! v^n) at each n (``exact._tops``)."""
+    return _tops("legendre", x, ns, _recurrence)
 
 
 def _check_t(t: Fraction) -> None:
@@ -61,17 +62,16 @@ def legendre_product_form(n: int, t: Fraction) -> Fraction:
     return over(sum(map(mul, n_row("C(2k,k)C(2n-2k,n-k)", n), powers)), den * 4**n)
 
 
-def legendre_new_repr(n: int, t: Fraction) -> Fraction:
-    """(1/t^n) sum_k binom(n,k) binom(2k,k) ((t^2-1)/4)^k.
+@block
+def legendre_new_repr(ns, t):
+    """(1/t^n) sum_k binom(n,k) binom(2k,k) ((t^2-1)/4)^k, t^n in the den.
 
     Equals P_n((t^2+1)/(2t)) exactly; at t = 1 only the k = 0 term
     survives, giving P_n(1) = 1.
     """
     _check_t(t)
-    powers, den = power_row(derived("(x^2-1)/4", t), n)
-    total = sum(map(mul, n_row("C(n,k)C(2k,k)", n), powers))
-    # t^n joins the one denominator
-    return over(total * t.denominator**n, den * t.numerator**n)
+    (powers, den), p, q = power_row(derived("(x^2-1)/4", t), ns[-1]), t.numerator, t.denominator
+    return [(sum(map(mul, n_row("C(n,k)C(2k,k)", n), powers)) * q**n, den * p**n) for n in ns]
 
 
 def legendre_inversion_check(n: int, t: Fraction) -> tuple[Fraction, Fraction]:

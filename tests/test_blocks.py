@@ -101,6 +101,9 @@ def opened(entry_id):
      "skipped", "pole: jet division pole"),
     # with its domain the entry is never evaluated where the domain rejects s = 2
     ("ID15", {"s": F(2)}, None, "skipped", "s in {0..n-1}: digamma pole"),
+    # the pole at either end of the block's one running digamma pass
+    ("ID15", {"s": F(0)}, opened("ID15"), "skipped", "pole: digamma pole: s - 0 vanishes"),
+    ("ID15", {"s": F(7)}, opened("ID15"), "skipped", "pole: digamma pole: s - 7 vanishes"),
 ])
 def test_a_block_across_a_pole_gives_the_per_n_rows(entry_id, assignment, entries, status,
                                                     reason):

@@ -245,13 +245,13 @@ def test_id04_rows_built_once_per_check(monkeypatch):
     built = {"lhs": 0, "rhs": 0}
 
     def counting(side, row):
-        def wrapped(s, n):
+        def wrapped(*args):
             built[side] += 1
-            return row(s, n)
+            return row(*args)
         return wrapped
 
     monkeypatch.setattr(lhs, "binom_row", counting("lhs", lhs.binom_row))
-    monkeypatch.setattr(rhs, "pascal_row", counting("rhs", rhs.pascal_row))
+    monkeypatch.setattr(rhs, "pascal_rows", counting("rhs", rhs.pascal_rows))
     # fresh objects, so no earlier call can have left them in the memo
     assign = {k: F(v.numerator, v.denominator)
               for k, v in draw_for_entry(REGISTRY["ID04"], 0, 1, 8)[0].items()}
@@ -295,7 +295,7 @@ def test_per_index_view_keeps_one_row_per_side():
 ROW_HELPER_CALLERS = {
     "rising_row": {"ID02", "ID03", "ID04", "ID07", "ID08", "ID09", "ID10", "ID15", "ID21"},
     "binom_row": {"ID02", "ID03", "ID04", "ID06", "ID08", "ID09", "ID19"},
-    "pascal_row": {"ID02", "ID03", "ID04", "ID05", "ID07", "ID19"},
+    "pascal_rows": {"ID02", "ID03", "ID04", "ID05", "ID07", "ID19"},
     "power_row": {"ID01", "ID02", "ID03", "ID08", "ID12", "ID13", "ID14"},
     "harmonic_row": {"ID11", "ID15", "ID16", "ID17", "ID18", "ID22", "ID24", "ID25", "ID26"},
     "reciprocal_row": {"ID05", "ID06"},
@@ -313,15 +313,19 @@ def test_a_helper_bug_shared_by_both_sides_cannot_cancel(monkeypatch, helper):
     real = getattr(lhs, helper)
     callers, current = set(), None
 
+    def wrong(row, den):
+        return [row[0], row[1] + den, *row[2:]] if len(row) > 1 else row
+
     def wrong_at_index_one(*args):
         # one more than the right value at index 1, in the (row, den) contract
-        # (n_row's rows are ints over 1), on a copy: a returned row is
-        # read-only, and a drawn value and the store of n-only rows keep theirs
+        # (n_row's rows are ints over 1, pascal_rows' a row per n over one den),
+        # on a copy: a returned row is read-only, and a drawn value and the
+        # store of n-only rows keep theirs
         callers.add(current)
-        row, den = (real(*args), 1) if helper == "n_row" else real(*args)
-        if len(row) > 1:
-            row = [row[0], row[1] + den, *row[2:]]
-        return row if helper == "n_row" else (row, den)
+        if helper == "n_row":
+            return wrong(real(*args), 1)
+        row, den = real(*args)
+        return ([wrong(r, den) for r in row] if helper == "pascal_rows" else wrong(row, den)), den
 
     # import_module: the package re-exports a function named like the module
     for module in (lhs, rhs, import_module("binomsums.legendre")):

@@ -26,7 +26,8 @@ from binomsums.exact import (
     n_row,
     over,
     parse_rational,
-    pascal_row,
+    pascal_rows,
+    pole_sum,
     power_row,
     product_row,
     reciprocal_row,
@@ -35,7 +36,7 @@ from binomsums.exact import (
     trigamma_diff,
 )
 from binomsums.jets import Jet2
-from binomsums.legendre import legendre, legendre_row
+from binomsums.legendre import legendre, legendre_new_repr, legendre_row
 from binomsums.params import ParamSpec, draw, not_negative_integers
 from binomsums.poly import MultiPoly, RatFunc
 
@@ -313,7 +314,8 @@ def assert_fresh(readers, name, x, n):
     """readers[name] at the kept value x reads what it reads at a plain Fraction
     of x's value: a row as a tuple of n + 1 ints over an int den > 0, each
     entry's value that of the fresh row's, or over den 0 where the fresh row's
-    den is 0 (a reciprocal row past its pole); a single value as it is."""
+    den is 0 (a reciprocal row past its pole); a moving row (``pascal_rows``)
+    over a kept value's deeper den; a single value as it is."""
     got, want = readers[name](x, n), readers[name](Fraction(x), n)
     if len(got) == 1:
         assert got == want, (name, x, n)
@@ -366,8 +368,7 @@ def test_a_draw_builds_each_row_once_at_its_depth(monkeypatch):
             steps.clear()
             for i, n in enumerate([*range(d + 1), *range(d, -1, -1)]):
                 for name in KEPT_READERS:
-                    if name != "pascal_row":
-                        assert_fresh(KEPT_READERS, name, value, n)
+                    assert_fresh(KEPT_READERS, name, value, n)
                 if i == 0:
                     built = {kernel: vars(value)[kernel] for kernel in kernels}
             assert steps == {kernel: d for kernel in kernels}, (x, value)
@@ -392,9 +393,16 @@ DERIVED_FORMS = {
     "(x^2-1)/4": lambda x, y: (x * x - 1) / 4,
 }
 
+def moving_row(x, n, signed=False):
+    """``pascal_rows``' row at n, of a block stepped from n // 2, and the block's den."""
+    rows, den = pascal_rows(x, range(n // 2, n + 1), signed)
+    return rows[-1], den
+
+
 KEPT_READERS = dict(
     ROW_KERNELS,
-    pascal_row=pascal_row,
+    pascal_rows=moving_row,
+    pascal_rows_signed=lambda x, n: moving_row(x, n, True),
     binom_poly=lambda x, n: (binom_poly(x, n),),
     binom_upper_shift=lambda x, n: (binom_upper_shift(x, n),),
     legendre=lambda x, n: (legendre(n, x),),
@@ -402,8 +410,9 @@ KEPT_READERS = dict(
 
 
 def test_stepped_and_derived_rows_equal_fresh_rows():
-    # pascal_row steps a drawn g's row C(g+n, .) by Pascal's rule, derived values
-    # keep rows as a drawn value does, and the single binomials read kept rows:
+    # pascal_rows steps C(g+n, .) by Pascal's rule over a drawn g's kept rising
+    # den, derived values keep rows as a drawn value does, and the single
+    # binomials read kept rows:
     # every visit must give the ints of a plain Fraction of the same value, and
     # no derived value may serve another partner's or another form's row
     assert sorted(DERIVED_FORMS) == sorted(exact._FORMS)
@@ -415,7 +424,8 @@ def test_stepped_and_derived_rows_equal_fresh_rows():
         keys += [(form, None) for form in DERIVED_FORMS if "y" not in form
                  and not (form == "(x^2+1)/(2x)" and x == 0)]
         for i, n in enumerate(VISITS):
-            assert_fresh(KEPT_READERS, "pascal_row", x, n)
+            assert_fresh(KEPT_READERS, "pascal_rows", x, n)
+            assert_fresh(KEPT_READERS, "pascal_rows_signed", x, n)
             for j, (form, y) in enumerate(keys):
                 value = derived(form, x, y)
                 same_value = y if y is None else Fraction(y.numerator, y.denominator)
@@ -431,6 +441,88 @@ def test_stepped_and_derived_rows_equal_fresh_rows():
         assert type(derived("x+y", plain, F(1))) is Fraction
         assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
     assert type(derived("x+y", RatFunc.var("s"), F(1))) is RatFunc
+
+
+def divided_rows(rows, den):
+    return [[over(v, den) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("ring", ["Drawn", "Fraction", "RatFunc", "Jet2"])
+def test_pascal_rows_are_the_fresh_binomial_rows(ring):
+    # each row of a block, divided, is binom_row(g + n, n) entry by entry,
+    # times (-1)^m when signed: from 0, from a > 0, a single n, and a drawn g
+    # past its depth, each block of two or more over the den of g's rising row
+    d = 6 if ring == "RatFunc" else 12
+    s, t = RatFunc.var("s"), RatFunc.var("t")
+    x = draw(random.Random("pascal rows"), ParamSpec(("x",)), d)["x"]
+    gs = {"Drawn": [x, derived("-x", x), derived("x-y", x, F(7, 3)), Drawn(-3, 1)],
+          "Fraction": [F(-7, 3), F(5), F(0), F(1, 2)],
+          "RatFunc": [s, s / 3 - F(1, 2), (s + 1) / (2 * s - 3), (s - t) / (t + 2)],
+          "Jet2": [Jet2.variable(F(2, 5), 1) * 3 - 1, Jet2.variable(F(-4), 2) + F(1, 3)]}[ring]
+    for g in gs:
+        for ns in (range(d + 1), range(3, d + 1), range(d // 2, d // 2 + 1), range(0, 1),
+                   range(2, d + 4)):
+            for signed in (False, True):
+                rows, den = pascal_rows(g, ns, signed)
+                assert len(rows) == len(ns) and all(type(row) is tuple for row in rows)
+                assert [len(row) for row in rows] == [n + 1 for n in ns]
+                assert type(den) is (MultiPoly if ring == "RatFunc" else int)
+                want = [[(-1) ** m * v if signed else v for m, v in enumerate(values(
+                    binom_row(g + n, n)))] for n in ns]
+                assert divided_rows(rows, den) == want, (g, ns, signed)
+                assert len(ns) == 1 or den == rising_row(g, ns[-1])[1]
+
+
+def test_pascal_rows_step_by_additions_only():
+    # past the first row, a block multiplies nothing: each next row is the
+    # Pascal sum or difference of two entries and a top read from the rising row
+    g = F(-7, 3)
+    rise, _ = rising_row(g, 9)
+    for signed, step in ((False, lambda a, b: a + b), (True, lambda a, b: a - b)):
+        rows, _ = pascal_rows(g, range(4, 10), signed)
+        for n, (prev, row) in enumerate(zip(rows, rows[1:]), start=5):
+            top = (-1) ** n * rise[n] if signed else rise[n]
+            assert row == (prev[0], *map(step, prev[1:], prev), top)
+
+
+def test_block_forms_equal_their_single_n_values():
+    # binom_upper_shift, pole_sum, legendre and legendre_new_repr over a range of
+    # n hand back each n's (num, den), which divides to the single-n value
+    s = RatFunc.var("s")
+    x = draw(random.Random("block forms"), ParamSpec(("x",)), 12)["x"]
+    for v in (x, F(-7, 3), F(9, 2), s / 3 + F(1, 2), (s + 1) / (s - 2)):
+        top = 6 if isinstance(v, RatFunc) else 14
+        for ns in (range(top + 1), range(2, top + 1), range(4, 5)):
+            assert [over(*pair) for pair in binom_upper_shift(v, ns)] == [
+                binom_upper_shift(v, n) for n in ns]
+            for power in (1, 2):
+                assert [over(*pair) for pair in pole_sum(v, ns, power)] == [
+                    pole_sum(v, n, power) for n in ns]
+            assert [over(*pair) for pair in legendre(ns, v)] == [legendre(n, v) for n in ns]
+            assert [over(*pair) for pair in legendre_new_repr(ns, v)] == [
+                legendre_new_repr(n, v) for n in ns]
+
+
+def test_a_pole_sum_block_raises_the_first_pole():
+    # an integer s in 0..D-1 is a pole of every n > s: a block up to D raises
+    # Pole naming s, as each such n alone does, and a block that stops at s
+    # is the single-n values
+    for d in (1, 5, 12):
+        for s in range(d):
+            for power, name in ((1, "digamma"), (2, "trigamma")):
+                for ns in (range(d + 1), range(s + 1, d + 1), range(d, d + 1)):
+                    with pytest.raises(Pole) as exc:
+                        pole_sum(F(s), ns, power)
+                    assert str(exc.value) == f"{name} pole: s - {s} vanishes"
+                for n in range(s + 1, d + 1):
+                    with pytest.raises(Pole) as exc:
+                        pole_sum(F(s), n, power)
+                    assert str(exc.value) == f"{name} pole: s - {s} vanishes"
+                assert [over(*pair) for pair in pole_sum(F(s), range(s + 1), power)] == [
+                    pole_sum(F(s), n, power) for n in range(s + 1)]
+    with pytest.raises(Pole) as exc:
+        pole_sum(RatFunc.const(2), range(6), 1)
+    assert str(exc.value) == "digamma pole: s - 2 vanishes"
 
 
 def test_drawn_values_act_as_fractions():
@@ -765,14 +857,14 @@ def test_central_binomial_rejects_a_negative_index():
     lambda m: binom_row(F(1, 3), m), lambda m: binom_row(Drawn(1, 3), m),
     lambda m: rising_row(F(-5, 2), m), lambda m: power_row(F(2, 7), m),
     lambda m: power_row(Drawn(2, 7), m), lambda m: reciprocal_row(F(1, 3), m),
-    lambda m: pascal_row(F(1, 3), m),
-    lambda m: pascal_row(Drawn(1, 3), m), lambda m: legendre_row(F(5, 4), m),
+    lambda m: pascal_rows(F(1, 3), range(m, m + 1)),
+    lambda m: pascal_rows(Drawn(1, 3), range(m, m + 1)), lambda m: legendre_row(F(5, 4), m),
     lambda m: harmonic_row(m), lambda m: harmonic_row(m, 2), lambda m: n_row("C(n,k)", m),
     lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(Drawn(1, 3), m),
     lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, Drawn(5, 4)),
     lambda m: digamma_diff(F(1, 3), m), lambda m: trigamma_diff(F(1, 3), m),
 ], ids=["binom_row", "binom_row-drawn", "rising_row", "power_row", "power_row-drawn",
-        "reciprocal_row", "pascal_row", "pascal_row-drawn", "legendre_row",
+        "reciprocal_row", "pascal_rows", "pascal_rows-drawn", "legendre_row",
         "harmonic_row", "harmonic_row-2", "n_row", "binom_upper_shift",
         "binom_upper_shift-drawn", "legendre", "legendre-drawn", "digamma_diff",
         "trigamma_diff"])

@@ -32,7 +32,7 @@ import pytest
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import SuiteConfig, catalog_rows
 from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, block, central_binomial,
-                             derived, digamma_diff, harmonic, n_row, over, pascal_row, power_row,
+                             derived, digamma_diff, harmonic, n_row, over, power_row,
                              reciprocal_row, rising_row)
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
@@ -109,14 +109,16 @@ def test_a_zero_den_fails_the_row_naming_the_first_side_to_divide():
 
 
 DIVIDING = [import_module(f"binomsums.{name}")
-            for name in ("exact", "catalog.lhs", "catalog.rhs", "catalog.entries")]
+            for name in ("exact", "legendre", "catalog.lhs", "catalog.rhs", "catalog.entries")]
 
 
-@pytest.mark.parametrize("entry_id", ["ID01", "ID24"])
+@pytest.mark.parametrize("entry_id", ["ID01", "ID13", "ID15", "ID19", "ID24"])
 def test_a_sweep_divides_once_per_pass_row(entry_id, monkeypatch):
     # every over of the catalog's modules, and a side module's Fraction, counted:
-    # one division per pass row, its one value printed as both sides
-    divisions = []
+    # one division per pass row, its one value printed as both sides, and none
+    # while a side runs (ID13's sides and the right sides of ID15 and ID19
+    # once divided in legendre.py and exact.py)
+    divisions, in_sides = [], []
 
     def counted(divide):
         def wrapped(*args):
@@ -124,22 +126,49 @@ def test_a_sweep_divides_once_per_pass_row(entry_id, monkeypatch):
             return divide(*args)
         return wrapped
 
+    def watched(side):
+        def wrapped(*args):
+            before = len(divisions)
+            value = side(*args)
+            in_sides.append(len(divisions) - before)
+            return value
+        return wrapped
+
     for module in DIVIDING:
         names = ("over", "Fraction") if module.__name__.endswith(("lhs", "rhs")) else ("over",)
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    entry = REGISTRY[entry_id]
+    monkeypatch.setitem(REGISTRY, entry_id,
+                        replace(entry, lhs=watched(entry.lhs), rhs=watched(entry.rhs)))
     rows = list(catalog_rows(SuiteConfig(only=(entry_id,))))
     assert rows and all(r.status == "pass" for r in rows)
+    assert in_sides and not any(in_sides)
     assert len(divisions) == len(rows)
     assert all(r.lhs is r.rhs for r in rows)
+
+
+def test_every_side_hands_back_pairs_over_a_drawn_block():
+    # over a draw's block of n, every registry side gives one (num, den) tuple
+    # per n, never a divided value (ID04: its j-row and den)
+    for entry in REGISTRY.values():
+        for a in draw_for_entry(entry, 0, 3, entry.n_max):
+            ns = range(entry.n_max + 1)
+            for which in ("lhs", "rhs"):
+                pairs = getattr(entry, which)(ns, a)
+                assert len(pairs) == len(ns), (entry.id, which)
+                assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs), (
+                    entry.id, which)
+                assert not any(isinstance(v, Fraction) for pair in pairs for v in pair), (
+                    entry.id, which)
 
 
 # -- the replaced sides, as they were -----------------------------------------
 
 def rhs_id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg, dg = pascal_row(derived("x-y", beta, alpha), n)   # C(beta-alpha+n, m)
+    bg, dg = binom_row(derived("x-y", beta, alpha) + n, n)   # C(beta-alpha+n, m)
     bb, db = rising_row(beta, n)                          # C(beta+k, k)
     pxy, dxy = power_row(derived("x+y", x, y), n)
     py, dy = power_row(y, n)
@@ -149,7 +178,7 @@ def rhs_id02(n, a):
 
 def rhs_id03(n, a):
     alpha, beta = a["alpha"], a["beta"]
-    bg, dg = pascal_row(derived("x-y", beta, alpha), n)
+    bg, dg = binom_row(derived("x-y", beta, alpha) + n, n)
     bb, db = rising_row(beta, n)
     px, dx = power_row(derived("x+1", a["x"]), n)
     terms = (bg[n - j] * bb[j] * px[j] for j in range(n + 1))
@@ -159,7 +188,7 @@ def rhs_id03(n, a):
 def rhs_id05(n, a):
     lam = a["lam"]
     g = derived("-x-1/2", lam)
-    top, dt = pascal_row(g, n)           # C(n - lam - 1/2, k)
+    top, dt = binom_row(g + n, n)        # C(n - lam - 1/2, k)
     low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
     total = over(sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), dt * dl)
     return binom_poly(derived("2x", lam), n) * total
