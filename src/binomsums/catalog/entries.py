@@ -6,16 +6,17 @@ holding a :class:`~binomsums.params.Domain` of ``Avoid`` data), and a default
 depth n_max.  A domain excludes for two reasons: hypotheses of the statements
 (parameters that must not be negative integers) and evaluability (digamma
 poles at s in {0..n-1}, a vanishing denominator binomial, t = 0 for the
-Legendre entries), decided at the largest n a draw will be used with.
+Legendre entries), decided at the largest n a draw will be used with and
+asked again once per check, at the top of its n.
 
 ID04's sides return the whole row (row, den) over its inner index j = 0..n,
 and the check compares the two rows.  With a[inner] a side gives one entry of
-its row, divided once, from a row kept in that side's own closure, so a wrong
-kept row on one side cannot appear on the other and cancel.  The kept row is
-keyed on n and the identity (``is``) of the other values: RatFunc and Jet2
-values are unhashable, values are immutable, a per-j caller hands every j the
-same objects, and the key holds strong references, so no id is reused while
-it is the key.
+its row, divided once, from the last row that side built, held in its own
+closure, so a wrong row on one side cannot appear on the other and cancel.
+The held row is keyed on n and the identity (``is``) of the other values:
+RatFunc and Jet2 values are unhashable, values are immutable, a per-j caller
+hands every j the same objects, and the key holds strong references, so no id
+is reused while it is the key.
 
 :func:`check_identity` is the one guarded evaluation, and where a catalog
 row divides: int (num, den) pairs are equal iff their cross products are,
@@ -34,8 +35,8 @@ from typing import Callable, Mapping
 
 from ..exact import Pole, block, divided, over
 from ..hyperterm import AffineForm
-from ..params import (N_MAX, Admitted, Avoid, Domain, ParamSpec, ResultRow, draws,
-                      not_negative_integers, render_draw)
+from ..params import (N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers,
+                      render_draw)
 from . import lhs, rhs
 
 F = Fraction
@@ -77,7 +78,7 @@ _ID15 = ParamSpec(("s",), Domain([Avoid(AffineForm.make(0, {"s": 1}), 0, N_MAX,
 
 
 def _per_index(side, inner):
-    """side, or with a[inner] one entry of its kept row (module docstring)."""
+    """side, or with a[inner] one entry of its last row (module docstring)."""
     kept = None, None, None     # (n, other names), their values, (row, den)
 
     def view(n, a):
@@ -227,21 +228,18 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
     """The report's row of one check, pass iff both sides are exactly equal;
     for a range of n, the draw's rows over it in n order, each side one block.
 
-    Skipped where the domain rejects the assignment at n + 1 (not asked of a
-    draw it admitted deeper, ``params.Admitted``) or a side hits a ``Pole``;
-    a fail row naming any other division by zero.  A block where the domain
-    rejects an n or a side raises is re-read n by n, so each row keeps its
-    reason.  For an entry with an inner index both sides are rows over 0..n
-    (module docstring); the first index where they differ is reported, n for
-    a pass.  ``params`` is the draw as the report shows it, by default the
-    assignment rendered."""
+    Skipped where the domain rejects the assignment at n + 1 or a side hits a
+    ``Pole``; a fail row naming any other division by zero.  A block asks the
+    domain once, at its top (a domain admits at every depth below one it
+    admits at), and where that rejects or a side raises it is re-read n by n,
+    so each row keeps its reason.  For an entry with an inner index both sides
+    are rows over 0..n (module docstring); the first index where they differ
+    is reported, n for a pass.  ``params`` is the draw as the report shows it,
+    by default the assignment rendered."""
     entry = (entries or REGISTRY)[entry_id]
     params = render_draw(assignment) if params is None else params
     many = type(n) is range
-    admitted = type(assignment) is Admitted and assignment.reject is entry.params.reject
-    reason = next(filter(None, (entry.params.reject(m + 1, assignment)   # the first rejection
-                                for m in (n if many else (n,))
-                                if not admitted or assignment.depth <= m)), None)
+    reason = entry.params.reject((n[-1] if many else n) + 1, assignment)
 
     def compared(m, left, right):
         tag = ""

@@ -8,20 +8,20 @@ a row once (entries.py, where ``exact.block`` makes a single n a block of
 one, divided).  An alternating sign is folded into a row (``alternating``)
 and a row that moves with n (``pascal_rows``' C(n-p, .)) comes one per n of
 the block, read reversed.  A side shares with the right-hand sides only the
-scalar helpers of exact.py, each tested on its own, and through them kept
-rows: those kept on a draw (a drawn value's, a ``derived`` argument's such
-as s + p or -p, a ``product_row`` of two along one k such as C(beta+k, k)
-x^k) and those that depend on n alone (``harmonic_row``, ``n_row``'s signed
-coefficients such as (-1)^(n+k) C(n, k) C(n+k, k)).  A kept row's entries
-have the values either side would build: it can hide a wrong row only as a
-shared kernel can, and a test breaks each row helper in both modules at
-once, and every entry using it must then fail.  A sum is a dot product of
-rows, ints over one den per row for exact parameters, over the product of
-those dens; H_k^2 and H_k^(2) read at one n both sit over lcm(1..N)^2, N the
-depth class of n.  The sums are ring-generic: RatFunc parameters give
-MultiPoly pairs, one RatFunc once divided, and Jet2 parameters (the jet
-oracle differentiates ID06, ID07, ID08 and ID21) jet pairs.  ID09 reads
-C(n, k) C(beta+k, n) as C(beta, n-k) C(beta+k, k), from beta's kept rows.
+scalar helpers of exact.py, each tested on its own: it builds its own rows,
+at the draw's values and at arguments written out from them (s + p, -p,
+(t^2+1)/(2t)), and reads kept rows only where they depend on n alone
+(``harmonic_row``, ``n_row``'s signed coefficients such as (-1)^(n+k) C(n,
+k) C(n+k, k)).  A kept row's entries have the values either side would
+build: it can hide a wrong row only as a shared kernel can, and a test
+breaks each row helper in both modules at once, and every entry using it
+must then fail.  A sum is a dot product of rows, ints over one den per row
+for exact parameters, over the product of those dens; H_k^2 and H_k^(2) read
+at one n both sit over lcm(1..N)^2, N the depth class of n.  The sums are
+ring-generic: RatFunc parameters give MultiPoly pairs, one RatFunc once
+divided, and Jet2 parameters (the jet oracle differentiates ID06, ID07, ID08
+and ID21) jet pairs.  ID09 reads C(n, k) C(beta+k, n) as C(beta, n-k)
+C(beta+k, k), from two rows at beta.
 
 ID07 and ID19 are stated with both sides divided by C(n, p): that
 normalization is what makes every factor rational for every rational p
@@ -42,9 +42,9 @@ from itertools import accumulate
 from math import comb, lcm
 from operator import mul
 
-from ..exact import (alternating, binom_row, binom_tops, central_binomial, derived, harmonic_row,
-                     n_row, pascal_rows, power_row, product_row, reciprocal_row,
-                     rising_row, taylor_shift)
+from ..exact import (alternating, binom_row, binom_tops, central_binomial, harmonic_row, n_row,
+                     pascal_rows, power_row, product_row, reciprocal_row, rising_row,
+                     taylor_shift)
 from ..legendre import legendre, legendre_row
 
 
@@ -83,7 +83,7 @@ def id06(ns, a):
 
 def id07(ns, a):
     bs, ds = rising_row(a["s"], ns[-1])                       # C(s+k, k)
-    rows, dp = pascal_rows(derived("-x", a["p"]), ns, True)   # (-1)^m C(n-p, m)
+    rows, dp = pascal_rows(-a["p"], ns, True)                 # (-1)^m C(n-p, m)
     return [(sum(map(mul, bs, reversed(bnp))), dp * ds) for bnp in rows]
 
 
@@ -114,12 +114,13 @@ def id12(ns, a):
 
 
 def id13(ns, a):
-    return legendre(ns, derived("(x^2+1)/(2x)", a["t"]))
+    t = a["t"]
+    return legendre(ns, (t * t + 1) / (2 * t))
 
 
 def id14(ns, a):
     t = a["t"]
-    pt, dpt = product_row(legendre_row, derived("(x^2+1)/(2x)", t), power_row, t, ns[-1])  # P_k t^k
+    pt, dpt = product_row(legendre_row, (t * t + 1) / (2 * t), power_row, t, ns[-1])  # P_k t^k
     return [(sum(map(mul, n_row("(-1)^k C(n,k)", n), pt)), dpt) for n in ns]
 
 
@@ -144,8 +145,8 @@ def id18(ns, a):
 
 def id19(ns, a):
     s, p = a["s"], a["p"]
-    bsp, dsp = binom_row(derived("x+y", s, p), ns[-1])         # C(s+p, k)
-    rows, dp = pascal_rows(derived("-x", p), ns)              # C(n-p, m)
+    bsp, dsp = binom_row(s + p, ns[-1])         # C(s+p, k)
+    rows, dp = pascal_rows(-p, ns)              # C(n-p, m)
     return [(sum(map(mul, bsp, reversed(bnp))), dp * dsp) for bnp in rows]
 
 

@@ -25,20 +25,14 @@ for a range of n, dividing one for one n.  ``reciprocal_row``'s den is the
 product of the rising factors, so a vanishing C(b+k, k) raises the ring's
 ``ZeroDivisionError`` at ``over`` (``Pole`` for a jet).
 
-A ``Drawn`` value, as ``params.draw`` hands out, keeps each kernel's row
-(``_kept``), built once at the depth its draw was admitted for
-(``Drawn.depth``, where its domain ruled out a vanishing reciprocal den): a
-read at n up to that depth is the prefix row[:n+1] over the kept den, and a
-read past it (ID21 reads 2s + 1 at 2n), or below a reciprocal row kept past
-its pole (den 0), is fresh and not kept.  The n-free arguments ``derived``
-from a draw (x + 1, x + y, (t^2+1)/(2t), ...) and the products of two of its
-rows along one k (``product_row``: C(beta+k, k) x^k, C(s, k) / C(t+k, k),
-P_k t^k, without their factors' rows) are kept on the draw so too.  A kept
-row's entries have the values a fresh build's have; ``Fraction``,
-``RatFunc`` and ``Jet2`` inputs get fresh rows.  ``pascal_rows`` steps
-C(g+n, .), which moves with n, through a block by Pascal's rule in additions,
-over g's rising den; ``pascal_step`` and ``reciprocal_step`` take a row of
-C(x, k) or 1/C(b+k, k) one deeper at x + 1 or b - 1 (the WZ grid's moving C).
+A row at a parameter is built afresh by each call (only the rows that depend
+on n alone, below, are kept): a block side reads each of its rows once, at
+the top of its range of n, and ``product_row`` is the entrywise product of
+two rows along one k (C(beta+k, k) x^k, C(s, k) / C(t+k, k), P_k t^k).
+``pascal_rows`` steps C(g+n, .), which moves with n, through a block by
+Pascal's rule in additions, over g's rising den; ``pascal_step`` and
+``reciprocal_step`` take a row of C(x, k) or 1/C(b+k, k) one deeper at x + 1
+or b - 1 (the WZ grid's moving C).
 
 ``harmonic_row(n, order)`` is a prefix of the table kept for n's depth
 class N, the least power of two >= max(n, 32): H_0 .. H_N over
@@ -66,12 +60,11 @@ from operator import add, mul, sub
 
 from .poly import MultiPoly, RatFunc
 
-__all__ = ["Drawn", "Pole", "alternating", "binom_poly", "binom_row", "binom_tops",
-           "binom_upper_shift", "block", "central_binomial", "derived", "digamma_diff", "divided",
-           "harmonic", "harmonic_row", "n_row", "over", "parse_rational", "pascal_rows",
-           "pascal_step", "pole_sum", "power_row", "product_row", "reciprocal_row",
-           "reciprocal_step", "render_rational", "rising_row", "rising_tops", "taylor_shift",
-           "trigamma_diff"]
+__all__ = ["Pole", "alternating", "binom_poly", "binom_row", "binom_tops", "binom_upper_shift",
+           "block", "central_binomial", "digamma_diff", "divided", "harmonic", "harmonic_row",
+           "n_row", "over", "parse_rational", "pascal_rows", "pascal_step", "pole_sum",
+           "power_row", "product_row", "reciprocal_row", "reciprocal_step", "render_rational",
+           "rising_row", "rising_tops", "taylor_shift", "trigamma_diff"]
 
 
 class Pole(ZeroDivisionError):
@@ -125,7 +118,7 @@ def harmonic_row(n: int, order: int = 1):
 
 @lru_cache(maxsize=None)
 def _harmonic_table(depth: int, order: int):
-    """((H_0, ..., H_depth) of ``order`` over lcm(1..depth)^order, that den): the
+    """((H_0, ..., H_depth) of ``order`` over lcm(1, ..., depth)^order, that den): the
     orders at one depth share a power of one lcm, lcm^2 = den(H)^2 = den(H^(2))."""
     top = lcm(*range(1, depth + 1)) ** order
     return (0, *accumulate(top // i**order for i in range(1, depth + 1))), top
@@ -194,68 +187,12 @@ def divided(value):
     return over(*value) if type(value) is tuple else value
 
 
-class Drawn(Fraction):
-    """A drawn parameter: a ``Fraction`` whose instance dict keeps its rows
-    (``_kept``), as ``functools.cached_property`` keeps its values, and the
-    values ``derived`` from it.  ``depth`` is the n its draw's domain admitted
-    it for (``params.draw``).  Arithmetic on it gives plain ``Fraction``
-    values, which keep nothing."""
-
-    depth = 0
-
-
-# the n-free arguments the catalog derives from its parameters, by form name
-_FORMS = {
-    "x+1": lambda x, _: x + 1,
-    "x+y": lambda x, y: x + y,
-    "x-y": lambda x, y: x - y,
-    "-x": lambda x, _: -x,
-    "-x-1/2": lambda x, _: -x - Fraction(1, 2),
-    "2x": lambda x, _: 2 * x,
-    "2x+1": lambda x, _: 2 * x + 1,
-    "(x^2+1)/(2x)": lambda x, _: (x * x + 1) / (2 * x),
-    "(x^2-1)/4": lambda x, _: (x * x - 1) / 4,
-}
-
-
-def derived(form: str, x, y=None):
-    """The argument ``form`` names at x and partner y.  For a ``Drawn`` x and
-    no or a rational y, one ``Drawn`` kept in x's dict under (form, y), with
-    its rows; for any other x or y (a ``Jet2``, a ``RatFunc``), the value."""
-    make = _FORMS[form]
-    if type(x) is not Drawn or not (y is None or isinstance(y, Fraction)):
-        return make(x, y)
-    kept = vars(x)
-    value = kept.get((form, y))
-    if value is None:
-        value = kept[form, y] = Drawn(make(x, y))
-        value.depth = x.depth
-    return value
-
-
-def _kept(x, key, n: int, build, *args):
-    """build(x, n, *args), a (row, den, ...); a ``Drawn`` x keeps build(x, x.depth, *args)
-    under ``key`` (if not None) and reads its prefix up to the depth, but over den 0."""
-    if key and type(x) is Drawn and n <= x.depth:
-        kept = vars(x)
-        if key not in kept:
-            kept[key] = build(x, x.depth, *args)
-        state = kept[key]
-        if state[1] or n == x.depth:
-            return state[0][:n + 1], state[1]
-    return build(x, n, *args)
-
-
-def _row(kernel: str, x, n: int, step):
-    """(row, den) of a kernel at x to depth n, kept on a ``Drawn`` x."""
+def _row(x, n: int, step):
+    """(row, den) of a kernel at x = p/q to depth n by multiplication only: step(p, q, m,
+    N_{m-1}, N_m) is (N_{m+1}, s_{m+1}), from N_0 = q^0; entry m is N_m s_{m+1} ... s_n
+    over den = s_1 ... s_n."""
     if n < 0:
         raise ValueError("row depth must be non-negative")
-    return _kept(x, kernel, n, _build, step)
-
-
-def _build(x, n: int, step):
-    """``_row`` at x = p/q by multiplication only: step(p, q, m, N_{m-1}, N_m) is (N_{m+1},
-    s_{m+1}), from N_0 = q^0; entry m is N_m s_{m+1} ... s_n over den = s_1 ... s_n."""
     p, q = x.numerator, x.denominator
     prev, cur, row, scales = 0, q**0, [p**0], [q**0]   # N_0 and s_0 = 1
     for m in range(n):
@@ -269,12 +206,11 @@ def _build(x, n: int, step):
     return tuple(row), den
 
 
-def _tops(kernel: str, x, ns: range, step):
-    """Entry n of ``_row``'s row at x for each n in ns, as (N_n, s_1 ... s_n) built alone,
-    or over the kept den from a ``Drawn`` x's kept row up to its depth (``_row`` refuses n < 0)."""
-    if type(x) is Drawn and ns[-1] <= x.depth or ns[-1] < 0:
-        row, den = _row(kernel, x, ns[-1], step)
-        return [(row[n], den) for n in ns]
+def _tops(x, ns: range, step):
+    """Entry n of ``_row``'s row at x for each n in ns, as (N_n, s_1 ... s_n), built
+    without the rest of the row."""
+    if ns[-1] < 0:
+        raise ValueError("row depth must be non-negative")
     p, q = x.numerator, x.denominator
     tops = [(p**0, q**0)]
     prev, cur, den = 0, *tops[0]
@@ -286,15 +222,9 @@ def _tops(kernel: str, x, ns: range, step):
 
 
 def product_row(f, x, g, y, n: int):
-    """([a_k b_k for k = 0..n], da db) of the rows (a, da) = f(x, n) and (b, db) =
-    g(y, n); for a ``Drawn`` x and y, kept on x under (f, g, id(y)), y held."""
-    return _kept(x, (f, g, id(y)) if type(y) is Drawn else None, n, _product, f, g, y)[:2]
-
-
-def _product(x, n: int, f, g, y):
-    plain = type(x) is type(y) is Drawn     # read as Fractions, which keep no factor rows
-    (a, da), (b, db) = f(Fraction(x) if plain else x, n), g(Fraction(y) if plain else y, n)
-    return tuple(map(mul, a, b)), da * db, y
+    """([a_k b_k for k = 0..n], da db) of the rows (a, da) = f(x, n) and (b, db) = g(y, n)."""
+    (a, da), (b, db) = f(x, n), g(y, n)
+    return tuple(map(mul, a, b)), da * db
 
 
 def _falling(p, q, m, _, num):
@@ -324,12 +254,12 @@ def binom_poly(s, k: int):
 
 def binom_row(s, n: int):
     """([C(s, 0), ..., C(s, n)], n! q^n) at s = p/q: C(s, m) = prod_{i<m} (s-i) / m!."""
-    return _row("binom", s, n, _falling)
+    return _row(s, n, _falling)
 
 
 def rising_row(b, n: int):
     """([C(b+k, k) for k = 0..n], n! q^n) at b = p/q: C(b+k, k) = prod_{i=1..k} (b+i) / k!."""
-    return _row("rising", b, n, _rising)
+    return _row(b, n, _rising)
 
 
 def pascal_rows(g, ns: range, signed=False):
@@ -377,14 +307,14 @@ def reciprocal_row(b, n: int):
     1/C(b+k, k) = k! q^k prod_{i=k+1..n} (p + i q) / prod_{i=1..n} (p + i q),
     ``_row``'s row of N_k = k! q^k and scales p + i q, turned so an int den is
     > 0.  A vanishing C(b+k, k) makes den vanish, and ``over`` raises."""
-    row, den = _row("recip", b, n, lambda p, q, m, _, num: (num * (m + 1) * q, p + (m + 1) * q))
-    den = den if n or type(b) is Drawn else b.numerator**0  # a fresh depth-0 den in p's ring
+    row, den = _row(b, n, lambda p, q, m, _, num: (num * (m + 1) * q, p + (m + 1) * q))
+    den = den if n else b.numerator**0  # a depth-0 den in p's ring
     return (tuple(-v for v in row), -den) if isinstance(den, int) and den < 0 else (row, den)
 
 
 def power_row(x, n: int):
     """([x^0, ..., x^n], q^n): p^k q^(n-k) over q^n at x = p/q."""
-    return _row("power", x, n, lambda p, q, m, _, num: (num * p, q))
+    return _row(x, n, lambda p, q, m, _, num: (num * p, q))
 
 
 def binom_upper_shift(b, m):
@@ -393,8 +323,8 @@ def binom_upper_shift(b, m):
 
 
 # C(s, n) and C(b + n, n) as (num, den) for each n in a range: entries of binom_row, rising_row
-binom_tops = partial(_tops, "binom", step=_falling)
-rising_tops = partial(_tops, "rising", step=_rising)
+binom_tops = partial(_tops, step=_falling)
+rising_tops = partial(_tops, step=_rising)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ R_m = m! v^m P_m(x), R_{m+1} = (2m+1) u R_m - m^2 v^2 R_{m-1}, through
 exact's one row builder: ``legendre_row`` is R_m scaled over n! v^n
 (ints for an exact x, ``MultiPoly`` values for a ``RatFunc`` x).  The
 summation forms are dot products of ``n_row``'s coefficients with a
-``power_row``.  ``legendre`` (R_n over n! v^n, from a ``Drawn`` x's kept
-row or built without it) and ``legendre_new_repr`` (t^n in its den) give
-each n's (num, den) for a range of n, the value for one (``exact.block``).
+``power_row``.  ``legendre`` (R_n over n! v^n, each n's top built without
+the rest of the row) and ``legendre_new_repr`` (t^n in its den) give each
+n's (num, den) for a range of n, the value for one (``exact.block``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .exact import _row, _tops, block, derived, n_row, over, power_row
+from .exact import _row, _tops, block, n_row, over, power_row
 
 __all__ = [
     "legendre",
@@ -38,13 +38,13 @@ def _recurrence(u, v, m, prev, cur):
 
 def legendre_row(x, n: int):
     """([P_0(x), ..., P_n(x)], n! v^n) by the three-term recurrence on R_m."""
-    return _row("legendre", x, n, _recurrence)
+    return _row(x, n, _recurrence)
 
 
 @block
 def legendre(ns, x):
     """P_n(x) by the three-term recurrence: (R_n, n! v^n) at each n (``exact._tops``)."""
-    return _tops("legendre", x, ns, _recurrence)
+    return _tops(x, ns, _recurrence)
 
 
 def _check_t(t: Fraction) -> None:
@@ -70,7 +70,7 @@ def legendre_new_repr(ns, t):
     survives, giving P_n(1) = 1.
     """
     _check_t(t)
-    (powers, den), p, q = power_row(derived("(x^2-1)/4", t), ns[-1]), t.numerator, t.denominator
+    (powers, den), p, q = power_row((t * t - 1) / 4, ns[-1]), t.numerator, t.denominator
     return [(sum(map(mul, n_row("C(n,k)C(2k,k)", n), powers)) * q**n, den * p**n) for n in ns]
 
 

@@ -7,16 +7,18 @@ domain ``reject(n_max, assignment) -> reason | None``; each shipped one is a
 the parameters and the integers it must not be.  They encode the statement's
 hypotheses (e.g. "alpha, beta are not negative integers") and the values
 where an evaluation would hit a pole.  An admitted assignment may still land
-on a :class:`~binomsums.exact.Pole`, the only exception a check may report as
-"skipped".  Any other division by zero is a defect of the evaluator and is
-reported as a failure.
+on a :class:`~binomsums.exact.Pole`, the only exception a check may report
+as "skipped".  Any other division by zero is a defect of the evaluator and
+is reported as a failure.  A ``Domain`` that admits an assignment at a depth
+admits it at every smaller one (an ``N_MAX`` bound only widens with the
+depth), so a check of a block of n asks it once, at the top.
 
-:func:`draw` is the one seeded draw, and :func:`draws` the one loop over it,
-with one generator per key: ``"{seed}:{entry id}"`` (catalog),
-``"{seed}:wz:{pair}"`` (boundary and base checks) or
-``"{seed}:telescope:{pair}"`` (telescoping sums).  Those keys, the draw order,
-the ``n_max`` handed to the domain and its reasons are part of the
-byte-stable report.
+:func:`draw` is the one seeded draw, a plain ``dict`` of ``Fraction`` values,
+and :func:`draws` the one loop over it, with one generator per key:
+``"{seed}:{entry id}"`` (catalog), ``"{seed}:wz:{pair}"`` (boundary and base
+checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums).  Those keys, the
+draw order, the ``n_max`` handed to the domain and its reasons are part of
+the byte-stable report.
 
 A :class:`ResultRow` is one verdict of the report, as the catalog and the
 certificate checks give it; its sides are values, which the writers render,
@@ -30,16 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .exact import Drawn
 from .hyperterm import AffineForm
 
-__all__ = ["BOUND", "MAX_TRIES", "N_MAX", "Admitted", "Avoid", "Domain", "ParamSpec", "ResultRow",
+__all__ = ["BOUND", "MAX_TRIES", "N_MAX", "Avoid", "Domain", "ParamSpec", "ResultRow",
            "draw", "draws", "not_negative_integers", "render_draw"]
 
 MAX_TRIES = 1000
 BOUND = 100                            # a drawn value's numerator and denominator bound
 N_MAX = "n_max"                        # an Avoid bound: the depth the domain is asked at
-_RATIONAL = (Drawn, Fraction, int)     # by type: a Jet2 and a RatFunc have a denominator too
+_RATIONAL = (Fraction, int)            # by type: a Jet2 and a RatFunc have a denominator too
 
 
 class ResultRow(NamedTuple):
@@ -99,24 +100,14 @@ def not_negative_integers(*names: str, reason: str | None = None) -> Domain:
                         reason or f"{name} is a negative integer") for name in names)
 
 
-class Admitted(dict):
-    """A drawn assignment that the domain ``reject`` admitted at ``depth`` (so at every
-    smaller depth), not to be changed in place."""
-
-
-def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> Admitted | None:
+def draw(rng: random.Random, spec: ParamSpec, n_max: int) -> dict[str, Fraction] | None:
     """One assignment with numerators in [-BOUND, BOUND] and denominators in
     [1, BOUND], redrawn until ``spec.reject(n_max, ...)`` accepts it; None
-    after MAX_TRIES tries.  The values are ``exact.Drawn`` at depth n_max:
-    each kernel row is built once at n_max, where the domain has ruled out
-    its poles, and a read at n <= n_max is its prefix."""
+    after MAX_TRIES tries."""
     for _ in range(MAX_TRIES):
-        assign = Admitted((name, Drawn(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND)))
-                          for name in spec.names)
+        assign = {name: Fraction(rng.randint(-BOUND, BOUND), rng.randint(1, BOUND))
+                  for name in spec.names}
         if spec.reject(n_max, assign) is None:
-            for value in assign.values():
-                value.depth = n_max
-            assign.reject, assign.depth = spec.reject, n_max
             return assign
     return None
 

@@ -19,9 +19,9 @@ from binomsums.catalog.entries import (
     check_identity,
     draw_for_entry,
 )
-from binomsums.exact import Drawn, binom_poly, binom_upper_shift, harmonic, over
+from binomsums.exact import binom_poly, binom_upper_shift, harmonic, over
 from binomsums.jets import Jet2
-from binomsums.params import Admitted, ParamSpec
+from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
 
 F = Fraction
@@ -376,10 +376,10 @@ def test_draws_respect_exclusions():
         assert entry.params.reject(31, draw) is None
 
 
-def test_a_draw_is_not_asked_again_below_the_depth_its_domain_admitted_it_at():
-    # a draw of this entry's own domain, admitted at n_max + 1, is admitted at
-    # every smaller depth, so check_identity asks nothing of it at n <= n_max;
-    # at its depth, as a plain dict, or as another domain's draw it asks at n + 1
+def test_a_block_asks_its_domain_once_at_its_top():
+    # a domain admits at every depth below one it admits at, so a block asks it
+    # once, at its top n + 1; a block whose top it rejects is re-read n by n,
+    # each n asked at n + 1, and gives each n the reason a check at that n gives
     asked = []
 
     def counting(n_max, a):
@@ -388,20 +388,23 @@ def test_a_draw_is_not_asked_again_below_the_depth_its_domain_admitted_it_at():
 
     entries = {"ID15": replace(REGISTRY["ID15"], params=ParamSpec(("s",), counting))}
     drawn = draw_for_entry(entries["ID15"], 0, 5, 10)
-    assert all(type(a) is Admitted and a.reject is counting and a.depth == 11 for a in drawn)
+    for a in drawn:
+        asked.clear()
+        assert {r.status for r in check_identity("ID15", range(11), a, entries)} == {"pass"}
+        assert asked == [11]
+    # s = 5 is a pole of every n > 5: the top rejects, and so does every n >= 5
     asked.clear()
-    assert {check_identity("ID15", n, a, entries).status for a in drawn for n in range(11)} == {
-        "pass"}
-    assert asked == []
-    for a in (drawn[0], dict(drawn[0]), {"s": F(drawn[0]["s"])}):
-        assert check_identity("ID15", 11 if a is drawn[0] else 4, a, entries).status == "pass"
-    assert asked == [12, 5, 5]
-    # s = 2 as ID21's domain admits it: ID15's own domain still skips it at n = 3
-    other = Admitted(s=Drawn(2))
-    other.reject, other.depth = REGISTRY["ID21"].params.reject, 31
-    r = check_identity("ID15", 3, other)
+    rows = check_identity("ID15", range(11), {"s": F(5)}, entries)
+    assert asked == [11, *range(1, 12)]
+    assert rows == [check_identity("ID15", n, {"s": F(5)}, entries) for n in range(11)]
+    assert [r.status for r in rows] == ["pass"] * 5 + ["skipped"] * 6
+    assert {r.reason for r in rows[5:]} == {"s in {0..n-1}: digamma pole"}
+    # s = 2, which ID21's domain admits at any depth: ID15's own domain still skips it
+    assert REGISTRY["ID21"].params.reject(31, {"s": F(2)}) is None
+    r = check_identity("ID15", 3, {"s": F(2)})
     assert (r.status, r.reason) == ("skipped", "s in {0..n-1}: digamma pole")
-    assert check_identity("ID15", 3, other, entries).status == "skipped" and asked[-1] == 4
+    rows = check_identity("ID15", range(11), {"s": F(2)})
+    assert [r.status for r in rows] == ["pass"] * 2 + ["skipped"] * 9 and rows[3] == r
 
 
 def test_draw_determinism_and_independence_from_filter():

@@ -13,13 +13,11 @@ import pytest
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums import exact
 from binomsums.exact import (
-    Drawn,
     Pole,
     binom_poly,
     binom_row,
     binom_upper_shift,
     central_binomial,
-    derived,
     digamma_diff,
     harmonic,
     harmonic_row,
@@ -37,7 +35,7 @@ from binomsums.exact import (
 )
 from binomsums.jets import Jet2
 from binomsums.legendre import legendre, legendre_new_repr, legendre_row
-from binomsums.params import ParamSpec, draw, not_negative_integers
+from binomsums.params import ParamSpec, draw
 from binomsums.poly import MultiPoly, RatFunc
 
 try:
@@ -289,12 +287,20 @@ def test_binomial_kernels_on_nonnegative_integers_equal_comb():
                 comb(s + m, m) for m in range(41)]
 
 
-ROW_KERNELS = {
-    "binom_row": binom_row,
-    "rising_row": rising_row,
-    "power_row": power_row,
-    "legendre_row": legendre_row,
-    "reciprocal_row": reciprocal_row,
+def legendre_reference(x, n):
+    """[P_0(x), ..., P_n(x)] by the three-term recurrence in Fractions."""
+    row = [F(1), x]
+    for m in range(1, n):
+        row.append(((2 * m + 1) * x * row[m] - m * row[m - 1]) / (m + 1))
+    return row[:n + 1]
+
+
+ROW_REFERENCES = {
+    binom_row: falling_reference,
+    rising_row: rising_reference,
+    power_row: lambda x, n: [x**k for k in range(n + 1)],
+    legendre_row: legendre_reference,
+    reciprocal_row: lambda x, n: [1 / v if v else None for v in rising_reference(x, n)],
 }
 
 
@@ -307,91 +313,54 @@ def drawn_values(label):
     rng = random.Random(label)
     spec = ParamSpec(("x",))
     drawn = [draw(rng, spec, 40)["x"] for _ in range(12)]
-    return drawn + [Drawn(0), Drawn(0, 7), Drawn(5), Drawn(-3, 1), Drawn(1)]   # p = 0 and q = 1
-
-
-def assert_fresh(readers, name, x, n):
-    """readers[name] at the kept value x reads what it reads at a plain Fraction
-    of x's value: a row as a tuple of n + 1 ints over an int den > 0, each
-    entry's value that of the fresh row's, or over den 0 where the fresh row's
-    den is 0 (a reciprocal row past its pole); a moving row (``pascal_rows``)
-    over a kept value's deeper den; a single value as it is."""
-    got, want = readers[name](x, n), readers[name](Fraction(x), n)
-    if len(got) == 1:
-        assert got == want, (name, x, n)
-        return
-    row, den = got
-    assert type(row) is tuple, name                          # a kept row is read-only
-    assert len(row) == n + 1 and all(type(v) is int for v in row) and type(den) is int, name
-    if want[1] == 0:
-        assert den == 0, (name, x, n)
-    else:
-        assert den > 0 and values(got) == values(want), (name, x, n)
+    return drawn + [F(0), F(0, 7), F(5), F(-3, 1), F(1)]   # p = 0 and q = 1
 
 
 def test_grown_rows_equal_fresh_rows():
-    # a drawn value keeps each kernel's row, built at its depth, and reads a
-    # fresh row past it; every visit must give the values of a row built afresh
-    # at a plain Fraction of the same value
-    names = list(ROW_KERNELS)
+    # the row kernels read at drawn values, interleaved, at depths going up,
+    # repeated, down and skipping: each read is a tuple of n + 1 ints over an
+    # int den with a reference row's values, whatever was read before, and a
+    # reciprocal row past its pole is over den 0
+    kernels = list(ROW_REFERENCES)
     for x in drawn_values("grown rows"):
-        assert type(x) is Drawn
+        want = {kernel: reference(x, 40) for kernel, reference in ROW_REFERENCES.items()}
         for i, n in enumerate(VISITS):
-            for name in names[i % 4:] + names[:i % 4]:      # kernels interleaved
-                assert_fresh(ROW_KERNELS, name, x, n)
+            for kernel in kernels[i % 5:] + kernels[:i % 5]:
+                row, den = kernel(x, n)
+                assert type(row) is tuple and len(row) == n + 1 and type(den) is int
+                assert all(type(v) is int for v in row), (kernel, x, n)
+                if None in want[kernel][:n + 1]:
+                    assert den == 0, (kernel, x, n)
+                else:
+                    assert den > 0 and values((row, den)) == want[kernel][:n + 1], (kernel, x, n)
 
 
 def test_a_draw_builds_each_row_once_at_its_depth(monkeypatch):
-    # every read at n <= the depth a draw was admitted for is a prefix of one
-    # row built at that depth: each kernel steps d times for the reads n = 0..d
-    # and back, and keeps the row its first read built, with no regrowth; a
-    # derived value is at the draw's depth too; a read past it is a fresh row,
-    # built in as many steps as it is deep, and leaves the kept row as it is
-    steps = Counter()
+    # a block side reads each of its rows once, at the top of its range: over a
+    # draw's block to n_max no side builds one kernel's row at one argument
+    # twice, or deeper than n_max; a row both sides read (ID04's C(beta+k, k))
+    # each side builds for itself
+    built, depth = Counter(), 0
     real = exact._row
 
-    def counted(kernel, x, n, step):
-        def counting_step(*args):
-            steps[kernel] += type(x) is Drawn      # not the fresh builds it is compared with
-            return step(*args)
-        return real(kernel, x, n, counting_step)
+    def counted(x, n, step):
+        assert n <= depth, (x, n)
+        built[step.__code__, x] += 1
+        return real(x, n, step)
 
     monkeypatch.setattr(exact, "_row", counted)
     # import_module: the package re-exports a function named like the module
     monkeypatch.setattr(import_module("binomsums.legendre"), "_row", counted)
-    d, kernels = 12, ("binom", "rising", "recip", "power", "legendre")
-    rng = random.Random("rows at the draw's depth")
-    spec = ParamSpec(("x",), not_negative_integers("x"))
-    for x in [draw(rng, spec, d)["x"] for _ in range(4)]:
-        for value in (x, derived("2x+1", x)):
-            assert value.depth == d
-            steps.clear()
-            for i, n in enumerate([*range(d + 1), *range(d, -1, -1)]):
-                for name in KEPT_READERS:
-                    assert_fresh(KEPT_READERS, name, value, n)
-                if i == 0:
-                    built = {kernel: vars(value)[kernel] for kernel in kernels}
-            assert steps == {kernel: d for kernel in kernels}, (x, value)
-            assert all(vars(value)[kernel] is state for kernel, state in built.items())
-            steps.clear()
-            for name in ROW_KERNELS:
-                assert_fresh(ROW_KERNELS, name, value, d + 3)
-            assert steps == {kernel: d + 3 for kernel in kernels}, (x, value)
-            assert all(vars(value)[kernel] is state for kernel, state in built.items())
+    for entry in REGISTRY.values():
+        depth = entry.n_max
+        for a in draw_for_entry(entry, 0, 3, depth):
+            for side in (entry.lhs, entry.rhs):
+                built.clear()
+                side(range(depth + 1), a)
+                assert all(count == 1 for count in built.values()), (entry.id, built)
+                if entry.id == "ID04":
+                    assert built[exact._rising.__code__, a["beta"]] == 1
 
-
-# each derived form at x and partner y, computed here on its own
-DERIVED_FORMS = {
-    "x+1": lambda x, y: x + 1,
-    "x+y": lambda x, y: x + y,
-    "x-y": lambda x, y: x - y,
-    "-x": lambda x, y: -x,
-    "-x-1/2": lambda x, y: -x - F(1, 2),
-    "2x": lambda x, y: 2 * x,
-    "2x+1": lambda x, y: 2 * x + 1,
-    "(x^2+1)/(2x)": lambda x, y: (x * x + 1) / (2 * x),
-    "(x^2-1)/4": lambda x, y: (x * x - 1) / 4,
-}
 
 def moving_row(x, n, signed=False):
     """``pascal_rows``' row at n, of a block stepped from n // 2, and the block's den."""
@@ -399,64 +368,35 @@ def moving_row(x, n, signed=False):
     return rows[-1], den
 
 
-KEPT_READERS = dict(
-    ROW_KERNELS,
-    pascal_rows=moving_row,
-    pascal_rows_signed=lambda x, n: moving_row(x, n, True),
-    binom_poly=lambda x, n: (binom_poly(x, n),),
-    binom_upper_shift=lambda x, n: (binom_upper_shift(x, n),),
-    legendre=lambda x, n: (legendre(n, x),),
-)
-
-
 def test_stepped_and_derived_rows_equal_fresh_rows():
-    # pascal_rows steps C(g+n, .) by Pascal's rule over a drawn g's kept rising
-    # den, derived values keep rows as a drawn value does, and the single
-    # binomials read kept rows:
-    # every visit must give the ints of a plain Fraction of the same value, and
-    # no derived value may serve another partner's or another form's row
-    assert sorted(DERIVED_FORMS) == sorted(exact._FORMS)
-    readers = list(KEPT_READERS)
+    # pascal_rows steps C(g+n, .) by Pascal's rule over g's rising den: at drawn
+    # values and at the arguments the sides derive from them (-p, beta - alpha,
+    # -lam - 1/2), each n's row has the values of binom_row(g + n, n), signed
+    # (-1)^m if asked, as a tuple of ints over an int den > 0
     for x in drawn_values("stepped and derived rows"):
-        plain = Fraction(x)
-        partners = (Drawn(x.denominator, 3), F(-2, 9), Drawn(0), F(1))
-        keys = [(form, y) for form in DERIVED_FORMS if "y" in form for y in partners]
-        keys += [(form, None) for form in DERIVED_FORMS if "y" not in form
-                 and not (form == "(x^2+1)/(2x)" and x == 0)]
-        for i, n in enumerate(VISITS):
-            assert_fresh(KEPT_READERS, "pascal_rows", x, n)
-            assert_fresh(KEPT_READERS, "pascal_rows_signed", x, n)
-            for j, (form, y) in enumerate(keys):
-                value = derived(form, x, y)
-                same_value = y if y is None else Fraction(y.numerator, y.denominator)
-                assert type(value) is Drawn and derived(form, x, same_value) is value
-                assert value == DERIVED_FORMS[form](plain, y), (form, x, y)
-                assert value.depth == x.depth
-                assert_fresh(KEPT_READERS, readers[(i + j) % len(readers)], value, n)
-        assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
-        # a partner outside the rationals, or a plain x, keeps nothing
-        jet = Jet2.variable(F(1, 3), 1)
-        assert derived("x+y", x, jet) == jet + plain and type(derived("x+y", x, jet)) is Jet2
-        assert type(derived("x+y", x, RatFunc.var("p"))) is RatFunc
-        assert type(derived("x+y", plain, F(1))) is Fraction
-        assert len([k for k in vars(x) if type(k) is tuple]) == len(keys)
-    assert type(derived("x+y", RatFunc.var("s"), F(1))) is RatFunc
+        for g in (x, -x, x - F(7, 3), -x - F(1, 2)):
+            for n in range(41):
+                want = values(binom_row(g + n, n))
+                for signed in (False, True):
+                    row, den = moving_row(g, n, signed)
+                    assert type(row) is tuple and len(row) == n + 1
+                    assert all(type(v) is int for v in row) and type(den) is int and den > 0
+                    assert values((row, den)) == [(-1) ** m * v if signed else v
+                                                  for m, v in enumerate(want)], (g, n, signed)
 
 
 def divided_rows(rows, den):
     return [[over(v, den) for v in row] for row in rows]
 
 
-@pytest.mark.parametrize("ring", ["Drawn", "Fraction", "RatFunc", "Jet2"])
+@pytest.mark.parametrize("ring", ["Fraction", "RatFunc", "Jet2"])
 def test_pascal_rows_are_the_fresh_binomial_rows(ring):
     # each row of a block, divided, is binom_row(g + n, n) entry by entry,
-    # times (-1)^m when signed: from 0, from a > 0, a single n, and a drawn g
-    # past its depth, each block of two or more over the den of g's rising row
+    # times (-1)^m when signed: from 0, from a > 0, a single n, and a block past
+    # the depth, each block of two or more over the den of g's rising row
     d = 6 if ring == "RatFunc" else 12
     s, t = RatFunc.var("s"), RatFunc.var("t")
-    x = draw(random.Random("pascal rows"), ParamSpec(("x",)), d)["x"]
-    gs = {"Drawn": [x, derived("-x", x), derived("x-y", x, F(7, 3)), Drawn(-3, 1)],
-          "Fraction": [F(-7, 3), F(5), F(0), F(1, 2)],
+    gs = {"Fraction": [F(-7, 3), F(5), F(0), F(1, 2), F(-3, 1)],
           "RatFunc": [s, s / 3 - F(1, 2), (s + 1) / (2 * s - 3), (s - t) / (t + 2)],
           "Jet2": [Jet2.variable(F(2, 5), 1) * 3 - 1, Jet2.variable(F(-4), 2) + F(1, 3)]}[ring]
     for g in gs:
@@ -525,30 +465,6 @@ def test_a_pole_sum_block_raises_the_first_pole():
     assert str(exc.value) == "digamma pole: s - 2 vanishes"
 
 
-def test_drawn_values_act_as_fractions():
-    rng = random.Random("drawn values")
-    x, y = (draw(rng, ParamSpec(("x",)), 10)["x"] for _ in range(2))
-    binom_row(x, 6)                                         # x and y keep rows
-    power_row(y, 3)
-    for v in (x, y, Drawn(3, 6), Drawn(-4)):
-        f = Fraction(v.numerator, v.denominator)
-        assert type(v) is Drawn
-        assert (str(v), v, hash(v)) == (str(f), f, hash(f))
-        assert render_rational(v) == render_rational(f) and parse_rational(str(v)) == v
-    for derived in (x + 1, -x, 2 * x, x - y, x * y, x / y, 1 - x, x ** 2, +x, abs(x)):
-        assert type(derived) is Fraction
-
-    def shown(draws):
-        return [a if a is None else {k: str(v) for k, v in a.items()} for a in draws]
-
-    for entry in REGISTRY.values():
-        first = draw_for_entry(entry, 3, 4, entry.n_max)
-        for v in (v for a in first if a for v in a.values()):
-            binom_row(v, 5)
-            rising_row(v, 5)
-        assert shown(first) == shown(draw_for_entry(entry, 3, 4, entry.n_max))
-
-
 def fraction_branch_taylor(x, m):
     """(f(x), f'(x), f''(x)) for f = C(., m), from the Fraction branch alone:
     the forward differences of f at x are C(x, m - j), and Newton's series
@@ -597,18 +513,17 @@ def reciprocal_case(x, n, rising):
 
 
 def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
-    # a draw's rows are built at the depth its predicate admitted it for, so
-    # that depth must be safe: ID05's and ID06's predicates reject exactly the
-    # draws whose factor p + iq of 1/C(b+k, k) vanishes for some i <= depth
-    for entry_id, argument in (("ID05", lambda a: derived("-x-1/2", a["lam"])),
+    # a draw is admitted at n_max + 1, the top of its block, so its rows there
+    # must have no pole: ID05's and ID06's predicates reject exactly the draws
+    # whose factor p + iq of 1/C(b+k, k) vanishes for some i <= depth
+    for entry_id, argument in (("ID05", lambda a: -a["lam"] - F(1, 2)),
                                ("ID06", lambda a: a["t"])):
         entry = REGISTRY[entry_id]
         drawn = draw_for_entry(entry, 0, 500, entry.n_max)
         assert None not in drawn and len(drawn) == 500
         for a in drawn:
-            b = argument(a)
-            assert b.depth == entry.n_max + 1
-            assert reciprocal_row(b, b.depth)[1] > 0, (entry_id, a)
+            assert type(a) is dict and all(type(v) is Fraction for v in a.values())
+            assert reciprocal_row(argument(a), entry.n_max + 1)[1] > 0, (entry_id, a)
     # every value whose den vanishes at a depth d <= 51 is rejected there: b = -lam-1/2
     # (ID05) or t (ID06) in {-d..-1}; ID05's domain rejects no other b
     id05, id06 = REGISTRY["ID05"].params.reject, REGISTRY["ID06"].params.reject
@@ -619,35 +534,34 @@ def test_admitted_draws_have_no_reciprocal_pole_at_their_depth():
             assert (id05(d, {"lam": F(-b) - F(1, 2)}) is not None) == vanishes, (d, b)
             assert not vanishes or id06(d, {"s": F(1, 2), "t": F(b)}) is not None, (d, b)
     # a draw ID05 rejects at depth 31 has a vanishing den there (-lam-1/2 =
-    # -16, a pole at k = 16), so over raises; a drawn value kept at that depth
-    # anyway still reads a fresh build's values below the pole
-    lam = Drawn(31, 2)
-    assert REGISTRY["ID05"].params.reject(31, {"lam": lam}) is not None
-    row, den = reciprocal_row(Fraction(-lam - F(1, 2)), 31)
+    # -16, a pole at k = 16), so over raises
+    assert REGISTRY["ID05"].params.reject(31, {"lam": F(31, 2)}) is not None
+    row, den = reciprocal_row(F(-31, 2) - F(1, 2), 31)
     assert den == 0
     with pytest.raises(ZeroDivisionError):
         over(row[0], den)
-    lam.depth = 31
-    b = derived("-x-1/2", lam)
-    for n in (0, 15, 16, 31, 2):
-        assert_fresh(ROW_KERNELS, "reciprocal_row", b, n)
-    row, den = vars(b)["recip"]
-    assert len(row) == 32 and den == 0
 
 
-def test_a_row_kept_past_its_pole_reads_fresh_values_below_it():
-    # 1/C(b+k, k) at b = -3 has a pole at k = 3: a row kept at depth 5, past
-    # it, has den 0, so a later read below the pole is a fresh row over a den
-    # > 0, as a plain Fraction's is, and a read at or past the pole is over den
-    # 0 again
-    b = Drawn(-3, 1)
-    b.depth = 5
-    for n in (5, 2, 0, 3, 4, 1, 40, 2):
-        assert_fresh(ROW_KERNELS, "reciprocal_row", b, n)
-        assert_fresh(KEPT_READERS, "binom_upper_shift", b, n)   # entry n of the rising row
-    assert reciprocal_row(b, 2) == reciprocal_row(Fraction(-3), 2)
-    assert [over(v, reciprocal_row(b, 2)[1]) for v in reciprocal_row(b, 2)[0]] == [1, F(-1, 2), 1]
-    assert reciprocal_row(b, 5)[1] == 0 and vars(b)["recip"][1] == 0
+def test_a_block_past_a_reciprocal_pole_is_read_n_by_n_below_it():
+    # ID05 at lam = 31/2 reads 1/C(k-16, k), whose den vanishes from k = 16 on:
+    # its domain rejects the block's top, so check_identity reads the block n by
+    # n, and each row is the row of a check at that n alone, a pass below the
+    # domain's bound and a skip from it on
+    lam = F(31, 2)
+    rows = check_identity("ID05", range(31), {"lam": lam})
+    assert rows == [check_identity("ID05", n, {"lam": lam}) for n in range(31)]
+    assert [r.status for r in rows] == ["pass"] * 15 + ["skipped"] * 16
+    assert {r.reason for r in rows[15:]} == {
+        "lam - 1/2 is an integer in [0, n_max): denominator binomial vanishes"}
+    # a row and a product past the pole are over den 0, and a read below it is
+    # over a den > 0, whatever was read before
+    for s in (F(1, 2), F(-7, 3), F(4)):
+        for n in (5, 2, 0, 1, 4, 3, 2, 9, 1):
+            row, den = product_row(binom_row, s, reciprocal_row, F(-3), n)
+            assert len(row) == n + 1 and (den > 0) == (n < 3) and (den == 0) == (n >= 3)
+            if n < 3:
+                assert values((row, den)) == fresh_product(binom_row, s, reciprocal_row, F(-3), n)
+    assert values(reciprocal_row(F(-3), 2)) == [1, F(-1, 2), 1]
 
 
 # row pairs multiplied along k: the four the catalog multiplies, and power by rising
@@ -656,94 +570,27 @@ PRODUCTS = [(rising_row, power_row), (binom_row, reciprocal_row), (binom_row, po
 
 
 def fresh_product(f, x, g, y, n):
-    """The values of f's row at x times g's at y, entry by entry, from plain Fractions."""
-    return [a * b for a, b in zip(values(f(Fraction(x), n)), values(g(Fraction(y), n)))]
-
-
-def test_a_kept_product_row_is_the_fresh_product_at_every_depth():
-    # a product of two drawn values' rows is built once at the draw's depth and
-    # read as its prefix: every read at n <= d has the fresh product's values,
-    # as ints over an int den > 0, and the state kept on x, which holds y, is
-    # the same object throughout
-    d = 12
-    rng = random.Random("kept product rows")
-    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
-    for _ in range(4):
-        a = draw(rng, spec, d)
-        for x, y in ((a["x"], a["y"]), (a["x"], derived("x+1", a["y"])), (a["y"], a["x"])):
-            for f, g in PRODUCTS:
-                product_row(f, x, g, y, 0)
-                state = vars(x)[f, g, id(y)]
-                assert state[2] is y and len(state[0]) == d + 1
-                assert state[1] == f(x, d)[1] * g(y, d)[1]
-                for n in [*range(d + 1), *range(d, -1, -1), 5, 0, 11]:
-                    row, den = product_row(f, x, g, y, n)
-                    assert type(row) is tuple and len(row) == n + 1
-                    assert all(type(v) is int for v in row) and type(den) is int and den > 0
-                    assert values((row, den)) == fresh_product(f, x, g, y, n), (f, g, x, y, n)
-                    assert vars(x)[f, g, id(y)] is state
-
-
-def test_a_product_read_past_the_depth_is_fresh_and_not_kept():
-    d = 6
-    rng = random.Random("products past the depth")
-    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
-    for _ in range(4):
-        a = draw(rng, spec, d)
-        x, y = a["x"], a["y"]
-        for f, g in PRODUCTS:
-            product_row(f, x, g, y, d)
-            kept = dict(vars(x))
-            for n in (d + 1, d + 5, 2 * d):
-                row, den = product_row(f, x, g, y, n)
-                assert len(row) == n + 1 and values((row, den)) == fresh_product(f, x, g, y, n)
-            assert vars(x).keys() == kept.keys()
-            assert all(vars(x)[k] is v for k, v in kept.items())
-
-
-def test_a_product_over_a_reciprocal_row_kept_past_its_pole_reads_fresh_below_it():
-    # 1/C(b+k, k) at b = -3 has a pole at k = 3: the product kept at depth 5 has
-    # den 0, and a read below the pole is the fresh product over a den > 0, and
-    # a read at or past the pole is over den 0 again, as a plain Fraction's is
-    for s in (Drawn(1, 2), Drawn(-7, 3), Drawn(4)):
-        b = Drawn(-3, 1)
-        s.depth = b.depth = 5
-        for n in (5, 2, 0, 1, 4, 3, 2, 9, 1):
-            row, den = product_row(binom_row, s, reciprocal_row, b, n)
-            assert len(row) == n + 1
-            if n < 3:
-                assert den > 0
-                assert values((row, den)) == fresh_product(binom_row, s, reciprocal_row, b, n)
-            else:
-                assert den == 0 == reciprocal_row(F(-3), n)[1]
-        assert vars(s)[binom_row, reciprocal_row, id(b)][1] == 0
+    """The values of f's row at x times g's at y, entry by entry."""
+    return [a * b for a, b in zip(values(f(x, n)), values(g(y, n)))]
 
 
 def test_a_product_with_a_ring_value_is_the_product_of_the_rows():
-    # a Jet2, a RatFunc or a plain Fraction partner is multiplied afresh, and
-    # nothing is kept on x
-    x = Drawn(2, 3)
-    x.depth = 8
+    # entry k of product_row is a_k b_k over da db: for a Jet2, a RatFunc or a
+    # Fraction partner, and for each pair the catalog multiplies, at rationals
+    # a tuple of ints over an int den > 0
+    x = F(2, 3)
     for y in (Jet2.variable(F(1, 3), 1), RatFunc.var("s"), F(5, 7)):
         for n in (0, 3, 8):
             row, den = product_row(rising_row, x, power_row, y, n)
             (a, da), (b, db) = rising_row(x, n), power_row(y, n)
             assert list(row) == [u * v for u, v in zip(a, b)] and den == da * db
-    assert [k for k in vars(x) if type(k) is tuple] == []
-
-
-def test_a_kept_product_keeps_no_rows_of_its_factors():
-    # the product is what a side reads, so x keeps the product alone and y nothing
-    d = 9
-    rng = random.Random("products keep only themselves")
-    spec = ParamSpec(("x", "y"), not_negative_integers("x", "y"))
     for f, g in PRODUCTS:
-        a = draw(rng, spec, d)
-        x, y = a["x"], a["y"]
-        for n in (d, 0, 4, d):
-            product_row(f, x, g, y, n)
-        assert [k for k in vars(x) if k != "depth"] == [(f, g, id(y))]
-        assert [k for k in vars(y) if k != "depth"] == []
+        for x, y in ((F(-7, 3), F(1, 2)), (F(5), F(-4, 9)), (F(0), F(1))):
+            for n in (0, 3, 12):
+                row, den = product_row(f, x, g, y, n)
+                assert type(row) is tuple and len(row) == n + 1
+                assert all(type(v) is int for v in row) and type(den) is int and den > 0
+                assert values((row, den)) == fresh_product(f, x, g, y, n), (f, g, x, y, n)
 
 
 def ring_falling_reference(x, n):
@@ -814,7 +661,7 @@ def test_shifted_binomial_sums_equal_the_direct_sums():
     s, t = RatFunc.var("s"), RatFunc.var("t")
     jet = Jet2.variable(F(-7, 3), 1) + Jet2.variable(F(1, 3), 2) * 5
     x = F(2, 5)
-    for beta in (F(1, 3), F(-7, 2), F(-5), F(4), Drawn(-3, 7), jet, Jet2.variable(F(2)),
+    for beta in (F(1, 3), F(-7, 2), F(-5), F(4), F(-3, 7), jet, Jet2.variable(F(2)),
                  s, s / 2 + F(1, 3), (s + t) / (2 * s - 1)):
         for n in range(13):
             shifted = [comb(n, k) * binom_poly(beta + k, n) for k in range(n + 1)]
@@ -853,15 +700,18 @@ def test_central_binomial_rejects_a_negative_index():
             central_binomial(k)
 
 
+DRAWN = draw(random.Random("a drawn value"), ParamSpec(("x",)), 3)["x"]
+
+
 @pytest.mark.parametrize("kernel", [
-    lambda m: binom_row(F(1, 3), m), lambda m: binom_row(Drawn(1, 3), m),
+    lambda m: binom_row(F(1, 3), m), lambda m: binom_row(DRAWN, m),
     lambda m: rising_row(F(-5, 2), m), lambda m: power_row(F(2, 7), m),
-    lambda m: power_row(Drawn(2, 7), m), lambda m: reciprocal_row(F(1, 3), m),
+    lambda m: power_row(DRAWN, m), lambda m: reciprocal_row(F(1, 3), m),
     lambda m: pascal_rows(F(1, 3), range(m, m + 1)),
-    lambda m: pascal_rows(Drawn(1, 3), range(m, m + 1)), lambda m: legendre_row(F(5, 4), m),
+    lambda m: pascal_rows(DRAWN, range(m, m + 1)), lambda m: legendre_row(F(5, 4), m),
     lambda m: harmonic_row(m), lambda m: harmonic_row(m, 2), lambda m: n_row("C(n,k)", m),
-    lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(Drawn(1, 3), m),
-    lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, Drawn(5, 4)),
+    lambda m: binom_upper_shift(F(1, 3), m), lambda m: binom_upper_shift(DRAWN, m),
+    lambda m: legendre(m, F(5, 4)), lambda m: legendre(m, DRAWN),
     lambda m: digamma_diff(F(1, 3), m), lambda m: trigamma_diff(F(1, 3), m),
 ], ids=["binom_row", "binom_row-drawn", "rising_row", "power_row", "power_row-drawn",
         "reciprocal_row", "pascal_rows", "pascal_rows-drawn", "legendre_row",
@@ -869,7 +719,7 @@ def test_central_binomial_rejects_a_negative_index():
         "binom_upper_shift-drawn", "legendre", "legendre-drawn", "digamma_diff",
         "trigamma_diff"])
 def test_every_row_kernel_rejects_a_negative_depth(kernel):
-    kernel(3)                           # a kept row at depth 3 must not answer either
+    kernel(3)                           # a row built at depth 3 first changes nothing
     for m in (-1, -2):
         with pytest.raises(ValueError):
             kernel(m)

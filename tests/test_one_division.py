@@ -32,8 +32,8 @@ import pytest
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import SuiteConfig, catalog_rows
 from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, block, central_binomial,
-                             derived, digamma_diff, harmonic, n_row, over, power_row,
-                             reciprocal_row, rising_row)
+                             digamma_diff, harmonic, n_row, over, power_row, reciprocal_row,
+                             rising_row)
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
@@ -168,9 +168,9 @@ def test_every_side_hands_back_pairs_over_a_drawn_block():
 
 def rhs_id02(n, a):
     alpha, beta, x, y = a["alpha"], a["beta"], a["x"], a["y"]
-    bg, dg = binom_row(derived("x-y", beta, alpha) + n, n)   # C(beta-alpha+n, m)
+    bg, dg = binom_row(beta - alpha + n, n)               # C(beta-alpha+n, m)
     bb, db = rising_row(beta, n)                          # C(beta+k, k)
-    pxy, dxy = power_row(derived("x+y", x, y), n)
+    pxy, dxy = power_row(x + y, n)
     py, dy = power_row(y, n)
     terms = (bg[n - k] * bb[k] * pxy[k] * py[n - k] for k in range(n + 1))
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), dg * db * dxy * dy)
@@ -178,29 +178,29 @@ def rhs_id02(n, a):
 
 def rhs_id03(n, a):
     alpha, beta = a["alpha"], a["beta"]
-    bg, dg = binom_row(derived("x-y", beta, alpha) + n, n)
+    bg, dg = binom_row(beta - alpha + n, n)
     bb, db = rising_row(beta, n)
-    px, dx = power_row(derived("x+1", a["x"]), n)
+    px, dx = power_row(a["x"] + 1, n)
     terms = (bg[n - j] * bb[j] * px[j] for j in range(n + 1))
     return over(sum(-v if (n + j) % 2 else v for j, v in enumerate(terms)), dg * db * dx)
 
 
 def rhs_id05(n, a):
     lam = a["lam"]
-    g = derived("-x-1/2", lam)
+    g = -lam - F(1, 2)
     top, dt = binom_row(g + n, n)        # C(n - lam - 1/2, k)
     low, dl = reciprocal_row(g, n)       # 1/C(k - lam - 1/2, k)
     total = over(sum(map(mul, n_row("C(n,k)", n), map(mul, top, low))), dt * dl)
-    return binom_poly(derived("2x", lam), n) * total
+    return binom_poly(2 * lam, n) * total
 
 
 def rhs_id06(n, a):
-    return binom_upper_shift(derived("x+y", a["s"], a["t"]), n) / binom_upper_shift(a["t"], n)
+    return binom_upper_shift(a["s"] + a["t"], n) / binom_upper_shift(a["t"], n)
 
 
 def rhs_id08(n, a):
     (ba, da), (bb, db) = binom_row(a["beta"], n), rising_row(a["beta"], n)
-    px, dx = power_row(derived("x+1", a["x"]), n)
+    px, dx = power_row(a["x"] + 1, n)
     terms = map(mul, map(mul, reversed(ba), bb), px)  # C(beta,n-k) C(beta+k,k): lhs.id09
     return over(sum(-v if (n + k) % 2 else v for k, v in enumerate(terms)), da * db * dx)
 
@@ -224,7 +224,7 @@ def rhs_id20(n, a):
 
 def rhs_id21(n, a):
     s = a["s"]
-    return (central_binomial(n) * binom_upper_shift(derived("2x+1", s), 2 * n)
+    return (central_binomial(n) * binom_upper_shift(2 * s + 1, 2 * n)
             / binom_upper_shift(s, n))
 
 

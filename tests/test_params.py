@@ -23,6 +23,11 @@ from binomsums.params import Domain, ParamSpec, draws
 from binomsums.poly import RatFunc
 from binomsums.wz import PAIR_NAMES, load_pair
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:          # optional test dependency: the small rationals alone run
+    st = None
+
 F = Fraction
 
 
@@ -182,10 +187,9 @@ def test_domains_match_their_references_on_small_rationals(key):
 
 
 def test_an_assignment_admitted_at_a_depth_is_admitted_at_every_smaller_one():
-    # a draw is admitted once, at the deepest n its kept rows are read at, and every
-    # row below reads their prefix: sound only if a domain admits, at every smaller
-    # depth, what it admits at a depth (so check_identity's re-ask at n + 1 of a draw
-    # admitted at n_max + 1 finds nothing)
+    # check_identity asks a block's domain once, at its top n + 1, and reads every
+    # n below: sound only if a domain admits, at every smaller depth, what it
+    # admits at a depth (so a draw admitted at n_max + 1 is admitted at each n + 1)
     for seed in range(10):
         for key, spec in SPECS.items():
             if key in REGISTRY:
@@ -213,6 +217,36 @@ def test_a_small_rational_admitted_at_a_depth_is_admitted_at_every_smaller_one(k
         a = dict(zip(spec.names, values))
         admitted = [spec.reject(d, a) is None for d in DEPTHS if d <= top]
         assert admitted == sorted(admitted, reverse=True), (key, a, admitted)
+
+
+def admitted_depths(spec, a, top=52):
+    """Whether spec's domain admits a at each depth 0..top-1."""
+    return [spec.reject(d, a) is None for d in range(top)]
+
+
+@pytest.mark.parametrize("key", DISTINCT)
+def test_a_domain_admits_at_every_depth_below_one_it_admits_at(key):
+    # the one invariant behind a block's single domain question: reject(d, a) is
+    # None implies reject(d2, a) is None for every d2 < d, at every depth to 51,
+    # on small rationals (where every integer condition is likely) and on
+    # hypothesis's rationals, integers and half-integers
+    spec = SPECS[key]
+    for _, a in small_cases(key)[:1000]:
+        admitted = admitted_depths(spec, a)
+        assert admitted == sorted(admitted, reverse=True), (key, a, admitted)
+    if st is None:
+        return
+    value = st.one_of(st.integers(-60, 60).map(F), st.integers(-60, 60).map(lambda i: F(i, 2)),
+                      st.fractions(min_value=-60, max_value=60, max_denominator=100))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(value, min_size=len(spec.names), max_size=len(spec.names)))
+    def check(values):
+        a = dict(zip(spec.names, values))
+        admitted = admitted_depths(spec, a)
+        assert admitted == sorted(admitted, reverse=True), (key, a, admitted)
+
+    check()
 
 
 @pytest.mark.parametrize("key", sorted(SPECS))
