@@ -10,9 +10,9 @@ Legendre entries), decided at the largest n a draw will be used with and
 asked again once per check, at the top of its n.
 
 ID04's sides return the whole row (row, den) over its inner index j = 0..n,
-and the check compares the two rows.  With a[inner] a side gives one entry of
-its row, divided once, from the last row that side built, held in its own
-closure, so a wrong row on one side cannot appear on the other and cancel.
+and the check compares the two rows.  ``_per_index`` holds a side's last row
+at one n, in its own closure, and gives it, or with a[inner] one entry of it,
+divided once, so a wrong row on one side cannot appear on the other and cancel.
 The held row is keyed on n and the identity (``is``) of the other values:
 RatFunc and Jet2 values are unhashable, values are immutable, a per-j caller
 hands every j the same objects, and the key holds strong references, so no id
@@ -22,8 +22,9 @@ is reused while it is the key.
 row divides: int (num, den) pairs are equal iff their cross products are,
 and a pass row builds one ``Fraction`` for both sides, from the pair with
 the shorter den (every side hands back pairs); a fail row, a zero den and
-the other rings divide each side, the left first.  :func:`draw_for_entry` draws
-through :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
+the other rings divide each side, the left first; each row carries the
+assignment itself.  :func:`draw_for_entry` draws through
+:func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from typing import Callable, Mapping
 
 from ..exact import Pole, block, divided, over
 from ..hyperterm import AffineForm
-from ..params import (N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers,
-                      render_draw)
+from ..params import N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers
 from . import lhs, rhs
 
 F = Fraction
@@ -78,26 +78,24 @@ _ID15 = ParamSpec(("s",), Domain([Avoid(AffineForm.make(0, {"s": 1}), 0, N_MAX,
 
 
 def _per_index(side, inner):
-    """side, or with a[inner] one entry of its last row (module docstring)."""
-    kept = None, None, None     # (n, other names), their values, (row, den)
+    """side over a range of n; at one n its held last row, or with a[inner] one entry of it."""
+    kept = None, None, None, None     # (n, other names), their values, row, den
 
     def view(n, a):
         nonlocal kept
-        if inner not in a:
+        if type(n) is range:
             return side(n, a)
         key = n, [k for k in a if k != inner]
         if key != kept[0] or any(v is not a[k] for k, v in zip(key[1], kept[1])):
-            kept = key, [a[k] for k in key[1]], side(n, a)
-        row, den = kept[2]
-        return over(row[int(a[inner])], den)
+            kept = key, [a[k] for k in key[1]], *side(range(n, n + 1), a)[0]
+        return over(kept[2][int(a[inner])], kept[3]) if inner in a else kept[2:]
 
     return view
 
 
 def _entry(eid, statement, params, n_max, inner_index=None):
-    left, right = (block(getattr(module, eid.lower()), not inner_index) for module in (lhs, rhs))
-    if inner_index:
-        left, right = _per_index(left, inner_index), _per_index(right, inner_index)
+    left, right = (_per_index(side, inner_index) if inner_index else block(side)
+                   for side in (getattr(lhs, eid.lower()), getattr(rhs, eid.lower())))
     return IdentityEntry(eid, statement, params, left, right, n_max, inner_index)
 
 
@@ -223,8 +221,7 @@ def apply_mutations(names: tuple[str, ...]) -> dict[str, IdentityEntry]:
 # ---------------------------------------------------------------------------
 
 def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fraction],
-                   entries: dict[str, IdentityEntry] | None = None,
-                   params: dict[str, str] | None = None) -> ResultRow | list[ResultRow]:
+                   entries: dict[str, IdentityEntry] | None = None) -> ResultRow | list[ResultRow]:
     """The report's row of one check, pass iff both sides are exactly equal;
     for a range of n, the draw's rows over it in n order, each side one block.
 
@@ -234,10 +231,8 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
     admits at), and where that rejects or a side raises it is re-read n by n,
     so each row keeps its reason.  For an entry with an inner index both sides
     are rows over 0..n (module docstring); the first index where they differ
-    is reported, n for a pass.  ``params`` is the draw as the report shows it,
-    by default the assignment rendered."""
+    is reported, n for a pass.  Every row's params is ``assignment`` itself."""
     entry = (entries or REGISTRY)[entry_id]
-    params = render_draw(assignment) if params is None else params
     many = type(n) is range
     reason = entry.params.reject((n[-1] if many else n) + 1, assignment)
 
@@ -255,10 +250,10 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
         ints = type(ln) is type(ld) is type(rn) is type(rd) is int and ld and rd
         if ints and ln * rd == rn * ld:     # p/q = r/s iff ps = rq: one division for both
             value = over(ln, ld) if abs(ld) <= abs(rd) else over(rn, rd)    # the shorter den
-            return ResultRow(entry_id, params, m, value, value, "pass", "")
+            return ResultRow(entry_id, assignment, m, value, value, "pass", "")
         left, right = divided(left), divided(right)     # a fail, a zero den or another ring
         status = "pass" if not ints and left == right else "fail"
-        return ResultRow(entry_id, params, m, left, right, status,
+        return ResultRow(entry_id, assignment, m, left, right, status,
                          f"sides differ{tag}" if status == "fail" else "")
 
     status = "skipped"
@@ -269,8 +264,8 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
     except ZeroDivisionError as exc:
         status, reason = (("skipped", f"pole: {exc}") if isinstance(exc, Pole)
                           else ("fail", f"unexpected {type(exc).__name__}: {exc}"))
-    return ([check_identity(entry_id, m, assignment, entries, params) for m in n] if many
-            else ResultRow(entry_id, params, n, None, None, status, reason))
+    return ([check_identity(entry_id, m, assignment, entries) for m in n] if many
+            else ResultRow(entry_id, assignment, n, None, None, status, reason))
 
 
 def draw_for_entry(entry: IdentityEntry, seed: int, samples: int,

@@ -1,9 +1,9 @@
 """Deterministic suite runner over the catalog and the certificate pairs.
 
 A run is fully determined by (seed, n_max override, samples, filter,
-mutations): parameter draws are seeded per entry id, rows are emitted in
-(id, n, draw) order, and the writers render sides in the canonical rational
-format, so repeated runs are byte-identical.
+mutations): parameter draws are seeded per entry id and pair, rows are emitted
+in (id, n, draw) order, and the writers render sides in the canonical rational
+format and drawn values by ``str``, so repeated runs are byte-identical.
 
 ``catalog_rows`` checks each draw of an entry as one block of n and yields
 the entry's rows n-major, ``wz_rows`` yields rows as they are checked, and
@@ -14,14 +14,14 @@ pure-Python encoder in between.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
-from ..params import MAX_TRIES, ResultRow, draws, render_draw
+from ..params import MAX_TRIES, ResultRow, draws
 from ..wz import builtin_pairs, telescoping_sum_check, verify_wz_pair
 from .entries import apply_mutations, check_identity, draw_for_entry
 
@@ -41,8 +41,8 @@ class SuiteConfig:
     wz_scale: Fraction | None = None  # certificate scaling (negative control)
 
 
-def _params_block(params: dict) -> str:
-    return ("{" + ",".join(f"\n        {_str(k)}: {_str(v)}" for k, v in params.items())
+def _params_block(params: Mapping) -> str:
+    return ("{" + ",".join(f"\n        {_str(k)}: {_str(str(v))}" for k, v in params.items())
             + "\n      }" if params else "{}")
 
 
@@ -84,7 +84,7 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     out.write(f"suite: {suite}   seed: {seed}")
     for r in rows:
         counts[r.status] += 1
-        params = ",".join(f"{k}={v}" for k, v in sorted(r.params.items())) or "-"
+        params = ",".join(f"{k}={str(v)}" for k, v in sorted(r.params.items())) or "-"
         n, lhs, rhs = ("-" if value is None else value for value in (r.n, *_sides(r)))
         out.write(f"\n{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} "
                   f"{r.status}{f'  ({r.reason})' if r.reason else ''}")
@@ -102,22 +102,22 @@ def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
         ns = range((config.n_max if config.n_max is not None else entry.n_max) + 1)
         blocks = [[ResultRow(entry_id, {}, n, None, None, "skipped",
                              f"no admissible draw after {MAX_TRIES} tries") for n in ns]
-                  if assign is None else check_identity(entry_id, ns, assign, entries,
-                                                        render_draw(assign))
+                  if assign is None else check_identity(entry_id, ns, assign, entries)
                   for assign in draw_for_entry(entry, config.seed, config.samples, ns[-1])]
         for rows in zip(*blocks):
             yield from rows
 
 
 def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Symbolic + boundary + telescoping rows for the selected pairs."""
+    """Symbolic + boundary + telescoping rows for the selected pairs, each check on its draws."""
     n_max = config.n_max if config.n_max is not None else WZ_N_MAX
     for name, pair in builtin_pairs().items():
         if config.only and name not in config.only:
             continue
         if config.wz_scale is not None:
             pair = pair.scaled(config.wz_scale)
-        yield from verify_wz_pair(pair, n_max=n_max, samples=config.samples, seed=config.seed)
+        checked = draws(f"{config.seed}:wz:{name}", pair.params, n_max, config.samples)
+        yield from verify_wz_pair(pair, n_max, list(checked))
         telescoped = draws(f"{config.seed}:telescope:{name}", pair.params, n_max, config.samples)
         yield from telescoping_sum_check(pair, n_max, [a for a in telescoped if a is not None])
 

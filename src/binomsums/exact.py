@@ -158,12 +158,11 @@ def n_row(form: str, n: int) -> tuple[int, ...]:
     return tuple((odd if k % 2 else even) * _COEFFS[body](n, k) for k in range(n + 1))
 
 
-def block(side, divide=True):
+def block(side):
     """``side(ns, a)``, its (num, den) pairs over an ascending range ns, as a catalog side
-    that also takes a single n as a block of one: its pair, ``divided`` if ``divide``."""
-    one = divided if divide else (lambda value: value)
+    that also takes a single n as a block of one, ``divided`` (ID04's: ``entries._per_index``)."""
     return update_wrapper(lambda n, a: side(n, a) if type(n) is range
-                          else one(side(range(n, n + 1), a)[0]), side)
+                          else divided(side(range(n, n + 1), a)[0]), side)
 
 
 def alternating(row):

@@ -16,13 +16,13 @@ depth), so a check of a block of n asks it once, at the top.
 :func:`draw` is the one seeded draw, a plain ``dict`` of ``Fraction`` values,
 and :func:`draws` the one loop over it, with one generator per key:
 ``"{seed}:{entry id}"`` (catalog), ``"{seed}:wz:{pair}"`` (boundary and base
-checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums).  Those keys, the
-draw order, the ``n_max`` handed to the domain and its reasons are part of
-the byte-stable report.
+checks) or ``"{seed}:telescope:{pair}"`` (telescoping sums), the pair keys
+made in ``catalog.suite.wz_rows``.  Those keys, the draw order, the ``n_max``
+handed to the domain and its reasons are part of the byte-stable report.
 
-A :class:`ResultRow` is one verdict of the report, as the catalog and the
-certificate checks give it; its sides are values, which the writers render,
-and its draw is :func:`render_draw`'s.
+A :class:`ResultRow` is one verdict of the report: each check is handed its
+draws, and a row carries its draw itself (``{}`` if none) and its sides as
+values, which the writers render.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .hyperterm import AffineForm
 
 __all__ = ["BOUND", "MAX_TRIES", "N_MAX", "Avoid", "Domain", "ParamSpec", "ResultRow",
-           "draw", "draws", "not_negative_integers", "render_draw"]
+           "draw", "draws", "not_negative_integers"]
 
 MAX_TRIES = 1000
 BOUND = 100                            # a drawn value's numerator and denominator bound
@@ -45,17 +45,12 @@ _RATIONAL = (Fraction, int)            # by type: a Jet2 and a RatFunc have a de
 
 class ResultRow(NamedTuple):
     id: str
-    params: dict[str, str]
+    params: Mapping[str, Fraction]     # the draw checked, {} where there is none
     n: int | None
     lhs: Fraction | None
     rhs: Fraction | None
     status: str                        # pass | fail | skipped
     reason: str = ""
-
-
-def render_draw(assign: Mapping[str, Fraction]) -> dict[str, str]:
-    """A draw as the report shows it: each value as ``str`` gives it."""
-    return {k: str(v) for k, v in assign.items()}
 
 
 class Avoid(NamedTuple):

@@ -209,12 +209,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator

@@ -32,9 +32,9 @@ Both checks return the report's own rows (:class:`~binomsums.params.ResultRow`,
 id ``WZ-<pair>``), each reason prefixed by the check that gave it.
 
 Each pair's parameter hypotheses are a :class:`~binomsums.params.Domain` of
-``Avoid`` data, as a catalog entry's are, and its draws come from
-:func:`binomsums.params.draws`, the catalog's draw loop, keyed
-``"{seed}:wz:{pair}"``.  In the telescoping check only a
+``Avoid`` data, as a catalog entry's are.  Both checks are handed their draws
+(``catalog.suite.wz_rows`` makes them with :func:`binomsums.params.draws`),
+and each row carries its draw itself.  In the telescoping check only a
 :class:`~binomsums.exact.Pole` is a skip; any other division by zero, and a
 factor that is not rational at the draw, is a failure.
 
@@ -62,7 +62,7 @@ from operator import mul
 from .exact import Pole
 from .expr import parse_ratfunc, parse_term
 from .hyperterm import AffineForm, HyperTerm
-from .params import Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers, render_draw
+from .params import Avoid, Domain, ParamSpec, ResultRow, not_negative_integers
 from .poly import VARS, RatFunc, unpack
 
 __all__ = [
@@ -198,7 +198,7 @@ def certificate_residual(pair: WZPair) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 def _row(pair: WZPair, params: dict, status: str, reason: str) -> ResultRow:
-    """A report row of the pair: id WZ-<name>, no n and no sides."""
+    """A report row of the pair at the draw ``params``: id WZ-<name>, no n and no sides."""
     return ResultRow(f"WZ-{pair.name}", params, None, None, None, status, reason)
 
 
@@ -228,21 +228,20 @@ def _int_poly(poly, assign, inner):
     return values
 
 
-def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
-                   seed: int = 0) -> list[ResultRow]:
+def verify_wz_pair(pair: WZPair, n_max: int, param_draws: list[dict | None]) -> list[ResultRow]:
     """The symbolic row, then a boundary and a base-edge row per draw; a draw
     that fails is one fail row ``draw-<i>: ...`` in their place: a pole of the
     certificate at any k = 0 or n+2 first, read before the term, else the
-    term's first failing point in (n, j, k = 0, n+2, n+1) order."""
+    term's first failing point in (n, j, k = 0, n+2, n+1) order.  A None draw
+    is one fail row, ``draw-<i>: could not draw parameters``."""
     zero = certificate_residual(pair).is_zero
     rows = [_row(pair, {}, "pass" if zero else "fail",
                  f"symbolic residual {'=' if zero else '!='} 0")]
 
-    for index, assign in enumerate(draws(f"{seed}:wz:{pair.name}", pair.params, n_max, samples)):
+    for index, assign in enumerate(param_draws):
         if assign is None:
             rows.append(_row(pair, {}, "fail", f"draw-{index}: could not draw parameters"))
             continue
-        shown = render_draw(assign)
         # each row names its own first failing point; "" while none failed
         boundary_detail, base_detail = "", ""
         try:
@@ -274,11 +273,11 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
         except (ZeroDivisionError, ValueError) as exc:
             # a ValueError: a factor that is not rational at this draw
             cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
-            rows.append(_row(pair, shown, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
+            rows.append(_row(pair, assign, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
             continue
-        rows.append(_row(pair, shown, "fail" if boundary_detail else "pass",
+        rows.append(_row(pair, assign, "fail" if boundary_detail else "pass",
                          f"boundary: {boundary_detail or 'G(n,0) = G(n,n+2) = 0'}"))
-        rows.append(_row(pair, shown, "fail" if base_detail else "pass",
+        rows.append(_row(pair, assign, "fail" if base_detail else "pass",
                          f"base-edge: {base_detail or 'T(0,0) = 1, T(n,n+1) = 0'}"))
     return rows
 
@@ -288,7 +287,6 @@ def verify_wz_pair(pair: WZPair, n_max: int = 10, samples: int = 20,
 # ---------------------------------------------------------------------------
 
 def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
-    shown = render_draw(assign)
     try:
         inner = pair.extra_index
         reads = [(n, range(n + 1) if inner else (0,), range(n + 1)) for n in range(n_max + 1)]
@@ -297,13 +295,13 @@ def _telescope(pair: WZPair, n_max: int, assign: dict) -> ResultRow:
             sums = list(map(mul, scales, map(sum, rows)))
             if sums.count(den) < len(sums):
                 i = next(i for i, total in enumerate(sums) if total != den)
-                return _row(pair, shown, "fail", f"sum at n={n}" + (f", j={js[i]}" if inner else "")
-                            + f" is {Fraction(sums[i], den)}")
+                return _row(pair, assign, "fail", f"sum at n={n}"
+                            + (f", j={js[i]}" if inner else "") + f" is {Fraction(sums[i], den)}")
     except Pole as exc:
-        return _row(pair, shown, "skipped", f"skipped: pole ({exc})")
+        return _row(pair, assign, "skipped", f"skipped: pole ({exc})")
     except (ZeroDivisionError, ValueError) as exc:
-        return _row(pair, shown, "fail", f"unexpected {type(exc).__name__}: {exc}")
-    return _row(pair, shown, "pass", "telescoped sum = 1")
+        return _row(pair, assign, "fail", f"unexpected {type(exc).__name__}: {exc}")
+    return _row(pair, assign, "pass", "telescoped sum = 1")
 
 
 def telescoping_sum_check(pair: WZPair, n_max: int,

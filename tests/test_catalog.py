@@ -266,9 +266,9 @@ def test_per_index_view_keeps_one_row_per_side():
     built = []
 
     def stub(offset):
-        def side(n, a):
+        def side(ns, a):
             built.append(offset)
-            return [offset + 10 * n + i for i in range(n + 1)], 2
+            return [([offset + 10 * n + i for i in range(n + 1)], 2) for n in ns]
         return side
 
     left, right = _per_index(stub(100), "j"), _per_index(stub(200), "j")
@@ -285,11 +285,14 @@ def test_per_index_view_keeps_one_row_per_side():
         assert left(n, dict(a, j=1)) == F(100 + 10 * n + 1, 2)
         assert left(n, dict(a, j=0)) == F(100 + 10 * n, 2)
         assert built == [100]
-    # without the inner index the call passes through and leaves the kept row alone
+    # a range passes through and leaves the kept row alone
     built.clear()
-    assert left(5, {"x": x, "y": y}) == ([150, 151, 152, 153, 154, 155], 2)
+    assert left(range(4, 6), {"x": x, "y": y}) == [([140 + i for i in range(5)], 2),
+                                                   ([150 + i for i in range(6)], 2)]
     assert left(2, {"x": x, "y": y, "j": 2}) == F(122, 2)
     assert built == [100]
+    # one n without the inner index is the kept (row, den) itself, undivided
+    assert left(2, {"x": x, "y": y}) == ([120, 121, 122], 2) and built == [100]
 
 
 ROW_HELPER_CALLERS = {

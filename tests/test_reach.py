@@ -45,11 +45,11 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (396 of 1 578)
+# never-run statements per module under the commands above (391 of 1 545)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
-    "catalog/entries.py": 8,
+    "catalog/entries.py": 7,
     "catalog/jets_oracle.py": 35,
     "catalog/lhs.py": 0,
     "catalog/rhs.py": 0,
@@ -61,7 +61,7 @@ BUDGET = {
     "jets.py": 74,
     "legendre.py": 7,
     "params.py": 1,
-    "poly.py": 143,
+    "poly.py": 139,
     "wz.py": 21,
 }
 

@@ -6,11 +6,14 @@ import io
 import json
 from fractions import Fraction
 
-from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
+from binomsums.catalog import suite
+from binomsums.catalog.entries import check_identity
 from binomsums.catalog.suite import (ResultRow, SuiteConfig, run_catalog, run_wz, suite_rows,
                                      write_json, write_text)
 from binomsums.cli import main
 from binomsums.exact import render_rational
+from binomsums.params import draws
+from binomsums.wz import load_pair, telescoping_sum_check, verify_wz_pair
 
 F = Fraction
 
@@ -32,7 +35,8 @@ def _json_dict(suite, seed, rows):
         "suite": suite,
         "seed": seed,
         "results": [
-            {"id": r.id, "params": r.params, "n": r.n, "lhs": _rendered(r.lhs),
+            {"id": r.id, "params": {k: str(v) for k, v in r.params.items()}, "n": r.n,
+             "lhs": _rendered(r.lhs),
              "rhs": _rendered(r.rhs), "status": r.status, "reason": r.reason}
             for r in rows
         ],
@@ -77,7 +81,7 @@ def test_json_writer_matches_json_dumps():
         ("catalog", 0, flipped),
         ("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
     ]
-    assert not empty and pole_row.status == "skipped" and pole_row.params == {"s": "2"}
+    assert not empty and pole_row.status == "skipped" and pole_row.params == {"s": F(2)}
     assert (_cli_json("check", "ID01", "--samples", "0")
             == _written(write_json, "check:ID01", 0, empty) + "\n")
     rows = [row for _, _, report in reports for row in report]
@@ -205,16 +209,36 @@ def test_a_zero_side_prints_0_in_both_writers():
     assert [(r["lhs"], r["rhs"]) for r in report["results"]] == [("0", "0"), ("0", "1"), ("1", "0")]
 
 
-def test_rows_of_one_draw_share_its_rendered_params():
-    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",)))
-    draws = draw_for_entry(REGISTRY["ID06"], 0, 3, 3)
-    assert len(rows) == 4 * 3 and None not in draws
-    for i, row in enumerate(rows):            # rows run over n, then over draws
-        assert row.params is rows[i % 3].params
-        assert row.params == {k: str(v) for k, v in draws[i % 3].items()}
-    for i, row in enumerate(rows):
-        assert check_identity("ID06", row.n, draws[i % 3]).status == row.status
-    assert check_identity("ID15", 3, {"s": F(2)}).status == "skipped"
+def test_rows_carry_the_very_draw_they_were_checked_at(monkeypatch):
+    # every check is handed its draws and puts those objects in its rows, so the
+    # writer renders each draw once; the report renders each value by str
+    made = []
+    real = suite.draw_for_entry
+    monkeypatch.setattr(suite, "draw_for_entry", lambda *args: made.append(real(*args)) or made[-1])
+    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06", "ID16")))
+    (id06, id16), id06_rows = made, rows[:4 * 3]
+    assert len(rows) == 4 * 3 + 4 and None not in id06 and id16 == [{}]
+    for i, row in enumerate(id06_rows):        # rows run over n, then over draws
+        assert row.params is id06[i % 3]
+        assert check_identity("ID06", row.n, id06[i % 3]) == row
+    assert all(row.params is id16[0] for row in rows[4 * 3:])
+    # a block re-read n by n past a pole carries the one assignment too
+    lam = {"lam": F(31, 2)}
+    reread = check_identity("ID05", range(31), lam)
+    assert {r.status for r in reread} == {"pass", "skipped"}
+    assert all(r.params is lam for r in reread)
+    # the pair checks: each row carries the draw it was handed
+    pair = load_pair("thm1")
+    handed = [a for a in draws("rows:thm1", pair.params, 4, 3) if a is not None]
+    verified = verify_wz_pair(pair, 4, handed)
+    assert verified[0].params == {} and len(verified) == 1 + 2 * len(handed)
+    assert all(row.params is handed[i // 2] for i, row in enumerate(verified[1:]))
+    telescoped = telescoping_sum_check(pair, 4, handed)
+    assert [row.params for row in telescoped] == handed
+    assert all(row.params is a for row, a in zip(telescoped, handed))
+    report = rows + reread + verified + telescoped
+    assert (_written(write_json, "rows", 0, report)
+            == json.dumps(_json_dict("rows", 0, report), indent=2))
 
 
 def test_params_blocks_follow_the_row_objects():

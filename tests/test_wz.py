@@ -41,6 +41,12 @@ needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not inst
 F = Fraction
 
 
+def _seeded(pair, n_max, samples, seed=0):
+    """verify_wz_pair's rows on the draws the suite hands it for the pair at the seed."""
+    return verify_wz_pair(pair, n_max, list(draws(f"{seed}:wz:{pair.name}", pair.params,
+                                                  n_max, samples)))
+
+
 # ---------------------------------------------------------------------------
 # Fixture parsing
 # ---------------------------------------------------------------------------
@@ -363,7 +369,7 @@ def test_scaled_certificate_fails_symbolically():
 def test_perturbed_certificate_fails_symbolically():
     pair = load_pair("thm2")
     bumped = replace(pair, certificate=pair.certificate + parse_ratfunc("1/(n+1)"))
-    rows = verify_wz_pair(bumped, n_max=4, samples=2, seed=0)
+    rows = _seeded(bumped, 4, 2)
     symbolic = [row for row in rows if row.reason.startswith("symbolic residual")]
     assert symbolic and symbolic[0].status == "fail"
     assert not all(row.status == "pass" for row in rows)
@@ -463,7 +469,7 @@ def test_mutated_pairs_fail():
 
 @pytest.mark.parametrize("name", PAIR_NAMES)
 def test_verify_report_all_pass(name):
-    rows = verify_wz_pair(load_pair(name), n_max=10, samples=20, seed=0)
+    rows = _seeded(load_pair(name), 10, 20)
     assert all(row.status == "pass" for row in rows)
     assert {row.id for row in rows} == {f"WZ-{name}"}
     checks = {row.reason.partition(":")[0] for row in rows}
@@ -481,7 +487,7 @@ def _broken_thm2():
 
 def test_boundary_and_base_edge_rows_name_their_own_failure():
     rows = {row.reason.partition(":")[0]: row
-            for row in verify_wz_pair(_broken_thm2(), n_max=2, samples=1)}
+            for row in _seeded(_broken_thm2(), 2, 1)}
     assert rows["boundary"].status == "fail" and rows["boundary"].reason == "boundary: G(0,0) != 0"
     assert (rows["base-edge"].status == "fail"
             and rows["base-edge"].reason == "base-edge: T(0,0) != 1")
@@ -527,7 +533,7 @@ def _common_factor_pair():
 
 
 def test_certificate_common_factor_still_gives_the_pole_row():
-    rows = verify_wz_pair(_common_factor_pair(), n_max=2, samples=1)
+    rows = _seeded(_common_factor_pair(), 2, 1)
     assert [(row.status, row.reason) for row in rows[1:]] == [
         ("fail", "draw-0: unexpected pole: pole at assignment")]
 
@@ -541,7 +547,7 @@ def test_a_pair_with_no_admissible_draw_gives_fail_rows(monkeypatch):
     expected = [symbolic] + [
         ResultRow("WZ-thm2", {}, None, None, None, "fail", f"draw-{i}: could not draw parameters")
         for i in range(3)]
-    assert verify_wz_pair(pair, n_max=2, samples=3) == expected
+    assert verify_wz_pair(pair, 2, [None] * 3) == _seeded(pair, 2, 3) == expected
     # the report has the same rows and no telescoping row: no draw is left to sum
     monkeypatch.setattr(suite, "builtin_pairs", lambda: {"thm2": pair})
     config = suite.SuiteConfig(n_max=2, samples=3, only=("thm2",))
@@ -549,8 +555,8 @@ def test_a_pair_with_no_admissible_draw_gives_fail_rows(monkeypatch):
 
 
 def test_verify_is_deterministic():
-    a = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
-    b = verify_wz_pair(load_pair("thm2"), n_max=6, samples=5, seed=7)
+    a = _seeded(load_pair("thm2"), 6, 5, 7)
+    b = _seeded(load_pair("thm2"), 6, 5, 7)
     assert a == b
 
 
@@ -660,16 +666,16 @@ def test_a_draw_fails_at_its_first_failing_point_in_read_order():
     # boundary k = n+2 for j >= 1 only: the edge point (n, j, k) = (0, 0, 1) is
     # read before the boundary point (1, 1, 3), and its failure is the row
     pair = _with_factor("thm1", "binom(k-n-2-2*j,n-k)")
-    rows = verify_wz_pair(pair, n_max=3, samples=1)
+    rows = _seeded(pair, 3, 1)
     assert [(row.status, row.reason) for row in rows[1:]] == [
         ("fail",
          "draw-0: unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")]
-    rows = verify_wz_pair(_with_factor("thm1", "binom(k-n-2,n-k)"), n_max=3, samples=1)
+    rows = _seeded(_with_factor("thm1", "binom(k-n-2,n-k)"), 3, 1)
     assert rows[1].reason == (
         "draw-0: unexpected pole: binom(-1,-1) is indeterminate (0/0 ratio of poles)")
     # the certificate's boundary poles are read before the term: a pole at
     # n = 2 wins over the term's failures at n = 0 and 1
-    rows = verify_wz_pair(_pole_at_n2(pair), n_max=3, samples=1)
+    rows = _seeded(_pole_at_n2(pair), 3, 1)
     assert [(row.status, row.reason) for row in rows[1:]] == [
         ("fail", "draw-0: unexpected pole: pole at assignment")]
 
@@ -691,7 +697,6 @@ def _per_point_rows(pair, n_max, samples, seed):
         if assign is None:
             rows.append(row({}, "fail", f"draw-{index}: could not draw parameters"))
             continue
-        shown = {k: str(v) for k, v in assign.items()}
         points = [(n, j, k) for n in range(n_max + 1)
                   for j in (range(n + 1) if pair.extra_index else (0,))
                   for k in (0, n + 2, n + 1)]
@@ -706,15 +711,15 @@ def _per_point_rows(pair, n_max, samples, seed):
             term = {point: pair.term.evaluate(at(*point)) for point in points}
         except (ZeroDivisionError, ValueError) as exc:
             cause = "pole" if isinstance(exc, ZeroDivisionError) else type(exc).__name__
-            rows.append(row(shown, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
+            rows.append(row(assign, "fail", f"draw-{index}: unexpected {cause}: {exc}"))
             continue
         boundary = next((f"G({n},{k}) != 0" for n, j, k in points if k != n + 1 and term[n, j, k]
                          and evaluate(pair.certificate.num, at(n, j, k))), "")
         edge = next((f"T({n},{k}) != 0" for n, j, k in points if k == n + 1 and term[n, j, k]), "")
         base = "T(0,0) != 1" if term[0, 0, 0] != 1 else edge
-        rows.append(row(shown, "fail" if boundary else "pass",
+        rows.append(row(assign, "fail" if boundary else "pass",
                         f"boundary: {boundary or 'G(n,0) = G(n,n+2) = 0'}"))
-        rows.append(row(shown, "fail" if base else "pass",
+        rows.append(row(assign, "fail" if base else "pass",
                         f"base-edge: {base or 'T(0,0) = 1, T(n,n+1) = 0'}"))
     return rows
 
@@ -728,7 +733,7 @@ def _per_point_rows(pair, n_max, samples, seed):
 def test_verify_rows_equal_a_per_point_reference(make, n_max, seed):
     pair = make()
     want = _per_point_rows(pair, n_max, 20, seed)
-    assert verify_wz_pair(pair, n_max=n_max, samples=20, seed=seed) == want
+    assert _seeded(pair, n_max, 20, seed) == want
 
 
 # thm1 with C(k, j) and C(alpha, n-k) moved so that the term can be nonzero at k = n+2
@@ -743,7 +748,7 @@ def test_a_boundary_failing_inside_a_block_names_its_first_j():
     # G(2,4) is nonzero, so the row is G(2,4) != 0, as in the per-point walk.  Reading
     # k = 0 for every j first, or taking the last failing j, would give G(2,0)
     pair = replace(load_pair("thm1"), term=parse_term(_BOUNDARY_IN_BLOCK))
-    rows = verify_wz_pair(pair, n_max=4, samples=5)
+    rows = _seeded(pair, 4, 5)
     assert rows == _per_point_rows(pair, 4, 5, 0)
     assert [row.reason for row in rows[1::2]] == ["boundary: G(2,4) != 0"] * 5
 
@@ -803,8 +808,7 @@ def test_each_factor_is_read_once_per_draw(monkeypatch):
     pair, n_max = load_pair("thm1"), 8
     assign = draw(random.Random("once:thm1"), pair.params, n_max)
     checks = (lambda: telescoping_sum_check(pair, n_max, [assign])[0].status == "pass",
-              lambda: all(row.status == "pass" for row in verify_wz_pair(pair, n_max=n_max,
-                                                                         samples=1)))
+              lambda: all(row.status == "pass" for row in _seeded(pair, n_max, 1)))
     for check in checks:
         grids.clear()
         assert check() is True
@@ -822,7 +826,7 @@ def test_a_non_rational_factor_is_a_fail_row():
     assert results[0].reason == (
         "unexpected ValueError: binom(5/6,1/3) is not rational (neither the lower "
         "index nor the upper shift is an integer)")
-    rows = verify_wz_pair(pair, n_max=3, samples=3)
+    rows = _seeded(pair, 3, 3)
     assert len(rows) == 4 and all(row.status == "fail" for row in rows[1:])
     assert all(row.reason.startswith(f"draw-{i}: unexpected ValueError: binom(")
                for i, row in enumerate(rows[1:]))
