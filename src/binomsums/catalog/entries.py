@@ -19,11 +19,12 @@ hands every j the same objects, and the key holds strong references, so no id
 is reused while it is the key.
 
 :func:`check_identity` is the one guarded evaluation, and where a catalog
-row divides: int (num, den) pairs are equal iff their cross products are,
-and a pass row builds one ``Fraction`` for both sides, from the pair with
-the shorter den (every side hands back pairs); a fail row, a zero den and
-the other rings divide each side, the left first; each row carries the
-assignment itself.  :func:`draw_for_entry` draws through
+row divides: every side, a mutation's included, hands back (num, den)
+pairs, and a pair leaves through ``exact.over`` alone.  Int pairs are equal
+iff their cross products are, and a pass row builds one ``Fraction`` for
+both sides, from the pair with the shorter den; a fail row, a zero den and
+the other rings divide each side's pair, the left first; each row carries
+the assignment itself.  :func:`draw_for_entry` draws through
 :func:`~binomsums.params.draws` with the key ``"{seed}:{entry id}"``.
 """
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping
 
-from ..exact import Pole, block, divided, over
+from ..exact import Pole, block, over
 from ..hyperterm import AffineForm
 from ..params import N_MAX, Avoid, Domain, ParamSpec, ResultRow, draws, not_negative_integers
 from . import lhs, rhs
@@ -196,7 +197,8 @@ def _id24_flip_h2n(entries: dict[str, IdentityEntry]) -> dict[str, IdentityEntry
     from ..exact import central_binomial, harmonic
 
     def flipped_rhs(ns, a):
-        return [central_binomial(n) * (2 * harmonic(n) + harmonic(2 * n)) for n in ns]
+        return [(central_binomial(n) * (2 * harmonic(n) + harmonic(2 * n))).as_integer_ratio()
+                for n in ns]
 
     return {**entries, "ID24": replace(entries["ID24"], rhs=block(flipped_rhs))}
 
@@ -251,7 +253,7 @@ def check_identity(entry_id: str, n: int | range, assignment: Mapping[str, Fract
         if ints and ln * rd == rn * ld:     # p/q = r/s iff ps = rq: one division for both
             value = over(ln, ld) if abs(ld) <= abs(rd) else over(rn, rd)    # the shorter den
             return ResultRow(entry_id, assignment, m, value, value, "pass", "")
-        left, right = divided(left), divided(right)     # a fail, a zero den or another ring
+        left, right = over(ln, ld), over(rn, rd)    # a fail, a zero den or another ring
         status = "pass" if not ints and left == right else "fail"
         return ResultRow(entry_id, assignment, m, left, right, status,
                          f"sides differ{tag}" if status == "fail" else "")

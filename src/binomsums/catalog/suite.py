@@ -46,6 +46,22 @@ def _params_block(params: Mapping) -> str:
             + "\n      }" if params else "{}")
 
 
+def _params_text(params: Mapping) -> str:
+    return ",".join(f"{k}={str(v)}" for k, v in sorted(params.items())) or "-"
+
+
+def _per_draw(rows: Iterable[ResultRow], render) -> Iterator[tuple[ResultRow, str]]:
+    """Each row with ``render`` of its params, made once per draw: kept by the id of the
+    draw's one dict, the dict held so its id is not reused while kept, 257 draws at most."""
+    kept = {}
+    for r in rows:
+        if (hit := kept.get(id(r.params))) is None:
+            if len(kept) > 256:
+                kept.clear()
+            hit = kept[id(r.params)] = r.params, render(r.params)
+        yield r, hit[1]
+
+
 def _sides(r: ResultRow) -> tuple[str | None, str | None]:
     lhs = None if r.lhs is None else render_rational(r.lhs)
     return lhs, lhs if r.status == "pass" else None if r.rhs is None else render_rational(r.rhs)
@@ -55,14 +71,9 @@ def write_json(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     """Write the JSON report to ``out``, each row as it arrives; its counts."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     out.write(f'{{\n  "suite": {_str(suite)},\n  "seed": {int.__repr__(seed)},\n  "results": ')
-    start, blocks = "[\n", {}   # id of a draw's one params dict -> (the dict, held, its block)
-    for r in rows:
+    start = "[\n"
+    for r, params in _per_draw(rows, _params_block):
         counts[r.status] += 1
-        if (kept := blocks.get(id(r.params))) is None:
-            if len(blocks) > 256:
-                blocks.clear()
-            kept = blocks[id(r.params)] = r.params, _params_block(r.params)
-        params = kept[1]
         lhs, rhs = _sides(r)
         out.write(
             f'{start}    {{\n      "id": {_str(r.id)},\n      "params": {params},\n'
@@ -82,9 +93,8 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     """Write the text report to ``out``, each row as it arrives; its counts."""
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     out.write(f"suite: {suite}   seed: {seed}")
-    for r in rows:
+    for r, params in _per_draw(rows, _params_text):
         counts[r.status] += 1
-        params = ",".join(f"{k}={str(v)}" for k, v in sorted(r.params.items())) or "-"
         n, lhs, rhs = ("-" if value is None else value for value in (r.n, *_sides(r)))
         out.write(f"\n{r.id:<9} n={n:<4} {params:<28} lhs={lhs} rhs={rhs} "
                   f"{r.status}{f'  ({r.reason})' if r.reason else ''}")

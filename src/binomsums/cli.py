@@ -32,7 +32,7 @@ import json
 import os
 import sys
 
-from .catalog.entries import MUTATIONS, REGISTRY, apply_mutations
+from .catalog.entries import REGISTRY, apply_mutations
 from .catalog.suite import (SuiteConfig, catalog_rows, suite_rows, write_json,
                             write_text, wz_rows)
 from .exact import parse_rational
@@ -148,11 +148,12 @@ def _run(args, out) -> int:
             raise UsageError(f"unknown identity id {args.id!r} (see 'list')")
         mutations: tuple[str, ...] = ()
         if args.mutate is not None:
-            if args.mutate not in MUTATIONS:
-                raise UsageError(f"unknown mutation {args.mutate!r}; known: "
-                                 + ", ".join(sorted(MUTATIONS)))
             mutations = (args.mutate,)
-            if apply_mutations(mutations)[args.id] is REGISTRY[args.id]:
+            try:
+                mutated = apply_mutations(mutations)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+            if mutated[args.id] is REGISTRY[args.id]:
                 raise UsageError(f"mutation {args.mutate!r} leaves {args.id} unchanged")
         suite, rows = f"check:{args.id}", catalog_rows(SuiteConfig(
             only=(args.id,), mutations=mutations, **config_kwargs))

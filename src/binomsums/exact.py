@@ -8,21 +8,21 @@ only through the differences psi(s+1) - psi(s-n+1) and psi'(s+1) -
 psi'(s-n+1), which are rational in s, so the constants gamma, pi^2 and ln 2
 never enter the value domain.
 
-Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only,
-and reads its input as p/q through ``numerator`` and ``denominator``, so one
-path serves all three rings: ints over one int den > 0 for an int or
-``Fraction`` (n! q^n for the binomial rows, q^n for ``power_row``,
-lcm(1..N)^order for ``harmonic_row``), ``MultiPoly`` values over one
-``MultiPoly`` for a ``RatFunc``, int-coefficient jets over one int for a
-``Jet2``.  No kernel divides, and a catalog side hands back each n's (num,
-den) undivided (``block``: a single n is a block of one, ``divided``); the
-check divides a row once, and ``over`` divides a pair in its ring, into one
-``Fraction``, one ``RatFunc`` or a jet.  ``binom_tops`` and ``rising_tops``
-read entries of a kernel's row as such pairs, without the rest of the row
-(``_tops``), as ``binom_upper_shift``, ``pole_sum`` (sum_{i<n} 1/(s-i)^power,
-one running sum over the product of the (p - iq)^power) and ``legendre`` do
-for a range of n, dividing one for one n.  ``reciprocal_row``'s den is the
-product of the rising factors, so a vanishing C(b+k, k) raises the ring's
+Row convention: every ``*_row`` kernel returns ``(row, den)``, read-only, and
+reads its input as p/q through ``numerator`` and ``denominator``, so one path
+serves all three rings: ints over one int den > 0 for an int or ``Fraction``
+(n! q^n for the binomial rows, q^n for ``power_row``, lcm(1..N)^order for
+``harmonic_row``), ``MultiPoly`` values over one ``MultiPoly`` for a
+``RatFunc``, int-coefficient jets over one int for a ``Jet2``.  No kernel
+divides, and every catalog side hands back each n's (num, den) undivided
+(``block``: a single n is a block of one, divided); a pair leaves through one
+exit, ``over``, which divides it in its ring, into one ``Fraction``, one
+``RatFunc`` or a jet.  ``binom_tops`` and ``rising_tops`` read entries of a
+kernel's row as such pairs, without the rest of the row (``_tops``), as
+``binom_upper_shift``, ``pole_sum`` (sum_{i<n} 1/(s-i)^power, one running sum
+over the product of the (p - iq)^power) and ``legendre`` do for a range of n,
+dividing one for one n.  ``reciprocal_row``'s den is the product of the
+rising factors, so a vanishing C(b+k, k) raises the ring's
 ``ZeroDivisionError`` at ``over`` (``Pole`` for a jet).
 
 A row at a parameter is built afresh by each call (only the rows that depend
@@ -61,7 +61,7 @@ from operator import add, mul, sub
 from .poly import MultiPoly, RatFunc
 
 __all__ = ["Pole", "alternating", "binom_poly", "binom_row", "binom_tops", "binom_upper_shift",
-           "block", "central_binomial", "digamma_diff", "divided", "harmonic", "harmonic_row",
+           "block", "central_binomial", "digamma_diff", "harmonic", "harmonic_row",
            "n_row", "over", "parse_rational", "pascal_rows", "pascal_step", "pole_sum",
            "power_row", "product_row", "reciprocal_row", "reciprocal_step", "render_rational",
            "rising_row", "rising_tops", "taylor_shift", "trigamma_diff"]
@@ -160,9 +160,9 @@ def n_row(form: str, n: int) -> tuple[int, ...]:
 
 def block(side):
     """``side(ns, a)``, its (num, den) pairs over an ascending range ns, as a catalog side
-    that also takes a single n as a block of one, ``divided`` (ID04's: ``entries._per_index``)."""
+    that also takes a single n as a block of one, ``over`` (ID04's: ``entries._per_index``)."""
     return update_wrapper(lambda n, a: side(n, a) if type(n) is range
-                          else divided(side(range(n, n + 1), a)[0]), side)
+                          else over(*side(range(n, n + 1), a)[0]), side)
 
 
 def alternating(row):
@@ -179,11 +179,6 @@ def over(total, den):
     return (RatFunc(*(v if isinstance(v, MultiPoly) else MultiPoly.const(v) for v in (total, den)))
             if isinstance(total, MultiPoly) or isinstance(den, MultiPoly)
             else total if den == 1 else total / den)
-
-
-def divided(value):
-    """A catalog side's value at one n: its (num, den) ``over``, or the value it gave."""
-    return over(*value) if type(value) is tuple else value
 
 
 def _row(x, n: int, step):

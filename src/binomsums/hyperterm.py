@@ -283,17 +283,6 @@ class HyperTerm:
                     parts[side ^ (exp < 0) ^ (m < 0)] *= x + i
         return RatFunc(*parts)
 
-    def render(self) -> str:
-        parts = []
-        if self.sign.coeffs or self.sign.constant:
-            parts.append(f"sign({self.sign.render()})")
-        if self.constant != 1 or not self.factors:
-            parts.append(str(self.constant))
-        for top, bottom, exp in self.factors:
-            suffix = "" if exp == 1 else "^-1"
-            parts.append(f"binom({top.render()},{bottom.render()}){suffix}")
-        return " * ".join(parts)
-
 
 def _bind(form, fixed, axes):
     """form at the fixed values: (its value where the three axes are 0, its three slopes)."""

@@ -566,10 +566,6 @@ class RatFunc:
     def var(cls, name: str) -> "RatFunc":
         return cls(MultiPoly.var(name), MultiPoly.const(1))
 
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFunc":
-        return cls(p, MultiPoly.const(1))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -587,8 +583,6 @@ class RatFunc:
     def _coerced(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, MultiPoly):
-            return RatFunc.from_poly(other)
         if isinstance(other, (int, Fraction)):
             return RatFunc.const(other)
         return None

@@ -20,7 +20,7 @@ import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
 from binomsums.catalog.suite import SuiteConfig, catalog_rows
-from binomsums.exact import divided, n_row, over
+from binomsums.exact import n_row, over
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
 from binomsums.poly import VARS, RatFunc
@@ -29,17 +29,18 @@ F = Fraction
 PARAMETRIC = [entry_id for entry_id, entry in REGISTRY.items() if entry.params.names]
 
 
-def values(entry, value):
-    """A side's value at one n, a block's (num, den) pair divided first; an inner-index
-    entry's (row, den) as its entries."""
-    return [over(v, value[1]) for v in value[0]] if entry.inner_index else divided(value)
+def values(entry, pair):
+    """A block's (num, den) pair divided; an inner-index entry's (row, den) as its entries."""
+    return [over(v, pair[1]) for v in pair[0]] if entry.inner_index else over(*pair)
 
 
 def assert_block_is_per_n(entry, ns, a):
     for side in (entry.lhs, entry.rhs):
         block = side(ns, a)
         assert len(block) == len(ns), (entry.id, side.__name__)
-        assert [values(entry, v) for v in block] == [values(entry, side(n, a)) for n in ns], (
+        per_n = [side(n, a) for n in ns]    # a single n divided, but ID04's (row, den)
+        assert [values(entry, v) for v in block] == [
+            values(entry, v) if entry.inner_index else v for v in per_n], (
             entry.id, side.__name__, a)
 
 

@@ -143,13 +143,15 @@ def test_wz_mutation_validation():
     assert code == 2
 
 
-def test_check_mutation_flow():
+def test_check_mutation_flow(capsys):
     code, text = run_cli("check", "ID24", "--n-max", "3",
                          "--mutate", "id24-flip-h2n")
     assert code == 1
     assert "fail" in text
+    capsys.readouterr()
     code, _ = run_cli("check", "ID24", "--n-max", "3", "--mutate", "bogus")
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown mutation 'bogus'; known: id24-flip-h2n\n"
     # a negative control that cannot trip: the mutation leaves ID01 as it is
     code, text = run_cli("check", "ID01", "--mutate", "id24-flip-h2n",
                          "--n-max", "2", "--samples", "1")

@@ -18,7 +18,7 @@ from binomsums.hyperterm import (
     _eval_binomial,
 )
 from binomsums.params import draw
-from binomsums.poly import RatFunc
+from binomsums.poly import MultiPoly, RatFunc
 from binomsums.wz import PAIR_NAMES, load_pair
 
 from ring_values import evaluate
@@ -257,7 +257,7 @@ def _assert_rows_match(term, assign, n, js, ks):
         for row, den in _rows(term, {**assign, "n": n}, "j", js, "k", ks):
             yield [F(v, den) for v in row]
 
-    assert _read(by_rows()) == _read(by_points()), (term.render(), assign, n, js, ks)
+    assert _read(by_rows()) == _read(by_points()), (term, assign, n, js, ks)
 
 
 def _grid_orders(n):
@@ -335,7 +335,7 @@ def _assert_grid_matches(term, assign, reads):
         for row, den in _flat(term, assign, "n", "j", "k", reads):
             yield [F(v, den) for v in row]
 
-    assert _read(by_grid()) == _read(by_points()), (term.render(), assign, reads)
+    assert _read(by_grid()) == _read(by_points()), (term, assign, reads)
 
 
 def _whole_draw_reads(n_max):
@@ -449,7 +449,7 @@ def test_sums_fall_back_to_the_rows_at_a_failing_point(monkeypatch):
                     term = HyperTerm(F(3, 2), affine(sign), tuple(factors))
                     for each in reads:
                         assert _sums(term, {"t": F(1, 3)}, each) == _read(
-                            reference(term, each)), (term.render(), each)
+                            reference(term, each)), (term, each)
                         read += len(each)
     assert 0 < len(shifts) < read       # some n shifted, some read by the rows
 
@@ -562,9 +562,9 @@ def test_shift_ratio_examples():
 def _reference_shift_ratio(term, name):
     """T(name+1)/T(name) built factor by factor, a canonical RatFunc at each step."""
     def gamma_ratio(x, m):      # Gamma(x+m)/Gamma(x)
-        out = RatFunc.const(1)
+        out, one = RatFunc.const(1), MultiPoly.const(1)
         for i in range(m) if m >= 0 else range(1, -m + 1):
-            out = out * RatFunc.from_poly(x + i) if m >= 0 else out / RatFunc.from_poly(x - i)
+            out = out * RatFunc(x + i, one) if m >= 0 else out / RatFunc(x - i, one)
         return out
 
     ratio = RatFunc.const(-1 if int(term.sign.coeff(name)) % 2 else 1)
@@ -591,7 +591,7 @@ def test_shift_ratio_equals_the_factor_by_factor_reference():
     for term in terms:
         for var in ("n", "k", "j"):
             got, want = term.shift_ratio(var), _reference_shift_ratio(term, var)
-            assert got == want and got.render() == want.render(), (term.render(), var)
+            assert got == want and got.render() == want.render(), (term, var)
 
 
 def test_shift_ratio_upper_shift_factor():

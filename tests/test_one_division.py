@@ -29,7 +29,8 @@ from operator import mul
 
 import pytest
 
-from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
+from binomsums.catalog.entries import (MUTATIONS, REGISTRY, apply_mutations, check_identity,
+                                       draw_for_entry)
 from binomsums.catalog.suite import SuiteConfig, catalog_rows
 from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, block, central_binomial,
                              digamma_diff, harmonic, n_row, over, power_row, reciprocal_row,
@@ -150,9 +151,13 @@ def test_a_sweep_divides_once_per_pass_row(entry_id, monkeypatch):
 
 
 def test_every_side_hands_back_pairs_over_a_drawn_block():
-    # over a draw's block of n, every registry side gives one (num, den) tuple
-    # per n, never a divided value (ID04: its j-row and den)
-    for entry in REGISTRY.values():
+    # over a draw's block of n, every registry side, and every side a mutation
+    # puts in, gives one (num, den) tuple per n, never a divided value (ID04: its
+    # j-row and den)
+    mutated = [e for name in MUTATIONS for eid, e in apply_mutations((name,)).items()
+               if e is not REGISTRY[eid]]
+    assert [e.id for e in mutated] == ["ID24"]      # id24-flip-h2n's right side
+    for entry in [*REGISTRY.values(), *mutated]:
         for a in draw_for_entry(entry, 0, 3, entry.n_max):
             ns = range(entry.n_max + 1)
             for which in ("lhs", "rhs"):

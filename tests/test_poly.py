@@ -521,7 +521,7 @@ def test_ratfunc_sum_equals_the_cross_multiplied_sum():
             return
         pairs = [(RatFunc(num1, den1), RatFunc(num2, den1)),
                  (RatFunc(num1, den1), RatFunc(num2, den2)),
-                 (RatFunc.from_poly(num1), RatFunc.from_poly(num2))]
+                 (RatFunc(num1, MultiPoly.const(1)), RatFunc(num2, MultiPoly.const(1)))]
         for a, b in pairs:
             seen["equal" if a.den == b.den else "unequal"] += 1
             assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)

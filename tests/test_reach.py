@@ -45,7 +45,7 @@ COMMANDS = (
     ["check", "ID01", "--config", "{missing}"],
 )
 
-# never-run statements per module under the commands above (391 of 1 545)
+# never-run statements per module under the commands above (380 of 1 534)
 BUDGET = {
     "__init__.py": 0,
     "catalog/__init__.py": 0,
@@ -57,11 +57,11 @@ BUDGET = {
     "cli.py": 16,
     "exact.py": 17,
     "expr.py": 34,
-    "hyperterm.py": 38,
+    "hyperterm.py": 29,
     "jets.py": 74,
     "legendre.py": 7,
     "params.py": 1,
-    "poly.py": 139,
+    "poly.py": 137,
     "wz.py": 21,
 }
 

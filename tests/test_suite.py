@@ -241,18 +241,26 @@ def test_rows_carry_the_very_draw_they_were_checked_at(monkeypatch):
             == json.dumps(_json_dict("rows", 0, report), indent=2))
 
 
-def test_params_blocks_follow_the_row_objects():
-    # the JSON writer renders a params dict once and keeps the block by the
-    # dict's identity, holding the dict: rows that share a dict, equal dicts
-    # apart, more dicts than it keeps at once, and fresh dicts that die as soon
-    # as their row is written (so their ids come free) all render as json.dumps
-    # renders them
+def _text_per_row(suite, seed, rows):
+    """write_text's report with each row written by a writer of its own, its params
+    rendered afresh: the per-row reference for write_text."""
+    lines = [_written(write_text, suite, seed, [r]).splitlines()[1] for r in rows]
+    summary = "pass={pass} fail={fail} skipped={skipped}".format(**_counts(rows))
+    return "\n".join([f"suite: {suite}   seed: {seed}", *lines, summary])
+
+
+def test_params_blocks_follow_the_row_objects(monkeypatch):
+    # each writer renders a params dict once and keeps the rendering by the dict's
+    # identity, holding the dict: rows that share a dict, equal dicts apart, more
+    # dicts than it keeps at once, and fresh dicts that die as soon as their row is
+    # written (so their ids come free) all render as a row-by-row rendering does
     shared = [{"x": str(i), "y": "1/2"} for i in range(300)]
     rows = [ResultRow("ID02", shared[i], n, F(n), F(n), "pass")
             for n in range(3) for i in range(300)]
     rows += [ResultRow("ID02", {"x": "7", "y": "1/2"}, 3, None, None, "skipped", "r")]
     assert _written(write_json, "blocks", 1, rows) == json.dumps(_json_dict("blocks", 1, rows),
                                                                  indent=2)
+    assert _written(write_text, "blocks", 1, rows) == _text_per_row("blocks", 1, rows)
 
     def fresh():
         for i in range(1000):
@@ -260,3 +268,16 @@ def test_params_blocks_follow_the_row_objects():
 
     written = _written(write_json, "fresh", 2, fresh())
     assert written == json.dumps(_json_dict("fresh", 2, list(fresh())), indent=2)
+    assert _written(write_text, "fresh", 2, fresh()) == _text_per_row("fresh", 2, list(fresh()))
+    # over a catalog run, whose rows of one draw share its dict, each writer
+    # renders every draw object exactly once
+    renders = []
+    for name in ("_params_block", "_params_text"):
+        monkeypatch.setattr(suite, name, lambda params, real=getattr(suite, name): (
+            renders.append(params) or real(params)))
+    report = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0))
+    drawn = {id(r.params) for r in report}
+    for writer in (write_json, write_text):
+        renders.clear()
+        _written(writer, "catalog", 0, report)
+        assert sorted(map(id, renders)) == sorted(drawn), writer.__name__

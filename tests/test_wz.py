@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from importlib import resources
 from math import lcm
 
 import pytest
@@ -39,6 +40,13 @@ except ImportError:          # optional test dependency: the property tests skip
 needs_hypothesis = pytest.mark.skipif(st is None, reason="hypothesis is not installed")
 
 F = Fraction
+
+
+def _fixture_term(name):
+    """The ``term:`` line of a pair's fixture file, as the file spells it."""
+    text = resources.files("binomsums.fixtures").joinpath(f"{name}.wz").read_text()
+    return next(line.split(":", 1)[1].strip() for line in text.splitlines()
+                if line.startswith("term:"))
 
 
 def _seeded(pair, n_max, samples, seed=0):
@@ -390,7 +398,6 @@ def test_sympy_rebuilds_each_residual_verdict_from_the_fixture_text():
     # scale-cert:2 and scale-cert:8/7 mutants and for each one-factor exponent flip, of
     # which only thm1's binom(beta+j,j)^-1, free of n and k, leaves the residual zero
     import sympy
-    from importlib import resources
 
     symbols = {str(v): v for v in sympy.symbols("n k j alpha beta s t p")}
     n, k = symbols["n"], symbols["k"]
@@ -632,7 +639,7 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
     # at (n, k) = (20, 0), where it is 0/0: the n up to 19 are Taylor-shifted and
     # n = 20 is read j by j.  Either way the row is the per-j path's, byte for byte
     pair, n_max = load_pair("thm1"), 20
-    pair = replace(pair, term=parse_term(perturb + pair.term.render()))
+    pair = replace(pair, term=parse_term(perturb + _fixture_term("thm1")))
     draws = [draw(random.Random(f"perturbed:{i}"), pair.params, n_max) for i in range(3)]
     shifts, real_shift = [], hyperterm.taylor_shift
 
@@ -652,8 +659,7 @@ def test_a_perturbed_thm1_fails_where_the_per_j_rows_fail(monkeypatch, perturb):
 
 
 def _with_factor(name, factor):
-    pair = load_pair(name)
-    return replace(pair, term=parse_term(pair.term.render() + " * " + factor))
+    return replace(load_pair(name), term=parse_term(_fixture_term(name) + " * " + factor))
 
 
 def _pole_at_n2(pair):
