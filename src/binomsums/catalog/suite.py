@@ -1,7 +1,8 @@
-"""Deterministic suite runner over the catalog and the certificate pairs.
+"""Deterministic suite runner over the entries and certificate pairs it is handed.
 
-A run is fully determined by (seed, n_max override, samples, filter,
-mutations): parameter draws are seeded per entry id and pair, rows are emitted
+A run is fully determined by the entries and pairs handed to it, the seed, the
+n_max override and the samples: draws are seeded per entry id and pair name, so
+a run handed one entry or pair gives its rows of a full run; rows are emitted
 in (id, n, draw) order, and the writers render sides in the canonical rational
 format and drawn values by ``str``, so repeated runs are byte-identical.
 
@@ -15,30 +16,17 @@ pure-Python encoder in between.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from ..exact import render_rational
 from ..params import MAX_TRIES, ResultRow, draws
-from ..wz import builtin_pairs, telescoping_sum_check, verify_wz_pair
-from .entries import apply_mutations, check_identity, draw_for_entry
+from ..wz import WZPair, telescoping_sum_check, verify_wz_pair
+from .entries import IdentityEntry, check_identity, draw_for_entry
 
-__all__ = ["SuiteConfig", "ResultRow", "catalog_rows", "run_catalog", "run_wz",
-           "suite_rows", "write_json", "write_text", "wz_rows"]
+__all__ = ["ResultRow", "catalog_rows", "run_catalog", "run_wz", "write_json", "write_text",
+           "wz_rows"]
 
 WZ_N_MAX = 10
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    n_max: int | None = None          # None: per-entry defaults
-    samples: int = 20
-    seed: int = 0
-    only: tuple[str, ...] = ()        # entry ids and/or pair names
-    mutations: tuple[str, ...] = ()
-    wz_scale: Fraction | None = None  # certificate scaling (negative control)
 
 
 def _params_block(params: Mapping) -> str:
@@ -102,44 +90,36 @@ def write_text(suite: str, seed: int, rows: Iterable[ResultRow], out) -> dict[st
     return counts
 
 
-def catalog_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Every selected entry at every n up to its depth, for every draw: each
-    draw checked as one block of n, the rows yielded n-major."""
-    entries = apply_mutations(config.mutations)
+def catalog_rows(entries: Mapping[str, IdentityEntry], n_max: int | None, samples: int,
+                 seed: int) -> Iterator[ResultRow]:
+    """Every entry at every n up to its depth (``n_max``, or the entry's own for
+    None), for every draw: each draw checked as one block of n, the rows yielded n-major."""
     for entry_id, entry in entries.items():
-        if config.only and entry_id not in config.only:
-            continue
-        ns = range((config.n_max if config.n_max is not None else entry.n_max) + 1)
+        ns = range((n_max if n_max is not None else entry.n_max) + 1)
         blocks = [[ResultRow(entry_id, {}, n, None, None, "skipped",
                              f"no admissible draw after {MAX_TRIES} tries") for n in ns]
                   if assign is None else check_identity(entry_id, ns, assign, entries)
-                  for assign in draw_for_entry(entry, config.seed, config.samples, ns[-1])]
+                  for assign in draw_for_entry(entry, seed, samples, ns[-1])]
         for rows in zip(*blocks):
             yield from rows
 
 
-def wz_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Symbolic + boundary + telescoping rows for the selected pairs, each check on its draws."""
-    n_max = config.n_max if config.n_max is not None else WZ_N_MAX
-    for name, pair in builtin_pairs().items():
-        if config.only and name not in config.only:
-            continue
-        if config.wz_scale is not None:
-            pair = pair.scaled(config.wz_scale)
-        checked = draws(f"{config.seed}:wz:{name}", pair.params, n_max, config.samples)
+def wz_rows(pairs: Mapping[str, WZPair], n_max: int | None, samples: int,
+            seed: int) -> Iterator[ResultRow]:
+    """Symbolic + boundary + telescoping rows for each pair to ``n_max`` (WZ_N_MAX for
+    None), each check on its draws."""
+    n_max = n_max if n_max is not None else WZ_N_MAX
+    for name, pair in pairs.items():
+        checked = draws(f"{seed}:wz:{name}", pair.params, n_max, samples)
         yield from verify_wz_pair(pair, n_max, list(checked))
-        telescoped = draws(f"{config.seed}:telescope:{name}", pair.params, n_max, config.samples)
+        telescoped = draws(f"{seed}:telescope:{name}", pair.params, n_max, samples)
         yield from telescoping_sum_check(pair, n_max, [a for a in telescoped if a is not None])
 
 
-def suite_rows(config: SuiteConfig) -> Iterator[ResultRow]:
-    """Full catalog plus all three certificate pairs."""
-    return chain(catalog_rows(config), wz_rows(config))
+# kept until ROADMAP item 17 only: the benchmark's tracer times the runners by these names
+def run_catalog(*args) -> list[ResultRow]:
+    return list(catalog_rows(*args))
 
 
-def run_catalog(config: SuiteConfig) -> list[ResultRow]:
-    return list(catalog_rows(config))
-
-
-def run_wz(config: SuiteConfig) -> list[ResultRow]:
-    return list(wz_rows(config))
+def run_wz(*args) -> list[ResultRow]:
+    return list(wz_rows(*args))

@@ -31,12 +31,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .catalog.entries import REGISTRY, apply_mutations
-from .catalog.suite import (SuiteConfig, catalog_rows, suite_rows, write_json,
-                            write_text, wz_rows)
+from .catalog.suite import catalog_rows, write_json, write_text, wz_rows
 from .exact import parse_rational
-from .wz import PAIR_NAMES
+from .wz import PAIR_NAMES, builtin_pairs
 
 __all__ = ["main", "entry"]
 
@@ -140,23 +140,20 @@ def _run(args, out) -> int:
         return 0
 
     settings = _effective(args, file_config)
-    config_kwargs = dict(n_max=settings["n_max"], samples=settings["samples"],
-                         seed=settings["seed"])
+    draw = settings["n_max"], settings["samples"], settings["seed"]
 
     if args.command == "check":
         if args.id not in REGISTRY:
             raise UsageError(f"unknown identity id {args.id!r} (see 'list')")
-        mutations: tuple[str, ...] = ()
+        entry = REGISTRY[args.id]
         if args.mutate is not None:
-            mutations = (args.mutate,)
             try:
-                mutated = apply_mutations(mutations)
+                entry = apply_mutations((args.mutate,))[args.id]
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            if mutated[args.id] is REGISTRY[args.id]:
+            if entry is REGISTRY[args.id]:
                 raise UsageError(f"mutation {args.mutate!r} leaves {args.id} unchanged")
-        suite, rows = f"check:{args.id}", catalog_rows(SuiteConfig(
-            only=(args.id,), mutations=mutations, **config_kwargs))
+        suite, rows = f"check:{args.id}", catalog_rows({args.id: entry}, *draw)
     elif args.command == "wz":
         scale = None
         if args.mutate is not None:
@@ -169,11 +166,12 @@ def _run(args, out) -> int:
                 raise UsageError(str(exc)) from exc
             if scale == 1:
                 raise UsageError("scale-cert expects a rational != 1")
-        only = () if args.pair == "all" else (args.pair,)
-        suite = f"wz:{args.pair}"
-        rows = wz_rows(SuiteConfig(only=only, wz_scale=scale, **config_kwargs))
+        pairs = {name: pair if scale is None else pair.scaled(scale)
+                 for name, pair in builtin_pairs().items() if args.pair in ("all", name)}
+        suite, rows = f"wz:{args.pair}", wz_rows(pairs, *draw)
     else:
-        suite, rows = "suite", suite_rows(SuiteConfig(**config_kwargs))
+        suite, rows = "suite", chain(catalog_rows(REGISTRY, *draw),
+                                     wz_rows(builtin_pairs(), *draw))
 
     counts = _emit(suite, settings["seed"], rows, settings["format"], out)
     if not counts["pass"] and not counts["fail"]:

@@ -19,9 +19,9 @@ import time
 from fractions import Fraction
 from math import comb
 
-from binomsums.catalog.entries import REGISTRY, check_identity
+from binomsums.catalog.entries import REGISTRY, apply_mutations, check_identity
 from binomsums.catalog.jets_oracle import oracle
-from binomsums.catalog.suite import SuiteConfig, run_catalog, run_wz
+from binomsums.catalog.suite import run_catalog, run_wz
 from binomsums.cli import main as cli_main
 from binomsums.exact import binom_poly
 from binomsums.legendre import (
@@ -89,7 +89,7 @@ def test_criterion_2_telescoping():
 def test_criterion_3_two_parameter_transform():
     spot = check_identity("ID03", 1, {"alpha": F(1, 2), "beta": F(1, 3), "x": F(2)})
     ok = spot.status == "pass" and spot.lhs == spot.rhs == F(19, 6)
-    rows = run_catalog(SuiteConfig(samples=50, seed=0, only=("ID03",)))
+    rows = run_catalog({"ID03": REGISTRY["ID03"]}, None, 50, 0)
     ok = ok and len(rows) == 31 * 50 and all(r.status == "pass" for r in rows)
     report(3, ok, "transform identity exact for n<=30 x 50 draws; spot 19/6")
     assert ok
@@ -105,7 +105,7 @@ def test_criterion_4_product_ratio_and_alternating_transforms():
     raw_rhs = binom_poly(F(2), p) * binom_poly(s + p, 2)
     ok = ok and raw_lhs == raw_rhs == F(3, 4)
     for entry_id in ("ID06", "ID07"):
-        rows = run_catalog(SuiteConfig(samples=50, seed=0, only=(entry_id,)))
+        rows = run_catalog({entry_id: REGISTRY[entry_id]}, None, 50, 0)
         ok = ok and len(rows) == 31 * 50 and all(r.status == "pass" for r in rows)
     report(4, ok, "both base identities exact for n<=30 x 50 draws; "
                   "spots 187/112 and 3/4")
@@ -203,7 +203,7 @@ def test_criterion_8_legendre_suite():
 def test_criterion_9_half_integer_specialization():
     spot = check_identity("ID05", 1, {"lam": F(1)})
     ok = spot.status == "pass" and spot.lhs == spot.rhs == 4
-    rows = run_catalog(SuiteConfig(samples=50, seed=0, only=("ID05",)))
+    rows = run_catalog({"ID05": REGISTRY["ID05"]}, None, 50, 0)
     ok = ok and len(rows) == 31 * 50 and all(r.status == "pass" for r in rows)
     # the substitution s = n - lam - 1/2, t = -lam - 1/2 maps term-by-term
     rng = random.Random("acceptance:id05")
@@ -234,13 +234,12 @@ def test_criterion_10_negative_controls():
         code = cli_main(["wz", name, "--n-max", "3", "--samples", "1",
                          "--mutate", "scale-cert:2"], out=_DevNull())
         ok &= code == 1
-        scaled = run_wz(SuiteConfig(n_max=3, samples=1, only=(name,),
-                                    wz_scale=F(2)))
+        scaled = run_wz({name: builtin_pairs()[name].scaled(F(2))}, 3, 1, 0)
         ok &= any(r.status == "fail" for r in scaled)
     code = cli_main(["check", "ID24", "--n-max", "4",
                      "--mutate", "id24-flip-h2n"], out=_DevNull())
     ok &= code == 1
-    mutated = run_catalog(SuiteConfig(n_max=4, mutations=("id24-flip-h2n",)))
+    mutated = run_catalog(apply_mutations(("id24-flip-h2n",)), 4, 20, 0)
     failing = {r.id for r in mutated if r.status == "fail"}
     ok &= failing == {"ID24"}
     report(10, bool(ok), "documented mutations produce fail rows and exit code 1")

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from binomsums.catalog.entries import REGISTRY, check_identity, draw_for_entry
-from binomsums.catalog.suite import SuiteConfig, catalog_rows
+from binomsums.catalog.suite import catalog_rows
 from binomsums.exact import n_row, over
 from binomsums.jets import Jet2
 from binomsums.params import ParamSpec
@@ -125,7 +125,7 @@ def test_a_default_sweep_builds_each_n_row_once():
     built = 0
     for entry_id in PARAMETRIC:
         n_row.cache_clear()
-        for _ in catalog_rows(SuiteConfig(only=(entry_id,))):
+        for _ in catalog_rows({entry_id: REGISTRY[entry_id]}, None, 20, 0):
             pass
         info = n_row.cache_info()
         assert info.misses == info.currsize, (entry_id, info)

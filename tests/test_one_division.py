@@ -31,7 +31,7 @@ import pytest
 
 from binomsums.catalog.entries import (MUTATIONS, REGISTRY, apply_mutations, check_identity,
                                        draw_for_entry)
-from binomsums.catalog.suite import SuiteConfig, catalog_rows
+from binomsums.catalog.suite import catalog_rows
 from binomsums.exact import (binom_poly, binom_row, binom_upper_shift, block, central_binomial,
                              digamma_diff, harmonic, n_row, over, power_row, reciprocal_row,
                              rising_row)
@@ -143,7 +143,7 @@ def test_a_sweep_divides_once_per_pass_row(entry_id, monkeypatch):
     entry = REGISTRY[entry_id]
     monkeypatch.setitem(REGISTRY, entry_id,
                         replace(entry, lhs=watched(entry.lhs), rhs=watched(entry.rhs)))
-    rows = list(catalog_rows(SuiteConfig(only=(entry_id,))))
+    rows = list(catalog_rows({entry_id: REGISTRY[entry_id]}, None, 20, 0))
     assert rows and all(r.status == "pass" for r in rows)
     assert in_sides and not any(in_sides)
     assert len(divisions) == len(rows)

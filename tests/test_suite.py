@@ -5,19 +5,40 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
+from itertools import chain
+
+import pytest
 
 from binomsums.catalog import suite
-from binomsums.catalog.entries import check_identity
-from binomsums.catalog.suite import (ResultRow, SuiteConfig, run_catalog, run_wz, suite_rows,
-                                     write_json, write_text)
+from binomsums.catalog.entries import REGISTRY, apply_mutations, check_identity
+from binomsums.catalog.suite import (ResultRow, catalog_rows, run_catalog, run_wz, write_json,
+                                     write_text, wz_rows)
 from binomsums.cli import main
 from binomsums.exact import render_rational
 from binomsums.params import draws
-from binomsums.wz import load_pair, telescoping_sum_check, verify_wz_pair
+from binomsums.wz import (PAIR_NAMES, builtin_pairs, load_pair, telescoping_sum_check,
+                          verify_wz_pair)
 
 F = Fraction
 
-SMALL = SuiteConfig(n_max=4, samples=3, seed=0)
+SMALL = (4, 3, 0)   # n_max, samples, seed
+
+
+def _suite_rows(n_max, samples, seed):
+    """The suite command's rows: the whole catalog, then every pair."""
+    return chain(catalog_rows(REGISTRY, n_max, samples, seed),
+                 wz_rows(builtin_pairs(), n_max, samples, seed))
+
+
+def _entries(*ids):
+    """The registry's entries of these ids, in registry order."""
+    return {entry_id: entry for entry_id, entry in REGISTRY.items() if entry_id in ids}
+
+
+def _pairs(*names, scale=None):
+    """The shipped pairs of these names, each scaled by ``scale`` if given."""
+    return {name: pair if scale is None else pair.scaled(scale)
+            for name, pair in builtin_pairs().items() if name in names}
 
 
 def _counts(rows):
@@ -57,8 +78,8 @@ def _cli_json(*argv):
 
 
 def test_deterministic_repeat():
-    a = list(suite_rows(SMALL))
-    b = list(suite_rows(SMALL))
+    a = list(_suite_rows(*SMALL))
+    b = list(_suite_rows(*SMALL))
     assert a == b
     # the bytes the CLI writes, not a re-encoding of the rows
     argv = ("suite", "--n-max", "4", "--samples", "3", "--seed", "0")
@@ -70,14 +91,13 @@ def test_json_writer_matches_json_dumps():
     tricky = ResultRow("ID\u00e9", {"x": 'a"b\\c\nd', "\u00fc\t": "\u2028\U0001f600\x00"},
                        -3, F(1, 2), None, "fail", 'quote " backslash \\ newline \n caf\u00e9 \x7f')
     pole_row = check_identity("ID15", 3, {"s": F(2)})
-    flipped = run_catalog(SuiteConfig(n_max=3, samples=2, only=("ID24",),
-                                      mutations=("id24-flip-h2n",)))
-    empty = run_catalog(SuiteConfig(samples=0, only=("ID01",)))
+    flipped = run_catalog({"ID24": apply_mutations(("id24-flip-h2n",))["ID24"]}, 3, 2, 0)
+    empty = run_catalog(_entries("ID01"), None, 0, 0)
     reports = [
-        ("suite", 0, list(suite_rows(SMALL))),
+        ("suite", 0, list(_suite_rows(*SMALL))),
         ("check:ID01", 0, empty),
-        ("wz", 2, run_wz(SuiteConfig(n_max=8, samples=4, seed=2, only=("thm3",)))),
-        ("wz", 0, run_wz(SuiteConfig(n_max=2, samples=2, only=("thm1",), wz_scale=F(2)))),
+        ("wz", 2, run_wz(_pairs("thm3"), 8, 4, 2)),
+        ("wz", 0, run_wz(_pairs("thm1", scale=F(2)), 2, 2, 0)),
         ("catalog", 0, flipped),
         ("h\u00e4nd \"built\"", 7, [tricky, pole_row]),
     ]
@@ -92,20 +112,20 @@ def test_json_writer_matches_json_dumps():
 
 
 def test_seed_changes_draws():
-    a = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06",)))
-    b = run_catalog(SuiteConfig(n_max=3, samples=3, seed=1, only=("ID06",)))
+    a = run_catalog(_entries("ID06"), 3, 3, 0)
+    b = run_catalog(_entries("ID06"), 3, 3, 1)
     assert [r.params for r in a] != [r.params for r in b]
 
 
 def test_small_suite_all_pass():
-    rows = list(suite_rows(SMALL))
+    rows = list(_suite_rows(*SMALL))
     counts = _counts(rows)
     assert counts["fail"] == 0
     assert counts["pass"] == len(rows) - counts["skipped"]
 
 
 def test_row_ordering_is_id_n_draw():
-    rows = run_catalog(SuiteConfig(n_max=2, samples=2, seed=0, only=("ID03", "ID01")))
+    rows = run_catalog(_entries("ID03", "ID01"), 2, 2, 0)
     ids = [r.id for r in rows]
     assert ids == sorted(ids)
     id03_rows = [r for r in rows if r.id == "ID03"]
@@ -117,15 +137,25 @@ def test_row_ordering_is_id_n_draw():
     assert first_n == second_n
 
 
-def test_filter_restricts_ids():
-    rows = suite_rows(SuiteConfig(n_max=3, samples=2, seed=0, only=("ID16",)))
-    assert {r.id for r in rows} == {"ID16"}
-    rows = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",)))
-    assert {r.id for r in rows} == {"WZ-thm2"}
+@pytest.mark.parametrize("seed", [0, 3])
+def test_check_and_wz_reports_are_rows_of_the_suite_report(seed):
+    # the CLI picks what a run checks: check <ID> and wz <pair> give the very rows
+    # the suite report holds for that entry or pair, and wz all gives all its pair rows
+    def results(*argv):
+        return json.loads(_cli_json(*argv, "--n-max", "3", "--samples", "3",
+                                    "--seed", str(seed)))["results"]
+
+    full = results("suite")
+    for entry_id in REGISTRY:
+        assert results("check", entry_id) == [r for r in full if r["id"] == entry_id], entry_id
+    for name in PAIR_NAMES:
+        assert results("wz", name) == [r for r in full if r["id"] == f"WZ-{name}"], name
+    pair_rows = [r for r in full if r["id"].startswith("WZ-")]
+    assert pair_rows and results("wz", "all") == pair_rows
 
 
 def test_wz_rows_include_symbolic_boundary_telescoping():
-    rows = run_wz(SuiteConfig(n_max=4, samples=2, seed=0, only=("thm3",)))
+    rows = run_wz(_pairs("thm3"), 4, 2, 0)
     reasons = " ".join(r.reason for r in rows)
     assert "symbolic residual = 0" in reasons
     assert "boundary" in reasons
@@ -134,9 +164,7 @@ def test_wz_rows_include_symbolic_boundary_telescoping():
 
 
 def test_mutated_id24_fails_only_id24():
-    config = SuiteConfig(n_max=6, samples=2, seed=0,
-                         mutations=("id24-flip-h2n",))
-    rows = run_catalog(config)
+    rows = run_catalog(apply_mutations(("id24-flip-h2n",)), 6, 2, 0)
     failing_ids = {r.id for r in rows if r.status == "fail"}
     assert failing_ids == {"ID24"}
     # n = 0 has H_0 = 0 twice, so every positive depth fails
@@ -145,14 +173,14 @@ def test_mutated_id24_fails_only_id24():
 
 
 def test_scaled_certificate_fails_wz():
-    rows = run_wz(SuiteConfig(n_max=3, samples=2, seed=0, only=("thm2",), wz_scale=F(2)))
+    rows = run_wz(_pairs("thm2", scale=F(2)), 3, 2, 0)
     assert _counts(rows)["fail"]
     symbolic = [r for r in rows if "symbolic" in r.reason]
     assert symbolic and symbolic[0].status == "fail"
 
 
 def test_json_schema():
-    rows = list(suite_rows(SuiteConfig(n_max=2, samples=2, seed=0, only=("ID16", "thm2"))))
+    rows = list(chain(run_catalog(_entries("ID16"), 2, 2, 0), run_wz(_pairs("thm2"), 2, 2, 0)))
     doc = json.loads(_written(write_json, "suite", 0, rows))
     assert doc == _json_dict("suite", 0, rows)
     assert set(doc) == {"suite", "seed", "results", "summary"}
@@ -167,7 +195,7 @@ def test_json_schema():
 
 
 def test_text_rendering_contains_rows_and_summary():
-    rows = run_catalog(SuiteConfig(n_max=2, samples=1, seed=0, only=("ID16",)))
+    rows = run_catalog(_entries("ID16"), 2, 1, 0)
     text = _written(write_text, "catalog", 0, rows)
     assert "ID16" in text
     assert "lhs=3/2 rhs=3/2" in text
@@ -215,7 +243,7 @@ def test_rows_carry_the_very_draw_they_were_checked_at(monkeypatch):
     made = []
     real = suite.draw_for_entry
     monkeypatch.setattr(suite, "draw_for_entry", lambda *args: made.append(real(*args)) or made[-1])
-    rows = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0, only=("ID06", "ID16")))
+    rows = run_catalog(_entries("ID06", "ID16"), 3, 3, 0)
     (id06, id16), id06_rows = made, rows[:4 * 3]
     assert len(rows) == 4 * 3 + 4 and None not in id06 and id16 == [{}]
     for i, row in enumerate(id06_rows):        # rows run over n, then over draws
@@ -275,7 +303,7 @@ def test_params_blocks_follow_the_row_objects(monkeypatch):
     for name in ("_params_block", "_params_text"):
         monkeypatch.setattr(suite, name, lambda params, real=getattr(suite, name): (
             renders.append(params) or real(params)))
-    report = run_catalog(SuiteConfig(n_max=3, samples=3, seed=0))
+    report = run_catalog(REGISTRY, 3, 3, 0)
     drawn = {id(r.params) for r in report}
     for writer in (write_json, write_text):
         renders.clear()

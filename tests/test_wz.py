@@ -545,7 +545,7 @@ def test_certificate_common_factor_still_gives_the_pole_row():
         ("fail", "draw-0: unexpected pole: pole at assignment")]
 
 
-def test_a_pair_with_no_admissible_draw_gives_fail_rows(monkeypatch):
+def test_a_pair_with_no_admissible_draw_gives_fail_rows():
     from binomsums.catalog import suite
     from binomsums.params import ParamSpec, ResultRow
 
@@ -556,9 +556,7 @@ def test_a_pair_with_no_admissible_draw_gives_fail_rows(monkeypatch):
         for i in range(3)]
     assert verify_wz_pair(pair, 2, [None] * 3) == _seeded(pair, 2, 3) == expected
     # the report has the same rows and no telescoping row: no draw is left to sum
-    monkeypatch.setattr(suite, "builtin_pairs", lambda: {"thm2": pair})
-    config = suite.SuiteConfig(n_max=2, samples=3, only=("thm2",))
-    assert list(suite.wz_rows(config)) == expected
+    assert list(suite.wz_rows({"thm2": pair}, 2, 3, 0)) == expected
 
 
 def test_verify_is_deterministic():
